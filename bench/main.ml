@@ -642,174 +642,13 @@ let e14 () =
     "verdict: tree performs strictly fewer per-entry join updates than dense on %s\n"
     (if !all_ok then "every workload above" else "SOME workloads only (unexpected)")
 
-(* {1 E15: frontier engine — interned packed cuts + domain-parallel levels} *)
-
-(* The pre-engine analyzer, kept verbatim: one frontier Hashtbl keyed by
-   the cut as an [int list], with [Array.to_list]/[Array.of_list]/
-   [Array.copy] on every visit.  The allocation comparison below
-   measures exactly what the interned-cut arena saves. *)
-module Seed_analyzer = struct
-  module Mset = Set.Make (struct
-    type t = Pastltl.Monitor.state
-
-    let compare = Pastltl.Monitor.compare_state
-  end)
-
-  type entry = { state : Pastltl.State.t; msets : Mset.t }
-
-  let analyze ~spec comp =
-    let monitor = Pastltl.Monitor.compile spec in
-    let n_violations = ref 0 in
-    let monitor_steps = ref 0 in
-    let cuts_visited = ref 0 in
-    let levels = ref 0 in
-    let init_state = Observer.Computation.init_state comp in
-    let m0 = Pastltl.Monitor.init monitor init_state in
-    incr monitor_steps;
-    let frontier = Hashtbl.create 64 in
-    Hashtbl.replace frontier
-      (Array.to_list (Observer.Computation.bottom comp))
-      { state = init_state; msets = Mset.singleton m0 };
-    let running = ref true in
-    while !running do
-      incr levels;
-      cuts_visited := !cuts_visited + Hashtbl.length frontier;
-      Hashtbl.iter
-        (fun _ entry ->
-          Mset.iter
-            (fun m ->
-              if not (Pastltl.Monitor.verdict monitor m) then incr n_violations)
-            entry.msets)
-        frontier;
-      let next = Hashtbl.create 64 in
-      Hashtbl.iter
-        (fun key entry ->
-          let cut = Array.of_list key in
-          List.iter
-            (fun (tid, m) ->
-              let cut' = Array.copy cut in
-              cut'.(tid) <- cut'.(tid) + 1;
-              let state' = Observer.Computation.apply entry.state m in
-              let stepped =
-                Mset.fold
-                  (fun ms acc ->
-                    incr monitor_steps;
-                    Mset.add (Pastltl.Monitor.step monitor ms state') acc)
-                  entry.msets Mset.empty
-              in
-              let key' = Array.to_list cut' in
-              match Hashtbl.find_opt next key' with
-              | None -> Hashtbl.replace next key' { state = state'; msets = stepped }
-              | Some existing ->
-                  assert (Pastltl.State.equal existing.state state');
-                  Hashtbl.replace next key'
-                    { existing with msets = Mset.union existing.msets stepped })
-            (Observer.Computation.enabled comp cut))
-        frontier;
-      if Hashtbl.length next = 0 then running := false
-      else begin
-        Hashtbl.reset frontier;
-        Hashtbl.iter (Hashtbl.replace frontier) next
-      end
-    done;
-    (!n_violations, !monitor_steps, !cuts_visited, !levels)
-end
-
-(* Words allocated by one call of [f]: minor + major - promoted.
-   [Gc.quick_stat] supplies the major/promoted counters but only updates
-   its minor count at minor collections, so the minor side comes from
-   the precise [Gc.minor_words]. *)
-let alloc_words f =
-  let s0 = Gc.quick_stat () in
-  let m0 = Gc.minor_words () in
-  let r = f () in
-  let s1 = Gc.quick_stat () in
-  let m1 = Gc.minor_words () in
-  let words =
-    m1 -. m0
-    +. (s1.Gc.major_words -. s0.Gc.major_words)
-    -. (s1.Gc.promoted_words -. s0.Gc.promoted_words)
-  in
-  (r, words)
-
-let e15 ?(smoke = false) () =
-  section "E15" "Frontier engine: interned packed cuts + domain-parallel levels";
-  let cores = Domain.recommended_domain_count () in
-  record ~experiment:"E15" ~metric:"recommended_domain_count" (float_of_int cores);
-  Printf.printf "machine: %d core(s) available to this process%s\n\n" cores
-    (if cores = 1 then
-       " - domain parallelism cannot beat sequential wall time here; the jobs\n\
-        sweep below measures overhead only, and the differential tests carry\n\
-        the correctness claim"
-     else "");
-  let workloads =
-    if smoke then [ ("grid-4x2", 4, 2) ]
-    else [ ("grid-6x2", 6, 2); ("grid-8x2", 8, 2); ("grid-6x3", 6, 3) ]
-  in
-  let jobs_sweep = if smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
-  let quota = if smoke then 0.05 else 0.5 in
-  Printf.printf "%-10s %10s | %14s %14s %6s | %s\n" "workload" "cuts" "seed words"
-    "interned words" "ratio" "ns per sweep by jobs";
-  List.iter
-    (fun (name, threads, writes) ->
-      let program = Tml.Programs.independent ~threads ~writes in
-      let r = Tml.Vm.run_program ~sched:(Tml.Sched.round_robin ()) program in
-      let comp =
-        Observer.Computation.of_messages_exn ~nthreads:threads
-          ~init:program.Tml.Ast.shared r.Tml.Vm.messages
-      in
-      let spec = Pastltl.Fparser.parse "always v0 <= 9" in
-      let key metric = Printf.sprintf "%s %s" name metric in
-      (* Allocation: seed list-keyed frontier vs interned-cut engine,
-         both sequential, same workload. *)
-      let (sn, ss, sc, sl), seed_words =
-        alloc_words (fun () -> Seed_analyzer.analyze ~spec comp)
-      in
-      let report, interned_words =
-        alloc_words (fun () -> Predict.Analyzer.analyze ~jobs:1 ~spec comp)
-      in
-      let stats = report.Predict.Analyzer.stats in
-      assert (List.length report.Predict.Analyzer.violations = sn);
-      assert (stats.Predict.Analyzer.monitor_steps = ss);
-      assert (stats.Predict.Analyzer.cuts_visited = sc);
-      assert (stats.Predict.Analyzer.levels = sl);
-      record ~experiment:"E15" ~metric:(key "cuts") (float_of_int sc);
-      record ~experiment:"E15" ~metric:(key "alloc_words_seed") seed_words;
-      record ~experiment:"E15" ~metric:(key "alloc_words_interned") interned_words;
-      (* Wall time across the jobs sweep. *)
-      let times =
-        List.map
-          (fun jobs ->
-            let bname = Printf.sprintf "%s j%d" name jobs in
-            let run () = ignore (Predict.Analyzer.analyze ~jobs ~spec comp) in
-            match measure ~quota [ Test.make ~name:bname (Staged.stage run) ] with
-            | [ (_, ns) ] ->
-                record ~experiment:"E15" ~metric:(key (Printf.sprintf "ns_jobs%d" jobs)) ns;
-                (jobs, ns)
-            | _ -> assert false)
-          jobs_sweep
-      in
-      (match (List.assoc_opt 1 times, List.assoc_opt 4 times) with
-      | Some t1, Some t4 ->
-          record ~experiment:"E15" ~metric:(key "speedup_jobs4") (t1 /. t4)
-      | _ -> ());
-      Printf.printf "%-10s %10d | %14.3e %14.3e %5.2fx |" name sc seed_words
-        interned_words (seed_words /. interned_words);
-      List.iter (fun (jobs, ns) -> Printf.printf "  j%d %s" jobs (pp_ns ns)) times;
-      Printf.printf "\n%!")
-    workloads;
-  Printf.printf
-    "\nshape: the interned-cut arena allocates a fraction of the seed's list-keyed\n\
-     frontier on every workload; with >= 2 cores the jobs=4 sweep beats jobs=1 on\n\
-     the wide lattices, and jobs=N results are bit-identical to jobs=1 (asserted\n\
-     above at bench scale and by the differential test suites).\n"
-
 (* {1 E16: telemetry overhead} *)
 
 (* The telemetry contract is one atomic load and branch per site when
    metrics are off, and a handful of atomic read-modify-writes per event
    when on.  Measured here end-to-end: the paper's two worked examples
-   through the whole pipeline, and an E15 grid through the analyzer.
+   through the whole pipeline, and an independent-writes grid through
+   the analyzer.
    Returns false when the metrics-on overhead breaks the 10% gate. *)
 let e16 ?(smoke = false) () =
   section "E16" "Telemetry overhead: metrics registry on vs off";
@@ -828,7 +667,7 @@ let e16 ?(smoke = false) () =
     in
     let spec = Pastltl.Fparser.parse "always v0 <= 9" in
     ( Printf.sprintf "grid-%dx%d" threads writes,
-      fun () -> ignore (Predict.Analyzer.analyze ~jobs:1 ~spec comp) )
+      fun () -> ignore (Predict.Analyzer.analyze ~spec comp) )
   in
   let workloads =
     if smoke then
@@ -1373,7 +1212,7 @@ let run_e22 ?smoke () =
 let experiments =
   [ ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6); ("E7", e7);
     ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11); ("E12", e12); ("E13", e13);
-    ("E14", e14); ("E15", fun () -> e15 ()); ("E16", fun () -> run_e16 ());
+    ("E14", e14); ("E16", fun () -> run_e16 ());
     ("E17", e17); ("E18", fun () -> run_e18 ()); ("E20", fun () -> run_e20 ());
     ("E22", fun () -> run_e22 ()) ]
 
@@ -1419,7 +1258,6 @@ let () =
       (* CI smoke: a fast subset proving the bench binary still runs,
          plus the telemetry-overhead gate. *)
       e1 ();
-      e15 ~smoke:true ();
       run_e16 ~smoke:true ();
       run_e18 ~smoke:true ();
       run_e20 ~smoke:true ();

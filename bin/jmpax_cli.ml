@@ -64,14 +64,6 @@ let fuel_arg =
   let doc = "Maximum observable steps before the run is cut off." in
   Arg.(value & opt int 100_000 & info [ "fuel" ] ~docv:"N" ~doc)
 
-let jobs_arg =
-  let doc =
-    "Domains for the predictive analyzer's frontier engine: $(b,1) = \
-     sequential, $(b,0) = all cores. Verdicts are identical for every \
-     value."
-  in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
 let channel_arg =
   let doc =
     "Delivery model between program and observer: $(b,in-order), \
@@ -180,7 +172,7 @@ let parse_engines = function
 (* {1 check} *)
 
 let check_cmd =
-  let run example file spec seed fuel channel clock jobs engine counterexamples
+  let run example file spec seed fuel channel clock engine counterexamples
       replay metrics trace =
     let program = or_die (load_program ~example ~file) in
     let spec = parse_spec spec in
@@ -192,7 +184,6 @@ let check_cmd =
         fuel;
         channel;
         clock;
-        jobs;
         engines = parse_engines engine;
         metrics;
         trace }
@@ -243,7 +234,7 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check" ~doc:"Run a program once and predict violations over all causally consistent runs.")
     Term.(const run $ example_arg $ file_arg $ spec_arg $ seed_arg $ fuel_arg
-          $ channel_arg $ clock_arg $ jobs_arg $ engine_arg $ counterexamples
+          $ channel_arg $ clock_arg $ engine_arg $ counterexamples
           $ replay $ metrics_arg $ trace_arg)
 
 (* {1 run} *)
@@ -333,7 +324,7 @@ let run_cmd =
 (* {1 observe} *)
 
 let observe_cmd =
-  let run trace spec jobs metrics span_trace =
+  let run trace spec metrics span_trace =
     let spec = parse_spec spec in
     match Jmpax.Wire.read_file trace with
     | Error e -> or_die (Error (Jmpax.Wire.Error.to_string e))
@@ -350,7 +341,7 @@ let observe_cmd =
             in
             let code =
               Jmpax.Pipeline.with_telemetry tconfig (fun () ->
-                  let report = Predict.Analyzer.analyze ~jobs ~spec comp in
+                  let report = Predict.Analyzer.analyze ~spec comp in
                   Format.printf "%d messages, %d threads@." (List.length messages)
                     header.Jmpax.Wire.nthreads;
                   Format.printf "%a@." Predict.Analyzer.pp_report report;
@@ -365,7 +356,7 @@ let observe_cmd =
   Cmd.v
     (Cmd.info "observe"
        ~doc:"Run the external observer on a previously recorded wire trace.")
-    Term.(const run $ trace $ spec_arg $ jobs_arg $ metrics_arg $ trace_arg)
+    Term.(const run $ trace $ spec_arg $ metrics_arg $ trace_arg)
 
 (* {1 stream} *)
 
@@ -511,7 +502,7 @@ let make_budget ?memory_budget ~max_frontier_cuts ~max_causal_buffered () =
   | exception Invalid_argument msg -> die 2 msg
 
 let stream_cmd =
-  let run target spec jobs engine max_buffered recovery quarantine_file
+  let run target spec engine max_buffered recovery quarantine_file
       checkpoint checkpoint_every resume reconnect backoff_min backoff_max
       max_retries deadline max_frontier_cuts max_causal_buffered on_overload
       metrics span_trace log_level log_format =
@@ -586,8 +577,7 @@ let stream_cmd =
                   let r =
                     with_quarantine (fun quarantine ->
                         Jmpax.Stream.run ?max_buffered ~recovery ?quarantine
-                          ~jobs ?checkpoint ?resume ~engines ~budget
-                          ~on_overload ~spec
+                          ?checkpoint ?resume ~engines ~budget ~on_overload ~spec
                           ~read:(Jmpax.Transport.read transport) ())
                   in
                   lost := Jmpax.Transport.lost transport;
@@ -748,7 +738,7 @@ let stream_cmd =
              $(b,jmpax check).  With $(b,--checkpoint) and $(b,--resume) a \
              killed observer continues where it stopped; with \
              $(b,--reconnect) it survives connection loss.")
-    Term.(const run $ target $ spec_arg $ jobs_arg $ engine_arg $ max_buffered
+    Term.(const run $ target $ spec_arg $ engine_arg $ max_buffered
           $ recovery $ quarantine_file $ checkpoint $ checkpoint_every $ resume
           $ reconnect $ backoff_min $ backoff_max $ max_retries $ deadline
           $ max_frontier_cuts_arg $ max_causal_buffered_arg $ on_overload_arg
@@ -757,8 +747,8 @@ let stream_cmd =
 (* {1 serve} *)
 
 let serve_cmd =
-  let run address control spec max_sessions idle_timeout max_buffered jobs
-      engine recovery checkpoint_dir checkpoint_every read_budget metrics
+  let run address control spec max_sessions idle_timeout max_buffered engine
+      recovery checkpoint_dir checkpoint_every read_budget metrics
       span_trace log_level log_format live_metrics health_max_lag
       health_max_buffered max_frontier_cuts max_causal_buffered on_overload
       memory_budget =
@@ -804,7 +794,7 @@ let serve_cmd =
         spec_fp = Jmpax.Checkpoint.fingerprint spec;
         engines = parse_engines engine;
         max_buffered;
-        jobs;
+        jobs = 1;
         recovery;
         checkpoint_dir;
         checkpoint_every;
@@ -964,7 +954,7 @@ let serve_cmd =
              file.  Scheduling is round-robin with a per-tick read budget, so \
              no writer can starve the others; SIGTERM drains gracefully.")
     Term.(const run $ address $ control $ spec_arg $ max_sessions $ idle_timeout
-          $ max_buffered $ jobs_arg $ engine_arg $ recovery $ checkpoint_dir
+          $ max_buffered $ engine_arg $ recovery $ checkpoint_dir
           $ checkpoint_every $ read_budget $ metrics_arg $ trace_arg
           $ log_level_arg $ log_format_arg $ live_metrics $ health_max_lag
           $ health_max_buffered $ max_frontier_cuts_arg $ max_causal_buffered_arg
@@ -973,7 +963,7 @@ let serve_cmd =
 (* {1 lattice} *)
 
 let lattice_cmd =
-  let run example file spec seed fuel clock jobs dot =
+  let run example file spec seed fuel clock dot =
     let program = or_die (load_program ~example ~file) in
     let spec = parse_spec spec in
     let clock = or_die (parse_clock clock) in
@@ -981,12 +971,11 @@ let lattice_cmd =
       { (Jmpax.Config.default ()) with
         Jmpax.Config.sched = sched_of_seed seed;
         fuel;
-        clock;
-        jobs }
+        clock }
     in
     let output = Jmpax.Pipeline.check ~config ~spec program in
     if dot then begin
-      let lattice = Observer.Lattice.build ~jobs output.Jmpax.Pipeline.computation in
+      let lattice = Observer.Lattice.build output.Jmpax.Pipeline.computation in
       let violating =
         List.map
           (fun v -> Array.to_list v.Predict.Analyzer.cut)
@@ -1009,7 +998,7 @@ let lattice_cmd =
     (Cmd.info "lattice"
        ~doc:"Print the computation lattice of one monitored run (cf. the paper's Figs. 5 and 6).")
     Term.(const run $ example_arg $ file_arg $ spec_arg $ seed_arg $ fuel_arg
-          $ clock_arg $ jobs_arg $ dot)
+          $ clock_arg $ dot)
 
 (* {1 race} *)
 
@@ -1133,7 +1122,7 @@ let fsm_cmd =
 (* {1 monitor (online)} *)
 
 let monitor_cmd =
-  let run example file spec seed fuel clock jobs metrics trace =
+  let run example file spec seed fuel clock metrics trace =
     let program = or_die (load_program ~example ~file) in
     let spec = parse_spec spec in
     let clock = or_die (parse_clock clock) in
@@ -1142,7 +1131,6 @@ let monitor_cmd =
         Jmpax.Config.sched = sched_of_seed seed;
         fuel;
         clock;
-        jobs;
         metrics;
         trace }
     in
@@ -1167,7 +1155,7 @@ let monitor_cmd =
     (Cmd.info "monitor"
        ~doc:"Monitor a program online: the lattice is analyzed while the program runs.")
     Term.(const run $ example_arg $ file_arg $ spec_arg $ seed_arg $ fuel_arg
-          $ clock_arg $ jobs_arg $ metrics_arg $ trace_arg)
+          $ clock_arg $ metrics_arg $ trace_arg)
 
 (* {1 stats} *)
 

@@ -13,8 +13,6 @@ type t = {
   fuel : int;
   channel : channel_model;
   clock : Clock.Spec.backend;
-  jobs : int;
-  stop_at_first : bool;
   detect_races : bool;
   detect_deadlocks : bool;
   detect_atomicity : bool;
@@ -34,8 +32,6 @@ let default () =
     fuel = 100_000;
     channel = In_order;
     clock = Clock.Registry.default;
-    jobs = 1;
-    stop_at_first = false;
     detect_races = true;
     detect_deadlocks = true;
     detect_atomicity = true;
@@ -53,10 +49,6 @@ let with_sched sched t = { t with sched }
 let with_seed seed t = { t with sched = Tml.Sched.random ~seed }
 let with_channel channel t = { t with channel }
 let with_clock clock t = { t with clock }
-
-let with_jobs jobs t =
-  if jobs < 0 then invalid_arg "Config.with_jobs: jobs must be >= 0";
-  { t with jobs }
 
 let with_metrics metrics t = { t with metrics }
 let with_trace trace t = { t with trace }

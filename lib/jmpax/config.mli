@@ -18,10 +18,6 @@ type t = {
   fuel : int;  (** observable-step budget for the monitored run *)
   channel : channel_model;  (** delivery model between program and observer *)
   clock : Clock.Spec.backend;  (** Algorithm A clock backend *)
-  jobs : int;
-  (** domains for the analyzer's frontier engine: [1] = sequential
-      (default), [0] = all cores *)
-  stop_at_first : bool;  (** stop the predictive sweep at the first bad level *)
   detect_races : bool;
   detect_deadlocks : bool;
   detect_atomicity : bool;
@@ -58,7 +54,7 @@ type t = {
 
 val default : unit -> t
 (** Round-robin schedule, [fuel = 100_000], in-order delivery, dense
-    clocks, full sweep, race, deadlock and atomicity detection on. *)
+    clocks, race, deadlock and atomicity detection on. *)
 
 val with_sched : Tml.Sched.t -> t -> t
 val with_seed : int -> t -> t
@@ -67,9 +63,6 @@ val with_seed : int -> t -> t
 val with_channel : channel_model -> t -> t
 
 val with_clock : Clock.Spec.backend -> t -> t
-
-val with_jobs : int -> t -> t
-(** @raise Invalid_argument when negative. *)
 
 val with_metrics : string option -> t -> t
 val with_trace : string option -> t -> t

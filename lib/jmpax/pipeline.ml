@@ -111,10 +111,7 @@ let check ?(config = Config.default ()) ~spec program =
     | Ok c -> c
     | Error msg -> invalid_arg ("Pipeline.check: observer could not reassemble: " ^ msg)
   in
-  let predictive =
-    Predict.Analyzer.analyze ~stop_at_first:config.Config.stop_at_first
-      ~jobs:config.Config.jobs ~spec computation
-  in
+  let predictive = Predict.Analyzer.analyze ~spec computation in
   let observed_ok =
     Predict.Analyzer.observed_run_verdict ~spec ~init run.Tml.Vm.messages
   in
@@ -176,8 +173,8 @@ let check_online ?(config = Config.default ()) ~spec program =
   in
   let nthreads = List.length program.Tml.Ast.threads in
   let online =
-    Predict.Online.create ~jobs:config.Config.jobs
-      ?max_buffered:config.Config.max_buffered ~nthreads ~init ~spec ()
+    Predict.Online.create ?max_buffered:config.Config.max_buffered ~nthreads ~init
+      ~spec ()
   in
   let run =
     Tml.Vm.run_image ~clock:config.Config.clock ~fuel:config.Config.fuel ~relevance

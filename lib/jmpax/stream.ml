@@ -52,7 +52,7 @@ let no_gc =
    input defect) and a failing checkpoint write are unconditionally
    fatal. *)
 let run ?(chunk_size = default_chunk_size) ?max_frame ?max_buffered
-    ?(recovery = Config.Fail) ?quarantine ?jobs ?par_threshold ?checkpoint
+    ?(recovery = Config.Fail) ?quarantine ?checkpoint
     ?resume ?(engines = Predict.Engine.default_kinds)
     ?(budget = Budget.unlimited) ?(on_overload = Budget.Fail) ~spec ~read () =
   if chunk_size <= 0 then invalid_arg "Stream.run: chunk_size must be positive";
@@ -68,9 +68,9 @@ let run ?(chunk_size = default_chunk_size) ?max_frame ?max_buffered
     | Some ck -> (
         match
           let b =
-            Predict.Engines.restore ?jobs ?par_threshold ?max_buffered
-              ?overflow_limit ?degraded:ck.Checkpoint.ck_degraded
-              ~kinds:engines ~nthreads:ck.Checkpoint.ck_header.Wire.nthreads
+            Predict.Engines.restore ?max_buffered ?overflow_limit
+              ?degraded:ck.Checkpoint.ck_degraded ~kinds:engines
+              ~nthreads:ck.Checkpoint.ck_header.Wire.nthreads
               ~init:ck.Checkpoint.ck_header.Wire.init ~spec:(Some spec)
               ~online_snapshot:ck.Checkpoint.ck_online
               ~blocks:ck.Checkpoint.ck_engines
@@ -258,9 +258,8 @@ let run ?(chunk_size = default_chunk_size) ?max_frame ?max_buffered
     | Wire.Reader.Item (Wire.Reader.Header h) ->
         bundle :=
           Some
-            (Predict.Engines.create ?jobs ?par_threshold ?max_buffered
-               ?overflow_limit ~kinds:engines ~nthreads:h.Wire.nthreads
-               ~init:h.Wire.init ~spec:(Some spec) ());
+            (Predict.Engines.create ?max_buffered ?overflow_limit ~kinds:engines
+               ~nthreads:h.Wire.nthreads ~init:h.Wire.init ~spec:(Some spec) ());
         loop ()
     | Wire.Reader.Item (Wire.Reader.Msg m) -> (
         match feed_message m with
@@ -337,8 +336,8 @@ let run ?(chunk_size = default_chunk_size) ?max_frame ?max_buffered
               checkpoints = !checkpoints;
               incomplete } }
 
-let run_string ?chunk_size ?max_frame ?max_buffered ?recovery ?quarantine ?jobs
-    ?par_threshold ?checkpoint ?resume ?engines ?budget ?on_overload ~spec text =
+let run_string ?chunk_size ?max_frame ?max_buffered ?recovery ?quarantine
+    ?checkpoint ?resume ?engines ?budget ?on_overload ~spec text =
   (* On resume the transport must stand at the checkpointed offset; for
      an in-memory document that is a simple seek. *)
   let pos =
@@ -353,6 +352,5 @@ let run_string ?chunk_size ?max_frame ?max_buffered ?recovery ?quarantine ?jobs
     pos := !pos + n;
     n
   in
-  run ?chunk_size ?max_frame ?max_buffered ?recovery ?quarantine ?jobs
-    ?par_threshold ?checkpoint ?resume ?engines ?budget ?on_overload ~spec ~read
-    ()
+  run ?chunk_size ?max_frame ?max_buffered ?recovery ?quarantine ?checkpoint
+    ?resume ?engines ?budget ?on_overload ~spec ~read ()

@@ -65,8 +65,6 @@ val run :
   ?max_buffered:int ->
   ?recovery:Config.recovery ->
   ?quarantine:(string -> unit) ->
-  ?jobs:int ->
-  ?par_threshold:int ->
   ?checkpoint:string * int ->
   ?resume:Checkpoint.t ->
   ?engines:Predict.Engine.kind list ->
@@ -134,8 +132,6 @@ val run_string :
   ?max_buffered:int ->
   ?recovery:Config.recovery ->
   ?quarantine:(string -> unit) ->
-  ?jobs:int ->
-  ?par_threshold:int ->
   ?checkpoint:string * int ->
   ?resume:Checkpoint.t ->
   ?engines:Predict.Engine.kind list ->

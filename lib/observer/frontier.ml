@@ -1,6 +1,5 @@
-(* The shared frontier engine: packed interned cuts plus deterministic
-   domain-parallel level expansion.  Used by Lattice.build,
-   Predict.Analyzer and Predict.Online. *)
+(* The shared frontier engine: packed interned cuts and one sequential
+   level loop.  Used by Lattice.build and Predict.Online. *)
 
 module M = Telemetry.Metrics
 
@@ -16,75 +15,7 @@ let m_probes = M.counter "frontier.intern.probes"
 let m_max_probe = M.gauge "frontier.intern.max_probe"
 let m_levels = M.counter "frontier.levels_expanded"
 let m_level_cuts = M.histogram "frontier.level.cuts"
-let m_shard_cuts = M.histogram "frontier.pool.shard_cuts"
 let m_arena_words = M.gauge "frontier.cutset.peak_mem_words"
-
-module Pool = struct
-  type t = { jobs : int }
-
-  let max_jobs = 64
-
-  let create ~jobs =
-    if jobs < 0 then invalid_arg "Frontier.Pool.create: jobs must be >= 0";
-    let jobs = if jobs = 0 then Domain.recommended_domain_count () else jobs in
-    { jobs = max 1 (min jobs max_jobs) }
-
-  let jobs t = t.jobs
-
-  (* Per-shard busy-time accounting.  Counter handles are created
-     lazily, once per shard index, so the per-level cost is one array
-     read + one atomic add — no name formatting or registry lookup on
-     the metrics-on hot path. *)
-  let busy_counters = Array.make max_jobs None
-
-  let note_busy s us =
-    let c =
-      match busy_counters.(s) with
-      | Some c -> c
-      | None ->
-          let c = M.counter (Printf.sprintf "frontier.pool.shard%d.busy_us" s) in
-          busy_counters.(s) <- Some c;
-          c
-    in
-    M.add c us
-
-  (* Busy-time accounting rides on span tracing, not on the metrics
-     flag: wall-clock reads per shard-run are too expensive for the
-     always-on operational registry (E21 gates metrics-on overhead at
-     1.10x), and per-shard utilization only matters when profiling —
-     exactly when --trace is given. *)
-  let run_shard f s =
-    if Telemetry.Span.enabled () then begin
-      let t0 = Telemetry.Span.now_us () in
-      Fun.protect
-        ~finally:(fun () ->
-          if M.deep_enabled () then
-            note_busy s (int_of_float (Telemetry.Span.now_us () -. t0)))
-        (fun () -> Telemetry.Span.with_ ~name:"frontier.shard" (fun () -> f s))
-    end
-    else f s
-
-  (* Run [f s] for every shard [s] in [0 .. nshards-1], shard 0 on the
-     calling domain, the rest on freshly spawned domains.  Joins every
-     domain before returning; the first exception (shard order) is
-     re-raised. *)
-  let run t ~nshards f =
-    let nshards = max 1 (min nshards t.jobs) in
-    if nshards = 1 then run_shard f 0
-    else begin
-      let doms =
-        Array.init (nshards - 1) (fun i -> Domain.spawn (fun () -> run_shard f (i + 1)))
-      in
-      let first_exn = ref None in
-      (try run_shard f 0 with e -> first_exn := Some e);
-      Array.iter
-        (fun d ->
-          try Domain.join d
-          with e -> if !first_exn = None then first_exn := Some e)
-        doms;
-      match !first_exn with None -> () | Some e -> raise e
-    end
-end
 
 module Cutset = struct
   type t = {
@@ -94,11 +25,10 @@ module Cutset = struct
     mutable slots : int array;  (* open addressing: cut id or -1 *)
     mutable mask : int;
     scratch : int array;  (* reused candidate buffer for intern_succ *)
-    (* Interning statistics, batched in plain fields: a cutset is only
-       ever written by one domain (shard-local or the sequential merge),
-       so the per-lookup cost with metrics on is a few field writes, and
-       [flush_stats] moves the batch into the atomic registry once per
-       level rather than once per probe. *)
+    (* Interning statistics, batched in plain fields: the per-lookup
+       cost with metrics on is a few field writes, and [flush_stats]
+       moves the batch into the atomic registry once per level rather
+       than once per probe. *)
     mutable last_probes : int;  (* probe length of the last counted lookup *)
     mutable stat_hits : int;
     mutable stat_misses : int;
@@ -263,9 +193,6 @@ module Cutset = struct
     t.scratch.(tid) <- t.scratch.(tid) + 1;
     intern_off t t.scratch 0
 
-  (* Re-intern cut [src_id] of [src] into [t] unchanged (merge phase). *)
-  let intern_from t ~src ~src_id = intern_off t src.arena (src_id * src.width)
-
   let compare_ids t a b =
     let ba = a * t.width and bb = b * t.width in
     let rec go i =
@@ -298,8 +225,6 @@ let buf_push b x =
   end;
   b.data.(b.len) <- x;
   b.len <- b.len + 1
-
-let default_par_threshold = 128
 
 module Make (P : PAYLOAD) = struct
   type frontier = {
@@ -370,90 +295,40 @@ module Make (P : PAYLOAD) = struct
   let mem_words f =
     Cutset.mem_words f.cuts + Array.length f.order + Array.length f.payloads
 
-  (* One level step.  Every frontier cut is expanded through [moves]
-     (which must not retain its scratch argument) and [transition];
-     successors landing on the same cut are combined with [P.merge].
-
-     Determinism: the frontier is iterated in canonical order; shards
-     are contiguous chunks of that order; each shard merges its local
-     successors in iteration order; shard results are then merged
-     sequentially in shard order.  For an associative [P.merge] the
-     payload of every successor cut is therefore the same fold, in the
-     same operand order, as the sequential ([nshards = 1]) run — and the
-     output [order] is re-sorted, so the result is identical for every
-     jobs count.  [moves] and [transition] run concurrently across
-     shards and must be thread-safe (pure, or writing only to
-     shard-indexed slots). *)
-  let expand_body pool par_threshold ~moves ~transition f =
+  (* One level step.  Every frontier cut is expanded, in canonical
+     order, through [moves] (which must not retain its scratch argument)
+     and [transition]; successors landing on the same cut are combined
+     with [P.merge] in that order, and the output order is re-sorted. *)
+  let expand_body ~moves ~transition f =
     let n = size f in
     let w = width f in
-    let jobs = Pool.jobs pool in
-    let nshards =
-      if jobs <= 1 || n < 2 || n < par_threshold then 1 else min jobs n
-    in
-    let locals =
-      Array.init nshards (fun _ ->
-          (Cutset.create ~capacity:(max 4 (2 * n / nshards)) ~width:w (), buf_make ()))
-    in
-    Pool.run pool ~nshards (fun s ->
-        let lo = n * s / nshards and hi = n * (s + 1) / nshards in
-        let lc, lp = locals.(s) in
-        let cutbuf = Array.make w 0 in
-        for pos = lo to hi - 1 do
-          let id = f.order.(pos) in
-          Cutset.blit f.cuts id cutbuf;
-          let p = f.payloads.(id) in
-          List.iter
-            (fun (tid, m) ->
-              let p' = transition ~shard:s p ~tid m in
-              let lid = Cutset.intern_succ lc ~src:f.cuts ~src_id:id ~tid in
-              if lid = lp.len then buf_push lp p'
-              else lp.data.(lid) <- P.merge lp.data.(lid) p')
-            (moves ~shard:s cutbuf)
-        done);
-    if M.deep_enabled () then
-      Array.iter
-        (fun (lc, _) ->
-          M.observe m_shard_cuts (Cutset.count lc);
-          Cutset.flush_stats lc)
-        locals;
-    let cuts, payloads =
-      if nshards = 1 then begin
-        (* The single shard's local table already is the merged result;
-           skip the second interning pass (the sequential fast path
-           allocates one cutset per level, not two). *)
-        let lc, lp = locals.(0) in
-        (lc, Array.sub lp.data 0 lp.len)
-      end
-      else begin
-        let total =
-          Array.fold_left (fun acc (lc, _) -> acc + Cutset.count lc) 0 locals
-        in
-        let cuts = Cutset.create ~capacity:(max 4 total) ~width:w () in
-        let payloads = buf_make () in
-        Array.iter
-          (fun (lc, lp) ->
-            for lid = 0 to Cutset.count lc - 1 do
-              let gid = Cutset.intern_from cuts ~src:lc ~src_id:lid in
-              if gid = payloads.len then buf_push payloads lp.data.(lid)
-              else payloads.data.(gid) <- P.merge payloads.data.(gid) lp.data.(lid)
-            done)
-          locals;
-        Cutset.flush_stats cuts;
-        (cuts, Array.sub payloads.data 0 payloads.len)
-      end
-    in
+    let cuts = Cutset.create ~capacity:(max 4 (2 * n)) ~width:w () in
+    let payloads = buf_make () in
+    let cutbuf = Array.make w 0 in
+    Array.iter
+      (fun id ->
+        Cutset.blit f.cuts id cutbuf;
+        let p = f.payloads.(id) in
+        List.iter
+          (fun (tid, m) ->
+            let p' = transition p ~tid m in
+            let nid = Cutset.intern_succ cuts ~src:f.cuts ~src_id:id ~tid in
+            if nid = payloads.len then buf_push payloads p'
+            else payloads.data.(nid) <- P.merge payloads.data.(nid) p')
+          (moves cutbuf))
+      f.order;
+    if M.deep_enabled () then Cutset.flush_stats cuts;
     let order = Array.init (Cutset.count cuts) Fun.id in
     Array.sort (Cutset.compare_ids cuts) order;
-    { cuts; order; payloads }
+    { cuts; order; payloads = Array.sub payloads.data 0 payloads.len }
 
-  let expand pool ?(par_threshold = default_par_threshold) ~moves ~transition f =
+  let expand ~moves ~transition f =
     if M.deep_enabled () then begin
       M.incr m_levels;
       M.observe m_level_cuts (size f)
     end;
     if Telemetry.Span.enabled () then
       Telemetry.Span.with_ ~name:"frontier.expand" (fun () ->
-          expand_body pool par_threshold ~moves ~transition f)
-    else expand_body pool par_threshold ~moves ~transition f
+          expand_body ~moves ~transition f)
+    else expand_body ~moves ~transition f
 end

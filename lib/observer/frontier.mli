@@ -1,37 +1,13 @@
-(** The shared frontier engine behind {!Lattice.build},
-    [Predict.Analyzer] and [Predict.Online].
+(** The shared frontier engine behind {!Lattice.build} and
+    [Predict.Online]: one lattice level at a time, as in the paper's
+    level-by-level sweep (Section 4).
 
-    Two ingredients, both motivated by the paper's level-by-level sweep
-    (Section 4) at scale:
-
-    - {b packed interned cuts}: every cut of the current level lives in
-      one flat [int array] arena and is identified by a dense integer
-      id, deduplicated through a custom open-addressing hash table — no
-      [int list] keys, no per-cut [Array.to_list]/[Array.copy];
-    - {b domain-parallel level expansion}: the cuts of one level are
-      sharded across an OCaml 5 domain pool; successor cuts and their
-      payloads are computed per shard, then merged deterministically so
-      the result is bit-identical to the sequential engine for every
-      jobs count. *)
-
-(** A pool of worker domains.  Spawn-per-level: domains live only for
-    the duration of one {!Make.expand} call, so clients never manage
-    shutdown. *)
-module Pool : sig
-  type t
-
-  val create : jobs:int -> t
-  (** [jobs = 0] means [Domain.recommended_domain_count ()]; [jobs = 1]
-      is the sequential path (no domain is ever spawned); capped at 64.
-      @raise Invalid_argument when [jobs < 0]. *)
-
-  val jobs : t -> int
-
-  val run : t -> nshards:int -> (int -> unit) -> unit
-  (** [run t ~nshards f] runs [f s] for each shard [0 .. nshards-1]
-      (clamped to [jobs t]), shard 0 on the calling domain.  Waits for
-      every shard; the first exception, in shard order, is re-raised. *)
-end
+    Every cut of the current level lives in one flat [int array] arena
+    and is identified by a dense integer id, deduplicated through a
+    custom open-addressing hash table — no [int list] keys, no per-cut
+    [Array.to_list]/[Array.copy].  A level step expands the cuts in
+    canonical (lexicographic) order into the next level's table, so the
+    sweep holds at most two consecutive levels at any moment. *)
 
 (** An interning table of packed cuts: a growable flat arena of
     [width]-sized [int array] slices plus an open-addressing index.
@@ -66,9 +42,6 @@ module Cutset : sig
       incremented — allocation-free (goes through an internal scratch
       buffer; not reentrant on one [t]). *)
 
-  val intern_from : t -> src:t -> src_id:int -> int
-  (** Re-intern cut [src_id] of [src] unchanged (shard-merge phase). *)
-
   val compare_ids : t -> int -> int -> int
   (** Lexicographic order on the underlying cuts. *)
 
@@ -87,14 +60,9 @@ module type PAYLOAD = sig
   type t
 
   val merge : t -> t -> t
-  (** Combine two expansions that reached the same successor cut.
-      {b Must be associative} — this is what makes the parallel merge
-      deterministic (see {!Make.expand}). *)
+  (** Combine two expansions that reached the same successor cut; called
+      in the canonical order of their source cuts. *)
 end
-
-val default_par_threshold : int
-(** Minimum frontier size before {!Make.expand} shards a level
-    (currently 128): below it, domain spawn/join overheads dominate. *)
 
 (** The level-by-level engine over one payload type. *)
 module Make (P : PAYLOAD) : sig
@@ -131,29 +99,15 @@ module Make (P : PAYLOAD) : sig
   val mem_words : frontier -> int
 
   val expand :
-    Pool.t ->
-    ?par_threshold:int ->
-    moves:(shard:int -> int array -> (int * 'm) list) ->
-    transition:(shard:int -> P.t -> tid:int -> 'm -> P.t) ->
+    moves:(int array -> (int * 'm) list) ->
+    transition:(P.t -> tid:int -> 'm -> P.t) ->
     frontier ->
     frontier
-  (** One level step: [moves ~shard cut] lists the enabled events
-      [(tid, move)] of a cut (the cut argument is a reused buffer — do
-      not retain), [transition] computes the successor payload, and
-      expansions meeting at one successor cut are combined with
-      [P.merge].  An empty result means the sweep is complete.
-
-      When the pool has [jobs > 1] and the level has at least
-      [par_threshold] cuts (default {!default_par_threshold}; pass [0]
-      to force sharding, as the differential tests do), the level is
-      split into contiguous chunks of the canonical order, one per
-      shard.  [moves] and [transition] then run concurrently and must
-      be thread-safe: pure, or writing only to [shard]-indexed slots.
-
-      {b Determinism.}  Each shard interns its successors in iteration
-      order; shard results are merged sequentially in shard order; the
-      output order is re-sorted lexicographically.  For an associative
-      [P.merge] every successor payload is the same fold in the same
-      operand order as the sequential run, so the resulting frontier —
-      cuts, order, payloads — is identical for every jobs count. *)
+  (** One level step: [moves cut] lists the enabled events [(tid, move)]
+      of a cut (the cut argument is a reused buffer — do not retain),
+      [transition] computes the successor payload, and expansions
+      meeting at one successor cut are combined with [P.merge], in the
+      canonical order of their source cuts.  The result's iteration
+      order is re-sorted lexicographically.  An empty result means the
+      sweep is complete. *)
 end

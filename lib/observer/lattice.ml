@@ -27,8 +27,7 @@ exception Too_large of int
 
 (* Frontier payload during the build: the node id once the level is
    finalized, the global state, and the incoming edges ((source node
-   id, message) pairs).  [merge] concatenates predecessor lists — an
-   associative operation, so the parallel expansion is deterministic. *)
+   id, message) pairs).  [merge] concatenates predecessor lists. *)
 type building = {
   mutable nid : int;
   bstate : Pastltl.State.t;
@@ -41,8 +40,7 @@ module F = Frontier.Make (struct
   let merge a b = { nid = -1; bstate = a.bstate; preds = a.preds @ b.preds }
 end)
 
-let build_body ?(max_nodes = 200_000) ?(jobs = 1) ?par_threshold comp =
-  let pool = Frontier.Pool.create ~jobs in
+let build_body ?(max_nodes = 200_000) comp =
   let width = Computation.nthreads comp in
   let by_cut = Frontier.Cutset.create ~capacity:64 ~width () in
   let rev_nodes = ref [] in
@@ -68,9 +66,9 @@ let build_body ?(max_nodes = 200_000) ?(jobs = 1) ?par_threshold comp =
   let running = ref true in
   while !running do
     let next =
-      F.expand pool ?par_threshold
-        ~moves:(fun ~shard:_ cut -> Computation.enabled comp cut)
-        ~transition:(fun ~shard:_ p ~tid:_ m ->
+      F.expand
+        ~moves:(fun cut -> Computation.enabled comp cut)
+        ~transition:(fun p ~tid:_ m ->
           { nid = -1; bstate = Computation.apply p.bstate m; preds = [ (p.nid, m) ] })
         !frontier
     in
@@ -100,11 +98,10 @@ let build_body ?(max_nodes = 200_000) ?(jobs = 1) ?par_threshold comp =
   Array.iteri (fun i ids -> levels.(i) <- List.rev ids) levels;
   { comp; nodes; by_cut; succ; pred; levels }
 
-let build ?max_nodes ?jobs ?par_threshold comp =
+let build ?max_nodes comp =
   if Telemetry.Span.enabled () then
-    Telemetry.Span.with_ ~name:"lattice.build" (fun () ->
-        build_body ?max_nodes ?jobs ?par_threshold comp)
-  else build_body ?max_nodes ?jobs ?par_threshold comp
+    Telemetry.Span.with_ ~name:"lattice.build" (fun () -> build_body ?max_nodes comp)
+  else build_body ?max_nodes comp
 
 let computation t = t.comp
 let node_count t = Array.length t.nodes

@@ -6,7 +6,7 @@
     This module materializes the whole lattice — what the paper does for
     presentation and what small programs need for run enumeration. The
     predictive analyzer does {e not} use it; it keeps only one frontier
-    level ({!Predict.Analyzer}). *)
+    level ([Predict.Online]). *)
 
 open Trace
 
@@ -25,15 +25,9 @@ exception Too_large of int
 (** Raised by {!build} when the node budget is exceeded; carries the
     budget. *)
 
-val build : ?max_nodes:int -> ?jobs:int -> ?par_threshold:int -> Computation.t -> t
+val build : ?max_nodes:int -> Computation.t -> t
 (** Breadth-first, level by level, on the {!Frontier} engine: cuts are
-    interned in a packed arena and, with [jobs > 1], each level is
-    expanded in parallel across a domain pool ([jobs = 0] means all
-    cores; default [1] = sequential). The result is identical for every
-    jobs count. [par_threshold] is the minimum level width before a
-    level is sharded (default {!Frontier.default_par_threshold}; [0]
-    forces sharding — a testing knob). [max_nodes] defaults to
-    [200_000].
+    interned in a packed arena. [max_nodes] defaults to [200_000].
     @raise Too_large when the lattice exceeds the budget. *)
 
 val computation : t -> Computation.t

@@ -5,9 +5,8 @@ let m_violations = M.counter "predict.violations"
 let m_monitor_steps = M.counter "predict.monitor_steps"
 let m_max_cuts = M.gauge "predict.max_frontier_cuts"
 let m_max_entries = M.gauge "predict.max_frontier_entries"
-let m_level_series = M.series "predict.level_cuts"
 
-type violation = {
+type violation = Online.violation = {
   cut : int array;
   level : int;
   state : Pastltl.State.t;
@@ -28,112 +27,32 @@ type report = {
   stats : stats;
 }
 
-module Mset = Set.Make (struct
-  type t = Pastltl.Monitor.state
-
-  let compare = Pastltl.Monitor.compare_state
-end)
-
-type entry = { state : Pastltl.State.t; msets : Mset.t }
-
-(* Two expansions meeting at one cut denote the same global state — the
-   cut determines it (paper, Section 3), so [a.state] and [b.state] are
-   equal by construction and only the monitor-state sets need unioning.
-   Set union is associative, so the parallel merge is deterministic. *)
-module F = Observer.Frontier.Make (struct
-  type t = entry
-
-  let merge a b = { a with msets = Mset.union a.msets b.msets }
-end)
-
-let analyze_body ~stop_at_first ~max_violations ~jobs ?par_threshold ~spec comp =
-  let pool = Observer.Frontier.Pool.create ~jobs in
-  let monitor = Pastltl.Monitor.compile spec in
-  let violations = ref [] in
-  let n_violations = ref 0 in
-  let monitor_steps = ref 0 in
-  let max_frontier_cuts = ref 0 in
-  let max_frontier_entries = ref 0 in
-  let cuts_visited = ref 0 in
-  let levels = ref 0 in
-  let record_violations cut level entry =
-    Mset.iter
-      (fun m ->
-        if (not (Pastltl.Monitor.verdict monitor m)) && !n_violations < max_violations
-        then begin
-          incr n_violations;
-          violations :=
-            { cut = Array.copy cut; level; state = entry.state; monitor_state = m }
-            :: !violations
-        end)
-      entry.msets
+(* Offline is the online observer fed the recorded messages in order:
+   once every message is in, [finish] sweeps the lattice to its top.
+   The retired cuts plus the final frontier are every cut visited. *)
+let analyze_body ~spec comp =
+  let online =
+    Online.create ~nthreads:(Observer.Computation.nthreads comp)
+      ~init:(Pastltl.State.to_list (Observer.Computation.init_state comp))
+      ~spec ()
   in
-  let init_state = Observer.Computation.init_state comp in
-  let m0 = Pastltl.Monitor.init monitor init_state in
-  incr monitor_steps;
-  let frontier =
-    ref
-      (F.singleton
-         ~width:(Observer.Computation.nthreads comp)
-         (Observer.Computation.bottom comp)
-         { state = init_state; msets = Mset.singleton m0 })
-  in
-  let running = ref true in
-  while !running do
-    incr levels;
-    let cuts = F.size !frontier in
-    max_frontier_cuts := max !max_frontier_cuts cuts;
-    cuts_visited := !cuts_visited + cuts;
-    if M.deep_enabled () then M.push m_level_series cuts;
-    let entries = F.fold (fun acc _ e -> acc + Mset.cardinal e.msets) 0 !frontier in
-    max_frontier_entries := max !max_frontier_entries entries;
-    let this_level_violated = ref false in
-    F.iter
-      (fun cut entry ->
-        record_violations cut (!levels - 1) entry;
-        if Mset.exists (fun m -> not (Pastltl.Monitor.verdict monitor m)) entry.msets
-        then this_level_violated := true)
-      !frontier;
-    if stop_at_first && !this_level_violated then running := false
-    else begin
-      (* Expand to the next level.  Monitor steps are counted in
-         shard-indexed slots so the total is order-independent. *)
-      let steps = Array.make (Observer.Frontier.Pool.jobs pool) 0 in
-      let next =
-        F.expand pool ?par_threshold
-          ~moves:(fun ~shard:_ cut -> Observer.Computation.enabled comp cut)
-          ~transition:(fun ~shard entry ~tid:_ m ->
-            let state' = Observer.Computation.apply entry.state m in
-            let stepped =
-              Mset.fold
-                (fun ms acc ->
-                  steps.(shard) <- steps.(shard) + 1;
-                  Mset.add (Pastltl.Monitor.step monitor ms state') acc)
-                entry.msets Mset.empty
-            in
-            { state = state'; msets = stepped })
-          !frontier
-      in
-      monitor_steps := Array.fold_left ( + ) !monitor_steps steps;
-      if F.size next = 0 then running := false else frontier := next
-    end
-  done;
+  Online.feed_all online (Observer.Computation.messages comp);
+  Online.finish online;
+  let gc = Online.gc_stats online in
   { spec;
-    violations = List.rev !violations;
+    violations = Online.violations online;
     stats =
-      { levels = !levels;
-        max_frontier_cuts = !max_frontier_cuts;
-        max_frontier_entries = !max_frontier_entries;
-        monitor_steps = !monitor_steps;
-        cuts_visited = !cuts_visited } }
+      { levels = Online.level online + 1;
+        max_frontier_cuts = gc.Online.peak_frontier_cuts;
+        max_frontier_entries = gc.Online.peak_frontier_entries;
+        monitor_steps = gc.Online.monitor_steps;
+        cuts_visited = gc.Online.retired_cuts + Online.frontier_cuts online } }
 
-let analyze ?(stop_at_first = false) ?(max_violations = 1000) ?(jobs = 1)
-    ?par_threshold ~spec comp =
+let analyze ~spec comp =
   let r =
     if Telemetry.Span.enabled () then
-      Telemetry.Span.with_ ~name:"predict.analyze" (fun () ->
-          analyze_body ~stop_at_first ~max_violations ~jobs ?par_threshold ~spec comp)
-    else analyze_body ~stop_at_first ~max_violations ~jobs ?par_threshold ~spec comp
+      Telemetry.Span.with_ ~name:"predict.analyze" (fun () -> analyze_body ~spec comp)
+    else analyze_body ~spec comp
   in
   if M.enabled () then begin
     M.add m_levels r.stats.levels;

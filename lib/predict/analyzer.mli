@@ -12,11 +12,15 @@
     the specification to false. The number of runs can be exponential in
     the number of events, but the frontier is bounded by the number of
     consistent cuts per level times the number of distinct monitor
-    states (at most [2^|φ|], in practice a handful). *)
+    states (at most [2^|φ|], in practice a handful).
+
+    The sweep itself is {!Online}'s: the offline analysis is the online
+    observer fed the computation's messages in order, then finished.
+    This module only repackages its verdict and counters as a report. *)
 
 open Trace
 
-type violation = {
+type violation = Online.violation = {
   cut : int array;
   level : int;
   state : Pastltl.State.t;  (** the global state falsifying the spec *)
@@ -28,34 +32,20 @@ type stats = {
   max_frontier_cuts : int;  (** widest level encountered *)
   max_frontier_entries : int;  (** widest (cut, monitor-state) population *)
   monitor_steps : int;  (** total monitor transitions taken *)
-  cuts_visited : int;
+  cuts_visited : int;  (** consistent cuts swept (= lattice node count) *)
 }
 
 type report = {
   spec : Pastltl.Formula.t;
-  violations : violation list;  (** empty iff every run satisfies the spec *)
+  violations : violation list;
+      (** empty iff every run satisfies the spec; at most
+          {!Online.max_violations}, the first in level order *)
   stats : stats;
 }
 
-val analyze :
-  ?stop_at_first:bool ->
-  ?max_violations:int ->
-  ?jobs:int ->
-  ?par_threshold:int ->
-  spec:Pastltl.Formula.t ->
-  Observer.Computation.t ->
-  report
-(** [stop_at_first] (default [false]) abandons the sweep at the first
-    violating level; [max_violations] (default [1000]) caps the report.
-
-    The sweep runs on the {!Observer.Frontier} engine: cuts are interned
-    in a packed arena, and with [jobs > 1] each level expands in
-    parallel across a domain pool ([jobs = 0] means all cores; default
-    [1] = sequential).  Violations, their order, and [stats] are
-    identical for every jobs count — a property the differential test
-    suite asserts.  [par_threshold] is the minimum frontier width before
-    a level is sharded (default {!Observer.Frontier.default_par_threshold};
-    [0] forces sharding — a testing knob). *)
+val analyze : spec:Pastltl.Formula.t -> Observer.Computation.t -> report
+(** [Online.create], [Online.feed_all] over
+    {!Observer.Computation.messages}, then [Online.finish]. *)
 
 val violated : report -> bool
 

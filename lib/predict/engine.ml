@@ -58,8 +58,6 @@ type ctx = {
   nthreads : int;
   init : (Types.var * Types.value) list;
   spec : Pastltl.Formula.t option;
-  jobs : int;
-  par_threshold : int option;
   max_buffered : int option;
   overflow_limit : int option;
   start : Causal.snapshot option;

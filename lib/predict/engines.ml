@@ -34,23 +34,15 @@ let validate_kinds kinds ~spec =
   if List.mem Engine.Lattice kinds && spec = None then
     invalid_arg "Engines.create: the lattice engine needs a specification"
 
-let ctx_of ?(jobs = 1) ?par_threshold ?max_buffered ?overflow_limit ~nthreads
-    ~init ~spec () =
-  { Engine.nthreads; init; spec; jobs; par_threshold; max_buffered;
-    overflow_limit; start = None }
+let ctx_of ?max_buffered ?overflow_limit ~nthreads ~init ~spec () =
+  { Engine.nthreads; init; spec; max_buffered; overflow_limit; start = None }
 
-let create ?jobs ?par_threshold ?max_buffered ?overflow_limit ~kinds ~nthreads
-    ~init ~spec () =
+let create ?max_buffered ?overflow_limit ~kinds ~nthreads ~init ~spec () =
   validate_kinds kinds ~spec;
-  let ctx =
-    ctx_of ?jobs ?par_threshold ?max_buffered ?overflow_limit ~nthreads ~init
-      ~spec ()
-  in
+  let ctx = ctx_of ?max_buffered ?overflow_limit ~nthreads ~init ~spec () in
   let online =
     if List.mem Engine.Lattice kinds then
-      Some
-        (Online.create ?jobs ?par_threshold ?max_buffered ~nthreads ~init
-           ~spec:(Option.get spec) ())
+      Some (Online.create ?max_buffered ~nthreads ~init ~spec:(Option.get spec) ())
     else None
   in
   let others =
@@ -190,13 +182,10 @@ let degrade t ~reason =
             d_violated = Online.violated o };
       t.online <- None
 
-let restore ?jobs ?par_threshold ?max_buffered ?overflow_limit ?degraded ~kinds
-    ~nthreads ~init ~spec ~online_snapshot ~blocks ~events () =
+let restore ?max_buffered ?overflow_limit ?degraded ~kinds ~nthreads ~init ~spec
+    ~online_snapshot ~blocks ~events () =
   validate_kinds kinds ~spec;
-  let ctx =
-    ctx_of ?jobs ?par_threshold ?max_buffered ?overflow_limit ~nthreads ~init
-      ~spec ()
-  in
+  let ctx = ctx_of ?max_buffered ?overflow_limit ~nthreads ~init ~spec () in
   let online =
     match (List.mem Engine.Lattice kinds, degraded, online_snapshot) with
     | _, Some _, Some _ ->
@@ -205,9 +194,7 @@ let restore ?jobs ?par_threshold ?max_buffered ?overflow_limit ?degraded ~kinds
            state"
     | _, Some _, None -> None
     | true, None, Some snap ->
-        Some
-          (Online.restore ?jobs ?par_threshold ?max_buffered
-             ~spec:(Option.get spec) snap)
+        Some (Online.restore ?max_buffered ~spec:(Option.get spec) snap)
     | true, None, None ->
         invalid_arg "Engines.restore: checkpoint has no lattice engine state"
     | false, None, Some _ ->

@@ -27,8 +27,6 @@ type degraded = {
 }
 
 val create :
-  ?jobs:int ->
-  ?par_threshold:int ->
   ?max_buffered:int ->
   ?overflow_limit:int ->
   kinds:Engine.kind list ->
@@ -115,8 +113,6 @@ val snapshots : t -> (string * string list) list
     engines ({!Online.snapshot} carries the lattice state). *)
 
 val restore :
-  ?jobs:int ->
-  ?par_threshold:int ->
   ?max_buffered:int ->
   ?overflow_limit:int ->
   ?degraded:degraded ->

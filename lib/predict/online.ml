@@ -21,12 +21,23 @@ type entry = { state : Pastltl.State.t; msets : Mset.t }
 
 (* The cut determines the global state, so two entries meeting at one
    cut carry equal states by construction; only the monitor-state sets
-   need unioning (associative, hence deterministic under sharding). *)
+   need unioning. *)
 module F = Observer.Frontier.Make (struct
   type t = entry
 
   let merge a b = { a with msets = Mset.union a.msets b.msets }
 end)
+
+type violation = {
+  cut : int array;
+  level : int;
+  state : Pastltl.State.t;
+  monitor_state : Pastltl.Monitor.state;
+}
+
+(* The report keeps the first violations in level order, so its memory
+   stays bounded however many (cut, monitor-state) pairs go bad. *)
+let max_violations = 1000
 
 type gc_stats = {
   retired_cuts : int;
@@ -39,8 +50,6 @@ type t = {
   nthreads : int;
   monitor : Pastltl.Monitor.compiled;
   spec : Pastltl.Formula.t;
-  pool : Observer.Frontier.Pool.t;
-  par_threshold : int option;
   max_buffered : int option;  (* bound on out-of-order buffered messages *)
   (* Message store: (tid, index) -> message, plus contiguous prefix
      lengths and out-of-order buffer counts. *)
@@ -53,7 +62,8 @@ type t = {
   mutable frontier : F.frontier;
   mutable level : int;
   mutable done_ : bool;  (* the frontier can never advance again *)
-  mutable rev_violations : Analyzer.violation list;
+  mutable rev_violations : violation list;
+  mutable n_violations : int;  (* length of [rev_violations] *)
   mutable retired_cuts : int;
   mutable peak_frontier_cuts : int;
   mutable peak_frontier_entries : int;
@@ -67,23 +77,26 @@ let record_level_stats t =
   t.peak_frontier_entries <- max t.peak_frontier_entries entries
 
 let record_violations t =
-  F.iter
-    (fun cut entry ->
-      Mset.iter
-        (fun m ->
-          if not (Pastltl.Monitor.verdict t.monitor m) then begin
-            if M.enabled () then M.incr m_violations;
-            t.rev_violations <-
-              { Analyzer.cut = Array.copy cut;
-                level = t.level;
-                state = entry.state;
-                monitor_state = m }
-              :: t.rev_violations
-          end)
-        entry.msets)
-    t.frontier
+  if t.n_violations < max_violations then
+    F.iter
+      (fun cut entry ->
+        Mset.iter
+          (fun m ->
+            if t.n_violations < max_violations && not (Pastltl.Monitor.verdict t.monitor m)
+            then begin
+              if M.enabled () then M.incr m_violations;
+              t.n_violations <- t.n_violations + 1;
+              t.rev_violations <-
+                { cut = Array.copy cut;
+                  level = t.level;
+                  state = entry.state;
+                  monitor_state = m }
+                :: t.rev_violations
+            end)
+          entry.msets)
+      t.frontier
 
-let create ?(jobs = 1) ?par_threshold ?max_buffered ~nthreads ~init ~spec () =
+let create ?max_buffered ~nthreads ~init ~spec () =
   if nthreads <= 0 then invalid_arg "Online.create: nthreads must be positive";
   (match max_buffered with
   | Some k when k < 0 -> invalid_arg "Online.create: max_buffered must be >= 0"
@@ -100,8 +113,6 @@ let create ?(jobs = 1) ?par_threshold ?max_buffered ~nthreads ~init ~spec () =
     { nthreads;
       monitor;
       spec;
-      pool = Observer.Frontier.Pool.create ~jobs;
-      par_threshold;
       max_buffered;
       store = Hashtbl.create 64;
       prefix = Array.make nthreads 0;
@@ -112,6 +123,7 @@ let create ?(jobs = 1) ?par_threshold ?max_buffered ~nthreads ~init ~spec () =
       level = 0;
       done_ = false;
       rev_violations = [];
+      n_violations = 0;
       retired_cuts = 0;
       peak_frontier_cuts = 0;
       peak_frontier_entries = 0;
@@ -135,12 +147,10 @@ let can_advance t =
       !ok)
 
 let rec advance_one_level_body t =
-  (* The store is only read during the expansion (feeds never overlap a
-     pump), so concurrent shard lookups are safe. *)
-  let steps = Array.make (Observer.Frontier.Pool.jobs t.pool) 0 in
+  let stepped = ref 0 in
   let next =
-    F.expand t.pool ?par_threshold:t.par_threshold
-      ~moves:(fun ~shard:_ cut ->
+    F.expand
+      ~moves:(fun cut ->
         let out = ref [] in
         for i = t.nthreads - 1 downto 0 do
           let k = cut.(i) + 1 in
@@ -156,19 +166,19 @@ let rec advance_one_level_body t =
           end
         done;
         !out)
-      ~transition:(fun ~shard entry ~tid:_ m ->
+      ~transition:(fun entry ~tid:_ m ->
         let state' = Observer.Computation.apply entry.state m in
-        let stepped =
+        let msets =
           Mset.fold
             (fun ms acc ->
-              steps.(shard) <- steps.(shard) + 1;
+              incr stepped;
               Mset.add (Pastltl.Monitor.step t.monitor ms state') acc)
             entry.msets Mset.empty
         in
-        { state = state'; msets = stepped })
+        { state = state'; msets })
       t.frontier
   in
-  let stepped = Array.fold_left ( + ) 0 steps in
+  let stepped = !stepped in
   t.monitor_steps <- t.monitor_steps + stepped;
   if M.deep_enabled () then M.add m_monitor_steps stepped;
   if F.size next = 0 then t.done_ <- true
@@ -306,11 +316,11 @@ let snapshot t =
   in
   let violations =
     List.rev_map
-      (fun (v : Analyzer.violation) ->
-        ( Array.copy v.Analyzer.cut,
-          v.Analyzer.level,
-          Pastltl.State.to_list v.Analyzer.state,
-          Pastltl.Monitor.state_to_string v.Analyzer.monitor_state ))
+      (fun v ->
+        ( Array.copy v.cut,
+          v.level,
+          Pastltl.State.to_list v.state,
+          Pastltl.Monitor.state_to_string v.monitor_state ))
       t.rev_violations
   in
   { snap_nthreads = t.nthreads;
@@ -328,7 +338,7 @@ let snapshot t =
     snap_peak_frontier_entries = t.peak_frontier_entries;
     snap_monitor_steps = t.monitor_steps }
 
-let restore ?(jobs = 1) ?par_threshold ?max_buffered ~spec s =
+let restore ?max_buffered ~spec s =
   let n = s.snap_nthreads in
   if n <= 0 then invalid_arg "Online.restore: nthreads must be positive";
   let check_width what a =
@@ -369,8 +379,6 @@ let restore ?(jobs = 1) ?par_threshold ?max_buffered ~spec s =
   { nthreads = n;
     monitor;
     spec;
-    pool = Observer.Frontier.Pool.create ~jobs;
-    par_threshold;
     max_buffered;
     store;
     prefix = Array.copy s.snap_prefix;
@@ -383,11 +391,9 @@ let restore ?(jobs = 1) ?par_threshold ?max_buffered ~spec s =
     rev_violations =
       List.rev_map
         (fun (cut, level, bindings, bits) ->
-          { Analyzer.cut;
-            level;
-            state = Pastltl.State.of_list bindings;
-            monitor_state = mstate bits })
+          { cut; level; state = Pastltl.State.of_list bindings; monitor_state = mstate bits })
         s.snap_violations;
+    n_violations = List.length s.snap_violations;
     retired_cuts = s.snap_retired_cuts;
     peak_frontier_cuts = s.snap_peak_frontier_cuts;
     peak_frontier_entries = s.snap_peak_frontier_entries;

@@ -17,20 +17,36 @@
     a thread halts); without it the analyzer still makes all progress
     that is safe.
 
-    Verdicts are identical to the offline {!Analyzer} on the full message
-    list — a property the test suite checks exhaustively. *)
+    This is the only lattice sweep in the library: the offline
+    {!Analyzer} is this observer fed the recorded messages in order.
+    The frontier runs on the sequential {!Observer.Frontier} engine.
+    Verdicts do not depend on delivery order, and they agree with
+    explicit run enumeration ({!Counterexample.check}) — properties the
+    test suite checks over random programs. *)
 
 open Trace
 
 type t
+
+type violation = {
+  cut : int array;
+  level : int;
+  state : Pastltl.State.t;  (** the global state falsifying the spec *)
+  monitor_state : Pastltl.Monitor.state;
+}
+(** A reachable cut where some path's monitor evaluates the
+    specification to false. *)
+
+val max_violations : int
+(** [1000]: at most this many violations are kept, the first ones in
+    level order (canonical cut order within a level).  {!violated} is
+    unaffected by the cap. *)
 
 exception Backpressure of { buffered : int; limit : int }
 (** Raised by {!feed} when accepting an out-of-order message would
     exceed the [max_buffered] bound. *)
 
 val create :
-  ?jobs:int ->
-  ?par_threshold:int ->
   ?max_buffered:int ->
   nthreads:int ->
   init:(Types.var * Types.value) list ->
@@ -39,12 +55,6 @@ val create :
   t
 (** The frontier starts as the bottom cut (level 0), already checked
     against the specification.
-
-    The frontier runs on the {!Observer.Frontier} engine; [jobs > 1]
-    expands each level across a domain pool ([jobs = 0] means all
-    cores; default [1] = sequential) with verdicts, violations and
-    {!gc_stats} identical for every jobs count.  [par_threshold] as in
-    [Predict.Analyzer.analyze].
 
     [max_buffered] bounds the messages buffered {e out of order} (past
     their thread's contiguous prefix): one more makes {!feed} raise
@@ -68,8 +78,8 @@ val finish : t -> unit
     predecessor (a lost message). *)
 
 val violated : t -> bool
-val violations : t -> Analyzer.violation list
-(** Violations found so far, in level order. *)
+val violations : t -> violation list
+(** Violations found so far, in level order, at most {!max_violations}. *)
 
 val level : t -> int
 (** The frontier's current lattice level. *)
@@ -78,7 +88,8 @@ val frontier_cuts : t -> int
 
 val mem_words : t -> int
 (** Approximate resident size of the analyzer's live state in words —
-    the frontier arena plus the undelivered message store.  O(1)
+    the frontier arena plus the undelivered message store (the
+    violation report is bounded by {!max_violations}).  O(1)
     arithmetic over maintained counters, cheap enough to check after
     every feed; the resource-budget layer compares it against
     [--memory-budget]. *)
@@ -149,14 +160,12 @@ val snapshot : t -> snapshot
 (** Must be taken at a quiescent point — not from within a [feed]. *)
 
 val restore :
-  ?jobs:int ->
-  ?par_threshold:int ->
   ?max_buffered:int ->
   spec:Pastltl.Formula.t ->
   snapshot ->
   t
-(** The monitor is recompiled from [spec]; runtime knobs ([jobs],
-    [max_buffered], ...) are supplied fresh, so a run can resume with a
-    different parallelism than it was checkpointed under.
+(** The monitor is recompiled from [spec]; [max_buffered] is supplied
+    fresh, so a run can resume under a different buffering bound than it
+    was checkpointed under.
     @raise Invalid_argument when the snapshot is internally inconsistent
     or its monitor states do not fit [spec] (wrong specification). *)

@@ -390,8 +390,7 @@ let rec pump t reader =
   | Wire.Reader.Item (Wire.Reader.Header h) ->
       t.bundle <-
         Some
-          (Predict.Engines.create ~jobs:t.cfg.jobs
-             ?max_buffered:t.cfg.max_buffered
+          (Predict.Engines.create ?max_buffered:t.cfg.max_buffered
              ?overflow_limit:t.cfg.budget.Jmpax.Budget.max_causal_buffered
              ~kinds:t.cfg.engines ~nthreads:h.Wire.nthreads ~init:h.Wire.init
              ~spec:(Some t.cfg.spec) ());
@@ -546,7 +545,7 @@ let start_fresh t ~id ~rest =
 
 let start_resume_checkpoint t ~id ~ck ~rest =
   let bundle =
-    Predict.Engines.restore ~jobs:t.cfg.jobs ?max_buffered:t.cfg.max_buffered
+    Predict.Engines.restore ?max_buffered:t.cfg.max_buffered
       ?overflow_limit:t.cfg.budget.Jmpax.Budget.max_causal_buffered
       ?degraded:ck.Checkpoint.ck_degraded
       ~kinds:t.cfg.engines ~nthreads:ck.Checkpoint.ck_header.Wire.nthreads

@@ -51,7 +51,10 @@ type config = {
   max_buffered : int option;
       (** per-session out-of-order bound; exceeding it disconnects
           {e only} the offending session *)
-  jobs : int;  (** frontier domains per session; [1] for multi-tenancy *)
+  jobs : int;
+      (** unread: the lattice sweep is sequential.  Kept only because the
+          benchmark builds this record literally; it goes with the next
+          change to the benchmark. *)
   recovery : Jmpax.Config.recovery;
       (** [Fail] closes the session on the first malformed frame;
           [Skip]/[Quarantine] resynchronize and count the loss *)

@@ -53,7 +53,7 @@ let enabled () = Atomic.get on
 let enable () = Atomic.set on true
 
 (* The deep tier: per-level / per-intern diagnostics inside the lattice
-   engine (frontier sharding, interning probe stats, level series).
+   engine (level expansion, interning probe stats, level series).
    They cost real time on the per-event hot path, so the always-on
    operational registry (a serving daemon's [--live-metrics]) leaves
    them off; [--metrics] — an explicit profiling request — turns both

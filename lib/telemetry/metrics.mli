@@ -16,8 +16,7 @@
     {2 Concurrency}
 
     Counter, gauge and histogram updates are [Atomic]-backed and safe
-    from concurrently running domains (the frontier engine's workers
-    record shard metrics while the main domain drives the level loop).
+    from concurrently running domains.
     Series are mutex-protected.  Handle creation ({!counter} etc.) is
     also thread-safe, but cheap only because it is expected to be rare;
     keep it out of per-event code. *)

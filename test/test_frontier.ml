@@ -1,9 +1,8 @@
 (* Tests for the frontier engine: the packed interned-cut table
-   (differentially against a plain (int list, int) Hashtbl), the domain
-   pool, and the deterministic parallel level expansion. *)
+   (differentially against a plain (int list, int) Hashtbl) and the
+   level expansion, checked against the closed form of a grid lattice. *)
 
 module Cutset = Observer.Frontier.Cutset
-module Pool = Observer.Frontier.Pool
 
 (* {1 Cutset} *)
 
@@ -36,8 +35,8 @@ let test_cutset_succ_and_from () =
   let d = Cutset.intern_succ dst ~src ~src_id:s ~tid:1 in
   Alcotest.(check (array int)) "successor bumps tid" [| 3; 2 |] (Cutset.to_array dst d);
   Alcotest.(check int) "succ dedups" d (Cutset.intern_succ dst ~src ~src_id:s ~tid:1);
-  let d' = Cutset.intern_from dst ~src ~src_id:s in
-  Alcotest.(check (array int)) "intern_from copies" [| 3; 1 |] (Cutset.to_array dst d')
+  Alcotest.(check int) "source untouched" 1 (Cutset.count src);
+  Alcotest.(check (array int)) "source cut unchanged" [| 3; 1 |] (Cutset.to_array src s)
 
 let test_cutset_growth () =
   (* Push the table through several arena and slot growths. *)
@@ -92,40 +91,10 @@ let qcheck_cutset_vs_hashtbl =
         cuts
       && Cutset.count t = Hashtbl.length reference)
 
-(* {1 Pool} *)
+(* {1 Level expansion on a synthetic lattice} *)
 
-let test_pool_jobs_resolution () =
-  Alcotest.(check int) "jobs=1" 1 (Pool.jobs (Pool.create ~jobs:1));
-  Alcotest.(check int) "jobs=5" 5 (Pool.jobs (Pool.create ~jobs:5));
-  Alcotest.(check bool) "jobs=0 resolves to the machine" true
-    (Pool.jobs (Pool.create ~jobs:0) >= 1);
-  match Pool.create ~jobs:(-1) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative jobs accepted"
-
-let test_pool_runs_every_shard () =
-  let pool = Pool.create ~jobs:4 in
-  let hits = Array.make 4 0 in
-  Pool.run pool ~nshards:4 (fun s -> hits.(s) <- hits.(s) + 1);
-  Alcotest.(check (array int)) "each shard exactly once" [| 1; 1; 1; 1 |] hits;
-  (* nshards above jobs is clamped. *)
-  let hits = Array.make 8 0 in
-  Pool.run pool ~nshards:8 (fun s -> hits.(s) <- hits.(s) + 1);
-  Alcotest.(check (array int)) "clamped to jobs" [| 1; 1; 1; 1; 0; 0; 0; 0 |] hits
-
-exception Boom
-
-let test_pool_propagates_exceptions () =
-  let pool = Pool.create ~jobs:3 in
-  (* A worker-shard failure must reach the caller after all joins. *)
-  match Pool.run pool ~nshards:3 (fun s -> if s = 2 then raise Boom) with
-  | exception Boom -> ()
-  | () -> Alcotest.fail "worker exception swallowed"
-
-(* {1 Engine determinism on a synthetic lattice} *)
-
-(* Payload: sorted list of source tags; merge is list merge —
-   associative, so parallel == sequential must hold exactly. *)
+(* Payload: sorted list of source tags; merge is list merge, so every
+   cut ends up carrying the tags of all its predecessors. *)
 module E = Observer.Frontier.Make (struct
   type t = int list
 
@@ -139,8 +108,7 @@ let grid_moves ~width ~limit cut =
   List.init width (fun tid -> (tid, tag))
   |> List.filter (fun (tid, _) -> cut.(tid) < limit)
 
-let run_grid ~jobs ~width ~limit =
-  let pool = Pool.create ~jobs in
+let run_grid ~width ~limit =
   let frontier = ref (E.singleton ~width (Array.make width 0) [ 0 ]) in
   let trace = ref [] in
   let running = ref true in
@@ -150,30 +118,54 @@ let run_grid ~jobs ~width ~limit =
     in
     trace := List.rev level :: !trace;
     let next =
-      E.expand pool ~par_threshold:0
-        ~moves:(fun ~shard:_ cut -> grid_moves ~width ~limit cut)
-        ~transition:(fun ~shard:_ _payload ~tid:_ tag -> [ tag ])
+      E.expand
+        ~moves:(fun cut -> grid_moves ~width ~limit cut)
+        ~transition:(fun _payload ~tid:_ tag -> [ tag ])
         !frontier
     in
     if E.size next = 0 then running := false else frontier := next
   done;
   List.rev !trace
 
-let test_engine_jobs_identical () =
-  let seq = run_grid ~jobs:1 ~width:3 ~limit:2 in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check bool)
-        (Printf.sprintf "grid trace identical at jobs=%d" jobs)
-        true
-        (run_grid ~jobs ~width:3 ~limit:2 = seq))
-    [ 2; 3; 4; 7 ]
+(* The (limit+1)^width grid, level by level: level [l] holds exactly the
+   cuts with components in [0, limit] summing to [l], in lexicographic
+   order, and each carries the tags of its in-grid predecessors. *)
+let test_engine_grid_levels () =
+  let width = 3 and limit = 2 in
+  let rec cuts w =
+    if w = 0 then [ [] ]
+    else
+      List.concat_map
+        (fun v -> List.map (fun c -> v :: c) (cuts (w - 1)))
+        (List.init (limit + 1) Fun.id)
+  in
+  let tag cut = List.fold_left (fun acc v -> (acc * (limit + 1)) + v) 0 cut in
+  let preds cut =
+    List.concat
+      (List.mapi
+         (fun i v ->
+           if v = 0 then [] else [ tag (List.mapi (fun j x -> if j = i then x - 1 else x) cut) ])
+         cut)
+  in
+  let expected =
+    List.init ((width * limit) + 1) (fun l ->
+        List.filter (fun c -> List.fold_left ( + ) 0 c = l) (cuts width)
+        |> List.sort compare
+        |> List.map (fun c -> (c, if l = 0 then [ 0 ] else List.sort compare (preds c))))
+  in
+  Alcotest.(check (list int)) "level sizes" [ 1; 3; 6; 7; 6; 3; 1 ]
+    (List.map List.length (run_grid ~width ~limit));
+  Alcotest.(check bool) "cuts and merged payloads" true
+    (run_grid ~width ~limit = expected)
 
 let test_engine_canonical_order_and_min () =
-  let pool = Pool.create ~jobs:1 in
   let f = E.singleton ~width:2 [| 0; 0 |] [ 0 ] in
-  let f = E.expand pool ~moves:(fun ~shard:_ c -> grid_moves ~width:2 ~limit:3 c)
-      ~transition:(fun ~shard:_ _ ~tid:_ tag -> [ tag ]) f in
+  let f =
+    E.expand
+      ~moves:(fun c -> grid_moves ~width:2 ~limit:3 c)
+      ~transition:(fun _ ~tid:_ tag -> [ tag ])
+      f
+  in
   (* level 1 of the 2-d grid: (0,1) then (1,0) in lexicographic order *)
   let cuts = E.fold (fun acc cut _ -> Array.to_list cut :: acc) [] f |> List.rev in
   Alcotest.(check bool) "lexicographic iteration" true
@@ -190,11 +182,7 @@ let () =
           Alcotest.test_case "succ and from" `Quick test_cutset_succ_and_from;
           Alcotest.test_case "growth" `Quick test_cutset_growth;
           QCheck_alcotest.to_alcotest qcheck_cutset_vs_hashtbl ] );
-      ( "pool",
-        [ Alcotest.test_case "jobs resolution" `Quick test_pool_jobs_resolution;
-          Alcotest.test_case "runs every shard" `Quick test_pool_runs_every_shard;
-          Alcotest.test_case "propagates exceptions" `Quick test_pool_propagates_exceptions ] );
       ( "engine",
-        [ Alcotest.test_case "jobs=N trace identical" `Quick test_engine_jobs_identical;
+        [ Alcotest.test_case "grid levels" `Quick test_engine_grid_levels;
           Alcotest.test_case "canonical order + min" `Quick
             test_engine_canonical_order_and_min ] ) ]

@@ -348,15 +348,12 @@ let test_lattice_counts_pre_refactor () =
   (* Node/edge counts of the paper's Fig. 5/6 examples, pinned to the
      values measured before the frontier-engine refactor. *)
   let check_counts name comp nodes edges levels width runs =
-    List.iter
-      (fun (jn, jobs, par_threshold) ->
-        let l = Observer.Lattice.build ~jobs ?par_threshold comp in
-        Alcotest.(check int) (name ^ jn ^ " nodes") nodes (Observer.Lattice.node_count l);
-        Alcotest.(check int) (name ^ jn ^ " edges") edges (Observer.Lattice.edge_count l);
-        Alcotest.(check int) (name ^ jn ^ " levels") levels (Observer.Lattice.level_count l);
-        Alcotest.(check int) (name ^ jn ^ " width") width (Observer.Lattice.max_width l);
-        Alcotest.(check int) (name ^ jn ^ " runs") runs (Observer.Lattice.run_count l))
-      [ (" [jobs=1]", 1, None); (" [jobs=4]", 4, Some 0) ]
+    let l = Observer.Lattice.build comp in
+    Alcotest.(check int) (name ^ " nodes") nodes (Observer.Lattice.node_count l);
+    Alcotest.(check int) (name ^ " edges") edges (Observer.Lattice.edge_count l);
+    Alcotest.(check int) (name ^ " levels") levels (Observer.Lattice.level_count l);
+    Alcotest.(check int) (name ^ " width") width (Observer.Lattice.max_width l);
+    Alcotest.(check int) (name ^ " runs") runs (Observer.Lattice.run_count l)
   in
   check_counts "landing (Fig. 5)" (comp_of (landing_obs ())) 6 7 4 2 3;
   check_counts "xyz (Fig. 6)" (comp_of (xyz_obs ())) 7 8 5 2 3;
@@ -367,46 +364,6 @@ let test_lattice_counts_pre_refactor () =
       r.Tml.Vm.messages
   in
   check_counts "3x2 grid" c 27 54 7 7 90
-
-let test_lattice_jobs_differential () =
-  (* The parallel build must be indistinguishable from the sequential
-     one: same nodes (ids, cuts, states, levels), same edges, same run
-     enumeration. par_threshold:0 forces sharding even on tiny levels. *)
-  let comps =
-    [ ("landing", comp_of (landing_obs ()));
-      ("xyz", comp_of (xyz_obs ()));
-      (let program = Tml.Programs.independent ~threads:3 ~writes:2 in
-       let r = Tml.Vm.run_program ~sched:(Tml.Sched.round_robin ()) program in
-       ( "3x2 grid",
-         Observer.Computation.of_messages_exn ~nthreads:3
-           ~init:program.Tml.Ast.shared r.Tml.Vm.messages )) ]
-  in
-  List.iter
-    (fun (name, c) ->
-      let seq = Observer.Lattice.build ~jobs:1 c in
-      List.iter
-        (fun jobs ->
-          let par = Observer.Lattice.build ~jobs ~par_threshold:0 c in
-          let summary l =
-            List.map
-              (fun (n : Observer.Lattice.node) ->
-                (n.Observer.Lattice.id, Array.to_list n.Observer.Lattice.cut,
-                 n.Observer.Lattice.level))
-              (Observer.Lattice.nodes l)
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: jobs=%d nodes identical" name jobs)
-            true
-            (summary seq = summary par);
-          Alcotest.(check int)
-            (Printf.sprintf "%s: jobs=%d edge count" name jobs)
-            (Observer.Lattice.edge_count seq) (Observer.Lattice.edge_count par);
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: jobs=%d runs identical" name jobs)
-            true
-            (Observer.Lattice.runs seq = Observer.Lattice.runs par))
-        [ 2; 4 ])
-    comps
 
 let test_run_count_saturates () =
   (* An independent 2x40 grid has only 41*41 nodes but C(80,40) ≈
@@ -490,5 +447,4 @@ let () =
           Alcotest.test_case "closed-form counts" `Quick test_lattice_counts_closed_form;
           Alcotest.test_case "pre-refactor node/edge counts" `Quick
             test_lattice_counts_pre_refactor;
-          Alcotest.test_case "jobs differential" `Quick test_lattice_jobs_differential;
           Alcotest.test_case "run_count saturates" `Quick test_run_count_saturates ] ) ]

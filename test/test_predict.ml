@@ -47,14 +47,6 @@ let test_xyz_prediction () =
   Alcotest.(check int) "7 cuts visited (Fig. 6)" 7
     report.Predict.Analyzer.stats.Predict.Analyzer.cuts_visited
 
-let test_stop_at_first () =
-  let report =
-    Predict.Analyzer.analyze ~stop_at_first:true ~spec:Pastltl.Formula.xyz_spec (xyz_comp ())
-  in
-  Alcotest.(check bool) "still violated" true (Predict.Analyzer.violated report);
-  Alcotest.(check bool) "stopped early" true
-    (report.Predict.Analyzer.stats.Predict.Analyzer.levels <= 5)
-
 let test_true_spec_never_violated () =
   let report = Predict.Analyzer.analyze ~spec:Pastltl.Formula.True (xyz_comp ()) in
   Alcotest.(check bool) "true is safe" false (Predict.Analyzer.violated report)
@@ -504,32 +496,46 @@ let test_replay_rejects_short_target () =
 
 (* {1 Online analyzer} *)
 
-let online_of_comp ?(jobs = 1) ?par_threshold spec comp messages ~feed_order =
+let online_of_comp spec comp messages ~feed_order =
   let nthreads = Observer.Computation.nthreads comp in
   let init = Pastltl.State.to_list (Observer.Computation.init_state comp) in
-  let online = Predict.Online.create ~jobs ?par_threshold ~nthreads ~init ~spec () in
+  let online = Predict.Online.create ~nthreads ~init ~spec () in
   Predict.Online.feed_all online (feed_order messages);
   Predict.Online.finish online;
   online
 
-let test_online_equals_offline_on_examples () =
+let violation_equal (a : Predict.Online.violation) (b : Predict.Online.violation) =
+  a.level = b.level
+  && a.cut = b.cut
+  && Pastltl.State.equal a.state b.state
+  && Pastltl.Monitor.compare_state a.monitor_state b.monitor_state = 0
+
+let violations_equal a b =
+  List.length a = List.length b && List.for_all2 violation_equal a b
+
+(* Delivery order is invisible to the observer: whatever order the
+   channel delivers in, the finished run has the same violations, level
+   and gc statistics as in-order delivery. *)
+let same_as_in_order ~name spec comp ~feed_order =
+  let messages = Observer.Computation.messages comp in
+  let in_order = online_of_comp spec comp messages ~feed_order:Fun.id in
+  let other = online_of_comp spec comp messages ~feed_order in
+  Alcotest.(check bool) (name ^ ": same violations") true
+    (violations_equal (Predict.Online.violations in_order) (Predict.Online.violations other));
+  Alcotest.(check int) (name ^ ": same level") (Predict.Online.level in_order)
+    (Predict.Online.level other);
+  Alcotest.(check bool) (name ^ ": same gc stats") true
+    (Predict.Online.gc_stats in_order = Predict.Online.gc_stats other)
+
+let test_online_order_independent_on_examples () =
   List.iter
     (fun (comp, spec) ->
-      let offline = Predict.Analyzer.analyze ~spec comp in
-      let messages = Observer.Computation.messages comp in
       List.iter
-        (fun (name, feed_order) ->
-          let online = online_of_comp spec comp messages ~feed_order in
-          Alcotest.(check bool)
-            (Format.asprintf "%s delivery agrees on %a" name Pastltl.Formula.pp spec)
-            (Predict.Analyzer.violated offline)
-            (Predict.Online.violated online);
-          Alcotest.(check int) (name ^ ": same violation count")
-            (List.length offline.Predict.Analyzer.violations)
-            (List.length (Predict.Online.violations online)))
-        [ ("in-order", fun ms -> ms);
-          ("reversed", List.rev);
-          ("shuffled", Observer.Channel.shuffle ~seed:5) ])
+        (fun (order, feed_order) ->
+          same_as_in_order
+            ~name:(Format.asprintf "%s delivery, %a" order Pastltl.Formula.pp spec)
+            spec comp ~feed_order)
+        [ ("reversed", List.rev); ("shuffled", Observer.Channel.shuffle ~seed:5) ])
     [ (landing_comp (), Pastltl.Formula.landing_spec);
       (xyz_comp (), Pastltl.Formula.xyz_spec);
       (landing_comp (), Pastltl.Formula.True);
@@ -615,106 +621,51 @@ let test_online_missing_message_detected () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "gap not detected"
 
-(* Online and offline must agree on random program computations under
-   random delivery orders. *)
-let test_online_equals_offline_random () =
-  List.iter
-    (fun comp ->
+let test_online_order_independent_random () =
+  List.iteri
+    (fun i comp ->
       List.iter
         (fun spec ->
-          let offline = Predict.Analyzer.violated (Predict.Analyzer.analyze ~spec comp) in
           List.iter
             (fun seed ->
-              let online =
-                online_of_comp spec comp
-                  (Observer.Computation.messages comp)
-                  ~feed_order:(Observer.Channel.shuffle ~seed)
-              in
-              Alcotest.(check bool) "agrees" offline (Predict.Online.violated online))
+              same_as_in_order
+                ~name:(Format.asprintf "comp %d, seed %d, %a" i seed Pastltl.Formula.pp spec)
+                spec comp
+                ~feed_order:(Observer.Channel.shuffle ~seed))
             [ 1; 2; 3 ])
         specs_pool)
     (computations_pool ())
 
-(* {1 jobs=N differential: the parallel frontier engine must be
-      indistinguishable from the sequential one} *)
-
-let violation_equal (a : Predict.Analyzer.violation) (b : Predict.Analyzer.violation) =
-  a.Predict.Analyzer.level = b.Predict.Analyzer.level
-  && a.Predict.Analyzer.cut = b.Predict.Analyzer.cut
-  && Pastltl.State.equal a.Predict.Analyzer.state b.Predict.Analyzer.state
-  && Pastltl.Monitor.compare_state a.Predict.Analyzer.monitor_state
-       b.Predict.Analyzer.monitor_state
-     = 0
-
-let violations_equal a b =
-  List.length a = List.length b && List.for_all2 violation_equal a b
-
-let check_analyzer_differential ~name spec comp =
-  let seq = Predict.Analyzer.analyze ~jobs:1 ~spec comp in
-  List.iter
-    (fun jobs ->
-      let par = Predict.Analyzer.analyze ~jobs ~par_threshold:0 ~spec comp in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: jobs=%d identical violations" name jobs)
-        true
-        (violations_equal seq.Predict.Analyzer.violations
-           par.Predict.Analyzer.violations);
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: jobs=%d identical stats" name jobs)
-        true
-        (seq.Predict.Analyzer.stats = par.Predict.Analyzer.stats))
-    [ 2; 4 ]
-
-let test_analyzer_jobs_differential () =
-  List.iteri
-    (fun i comp ->
-      List.iter
-        (fun spec ->
-          check_analyzer_differential
-            ~name:(Format.asprintf "comp %d, %a" i Pastltl.Formula.pp spec)
-            spec comp)
-        specs_pool)
-    (computations_pool ())
-
-let check_online_differential ~name spec comp ~feed_order =
-  let messages = Observer.Computation.messages comp in
-  let seq = online_of_comp ~jobs:1 spec comp messages ~feed_order in
-  List.iter
-    (fun jobs ->
-      let par = online_of_comp ~jobs ~par_threshold:0 spec comp messages ~feed_order in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: jobs=%d identical violations" name jobs)
-        true
-        (violations_equal (Predict.Online.violations seq) (Predict.Online.violations par));
-      Alcotest.(check int)
-        (Printf.sprintf "%s: jobs=%d same level" name jobs)
-        (Predict.Online.level seq) (Predict.Online.level par);
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: jobs=%d same gc stats" name jobs)
-        true
-        (Predict.Online.gc_stats seq = Predict.Online.gc_stats par);
-      Alcotest.(check int)
-        (Printf.sprintf "%s: jobs=%d same residual buffer" name jobs)
-        (Predict.Online.buffered seq) (Predict.Online.buffered par))
-    [ 2; 4 ]
-
-let test_online_jobs_differential () =
-  List.iteri
-    (fun i comp ->
-      List.iter
-        (fun spec ->
-          List.iter
-            (fun (fname, feed_order) ->
-              check_online_differential
-                ~name:(Format.asprintf "comp %d (%s), %a" i fname Pastltl.Formula.pp spec)
-                spec comp ~feed_order)
-            [ ("in-order", fun ms -> ms);
-              ("shuffled", Observer.Channel.shuffle ~seed:11) ])
-        specs_pool)
-    (computations_pool ())
+(* The report keeps the first [max_violations] violations in level
+   order, and they survive a checkpoint round trip.  The 3^8 grid under
+   [always v0 <= 0] has 4374 violating (cut, monitor-state) pairs. *)
+let test_online_violation_cap () =
+  let program = Tml.Programs.independent ~threads:8 ~writes:2 in
+  let r = Tml.Vm.run_program ~sched:(Tml.Sched.round_robin ()) program in
+  let comp =
+    Observer.Computation.of_messages_exn ~nthreads:8 ~init:program.Tml.Ast.shared
+      r.Tml.Vm.messages
+  in
+  let spec = Pastltl.Fparser.parse "always v0 <= 0" in
+  let online =
+    online_of_comp spec comp (Observer.Computation.messages comp) ~feed_order:Fun.id
+  in
+  let kept = Predict.Online.violations online in
+  Alcotest.(check int) "cap is 1000" 1000 Predict.Online.max_violations;
+  Alcotest.(check int) "exactly the cap retained" 1000 (List.length kept);
+  Alcotest.(check bool) "violated" true (Predict.Online.violated online);
+  let levels = List.map (fun (v : Predict.Online.violation) -> v.level) kept in
+  Alcotest.(check bool) "level order" true (List.sort compare levels = levels);
+  let report = Predict.Analyzer.analyze ~spec comp in
+  Alcotest.(check bool) "analyzer reports the same 1000" true
+    (violations_equal kept report.Predict.Analyzer.violations);
+  let restored = Predict.Online.restore ~spec (Predict.Online.snapshot online) in
+  Alcotest.(check bool) "snapshot/restore keeps the 1000" true
+    (violations_equal kept (Predict.Online.violations restored));
+  Alcotest.(check bool) "restored still violated" true (Predict.Online.violated restored)
 
 (* Random programs: 2-3 threads of random writes to a small shared pool,
-   run under a random schedule, then analyzed at every jobs count. *)
+   run under a random schedule. *)
 let gen_random_program =
   QCheck.Gen.(
     let var = oneofl [ "a"; "b"; "c" ] in
@@ -759,27 +710,27 @@ let comp_of_random (threads, sched_seed, _) =
     ~nthreads:(List.length program.Tml.Ast.threads)
     ~init:program.Tml.Ast.shared r.Tml.Vm.messages
 
-let qcheck_jobs_differential =
-  QCheck.Test.make ~name:"random programs: jobs=N == jobs=1 (analyzer + online)"
+(* Ground truth for the lattice sweep: the online verdict under a
+   shuffled delivery equals explicit run enumeration checked with the
+   direct semantics, and the offline report visits exactly the lattice's
+   cuts, level by level, with the widest level as its frontier peak. *)
+let qcheck_online_vs_enumeration =
+  QCheck.Test.make ~name:"online == run enumeration"
     ~count:60 arb_random_program (fun ((_, _, spec_seed) as rp) ->
       let comp = comp_of_random rp in
       let spec = List.nth random_specs_pool (spec_seed mod List.length random_specs_pool) in
-      let seq = Predict.Analyzer.analyze ~jobs:1 ~spec comp in
-      let par = Predict.Analyzer.analyze ~jobs:3 ~par_threshold:0 ~spec comp in
-      let analyzer_ok =
-        violations_equal seq.Predict.Analyzer.violations par.Predict.Analyzer.violations
-        && seq.Predict.Analyzer.stats = par.Predict.Analyzer.stats
+      let online =
+        online_of_comp spec comp
+          (Observer.Computation.messages comp)
+          ~feed_order:(Observer.Channel.shuffle ~seed:spec_seed)
       in
-      let messages = Observer.Computation.messages comp in
-      let feed_order = Observer.Channel.shuffle ~seed:spec_seed in
-      let oseq = online_of_comp ~jobs:1 spec comp messages ~feed_order in
-      let opar = online_of_comp ~jobs:3 ~par_threshold:0 spec comp messages ~feed_order in
-      let online_ok =
-        violations_equal (Predict.Online.violations oseq) (Predict.Online.violations opar)
-        && Predict.Online.level oseq = Predict.Online.level opar
-        && Predict.Online.gc_stats oseq = Predict.Online.gc_stats opar
-      in
-      analyzer_ok && online_ok)
+      let enumerated = Predict.Counterexample.check ~spec comp in
+      let stats = (Predict.Analyzer.analyze ~spec comp).Predict.Analyzer.stats in
+      let lattice = Observer.Lattice.build comp in
+      Predict.Online.violated online = Predict.Counterexample.violated enumerated
+      && stats.Predict.Analyzer.cuts_visited = Observer.Lattice.node_count lattice
+      && stats.Predict.Analyzer.max_frontier_cuts = Observer.Lattice.max_width lattice
+      && stats.Predict.Analyzer.levels = Observer.Lattice.level_count lattice)
 
 let test_counterexample_run_count_fields () =
   let report =
@@ -797,15 +748,16 @@ let () =
           Alcotest.test_case "landing baseline misses" `Quick
             test_landing_observed_run_is_clean;
           Alcotest.test_case "xyz prediction" `Quick test_xyz_prediction;
-          Alcotest.test_case "stop at first" `Quick test_stop_at_first;
           Alcotest.test_case "true spec" `Quick test_true_spec_never_violated;
           Alcotest.test_case "false spec" `Quick test_false_spec_violated_at_bottom ] );
       ( "counterexamples",
         [ Alcotest.test_case "landing (2 of 3)" `Quick test_landing_counterexamples;
-          Alcotest.test_case "xyz (1 of 3)" `Quick test_xyz_counterexamples ] );
+          Alcotest.test_case "xyz (1 of 3)" `Quick test_xyz_counterexamples;
+          Alcotest.test_case "run-count fields" `Quick test_counterexample_run_count_fields ] );
       ( "equivalence",
         [ Alcotest.test_case "analyzer = enumeration" `Quick test_analyzer_equals_enumeration;
-          Alcotest.test_case "frontier bounded" `Quick test_analyzer_frontier_is_bounded ] );
+          Alcotest.test_case "frontier bounded" `Quick test_analyzer_frontier_is_bounded;
+          QCheck_alcotest.to_alcotest qcheck_online_vs_enumeration ] );
       ( "race",
         [ Alcotest.test_case "racy counter" `Quick test_racy_counter_races;
           Alcotest.test_case "locked counter" `Quick test_locked_counter_race_free;
@@ -836,24 +788,17 @@ let () =
           Alcotest.test_case "wrong values rejected" `Quick test_replay_rejects_wrong_values;
           Alcotest.test_case "short target rejected" `Quick test_replay_rejects_short_target ] );
       ( "online",
-        [ Alcotest.test_case "equals offline on examples" `Quick
-            test_online_equals_offline_on_examples;
+        [ Alcotest.test_case "delivery order: examples" `Quick
+            test_online_order_independent_on_examples;
           Alcotest.test_case "blocks until available" `Quick
             test_online_blocks_until_available;
           Alcotest.test_case "incremental progress" `Quick test_online_incremental_progress;
           Alcotest.test_case "gc" `Quick test_online_gc;
           Alcotest.test_case "duplicates" `Quick test_online_duplicate_rejected;
           Alcotest.test_case "missing message" `Quick test_online_missing_message_detected;
-          Alcotest.test_case "equals offline randomized" `Quick
-            test_online_equals_offline_random ] );
-      ( "jobs differential",
-        [ Alcotest.test_case "analyzer jobs=N == jobs=1" `Quick
-            test_analyzer_jobs_differential;
-          Alcotest.test_case "online jobs=N == jobs=1" `Quick
-            test_online_jobs_differential;
-          QCheck_alcotest.to_alcotest qcheck_jobs_differential;
-          Alcotest.test_case "counterexample run-count fields" `Quick
-            test_counterexample_run_count_fields ] );
+          Alcotest.test_case "delivery order: randomized" `Quick
+            test_online_order_independent_random;
+          Alcotest.test_case "violation cap" `Quick test_online_violation_cap ] );
       ( "liveness",
         [ Alcotest.test_case "eventually" `Quick test_eval_lasso_eventually;
           Alcotest.test_case "always/until" `Quick test_eval_lasso_always_until;

@@ -424,8 +424,8 @@ let test_span_nesting_well_formed () =
         "instant marker" [ ("mark", 1) ] s.Telemetry.Summary.instants
 
 let test_spans_from_worker_domains () =
-  (* Frontier shards emit spans from spawned domains; the per-domain
-     stacks must keep the stream well-formed. *)
+  (* Spans emitted from spawned domains: the per-domain stacks must
+     keep the stream well-formed. *)
   let summary =
     trace_summary (fun () ->
         let worker () = Telemetry.Span.with_ ~name:"worker" (fun () -> ()) in
