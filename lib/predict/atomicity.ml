@@ -19,13 +19,6 @@ type report = {
   violations : violation list;
 }
 
-let lock_name x =
-  let prefix = "#lock:" in
-  if String.length x > String.length prefix
-     && String.sub x 0 (String.length prefix) = prefix
-  then Some (String.sub x (String.length prefix) (String.length x - String.length prefix))
-  else None
-
 (* a1; r; a2 with r remote: the four unserializable triples. *)
 let unserializable = function
   | Read, Write, Read -> true  (* stale re-read *)
@@ -80,42 +73,57 @@ let pattern_code (k1, kr, k2) =
    [a1] appears in the conditions only through [a1.vc(t)].  Violations
    are reported once per class [(thread, lock, variable, pattern)] with
    a representative triple — total O(events × threads) plus one
-   O(log events) search per in-block access. *)
+   O(log events) search per in-block access.
+
+   Layout: an access resolves its variable once, to a [var_state]
+   holding one lazily allocated [row] per owner thread.  A row carries
+   the owner's frontiers indexed by [(observer, kind)], its open-block
+   frame and its closed pairs; the variable keeps every closed pair in
+   one array for the remote scan.  Per access that is one string hash
+   and O(threads) array work.  A closed pair remembers which remote
+   kinds already have their class recorded, so known classes are
+   skipped before a violation record is built. *)
 
 module Core = struct
-  type slot = {
-    mutable f_read : (int * int) option;  (* own-component epoch, eid *)
-    mutable f_write : (int * int) option;
-  }
-
   type pair_entry = {
+    pe_tid : Types.tid;
+    pe_lock : string;
+    pe_k1 : access_kind;
+    pe_k2 : access_kind;
     mutable pe_epoch : int;  (* max a1.vc(t) over closed pairs *)
     mutable pe_first : int;
     mutable pe_second : int;
+    mutable pe_reported : int;  (* bit per remote kind whose class is recorded *)
   }
 
-  type point = { p : int; q : int; pt_eid : int }
+  (* Live points occupy points [off .. len - 1] of the flat array [pts]
+     ([p; q; eid] per point), both coordinates strictly increasing.
+     [off] advances as queries consume the prefix: a frontier of
+     [(var, owner, observer, kind)] is queried only by [observer], whose
+     knowledge of [owner] — the [gt] bound — is monotone in causal
+     processing order, so points with [p <= gt] can never match again. *)
+  type frontier = { mutable pts : int array; mutable len : int; mutable off : int }
 
-  (* Live points occupy [pts.(off) .. pts.(len - 1)], both coordinates
-     strictly increasing.  [off] advances as queries consume the prefix:
-     a frontier keyed [(var, owner, observer, kind)] is queried only by
-     [observer], whose knowledge of [owner] — the [gt] bound — is
-     monotone in causal processing order, so points with [p <= gt] can
-     never match again. *)
-  type frontier = { mutable pts : point array; mutable len : int; mutable off : int }
+  type row = {
+    fronts : frontier array;  (* by [observer * 2 + kind_index kind] *)
+    mutable r_block : int;  (* the block the frame below belongs to *)
+    mutable f_read : (int * int) option;  (* own-component epoch, eid *)
+    mutable f_write : (int * int) option;
+    mutable r_pairs : pair_entry list;
+  }
+
+  type var_state = {
+    v_rows : row option array;  (* by owner thread *)
+    mutable v_pairs : pair_entry array;  (* [0 .. v_npairs - 1] *)
+    mutable v_npairs : int;
+  }
 
   type t = {
     c_nthreads : int;
     mutable c_transactions : int;
     c_depth : int array;
     c_current : (int * string) option array;
-    c_frames : (Types.var, slot) Hashtbl.t array;
-    c_pairmax :
-      ( Types.var,
-        (Types.tid * string * access_kind * access_kind, pair_entry) Hashtbl.t )
-      Hashtbl.t;
-    c_frontiers :
-      (Types.var * Types.tid * Types.tid * access_kind, frontier) Hashtbl.t;
+    c_vars : (Types.var, var_state) Hashtbl.t;
     c_classes :
       ( Types.tid * string * Types.var * (access_kind * access_kind * access_kind),
         violation )
@@ -127,17 +135,19 @@ module Core = struct
       c_transactions = 0;
       c_depth = Array.make nthreads 0;
       c_current = Array.make nthreads None;
-      c_frames = Array.init nthreads (fun _ -> Hashtbl.create 8);
-      c_pairmax = Hashtbl.create 16;
-      c_frontiers = Hashtbl.create 16;
+      c_vars = Hashtbl.create 16;
       c_classes = Hashtbl.create 8 }
 
   let transactions t = t.c_transactions
 
+  let kind_index = function Read -> 0 | Write -> 1
+  let kind_bit k = 1 lsl kind_index k
+
   (* Lock traffic: value 1 acquires, anything else releases (the VM
      lowers release to a write of 0).  Tracked before the clock update
      so the acquire itself opens the block — same convention as the
-     historical offline pass. *)
+     historical offline pass.  A block's frames are those stamped with
+     its transaction number, so closing it needs no reset. *)
   let sync_lock t tid lock value =
     if value = 1 then begin
       if t.c_depth.(tid) = 0 then begin
@@ -148,71 +158,113 @@ module Core = struct
     end
     else begin
       t.c_depth.(tid) <- max 0 (t.c_depth.(tid) - 1);
-      if t.c_depth.(tid) = 0 then begin
-        t.c_current.(tid) <- None;
-        Hashtbl.reset t.c_frames.(tid)
-      end
+      if t.c_depth.(tid) = 0 then t.c_current.(tid) <- None
     end
 
-  let frame_slot t tid var =
-    match Hashtbl.find_opt t.c_frames.(tid) var with
-    | Some s -> s
+  let var_state t var =
+    match Hashtbl.find_opt t.c_vars var with
+    | Some vs -> vs
     | None ->
-        let s = { f_read = None; f_write = None } in
-        Hashtbl.replace t.c_frames.(tid) var s;
-        s
+        let vs = { v_rows = Array.make t.c_nthreads None; v_pairs = [||]; v_npairs = 0 } in
+        Hashtbl.replace t.c_vars var vs;
+        vs
 
-  let frontier_find t key =
-    match Hashtbl.find_opt t.c_frontiers key with
-    | Some f -> f
+  let row t vs tid =
+    match vs.v_rows.(tid) with
+    | Some r -> r
     | None ->
-        let f = { pts = [||]; len = 0; off = 0 } in
-        Hashtbl.replace t.c_frontiers key f;
-        f
+        let r =
+          { fronts =
+              Array.init (2 * t.c_nthreads) (fun _ -> { pts = [||]; len = 0; off = 0 });
+            r_block = -1;
+            f_read = None;
+            f_write = None;
+            r_pairs = [] }
+        in
+        vs.v_rows.(tid) <- Some r;
+        r
 
-  let frontier_add f pt =
+  (* The row's frame, emptied first when it belongs to an older block. *)
+  let frame r block =
+    if r.r_block <> block then begin
+      r.r_block <- block;
+      r.f_read <- None;
+      r.f_write <- None
+    end
+
+  let frontier r ~observer kind = r.fronts.((2 * observer) + kind_index kind)
+
+  let frontier_add f ~p ~q ~eid =
     (* New points arrive with strictly increasing [p]; drop dominated
        tail points so both coordinates stay strictly increasing. *)
-    while f.len > f.off && f.pts.(f.len - 1).q >= pt.q do
+    while f.len > f.off && f.pts.((3 * (f.len - 1)) + 1) >= q do
       f.len <- f.len - 1
     done;
-    if f.len = Array.length f.pts then
-      if f.off > Array.length f.pts / 2 then begin
+    if 3 * f.len = Array.length f.pts then begin
+      let live = f.len - f.off in
+      if 3 * f.off > Array.length f.pts / 2 then
         (* Reclaim the consumed prefix in place. *)
-        Array.blit f.pts f.off f.pts 0 (f.len - f.off);
-        f.len <- f.len - f.off;
-        f.off <- 0
-      end
+        Array.blit f.pts (3 * f.off) f.pts 0 (3 * live)
       else begin
-        let cap = max 8 (2 * (f.len - f.off)) in
-        let a = Array.make cap pt in
-        Array.blit f.pts f.off a 0 (f.len - f.off);
-        f.pts <- a;
-        f.len <- f.len - f.off;
-        f.off <- 0
+        let a = Array.make (3 * max 8 (2 * live)) 0 in
+        Array.blit f.pts (3 * f.off) a 0 (3 * live);
+        f.pts <- a
       end;
-    f.pts.(f.len) <- pt;
+      f.len <- live;
+      f.off <- 0
+    end;
+    let i = 3 * f.len in
+    f.pts.(i) <- p;
+    f.pts.(i + 1) <- q;
+    f.pts.(i + 2) <- eid;
     f.len <- f.len + 1
 
-  (* The point with minimal [q] among those with [p > gt].  Points with
-     [p <= gt] are dead for every later query from this frontier's one
-     consumer (monotone [gt]) and are dropped. *)
+  (* The index of the point with minimal [q] among those with [p > gt],
+     or [-1].  Points with [p <= gt] are dead for every later query from
+     this frontier's one consumer (monotone [gt]) and are dropped. *)
   let frontier_query f ~gt =
     let lo = ref f.off and hi = ref f.len in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if f.pts.(mid).p > gt then hi := mid else lo := mid + 1
+      if f.pts.(3 * mid) > gt then hi := mid else lo := mid + 1
     done;
     f.off <- !lo;
-    if !lo < f.len then Some f.pts.(!lo) else None
+    if !lo < f.len then !lo else -1
 
-  let record t ~max_violations v fresh =
+  let pair_find r ~lock k1 k2 =
+    List.find_opt
+      (fun e -> e.pe_k1 = k1 && e.pe_k2 = k2 && String.equal e.pe_lock lock)
+      r.r_pairs
+
+  let pair_add vs r ~tid ~lock k1 k2 ~epoch ~first ~second =
+    let e =
+      { pe_tid = tid; pe_lock = lock; pe_k1 = k1; pe_k2 = k2; pe_epoch = epoch;
+        pe_first = first; pe_second = second; pe_reported = 0 }
+    in
+    r.r_pairs <- e :: r.r_pairs;
+    if vs.v_npairs = Array.length vs.v_pairs then begin
+      let a = Array.make (max 4 (2 * vs.v_npairs)) e in
+      Array.blit vs.v_pairs 0 a 0 vs.v_npairs;
+      vs.v_pairs <- a
+    end;
+    vs.v_pairs.(vs.v_npairs) <- e;
+    vs.v_npairs <- vs.v_npairs + 1;
+    e
+
+  (* The one remote kind that makes [k1; r; k2] unserializable (see
+     [unserializable]): a read between two writes, a write otherwise. *)
+  let remote_kind k1 k2 =
+    match (k1, k2) with Write, Write -> Read | _ -> Write
+
+  (* Record the class of [v] — closed pair [e] with a remote of kind
+     [kr] — unless the cap is reached; either way [e] learns whether the
+     class is now known. *)
+  let record t ~max_violations e kr v fresh =
     let key = (v.tid, v.lock, v.var, v.pattern) in
-    if
-      (not (Hashtbl.mem t.c_classes key))
-      && Hashtbl.length t.c_classes < max_violations
-    then begin
+    if Hashtbl.mem t.c_classes key then e.pe_reported <- e.pe_reported lor kind_bit kr
+    else if Hashtbl.length t.c_classes < max_violations then begin
       Hashtbl.replace t.c_classes key v;
+      e.pe_reported <- e.pe_reported lor kind_bit kr;
       fresh := v :: !fresh
     end
 
@@ -220,91 +272,152 @@ module Core = struct
      violations whose class this access closed (usually none). *)
   let access t ~max_violations ~tid ~var ~kind ~vc ~eid =
     let fresh = ref [] in
+    let vs = var_state t var in
     (* As a remote, against closed pairs of other threads. *)
-    (match Hashtbl.find_opt t.c_pairmax var with
-    | None -> ()
-    | Some inner ->
-        Hashtbl.iter
-          (fun (lt, lock, k1, k2) (entry : pair_entry) ->
-            if
-              lt <> tid
-              && unserializable (k1, kind, k2)
-              && entry.pe_epoch > Vclock.get vc lt
-            then
-              record t ~max_violations
-                { tid = lt; lock; var; first = entry.pe_first;
-                  second = entry.pe_second; remote = eid; remote_tid = tid;
-                  pattern = (k1, kind, k2) }
-                fresh)
-          inner);
+    for i = 0 to vs.v_npairs - 1 do
+      let e = vs.v_pairs.(i) in
+      if
+        e.pe_tid <> tid
+        && e.pe_reported land kind_bit kind = 0
+        && unserializable (e.pe_k1, kind, e.pe_k2)
+        && e.pe_epoch > Vclock.get vc e.pe_tid
+      then
+        record t ~max_violations e kind
+          { tid = e.pe_tid; lock = e.pe_lock; var; first = e.pe_first;
+            second = e.pe_second; remote = eid; remote_tid = tid;
+            pattern = (e.pe_k1, kind, e.pe_k2) }
+          fresh
+    done;
+    let own = row t vs tid in
     (* As the closing end of a local pair. *)
     (match t.c_current.(tid) with
     | None -> ()
-    | Some (_, lock) ->
-        let slot = frame_slot t tid var in
+    | Some (block, lock) ->
+        frame own block;
         let close k1 = function
           | None -> ()
           | Some (e1, eid1) ->
-              (* Past remotes via the frontier. *)
-              for u = 0 to t.c_nthreads - 1 do
-                if u <> tid then
-                  List.iter
-                    (fun kr ->
-                      if unserializable (k1, kr, kind) then
-                        match
-                          frontier_query
-                            (frontier_find t (var, u, tid, kr))
-                            ~gt:(Vclock.get vc u)
-                        with
-                        | Some pt when pt.q < e1 ->
-                            record t ~max_violations
-                              { tid; lock; var; first = eid1; second = eid;
-                                remote = pt.pt_eid; remote_tid = u;
-                                pattern = (k1, kr, kind) }
-                              fresh
-                        | Some _ | None -> ())
-                    [ Read; Write ]
-              done;
-              (* Future remotes via pairmax. *)
-              let inner =
-                match Hashtbl.find_opt t.c_pairmax var with
-                | Some i -> i
+              (* Future remotes via the pair's max epoch. *)
+              let entry =
+                match pair_find own ~lock k1 kind with
+                | Some entry ->
+                    if e1 > entry.pe_epoch then begin
+                      entry.pe_epoch <- e1;
+                      entry.pe_first <- eid1;
+                      entry.pe_second <- eid
+                    end;
+                    entry
                 | None ->
-                    let i = Hashtbl.create 8 in
-                    Hashtbl.replace t.c_pairmax var i;
-                    i
+                    pair_add vs own ~tid ~lock k1 kind ~epoch:e1 ~first:eid1 ~second:eid
               in
-              let key = (tid, lock, k1, kind) in
-              (match Hashtbl.find_opt inner key with
-              | Some entry ->
-                  if e1 > entry.pe_epoch then begin
-                    entry.pe_epoch <- e1;
-                    entry.pe_first <- eid1;
-                    entry.pe_second <- eid
-                  end
-              | None ->
-                  Hashtbl.replace inner key
-                    { pe_epoch = e1; pe_first = eid1; pe_second = eid })
+              (* Past remotes via the frontiers.  Every frontier is
+                 queried, known classes included: the query also
+                 consumes the frontier's dead prefix. *)
+              let kr = remote_kind k1 kind in
+              for u = 0 to t.c_nthreads - 1 do
+                match vs.v_rows.(u) with
+                | Some r when u <> tid ->
+                    let f = frontier r ~observer:tid kr in
+                    let i = frontier_query f ~gt:(Vclock.get vc u) in
+                    if
+                      i >= 0
+                      && f.pts.((3 * i) + 1) < e1
+                      && entry.pe_reported land kind_bit kr = 0
+                    then
+                      record t ~max_violations entry kr
+                        { tid; lock; var; first = eid1; second = eid;
+                          remote = f.pts.((3 * i) + 2); remote_tid = u;
+                          pattern = (k1, kr, kind) }
+                        fresh
+                | Some _ | None -> ()
+              done
         in
-        close Read slot.f_read;
-        close Write slot.f_write);
+        close Read own.f_read;
+        close Write own.f_write);
     (* As a future remote for every other thread. *)
+    let p = Vclock.get vc tid in
     for u = 0 to t.c_nthreads - 1 do
       if u <> tid then
-        frontier_add
-          (frontier_find t (var, tid, u, kind))
-          { p = Vclock.get vc tid; q = Vclock.get vc u; pt_eid = eid }
+        frontier_add (frontier own ~observer:u kind) ~p ~q:(Vclock.get vc u) ~eid
     done;
     (* Finally, become the latest in-block access of this kind. *)
     (match t.c_current.(tid) with
     | None -> ()
-    | Some _ ->
-        let slot = frame_slot t tid var in
-        let e = (Vclock.get vc tid, eid) in
-        (match kind with
-        | Read -> slot.f_read <- Some e
-        | Write -> slot.f_write <- Some e));
+    | Some _ -> (
+        let e = Some (p, eid) in
+        match kind with Read -> own.f_read <- e | Write -> own.f_write <- e));
     List.rev !fresh
+
+  (* The snapshot registry: every live frame, closed pair and non-empty
+     frontier, keyed as the snapshot lines are, in any order. *)
+  let fold_rows t f acc =
+    Hashtbl.fold
+      (fun var vs acc ->
+        let acc = ref acc in
+        Array.iteri
+          (fun tid r -> match r with Some r -> acc := f var tid r !acc | None -> ())
+          vs.v_rows;
+        !acc)
+      t.c_vars acc
+
+  let frames t =
+    fold_rows t
+      (fun var tid r acc ->
+        match t.c_current.(tid) with
+        | Some (block, _) when r.r_block = block ->
+            let slot k = function
+              | None -> []
+              | Some (epoch, eid) -> [ (tid, var, k, epoch, eid) ]
+            in
+            slot Read r.f_read @ slot Write r.f_write @ acc
+        | Some _ | None -> acc)
+      []
+
+  let pairs t =
+    fold_rows t
+      (fun var _ r acc ->
+        List.fold_left
+          (fun acc e ->
+            ( var, e.pe_tid, e.pe_lock, e.pe_k1, e.pe_k2, e.pe_epoch, e.pe_first,
+              e.pe_second )
+            :: acc)
+          acc r.r_pairs)
+      []
+
+  let frontiers t =
+    fold_rows t
+      (fun var owner r acc ->
+        let acc = ref acc in
+        Array.iteri
+          (fun i f ->
+            if f.len > f.off then
+              let kind = if i land 1 = 0 then Read else Write in
+              acc := ((var, owner, i / 2, kind), f) :: !acc)
+          r.fronts;
+        !acc)
+      []
+
+  (* Restore entry points: the same state [access] builds. *)
+  let restore_frame t tid var kind e =
+    match t.c_current.(tid) with
+    | None -> invalid_arg "atomicity engine: frame of a thread outside any block"
+    | Some (block, _) -> (
+        let r = row t (var_state t var) tid in
+        frame r block;
+        match kind with Read -> r.f_read <- e | Write -> r.f_write <- e)
+
+  let restore_pair t var tid ~lock k1 k2 ~epoch ~first ~second =
+    let vs = var_state t var in
+    let r = row t vs tid in
+    match pair_find r ~lock k1 k2 with
+    | Some e ->
+        e.pe_epoch <- epoch;
+        e.pe_first <- first;
+        e.pe_second <- second
+    | None -> ignore (pair_add vs r ~tid ~lock k1 k2 ~epoch ~first ~second)
+
+  let restore_frontier t var ~owner ~observer kind =
+    frontier (row t (var_state t var) owner) ~observer kind
 
   let classes t =
     Hashtbl.fold (fun key _ acc -> key :: acc) t.c_classes []
@@ -323,7 +436,7 @@ let analyze ?(max_violations = 1000) exec =
     (fun (e : Event.t) ->
       (match e.kind with
       | Event.Write (x, v) -> (
-          match lock_name x with
+          match Types.as_lock x with
           | Some l -> Core.sync_lock core e.tid l v
           | None -> ())
       | Event.Read _ | Event.Internal -> ());
@@ -403,7 +516,7 @@ let deliver st (m : Message.t) =
     | None -> (m.Message.var, false)
   in
   (if not is_read then
-     match lock_name var with
+     match Types.as_lock var with
      | Some l -> Core.sync_lock st.e_core m.Message.tid l m.Message.value
      | None -> ());
   match Syncclock.observe_access st.e_clocks m.Message.tid ~var ~is_read with
@@ -455,37 +568,14 @@ let engine_snapshot st =
     (fun (tid, block, lock) ->
       push lines (Printf.sprintf "cur %d %d %s" tid block lock))
     currents;
-  let frames =
-    Array.to_list core.Core.c_frames
-    |> List.mapi (fun tid table ->
-           Hashtbl.fold
-             (fun var (s : Core.slot) acc ->
-               let row k = function
-                 | None -> []
-                 | Some (epoch, eid) -> [ (tid, var, k, epoch, eid) ]
-               in
-               row Read s.Core.f_read @ row Write s.Core.f_write @ acc)
-             table [])
-    |> List.concat
-    |> List.sort compare
-  in
+  let frames = Core.frames core |> List.sort compare in
   push lines (Printf.sprintf "frames %d" (List.length frames));
   List.iter
     (fun (tid, var, k, epoch, eid) ->
       push lines
         (Printf.sprintf "fs %d %s %s %d %d" tid var (kind_code k) epoch eid))
     frames;
-  let pairs =
-    Hashtbl.fold
-      (fun var inner acc ->
-        Hashtbl.fold
-          (fun (tid, lock, k1, k2) (e : Core.pair_entry) acc ->
-            (var, tid, lock, k1, k2, e.Core.pe_epoch, e.Core.pe_first, e.Core.pe_second)
-            :: acc)
-          inner acc)
-      core.Core.c_pairmax []
-    |> List.sort compare
-  in
+  let pairs = Core.pairs core |> List.sort compare in
   push lines (Printf.sprintf "pairs %d" (List.length pairs));
   List.iter
     (fun (var, tid, lock, k1, k2, epoch, first, second) ->
@@ -494,9 +584,7 @@ let engine_snapshot st =
            (kind_code k2) epoch first second))
     pairs;
   let frontiers =
-    Hashtbl.fold (fun key f acc -> (key, f) :: acc) core.Core.c_frontiers []
-    |> List.filter (fun (_, (f : Core.frontier)) -> f.Core.len > f.Core.off)
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    Core.frontiers core |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   push lines (Printf.sprintf "frontiers %d" (List.length frontiers));
   List.iter
@@ -505,9 +593,9 @@ let engine_snapshot st =
         (Printf.sprintf "fr %s %d %d %s %d" var rtid ltid (kind_code k)
            (f.Core.len - f.Core.off));
       for i = f.Core.off to f.Core.len - 1 do
-        let pt = f.Core.pts.(i) in
+        let pts = f.Core.pts in
         push lines
-          (Printf.sprintf "pt %d %d %d" pt.Core.p pt.Core.q pt.Core.pt_eid)
+          (Printf.sprintf "pt %d %d %d" pts.(3 * i) pts.((3 * i) + 1) pts.((3 * i) + 2))
       done)
     frontiers;
   let classes =
@@ -609,30 +697,17 @@ let engine_restore (ctx : Engine.ctx) lines =
       | [ tid; var; k; epoch; eid ] ->
           let tid = int ~what tid in
           check_tid tid;
-          let slot = Core.frame_slot core tid var in
-          let e = Some (int ~what epoch, int ~what eid) in
-          (match kind_of_code ~what k with
-          | Read -> slot.Core.f_read <- e
-          | Write -> slot.Core.f_write <- e)
+          Core.restore_frame core tid var (kind_of_code ~what k)
+            (Some (int ~what epoch, int ~what eid))
       | _ -> invalid_arg (what ^ ": malformed fs line"));
   counted "pairs" (fun () ->
       match keyed ~what ~key:"pm" r with
       | [ var; tid; lock; k1; k2; epoch; first; second ] ->
           let tid = int ~what tid in
           check_tid tid;
-          let inner =
-            match Hashtbl.find_opt core.Core.c_pairmax var with
-            | Some i -> i
-            | None ->
-                let i = Hashtbl.create 8 in
-                Hashtbl.replace core.Core.c_pairmax var i;
-                i
-          in
-          Hashtbl.replace inner
-            (tid, lock, kind_of_code ~what k1, kind_of_code ~what k2)
-            { Core.pe_epoch = int ~what epoch;
-              pe_first = int ~what first;
-              pe_second = int ~what second }
+          Core.restore_pair core var tid ~lock (kind_of_code ~what k1)
+            (kind_of_code ~what k2) ~epoch:(int ~what epoch) ~first:(int ~what first)
+            ~second:(int ~what second)
       | _ -> invalid_arg (what ^ ": malformed pm line"));
   counted "frontiers" (fun () ->
       match keyed ~what ~key:"fr" r with
@@ -641,13 +716,14 @@ let engine_restore (ctx : Engine.ctx) lines =
           check_tid rtid;
           check_tid ltid;
           let f =
-            Core.frontier_find core (var, rtid, ltid, kind_of_code ~what k)
+            Core.restore_frontier core var ~owner:rtid ~observer:ltid
+              (kind_of_code ~what k)
           in
           for _ = 1 to int ~what len do
             match keyed ~what ~key:"pt" r with
             | [ p; q; eid ] ->
-                Core.frontier_add f
-                  { Core.p = int ~what p; q = int ~what q; pt_eid = int ~what eid }
+                Core.frontier_add f ~p:(int ~what p) ~q:(int ~what q)
+                  ~eid:(int ~what eid)
             | _ -> invalid_arg (what ^ ": malformed pt line")
           done
       | _ -> invalid_arg (what ^ ": malformed fr line"));

@@ -37,9 +37,13 @@ val create : ?max_buffered:int -> ?overflow_limit:int -> nthreads:int -> unit ->
 
 val feed : t -> Message.t -> Message.t list
 (** Buffer one message and return every message that became deliverable,
-    in causal order (oldest first).
-    @raise Invalid_argument on duplicates, out-of-range thread ids, or
-    messages arriving after their thread ended.
+    in causal order: ready threads are visited cyclically in ascending
+    order from thread 0, each delivering its whole run of consecutive
+    deliverable messages, until none is ready.  O(threads) per delivered
+    message.
+    @raise Invalid_argument on duplicates, out-of-range thread ids,
+    clocks narrower than the thread count, or messages arriving after
+    their thread ended.
     @raise Causal_buffer_overflow when the buffer exceeds [overflow_limit].
     @raise Online.Backpressure when the buffer exceeds [max_buffered]. *)
 
@@ -50,8 +54,12 @@ val delivered_total : t -> int
 val nthreads : t -> int
 
 val missing : t -> (Types.tid * int) option
-(** The first thread whose next message is absent and blocks delivery;
-    [None] when nothing is buffered. *)
+(** The blocker of the lowest-numbered thread that has buffered messages
+    but cannot deliver: [(t, s)] when its own next message [s] is
+    absent, otherwise [(j, s)] for the first thread [j] whose delivered
+    prefix its head still needs, [s] being [j]'s next index.  [None]
+    when nothing buffered is blocked.  O(threads): read off the delivery
+    index, with no clock scan. *)
 
 val finish : t -> unit
 (** Declare end-of-stream.

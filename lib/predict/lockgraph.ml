@@ -8,13 +8,6 @@ type report = {
   cycles : string list list;
 }
 
-let lock_name x =
-  let prefix = "#lock:" in
-  if String.length x > String.length prefix
-     && String.sub x 0 (String.length prefix) = prefix
-  then Some (String.sub x (String.length prefix) (String.length x - String.length prefix))
-  else None
-
 module Sset = Set.Make (String)
 
 let canonical_rotation cycle =
@@ -76,7 +69,7 @@ let analyze exec =
     (fun (e : Event.t) ->
       match e.kind with
       | Event.Write (x, v) -> (
-          match lock_name x with
+          match Types.as_lock x with
           | None -> ()
           | Some l ->
               locks := Sset.add l !locks;

@@ -33,7 +33,13 @@ val read_var : string -> var
     {!lock_var} (paper, Section 3.1). *)
 
 val as_read : var -> string option
-(** [as_read v] is [Some x] when [v] is [read_var x], [None] otherwise. *)
+(** [as_read v] is [Some x] when [v] is [read_var x], [None] otherwise.
+    Allocates only in the [Some] case. *)
+
+val as_lock : var -> string option
+(** [as_lock v] is [Some l] when [v] is [lock_var l] for a non-empty
+    [l], [None] otherwise.
+    Allocates only in the [Some] case. *)
 
 val is_sync_var : var -> bool
 (** True for variables created by {!lock_var} or {!notify_var}. *)

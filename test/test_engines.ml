@@ -279,6 +279,69 @@ let test_resume_engine_set_mismatch () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "matching set: %s" (E.to_string e))
 
+(* {1 Snapshot identity on a reordered wide trace}
+
+   The engines' snapshots are rendered from their live indexes (the
+   causal delivery index, the per-variable atomicity rows).  Restoring
+   a snapshot and taking it again must give the same lines, and a
+   resumed bundle must end exactly where an uninterrupted one does. *)
+
+(* The ledger's program shape: each thread increments [c] under one of
+   four locks, writes its own cell and reads its neighbour's. *)
+let lock_counter_source ~threads ~iters =
+  let cells = List.init threads (Printf.sprintf "x%d = 0") in
+  Printf.sprintf "shared c = 0, %s;\n%s" (String.concat ", " cells)
+    (String.concat "\n"
+       (List.init threads (fun t ->
+            Printf.sprintf
+              "thread t%d { local i = 0; local r = 0; while (i < %d) { sync (m%d) { c = c \
+               + 1; } x%d = i + 1; r = x%d; i = i + 1; } }"
+              t iters (t mod 4) t ((t + 1) mod threads))))
+
+let test_snapshot_identity () =
+  let exec =
+    exec_of_program ~seed:5
+      (Tml.Parser.parse_program (lock_counter_source ~threads:16 ~iters:6))
+  in
+  let nthreads = Trace.Exec.nthreads exec and init = Trace.Exec.init exec in
+  let messages =
+    Observer.Channel.bounded_reorder ~seed:11 ~window:64 (PE.messages_of_exec exec)
+  in
+  let n = List.length messages in
+  List.iter
+    (fun (name, kinds) ->
+      let create () = Predict.Engines.create ~kinds ~nthreads ~init ~spec:None () in
+      let run_to_end bundle ms =
+        List.iter (Predict.Engines.feed bundle) ms;
+        Predict.Engines.finish bundle;
+        (Predict.Engines.verdict_lines bundle, Predict.Engines.snapshots bundle)
+      in
+      let expected = run_to_end (create ()) messages in
+      List.iter
+        (fun cut ->
+          let label = Printf.sprintf "%s cut=%d/%d" name cut n in
+          let before = create () in
+          List.iteri (fun i m -> if i < cut then Predict.Engines.feed before m) messages;
+          let blocks = Predict.Engines.snapshots before in
+          let resumed =
+            Predict.Engines.restore ~kinds ~nthreads ~init ~spec:None ~online_snapshot:None
+              ~blocks ~events:(Predict.Engines.events before) ()
+          in
+          Alcotest.(check (list (pair string (list string))))
+            (label ^ ": snapshot -> restore -> snapshot") blocks
+            (Predict.Engines.snapshots resumed);
+          let verdicts, final =
+            run_to_end resumed (List.filteri (fun i _ -> i >= cut) messages)
+          in
+          Alcotest.(check (list (pair string string)))
+            (label ^ ": resumed verdicts") (fst expected) verdicts;
+          Alcotest.(check (list (pair string (list string))))
+            (label ^ ": resumed final snapshot") (snd expected) final)
+        [ 1; n / 5; n / 2; (4 * n) / 5; n - 1 ])
+    [ ("race", [ PE.Race ]);
+      ("atomicity", [ PE.Atomicity ]);
+      ("race+atomicity", [ PE.Race; PE.Atomicity ]) ]
+
 (* {1 Front-end parity: check == stream, engine line for engine line} *)
 
 let test_pipeline_stream_parity () =
@@ -347,7 +410,9 @@ let () =
         [ Alcotest.test_case "parity per engine set" `Quick
             test_kill_resume_per_engine;
           Alcotest.test_case "engine-set mismatch refused" `Quick
-            test_resume_engine_set_mismatch ] );
+            test_resume_engine_set_mismatch;
+          Alcotest.test_case "snapshot identity, reordered 16-thread trace" `Quick
+            test_snapshot_identity ] );
       ( "parity",
         [ Alcotest.test_case "check == stream verdict lines" `Quick
             test_pipeline_stream_parity ] );
