@@ -3,14 +3,15 @@
    One section per experiment in DESIGN.md's experiment index (E1-E9):
    the paper's two content figures (Figs. 5 and 6 with Examples 1 and 2)
    are regenerated verbatim, and every quantitative claim the paper
-   makes in prose is measured — instrumentation overhead, detection
-   probability of observed-run monitoring vs prediction, frontier memory
-   of the level-by-level analysis, and the cost of the Section 3.2
-   message-passing interpretation.
+   makes in prose is measured — detection probability of observed-run
+   monitoring vs prediction, frontier memory of the level-by-level
+   analysis, and the cost of the Section 3.2 message-passing
+   interpretation.  Instrumentation overhead is measured by the ledger
+   (bench/ledger): [tml.vm] against [mvc.emit] on check-wide.
 
    Usage:
      dune exec bench/main.exe            # everything
-     dune exec bench/main.exe -- E5      # one experiment (E1..E22)
+     dune exec bench/main.exe -- E6      # one experiment (E1..E22)
      dune exec bench/main.exe -- perf    # only the Bechamel timing runs
 
    Add [--json FILE] to also write every recorded (experiment, metric,
@@ -195,47 +196,6 @@ let e4 () =
         "shape: the 3-messages-per-access interpretation costs ~%.1fx Algorithm A.\n"
         (m /. a)
   | _ -> ())
-
-(* {1 E5: instrumentation overhead} *)
-
-let overhead_programs =
-  [ ("locked-counter", Tml.Programs.locked_counter ~increments:50);
-    ("racy-counter", Tml.Programs.racy_counter ~increments:50);
-    ("independent-3x40", Tml.Programs.independent ~threads:3 ~writes:40);
-    ("pipeline-4", Tml.Programs.pipeline ~stages:4) ]
-
-let e5 () =
-  section "E5" "Instrumentation overhead (paper: \"can add significant delays\")";
-  Printf.printf "%-18s %12s %12s %9s %9s\n" "program" "plain" "instrumented" "slowdown"
-    "events";
-  List.iter
-    (fun (name, program) ->
-      let plain = Tml.Compile.compile program in
-      let instrumented = Tml.Instrument.instrument plain in
-      (* One fixed schedule for both, so the work is identical. *)
-      let sched, get = Tml.Sched.recording (Tml.Sched.random ~seed:1) in
-      let r = Tml.Vm.run_image ~fuel:100_000 ~sched instrumented in
-      let script = get () in
-      let events =
-        match r.Tml.Vm.exec with Some e -> Trace.Exec.length e | None -> 0
-      in
-      let run image () =
-        ignore (Tml.Vm.run_image ~fuel:100_000 ~sched:(Tml.Sched.of_script script) image)
-      in
-      let results =
-        measure
-          [ Test.make ~name:"instr" (Staged.stage (run instrumented));
-            Test.make ~name:"plain" (Staged.stage (run plain)) ]
-      in
-      match results with
-      | [ (_, instr_ns); (_, plain_ns) ] ->
-          (* sorted by name: "instr" < "plain" *)
-          Printf.printf "%-18s %s %s %8.2fx %9d\n" name (pp_ns plain_ns) (pp_ns instr_ns)
-            (instr_ns /. plain_ns) events
-      | _ -> ())
-    overhead_programs;
-  Printf.printf "shape: instrumented runs are consistently slower; the factor is the\n";
-  Printf.printf "price of Algorithm A + event recording on every shared access.\n"
 
 (* {1 E6: detection probability, JPaX baseline vs JMPaX prediction} *)
 
@@ -1210,8 +1170,8 @@ let run_e22 ?smoke () =
   end
 
 let experiments =
-  [ ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6); ("E7", e7);
-    ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11); ("E12", e12); ("E13", e13);
+  [ ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E6", e6); ("E7", e7); ("E8", e8);
+    ("E9", e9); ("E10", e10); ("E11", e11); ("E12", e12); ("E13", e13);
     ("E14", e14); ("E16", fun () -> run_e16 ());
     ("E17", e17); ("E18", fun () -> run_e18 ()); ("E20", fun () -> run_e20 ());
     ("E22", fun () -> run_e22 ()) ]
@@ -1266,7 +1226,6 @@ let () =
   | [ "perf" ], _ ->
       e3 ();
       e4 ();
-      e5 ();
       e14 ()
   | ids, _ ->
       List.iter

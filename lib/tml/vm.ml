@@ -27,11 +27,17 @@ type thread_state = {
   mutable status : status;
 }
 
+(* Locks are interned at [create]: [lock_at.(tid).(pc)] is the dense id
+   of the lock an acquire or release at that pc names, or -1.  Lock [id]
+   is free iff [lock_owner.(id) < 0]; [lock_depth.(id)] counts its
+   owner's reentrant acquisitions. *)
 type t = {
   image : Bytecode.image;
   sched : Sched.t;
   globals : (Types.var, Types.value) Hashtbl.t;
-  locks : (string, Types.tid * int) Hashtbl.t;
+  lock_at : int array array;
+  lock_owner : Types.tid array;
+  lock_depth : int array;
   threads : thread_state array;
   emitter : Mvc.Emitter.t option;
   mutable steps : int;
@@ -140,8 +146,23 @@ let create ?clock ?(relevance = Mvc.Relevance.all_writes) ?sink ~sched image =
       (fun n -> { pc = 0; stack = []; locals = Array.make n 0; status = Ready })
       image.nlocals
   in
-  let t = { image; sched; globals; locks = Hashtbl.create 8; threads; emitter;
-            steps = 0; error = None } in
+  let ids = Hashtbl.create 8 in
+  let lock_at =
+    Array.map
+      (Array.map (function
+        | Acquire l | Instr_acquire l | Release l | Instr_release l -> (
+            match Hashtbl.find_opt ids l with
+            | Some id -> id
+            | None ->
+                let id = Hashtbl.length ids in
+                Hashtbl.add ids l id;
+                id)
+        | _ -> -1))
+      image.code
+  in
+  let nlocks = Hashtbl.length ids in
+  let t = { image; sched; globals; lock_at; lock_owner = Array.make nlocks (-1);
+            lock_depth = Array.make nlocks 0; threads; emitter; steps = 0; error = None } in
   (* Settle every thread so that enabledness is decidable by inspection. *)
   (try Array.iteri (fun tid _ -> settle t tid) threads
    with Vm_error (tid, message) -> t.error <- Some (tid, message));
@@ -152,11 +173,6 @@ let read_global t x =
 
 let global_value = read_global
 
-let lock_free_or_mine t tid l =
-  match Hashtbl.find_opt t.locks l with
-  | None -> true
-  | Some (owner, _) -> owner = tid
-
 let thread_runnable t tid =
   let ts = t.threads.(tid) in
   match ts.status with
@@ -164,20 +180,28 @@ let thread_runnable t tid =
   | Waking _ -> true
   | Ready -> (
       match t.image.code.(tid).(ts.pc) with
-      | Acquire l | Instr_acquire l -> lock_free_or_mine t tid l
+      | Acquire _ | Instr_acquire _ ->
+          let owner = t.lock_owner.(t.lock_at.(tid).(ts.pc)) in
+          owner < 0 || owner = tid
       | _ -> true)
 
+(* One descending scan, so the list comes out ascending. *)
 let runnable t =
   if t.error <> None then []
-  else
-    Array.to_list (Array.mapi (fun tid _ -> tid) t.threads)
-    |> List.filter (thread_runnable t)
+  else begin
+    let acc = ref [] in
+    for tid = Array.length t.threads - 1 downto 0 do
+      if thread_runnable t tid then acc := tid :: !acc
+    done;
+    !acc
+  end
 
-let finished t =
+(* [finished] given the current [runnable t]. *)
+let finished_with t runnable =
   match t.error with
   | Some (tid, message) -> Some (Runtime_error { tid; message })
   | None ->
-      if runnable t <> [] then None
+      if runnable <> [] then None
       else if Array.for_all (fun ts -> ts.status = Halted) t.threads then Some Completed
       else
         Some
@@ -185,6 +209,8 @@ let finished t =
              (Array.to_list (Array.mapi (fun tid ts -> (tid, ts)) t.threads)
              |> List.filter (fun (_, ts) -> ts.status <> Halted)
              |> List.map fst))
+
+let finished t = finished_with t (runnable t)
 
 let emit_internal t tid =
   match t.emitter with Some e -> Mvc.Emitter.on_internal e tid | None -> ()
@@ -195,21 +221,20 @@ let emit_read t tid x v =
 let emit_write t tid x v =
   match t.emitter with Some e -> Mvc.Emitter.on_write e tid x v | None -> ()
 
-let do_acquire t tid l ~emit =
-  (match Hashtbl.find_opt t.locks l with
-  | None -> Hashtbl.replace t.locks l (tid, 1)
-  | Some (owner, count) ->
-      assert (owner = tid);
-      Hashtbl.replace t.locks l (tid, count + 1));
+let do_acquire t tid ts l ~emit =
+  let id = t.lock_at.(tid).(ts.pc) in
+  assert (t.lock_owner.(id) < 0 || t.lock_owner.(id) = tid);
+  t.lock_owner.(id) <- tid;
+  t.lock_depth.(id) <- t.lock_depth.(id) + 1;
   if emit then emit_write t tid (Types.lock_var l) 1
 
-let do_release t tid l ~emit =
-  match Hashtbl.find_opt t.locks l with
-  | Some (owner, count) when owner = tid ->
-      if count = 1 then Hashtbl.remove t.locks l
-      else Hashtbl.replace t.locks l (tid, count - 1);
-      if emit then emit_write t tid (Types.lock_var l) 0
-  | Some _ | None -> raise (Vm_error (tid, "release of a lock not held: " ^ l))
+let do_release t tid ts l ~emit =
+  let id = t.lock_at.(tid).(ts.pc) in
+  if t.lock_owner.(id) <> tid then raise (Vm_error (tid, "release of a lock not held: " ^ l));
+  let depth = t.lock_depth.(id) - 1 in
+  t.lock_depth.(id) <- depth;
+  if depth = 0 then t.lock_owner.(id) <- -1;
+  if emit then emit_write t tid (Types.lock_var l) 0
 
 let do_notify t tid c ~emit =
   if emit then emit_write t tid (Types.notify_var c) 1;
@@ -218,7 +243,9 @@ let do_notify t tid c ~emit =
     t.threads
 
 let step_body t tid =
-  if not (List.mem tid (runnable t)) then
+  if t.error <> None || tid < 0 || tid >= Array.length t.threads
+     || not (thread_runnable t tid)
+  then
     invalid_arg (Printf.sprintf "Vm.step: thread %d is not runnable" tid);
   let ts = t.threads.(tid) in
   t.steps <- t.steps + 1;
@@ -263,16 +290,16 @@ let step_body t tid =
             emit_write t tid x v;
             ts.pc <- ts.pc + 1
         | Acquire l ->
-            do_acquire t tid l ~emit:false;
+            do_acquire t tid ts l ~emit:false;
             ts.pc <- ts.pc + 1
         | Instr_acquire l ->
-            do_acquire t tid l ~emit:true;
+            do_acquire t tid ts l ~emit:true;
             ts.pc <- ts.pc + 1
         | Release l ->
-            do_release t tid l ~emit:false;
+            do_release t tid ts l ~emit:false;
             ts.pc <- ts.pc + 1
         | Instr_release l ->
-            do_release t tid l ~emit:true;
+            do_release t tid ts l ~emit:true;
             ts.pc <- ts.pc + 1
         | Notify_cond c ->
             do_notify t tid c ~emit:false;
@@ -314,12 +341,13 @@ let result t =
 
 let run ?(fuel = 100_000) t =
   let rec loop () =
-    match finished t with
+    let runnable = runnable t in
+    match finished_with t runnable with
     | Some _ -> ()
     | None ->
         if t.steps >= fuel then ()
         else begin
-          let tid = Sched.pick t.sched ~runnable:(runnable t) in
+          let tid = Sched.pick t.sched ~runnable in
           step t tid;
           loop ()
         end

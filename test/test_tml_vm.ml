@@ -242,10 +242,41 @@ let test_choose_follows_scheduler () =
     [ 10; 20; 30 ]
 
 let test_step_not_runnable_rejected () =
+  let rejects vm tid =
+    Alcotest.check_raises
+      (Printf.sprintf "thread %d" tid)
+      (Invalid_argument (Printf.sprintf "Vm.step: thread %d is not runnable" tid))
+      (fun () -> Vm.step vm tid)
+  in
   let image = Instrument.instrument_program (parse {| thread t { nop; } |}) in
   let vm = Vm.create ~sched:(rr ()) image in
-  Alcotest.check_raises "bad tid" (Invalid_argument "Vm.step: thread 3 is not runnable")
-    (fun () -> Vm.step vm 3)
+  rejects vm 3;
+  rejects vm 1;
+  rejects vm (-1);
+  Vm.step vm 0 (* the nop; t then settles onto Halt *);
+  rejects vm 0;
+  (* A thread parked at an acquire of a lock another thread holds. *)
+  let image =
+    Instrument.instrument_program
+      (parse {| shared a = 0; thread t0 { lock m; a = 1; unlock m; }
+                thread t1 { lock m; a = 2; unlock m; } |})
+  in
+  let vm = Vm.create ~sched:(rr ()) image in
+  Vm.step vm 0 (* t0 acquires m *);
+  rejects vm 1;
+  (* After a runtime error no thread may step, not even one that was
+     runnable before it. *)
+  let image =
+    Instrument.instrument_program
+      (parse {| shared a = 0; thread t0 { unlock m; } thread t1 { a = 1; } |})
+  in
+  let vm = Vm.create ~sched:(rr ()) image in
+  Alcotest.(check (list int)) "both runnable before the error" [ 0; 1 ] (Vm.runnable vm);
+  Vm.step vm 0 (* unlock of a lock not held *);
+  (match Vm.finished vm with
+  | Some (Vm.Runtime_error { tid = 0; _ }) -> ()
+  | _ -> Alcotest.fail "expected a runtime error in T0");
+  List.iter (rejects vm) [ 0; 1; 2; -1 ]
 
 (* {1 Dynamic threads (spawn/join via desugaring)} *)
 
@@ -396,14 +427,51 @@ let test_instrumentation_preserves_results () =
         [ 11; 22; 33 ])
     programs_pool
 
-(* {1 VM vs reference interpreter differential} *)
+(* {1 Generated programs}
 
-let check_differential name program seed =
-  let sched, get_script = Sched.recording (Sched.random ~seed) in
-  let rv = Vm.run_program ~fuel:2_000 ~sched program in
-  let script = get_script () in
-  let ri = Interp.run_program ~fuel:2_000 ~sched:(Sched.of_script script) program in
-  let tag fmt = Printf.sprintf "%s seed %d: %s" name seed fmt in
+   The ledger's program shape, generated here so the suite does not
+   depend on the bench tree: [threads] threads, each looping [iters]
+   times over a counter increment under one of [locks] locks, a write of
+   its own cell, a read of its neighbour's cell and [nops] internal
+   events. *)
+
+let lock_counter_source ~threads ~iters ~nops ~locks =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b "shared c = 0";
+  for t = 0 to threads - 1 do
+    Printf.bprintf b ", x%d = 0" t
+  done;
+  Buffer.add_string b ";\n";
+  for t = 0 to threads - 1 do
+    Printf.bprintf b
+      "thread t%d { local i = 0; local r = 0;\n\
+      \  while (i < %d) { sync (m%d) { c = c + 1; } x%d = i + 1; r = x%d; %s i = i + 1; } }\n"
+      t iters (t mod locks) t
+      ((t + 1) mod threads)
+      (String.concat " " (List.init nops (fun _ -> "nop;")))
+  done;
+  Buffer.contents b
+
+let lock_counter ~threads = parse (lock_counter_source ~threads ~iters:2 ~nops:2 ~locks:4)
+
+(* {1 VM vs reference interpreter differential}
+
+   The interpreter computes enabledness from its own work stack and lock
+   table, so requiring both to offer the scheduler the same runnable
+   list at every scheduling point pins the VM's runnable scan, lock
+   state and termination test to the oracle. *)
+
+(* [inner], logging every runnable list it is offered. *)
+let logging inner =
+  let offered = ref [] in
+  ( Sched.make_raw ~name:(Sched.name inner ^ "+log")
+      ~pick_fn:(fun runnable ->
+        offered := runnable :: !offered;
+        Sched.pick inner ~runnable)
+      ~choose_fn:(fun k -> Sched.choose inner k),
+    fun () -> List.rev !offered )
+
+let check_same_run tag (rv : Vm.run_result) (ri : Vm.run_result) =
   Alcotest.(check bool) (tag "same outcome") true (rv.Vm.outcome = ri.Vm.outcome);
   Alcotest.(check (list (pair string int))) (tag "same final state") rv.Vm.final ri.Vm.final;
   Alcotest.(check int) (tag "same steps") rv.Vm.steps ri.Vm.steps;
@@ -417,21 +485,105 @@ let check_differential name program seed =
   Alcotest.(check bool) (tag "same messages") true
     (List.equal Trace.Message.equal rv.Vm.messages ri.Vm.messages)
 
+(* Run [program] on the VM under [sched], then on the interpreter under
+   the recorded script. *)
+let check_differential ?fuel name program sched =
+  let recorded, get_script = Sched.recording sched in
+  let vm_sched, vm_offered = logging recorded in
+  let rv = Vm.run_program ?fuel ~sched:vm_sched program in
+  let interp_sched, interp_offered = logging (Sched.of_script (get_script ())) in
+  let ri = Interp.run_program ?fuel ~sched:interp_sched program in
+  let tag what = Printf.sprintf "%s under %s: %s" name (Sched.name sched) what in
+  Alcotest.(check (list (list int))) (tag "same runnable lists") (interp_offered ())
+    (vm_offered ());
+  check_same_run tag rv ri
+
 let test_vm_vs_interp () =
   List.iter
     (fun (name, program) ->
-      List.iter (check_differential name program) [ 1; 2; 3; 4; 5; 42; 99; 1234 ])
+      List.iter
+        (fun seed -> check_differential ~fuel:2_000 name program (Sched.random ~seed))
+        [ 1; 2; 3; 4; 5; 42; 99; 1234 ])
     programs_pool
 
 let test_vm_vs_interp_round_robin () =
   List.iter
-    (fun (name, program) ->
-      let sched, get_script = Sched.recording (rr ()) in
-      let rv = Vm.run_program ~fuel:2_000 ~sched program in
-      let ri = Interp.run_program ~fuel:2_000 ~sched:(Sched.of_script (get_script ())) program in
-      Alcotest.(check bool) (name ^ ": same outcome") true (rv.Vm.outcome = ri.Vm.outcome);
-      Alcotest.(check (list (pair string int))) (name ^ ": same final") rv.Vm.final ri.Vm.final)
+    (fun (name, program) -> check_differential ~fuel:2_000 name program (rr ()))
     programs_pool
+
+let parity_programs =
+  programs_pool
+  @ [ ("lock-counter-16", lock_counter ~threads:16);
+      ("lock-counter-64", lock_counter ~threads:64);
+      ( "reentrant",
+        parse
+          {| shared a = 0;
+             thread t0 { sync (m) { sync (m) { a = a + 1; } } }
+             thread t1 { sync (m) { a = a + 1; sync (m) { a = a + 1; } } }
+             thread t2 { lock m; lock m; a = a + 1; unlock m; a = a + 1; unlock m; } |} );
+      ( "lost-notification",
+        parse
+          {| shared a = 0;
+             thread t0 { notify c; a = 1; }
+             thread t1 { nop; wait c; a = 2; } |} );
+      ( "notify-all",
+        parse
+          {| shared a1 = 0, a2 = 0;
+             thread w1 { wait c; a1 = 1; }
+             thread w2 { wait c; a2 = 1; }
+             thread n  { nop; notify c; } |} );
+      ("two-lock-deadlock", Programs.bank_transfer);
+      ( "unlock-not-held",
+        parse
+          {| shared a = 0;
+             thread t0 { a = 1; unlock m; }
+             thread t1 { lock m; a = 2; unlock m; } |} ) ]
+
+let test_runnable_parity () =
+  List.iter
+    (fun (name, program) ->
+      List.iter
+        (fun seed ->
+          check_differential name program (Sched.random ~seed);
+          check_differential name program (Sched.random_biased ~seed ~stickiness:3))
+        [ 1; 2; 3; 7; 42 ])
+    parity_programs
+
+(* {1 Golden schedules} *)
+
+(* One digest over everything a seeded run fixes: the recorded script,
+   the emitted messages, the final shared state, the step count and the
+   outcome. *)
+let run_digest (r : Vm.run_result) script =
+  let msg m = Format.asprintf "%a" Trace.Message.pp m in
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\x00"
+          [ Format.asprintf "%a" Sched.pp_script script;
+            String.concat "\n" (List.map msg r.Vm.messages);
+            String.concat "," (List.map (fun (x, v) -> Printf.sprintf "%s=%d" x v) r.Vm.final);
+            string_of_int r.Vm.steps;
+            Format.asprintf "%a" Vm.pp_outcome r.Vm.outcome ]))
+
+(* Computed with the string-keyed lock table and the list-built runnable
+   set the VM had before its scheduling step became array-indexed. *)
+let golden_digests =
+  [ (1, "8496ff5537d18de39969f75db3699bb9");
+    (2, "2a56e2691d1503a56f9c11fe7b0b9bad");
+    (3, "52afa9b5bcca312535769495394f1510");
+    (4, "15a0ed509fb813890c5307e89ce5e7d7");
+    (5, "b78f5e559f5fc068022921d65f709af7") ]
+
+let test_golden_schedules () =
+  let image = Instrument.instrument_program (lock_counter ~threads:64) in
+  List.iter
+    (fun (seed, expected) ->
+      let sched, get_script = Sched.recording (Sched.random ~seed) in
+      let r = Vm.run_image ~sched image in
+      check_completed (Printf.sprintf "seed %d" seed) r;
+      Alcotest.(check string) (Printf.sprintf "seed %d: digest" seed) expected
+        (run_digest r (get_script ())))
+    golden_digests
 
 let () =
   Alcotest.run "tml-vm"
@@ -472,4 +624,7 @@ let () =
       ( "differential",
         [ Alcotest.test_case "VM = interpreter (random)" `Quick test_vm_vs_interp;
           Alcotest.test_case "VM = interpreter (round robin)" `Quick
-            test_vm_vs_interp_round_robin ] ) ]
+            test_vm_vs_interp_round_robin;
+          Alcotest.test_case "runnable-set parity" `Quick test_runnable_parity ] );
+      ( "golden",
+        [ Alcotest.test_case "64-thread lock counter schedules" `Quick test_golden_schedules ] ) ]
