@@ -61,28 +61,28 @@ let pattern_code (k1, kr, k2) =
      a1/a2), the {e maximum} [a1.vc(t)] over closed local pairs —
      [pairmax] — and compare once when [r] arrives.
    - {e processed before [a2]}: both inequalities are checked at
-     [a2]-time against a per-(var, remote thread, local thread, kind)
-     {e pareto frontier} of past remotes — points [(r.vc(u), r.vc(t))]
-     with both coordinates strictly increasing, so "∃ r with
+     [a2]-time against the {e access log} of [(var, u, kind)]: [u]'s
+     past accesses in processing order, so [r.vc(u)] strictly increases
+     along it and every other component is non-decreasing.  "∃ r with
      [r.vc(u) > a2.vc(u)] and [r.vc(t) < a1.vc(t)]" is one binary
-     search.  Inserts are amortized O(1) because [r.vc(u)] increases
-     monotonically per remote thread.
+     search for the first entry past [a2.vc(u)].
 
    Within an open block only the {e latest} local access per
    (variable, kind) matters as [a1]: its own component is maximal, and
    [a1] appears in the conditions only through [a1.vc(t)].  Violations
    are reported once per class [(thread, lock, variable, pattern)] with
-   a representative triple — total O(events × threads) plus one
-   O(log events) search per in-block access.
+   a representative triple — total O(events × threads) plus
+   O(threads × log events) per in-block access.
 
    Layout: an access resolves its variable once, to a [var_state]
    holding one lazily allocated [row] per owner thread.  A row carries
-   the owner's frontiers indexed by [(observer, kind)], its open-block
-   frame and its closed pairs; the variable keeps every closed pair in
-   one array for the remote scan.  Per access that is one string hash
-   and O(threads) array work.  A closed pair remembers which remote
-   kinds already have their class recorded, so known classes are
-   skipped before a violation record is built. *)
+   the owner's two access logs (one per kind), its open-block frame and
+   its closed pairs; the variable keeps every closed pair in one array
+   for the remote scan.  Per access that is one string hash, one log
+   append and O(threads) comparisons, with no per-observer allocation.
+   A closed pair remembers which remote kinds already have their class
+   recorded, so known classes are skipped before a violation record is
+   built. *)
 
 module Core = struct
   type pair_entry = {
@@ -96,16 +96,31 @@ module Core = struct
     mutable pe_reported : int;  (* bit per remote kind whose class is recorded *)
   }
 
-  (* Live points occupy points [off .. len - 1] of the flat array [pts]
-     ([p; q; eid] per point), both coordinates strictly increasing.
-     [off] advances as queries consume the prefix: a frontier of
-     [(var, owner, observer, kind)] is queried only by [observer], whose
-     knowledge of [owner] — the [gt] bound — is monotone in causal
-     processing order, so points with [p <= gt] can never match again. *)
-  type frontier = { mutable pts : int array; mutable len : int; mutable off : int }
+  (* One owner's accesses of one kind to one variable, kept as remotes
+     for every other thread.  Entries [0 .. len - 1] hold each access's
+     sync-only clock, by reference ([Syncclock] never mutates a clock it
+     has returned), and its eid.
+
+     [offs.(t)] is observer [t]'s offset: the first entry whose owner
+     component exceeds [t]'s knowledge of the owner when [t] last
+     looked.  That knowledge only grows, so [t] never matches an entry
+     below its offset again.  What [t] can still match is the pareto
+     view of [vcs.(offs.(t)) ..]: the last entry of each run of equal
+     [vc(t)].  Appending drops a tail that is not in any live
+     observer's view, and a full log first drops the prefix below every
+     observer's offset, so the log stays short when observers keep
+     looking. *)
+  type log = {
+    mutable vcs : Vclock.t array;
+    mutable eids : int array;
+    mutable len : int;
+    mutable offs : int array;
+        (* by observer, the owner's own slot unused; allocated by the
+           first seek, every offset is 0 until then *)
+  }
 
   type row = {
-    fronts : frontier array;  (* by [observer * 2 + kind_index kind] *)
+    r_logs : log array;  (* by [kind_index] *)
     mutable r_block : int;  (* the block the frame below belongs to *)
     mutable f_read : (int * int) option;  (* own-component epoch, eid *)
     mutable f_write : (int * int) option;
@@ -169,13 +184,15 @@ module Core = struct
         Hashtbl.replace t.c_vars var vs;
         vs
 
-  let row t vs tid =
+  let new_log () = { vcs = [||]; eids = [||]; len = 0; offs = [||] }
+  let offset lg u = if Array.length lg.offs = 0 then 0 else lg.offs.(u)
+
+  let row vs tid =
     match vs.v_rows.(tid) with
     | Some r -> r
     | None ->
         let r =
-          { fronts =
-              Array.init (2 * t.c_nthreads) (fun _ -> { pts = [||]; len = 0; off = 0 });
+          { r_logs = [| new_log (); new_log () |];
             r_block = -1;
             f_read = None;
             f_write = None;
@@ -192,44 +209,96 @@ module Core = struct
       r.f_write <- None
     end
 
-  let frontier r ~observer kind = r.fronts.((2 * observer) + kind_index kind)
+  let no_clock = Vclock.zero 1
 
-  let frontier_add f ~p ~q ~eid =
-    (* New points arrive with strictly increasing [p]; drop dominated
-       tail points so both coordinates stay strictly increasing. *)
-    while f.len > f.off && f.pts.((3 * (f.len - 1)) + 1) >= q do
-      f.len <- f.len - 1
+  (* The tail is in no live view once every observer that has not
+     passed it sees the same own component in [vc]: [vc] then ends the
+     tail's run for each of them. *)
+  let tail_dominated lg ~owner vc =
+    let i = lg.len - 1 in
+    let tail = lg.vcs.(i) in
+    let n = Vclock.dim vc in
+    let rec go u =
+      u >= n
+      || ((u = owner || offset lg u > i || Vclock.get tail u = Vclock.get vc u)
+         && go (u + 1))
+    in
+    go 0
+
+  let log_append lg ~owner vc eid =
+    let n = Vclock.dim vc in
+    while lg.len > 0 && tail_dominated lg ~owner vc do
+      lg.len <- lg.len - 1;
+      (* An observer that had passed the dropped tail now sits at the
+         end, where [vc] goes. *)
+      for u = 0 to Array.length lg.offs - 1 do
+        if lg.offs.(u) > lg.len then lg.offs.(u) <- lg.len
+      done
     done;
-    if 3 * f.len = Array.length f.pts then begin
-      let live = f.len - f.off in
-      if 3 * f.off > Array.length f.pts / 2 then
-        (* Reclaim the consumed prefix in place. *)
-        Array.blit f.pts (3 * f.off) f.pts 0 (3 * live)
+    if lg.len = Array.length lg.vcs then begin
+      let lo = ref lg.len in
+      for u = 0 to n - 1 do
+        if u <> owner && offset lg u < !lo then lo := offset lg u
+      done;
+      let lo = !lo in
+      let live = lg.len - lo in
+      if 2 * lo > lg.len then begin
+        (* Reclaim the prefix every observer has passed, in place. *)
+        Array.blit lg.vcs lo lg.vcs 0 live;
+        Array.blit lg.eids lo lg.eids 0 live;
+        Array.fill lg.vcs live lo no_clock
+      end
       else begin
-        let a = Array.make (3 * max 8 (2 * live)) 0 in
-        Array.blit f.pts (3 * f.off) a 0 (3 * live);
-        f.pts <- a
+        let cap = max 4 (2 * live) in
+        let vcs = Array.make cap no_clock and eids = Array.make cap 0 in
+        Array.blit lg.vcs lo vcs 0 live;
+        Array.blit lg.eids lo eids 0 live;
+        lg.vcs <- vcs;
+        lg.eids <- eids
       end;
-      f.len <- live;
-      f.off <- 0
+      lg.len <- live;
+      for u = 0 to Array.length lg.offs - 1 do
+        if u <> owner then lg.offs.(u) <- lg.offs.(u) - lo
+      done
     end;
-    let i = 3 * f.len in
-    f.pts.(i) <- p;
-    f.pts.(i + 1) <- q;
-    f.pts.(i + 2) <- eid;
-    f.len <- f.len + 1
+    lg.vcs.(lg.len) <- vc;
+    lg.eids.(lg.len) <- eid;
+    lg.len <- lg.len + 1
 
-  (* The index of the point with minimal [q] among those with [p > gt],
-     or [-1].  Points with [p <= gt] are dead for every later query from
-     this frontier's one consumer (monotone [gt]) and are dropped. *)
-  let frontier_query f ~gt =
-    let lo = ref f.off and hi = ref f.len in
+  (* Moves [observer]'s offset to the first entry whose owner component
+     exceeds [gt], the observer's current knowledge of the owner, and
+     returns it ([len] when there is none). *)
+  let log_seek lg ~nthreads ~owner ~observer gt =
+    if Array.length lg.offs = 0 then lg.offs <- Array.make nthreads 0;
+    let lo = ref lg.offs.(observer) and hi = ref lg.len in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if f.pts.(3 * mid) > gt then hi := mid else lo := mid + 1
+      if Vclock.get lg.vcs.(mid) owner > gt then hi := mid else lo := mid + 1
     done;
-    f.off <- !lo;
-    if !lo < f.len then !lo else -1
+    lg.offs.(observer) <- !lo;
+    !lo
+
+  (* The last entry of [i]'s run of equal [vc(observer)]: the point of
+     [observer]'s view that stands for [i]. *)
+  let run_end lg ~observer i =
+    let q = Vclock.get lg.vcs.(i) observer in
+    let lo = ref (i + 1) and hi = ref lg.len in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if Vclock.get lg.vcs.(mid) observer > q then hi := mid else lo := mid + 1
+    done;
+    !lo - 1
+
+  (* [observer]'s view as [(p, q, eid)] points, [p] the owner component
+     and [q] the observer's, both strictly increasing. *)
+  let view lg ~owner ~observer =
+    let pts = ref [] in
+    for i = lg.len - 1 downto offset lg observer do
+      let q = Vclock.get lg.vcs.(i) observer in
+      if i = lg.len - 1 || Vclock.get lg.vcs.(i + 1) observer <> q then
+        pts := (Vclock.get lg.vcs.(i) owner, q, lg.eids.(i)) :: !pts
+    done;
+    !pts
 
   let pair_find r ~lock k1 k2 =
     List.find_opt
@@ -288,7 +357,7 @@ module Core = struct
             pattern = (e.pe_k1, kind, e.pe_k2) }
           fresh
     done;
-    let own = row t vs tid in
+    let own = row vs tid in
     (* As the closing end of a local pair. *)
     (match t.c_current.(tid) with
     | None -> ()
@@ -310,24 +379,27 @@ module Core = struct
                 | None ->
                     pair_add vs own ~tid ~lock k1 kind ~epoch:e1 ~first:eid1 ~second:eid
               in
-              (* Past remotes via the frontiers.  Every frontier is
-                 queried, known classes included: the query also
-                 consumes the frontier's dead prefix. *)
+              (* Past remotes via the other owners' logs.  Every log is
+                 sought, known classes included: the seek also moves
+                 this observer's offset past its dead prefix. *)
               let kr = remote_kind k1 kind in
               for u = 0 to t.c_nthreads - 1 do
                 match vs.v_rows.(u) with
                 | Some r when u <> tid ->
-                    let f = frontier r ~observer:tid kr in
-                    let i = frontier_query f ~gt:(Vclock.get vc u) in
+                    let lg = r.r_logs.(kind_index kr) in
+                    let i =
+                      log_seek lg ~nthreads:t.c_nthreads ~owner:u ~observer:tid
+                        (Vclock.get vc u)
+                    in
                     if
-                      i >= 0
-                      && f.pts.((3 * i) + 1) < e1
+                      i < lg.len
+                      && Vclock.get lg.vcs.(i) tid < e1
                       && entry.pe_reported land kind_bit kr = 0
                     then
                       record t ~max_violations entry kr
                         { tid; lock; var; first = eid1; second = eid;
-                          remote = f.pts.((3 * i) + 2); remote_tid = u;
-                          pattern = (k1, kr, kind) }
+                          remote = lg.eids.(run_end lg ~observer:tid i);
+                          remote_tid = u; pattern = (k1, kr, kind) }
                         fresh
                 | Some _ | None -> ()
               done
@@ -335,21 +407,17 @@ module Core = struct
         close Read own.f_read;
         close Write own.f_write);
     (* As a future remote for every other thread. *)
-    let p = Vclock.get vc tid in
-    for u = 0 to t.c_nthreads - 1 do
-      if u <> tid then
-        frontier_add (frontier own ~observer:u kind) ~p ~q:(Vclock.get vc u) ~eid
-    done;
+    log_append own.r_logs.(kind_index kind) ~owner:tid vc eid;
     (* Finally, become the latest in-block access of this kind. *)
     (match t.c_current.(tid) with
     | None -> ()
     | Some _ -> (
-        let e = Some (p, eid) in
+        let e = Some (Vclock.get vc tid, eid) in
         match kind with Read -> own.f_read <- e | Write -> own.f_write <- e));
     List.rev !fresh
 
   (* The snapshot registry: every live frame, closed pair and non-empty
-     frontier, keyed as the snapshot lines are, in any order. *)
+     observer view, keyed as the snapshot lines are, in any order. *)
   let fold_rows t f acc =
     Hashtbl.fold
       (fun var vs acc ->
@@ -384,16 +452,19 @@ module Core = struct
           acc r.r_pairs)
       []
 
-  let frontiers t =
+  let views t =
     fold_rows t
       (fun var owner r acc ->
         let acc = ref acc in
         Array.iteri
-          (fun i f ->
-            if f.len > f.off then
-              let kind = if i land 1 = 0 then Read else Write in
-              acc := ((var, owner, i / 2, kind), f) :: !acc)
-          r.fronts;
+          (fun ki lg ->
+            let kind = if ki = 0 then Read else Write in
+            for observer = 0 to t.c_nthreads - 1 do
+              if observer <> owner && offset lg observer < lg.len then
+                acc :=
+                  ((var, owner, observer, kind), view lg ~owner ~observer) :: !acc
+            done)
+          r.r_logs;
         !acc)
       []
 
@@ -402,13 +473,13 @@ module Core = struct
     match t.c_current.(tid) with
     | None -> invalid_arg "atomicity engine: frame of a thread outside any block"
     | Some (block, _) -> (
-        let r = row t (var_state t var) tid in
+        let r = row (var_state t var) tid in
         frame r block;
         match kind with Read -> r.f_read <- e | Write -> r.f_write <- e)
 
   let restore_pair t var tid ~lock k1 k2 ~epoch ~first ~second =
     let vs = var_state t var in
-    let r = row t vs tid in
+    let r = row vs tid in
     match pair_find r ~lock k1 k2 with
     | Some e ->
         e.pe_epoch <- epoch;
@@ -416,8 +487,49 @@ module Core = struct
         e.pe_second <- second
     | None -> ignore (pair_add vs r ~tid ~lock k1 k2 ~epoch ~first ~second)
 
-  let restore_frontier t var ~owner ~observer kind =
-    frontier (row t (var_state t var) owner) ~observer kind
+  (* Rebuilds one log from its observers' views, [(observer, points)]
+     with points ascending.  The entries are the union of the points,
+     ordered by [p]; an entry missing from [t]'s view was dominated
+     there, so it takes [vc(t)] from [t]'s next point.  [t]'s offset is
+     its first point; an observer without a view has passed the whole
+     log. *)
+  let restore_log t var ~owner kind views =
+    let lg = (row (var_state t var) owner).r_logs.(kind_index kind) in
+    let entries =
+      List.concat_map (fun (_, pts) -> List.map (fun (p, _, eid) -> (p, eid)) pts) views
+      |> List.sort_uniq (fun (a, _) (b, _) -> compare a b)
+      |> Array.of_list
+    in
+    let len = Array.length entries in
+    let index = Hashtbl.create len in
+    Array.iteri (fun i (p, _) -> Hashtbl.replace index p i) entries;
+    let clocks = Array.map (fun _ -> Array.make t.c_nthreads 0) entries in
+    Array.iteri (fun i (p, _) -> clocks.(i).(owner) <- p) entries;
+    lg.offs <- Array.make t.c_nthreads len;
+    lg.offs.(owner) <- 0;
+    List.iter
+      (fun (observer, pts) ->
+        if observer = owner then
+          invalid_arg "atomicity engine: view of an owner's own accesses";
+        match pts with
+        | [] -> ()
+        | (p0, _, _) :: _ ->
+            lg.offs.(observer) <- Hashtbl.find index p0;
+            (* Each point covers the entries from just after the
+               previous point up to itself. *)
+            let from = ref lg.offs.(observer) in
+            List.iter
+              (fun (p, q, _) ->
+                let upto = Hashtbl.find index p in
+                for i = !from to upto do
+                  clocks.(i).(observer) <- q
+                done;
+                from := upto + 1)
+              pts)
+      views;
+    lg.vcs <- Array.map Vclock.of_array clocks;
+    lg.eids <- Array.map snd entries;
+    lg.len <- len
 
   let classes t =
     Hashtbl.fold (fun key _ acc -> key :: acc) t.c_classes []
@@ -583,21 +695,14 @@ let engine_snapshot st =
         (Printf.sprintf "pm %s %d %s %s %s %d %d %d" var tid lock (kind_code k1)
            (kind_code k2) epoch first second))
     pairs;
-  let frontiers =
-    Core.frontiers core |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  push lines (Printf.sprintf "frontiers %d" (List.length frontiers));
+  let views = Core.views core |> List.sort (fun (a, _) (b, _) -> compare a b) in
+  push lines (Printf.sprintf "frontiers %d" (List.length views));
   List.iter
-    (fun ((var, rtid, ltid, k), (f : Core.frontier)) ->
+    (fun ((var, rtid, ltid, k), pts) ->
       push lines
-        (Printf.sprintf "fr %s %d %d %s %d" var rtid ltid (kind_code k)
-           (f.Core.len - f.Core.off));
-      for i = f.Core.off to f.Core.len - 1 do
-        let pts = f.Core.pts in
-        push lines
-          (Printf.sprintf "pt %d %d %d" pts.(3 * i) pts.((3 * i) + 1) pts.((3 * i) + 2))
-      done)
-    frontiers;
+        (Printf.sprintf "fr %s %d %d %s %d" var rtid ltid (kind_code k) (List.length pts));
+      List.iter (fun (p, q, eid) -> push lines (Printf.sprintf "pt %d %d %d" p q eid)) pts)
+    views;
   let classes =
     Hashtbl.fold (fun _ v acc -> v :: acc) core.Core.c_classes []
     |> List.sort compare
@@ -709,24 +814,27 @@ let engine_restore (ctx : Engine.ctx) lines =
             (kind_of_code ~what k2) ~epoch:(int ~what epoch) ~first:(int ~what first)
             ~second:(int ~what second)
       | _ -> invalid_arg (what ^ ": malformed pm line"));
+  (* Views arrive per observer; a log is rebuilt from all of its own. *)
+  let logs = Hashtbl.create 16 in
   counted "frontiers" (fun () ->
       match keyed ~what ~key:"fr" r with
       | [ var; rtid; ltid; k; len ] ->
           let rtid = int ~what rtid and ltid = int ~what ltid in
           check_tid rtid;
           check_tid ltid;
-          let f =
-            Core.restore_frontier core var ~owner:rtid ~observer:ltid
-              (kind_of_code ~what k)
+          let pts =
+            List.init (int ~what len) (fun _ ->
+                match keyed ~what ~key:"pt" r with
+                | [ p; q; eid ] -> (int ~what p, int ~what q, int ~what eid)
+                | _ -> invalid_arg (what ^ ": malformed pt line"))
           in
-          for _ = 1 to int ~what len do
-            match keyed ~what ~key:"pt" r with
-            | [ p; q; eid ] ->
-                Core.frontier_add f ~p:(int ~what p) ~q:(int ~what q)
-                  ~eid:(int ~what eid)
-            | _ -> invalid_arg (what ^ ": malformed pt line")
-          done
+          let key = (var, rtid, kind_of_code ~what k) in
+          let views = Option.value ~default:[] (Hashtbl.find_opt logs key) in
+          Hashtbl.replace logs key ((ltid, pts) :: views)
       | _ -> invalid_arg (what ^ ": malformed fr line"));
+  Hashtbl.iter
+    (fun (var, owner, kind) views -> Core.restore_log core var ~owner kind views)
+    logs;
   counted "classes" (fun () ->
       match keyed ~what ~key:"cl" r with
       | [ tid; lock; var; k1; kr; k2; first; second; remote; rtid ] ->

@@ -46,11 +46,13 @@ type report = {
 }
 
 val analyze : ?max_violations:int -> Exec.t -> report
-(** Replays a recorded execution in O(events × threads) (plus a
-    logarithmic frontier search per in-block access): per-variable
-    bounded summaries — the latest in-block access per kind, the maximal
-    closed-pair clock per (thread, lock, kinds) and a pareto frontier of
-    past remote accesses — replace the historical all-pairs × all-remotes
+(** Replays a recorded execution in O(events × threads) comparisons,
+    plus O(threads × log events) binary searches per in-block access,
+    without per-observer allocation.  Per-variable summaries — the
+    latest in-block access per kind, the maximal closed-pair clock per
+    (thread, lock, kinds), and one log of past accesses per (owner,
+    kind) holding each access's clock by reference with one offset per
+    observer thread — replace the historical all-pairs × all-remotes
     enumeration.  Violations are reported once per class with a
     representative [(a1, r, a2)] triple; [max_violations] (default
     [1000]) caps the classes recorded. *)

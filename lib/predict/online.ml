@@ -158,9 +158,10 @@ let rec advance_one_level_body t =
             let m = Hashtbl.find t.store (i, k) in
             (* Enabled iff every other component of the event's clock is
                inside the cut. *)
-            let enabled = ref true in
-            for j = 0 to t.nthreads - 1 do
-              if j <> i && Vclock.get m.Message.mvc j > cut.(j) then enabled := false
+            let enabled = ref true and j = ref 0 in
+            while !enabled && !j < t.nthreads do
+              if !j <> i && Vclock.get m.Message.mvc !j > cut.(!j) then enabled := false;
+              incr j
             done;
             if !enabled then out := (i, m) :: !out
           end

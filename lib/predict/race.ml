@@ -52,28 +52,31 @@ let slots table x n =
       Hashtbl.replace table x a;
       a
 
-(* Record one access (processed in causal order) and return the racing
-   pairs it closes, earliest-stored first. *)
-let summary_observe s (this : access) =
-  let pairs = ref [] in
-  let check prev =
-    match prev with
-    | Some (prev : access)
-      when Vclock.get prev.vc prev.tid > Vclock.get this.vc prev.tid ->
-        pairs := { first = prev; second = this } :: !pairs
-    | _ -> ()
-  in
+(* 1 after calling [on_pair prev this] when [prev], the stored access
+   of thread [u], races with [this]; 0 otherwise. *)
+let race_with on_pair u prev (this : access) =
+  match prev with
+  | Some prev when Vclock.get prev.vc u > Vclock.get this.vc u ->
+      on_pair prev this;
+      1
+  | Some _ | None -> 0
+
+(* Record one access (processed in causal order), call [on_pair] for
+   every stored access it races with — threads ascending, a thread's
+   write before its read — and return how many there were. *)
+let summary_observe s (this : access) on_pair =
   let writes = slots s.s_writes this.var s.s_nthreads in
   let reads = slots s.s_reads this.var s.s_nthreads in
+  let n = ref 0 in
   for u = 0 to s.s_nthreads - 1 do
     if u <> this.tid then begin
-      check writes.(u);
-      if this.is_write then check reads.(u)
+      n := !n + race_with on_pair u writes.(u) this;
+      if this.is_write then n := !n + race_with on_pair u reads.(u) this
     end
   done;
   if this.is_write then writes.(this.tid) <- Some this
   else reads.(this.tid) <- Some this;
-  List.rev !pairs
+  !n
 
 let detect ?(max_races = 10_000) exec =
   let clocks = Syncclock.create ~nthreads:(Exec.nthreads exec) in
@@ -83,6 +86,13 @@ let detect ?(max_races = 10_000) exec =
   let pairs_found = ref 0 in
   let accesses = ref 0 in
   let racy = ref Sset.empty in
+  (* Pairs past the cap are counted, never built. *)
+  let keep first second =
+    if !kept < max_races then begin
+      incr kept;
+      races := { first; second } :: !races
+    end
+  in
   Array.iter
     (fun (e : Event.t) ->
       match Syncclock.observe clocks e with
@@ -93,15 +103,11 @@ let detect ?(max_races = 10_000) exec =
           let this =
             { eid = e.eid; tid = e.tid; var = x; is_write = Event.is_write e; vc }
           in
-          List.iter
-            (fun pair ->
-              racy := Sset.add x !racy;
-              incr pairs_found;
-              if !kept < max_races then begin
-                incr kept;
-                races := pair :: !races
-              end)
-            (summary_observe summary this))
+          let n = summary_observe summary this keep in
+          if n > 0 then begin
+            pairs_found := !pairs_found + n;
+            racy := Sset.add x !racy
+          end)
     (Exec.events exec);
   { races = List.rev !races;
     pairs_found = !pairs_found;
@@ -175,15 +181,15 @@ let deliver st (m : Message.t) =
       let this =
         { eid = m.Message.eid; tid = m.Message.tid; var; is_write = not is_read; vc }
       in
-      List.iter
-        (fun (_ : race) ->
-          st.e_pairs <- st.e_pairs + 1;
-          if M.enabled () then M.incr m_pairs;
-          if not (Sset.mem var st.e_racy) then begin
-            st.e_racy <- Sset.add var st.e_racy;
-            if M.enabled () then M.incr m_racy
-          end)
-        (summary_observe st.e_summary this)
+      let n = summary_observe st.e_summary this (fun _ _ -> ()) in
+      if n > 0 then begin
+        st.e_pairs <- st.e_pairs + n;
+        if M.enabled () then M.add m_pairs n;
+        if not (Sset.mem var st.e_racy) then begin
+          st.e_racy <- Sset.add var st.e_racy;
+          if M.enabled () then M.incr m_racy
+        end
+      end
 
 let engine_feed st m =
   st.e_events <- st.e_events + 1;

@@ -35,7 +35,7 @@ val detect : ?max_races:int -> Exec.t -> report
     bounded clock summaries (latest write/read per thread) replace the
     historical per-variable rescan.  [max_races] (default [10_000]) caps
     the recorded pair list; [pairs_found] and [racy_vars] keep counting
-    past the cap. *)
+    past the cap, and pairs past it are never built. *)
 
 val race_free : report -> bool
 val pp_race : Format.formatter -> race -> unit
