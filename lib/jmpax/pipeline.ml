@@ -115,40 +115,45 @@ let check ?(config = Config.default ()) ~spec program =
   let observed_ok =
     Predict.Analyzer.observed_run_verdict ~spec ~init run.Tml.Vm.messages
   in
-  let races =
-    if config.Config.detect_races then
-      Option.map Predict.Race.detect run.Tml.Vm.exec
-    else None
-  in
   let deadlocks =
     if config.Config.detect_deadlocks then
       Option.map Predict.Lockgraph.analyze run.Tml.Vm.exec
     else None
   in
-  let atomicity =
-    if config.Config.detect_atomicity then
-      Option.map Predict.Atomicity.analyze run.Tml.Vm.exec
-    else None
-  in
-  (* The streaming engines ([--engine race,atomicity]) replay the
-     recorded execution through Algorithm A with the all-events
-     relevance, so their verdict lines are byte-identical to what
-     [jmpax run]/[stream] produce on the same execution. *)
+  (* One sync-clock pass serves the race and atomicity reports and the
+     [--engine race,atomicity] verdict lines, which equal the streaming
+     engines' lines for [jmpax run]/[stream] on the same execution. *)
   let engine_kinds =
     List.filter (fun k -> k <> Predict.Engine.Lattice) config.Config.engines
   in
-  let engines, engines_violated =
-    match (engine_kinds, run.Tml.Vm.exec) with
-    | [], _ | _, None -> ([], false)
-    | kinds, Some exec ->
-        let bundle =
-          Predict.Engines.create ?max_buffered:config.Config.max_buffered ~kinds
-            ~nthreads:(Exec.nthreads exec) ~init:(Exec.init exec) ~spec:None ()
-        in
-        List.iter (Predict.Engines.feed bundle) (Predict.Engine.messages_of_exec exec);
-        Predict.Engines.finish bundle;
-        (Predict.Engines.verdict_lines bundle, Predict.Engines.violated bundle)
+  let race_report, atomicity_report =
+    match run.Tml.Vm.exec with
+    | None -> (None, None)
+    | Some exec ->
+        Predict.Engines.analyze ~metered:engine_kinds
+          ((if config.Config.detect_races then [ Predict.Engine.Race ] else [])
+          @ (if config.Config.detect_atomicity then [ Predict.Engine.Atomicity ] else [])
+          @ engine_kinds)
+          exec
   in
+  let races = if config.Config.detect_races then race_report else None in
+  let atomicity = if config.Config.detect_atomicity then atomicity_report else None in
+  let engine_line = function
+    | Predict.Engine.Race ->
+        Option.map
+          (fun r -> (("race", Predict.Race.verdict_of_report r), not (Predict.Race.race_free r)))
+          race_report
+    | Predict.Engine.Atomicity ->
+        Option.map
+          (fun r ->
+            ( ("atomicity", Predict.Atomicity.verdict_of_report r),
+              not (Predict.Atomicity.serializable r) ))
+          atomicity_report
+    | Predict.Engine.Lattice -> None
+  in
+  let engine_lines = List.filter_map engine_line engine_kinds in
+  let engines = List.map fst engine_lines in
+  let engines_violated = List.exists snd engine_lines in
   { spec; relevant_vars; run; delivered; computation; predictive; observed_ok;
     races; deadlocks; atomicity; engines; engines_violated }
 

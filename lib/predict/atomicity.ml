@@ -1,6 +1,9 @@
 open Trace
 module M = Telemetry.Metrics
 
+let m_classes = M.counter "predict.atomicity.violations"
+let default_max_violations = 1000
+
 type access_kind = Read | Write
 
 type violation = {
@@ -98,8 +101,8 @@ module Core = struct
 
   (* One owner's accesses of one kind to one variable, kept as remotes
      for every other thread.  Entries [0 .. len - 1] hold each access's
-     sync-only clock, by reference ([Syncclock] never mutates a clock it
-     has returned), and its eid.
+     sync-only epoch, by reference (epochs are immutable), and its
+     eid.
 
      [offs.(t)] is observer [t]'s offset: the first entry whose owner
      component exceeds [t]'s knowledge of the owner when [t] last
@@ -111,7 +114,7 @@ module Core = struct
      observer's offset, so the log stays short when observers keep
      looking. *)
   type log = {
-    mutable vcs : Vclock.t array;
+    mutable vcs : Syncclock.epoch array;
     mutable eids : int array;
     mutable len : int;
     mutable offs : int array;
@@ -209,25 +212,23 @@ module Core = struct
       r.f_write <- None
     end
 
-  let no_clock = Vclock.zero 1
+  let no_clock = Syncclock.of_vclock 0 (Vclock.zero 1)
 
   (* The tail is in no live view once every observer that has not
      passed it sees the same own component in [vc]: [vc] then ends the
      tail's run for each of them. *)
-  let tail_dominated lg ~owner vc =
+  let tail_dominated lg ~n ~owner vc =
     let i = lg.len - 1 in
     let tail = lg.vcs.(i) in
-    let n = Vclock.dim vc in
     let rec go u =
       u >= n
-      || ((u = owner || offset lg u > i || Vclock.get tail u = Vclock.get vc u)
+      || ((u = owner || offset lg u > i || Syncclock.get tail u = Syncclock.get vc u)
          && go (u + 1))
     in
     go 0
 
-  let log_append lg ~owner vc eid =
-    let n = Vclock.dim vc in
-    while lg.len > 0 && tail_dominated lg ~owner vc do
+  let log_append lg ~n ~owner vc eid =
+    while lg.len > 0 && tail_dominated lg ~n ~owner vc do
       lg.len <- lg.len - 1;
       (* An observer that had passed the dropped tail now sits at the
          end, where [vc] goes. *)
@@ -273,7 +274,7 @@ module Core = struct
     let lo = ref lg.offs.(observer) and hi = ref lg.len in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if Vclock.get lg.vcs.(mid) owner > gt then hi := mid else lo := mid + 1
+      if Syncclock.get lg.vcs.(mid) owner > gt then hi := mid else lo := mid + 1
     done;
     lg.offs.(observer) <- !lo;
     !lo
@@ -281,11 +282,11 @@ module Core = struct
   (* The last entry of [i]'s run of equal [vc(observer)]: the point of
      [observer]'s view that stands for [i]. *)
   let run_end lg ~observer i =
-    let q = Vclock.get lg.vcs.(i) observer in
+    let q = Syncclock.get lg.vcs.(i) observer in
     let lo = ref (i + 1) and hi = ref lg.len in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if Vclock.get lg.vcs.(mid) observer > q then hi := mid else lo := mid + 1
+      if Syncclock.get lg.vcs.(mid) observer > q then hi := mid else lo := mid + 1
     done;
     !lo - 1
 
@@ -294,9 +295,9 @@ module Core = struct
   let view lg ~owner ~observer =
     let pts = ref [] in
     for i = lg.len - 1 downto offset lg observer do
-      let q = Vclock.get lg.vcs.(i) observer in
-      if i = lg.len - 1 || Vclock.get lg.vcs.(i + 1) observer <> q then
-        pts := (Vclock.get lg.vcs.(i) owner, q, lg.eids.(i)) :: !pts
+      let q = Syncclock.get lg.vcs.(i) observer in
+      if i = lg.len - 1 || Syncclock.get lg.vcs.(i + 1) observer <> q then
+        pts := (Syncclock.get lg.vcs.(i) owner, q, lg.eids.(i)) :: !pts
     done;
     !pts
 
@@ -349,7 +350,7 @@ module Core = struct
         e.pe_tid <> tid
         && e.pe_reported land kind_bit kind = 0
         && unserializable (e.pe_k1, kind, e.pe_k2)
-        && e.pe_epoch > Vclock.get vc e.pe_tid
+        && e.pe_epoch > Syncclock.get vc e.pe_tid
       then
         record t ~max_violations e kind
           { tid = e.pe_tid; lock = e.pe_lock; var; first = e.pe_first;
@@ -389,11 +390,11 @@ module Core = struct
                     let lg = r.r_logs.(kind_index kr) in
                     let i =
                       log_seek lg ~nthreads:t.c_nthreads ~owner:u ~observer:tid
-                        (Vclock.get vc u)
+                        (Syncclock.get vc u)
                     in
                     if
                       i < lg.len
-                      && Vclock.get lg.vcs.(i) tid < e1
+                      && Syncclock.get lg.vcs.(i) tid < e1
                       && entry.pe_reported land kind_bit kr = 0
                     then
                       record t ~max_violations entry kr
@@ -407,12 +408,12 @@ module Core = struct
         close Read own.f_read;
         close Write own.f_write);
     (* As a future remote for every other thread. *)
-    log_append own.r_logs.(kind_index kind) ~owner:tid vc eid;
+    log_append own.r_logs.(kind_index kind) ~n:t.c_nthreads ~owner:tid vc eid;
     (* Finally, become the latest in-block access of this kind. *)
     (match t.c_current.(tid) with
     | None -> ()
     | Some _ -> (
-        let e = Some (Vclock.get vc tid, eid) in
+        let e = Some (Syncclock.get vc tid, eid) in
         match kind with Read -> own.f_read <- e | Write -> own.f_write <- e));
     List.rev !fresh
 
@@ -527,41 +528,130 @@ module Core = struct
                 from := upto + 1)
               pts)
       views;
-    lg.vcs <- Array.map Vclock.of_array clocks;
+    lg.vcs <- Array.map (fun c -> Syncclock.of_vclock owner (Vclock.of_array c)) clocks;
     lg.eids <- Array.map snd entries;
     lg.len <- len
-
-  let classes t =
-    Hashtbl.fold (fun key _ acc -> key :: acc) t.c_classes []
-    |> List.sort compare
 
   let violations t =
     Hashtbl.fold (fun _ v acc -> v :: acc) t.c_classes []
     |> List.sort (fun a b -> compare (a.first, a.remote) (b.first, b.remote))
+
+  let report t = { transactions = t.c_transactions; violations = violations t }
+  let violated t = Hashtbl.length t.c_classes > 0
+
+  let sink ?(max_violations = default_max_violations) ?(metered = false) t =
+    { Linear.lock = sync_lock t;
+      access =
+        (fun tid var ~is_write ~eid vc ->
+          let fresh =
+            access t ~max_violations ~tid ~var ~kind:(if is_write then Write else Read) ~vc
+              ~eid
+          in
+          if metered && M.enabled () then List.iter (fun _ -> M.incr m_classes) fresh) }
+
+  (* {2 Snapshot section} *)
+
+  let kind_of_code ~what = function
+    | "R" -> Read
+    | "W" -> Write
+    | s -> invalid_arg (Printf.sprintf "%s: bad access kind %S" what s)
+
+  let write lines t =
+    let open Engine.Snapshot in
+    let code = kind_code and sorted l = List.sort compare l in
+    push lines
+      ("depth " ^ String.concat " " (Array.to_list (Array.map string_of_int t.c_depth)));
+    push_counted lines "current"
+      (List.filter_map Fun.id
+         (List.mapi
+            (fun tid c -> Option.map (fun (block, lock) -> (tid, block, lock)) c)
+            (Array.to_list t.c_current)))
+      (fun (tid, block, lock) -> [ Printf.sprintf "cur %d %d %s" tid block lock ]);
+    push_counted lines "frames" (sorted (frames t)) (fun (tid, var, k, epoch, eid) ->
+        [ Printf.sprintf "fs %d %s %s %d %d" tid var (code k) epoch eid ]);
+    push_counted lines "pairs" (sorted (pairs t))
+      (fun (var, tid, lock, k1, k2, epoch, first, second) ->
+        [ Printf.sprintf "pm %s %d %s %s %s %d %d %d" var tid lock (code k1) (code k2) epoch
+            first second ]);
+    push_counted lines "frontiers"
+      (List.sort (fun (a, _) (b, _) -> compare a b) (views t))
+      (fun ((var, rtid, ltid, k), pts) ->
+        Printf.sprintf "fr %s %d %d %s %d" var rtid ltid (code k) (List.length pts)
+        :: List.map (fun (p, q, eid) -> Printf.sprintf "pt %d %d %d" p q eid) pts);
+    push_counted lines "classes"
+      (sorted (Hashtbl.fold (fun _ v acc -> v :: acc) t.c_classes []))
+      (fun v ->
+        let k1, kr, k2 = v.pattern in
+        [ Printf.sprintf "cl %d %s %s %s %s %s %d %d %d %d" v.tid v.lock v.var (code k1)
+            (code kr) (code k2) v.first v.second v.remote v.remote_tid ])
+
+  let read ~what ~nthreads ~transactions r =
+    let open Engine.Snapshot in
+    let t = create ~nthreads in
+    t.c_transactions <- transactions;
+    let depth = keyed ~what ~key:"depth" r |> List.map (int ~what) in
+    if List.length depth <> nthreads then
+      invalid_arg (what ^ ": depth array does not match thread count");
+    List.iteri (fun tid d -> t.c_depth.(tid) <- d) depth;
+    let tid_of s =
+      let tid = int ~what s in
+      if tid < 0 || tid >= nthreads then invalid_arg (what ^ ": thread id out of range");
+      tid
+    in
+    let kind = kind_of_code ~what in
+    let counted key item = ignore (counted ~what ~key r item) in
+    counted "current" (fun () ->
+        match keyed ~what ~key:"cur" r with
+        | [ tid; block; lock ] -> t.c_current.(tid_of tid) <- Some (int ~what block, lock)
+        | _ -> invalid_arg (what ^ ": malformed cur line"));
+    counted "frames" (fun () ->
+        match keyed ~what ~key:"fs" r with
+        | [ tid; var; k; epoch; eid ] ->
+            restore_frame t (tid_of tid) var (kind k) (Some (int ~what epoch, int ~what eid))
+        | _ -> invalid_arg (what ^ ": malformed fs line"));
+    counted "pairs" (fun () ->
+        match keyed ~what ~key:"pm" r with
+        | [ var; tid; lock; k1; k2; epoch; first; second ] ->
+            restore_pair t var (tid_of tid) ~lock (kind k1) (kind k2) ~epoch:(int ~what epoch)
+              ~first:(int ~what first) ~second:(int ~what second)
+        | _ -> invalid_arg (what ^ ": malformed pm line"));
+    (* Views arrive per observer; a log is rebuilt from all of its own. *)
+    let logs = Hashtbl.create 16 in
+    counted "frontiers" (fun () ->
+        match keyed ~what ~key:"fr" r with
+        | [ var; rtid; ltid; k; len ] ->
+            let rtid = tid_of rtid and ltid = tid_of ltid in
+            let pts =
+              List.init (int ~what len) (fun _ ->
+                  match keyed ~what ~key:"pt" r with
+                  | [ p; q; eid ] -> (int ~what p, int ~what q, int ~what eid)
+                  | _ -> invalid_arg (what ^ ": malformed pt line"))
+            in
+            let key = (var, rtid, kind k) in
+            let views = Option.value ~default:[] (Hashtbl.find_opt logs key) in
+            Hashtbl.replace logs key ((ltid, pts) :: views)
+        | _ -> invalid_arg (what ^ ": malformed fr line"));
+    Hashtbl.iter (fun (var, owner, kind) views -> restore_log t var ~owner kind views) logs;
+    counted "classes" (fun () ->
+        match keyed ~what ~key:"cl" r with
+        | [ tid; lock; var; k1; kr; k2; first; second; remote; rtid ] ->
+            let v =
+              { tid = tid_of tid; lock; var;
+                first = int ~what first;
+                second = int ~what second;
+                remote = int ~what remote;
+                remote_tid = int ~what rtid;
+                pattern = (kind k1, kind kr, kind k2) }
+            in
+            Hashtbl.replace t.c_classes (v.tid, v.lock, v.var, v.pattern) v
+        | _ -> invalid_arg (what ^ ": malformed cl line"));
+    t
 end
 
-let analyze ?(max_violations = 1000) exec =
-  let nthreads = Exec.nthreads exec in
-  let clocks = Syncclock.create ~nthreads in
-  let core = Core.create ~nthreads in
-  Array.iter
-    (fun (e : Event.t) ->
-      (match e.kind with
-      | Event.Write (x, v) -> (
-          match Types.as_lock x with
-          | Some l -> Core.sync_lock core e.tid l v
-          | None -> ())
-      | Event.Read _ | Event.Internal -> ());
-      match Syncclock.observe clocks e with
-      | None -> ()
-      | Some vc ->
-          ignore
-            (Core.access core ~max_violations ~tid:e.tid
-               ~var:(Option.get (Event.variable e))
-               ~kind:(if Event.is_write e then Write else Read)
-               ~vc ~eid:e.eid))
-    (Exec.events exec);
-  { transactions = Core.transactions core; violations = Core.violations core }
+let analyze ?(max_violations = default_max_violations) exec =
+  let core = Core.create ~nthreads:(Exec.nthreads exec) in
+  Linear.replay exec (Core.sink ~max_violations core);
+  Core.report core
 
 let serializable r = r.violations = []
 
@@ -605,257 +695,3 @@ let classes_of_report r =
 
 let verdict_of_report r =
   verdict ~classes:(classes_of_report r) ~transactions:r.transactions
-
-(* {1 The streaming engine} *)
-
-let m_events = M.counter "predict.atomicity.events"
-let m_classes = M.counter "predict.atomicity.violations"
-
-type engine = {
-  e_clocks : Syncclock.t;
-  e_causal : Causal.t;
-  e_core : Core.t;
-  mutable e_events : int;
-  mutable e_ooo : int;
-}
-
-let engine_max_violations = 1000
-
-let deliver st (m : Message.t) =
-  let var, is_read =
-    match Types.as_read m.Message.var with
-    | Some x -> (x, true)
-    | None -> (m.Message.var, false)
-  in
-  (if not is_read then
-     match Types.as_lock var with
-     | Some l -> Core.sync_lock st.e_core m.Message.tid l m.Message.value
-     | None -> ());
-  match Syncclock.observe_access st.e_clocks m.Message.tid ~var ~is_read with
-  | None -> ()
-  | Some vc ->
-      let fresh =
-        Core.access st.e_core ~max_violations:engine_max_violations
-          ~tid:m.Message.tid ~var
-          ~kind:(if is_read then Read else Write)
-          ~vc ~eid:m.Message.eid
-      in
-      if M.enabled () then List.iter (fun _ -> M.incr m_classes) fresh
-
-let engine_feed st m =
-  st.e_events <- st.e_events + 1;
-  if M.enabled () then M.incr m_events;
-  let delivered = Causal.feed st.e_causal m in
-  if not (List.memq m delivered) then st.e_ooo <- st.e_ooo + 1;
-  List.iter (deliver st) delivered
-
-let snapshot_version = "atomicity 1"
-
-let kind_of_code ~what = function
-  | "R" -> Read
-  | "W" -> Write
-  | s -> invalid_arg (Printf.sprintf "%s: bad access kind %S" what s)
-
-let engine_snapshot st =
-  let lines = ref [] in
-  let open Engine.Snapshot in
-  let core = st.e_core in
-  push lines snapshot_version;
-  add_syncclock lines (Syncclock.snapshot st.e_clocks);
-  add_causal lines (Causal.snapshot st.e_causal);
-  push lines
-    (Printf.sprintf "counts %d %d %d" core.Core.c_transactions st.e_events
-       st.e_ooo);
-  push lines
-    ("depth "
-    ^ String.concat " " (Array.to_list (Array.map string_of_int core.Core.c_depth)));
-  let currents =
-    Array.to_list core.Core.c_current
-    |> List.mapi (fun tid c -> (tid, c))
-    |> List.filter_map (fun (tid, c) ->
-           Option.map (fun (block, lock) -> (tid, block, lock)) c)
-  in
-  push lines (Printf.sprintf "current %d" (List.length currents));
-  List.iter
-    (fun (tid, block, lock) ->
-      push lines (Printf.sprintf "cur %d %d %s" tid block lock))
-    currents;
-  let frames = Core.frames core |> List.sort compare in
-  push lines (Printf.sprintf "frames %d" (List.length frames));
-  List.iter
-    (fun (tid, var, k, epoch, eid) ->
-      push lines
-        (Printf.sprintf "fs %d %s %s %d %d" tid var (kind_code k) epoch eid))
-    frames;
-  let pairs = Core.pairs core |> List.sort compare in
-  push lines (Printf.sprintf "pairs %d" (List.length pairs));
-  List.iter
-    (fun (var, tid, lock, k1, k2, epoch, first, second) ->
-      push lines
-        (Printf.sprintf "pm %s %d %s %s %s %d %d %d" var tid lock (kind_code k1)
-           (kind_code k2) epoch first second))
-    pairs;
-  let views = Core.views core |> List.sort (fun (a, _) (b, _) -> compare a b) in
-  push lines (Printf.sprintf "frontiers %d" (List.length views));
-  List.iter
-    (fun ((var, rtid, ltid, k), pts) ->
-      push lines
-        (Printf.sprintf "fr %s %d %d %s %d" var rtid ltid (kind_code k) (List.length pts));
-      List.iter (fun (p, q, eid) -> push lines (Printf.sprintf "pt %d %d %d" p q eid)) pts)
-    views;
-  let classes =
-    Hashtbl.fold (fun _ v acc -> v :: acc) core.Core.c_classes []
-    |> List.sort compare
-  in
-  push lines (Printf.sprintf "classes %d" (List.length classes));
-  List.iter
-    (fun v ->
-      let k1, kr, k2 = v.pattern in
-      push lines
-        (Printf.sprintf "cl %d %s %s %s %s %s %d %d %d %d" v.tid v.lock v.var
-           (kind_code k1) (kind_code kr) (kind_code k2) v.first v.second v.remote
-           v.remote_tid))
-    classes;
-  List.rev !lines
-
-let instance_of st =
-  { Engine.name = "atomicity";
-    feed = engine_feed st;
-    end_of_thread = Causal.end_of_thread st.e_causal;
-    finish = (fun () -> Causal.finish st.e_causal);
-    violated = (fun () -> Hashtbl.length st.e_core.Core.c_classes > 0);
-    verdict =
-      (fun () ->
-        verdict
-          ~classes:(Core.classes st.e_core)
-          ~transactions:st.e_core.Core.c_transactions);
-    events = (fun () -> st.e_events);
-    buffered = (fun () -> Causal.buffered st.e_causal);
-    out_of_order = (fun () -> st.e_ooo);
-    missing = (fun () -> Causal.missing st.e_causal);
-    snapshot = (fun () -> engine_snapshot st) }
-
-let engine_create (ctx : Engine.ctx) =
-  instance_of
-    { e_clocks = Syncclock.create ~nthreads:ctx.Engine.nthreads;
-      e_causal =
-        (* Same degrade-handoff seeding as the race engine: a [start]
-           cut resumes delivery mid-stream with empty summaries. *)
-        (match ctx.Engine.start with
-        | Some cut ->
-            Causal.restore ?max_buffered:ctx.Engine.max_buffered
-              ?overflow_limit:ctx.Engine.overflow_limit cut
-        | None ->
-            Causal.create ?max_buffered:ctx.Engine.max_buffered
-              ?overflow_limit:ctx.Engine.overflow_limit
-              ~nthreads:ctx.Engine.nthreads ());
-      e_core = Core.create ~nthreads:ctx.Engine.nthreads;
-      e_events = 0;
-      e_ooo = 0 }
-
-let engine_restore (ctx : Engine.ctx) lines =
-  let what = "atomicity engine" in
-  let open Engine.Snapshot in
-  let r = reader lines in
-  let version = line ~what r in
-  if version <> snapshot_version then
-    invalid_arg
-      (Printf.sprintf "%s: unsupported snapshot version %S" what version);
-  let clocks = read_syncclock ~what r in
-  let causal =
-    read_causal ~what ?max_buffered:ctx.Engine.max_buffered
-      ?overflow_limit:ctx.Engine.overflow_limit r
-  in
-  let nthreads = Causal.nthreads causal in
-  let core = Core.create ~nthreads in
-  let transactions, events, ooo =
-    match keyed ~what ~key:"counts" r with
-    | [ t; e; o ] -> (int ~what t, int ~what e, int ~what o)
-    | _ -> invalid_arg (what ^ ": malformed counts line")
-  in
-  core.Core.c_transactions <- transactions;
-  let depth = keyed ~what ~key:"depth" r |> List.map (int ~what) in
-  if List.length depth <> nthreads then
-    invalid_arg (what ^ ": depth array does not match thread count");
-  List.iteri (fun tid d -> core.Core.c_depth.(tid) <- d) depth;
-  let check_tid tid =
-    if tid < 0 || tid >= nthreads then
-      invalid_arg (what ^ ": thread id out of range")
-  in
-  let counted key of_fields =
-    match keyed ~what ~key r with
-    | [ n ] ->
-        for _ = 1 to int ~what n do
-          of_fields ()
-        done
-    | _ -> invalid_arg (Printf.sprintf "%s: malformed %s line" what key)
-  in
-  counted "current" (fun () ->
-      match keyed ~what ~key:"cur" r with
-      | [ tid; block; lock ] ->
-          let tid = int ~what tid in
-          check_tid tid;
-          core.Core.c_current.(tid) <- Some (int ~what block, lock)
-      | _ -> invalid_arg (what ^ ": malformed cur line"));
-  counted "frames" (fun () ->
-      match keyed ~what ~key:"fs" r with
-      | [ tid; var; k; epoch; eid ] ->
-          let tid = int ~what tid in
-          check_tid tid;
-          Core.restore_frame core tid var (kind_of_code ~what k)
-            (Some (int ~what epoch, int ~what eid))
-      | _ -> invalid_arg (what ^ ": malformed fs line"));
-  counted "pairs" (fun () ->
-      match keyed ~what ~key:"pm" r with
-      | [ var; tid; lock; k1; k2; epoch; first; second ] ->
-          let tid = int ~what tid in
-          check_tid tid;
-          Core.restore_pair core var tid ~lock (kind_of_code ~what k1)
-            (kind_of_code ~what k2) ~epoch:(int ~what epoch) ~first:(int ~what first)
-            ~second:(int ~what second)
-      | _ -> invalid_arg (what ^ ": malformed pm line"));
-  (* Views arrive per observer; a log is rebuilt from all of its own. *)
-  let logs = Hashtbl.create 16 in
-  counted "frontiers" (fun () ->
-      match keyed ~what ~key:"fr" r with
-      | [ var; rtid; ltid; k; len ] ->
-          let rtid = int ~what rtid and ltid = int ~what ltid in
-          check_tid rtid;
-          check_tid ltid;
-          let pts =
-            List.init (int ~what len) (fun _ ->
-                match keyed ~what ~key:"pt" r with
-                | [ p; q; eid ] -> (int ~what p, int ~what q, int ~what eid)
-                | _ -> invalid_arg (what ^ ": malformed pt line"))
-          in
-          let key = (var, rtid, kind_of_code ~what k) in
-          let views = Option.value ~default:[] (Hashtbl.find_opt logs key) in
-          Hashtbl.replace logs key ((ltid, pts) :: views)
-      | _ -> invalid_arg (what ^ ": malformed fr line"));
-  Hashtbl.iter
-    (fun (var, owner, kind) views -> Core.restore_log core var ~owner kind views)
-    logs;
-  counted "classes" (fun () ->
-      match keyed ~what ~key:"cl" r with
-      | [ tid; lock; var; k1; kr; k2; first; second; remote; rtid ] ->
-          let tid = int ~what tid in
-          check_tid tid;
-          let v =
-            { tid; lock; var;
-              first = int ~what first;
-              second = int ~what second;
-              remote = int ~what remote;
-              remote_tid = int ~what rtid;
-              pattern =
-                ( kind_of_code ~what k1,
-                  kind_of_code ~what kr,
-                  kind_of_code ~what k2 ) }
-          in
-          Hashtbl.replace core.Core.c_classes (v.tid, v.lock, v.var, v.pattern) v
-      | _ -> invalid_arg (what ^ ": malformed cl line"));
-  if not (eof r) then invalid_arg (what ^ ": trailing lines in snapshot");
-  instance_of
-    { e_clocks = clocks; e_causal = causal; e_core = core; e_events = events;
-      e_ooo = ooo }
-
-let factory = { Engine.create = engine_create; restore = engine_restore }

@@ -45,6 +45,33 @@ type report = {
           [(first, remote)] *)
 }
 
+(** {1 The core}
+
+    Fed in causal order by the front end ({!Linear}). *)
+
+module Core : sig
+  type t
+
+  val create : nthreads:int -> t
+
+  val sink : ?max_violations:int -> ?metered:bool -> t -> Linear.sink
+  (** [max_violations] (default [1000]) caps the classes recorded;
+      [metered] counts new classes in [predict.atomicity.violations]. *)
+
+  val transactions : t -> int
+  val report : t -> report
+  val violated : t -> bool
+
+  val write : string list ref -> t -> unit
+  (** The core as snapshot lines (lock depths, open blocks, frames,
+      closed pairs, the access logs as per-observer views, classes);
+      the transaction count is the caller's. *)
+
+  val read : what:string -> nthreads:int -> transactions:int -> Engine.Snapshot.reader -> t
+  (** @raise Invalid_argument on malformed lines or an out-of-range
+      thread. *)
+end
+
 val analyze : ?max_violations:int -> Exec.t -> report
 (** Replays a recorded execution in O(events × threads) comparisons,
     plus O(threads × log events) binary searches per in-block access,
@@ -82,12 +109,3 @@ val verdict :
     [jmpax check], [stream] and the serve sessions. *)
 
 val verdict_of_report : report -> string
-
-(** {1 The streaming engine} *)
-
-val factory : Engine.factory
-(** The message-driven atomicity engine registered as ["atomicity"]: a
-    causal delivery buffer ({!Causal}) feeding sync-only clocks and the
-    same bounded summaries as {!analyze}.  Verdicts equal
-    {!verdict_of_report} of the offline pass on the same execution, for
-    any arrival order the transport permits. *)

@@ -7,10 +7,10 @@
 
     The lattice engine ({!Online}) keeps its first-class identity —
     [online t] exposes it so the stream/serve checkpoint and telemetry
-    paths that predate the registry keep working unchanged; the
-    streaming race and atomicity engines ride the generic
-    {!Engine.instance} interface and are registered here (loading this
-    module is what links their registrations in). *)
+    paths keep working unchanged; the race and atomicity engines are
+    cores behind one linear front end ({!Linear}): one causal delivery
+    buffer and one sync-clock pass feed whichever of the two are
+    selected. *)
 
 open Trace
 
@@ -35,8 +35,8 @@ val create :
   spec:Pastltl.Formula.t option ->
   unit ->
   t
-(** [overflow_limit] is the budget cap on the message-driven engines'
-    causal delivery buffers ({!Causal.Causal_buffer_overflow}).
+(** [overflow_limit] is the budget cap on the linear front end's causal
+    delivery buffer ({!Causal.Causal_buffer_overflow}).
     @raise Invalid_argument when [kinds] is empty, or when the lattice
     engine is selected without a specification. *)
 
@@ -65,10 +65,11 @@ val degraded : t -> degraded option
 val degrade : t -> reason:string -> unit
 (** Swap the lattice engine out for the linear-time race and atomicity
     engines at the current clean causal boundary (between feeds): the
-    lattice's delivered/pending split seeds the replacement engines'
-    delivery buffers, the lattice state is dropped, and the bundle
-    records {!degraded}.  Engines the bundle already ran keep their
-    state; fresh ones cover only the stream suffix.  A violation the
+    lattice's delivered/pending split seeds the linear front end's
+    delivery buffer, the lattice state is dropped, and the bundle
+    records {!degraded}.  When the bundle already ran a linear engine,
+    that engine keeps its state and front end and the missing one joins
+    it empty; fresh engines cover only the stream suffix.  A violation the
     lattice had already predicted is preserved in [d_violated].
     @raise Invalid_argument when no lattice engine is live. *)
 
@@ -82,11 +83,12 @@ val frontier_cuts : t -> int
     (live) lattice engine. *)
 
 val causal_buffered : t -> int
-(** Worst case over the message-driven engines' delivery buffers. *)
+(** Messages parked in the linear front end's one delivery buffer,
+    however many engines it feeds. *)
 
 val mem_words : t -> int
 (** Approximate resident words of all live engine state (frontier arena,
-    message stores, delivery buffers). *)
+    message stores, the delivery buffer counted once). *)
 
 val events : t -> int
 (** Messages fed to the bundle. *)
@@ -109,8 +111,10 @@ val verdict_lines : t -> (string * string) list
     [Pipeline.verdict_line] rendering). *)
 
 val snapshots : t -> (string * string list) list
-(** Checkpointable [(engine, opaque lines)] blocks of the non-lattice
-    engines ({!Online.snapshot} carries the lattice state). *)
+(** Checkpointable [(name, opaque lines)] blocks of the non-lattice
+    engines ({!Online.snapshot} carries the lattice state): one
+    ["linear"] block, versioned [linear 1], holding the front end once
+    and a section per selected core. *)
 
 val restore :
   ?max_buffered:int ->
@@ -128,9 +132,27 @@ val restore :
 (** Rebuild a bundle from checkpoint state.  With [degraded] the
     checkpoint was taken after a lattice→linear swap: no lattice state
     is expected even when [Lattice] is selected, the race and atomicity
-    blocks are restored instead, and the degraded status is preserved —
+    state is restored instead, and the degraded status is preserved —
     kill/resume never upgrades a degraded verdict back to a full one.
+    Besides [linear 1], the [race 1] / [atomicity 1] blocks of older
+    checkpoints load; when both are present their front-end lines must
+    agree.
     @raise Invalid_argument when the selected engines and the
     checkpointed state disagree (missing or unselected engine blocks,
     lattice state without the lattice engine or vice versa, degraded
-    with lattice state), or on a malformed block. *)
+    with lattice state, disagreeing legacy blocks), or on a malformed
+    block, including a clock whose width disagrees with the delivery
+    buffer's thread count. *)
+
+(** {1 Offline} *)
+
+val analyze :
+  ?metered:Engine.kind list ->
+  Engine.kind list ->
+  Trace.Exec.t ->
+  Race.report option * Atomicity.report option
+(** One {!Linear.replay} over a recorded execution feeding the race
+    and/or atomicity core, as the kinds list; each report equals
+    {!Race.detect} / {!Atomicity.analyze} and its verdict the streaming
+    engine's.  Cores of [metered] kinds count into the [predict.*]
+    metrics. *)

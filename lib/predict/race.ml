@@ -6,7 +6,7 @@ type access = {
   tid : Types.tid;
   var : Types.var;
   is_write : bool;
-  vc : Vclock.t;
+  epoch : Syncclock.epoch;
 }
 
 type race = { first : access; second : access }
@@ -19,6 +19,9 @@ type report = {
 }
 
 module Sset = Set.Make (String)
+
+let m_pairs = M.counter "predict.race.pairs"
+let m_racy = M.counter "predict.race.racy_vars"
 
 (* {1 Bounded per-variable clock summaries}
 
@@ -33,93 +36,167 @@ module Sset = Set.Make (String)
    therefore collapses to one comparison against the stored maximum:
    O(threads) per access instead of a rescan of the whole bucket. *)
 
-type summary = {
-  s_nthreads : int;
-  s_writes : (Types.var, access option array) Hashtbl.t;
-  s_reads : (Types.var, access option array) Hashtbl.t;
-}
+module Core = struct
+  (* By thread: the latest write and read, and their own clock
+     components (0 for none) for the scan. *)
+  type slots = {
+    writes : access array;
+    reads : access array;
+    w_own : int array;
+    r_own : int array;
+  }
 
-let summary_create ~nthreads =
-  { s_nthreads = nthreads;
-    s_writes = Hashtbl.create 16;
-    s_reads = Hashtbl.create 16 }
+  type t = {
+    nthreads : int;
+    vars : (Types.var, slots) Hashtbl.t;
+    max_races : int;
+    mutable races : race list;  (* kept pairs, newest first *)
+    mutable kept : int;
+    mutable pairs : int;
+    mutable accesses : int;
+    mutable racy : Sset.t;
+  }
 
-let slots table x n =
-  match Hashtbl.find_opt table x with
-  | Some a -> a
-  | None ->
-      let a = Array.make n None in
-      Hashtbl.replace table x a;
-      a
+  let create ?(max_races = 10_000) ~nthreads () =
+    { nthreads; vars = Hashtbl.create 16; max_races; races = []; kept = 0;
+      pairs = 0; accesses = 0; racy = Sset.empty }
 
-(* 1 after calling [on_pair prev this] when [prev], the stored access
-   of thread [u], races with [this]; 0 otherwise. *)
-let race_with on_pair u prev (this : access) =
-  match prev with
-  | Some prev when Vclock.get prev.vc u > Vclock.get this.vc u ->
-      on_pair prev this;
-      1
-  | Some _ | None -> 0
+  (* The empty slot. *)
+  let none =
+    { eid = -1; tid = -1; var = ""; is_write = false;
+      epoch = Syncclock.of_vclock 0 (Vclock.zero 1) }
 
-(* Record one access (processed in causal order), call [on_pair] for
-   every stored access it races with — threads ascending, a thread's
-   write before its read — and return how many there were. *)
-let summary_observe s (this : access) on_pair =
-  let writes = slots s.s_writes this.var s.s_nthreads in
-  let reads = slots s.s_reads this.var s.s_nthreads in
-  let n = ref 0 in
-  for u = 0 to s.s_nthreads - 1 do
-    if u <> this.tid then begin
-      n := !n + race_with on_pair u writes.(u) this;
-      if this.is_write then n := !n + race_with on_pair u reads.(u) this
-    end
-  done;
-  if this.is_write then writes.(this.tid) <- Some this
-  else reads.(this.tid) <- Some this;
-  !n
+  let slots t x =
+    match Hashtbl.find_opt t.vars x with
+    | Some s -> s
+    | None ->
+        let n = t.nthreads in
+        let s =
+          { writes = Array.make n none; reads = Array.make n none; w_own = Array.make n 0;
+            r_own = Array.make n 0 }
+        in
+        Hashtbl.replace t.vars x s;
+        s
 
-let detect ?(max_races = 10_000) exec =
-  let clocks = Syncclock.create ~nthreads:(Exec.nthreads exec) in
-  let summary = summary_create ~nthreads:(Exec.nthreads exec) in
-  let races = ref [] in
-  let kept = ref 0 in
-  let pairs_found = ref 0 in
-  let accesses = ref 0 in
-  let racy = ref Sset.empty in
   (* Pairs past the cap are counted, never built. *)
-  let keep first second =
-    if !kept < max_races then begin
-      incr kept;
-      races := { first; second } :: !races
+  let keep t first second =
+    if t.kept < t.max_races then begin
+      t.kept <- t.kept + 1;
+      t.races <- { first; second } :: t.races
     end
-  in
-  Array.iter
-    (fun (e : Event.t) ->
-      match Syncclock.observe clocks e with
-      | None -> ()
-      | Some vc ->
-          incr accesses;
-          let x = Option.get (Event.variable e) in
-          let this =
-            { eid = e.eid; tid = e.tid; var = x; is_write = Event.is_write e; vc }
-          in
-          let n = summary_observe summary this keep in
-          if n > 0 then begin
-            pairs_found := !pairs_found + n;
-            racy := Sset.add x !racy
-          end)
-    (Exec.events exec);
-  { races = List.rev !races;
-    pairs_found = !pairs_found;
-    racy_vars = Sset.elements !racy;
-    accesses = !accesses }
+
+  let store s a =
+    let own = Syncclock.get a.epoch a.tid in
+    if a.is_write then begin
+      s.writes.(a.tid) <- a;
+      s.w_own.(a.tid) <- own
+    end
+    else begin
+      s.reads.(a.tid) <- a;
+      s.r_own.(a.tid) <- own
+    end
+
+  (* One access, in causal order: pairs with every stored access it
+     races with — threads ascending, a thread's write before its read —
+     then becomes its thread's latest of its direction. *)
+  let access t ~metered tid var ~is_write ~eid epoch =
+    t.accesses <- t.accesses + 1;
+    let this = { eid; tid; var; is_write; epoch } in
+    let s = slots t var in
+    let n = ref 0 in
+    for u = 0 to t.nthreads - 1 do
+      if u <> tid then begin
+        let known = Syncclock.get epoch u in
+        if s.w_own.(u) > known then begin
+          incr n;
+          keep t s.writes.(u) this
+        end;
+        if is_write && s.r_own.(u) > known then begin
+          incr n;
+          keep t s.reads.(u) this
+        end
+      end
+    done;
+    store s this;
+    if !n > 0 then begin
+      t.pairs <- t.pairs + !n;
+      let metered = metered && M.enabled () in
+      if metered then M.add m_pairs !n;
+      if not (Sset.mem var t.racy) then begin
+        t.racy <- Sset.add var t.racy;
+        if metered then M.incr m_racy
+      end
+    end
+
+  let sink ?(metered = false) t = { Linear.lock = (fun _ _ _ -> ()); access = access t ~metered }
+
+  let report t =
+    { races = List.rev t.races;
+      pairs_found = t.pairs;
+      racy_vars = Sset.elements t.racy;
+      accesses = t.accesses }
+
+  let violated t = not (Sset.is_empty t.racy)
+  let counts t = (t.accesses, t.pairs)
+
+  (* {2 Snapshot section} *)
+
+  let write lines t =
+    let open Engine.Snapshot in
+    push_counted lines "racy" (Sset.elements t.racy) (fun x -> [ "rv " ^ x ]);
+    let table name pick =
+      push_counted lines name
+        (Hashtbl.fold
+           (fun _ s acc -> List.filter (fun a -> a != none) (Array.to_list (pick s)) @ acc)
+           t.vars []
+        |> List.sort (fun (a : access) b -> compare (a.var, a.tid) (b.var, b.tid)))
+        (fun a ->
+          [ Printf.sprintf "la %s %d %d %s" a.var a.tid a.eid
+              (Vclock.to_string (Syncclock.to_vclock a.epoch)) ])
+    in
+    table "writes" (fun s -> s.writes);
+    table "reads" (fun s -> s.reads)
+
+  let read ~what ~nthreads ~accesses ~pairs r =
+    let open Engine.Snapshot in
+    let t = { (create ~max_races:0 ~nthreads ()) with accesses; pairs } in
+    t.racy <-
+      Sset.of_list
+        (counted ~what ~key:"racy" r (fun () ->
+             match keyed ~what ~key:"rv" r with
+             | [ x ] -> x
+             | _ -> invalid_arg (what ^ ": malformed rv line")));
+    let table name is_write =
+      ignore
+        (counted ~what ~key:name r (fun () ->
+             match keyed ~what ~key:"la" r with
+             | [ x; tid; eid; vc ] ->
+                 let tid = int ~what tid and vc = clock ~what vc in
+                 if tid < 0 || tid >= nthreads then
+                   invalid_arg (what ^ ": summary thread id out of range");
+                 if Vclock.dim vc <> nthreads then
+                   invalid_arg (what ^ ": summary clock width disagrees with thread count");
+                 store (slots t x)
+                   { eid = int ~what eid; tid; var = x; is_write;
+                     epoch = Syncclock.of_vclock tid vc }
+             | _ -> invalid_arg (what ^ ": malformed la line")))
+    in
+    table "writes" true;
+    table "reads" false;
+    t
+end
+
+let detect ?max_races exec =
+  let core = Core.create ?max_races ~nthreads:(Exec.nthreads exec) () in
+  Linear.replay exec (Core.sink core);
+  Core.report core
 
 let race_free r = r.racy_vars = []
 
 let pp_access ppf a =
   Format.fprintf ppf "%s of %s by %a at e%d %a"
     (if a.is_write then "write" else "read")
-    a.var Types.pp_tid a.tid a.eid Vclock.pp a.vc
+    a.var Types.pp_tid a.tid a.eid Vclock.pp (Syncclock.to_vclock a.epoch)
 
 let pp_race ppf { first; second } =
   Format.fprintf ppf "race: %a || %a" pp_access first pp_access second
@@ -150,188 +227,3 @@ let verdict ~racy_vars ~accesses =
         (String.concat ", " vars) accesses
 
 let verdict_of_report r = verdict ~racy_vars:r.racy_vars ~accesses:r.accesses
-
-(* {1 The streaming engine} *)
-
-let m_events = M.counter "predict.race.events"
-let m_pairs = M.counter "predict.race.pairs"
-let m_racy = M.counter "predict.race.racy_vars"
-
-type engine = {
-  e_clocks : Syncclock.t;
-  e_causal : Causal.t;
-  e_summary : summary;
-  mutable e_racy : Sset.t;
-  mutable e_accesses : int;
-  mutable e_pairs : int;
-  mutable e_events : int;
-  mutable e_ooo : int;
-}
-
-let deliver st (m : Message.t) =
-  let var, is_read =
-    match Types.as_read m.Message.var with
-    | Some x -> (x, true)
-    | None -> (m.Message.var, false)
-  in
-  match Syncclock.observe_access st.e_clocks m.Message.tid ~var ~is_read with
-  | None -> ()
-  | Some vc ->
-      st.e_accesses <- st.e_accesses + 1;
-      let this =
-        { eid = m.Message.eid; tid = m.Message.tid; var; is_write = not is_read; vc }
-      in
-      let n = summary_observe st.e_summary this (fun _ _ -> ()) in
-      if n > 0 then begin
-        st.e_pairs <- st.e_pairs + n;
-        if M.enabled () then M.add m_pairs n;
-        if not (Sset.mem var st.e_racy) then begin
-          st.e_racy <- Sset.add var st.e_racy;
-          if M.enabled () then M.incr m_racy
-        end
-      end
-
-let engine_feed st m =
-  st.e_events <- st.e_events + 1;
-  if M.enabled () then M.incr m_events;
-  let delivered = Causal.feed st.e_causal m in
-  if not (List.memq m delivered) then st.e_ooo <- st.e_ooo + 1;
-  List.iter (deliver st) delivered
-
-let snapshot_version = "race 1"
-
-let engine_snapshot st =
-  let lines = ref [] in
-  let open Engine.Snapshot in
-  push lines snapshot_version;
-  add_syncclock lines (Syncclock.snapshot st.e_clocks);
-  add_causal lines (Causal.snapshot st.e_causal);
-  push lines
-    (Printf.sprintf "counts %d %d %d %d" st.e_accesses st.e_pairs st.e_events
-       st.e_ooo);
-  push lines (Printf.sprintf "racy %d" (Sset.cardinal st.e_racy));
-  Sset.iter (fun x -> push lines (Printf.sprintf "rv %s" x)) st.e_racy;
-  let table name slots_table =
-    let entries =
-      Hashtbl.fold
-        (fun x arr acc ->
-          (Array.to_list arr
-          |> List.filter_map (fun a -> a)
-          |> List.map (fun a -> (x, a)))
-          @ acc)
-        slots_table []
-      |> List.sort (fun ((xa : string), (a : access)) (xb, b) ->
-             compare (xa, a.tid) (xb, b.tid))
-    in
-    push lines (Printf.sprintf "%s %d" name (List.length entries));
-    List.iter
-      (fun ((x : string), (a : access)) ->
-        push lines
-          (Printf.sprintf "la %s %d %d %s" x a.tid a.eid (Vclock.to_string a.vc)))
-      entries
-  in
-  table "writes" st.e_summary.s_writes;
-  table "reads" st.e_summary.s_reads;
-  List.rev !lines
-
-let instance_of st =
-  { Engine.name = "race";
-    feed = engine_feed st;
-    end_of_thread = Causal.end_of_thread st.e_causal;
-    finish = (fun () -> Causal.finish st.e_causal);
-    violated = (fun () -> not (Sset.is_empty st.e_racy));
-    verdict =
-      (fun () ->
-        verdict ~racy_vars:(Sset.elements st.e_racy) ~accesses:st.e_accesses);
-    events = (fun () -> st.e_events);
-    buffered = (fun () -> Causal.buffered st.e_causal);
-    out_of_order = (fun () -> st.e_ooo);
-    missing = (fun () -> Causal.missing st.e_causal);
-    snapshot = (fun () -> engine_snapshot st) }
-
-let engine_create (ctx : Engine.ctx) =
-  instance_of
-    { e_clocks = Syncclock.create ~nthreads:ctx.Engine.nthreads;
-      e_causal =
-        (* A [start] cut (the degrade handoff) seeds the delivery buffer
-           mid-stream; summaries still start empty — suffix-only
-           coverage, flagged by the caller's degraded marker. *)
-        (match ctx.Engine.start with
-        | Some cut ->
-            Causal.restore ?max_buffered:ctx.Engine.max_buffered
-              ?overflow_limit:ctx.Engine.overflow_limit cut
-        | None ->
-            Causal.create ?max_buffered:ctx.Engine.max_buffered
-              ?overflow_limit:ctx.Engine.overflow_limit
-              ~nthreads:ctx.Engine.nthreads ());
-      e_summary = summary_create ~nthreads:ctx.Engine.nthreads;
-      e_racy = Sset.empty;
-      e_accesses = 0;
-      e_pairs = 0;
-      e_events = 0;
-      e_ooo = 0 }
-
-let engine_restore (ctx : Engine.ctx) lines =
-  let what = "race engine" in
-  let open Engine.Snapshot in
-  let r = reader lines in
-  let version = line ~what r in
-  if version <> snapshot_version then
-    invalid_arg
-      (Printf.sprintf "%s: unsupported snapshot version %S" what version);
-  let clocks = read_syncclock ~what r in
-  let causal =
-    read_causal ~what ?max_buffered:ctx.Engine.max_buffered
-      ?overflow_limit:ctx.Engine.overflow_limit r
-  in
-  let accesses, pairs, events, ooo =
-    match keyed ~what ~key:"counts" r with
-    | [ a; p; e; o ] -> (int ~what a, int ~what p, int ~what e, int ~what o)
-    | _ -> invalid_arg (what ^ ": malformed counts line")
-  in
-  let racy =
-    match keyed ~what ~key:"racy" r with
-    | [ n ] ->
-        List.init (int ~what n) (fun _ ->
-            match keyed ~what ~key:"rv" r with
-            | [ x ] -> x
-            | _ -> invalid_arg (what ^ ": malformed rv line"))
-        |> Sset.of_list
-    | _ -> invalid_arg (what ^ ": malformed racy line")
-  in
-  let nthreads = Causal.nthreads causal in
-  let summary = summary_create ~nthreads in
-  let table name slots_table is_write =
-    match keyed ~what ~key:name r with
-    | [ n ] ->
-        for _ = 1 to int ~what n do
-          match keyed ~what ~key:"la" r with
-          | [ x; tid; eid; vc ] ->
-              let tid = int ~what tid in
-              if tid < 0 || tid >= nthreads then
-                invalid_arg (what ^ ": summary thread id out of range");
-              (slots slots_table x nthreads).(tid) <-
-                Some
-                  { eid = int ~what eid;
-                    tid;
-                    var = x;
-                    is_write;
-                    vc = clock ~what vc }
-          | _ -> invalid_arg (what ^ ": malformed la line")
-        done
-    | _ -> invalid_arg (Printf.sprintf "%s: malformed %s line" what name)
-  in
-  table "writes" summary.s_writes true;
-  table "reads" summary.s_reads false;
-  if not (eof r) then invalid_arg (what ^ ": trailing lines in snapshot");
-  instance_of
-    { e_clocks = clocks;
-      e_causal = causal;
-      e_summary = summary;
-      e_racy = racy;
-      e_accesses = accesses;
-      e_pairs = pairs;
-      e_events = events;
-      e_ooo = ooo }
-
-let factory = { Engine.create = engine_create; restore = engine_restore }

@@ -17,7 +17,7 @@ type access = {
   tid : Types.tid;
   var : Types.var;
   is_write : bool;
-  vc : Vclock.t;  (** sync-only vector clock at the access *)
+  epoch : Syncclock.epoch;  (** sync-only clock at the access *)
 }
 
 type race = { first : access; second : access }
@@ -30,10 +30,42 @@ type report = {
   accesses : int;  (** data accesses examined *)
 }
 
+(** {1 The core}
+
+    Per variable, the latest write and read of each thread, fed in
+    causal order by the front end ({!Linear}). *)
+
+module Core : sig
+  type t
+
+  val create : ?max_races:int -> nthreads:int -> unit -> t
+  (** [max_races] (default [10_000]) caps the pairs kept for the
+      report; the streaming engine keeps none. *)
+
+  val sink : ?metered:bool -> t -> Linear.sink
+  (** [metered] counts pairs and racy variables in the [predict.race.*]
+      metrics. *)
+
+  val report : t -> report
+  val violated : t -> bool
+
+  val counts : t -> int * int
+  (** Accesses examined and racy pairs found. *)
+
+  val write : string list ref -> t -> unit
+  (** The summaries as snapshot lines (racy variables, latest writes,
+      latest reads); the counts are the caller's. *)
+
+  val read :
+    what:string -> nthreads:int -> accesses:int -> pairs:int -> Engine.Snapshot.reader -> t
+  (** A core that keeps no pairs, from {!write}'s lines.
+      @raise Invalid_argument on malformed lines, or a summary clock
+      that is not [nthreads] wide. *)
+end
+
 val detect : ?max_races:int -> Exec.t -> report
-(** Replays a recorded execution in O(accesses × threads): per-variable
-    bounded clock summaries (latest write/read per thread) replace the
-    historical per-variable rescan.  [max_races] (default [10_000]) caps
+(** Replays a recorded execution through {!Linear.replay} and the
+    {!Core}: O(accesses × threads).  [max_races] (default [10_000]) caps
     the recorded pair list; [pairs_found] and [racy_vars] keep counting
     past the cap, and pairs past it are never built. *)
 
@@ -52,12 +84,3 @@ val verdict : racy_vars:Types.var list -> accesses:int -> string
     [jmpax check], [stream] and the serve sessions. *)
 
 val verdict_of_report : report -> string
-
-(** {1 The streaming engine} *)
-
-val factory : Engine.factory
-(** The message-driven race engine registered as ["race"]: a causal
-    delivery buffer ({!Causal}) feeding sync-only clocks and the same
-    bounded summaries as {!detect}.  Verdicts equal
-    {!verdict_of_report} of the offline pass on the same execution, for
-    any arrival order the transport permits. *)

@@ -1,76 +1,130 @@
 open Trace
 
+type epoch = { base : int array; tid : int; own : int }
+
+let get e u = if u = e.tid then e.own else e.base.(u)
+
+let to_vclock e =
+  let a = Array.copy e.base in
+  a.(e.tid) <- e.own;
+  Vclock.of_array a
+
+let of_vclock tid v = { base = Vclock.to_array v; tid; own = Vclock.get v tid }
+
+(* A sync variable's [va] (joined over its accesses) and [vw] (its last
+   write's), each [[||]] until first set. *)
+type var_clocks = { mutable va : int array; mutable vw : int array }
+
 type t = {
-  vi : Vclock.t array;
-  va : (Types.var, Vclock.t) Hashtbl.t;
-  vw : (Types.var, Vclock.t) Hashtbl.t;
+  vi : int array array;  (* per thread, joined in place *)
+  base : int array array;  (* per thread: [vi]'s other components, immutable *)
+  stale : bool array;  (* a join raised another component since [base] *)
+  vars : (Types.var, var_clocks) Hashtbl.t;
 }
 
 let create ~nthreads =
-  { vi = Array.init nthreads (fun _ -> Vclock.zero nthreads);
-    va = Hashtbl.create 8;
-    vw = Hashtbl.create 8 }
+  { vi = Array.init nthreads (fun _ -> Array.make nthreads 0);
+    base = Array.init nthreads (fun _ -> Array.make nthreads 0);
+    stale = Array.make nthreads false;
+    vars = Hashtbl.create 8 }
 
-let n t = Array.length t.vi
+let var_clocks t x =
+  match Hashtbl.find_opt t.vars x with
+  | Some v -> v
+  | None ->
+      let v = { va = [||]; vw = [||] } in
+      Hashtbl.add t.vars x v;
+      v
 
-let var_clock t table x =
-  match Hashtbl.find_opt table x with Some v -> v | None -> Vclock.zero (n t)
+(* [dst] := max dst src; true when a component other than [own] rose. *)
+let join_into dst src ~own =
+  let raised = ref false in
+  for j = 0 to Array.length src - 1 do
+    let s = Array.unsafe_get src j in
+    if s > Array.unsafe_get dst j then begin
+      Array.unsafe_set dst j s;
+      if j <> own then raised := true
+    end
+  done;
+  !raised
 
-let tick t tid = t.vi.(tid) <- Vclock.inc t.vi.(tid) tid
+let absorb t tid src = if join_into t.vi.(tid) src ~own:tid then t.stale.(tid) <- true
 
-let sync_write t tid x =
-  let v = Vclock.max (var_clock t t.va x) t.vi.(tid) in
-  t.vi.(tid) <- v;
-  Hashtbl.replace t.va x v;
-  Hashtbl.replace t.vw x v
-
-let sync_read t tid x =
-  t.vi.(tid) <- Vclock.max t.vi.(tid) (var_clock t t.vw x);
-  Hashtbl.replace t.va x (Vclock.max (var_clock t t.va x) t.vi.(tid))
-
-let observe_access t tid ~var ~is_read =
-  tick t tid;
-  if Types.is_sync_var var then begin
-    if is_read then sync_read t tid var else sync_write t tid var;
-    None
+(* [dst] := [c], in place once allocated. *)
+let copy_into dst c =
+  if Array.length dst = 0 then Array.copy c
+  else begin
+    Array.blit c 0 dst 0 (Array.length c);
+    dst
   end
-  else Some t.vi.(tid)
 
-type snapshot = {
-  snap_vi : Vclock.t array;
-  snap_va : (Types.var * Vclock.t) list;
-  snap_vw : (Types.var * Vclock.t) list;
-}
+let sync t tid x ~is_read =
+  let c = t.vi.(tid) in
+  c.(tid) <- c.(tid) + 1;
+  let v = var_clocks t x in
+  if is_read then begin
+    absorb t tid v.vw;
+    if Array.length v.va = 0 then v.va <- Array.copy c else ignore (join_into v.va c ~own:(-1))
+  end
+  else begin
+    absorb t tid v.va;
+    v.va <- copy_into v.va c;
+    v.vw <- copy_into v.vw c
+  end
 
-let snapshot t =
-  let dump table =
-    Hashtbl.fold (fun x v acc -> (x, v) :: acc) table []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+let access t tid =
+  let c = t.vi.(tid) in
+  c.(tid) <- c.(tid) + 1;
+  if t.stale.(tid) then begin
+    t.base.(tid) <- Array.copy c;
+    t.stale.(tid) <- false
+  end;
+  { base = t.base.(tid); tid; own = c.(tid) }
+
+(* {1 Checkpointing} *)
+
+let write lines t =
+  let push = Engine.Snapshot.push lines in
+  let clock c = Vclock.to_string (Vclock.of_array c) in
+  push ("vi " ^ String.concat " " (Array.to_list (Array.map clock t.vi)));
+  let table key pick =
+    Engine.Snapshot.push_counted lines key
+      (Hashtbl.fold
+         (fun x v acc -> if Array.length (pick v) = 0 then acc else (x, pick v) :: acc)
+         t.vars []
+      |> List.sort (fun (a, _) (b, _) -> String.compare a b))
+      (fun (x, c) -> [ Printf.sprintf "kv %s %s" x (clock c) ])
   in
-  { snap_vi = Array.copy t.vi; snap_va = dump t.va; snap_vw = dump t.vw }
+  table "va" (fun v -> v.va);
+  table "vw" (fun v -> v.vw)
 
-let restore s =
-  let load bindings =
-    let table = Hashtbl.create (List.length bindings + 1) in
-    List.iter (fun (x, v) -> Hashtbl.replace table x v) bindings;
-    table
+let read ~what r =
+  let open Engine.Snapshot in
+  let vi = List.map (clock ~what) (keyed ~what ~key:"vi" r) in
+  let table key =
+    counted ~what ~key r (fun () ->
+        match keyed ~what ~key:"kv" r with
+        | [ x; c ] -> (x, clock ~what c)
+        | _ -> invalid_arg (what ^ ": malformed kv line"))
   in
-  if Array.length s.snap_vi = 0 then invalid_arg "Syncclock.restore: empty clock array";
-  { vi = Array.copy s.snap_vi; va = load s.snap_va; vw = load s.snap_vw }
-
-let observe t (e : Event.t) =
-  match e.kind with
-  | Event.Internal -> None
-  | Event.Read (x, _) when Types.is_sync_var x ->
-      tick t e.tid;
-      sync_read t e.tid x;
-      None
-  | Event.Write (x, _) when Types.is_sync_var x ->
-      tick t e.tid;
-      sync_write t e.tid x;
-      None
-  | Event.Read _ | Event.Write _ ->
-      tick t e.tid;
-      Some t.vi.(e.tid)
-
-let clock t tid = t.vi.(tid)
+  let va = table "va" in
+  let vw = table "vw" in
+  fun ~nthreads ->
+    let check c =
+      if Vclock.dim c <> nthreads then
+        invalid_arg
+          (Printf.sprintf "%s: %d-wide sync clock for %d threads" what (Vclock.dim c) nthreads);
+      Vclock.to_array c
+    in
+    if List.length vi <> nthreads then
+      invalid_arg
+        (Printf.sprintf "%s: %d thread clocks for %d threads" what (List.length vi) nthreads);
+    let t =
+      { vi = Array.of_list (List.map check vi);
+        base = Array.of_list (List.map check vi);
+        stale = Array.make nthreads false;
+        vars = Hashtbl.create 8 }
+    in
+    List.iter (fun (x, c) -> (var_clocks t x).va <- check c) va;
+    List.iter (fun (x, c) -> (var_clocks t x).vw <- check c) vw;
+    t

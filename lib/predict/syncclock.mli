@@ -5,41 +5,53 @@
     distinct points in the causal order), but cross-thread edges come
     only from the dummy synchronization variables of Section 3.1 — data
     accesses contribute no edges, otherwise the conflicting pair under
-    test would order itself. *)
+    test would order itself.
+
+    Clocks live in place: one mutable array per thread and per sync
+    variable ([va], [vw]), joined without allocation.  A data access is
+    stamped with an {!epoch}: the thread's immutable {e base} clock plus
+    its own counter.  The base is re-copied only when a join since the
+    last copy raised a component other than the thread's own, so a run
+    of accesses between synchronizations shares one base. *)
 
 open Trace
 
 type t
 
+type epoch
+(** The sync-only clock of one data access.  Immutable; analyses keep
+    epochs by reference. *)
+
+val get : epoch -> int -> int
+(** Component [u] of the access's clock: the thread's own counter for
+    its own component, the base clock's otherwise. *)
+
+val to_vclock : epoch -> Vclock.t
+(** The full clock, built on demand (reports and snapshot lines). *)
+
+val of_vclock : Types.tid -> Vclock.t -> epoch
+(** The epoch of an access by [tid] whose full clock is given (restore). *)
+
 val create : nthreads:int -> t
 
-val observe : t -> Event.t -> Vclock.t option
-(** Advances the clocks for one event. Returns [Some vc] — the thread's
-    clock at that point — for {e data} accesses (the points the analyses
-    compare), [None] for internal events and synchronization traffic. *)
+val sync : t -> Types.tid -> Types.var -> is_read:bool -> unit
+(** Synchronization traffic on a sync variable: ticks the thread and
+    joins in place (a write absorbs [va(x)] and publishes the thread's
+    clock to [va(x)] and [vw(x)]; a read absorbs [vw(x)] and joins the
+    thread's clock into [va(x)]). *)
 
-val clock : t -> Types.tid -> Vclock.t
-
-val observe_access : t -> Types.tid -> var:Types.var -> is_read:bool -> Vclock.t option
-(** {!observe} for the message-driven engines: one delivered access,
-    already split into its thread, {e demangled} variable (see
-    {!Trace.Types.as_read}) and direction.  Sync-variable traffic
-    advances the clocks and returns [None]; data accesses return the
-    thread's clock.  Feeding accesses in {e any} linearization
-    consistent with the full (all-events) message causality yields the
-    same per-access clocks as {!observe} over the original execution:
-    writes of one sync variable are totally ordered by their
-    absorb-and-update cycle, so every causal linearization replays them
-    in the same order. *)
+val access : t -> Types.tid -> epoch
+(** A data access: ticks the thread and returns its epoch. *)
 
 (** {1 Checkpointing} *)
 
-type snapshot = {
-  snap_vi : Vclock.t array;
-  snap_va : (Types.var * Vclock.t) list;  (** sorted by variable *)
-  snap_vw : (Types.var * Vclock.t) list;
-}
+val write : string list ref -> t -> unit
+(** The [vi] line, then [va] and [vw] as counted [kv] lines sorted by
+    variable (see {!Engine.Snapshot.push}). *)
 
-val snapshot : t -> snapshot
-val restore : snapshot -> t
-(** @raise Invalid_argument on an empty clock array. *)
+val read : what:string -> Engine.Snapshot.reader -> nthreads:int -> t
+(** [read ~what r] parses {!write}'s lines at once; applying the result
+    to the thread count (known once the delivery buffer that follows is
+    read) builds the clocks.
+    @raise Invalid_argument on malformed lines, or unless there are
+    [nthreads] thread clocks and every clock is [nthreads] wide. *)

@@ -14,8 +14,8 @@
 open Trace
 module A = Predict.Atomicity
 module PE = Predict.Engine
-module Syncclock = Predict.Syncclock
 module Causal = Predict.Causal
+module Engines = Predict.Engines
 
 let md5 s = Digest.to_hex (Digest.string s)
 
@@ -30,6 +30,87 @@ module Model = struct
     | (Read | Write), _, (Read | Write) -> false
 
   let kind_code = function Read -> "R" | Write -> "W"
+
+  (* The sync-only clocks the engine's in-place epochs replaced: an
+     immutable clock per thread and sync variable, a fresh one per
+     event. *)
+  module Syncclock = struct
+    type t = {
+      vi : Vclock.t array;
+      va : (Types.var, Vclock.t) Hashtbl.t;
+      vw : (Types.var, Vclock.t) Hashtbl.t;
+    }
+
+    let create ~nthreads =
+      { vi = Array.init nthreads (fun _ -> Vclock.zero nthreads);
+        va = Hashtbl.create 8;
+        vw = Hashtbl.create 8 }
+
+    let var_clock t table x =
+      match Hashtbl.find_opt table x with
+      | Some v -> v
+      | None -> Vclock.zero (Array.length t.vi)
+
+    let tick t tid = t.vi.(tid) <- Vclock.inc t.vi.(tid) tid
+
+    let sync_write t tid x =
+      let v = Vclock.max (var_clock t t.va x) t.vi.(tid) in
+      t.vi.(tid) <- v;
+      Hashtbl.replace t.va x v;
+      Hashtbl.replace t.vw x v
+
+    let sync_read t tid x =
+      t.vi.(tid) <- Vclock.max t.vi.(tid) (var_clock t t.vw x);
+      Hashtbl.replace t.va x (Vclock.max (var_clock t t.va x) t.vi.(tid))
+
+    let observe_access t tid ~var ~is_read =
+      tick t tid;
+      if Types.is_sync_var var then begin
+        if is_read then sync_read t tid var else sync_write t tid var;
+        None
+      end
+      else Some t.vi.(tid)
+
+    let observe t (e : Event.t) =
+      match e.kind with
+      | Event.Internal -> None
+      | Event.Read (x, _) -> observe_access t e.tid ~var:x ~is_read:true
+      | Event.Write (x, _) -> observe_access t e.tid ~var:x ~is_read:false
+
+    (* The [vi] / [va] / [vw] snapshot lines. *)
+    let write lines t =
+      let push l = lines := l :: !lines in
+      push ("vi " ^ String.concat " " (Array.to_list (Array.map Vclock.to_string t.vi)));
+      let table key table =
+        let bindings =
+          Hashtbl.fold (fun x v acc -> (x, v) :: acc) table []
+          |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+        in
+        push (Printf.sprintf "%s %d" key (List.length bindings));
+        List.iter
+          (fun (x, v) -> push (Printf.sprintf "kv %s %s" x (Vclock.to_string v)))
+          bindings
+      in
+      table "va" t.va;
+      table "vw" t.vw
+  end
+
+  (* The delivery buffer's snapshot lines. *)
+  let write_causal lines (s : Causal.snapshot) =
+    let push l = lines := l :: !lines in
+    let ints a = String.concat " " (Array.to_list (Array.map string_of_int a)) in
+    push ("delivered " ^ ints s.Causal.snap_delivered);
+    push ("ended " ^ ints (Array.map (fun b -> if b then 1 else 0) s.Causal.snap_ended));
+    push
+      (Printf.sprintf "progress %d %d" s.Causal.snap_peak_buffered
+         s.Causal.snap_delivered_total);
+    push (Printf.sprintf "pending %d" (List.length s.Causal.snap_pending));
+    List.iter
+      (fun (m : Message.t) ->
+        push
+          (Printf.sprintf "msg %d %d %s %d %s" m.Message.eid m.Message.tid m.Message.var
+             m.Message.value (Vclock.to_string m.Message.mvc)))
+      s.Causal.snap_pending
 
   module Core = struct
     type pair_entry = {
@@ -426,8 +507,8 @@ module Model = struct
     let open PE.Snapshot in
     let core = st.e_core in
     push lines "atomicity 1";
-    add_syncclock lines (Syncclock.snapshot st.e_clocks);
-    add_causal lines (Causal.snapshot st.e_causal);
+    Syncclock.write lines st.e_clocks;
+    write_causal lines (Causal.snapshot st.e_causal);
     push lines
       (Printf.sprintf "counts %d %d %d" core.Core.c_transactions st.e_events
          st.e_ooo);
@@ -549,9 +630,20 @@ let exec_of ((_, _, sched_seed, _) as p) =
   let r = Tml.Vm.run_program ~sched:(Tml.Sched.random ~seed:sched_seed) program in
   Option.get r.Tml.Vm.exec
 
-let ctx_of exec =
-  { PE.nthreads = Exec.nthreads exec; init = Exec.init exec; spec = None;
-    max_buffered = None; overflow_limit = None; start = None }
+let create exec =
+  Engines.create ~kinds:[ PE.Atomicity ] ~nthreads:(Exec.nthreads exec) ~init:(Exec.init exec)
+    ~spec:None ()
+
+let restore exec ~events lines =
+  Engines.restore ~kinds:[ PE.Atomicity ] ~nthreads:(Exec.nthreads exec) ~init:(Exec.init exec)
+    ~spec:None ~online_snapshot:None ~blocks:[ ("atomicity", lines) ] ~events ()
+
+let linear_lines e = List.assoc "linear" (Engines.snapshots e)
+let verdict e = List.assoc "atomicity" (Engines.verdict_lines e)
+
+(* The engine's [linear 1] block in the [atomicity 1] layout the model
+   writes. *)
+let legacy_lines e = List.assoc "atomicity" (Legacy_blocks.of_linear (linear_lines e))
 
 let report_string r = Format.asprintf "%a" A.pp_report r
 
@@ -570,22 +662,22 @@ let qcheck_analyze =
 
 (* Feeds [messages] from index [from] to both sides, comparing the
    snapshot lines after every [k]-th message and at the end. *)
-let run_both ~k ~from messages model (ours : PE.instance) =
+let run_both ~k ~from messages model ours =
   List.iteri
     (fun i m ->
       if i >= from then begin
         Model.feed model m;
-        ours.PE.feed m;
-        if (i + 1) mod k = 0 && Model.snapshot model <> ours.PE.snapshot () then
+        Engines.feed ours m;
+        if (i + 1) mod k = 0 && Model.snapshot model <> legacy_lines ours then
           QCheck.Test.fail_reportf "snapshot lines differ after message %d" (i + 1)
       end)
     messages;
   Model.finish model;
-  ours.PE.finish ();
-  if Model.verdict model <> ours.PE.verdict () then
+  Engines.finish ours;
+  if Model.verdict model <> verdict ours then
     QCheck.Test.fail_reportf "verdicts differ:\nmodel: %s\nours:  %s" (Model.verdict model)
-      (ours.PE.verdict ());
-  Model.snapshot model = ours.PE.snapshot ()
+      (verdict ours);
+  Model.snapshot model = legacy_lines ours
   || QCheck.Test.fail_reportf "final snapshot lines differ"
 
 let reordered exec ((_, _, _, reorder_seed) : _ * _ * _ * int) =
@@ -598,10 +690,10 @@ let qcheck_snapshots =
       let exec = exec_of p in
       let messages = reordered exec p in
       let k = max 1 (List.length messages / 12) in
-      run_both ~k ~from:0 messages
-        (Model.create ~nthreads:(Exec.nthreads exec))
-        (A.factory.PE.create (ctx_of exec)))
+      run_both ~k ~from:0 messages (Model.create ~nthreads:(Exec.nthreads exec)) (create exec))
 
+(* The model writes [atomicity 1] blocks: restoring one exercises the
+   legacy load path. *)
 let qcheck_restore_model =
   QCheck.Test.make ~name:"model snapshot restored into the engine: same future"
     ~count:80 arb_program (fun p ->
@@ -613,8 +705,8 @@ let qcheck_restore_model =
           let model = Model.create ~nthreads:(Exec.nthreads exec) in
           List.iteri (fun i m -> if i < cut then Model.feed model m) messages;
           let lines = Model.snapshot model in
-          let ours = A.factory.PE.restore (ctx_of exec) lines in
-          (ours.PE.snapshot () = lines
+          let ours = restore exec ~events:cut lines in
+          (legacy_lines ours = lines
           || QCheck.Test.fail_reportf "cut=%d: restore -> snapshot changed the lines" cut)
           && run_both ~k:(max 1 (n / 4)) ~from:cut messages model ours)
         [ n / 3; (2 * n) / 3 ])
@@ -635,9 +727,13 @@ let lock_counter_source ~threads ~iters ~nops =
 (* A 16-thread lock-counter run (8 iterations, schedule seed 5)
    delivered through a 64-message reorder window (seed 11), cut after
    half of its 768 messages.  [data/atomicity_16t_mid.snap] holds the
-   frontier core's snapshot at that cut. *)
-let golden_mid_md5 = "4c3622af364a6452ebf73c90bdaf2ef2"
-let golden_final_md5 = "0eb852e490845b36ba9cae86e76d7682"
+   frontier core's [atomicity 1] block at that cut; [frontier_final_md5]
+   is that writer's block at the end.  [golden_mid_md5] and
+   [golden_final_md5] pin the [linear 1] blocks at the same points. *)
+let committed_md5 = "4c3622af364a6452ebf73c90bdaf2ef2"
+let frontier_final_md5 = "0eb852e490845b36ba9cae86e76d7682"
+let golden_mid_md5 = "4b16467c191e30118a0e5ed4379b37fe"
+let golden_final_md5 = "ba6bac62e4cc82b36a57d088d3144d93"
 
 let golden_verdict =
   "predict.atomicity: VIOLATIONS PREDICTED {"
@@ -661,14 +757,15 @@ let test_golden_checkpoint () =
   let n = List.length messages in
   Alcotest.(check int) "message count" 768 n;
   let cut = n / 2 in
-  let feed (e : PE.instance) from =
-    List.iteri (fun i m -> if i >= from then e.PE.feed m) messages;
-    e.PE.finish ()
+  let feed e from =
+    List.iteri (fun i m -> if i >= from then Engines.feed e m) messages;
+    Engines.finish e
   in
-  let ours = A.factory.PE.create (ctx_of exec) in
-  List.iteri (fun i m -> if i < cut then ours.PE.feed m) messages;
-  Alcotest.(check string) "mid snapshot digest" golden_mid_md5
-    (md5 (String.concat "\n" (ours.PE.snapshot ())));
+  let digest lines = md5 (String.concat "\n" lines) in
+  let ours = create exec in
+  List.iteri (fun i m -> if i < cut then Engines.feed ours m) messages;
+  let mid = linear_lines ours in
+  Alcotest.(check string) "mid snapshot digest" golden_mid_md5 (digest mid);
   let committed =
     (* Beside the executable under [dune runtest], under [test/] from
        the repository root under [dune exec]. *)
@@ -677,17 +774,24 @@ let test_golden_checkpoint () =
       [ Filename.dirname Sys.executable_name; "test" ]
     |> List.find Sys.file_exists |> read_lines
   in
-  Alcotest.(check string) "committed lines digest" golden_mid_md5
-    (md5 (String.concat "\n" committed));
+  Alcotest.(check string) "committed lines digest" committed_md5 (digest committed);
+  Alcotest.(check (list string)) "mid state in the atomicity 1 layout" committed
+    (legacy_lines ours);
   feed ours cut;
-  Alcotest.(check string) "final verdict" golden_verdict (ours.PE.verdict ());
-  Alcotest.(check string) "final snapshot digest" golden_final_md5
-    (md5 (String.concat "\n" (ours.PE.snapshot ())));
-  let resumed = A.factory.PE.restore (ctx_of exec) committed in
+  Alcotest.(check string) "final verdict" golden_verdict (verdict ours);
+  let final = linear_lines ours in
+  Alcotest.(check string) "final snapshot digest" golden_final_md5 (digest final);
+  Alcotest.(check string) "final state in the atomicity 1 layout" frontier_final_md5
+    (digest (legacy_lines ours));
+  let resumed = restore exec ~events:cut committed in
+  Alcotest.(check (list string)) "resumed snapshot == uninterrupted, at the cut" mid
+    (linear_lines resumed);
   feed resumed cut;
-  Alcotest.(check string) "resumed verdict" golden_verdict (resumed.PE.verdict ());
+  Alcotest.(check string) "resumed verdict" golden_verdict (verdict resumed);
+  Alcotest.(check (list string)) "resumed final snapshot == uninterrupted" final
+    (linear_lines resumed);
   Alcotest.(check string) "resumed final snapshot digest" golden_final_md5
-    (md5 (String.concat "\n" (resumed.PE.snapshot ())))
+    (digest (linear_lines resumed))
 
 (* [Pipeline.check] on the benchmark's 64-thread shape (2 iterations,
    20 internal steps each) under the counter spec, schedule seeds 1-5:

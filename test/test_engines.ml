@@ -162,6 +162,158 @@ let qcheck_engines_equal_offline =
       in
       race_off = race_on && atom_off = atom_on)
 
+(* {1 An independent race oracle}
+
+   The offline passes and the streaming engines share one front end, so
+   comparing them only checks delivery orders of one implementation.
+   This oracle builds the sync-only happens-before straight from the
+   execution — program order plus an edge between every two accesses of
+   one sync variable, in observed order, at least one a write (lock
+   acquire and release are writes) — and closes it transitively, with
+   no clock code. *)
+
+(* [before.(i).(j)]: event [j] happens before or is event [i]. *)
+let sync_only_hb exec =
+  let events = Trace.Exec.events exec in
+  let n = Array.length events in
+  let before = Array.make_matrix n n false in
+  let sync_var (e : Trace.Event.t) =
+    match Trace.Event.variable e with
+    | Some x when Trace.Types.is_sync_var x -> Some x
+    | _ -> None
+  in
+  Array.iteri
+    (fun i (e : Trace.Event.t) ->
+      before.(i).(i) <- true;
+      for j = 0 to i - 1 do
+        let f = events.(j) in
+        let edge =
+          f.Trace.Event.tid = e.Trace.Event.tid
+          ||
+          match (sync_var f, sync_var e) with
+          | Some x, Some y -> x = y && (Trace.Event.is_write f || Trace.Event.is_write e)
+          | _ -> false
+        in
+        if edge then
+          for k = 0 to j do
+            if before.(j).(k) then before.(i).(k) <- true
+          done
+      done)
+    events;
+  before
+
+(* The sync-only clock of event [i]: per thread, how many of its
+   accesses happen before or are [i]. *)
+let oracle_clock exec before i =
+  let c = Array.make (Trace.Exec.nthreads exec) 0 in
+  Array.iteri
+    (fun j (f : Trace.Event.t) ->
+      if before.(i).(j) && Trace.Event.is_access f then
+        c.(f.Trace.Event.tid) <- c.(f.Trace.Event.tid) + 1)
+    (Trace.Exec.events exec);
+  c
+
+(* [Race.detect] by brute force: every conflicting pair of data accesses
+   is checked for concurrency; a variable is racy when one is
+   concurrent.  The summaries pair an access with the latest earlier
+   conflicting access of each other thread and direction (a write
+   before a read, threads ascending), so [pairs_found] and the kept
+   pairs count those that are concurrent. *)
+let brute_force_races exec =
+  let events = Trace.Exec.events exec in
+  let before = sync_only_hb exec in
+  let data i =
+    match Trace.Event.variable events.(i) with
+    | Some x when Trace.Types.is_data_var x -> Some x
+    | _ -> None
+  in
+  let concurrent i j = (not before.(i).(j)) && not before.(j).(i) in
+  let pairs = ref [] and racy = ref [] and accesses = ref 0 in
+  Array.iteri
+    (fun i (e : Trace.Event.t) ->
+      match data i with
+      | None -> ()
+      | Some x ->
+          incr accesses;
+          let conflicting = ref [] in
+          for j = 0 to i - 1 do
+            if data j = Some x && events.(j).Trace.Event.tid <> e.Trace.Event.tid
+               && (Trace.Event.is_write e || Trace.Event.is_write events.(j))
+            then begin
+              conflicting := j :: !conflicting;
+              if concurrent i j && not (List.mem x !racy) then racy := x :: !racy
+            end
+          done;
+          let latest u is_write =
+            List.find_opt
+              (fun j ->
+                events.(j).Trace.Event.tid = u && Trace.Event.is_write events.(j) = is_write)
+              !conflicting
+          in
+          for u = 0 to Trace.Exec.nthreads exec - 1 do
+            List.iter
+              (fun is_write ->
+                match latest u is_write with
+                | Some j when concurrent i j ->
+                    pairs := (events.(j).Trace.Event.eid, e.Trace.Event.eid) :: !pairs
+                | Some _ | None -> ())
+              [ true; false ]
+          done)
+    events;
+  (List.rev !pairs, List.sort compare !racy, !accesses)
+
+let program_of (threads, _, _) = Tml.Parser.parse_program (render_program threads)
+
+let qcheck_race_oracle =
+  QCheck.Test.make ~name:"random sync programs: Race.detect == brute-force sync-only HB"
+    ~count:150 arb_sync_program (fun ((_, sched_seed, _) as p) ->
+      let exec = exec_of_program ~seed:sched_seed (program_of p) in
+      let pairs, racy, accesses = brute_force_races exec in
+      let r = Predict.Race.detect exec in
+      let got =
+        List.map
+          (fun { Predict.Race.first; second } -> (first.Predict.Race.eid, second.Predict.Race.eid))
+          r.Predict.Race.races
+      in
+      (r.Predict.Race.pairs_found = List.length pairs
+      || QCheck.Test.fail_reportf "pairs_found %d, oracle %d" r.Predict.Race.pairs_found
+           (List.length pairs))
+      && got = pairs
+      && r.Predict.Race.racy_vars = racy
+      && r.Predict.Race.accesses = accesses)
+
+(* Every data access's epoch, offline ([Linear.replay]) and streaming
+   ([Linear.feed] over a shuffled stream), against the oracle's clock. *)
+let qcheck_epoch_oracle =
+  QCheck.Test.make ~name:"random sync programs: Linear epochs == brute-force sync-only clocks"
+    ~count:150 arb_sync_program (fun ((_, sched_seed, reorder_seed) as p) ->
+      let exec = exec_of_program ~seed:sched_seed (program_of p) in
+      let before = sync_only_hb exec in
+      let nthreads = Trace.Exec.nthreads exec in
+      let check origin tid eid e =
+        let want = oracle_clock exec before eid in
+        let got = Array.init nthreads (Predict.Syncclock.get e) in
+        (got = want && Predict.Syncclock.to_vclock e = Vclock.of_array want)
+        || QCheck.Test.fail_reportf "%s: e%d of T%d: clock %s, oracle %s" origin eid tid
+             (Vclock.to_string (Vclock.of_array got))
+             (Vclock.to_string (Vclock.of_array want))
+      in
+      let seen = ref 0 in
+      let sink origin =
+        { Predict.Linear.lock = (fun _ _ _ -> ());
+          access =
+            (fun tid _ ~is_write:_ ~eid e ->
+              incr seen;
+              ignore (check origin tid eid e)) }
+      in
+      Predict.Linear.replay exec (sink "replay");
+      let front = Predict.Linear.create ~nthreads () in
+      List.iter
+        (Predict.Linear.feed front (sink "stream"))
+        (Observer.Channel.shuffle ~seed:reorder_seed (PE.messages_of_exec exec));
+      Predict.Linear.finish front;
+      !seen = 2 * (Predict.Race.detect exec).Predict.Race.accesses)
+
 (* {1 Kill/resume differential, per engine set} *)
 
 let in_temp_file f =
@@ -342,6 +494,169 @@ let test_snapshot_identity () =
       ("atomicity", [ PE.Atomicity ]);
       ("race+atomicity", [ PE.Race; PE.Atomicity ]) ]
 
+(* {1 Legacy checkpoints and restore checks} *)
+
+let lock_counter_messages ~threads ~iters =
+  let exec =
+    exec_of_program ~seed:5 (Tml.Parser.parse_program (lock_counter_source ~threads ~iters))
+  in
+  (exec, Observer.Channel.bounded_reorder ~seed:11 ~window:64 (PE.messages_of_exec exec))
+
+let bundle exec kinds =
+  Predict.Engines.create ~kinds ~nthreads:(Trace.Exec.nthreads exec)
+    ~init:(Trace.Exec.init exec) ~spec:None ()
+
+let restore_blocks exec kinds blocks ~events =
+  Predict.Engines.restore ~kinds ~nthreads:(Trace.Exec.nthreads exec)
+    ~init:(Trace.Exec.init exec) ~spec:None ~online_snapshot:None ~blocks ~events ()
+
+let linear_block b = List.assoc "linear" (Predict.Engines.snapshots b)
+
+let run_to_end b messages =
+  List.iter (Predict.Engines.feed b) messages;
+  Predict.Engines.finish b;
+  Predict.Engines.verdict_lines b
+
+let both = [ PE.Race; PE.Atomicity ]
+
+(* A checkpoint in the pre-shared layout — a [race 1] and an
+   [atomicity 1] block, each with its own copy of the front end — taken
+   from a run of this code resumes to the uninterrupted verdicts. *)
+let test_legacy_blocks_resume () =
+  let exec, messages = lock_counter_messages ~threads:16 ~iters:6 in
+  let n = List.length messages in
+  let expected = run_to_end (bundle exec both) messages in
+  List.iter
+    (fun cut ->
+      let label = Printf.sprintf "cut=%d/%d" cut n in
+      let before = bundle exec both in
+      List.iteri (fun i m -> if i < cut then Predict.Engines.feed before m) messages;
+      let legacy = Legacy_blocks.of_linear (linear_block before) in
+      Alcotest.(check (list string)) (label ^ ": legacy blocks") [ "race"; "atomicity" ]
+        (List.map fst legacy);
+      let resumed = restore_blocks exec both legacy ~events:cut in
+      Alcotest.(check (list string)) (label ^ ": rewritten as linear 1") (linear_block before)
+        (linear_block resumed);
+      Alcotest.(check (list (pair string string))) (label ^ ": resumed verdicts") expected
+        (run_to_end resumed (List.filteri (fun i _ -> i >= cut) messages)))
+    [ 1; n / 3; (2 * n) / 3 ];
+  (* Blocks whose front ends disagree are refused. *)
+  let at cut =
+    let b = bundle exec both in
+    List.iteri (fun i m -> if i < cut then Predict.Engines.feed b m) messages;
+    Legacy_blocks.of_linear (linear_block b)
+  in
+  let mixed = [ List.hd (at (n / 3)); List.nth (at (n / 2)) 1 ] in
+  Alcotest.check_raises "disagreeing front ends"
+    (Invalid_argument
+       "Engines.restore: the race 1 and atomicity 1 blocks disagree on the delivery buffer \
+        or sync clocks")
+    (fun () -> ignore (restore_blocks exec both mixed ~events:(n / 2)))
+
+let refused label f =
+  match f () with
+  | _ -> Alcotest.failf "%s: restored" label
+  | exception Invalid_argument _ -> ()
+
+(* [f] applied to every clock of the line starting [key ]. *)
+let map_clocks key f lines =
+  List.map
+    (fun l ->
+      if String.starts_with ~prefix:(key ^ " ") l then
+        String.concat " "
+          (List.map
+             (fun w -> if w <> "" && w.[0] = '(' then f w else w)
+             (String.split_on_char ' ' l))
+      else l)
+    lines
+
+let narrower clock =
+  let parts = String.split_on_char ',' (String.sub clock 1 (String.length clock - 2)) in
+  "(" ^ String.concat "," (List.filteri (fun i _ -> i < List.length parts - 1) parts) ^ ")"
+
+let drop_last_clock key lines =
+  List.map
+    (fun l ->
+      if String.starts_with ~prefix:(key ^ " ") l then
+        String.concat " " (List.rev (List.tl (List.rev (String.split_on_char ' ' l))))
+      else l)
+    lines
+
+(* Every clock in a block must match the delivery buffer's thread count:
+   a short [vi] array, or a narrow [vi], [va], [vw] or summary clock, is
+   refused at restore instead of failing at the next feed. *)
+let test_restore_checks_widths () =
+  let exec, _ = lock_counter_messages ~threads:3 ~iters:2 in
+  let messages = PE.messages_of_exec exec in
+  let b = bundle exec both in
+  List.iteri (fun i m -> if i < List.length messages / 2 then Predict.Engines.feed b m) messages;
+  let events = Predict.Engines.events b in
+  let linear = linear_block b in
+  let race, atomicity =
+    match Legacy_blocks.of_linear linear with
+    | [ r; a ] -> (r, a)
+    | _ -> Alcotest.fail "expected two legacy blocks"
+  in
+  let restore kinds blocks () = restore_blocks exec kinds blocks ~events in
+  List.iter
+    (fun key ->
+      Alcotest.(check bool) (key ^ " lines present") true
+        (List.exists (String.starts_with ~prefix:(key ^ " ")) linear))
+    [ "kv"; "la" ];
+  (* The unmodified blocks restore. *)
+  ignore (restore both [ ("linear", linear) ] ());
+  ignore (restore both [ race; atomicity ] ());
+  refused "race 1, 2 vi clocks for 3 threads"
+    (restore [ PE.Race ] [ ("race", drop_last_clock "vi" (snd race)) ]);
+  refused "atomicity 1, 2-wide vi clocks"
+    (restore [ PE.Atomicity ] [ ("atomicity", map_clocks "vi" narrower (snd atomicity)) ]);
+  List.iter
+    (fun (label, lines) -> refused ("linear 1, " ^ label) (restore both [ ("linear", lines) ]))
+    [ ("2 vi clocks", drop_last_clock "vi" linear);
+      ("2-wide vi clocks", map_clocks "vi" narrower linear);
+      ("2-wide va clock", map_clocks "kv" narrower linear);
+      ("2-wide summary clock", map_clocks "la" narrower linear) ];
+  (* Through the stream front end, the refusal is a checkpoint error
+     (exit 6 from the CLI). *)
+  let doc =
+    W.Framed.encode
+      { W.nthreads = Trace.Exec.nthreads exec; init = Trace.Exec.init exec }
+      (PE.messages_of_exec exec)
+  in
+  let spec = Pastltl.Formula.True in
+  in_temp_file (fun path ->
+      ignore
+        (Jmpax.Stream.run_string ~checkpoint:(path, 1) ~engines:both ~spec
+           (String.sub doc 0 (String.length doc / 2)));
+      let ck =
+        match C.read path with Ok ck -> ck | Error e -> Alcotest.fail (C.error_to_string e)
+      in
+      let narrow (name, lines) = (name, map_clocks "vi" narrower lines) in
+      let ck = { ck with C.ck_engines = List.map narrow ck.C.ck_engines }
+      in
+      match Jmpax.Stream.run_string ~resume:ck ~engines:both ~spec doc with
+      | Error (E.Checkpoint _) -> ()
+      | Error e -> Alcotest.failf "wrong error: %s" (E.to_string e)
+      | Ok _ -> Alcotest.fail "resumed from narrow clocks")
+
+(* The race+atomicity bundle parks each out-of-order message once, in
+   its one delivery buffer: its budget usage is the race engine's
+   alone. *)
+let test_budget_counts_buffer_once () =
+  let exec, messages = lock_counter_messages ~threads:16 ~iters:6 in
+  let race = bundle exec [ PE.Race ] and pair = bundle exec both in
+  let parked = ref 0 in
+  List.iteri
+    (fun i m ->
+      Predict.Engines.feed race m;
+      Predict.Engines.feed pair m;
+      let u = Jmpax.Budget.usage race in
+      parked := max !parked u.Jmpax.Budget.causal_buffered;
+      if Jmpax.Budget.usage pair <> u then
+        Alcotest.failf "message %d: race+atomicity usage differs from race-only" i)
+    messages;
+  Alcotest.(check bool) "messages were parked" true (!parked > 0)
+
 (* {1 Front-end parity: check == stream, engine line for engine line} *)
 
 let test_pipeline_stream_parity () =
@@ -391,7 +706,6 @@ let test_kind_parsing () =
   | Ok _ -> Alcotest.fail "empty selection accepted"
 
 let test_registered_engines () =
-  (* Referencing the bundle module links the registrations. *)
   let names = PE.names () in
   List.iter
     (fun n ->
@@ -413,6 +727,16 @@ let () =
             test_resume_engine_set_mismatch;
           Alcotest.test_case "snapshot identity, reordered 16-thread trace" `Quick
             test_snapshot_identity ] );
+      ( "oracle",
+        List.map QCheck_alcotest.to_alcotest [ qcheck_race_oracle; qcheck_epoch_oracle ] );
+      ( "restore",
+        [ Alcotest.test_case "race 1 + atomicity 1 blocks resume" `Quick
+            test_legacy_blocks_resume;
+          Alcotest.test_case "clock widths checked on restore" `Quick
+            test_restore_checks_widths ] );
+      ( "budget",
+        [ Alcotest.test_case "race+atomicity usage == race-only" `Quick
+            test_budget_counts_buffer_once ] );
       ( "parity",
         [ Alcotest.test_case "check == stream verdict lines" `Quick
             test_pipeline_stream_parity ] );
