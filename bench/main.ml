@@ -303,7 +303,7 @@ let e9 () =
   section "E9" "Synchronization lowering: races, locks, wait/notify";
   let serial =
     Tml.Sched.make_raw ~name:"serial"
-      ~pick_fn:(fun runnable -> List.hd runnable)
+      ~pick_fn:(fun runnable _ -> runnable.(0))
       ~choose_fn:(fun _ -> 0)
   in
   let exec_of program =
@@ -461,7 +461,7 @@ let e13 () =
   section "E13" "Predictive atomicity (block serializability) from one serial run";
   let serial =
     Tml.Sched.make_raw ~name:"serial"
-      ~pick_fn:(fun runnable -> List.hd runnable)
+      ~pick_fn:(fun runnable _ -> runnable.(0))
       ~choose_fn:(fun _ -> 0)
   in
   let analyze name src =

@@ -8,7 +8,7 @@
 
 let serial =
   Tml.Sched.make_raw ~name:"serial"
-    ~pick_fn:(fun runnable -> List.hd runnable)
+    ~pick_fn:(fun runnable _ -> runnable.(0))
     ~choose_fn:(fun _ -> 0)
 
 let () =

@@ -30,6 +30,10 @@ let is_relevant t (kind : Event.kind) =
 
 let on_event t (e : Event.t) = is_relevant t e.kind
 
+let per_variable = function
+  | Custom _ -> false
+  | Writes_of _ | All_writes | All_accesses | All_events | Nothing -> true
+
 let variables = function
   | Writes_of vars -> Some vars
   | All_writes | All_accesses | All_events | Nothing | Custom _ -> None

@@ -38,5 +38,10 @@ val is_relevant : t -> Event.kind -> bool
 val on_event : t -> Event.t -> bool
 (** {!is_relevant} applied to the event's kind. *)
 
+val per_variable : t -> bool
+(** Whether {!is_relevant} depends only on an access's kind and
+    variable, never on its value (every filter but {!custom}), so it can
+    be decided once per variable. *)
+
 val variables : t -> Types.var list option
 (** The variable list for {!writes_of_vars} filters, [None] otherwise. *)

@@ -41,7 +41,7 @@ let run ?(budget = 100_000) ~relevance ~image target =
     let rev_script = ref [] in
     let sched =
       Tml.Sched.make_raw ~name:"replay"
-        ~pick_fn:(fun _ -> assert false)
+        ~pick_fn:(fun _ _ -> assert false)
         ~choose_fn:(fun _ ->
           rev_script := Tml.Sched.Choice 0 :: !rev_script;
           0)

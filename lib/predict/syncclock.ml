@@ -36,27 +36,7 @@ let var_clocks t x =
       Hashtbl.add t.vars x v;
       v
 
-(* [dst] := max dst src; true when a component other than [own] rose. *)
-let join_into dst src ~own =
-  let raised = ref false in
-  for j = 0 to Array.length src - 1 do
-    let s = Array.unsafe_get src j in
-    if s > Array.unsafe_get dst j then begin
-      Array.unsafe_set dst j s;
-      if j <> own then raised := true
-    end
-  done;
-  !raised
-
-let absorb t tid src = if join_into t.vi.(tid) src ~own:tid then t.stale.(tid) <- true
-
-(* [dst] := [c], in place once allocated. *)
-let copy_into dst c =
-  if Array.length dst = 0 then Array.copy c
-  else begin
-    Array.blit c 0 dst 0 (Array.length c);
-    dst
-  end
+let absorb t tid src = if Vclock.join_into t.vi.(tid) src ~own:tid then t.stale.(tid) <- true
 
 let sync t tid x ~is_read =
   let c = t.vi.(tid) in
@@ -64,12 +44,13 @@ let sync t tid x ~is_read =
   let v = var_clocks t x in
   if is_read then begin
     absorb t tid v.vw;
-    if Array.length v.va = 0 then v.va <- Array.copy c else ignore (join_into v.va c ~own:(-1))
+    if Array.length v.va = 0 then v.va <- Array.copy c
+    else ignore (Vclock.join_into v.va c ~own:(-1))
   end
   else begin
     absorb t tid v.va;
-    v.va <- copy_into v.va c;
-    v.vw <- copy_into v.vw c
+    v.va <- Vclock.assign v.va c;
+    v.vw <- Vclock.assign v.vw c
   end
 
 let access t tid =

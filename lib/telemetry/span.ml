@@ -4,7 +4,7 @@
 type sink = { oc : out_channel; mutex : Mutex.t; t0 : float }
 
 let sink : sink option Atomic.t = Atomic.make None
-let enabled () = Atomic.get sink <> None
+let enabled () = match Atomic.get sink with None -> false | Some _ -> true
 
 let next_id = Atomic.make 1
 let stack_key : int list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])

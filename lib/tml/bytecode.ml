@@ -11,19 +11,19 @@ type instr =
   | Jump_if_zero of int
   | Jump_if_nonzero of int
   | Choose_jump of int list
-  | Load_global of Types.var
-  | Store_global of Types.var
+  | Load_global of Types.var * int
+  | Store_global of Types.var * int
   | Internal
   | Acquire of string
   | Release of string
   | Wait_cond of string
   | Notify_cond of string
-  | Instr_load of Types.var
-  | Instr_store of Types.var
-  | Instr_acquire of string
-  | Instr_release of string
-  | Instr_wait of string
-  | Instr_notify of string
+  | Instr_load of Types.var * int
+  | Instr_store of Types.var * int
+  | Instr_acquire of string * int
+  | Instr_release of string * int
+  | Instr_wait of string * int
+  | Instr_notify of string * int
   | Halt
 
 type image = {
@@ -31,6 +31,7 @@ type image = {
   code : instr array array;
   nlocals : int array;
   shared_init : (Types.var * Types.value) list;
+  vars : Types.var array;
   instrumented : bool;
 }
 
@@ -57,37 +58,56 @@ let is_plain_observable_op = function
 
 let instr_count image = Array.fold_left (fun n c -> n + Array.length c) 0 image.code
 
+(* One pass over every instruction; the checks are closures built once,
+   not per instruction, since every image is validated on creation. *)
 let validate image =
   let problems = ref [] in
   let problem fmt = Format.kasprintf (fun s -> problems := s :: !problems) fmt in
   let n = nthreads image in
   if Array.length image.thread_names <> n then problem "thread_names length mismatch";
   if Array.length image.nlocals <> n then problem "nlocals length mismatch";
-  Array.iteri
-    (fun t code ->
-      let len = Array.length code in
-      if len = 0 || code.(len - 1) <> Halt then problem "thread %d: code not Halt-terminated" t;
-      Array.iteri
-        (fun pc instr ->
-          let check_target target =
-            if target < 0 || target >= len then
-              problem "thread %d: pc %d jumps out of range (%d)" t pc target
-          in
-          (match instr with
-          | Jump k | Jump_if_zero k | Jump_if_nonzero k -> check_target k
-          | Choose_jump ks ->
-              if ks = [] then problem "thread %d: pc %d empty choose" t pc;
-              List.iter check_target ks
-          | Load_local i | Store_local i ->
-              if i < 0 || (t < Array.length image.nlocals && i >= image.nlocals.(t)) then
-                problem "thread %d: pc %d local slot %d out of range" t pc i
-          | _ -> ());
-          if is_instrumented_op instr && not image.instrumented then
-            problem "thread %d: pc %d instrumented opcode in plain image" t pc;
-          if is_plain_observable_op instr && image.instrumented then
-            problem "thread %d: pc %d un-instrumented opcode in instrumented image" t pc)
-        code)
-    image.code;
+  let nvars = Array.length image.vars in
+  let check_target t pc len target =
+    if target < 0 || target >= len then
+      problem "thread %d: pc %d jumps out of range (%d)" t pc target
+  in
+  let check_var t pc what name id expected =
+    if not (id >= 0 && id < nvars && String.equal image.vars.(id) expected) then
+      problem "thread %d: pc %d %s %s has a bad variable id %d" t pc what name id
+  in
+  for t = 0 to n - 1 do
+    let code = image.code.(t) in
+    let len = Array.length code in
+    if len = 0 || code.(len - 1) <> Halt then problem "thread %d: code not Halt-terminated" t;
+    for pc = 0 to len - 1 do
+      let instr = code.(pc) in
+      (match instr with
+      | Jump k | Jump_if_zero k | Jump_if_nonzero k -> check_target t pc len k
+      | Choose_jump ks ->
+          if ks = [] then problem "thread %d: pc %d empty choose" t pc;
+          List.iter (check_target t pc len) ks
+      | Load_local i | Store_local i ->
+          if i < 0 || (t < Array.length image.nlocals && i >= image.nlocals.(t)) then
+            problem "thread %d: pc %d local slot %d out of range" t pc i
+      | Load_global (x, id) | Store_global (x, id) | Instr_load (x, id)
+      | Instr_store (x, id) ->
+          check_var t pc "variable" x id x
+      | Instr_acquire (l, id) | Instr_release (l, id) ->
+          check_var t pc "lock" l id (Types.lock_var l)
+      | Instr_wait (c, id) | Instr_notify (c, id) ->
+          check_var t pc "condition" c id (Types.notify_var c)
+      | _ -> ());
+      if is_instrumented_op instr && not image.instrumented then
+        problem "thread %d: pc %d instrumented opcode in plain image" t pc;
+      if is_plain_observable_op instr && image.instrumented then
+        problem "thread %d: pc %d un-instrumented opcode in instrumented image" t pc
+    done
+  done;
+  List.iteri
+    (fun id (x, _) ->
+      if id >= Array.length image.vars || image.vars.(id) <> x then
+        problem "shared variable %s does not have id %d" x id)
+    image.shared_init;
   match !problems with [] -> Ok () | ps -> Error (String.concat "; " (List.rev ps))
 
 let pp_instr ppf = function
@@ -102,19 +122,19 @@ let pp_instr ppf = function
   | Jump_if_nonzero k -> Format.fprintf ppf "jnz %d" k
   | Choose_jump ks ->
       Format.fprintf ppf "choose [%s]" (String.concat ";" (List.map string_of_int ks))
-  | Load_global x -> Format.fprintf ppf "loadg %s" x
-  | Store_global x -> Format.fprintf ppf "storeg %s" x
+  | Load_global (x, _) -> Format.fprintf ppf "loadg %s" x
+  | Store_global (x, _) -> Format.fprintf ppf "storeg %s" x
   | Internal -> Format.pp_print_string ppf "internal"
   | Acquire l -> Format.fprintf ppf "acquire %s" l
   | Release l -> Format.fprintf ppf "release %s" l
   | Wait_cond c -> Format.fprintf ppf "wait %s" c
   | Notify_cond c -> Format.fprintf ppf "notify %s" c
-  | Instr_load x -> Format.fprintf ppf "loadg! %s" x
-  | Instr_store x -> Format.fprintf ppf "storeg! %s" x
-  | Instr_acquire l -> Format.fprintf ppf "acquire! %s" l
-  | Instr_release l -> Format.fprintf ppf "release! %s" l
-  | Instr_wait c -> Format.fprintf ppf "wait! %s" c
-  | Instr_notify c -> Format.fprintf ppf "notify! %s" c
+  | Instr_load (x, _) -> Format.fprintf ppf "loadg! %s" x
+  | Instr_store (x, _) -> Format.fprintf ppf "storeg! %s" x
+  | Instr_acquire (l, _) -> Format.fprintf ppf "acquire! %s" l
+  | Instr_release (l, _) -> Format.fprintf ppf "release! %s" l
+  | Instr_wait (c, _) -> Format.fprintf ppf "wait! %s" c
+  | Instr_notify (c, _) -> Format.fprintf ppf "notify! %s" c
   | Halt -> Format.pp_print_string ppf "halt"
 
 let pp_image ppf image =

@@ -28,12 +28,12 @@ let finish buf =
   emit buf Halt;
   Array.sub buf.instrs 0 buf.len
 
-let compile_thread ~shared (t : Ast.thread) =
+(* [ids] maps every shared variable to its id; a name that is neither
+   local nor shared was rejected by the typechecker. *)
+let compile_thread ~ids (t : Ast.thread) =
   let buf = new_buf () in
   let locals = Hashtbl.create 8 in
   let next_local = ref 0 in
-  let module Sset = Set.Make (String) in
-  let shared_set = Sset.of_list shared in
   let local_slot x =
     match Hashtbl.find_opt locals x with
     | Some i -> Some i
@@ -53,9 +53,7 @@ let compile_thread ~shared (t : Ast.thread) =
     | Ast.Var x -> (
         match local_slot x with
         | Some i -> emit buf (Load_local i)
-        | None ->
-            assert (Sset.mem x shared_set);
-            emit buf (Load_global x))
+        | None -> emit buf (Load_global (x, Hashtbl.find ids x)))
     | Ast.Unop (op, e) ->
         compile_expr e;
         emit buf (Prim1 op)
@@ -109,9 +107,7 @@ let compile_thread ~shared (t : Ast.thread) =
   let store_var x =
     match local_slot x with
     | Some i -> emit buf (Store_local i)
-    | None ->
-        assert (Sset.mem x shared_set);
-        emit buf (Store_global x)
+    | None -> emit buf (Store_global (x, Hashtbl.find ids x))
   in
   let rec compile_stmt = function
     | Ast.Skip -> ()
@@ -166,13 +162,16 @@ let compile_thread ~shared (t : Ast.thread) =
 let compile (p : Ast.program) =
   Typecheck.check_exn p;
   let p = Desugar.desugar p in
-  let shared = Typecheck.shared_vars p in
-  let compiled = List.map (compile_thread ~shared) p.threads in
+  let vars = Array.of_list (Typecheck.shared_vars p) in
+  let ids = Hashtbl.create (Array.length vars) in
+  Array.iteri (fun id x -> Hashtbl.add ids x id) vars;
+  let compiled = List.map (compile_thread ~ids) p.threads in
   let image =
     { thread_names = Array.of_list (List.map (fun t -> t.Ast.tname) p.threads);
       code = Array.of_list (List.map fst compiled);
       nlocals = Array.of_list (List.map snd compiled);
       shared_init = p.shared;
+      vars;
       instrumented = false }
   in
   (match validate image with

@@ -16,7 +16,8 @@ let probing_sched prefix =
         remaining := rest;
         Some d
   in
-  let pick_fn runnable =
+  let pick_fn runnable count =
+    let runnable = List.init count (Array.get runnable) in
     match next () with
     | Some (Sched.Pick tid) ->
         if List.mem tid runnable then tid

@@ -14,6 +14,10 @@
       the notifier writes [Types.notify_var c] before notifying, the
       woken thread writes it after waking.
 
+    The dummy variables get variable ids after the program's shared
+    variables (see {!Bytecode}), so the machine emits their writes
+    without building their names.
+
     The transformation never changes program values or control flow —
     a differential test runs both images under the same schedule and
     compares final states. *)

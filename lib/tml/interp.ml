@@ -313,7 +313,8 @@ let run ?(fuel = 100_000) t =
     | None ->
         if t.steps >= fuel then ()
         else begin
-          let tid = Sched.pick t.sched ~runnable:(runnable t) in
+          let runnable = Array.of_list (runnable t) in
+          let tid = Sched.pick t.sched ~runnable ~count:(Array.length runnable) in
           step t tid;
           loop ()
         end

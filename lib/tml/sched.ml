@@ -7,16 +7,27 @@ exception Replay_mismatch of string
 
 type t = {
   name : string;
-  pick_fn : Types.tid list -> Types.tid;
+  pick_fn : Types.tid array -> int -> Types.tid;
   choose_fn : int -> int;
 }
 
 let name t = t.name
 
-let pick t ~runnable =
-  if runnable = [] then invalid_arg "Sched.pick: no runnable threads";
-  let tid = t.pick_fn runnable in
-  assert (List.mem tid runnable);
+(* Binary search of the ascending [runnable.(lo .. hi - 1)]; a
+   toplevel function, so a pick allocates no closure. *)
+let rec mem_between (runnable : Types.tid array) (tid : Types.tid) lo hi =
+  lo < hi
+  &&
+  let mid = (lo + hi) / 2 in
+  let x = runnable.(mid) in
+  x = tid || if x < tid then mem_between runnable tid (mid + 1) hi else mem_between runnable tid lo mid
+
+let mem runnable count tid = mem_between runnable tid 0 count
+
+let pick t ~runnable ~count =
+  if count <= 0 then invalid_arg "Sched.pick: no runnable threads";
+  let tid = t.pick_fn runnable count in
+  assert (mem runnable count tid);
   tid
 
 let choose t k =
@@ -27,9 +38,12 @@ let choose t k =
 
 let round_robin () =
   let last = ref (-1) in
-  let pick_fn runnable =
-    let after = List.filter (fun tid -> tid > !last) runnable in
-    let tid = match after with tid :: _ -> tid | [] -> List.hd runnable in
+  let pick_fn (runnable : Types.tid array) count =
+    let i = ref 0 in
+    while !i < count && runnable.(!i) <= !last do
+      incr i
+    done;
+    let tid = if !i < count then runnable.(!i) else runnable.(0) in
     last := tid;
     tid
   in
@@ -37,9 +51,7 @@ let round_robin () =
 
 let random ~seed =
   let state = Random.State.make [| seed |] in
-  let pick_fn runnable =
-    List.nth runnable (Random.State.int state (List.length runnable))
-  in
+  let pick_fn runnable count = runnable.(Random.State.int state count) in
   let choose_fn k = Random.State.int state k in
   { name = Printf.sprintf "random(seed=%d)" seed; pick_fn; choose_fn }
 
@@ -47,12 +59,12 @@ let random_biased ~seed ~stickiness =
   if stickiness < 0 then invalid_arg "Sched.random_biased: negative stickiness";
   let state = Random.State.make [| seed; stickiness |] in
   let last = ref None in
-  let pick_fn runnable =
+  let pick_fn runnable count =
     let tid =
       match !last with
-      | Some tid when List.mem tid runnable && Random.State.int state (stickiness + 1) > 0 ->
+      | Some tid when mem runnable count tid && Random.State.int state (stickiness + 1) > 0 ->
           tid
-      | _ -> List.nth runnable (Random.State.int state (List.length runnable))
+      | _ -> runnable.(Random.State.int state count)
     in
     last := Some tid;
     tid
@@ -70,10 +82,10 @@ let of_script script =
         remaining := rest;
         d
   in
-  let pick_fn runnable =
+  let pick_fn runnable count =
     match next "a pick" with
     | Pick tid ->
-        if List.mem tid runnable then tid
+        if mem runnable count tid then tid
         else
           raise
             (Replay_mismatch
@@ -93,8 +105,8 @@ let make_raw ~name ~pick_fn ~choose_fn = { name; pick_fn; choose_fn }
 
 let recording inner =
   let recorded = ref [] in
-  let pick_fn runnable =
-    let tid = inner.pick_fn runnable in
+  let pick_fn runnable count =
+    let tid = inner.pick_fn runnable count in
     recorded := Pick tid :: !recorded;
     tid
   in

@@ -15,9 +15,13 @@ type t
 
 val name : t -> string
 
-val pick : t -> runnable:Types.tid list -> Types.tid
-(** Selects a thread among [runnable] (nonempty, ascending).
-    @raise Invalid_argument if [runnable] is empty.
+val pick : t -> runnable:Types.tid array -> count:int -> Types.tid
+(** Selects a thread among [runnable.(0 .. count - 1)], which are
+    ascending (further elements are ignored); every strategy picks in
+    O(1) or by a scan of that prefix.  The array belongs to the caller
+    (the machine keeps and updates it between steps): a strategy reads
+    it during the call only.
+    @raise Invalid_argument if [count <= 0].
     @raise Replay_mismatch for a script scheduler whose next decision is
     not a pick of a runnable thread. *)
 
@@ -34,7 +38,8 @@ val round_robin : unit -> t
 
 val random : seed:int -> t
 (** Uniform among runnable threads and branches, deterministic in
-    [seed]. *)
+    [seed]: a pick is element [Random.State.int state count] of the
+    ascending runnable set. *)
 
 val random_biased : seed:int -> stickiness:int -> t
 (** Like {!random} but keeps running the same thread with odds
@@ -49,12 +54,13 @@ val of_script : script -> t
 
 val make_raw :
   name:string ->
-  pick_fn:(Types.tid list -> Types.tid) ->
+  pick_fn:(Types.tid array -> int -> Types.tid) ->
   choose_fn:(int -> int) ->
   t
 (** Escape hatch for custom strategies (used by {!Explore}'s probing
-    scheduler). [pick_fn] receives the nonempty runnable list and must
-    return one of its elements; [choose_fn k] must return a value in
+    scheduler). [pick_fn runnable count] receives the runnable set as in
+    {!pick} ([count > 0]) and must return one of its elements;
+    [choose_fn k] must return a value in
     [\[0, k)] — both are enforced with assertions at use sites. *)
 
 val recording : t -> t * (unit -> script)

@@ -60,7 +60,14 @@ val create :
 
 val runnable : t -> Types.tid list
 (** Threads able to take a step now, ascending; empty when the run is
-    over (all halted, deadlocked, or a runtime error occurred). *)
+    over (all halted, deadlocked, or a runtime error occurred).  The
+    machine maintains this set in an array, rebuilt only after a step
+    that can change it: lock or wait/notify traffic, an error, or the
+    stepped thread halting, waiting or reaching an acquire. *)
+
+val rescan_runnable : t -> Types.tid list
+(** {!runnable} recomputed from every thread's state, ignoring the
+    maintained set: the reference it is tested against. *)
 
 val finished : t -> outcome option
 (** [Some] once the machine can make no further progress. *)

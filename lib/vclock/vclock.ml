@@ -77,3 +77,29 @@ let of_string s =
   of_list ints
 
 let hash = Hashtbl.hash
+
+(* {1 Mutable clocks} *)
+
+let join_into (dst : int array) (src : int array) ~own =
+  let raised = ref false in
+  for j = 0 to Array.length src - 1 do
+    let s = Array.unsafe_get src j in
+    if s > Array.unsafe_get dst j then begin
+      Array.unsafe_set dst j s;
+      if j <> own then raised := true
+    end
+  done;
+  !raised
+
+let assign (dst : int array) (src : int array) =
+  if Array.length dst = 0 then Array.copy src
+  else begin
+    (* A loop of int stores: [Array.blit] into an array that has left
+       the minor heap goes through the write barrier per element. *)
+    for j = 0 to Array.length src - 1 do
+      Array.unsafe_set dst j (Array.unsafe_get src j)
+    done;
+    dst
+  end
+
+let freeze = Array.copy

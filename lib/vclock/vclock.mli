@@ -70,3 +70,27 @@ val of_string : string -> t
     @raise Invalid_argument on malformed input. *)
 
 val hash : t -> int
+
+(** {1 Mutable clocks}
+
+    Analyses that update clocks on every event keep them as plain
+    [int array]s and join them in place; a clock that leaves the
+    analysis (in a message, a report or an accessor's result) is frozen
+    into an immutable {!t} by copying. *)
+
+val join_into : int array -> int array -> own:int -> bool
+(** [join_into dst src ~own] sets [dst] to the componentwise maximum of
+    [dst] and [src], in place, and tells whether a component other than
+    [own] rose (pass [~own:(-1)] to ask about any component).  [src] is
+    either as wide as [dst] or [[||]], which stands for the zero clock;
+    the widths are not checked. *)
+
+val assign : int array -> int array -> int array
+(** [assign dst src] sets [dst] to [src] and returns it, copying in place
+    unless [dst] is [[||]] (the zero clock), when it returns a fresh copy
+    of [src].  [dst] is either as wide as [src] or [[||]]. *)
+
+val freeze : int array -> t
+(** An immutable copy of a mutable clock.  The caller guarantees what
+    {!of_array} would check: a nonempty array of non-negative
+    components. *)

@@ -334,6 +334,51 @@ let test_detection_table () =
   in
   Alcotest.(check bool) "JMPaX >= JPaX" true (jmpax >= jpax)
 
+(* [--metrics] on a check of a lock program: the in-place Algorithm A
+   accounts its joins into the dense backend's gauges as the functor's
+   dense clock does (a read joins twice, a write once, each over every
+   thread's component), and [mvc.messages.tN] counts thread N's
+   messages. *)
+let test_metrics_clock_gauges () =
+  let dest = Filename.temp_file "jmpax-metrics" ".txt" in
+  let config =
+    Jmpax.Config.default () |> Jmpax.Config.with_seed 3
+    |> Jmpax.Config.with_metrics (Some dest)
+  in
+  let program = Tml.Programs.locked_counter ~increments:3 in
+  let spec = Pastltl.Fparser.parse "counter >= 0" in
+  let output =
+    Jmpax.Pipeline.with_telemetry config (fun () -> Jmpax.Pipeline.check ~config ~spec program)
+  in
+  let dumped = In_channel.with_open_text dest In_channel.input_all in
+  Sys.remove dest;
+  let module M = Telemetry.Metrics in
+  let gauge name = M.gauge_value (M.gauge name) in
+  let run = output.Jmpax.Pipeline.run in
+  let expected_joins =
+    Array.fold_left
+      (fun n (e : Trace.Event.t) ->
+        match e.kind with
+        | Trace.Event.Read _ -> n + 2
+        | Trace.Event.Write _ -> n + 1
+        | Trace.Event.Internal -> n)
+      0
+      (Trace.Exec.events (Option.get run.Tml.Vm.exec))
+  in
+  Alcotest.(check bool) "lock writes were joined" true (expected_joins > 0);
+  Alcotest.(check int) "clock.dense.joins" expected_joins (gauge "clock.dense.joins");
+  Alcotest.(check int) "clock.dense.entry_updates" (2 * expected_joins)
+    (gauge "clock.dense.entry_updates");
+  Alcotest.(check int) "clock.dense.fast_joins" 0 (gauge "clock.dense.fast_joins");
+  Alcotest.(check bool) "gauge dumped" true (contains ~needle:"clock.dense.joins" dumped);
+  List.iter
+    (fun tid ->
+      Alcotest.(check int)
+        (Printf.sprintf "mvc.messages.t%d" tid)
+        (List.length (List.filter (fun m -> m.Trace.Message.tid = tid) run.Tml.Vm.messages))
+        (M.value (M.counter (Printf.sprintf "mvc.messages.t%d" tid))))
+    [ 0; 1 ]
+
 let () =
   Alcotest.run "jmpax"
     [ ( "pipeline",
@@ -344,7 +389,8 @@ let () =
             test_landing_pipeline_with_bounded_channel;
           Alcotest.test_case "xyz" `Quick test_xyz_pipeline;
           Alcotest.test_case "check_source" `Quick test_check_source;
-          Alcotest.test_case "safe program" `Quick test_safe_program_is_clean ] );
+          Alcotest.test_case "safe program" `Quick test_safe_program_is_clean;
+          Alcotest.test_case "--metrics clock gauges" `Quick test_metrics_clock_gauges ] );
       ( "online",
         [ Alcotest.test_case "agrees with offline" `Quick
             test_check_online_agrees_with_offline;

@@ -74,7 +74,7 @@ let test_formula_pp_roundtrip_specials () =
 
 let test_sched_replay_mismatch () =
   let sched = Tml.Sched.of_script Tml.Sched.[ Choice 0 ] in
-  (match Tml.Sched.pick sched ~runnable:[ 0 ] with
+  (match Tml.Sched.pick sched ~runnable:[| 0 |] ~count:1 with
   | exception Tml.Sched.Replay_mismatch _ -> ()
   | _ -> Alcotest.fail "pick against a choice should mismatch");
   let sched = Tml.Sched.of_script [] in
@@ -84,7 +84,7 @@ let test_sched_replay_mismatch () =
 
 let test_sched_validation () =
   let sched = Tml.Sched.round_robin () in
-  (match Tml.Sched.pick sched ~runnable:[] with
+  (match Tml.Sched.pick sched ~runnable:[||] ~count:0 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "empty runnable");
   match Tml.Sched.choose sched 0 with

@@ -150,7 +150,7 @@ let exec_of program sched =
    that prediction does not need the bad interleaving to happen. *)
 let serial_sched () =
   Tml.Sched.make_raw ~name:"serial"
-    ~pick_fn:(fun runnable -> List.hd runnable)
+    ~pick_fn:(fun runnable _ -> runnable.(0))
     ~choose_fn:(fun _ -> 0)
 
 let test_racy_counter_races () =
@@ -175,7 +175,7 @@ let test_race_prediction_from_serial_schedule () =
   let image = Tml.Instrument.instrument_program program in
   let serial =
     Tml.Sched.make_raw ~name:"serial"
-      ~pick_fn:(fun runnable -> List.hd runnable)
+      ~pick_fn:(fun runnable _ -> runnable.(0))
       ~choose_fn:(fun _ -> 0)
   in
   let r = Tml.Vm.run_image ~sched:serial image in

@@ -356,7 +356,7 @@ let test_unspawned_thread_never_runs () =
 let test_spawn_unsynchronized_races () =
   let serial =
     Sched.make_raw ~name:"serial"
-      ~pick_fn:(fun runnable -> List.hd runnable)
+      ~pick_fn:(fun runnable _ -> runnable.(0))
       ~choose_fn:(fun _ -> 0)
   in
   let r = Vm.run_program ~sched:serial Programs.spawn_unsynchronized in
@@ -370,7 +370,7 @@ let test_spawn_unsynchronized_races () =
 let test_philosophers () =
   let serial =
     Sched.make_raw ~name:"serial"
-      ~pick_fn:(fun runnable -> List.hd runnable)
+      ~pick_fn:(fun runnable _ -> runnable.(0))
       ~choose_fn:(fun _ -> 0)
   in
   let r = Vm.run_program ~sched:serial (Programs.philosophers ~n:3) in
@@ -461,13 +461,13 @@ let lock_counter ~threads = parse (lock_counter_source ~threads ~iters:2 ~nops:2
    list at every scheduling point pins the VM's runnable scan, lock
    state and termination test to the oracle. *)
 
-(* [inner], logging every runnable list it is offered. *)
+(* [inner], logging every runnable set it is offered, as a list. *)
 let logging inner =
   let offered = ref [] in
   ( Sched.make_raw ~name:(Sched.name inner ^ "+log")
-      ~pick_fn:(fun runnable ->
-        offered := runnable :: !offered;
-        Sched.pick inner ~runnable)
+      ~pick_fn:(fun runnable count ->
+        offered := List.init count (Array.get runnable) :: !offered;
+        Sched.pick inner ~runnable ~count)
       ~choose_fn:(fun k -> Sched.choose inner k),
     fun () -> List.rev !offered )
 
@@ -549,6 +549,30 @@ let test_runnable_parity () =
         [ 1; 2; 3; 7; 42 ])
     parity_programs
 
+(* After every step, the runnable set the VM maintains equals a scan
+   of every thread from scratch. *)
+let test_maintained_runnable () =
+  List.iter
+    (fun (name, program) ->
+      let image = Instrument.instrument_program program in
+      List.iter
+        (fun seed ->
+          let vm = Vm.create ~sched:(rr ()) image in
+          let state = Random.State.make [| seed |] in
+          let rec go k =
+            let runnable = Vm.runnable vm in
+            Alcotest.(check (list int))
+              (Printf.sprintf "%s seed %d, after %d steps" name seed k)
+              (Vm.rescan_runnable vm) runnable;
+            if runnable <> [] && k < 2_000 then begin
+              Vm.step vm (List.nth runnable (Random.State.int state (List.length runnable)));
+              go (k + 1)
+            end
+          in
+          go 0)
+        [ 1; 2; 3; 7; 42 ])
+    parity_programs
+
 (* {1 Golden schedules} *)
 
 (* One digest over everything a seeded run fixes: the recorded script,
@@ -583,6 +607,26 @@ let test_golden_schedules () =
       check_completed (Printf.sprintf "seed %d" seed) r;
       Alcotest.(check string) (Printf.sprintf "seed %d: digest" seed) expected
         (run_digest r (get_script ())))
+    golden_digests
+
+(* The scheduler [check] uses is a plain [random], not a recording one:
+   it must make the same picks as the recorded run the digests pin. *)
+let test_golden_plain_random () =
+  let image = Instrument.instrument_program (lock_counter ~threads:64) in
+  let msg m = Format.asprintf "%a" Trace.Message.pp m in
+  List.iter
+    (fun (seed, _) ->
+      let tag what = Printf.sprintf "seed %d: %s" seed what in
+      let recorded, _ = Sched.recording (Sched.random ~seed) in
+      let rr = Vm.run_image ~sched:recorded image in
+      let rp = Vm.run_image ~sched:(Sched.random ~seed) image in
+      check_completed (tag "plain random") rp;
+      Alcotest.(check (list string)) (tag "same messages") (List.map msg rr.Vm.messages)
+        (List.map msg rp.Vm.messages);
+      Alcotest.(check (list (pair string int))) (tag "same final state") rr.Vm.final
+        rp.Vm.final;
+      Alcotest.(check int) (tag "same steps") rr.Vm.steps rp.Vm.steps;
+      Alcotest.(check bool) (tag "same outcome") true (rr.Vm.outcome = rp.Vm.outcome))
     golden_digests
 
 let () =
@@ -625,6 +669,10 @@ let () =
         [ Alcotest.test_case "VM = interpreter (random)" `Quick test_vm_vs_interp;
           Alcotest.test_case "VM = interpreter (round robin)" `Quick
             test_vm_vs_interp_round_robin;
-          Alcotest.test_case "runnable-set parity" `Quick test_runnable_parity ] );
+          Alcotest.test_case "runnable-set parity" `Quick test_runnable_parity;
+          Alcotest.test_case "maintained runnable set = rescan" `Quick
+            test_maintained_runnable ] );
       ( "golden",
-        [ Alcotest.test_case "64-thread lock counter schedules" `Quick test_golden_schedules ] ) ]
+        [ Alcotest.test_case "64-thread lock counter schedules" `Quick test_golden_schedules;
+          Alcotest.test_case "same schedules under plain random" `Quick
+            test_golden_plain_random ] ) ]
