@@ -81,23 +81,40 @@ let magic = "jmpax-ckpt 1"
 let bits_of_bools a =
   String.init (Array.length a) (fun i -> if a.(i) then '1' else '0')
 
-let ints_of_array a =
-  String.concat "," (List.map string_of_int (Array.to_list a))
+(* The per-message and per-cut lines go straight into the body buffer:
+   a checkpoint can hold tens of thousands of them. *)
+let add_ints buf a =
+  Array.iteri
+    (fun i k ->
+      if i > 0 then Buffer.add_char buf ',';
+      Vclock.add_int buf k)
+    a
 
 let encode_bindings buf bindings =
-  Buffer.add_string buf (string_of_int (List.length bindings));
+  Vclock.add_int buf (List.length bindings);
   List.iter
     (fun (x, v) ->
       Buffer.add_char buf ' ';
       Buffer.add_string buf (Wire.encode_var x);
       Buffer.add_char buf ' ';
-      Buffer.add_string buf (string_of_int v))
+      Vclock.add_int buf v)
     bindings
 
 let encode_body t =
   let r = t.ck_reader_stats in
-  let buf = Buffer.create 1024 in
+  let stored =
+    match t.ck_online with
+    | Some s -> List.length s.Predict.Online.snap_store
+    | None -> 0
+  in
+  let buf = Buffer.create (1024 + (stored * (32 + (8 * t.ck_header.Wire.nthreads)))) in
   let p fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
+  let ints_line key a =
+    Buffer.add_string buf key;
+    Buffer.add_char buf ' ';
+    add_ints buf a;
+    Buffer.add_char buf '\n'
+  in
   p "spec %s" t.ck_spec_fp;
   p "threads %d" t.ck_header.Wire.nthreads;
   List.iter
@@ -115,7 +132,7 @@ let encode_body t =
       Array.iter (fun x -> p "v3-var %s" (Wire.encode_var x)) v3.Wire.Reader.v3_vars;
       p "v3-valid %s" (bits_of_bools v3.Wire.Reader.v3_valid);
       Array.iter
-        (fun b -> p "v3-base %s" (ints_of_array b))
+        (ints_line "v3-base")
         v3.Wire.Reader.v3_baselines);
   p "stream-stats %d %d %d" t.ck_ends t.ck_quarantined t.ck_peak_buffered;
   (* Degraded marker: omitted entirely when the bundle never degraded so
@@ -153,21 +170,26 @@ let encode_body t =
         s.Predict.Online.snap_retired_cuts s.Predict.Online.snap_peak_frontier_cuts
         s.Predict.Online.snap_peak_frontier_entries
         s.Predict.Online.snap_monitor_steps;
-      p "prefix %s" (ints_of_array s.Predict.Online.snap_prefix);
-      p "beyond %s" (ints_of_array s.Predict.Online.snap_beyond);
-      p "gc-floor %s" (ints_of_array s.Predict.Online.snap_gc_floor);
+      ints_line "prefix" s.Predict.Online.snap_prefix;
+      ints_line "beyond" s.Predict.Online.snap_beyond;
+      ints_line "gc-floor" s.Predict.Online.snap_gc_floor;
       p "ended %s" (bits_of_bools s.Predict.Online.snap_ended);
       List.iter
-        (fun m -> p "bmsg %d %s" m.Message.eid (Wire.encode_message m))
+        (fun m ->
+          Buffer.add_string buf "bmsg ";
+          Vclock.add_int buf m.Message.eid;
+          Buffer.add_char buf ' ';
+          Wire.add_message buf m;
+          Buffer.add_char buf '\n')
         s.Predict.Online.snap_store;
       List.iter
         (fun (cut, bindings, msets) ->
           Buffer.add_string buf "front ";
-          Buffer.add_string buf (ints_of_array cut);
+          add_ints buf cut;
           Buffer.add_char buf ' ';
           encode_bindings buf bindings;
           Buffer.add_char buf ' ';
-          Buffer.add_string buf (string_of_int (List.length msets));
+          Vclock.add_int buf (List.length msets);
           List.iter
             (fun bits ->
               Buffer.add_char buf ' ';
@@ -178,8 +200,10 @@ let encode_body t =
       List.iter
         (fun (cut, level, bindings, bits) ->
           Buffer.add_string buf "viol ";
-          Buffer.add_string buf (ints_of_array cut);
-          Buffer.add_string buf (Printf.sprintf " %d " level);
+          add_ints buf cut;
+          Buffer.add_char buf ' ';
+          Vclock.add_int buf level;
+          Buffer.add_char buf ' ';
           encode_bindings buf bindings;
           Buffer.add_char buf ' ';
           Buffer.add_string buf bits;
@@ -187,10 +211,12 @@ let encode_body t =
         s.Predict.Online.snap_violations);
   Buffer.contents buf
 
+let envelope body =
+  Printf.sprintf "%s\nlen %d crc %s\n" magic (String.length body) (crc_hex body)
+
 let encode t =
   let body = encode_body t in
-  Printf.sprintf "%s\nlen %d crc %s\n%s" magic (String.length body) (crc_hex body)
-    body
+  envelope body ^ body
 
 (* {1 Decoding} *)
 
@@ -587,19 +613,22 @@ let decode text =
 (* {1 Files} *)
 
 let write path t =
-  let doc = encode t in
+  let body = encode_body t in
+  let head = envelope body in
   let tmp = path ^ ".tmp" in
   match
     let oc = open_out_bin tmp in
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc doc);
+      (fun () ->
+        output_string oc head;
+        output_string oc body);
     Sys.rename tmp path
   with
   | () ->
       if M.enabled () then begin
         M.incr m_writes;
-        M.add m_bytes (String.length doc);
+        M.add m_bytes (String.length head + String.length body);
         match t.ck_online with
         | Some s -> M.set m_level s.Predict.Online.snap_level
         | None -> ()

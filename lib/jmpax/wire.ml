@@ -117,15 +117,33 @@ exception Frame_overflow of { kind : char; length : int; limit : int }
 
 (* Percent-encoding for variable names: '%', whitespace and control
    characters are escaped, everything else passes through. *)
+let needs_escape c = c = '%' || c <= ' ' || c = '\x7f'
+let hex_upper = "0123456789ABCDEF"
+
+(* Names almost never need an escape, so the common case returns [x]
+   itself; otherwise one string of the exact length is filled. *)
 let encode_var x =
-  let buf = Buffer.create (String.length x) in
-  String.iter
-    (fun c ->
-      if c = '%' || c <= ' ' || c = '\x7f' then
-        Buffer.add_string buf (Printf.sprintf "%%%02X" (Char.code c))
-      else Buffer.add_char buf c)
-    x;
-  Buffer.contents buf
+  let escapes = ref 0 in
+  String.iter (fun c -> if needs_escape c then incr escapes) x;
+  if !escapes = 0 then x
+  else begin
+    let b = Bytes.create (String.length x + (2 * !escapes)) in
+    let pos = ref 0 in
+    String.iter
+      (fun c ->
+        if needs_escape c then begin
+          Bytes.unsafe_set b !pos '%';
+          Bytes.unsafe_set b (!pos + 1) hex_upper.[Char.code c lsr 4];
+          Bytes.unsafe_set b (!pos + 2) hex_upper.[Char.code c land 15];
+          pos := !pos + 3
+        end
+        else begin
+          Bytes.unsafe_set b !pos c;
+          incr pos
+        end)
+      x;
+    Bytes.unsafe_to_string b
+  end
 
 let hex_digit c =
   match c with
@@ -158,9 +176,20 @@ let decode_var s =
 
 (* {1 Line (record) codecs} *)
 
-let encode_message (m : Message.t) =
-  Printf.sprintf "msg %d %s %d %s" m.tid (encode_var m.var) m.value
-    (Vclock.to_string m.mvc)
+let add_message buf (m : Message.t) =
+  Buffer.add_string buf "msg ";
+  Vclock.add_int buf m.tid;
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf (encode_var m.var);
+  Buffer.add_char buf ' ';
+  Vclock.add_int buf m.value;
+  Buffer.add_char buf ' ';
+  Vclock.add_to_buffer buf m.mvc
+
+let encode_message m =
+  let buf = Buffer.create 32 in
+  add_message buf m;
+  Buffer.contents buf
 
 (* [expect_width] is the header's thread count; when given, the thread id
    and the clock's dimension are validated against it. *)

@@ -117,6 +117,9 @@ val decode_var : string -> (Types.var, Error.t) result
 val encode_message : Message.t -> string
 (** One [msg] line, without the newline. *)
 
+val add_message : Buffer.t -> Message.t -> unit
+(** Append {!encode_message}'s line without building it as a string. *)
+
 val decode_message : ?expect_width:int -> string -> (Message.t, Error.t) result
 (** [expect_width] is the header's thread count; when given, the thread
     id and the clock's dimension are validated against it. *)

@@ -208,7 +208,7 @@ module type PAYLOAD = sig
   type t
 
   val merge : t -> t -> t
-  (** Must be associative; called when two expansions reach the same cut. *)
+  (** Must be associative; called when [of_list] meets a cut twice. *)
 end
 
 (* A growable array that needs no dummy element: growth reuses the
@@ -296,39 +296,40 @@ module Make (P : PAYLOAD) = struct
     Cutset.mem_words f.cuts + Array.length f.order + Array.length f.payloads
 
   (* One level step.  Every frontier cut is expanded, in canonical
-     order, through [moves] (which must not retain its scratch argument)
-     and [transition]; successors landing on the same cut are combined
-     with [P.merge] in that order, and the output order is re-sorted. *)
-  let expand_body ~moves ~transition f =
+     order, through the threads [enabled] lists (ascending, into a
+     reused buffer); the first expansion to reach a successor cut makes
+     its payload with [step], later ones fold into it with [join].  The
+     output order is re-sorted. *)
+  let expand_body ~enabled ~step ~join f =
     let n = size f in
     let w = width f in
     let cuts = Cutset.create ~capacity:(max 4 (2 * n)) ~width:w () in
     let payloads = buf_make () in
     let cutbuf = Array.make w 0 in
+    let tids = Array.make w 0 in
     Array.iter
       (fun id ->
         Cutset.blit f.cuts id cutbuf;
         let p = f.payloads.(id) in
-        List.iter
-          (fun (tid, m) ->
-            let p' = transition p ~tid m in
-            let nid = Cutset.intern_succ cuts ~src:f.cuts ~src_id:id ~tid in
-            if nid = payloads.len then buf_push payloads p'
-            else payloads.data.(nid) <- P.merge payloads.data.(nid) p')
-          (moves cutbuf))
+        for k = 0 to enabled cutbuf tids - 1 do
+          let tid = tids.(k) in
+          let nid = Cutset.intern_succ cuts ~src:f.cuts ~src_id:id ~tid in
+          if nid = payloads.len then buf_push payloads (step p cutbuf tid)
+          else payloads.data.(nid) <- join payloads.data.(nid) p cutbuf tid
+        done)
       f.order;
     if M.deep_enabled () then Cutset.flush_stats cuts;
     let order = Array.init (Cutset.count cuts) Fun.id in
     Array.sort (Cutset.compare_ids cuts) order;
     { cuts; order; payloads = Array.sub payloads.data 0 payloads.len }
 
-  let expand ~moves ~transition f =
+  let expand ~enabled ~step ~join f =
     if M.deep_enabled () then begin
       M.incr m_levels;
       M.observe m_level_cuts (size f)
     end;
     if Telemetry.Span.enabled () then
       Telemetry.Span.with_ ~name:"frontier.expand" (fun () ->
-          expand_body ~moves ~transition f)
-    else expand_body ~moves ~transition f
+          expand_body ~enabled ~step ~join f)
+    else expand_body ~enabled ~step ~join f
 end

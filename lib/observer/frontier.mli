@@ -60,8 +60,8 @@ module type PAYLOAD = sig
   type t
 
   val merge : t -> t -> t
-  (** Combine two expansions that reached the same successor cut; called
-      in the canonical order of their source cuts. *)
+  (** Combine two payloads {!Make.of_list} finds at the same cut, in
+      list order. *)
 end
 
 (** The level-by-level engine over one payload type. *)
@@ -99,15 +99,20 @@ module Make (P : PAYLOAD) : sig
   val mem_words : frontier -> int
 
   val expand :
-    moves:(int array -> (int * 'm) list) ->
-    transition:(P.t -> tid:int -> 'm -> P.t) ->
+    enabled:(int array -> int array -> int) ->
+    step:(P.t -> int array -> int -> P.t) ->
+    join:(P.t -> P.t -> int array -> int -> P.t) ->
     frontier ->
     frontier
-  (** One level step: [moves cut] lists the enabled events [(tid, move)]
-      of a cut (the cut argument is a reused buffer — do not retain),
-      [transition] computes the successor payload, and expansions
-      meeting at one successor cut are combined with [P.merge], in the
-      canonical order of their source cuts.  The result's iteration
-      order is re-sorted lexicographically.  An empty result means the
-      sweep is complete. *)
+  (** One level step.  [enabled cut tids] writes the threads whose next
+      event is enabled at [cut] into [tids] (a buffer of length
+      [width]), ascending, and returns their count.  [step p cut tid]
+      is the payload of [cut]'s successor through [tid]'s next event;
+      when an earlier expansion already reached that successor with
+      payload [q], [join q p cut tid] replaces [q] instead, which is
+      where two paths meeting at one cut combine.  Cuts are expanded in
+      canonical order, threads ascending, and the [cut] argument is a
+      reused buffer (do not retain).  The result's iteration order is
+      re-sorted lexicographically.  An empty result means the sweep is
+      complete. *)
 end

@@ -34,11 +34,13 @@ type building = {
   preds : (int * Message.t) list;
 }
 
-module F = Frontier.Make (struct
+module F_payload = struct
   type t = building
 
   let merge a b = { nid = -1; bstate = a.bstate; preds = a.preds @ b.preds }
-end)
+end
+
+module F = Frontier.Make (F_payload)
 
 let build_body ?(max_nodes = 200_000) comp =
   let width = Computation.nthreads comp in
@@ -66,10 +68,19 @@ let build_body ?(max_nodes = 200_000) comp =
   let running = ref true in
   while !running do
     let next =
+      let succ p cut tid =
+        let m = Computation.message comp tid (cut.(tid) + 1) in
+        { nid = -1; bstate = Computation.apply p.bstate m; preds = [ (p.nid, m) ] }
+      in
       F.expand
-        ~moves:(fun cut -> Computation.enabled comp cut)
-        ~transition:(fun p ~tid:_ m ->
-          { nid = -1; bstate = Computation.apply p.bstate m; preds = [ (p.nid, m) ] })
+        ~enabled:(fun cut tids ->
+          List.fold_left
+            (fun k (tid, _) ->
+              tids.(k) <- tid;
+              k + 1)
+            0 (Computation.enabled comp cut))
+        ~step:succ
+        ~join:(fun q p cut tid -> F_payload.merge q (succ p cut tid))
         !frontier
     in
     if F.size next = 0 then running := false

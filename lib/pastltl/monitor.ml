@@ -1,60 +1,137 @@
+(* One subformula, its children resolved to slot indices: slot [i] of a
+   monitor state is the truth of [subs.(i)].  Atoms index [atoms]. *)
+type op =
+  | Const of bool
+  | Atom of int
+  | Not of int
+  | And of int * int
+  | Or of int * int
+  | Implies of int * int
+  | Prev of int
+  | Once of int
+  | Historically of int
+  | Since of int * int
+  | Interval of int * int
+  | Start of int
+  | End of int
+
 type compiled = {
   formula : Formula.t;
-  subs : Formula.t array;  (* bottom-up: children precede parents *)
-  index : (Formula.t * int) list;  (* reverse lookup *)
+  ops : op array;  (* bottom-up: children precede parents *)
+  atoms : Predicate.t array;  (* distinct atoms, in slot order *)
 }
 
 type state = bool array
 
 let compile formula =
   let subs = Array.of_list (Formula.subformulas formula) in
-  let index = Array.to_list (Array.mapi (fun i f -> (f, i)) subs) in
-  { formula; subs; index }
+  let slot f =
+    let rec go i =
+      if i >= Array.length subs then assert false (* closed under sub-terms *)
+      else if Formula.equal subs.(i) f then i
+      else go (i + 1)
+    in
+    go 0
+  in
+  let atoms = ref [] and natoms = ref 0 in
+  let ops =
+    Array.map
+      (fun f ->
+        match f with
+        | Formula.True -> Const true
+        | Formula.False -> Const false
+        | Formula.Atom p ->
+            atoms := p :: !atoms;
+            incr natoms;
+            Atom (!natoms - 1)
+        | Formula.Not g -> Not (slot g)
+        | Formula.And (g, h) -> And (slot g, slot h)
+        | Formula.Or (g, h) -> Or (slot g, slot h)
+        | Formula.Implies (g, h) -> Implies (slot g, slot h)
+        | Formula.Prev g -> Prev (slot g)
+        | Formula.Once g -> Once (slot g)
+        | Formula.Historically g -> Historically (slot g)
+        | Formula.Since (g, h) -> Since (slot g, slot h)
+        | Formula.Interval (g, h) -> Interval (slot g, slot h)
+        | Formula.Start g -> Start (slot g)
+        | Formula.End g -> End (slot g))
+      subs
+  in
+  { formula; ops; atoms = Array.of_list (List.rev !atoms) }
 
 let formula c = c.formula
-let width c = Array.length c.subs
-
-let idx c f =
-  match List.assoc_opt f c.index with
-  | Some i -> i
-  | None -> assert false (* subformulas is closed under sub-terms *)
+let width c = Array.length c.ops
+let atoms c = c.atoms
 
 (* [now] is filled bottom-up, so children are available when a parent is
-   computed. [prev] is [None] on the initial state, in which case the
-   Havelund–Roşu initial-state convention applies. *)
-let compute_with c ~prev ~atom =
-  let now = Array.make (width c) false in
-  let value f = now.(idx c f) in
-  let prev_of f = match prev with Some p -> p.(idx c f) | None -> value f in
-  Array.iteri
-    (fun i f ->
-      now.(i) <-
-        (match f with
-        | Formula.True -> true
-        | Formula.False -> false
-        | Formula.Atom p -> atom p
-        | Formula.Not g -> not (value g)
-        | Formula.And (g, h) -> value g && value h
-        | Formula.Or (g, h) -> value g || value h
-        | Formula.Implies (g, h) -> (not (value g)) || value h
-        | Formula.Prev g -> prev_of g
-        | Formula.Once g -> value g || (prev <> None && prev_of f)
-        | Formula.Historically g -> value g && (prev = None || prev_of f)
-        | Formula.Since (g, h) -> value h || (prev <> None && value g && prev_of f)
-        | Formula.Interval (g, h) ->
-            (not (value h)) && (value g || (prev <> None && prev_of f))
-        | Formula.Start g -> (match prev with None -> false | Some _ -> value g && not (prev_of g))
-        | Formula.End g -> (match prev with None -> false | Some _ -> (not (value g)) && prev_of g)))
-    c.subs;
+   computed.  [prev] is [None] on the initial state, in which case the
+   Havelund–Roşu initial-state convention applies: the previous value of
+   a subformula is its current one. *)
+let compute c ~prev (values : bool array) =
+  let w = Array.length c.ops in
+  let now = Array.make w false in
+  (match prev with
+  | None ->
+      for i = 0 to w - 1 do
+        now.(i) <-
+          (match c.ops.(i) with
+          | Const b -> b
+          | Atom a -> values.(a)
+          | Not g -> not now.(g)
+          | And (g, h) -> now.(g) && now.(h)
+          | Or (g, h) -> now.(g) || now.(h)
+          | Implies (g, h) -> (not now.(g)) || now.(h)
+          | Prev g -> now.(g)
+          | Once g -> now.(g)
+          | Historically g -> now.(g)
+          | Since (_, h) -> now.(h)
+          | Interval (g, h) -> (not now.(h)) && now.(g)
+          | Start _ | End _ -> false)
+      done
+  | Some (p : state) ->
+      for i = 0 to w - 1 do
+        now.(i) <-
+          (match c.ops.(i) with
+          | Const b -> b
+          | Atom a -> values.(a)
+          | Not g -> not now.(g)
+          | And (g, h) -> now.(g) && now.(h)
+          | Or (g, h) -> now.(g) || now.(h)
+          | Implies (g, h) -> (not now.(g)) || now.(h)
+          | Prev g -> p.(g)
+          | Once g -> now.(g) || p.(i)
+          | Historically g -> now.(g) && p.(i)
+          | Since (g, h) -> now.(h) || (now.(g) && p.(i))
+          | Interval (g, h) -> (not now.(h)) && (now.(g) || p.(i))
+          | Start g -> now.(g) && not p.(g)
+          | End g -> (not now.(g)) && p.(g))
+      done);
   now
 
-let init_with c ~atom = compute_with c ~prev:None ~atom
-let step_with c state ~atom = compute_with c ~prev:(Some state) ~atom
+let init_atoms c values = compute c ~prev:None values
+let step_atoms c state values = compute c ~prev:(Some state) values
+let init_with c ~atom = compute c ~prev:None (Array.map atom c.atoms)
+let step_with c state ~atom = compute c ~prev:(Some state) (Array.map atom c.atoms)
 let init c global = init_with c ~atom:(fun p -> Predicate.holds p global)
 let step c state global = step_with c state ~atom:(fun p -> Predicate.holds p global)
 let verdict c state = state.(width c - 1)
 let equal_state (a : state) (b : state) = a = b
-let compare_state = Stdlib.compare
+
+(* The order of [Stdlib.compare] on bool arrays (size first, then
+   elements, [false < true]) without the polymorphic walk: monitor-state
+   sets are ordered by it, and snapshots list their elements in it. *)
+let compare_state (a : state) (b : state) =
+  let la = Array.length a and lb = Array.length b in
+  if la <> lb then Int.compare la lb
+  else
+    let rec go i =
+      if i = la then 0
+      else
+        let x = Array.unsafe_get a i and y = Array.unsafe_get b i in
+        if x = y then go (i + 1) else if y then -1 else 1
+    in
+    go 0
+
 let hash_state = Hashtbl.hash
 
 let pp_state ppf s =

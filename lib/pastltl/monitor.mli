@@ -1,6 +1,7 @@
 (** Synthesized online monitors for past-time LTL (Havelund–Roşu style).
 
-    {!compile} enumerates the subformulas bottom-up; a monitor state is
+    {!compile} enumerates the subformulas bottom-up and resolves each
+    one's children to slot indices, once; a monitor state is
     the vector of their truth values at the current trace point, so
     {!step} is O(|φ|) per state and the state is O(|φ|) bits — the
     compact per-cut summary the paper stores in the computation lattice
@@ -33,6 +34,17 @@ val init_with : compiled -> atom:(Predicate.t -> bool) -> state
     valuations. *)
 
 val step_with : compiled -> state -> atom:(Predicate.t -> bool) -> state
+
+val atoms : compiled -> Predicate.t array
+(** The formula's distinct atoms, in subformula order: the indices
+    {!init_atoms} and {!step_atoms} read their truth values at. *)
+
+val init_atoms : compiled -> bool array -> state
+(** {!init} given the truth value of every atom ([values.(a)] for
+    [(atoms c).(a)]) — one evaluation per atom, shared by every monitor
+    state stepped over the same global state. *)
+
+val step_atoms : compiled -> state -> bool array -> state
 
 val verdict : compiled -> state -> bool
 (** Truth of the whole formula at the current point; a safety violation

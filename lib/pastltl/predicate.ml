@@ -32,6 +32,35 @@ let holds { cmp; lhs; rhs } state =
   | Gt -> a > b
   | Ge -> a >= b
 
+(* Closures over a slot-indexed state: the tree is walked once, here. *)
+let rec compile_aexp ~slot = function
+  | Const n -> fun _ -> n
+  | Var x ->
+      let i = slot x in
+      fun (vals : int array) -> vals.(i)
+  | Neg a ->
+      let a = compile_aexp ~slot a in
+      fun vals -> -a vals
+  | Add (a, b) ->
+      let a = compile_aexp ~slot a and b = compile_aexp ~slot b in
+      fun vals -> a vals + b vals
+  | Sub (a, b) ->
+      let a = compile_aexp ~slot a and b = compile_aexp ~slot b in
+      fun vals -> a vals - b vals
+  | Mul (a, b) ->
+      let a = compile_aexp ~slot a and b = compile_aexp ~slot b in
+      fun vals -> a vals * b vals
+
+let compile ~slot { cmp; lhs; rhs } =
+  let a = compile_aexp ~slot lhs and b = compile_aexp ~slot rhs in
+  match cmp with
+  | Eq -> fun vals -> Int.equal (a vals) (b vals)
+  | Ne -> fun vals -> not (Int.equal (a vals) (b vals))
+  | Lt -> fun vals -> a vals < b vals
+  | Le -> fun vals -> a vals <= b vals
+  | Gt -> fun vals -> a vals > b vals
+  | Ge -> fun vals -> a vals >= b vals
+
 module Sset = Set.Make (String)
 
 let rec aexp_vars = function

@@ -20,6 +20,11 @@ val make : cmp -> aexp -> aexp -> t
 val eval_aexp : State.t -> aexp -> int
 val holds : t -> State.t -> bool
 
+val compile : slot:(Types.var -> int) -> t -> int array -> bool
+(** [compile ~slot p] is {!holds} over a state stored as an [int array]
+    indexed by [slot x] for every variable [x] of [p]; [slot] is called
+    once per variable occurrence, here. *)
+
 val vars : t -> Types.var list
 (** Variables mentioned, sorted, unique — these are the {e relevant}
     variables the instrumentation must watch. *)

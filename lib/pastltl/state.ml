@@ -7,7 +7,7 @@ type t = Types.value Smap.t
 let empty = Smap.empty
 let of_list l = List.fold_left (fun m (x, v) -> Smap.add x v m) Smap.empty l
 let to_list m = Smap.bindings m
-let get m x = match Smap.find_opt x m with Some v -> v | None -> 0
+let get m x = match Smap.find x m with v -> v | exception Not_found -> 0
 let set m x v = Smap.add x v m
 let equal = Smap.equal Int.equal
 let compare = Smap.compare Int.compare

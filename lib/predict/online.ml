@@ -17,7 +17,61 @@ module Mset = Set.Make (struct
   let compare = Pastltl.Monitor.compare_state
 end)
 
-type entry = { state : Pastltl.State.t; msets : Mset.t }
+module Smap = Map.Make (String)
+
+(* {1 Interned global states}
+
+   A global state is an [int array] indexed by slot: one slot per
+   variable of the initial state and of the specification, numbered
+   once, and the spec's atoms are compiled to closures reading those
+   slots.  A message's slot is resolved when it is stored, so a lattice
+   transition is an array copy and one write.
+
+   [listed] slots are bound in every state (the initial variables), so
+   their bindings are read straight off the array.  Every other binding
+   (a spec variable written for the first time, or a variable outside
+   both sets, which no predicate reads) also goes on the entry's side
+   map: together they reproduce the [Pastltl.State.t] the map-based
+   sweep built, binding for binding. *)
+type layout = {
+  slot_of : (Types.var, int) Hashtbl.t;
+  listed : bool array;  (* per slot *)
+  listed_sorted : (Types.var * int) array;  (* listed slots, by name *)
+  atoms : (int array -> bool) array;  (* the monitor's atoms, over slots *)
+}
+
+let make_layout ~listed:listed_vars ~spec monitor =
+  let slot_of = Hashtbl.create 16 in
+  let names = ref [] in
+  let add x =
+    if not (Hashtbl.mem slot_of x) then begin
+      Hashtbl.add slot_of x (Hashtbl.length slot_of);
+      names := x :: !names
+    end
+  in
+  List.iter add listed_vars;
+  let nlisted = Hashtbl.length slot_of in
+  List.iter add (Pastltl.Formula.vars spec);
+  let listed = Array.init (Hashtbl.length slot_of) (fun s -> s < nlisted) in
+  let listed_sorted =
+    List.filter_map
+      (fun x ->
+        let s = Hashtbl.find slot_of x in
+        if listed.(s) then Some (x, s) else None)
+      !names
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    |> Array.of_list
+  in
+  let atoms =
+    Array.map
+      (Pastltl.Predicate.compile ~slot:(Hashtbl.find slot_of))
+      (Pastltl.Monitor.atoms monitor)
+  in
+  { slot_of; listed; listed_sorted; atoms }
+
+let var_slot lay x = match Hashtbl.find lay.slot_of x with s -> s | exception Not_found -> -1
+
+type entry = { vals : int array; side : Types.value Smap.t; msets : Mset.t }
 
 (* The cut determines the global state, so two entries meeting at one
    cut carry equal states by construction; only the monitor-state sets
@@ -27,6 +81,120 @@ module F = Observer.Frontier.Make (struct
 
   let merge a b = { a with msets = Mset.union a.msets b.msets }
 end)
+
+(* The entry's state as name-ordered bindings: the listed slots merged
+   with the side map. *)
+let bindings lay e =
+  let rec merge i side =
+    if i = Array.length lay.listed_sorted then side
+    else
+      let x, s = lay.listed_sorted.(i) in
+      match side with
+      | (y, v) :: rest when String.compare y x < 0 -> (y, v) :: merge i rest
+      | _ -> (x, e.vals.(s)) :: merge (i + 1) side
+  in
+  merge 0 (Smap.bindings e.side)
+
+let to_state lay e = Pastltl.State.of_list (bindings lay e)
+
+(* {1 The message store}
+
+   One log per thread, indexed by [seq]: blocks of [block_size] slots
+   holding the message and its variable's slot.  A block is at most 256
+   words, so it is allocated on the minor heap (a larger or doubling
+   array would go to the major heap and, by pacing the major GC
+   differently, keep garbage alive longer).  Blocks below the gc floor
+   are dropped from the spine as the floor passes them, so a log's size
+   follows the stored messages, never the floor. *)
+
+let block_bits = 8
+let block_size = 1 lsl block_bits
+let block_mask = block_size - 1
+
+type block = { msgs : Message.t array; mslots : int array }
+
+let no_message =
+  Message.make ~eid:(-1) ~tid:0 ~var:"" ~value:0 ~mvc:(Vclock.of_list [ 1 ])
+
+let no_block = { msgs = [||]; mslots = [||] }
+
+type log = {
+  mutable first : int;  (* block number of [spine.(0)] *)
+  mutable spine : block array;  (* [no_block]: nothing stored there yet *)
+  mutable nblocks : int;  (* used prefix of [spine] *)
+  mutable hi : int;  (* highest seq stored, at least the gc floor *)
+  mutable live : int;  (* allocated blocks on the spine *)
+}
+
+let log_create ~floor =
+  { first = floor lsr block_bits; spine = [||]; nblocks = 0; hi = floor; live = 0 }
+
+let log_find l k =
+  let b = ((k - 1) lsr block_bits) - l.first in
+  if b < 0 || b >= l.nblocks then no_message
+  else
+    let blk = l.spine.(b) in
+    if blk == no_block then no_message else blk.msgs.((k - 1) land block_mask)
+
+(* The block holding a stored message; unchecked. *)
+let log_block l k = l.spine.(((k - 1) lsr block_bits) - l.first)
+
+(* Store [m] at [k > floor]; [true] when the slot was empty. *)
+let log_add l k m slot =
+  let b = ((k - 1) lsr block_bits) - l.first in
+  if b >= Array.length l.spine then begin
+    let spine = Array.make (max (b + 1) (2 * Array.length l.spine)) no_block in
+    Array.blit l.spine 0 spine 0 l.nblocks;
+    l.spine <- spine
+  end;
+  if b >= l.nblocks then l.nblocks <- b + 1;
+  let blk =
+    match l.spine.(b) with
+    | blk when blk == no_block ->
+        let blk =
+          { msgs = Array.make block_size no_message; mslots = Array.make block_size (-1) }
+        in
+        l.spine.(b) <- blk;
+        l.live <- l.live + 1;
+        blk
+    | blk -> blk
+  in
+  let j = (k - 1) land block_mask in
+  let fresh = blk.msgs.(j) == no_message in
+  blk.msgs.(j) <- m;
+  blk.mslots.(j) <- slot;
+  if k > l.hi then l.hi <- k;
+  fresh
+
+(* Forget messages [old_floor+1 .. floor]: whole blocks leave the spine,
+   the block the floor now falls in is cleared up to it. *)
+let log_drop l ~old_floor ~floor =
+  let first = floor lsr block_bits in
+  let d = first - l.first in
+  if d > 0 then begin
+    for b = 0 to min d l.nblocks - 1 do
+      if l.spine.(b) != no_block then l.live <- l.live - 1
+    done;
+    let keep = max 0 (l.nblocks - d) in
+    Array.blit l.spine (min d l.nblocks) l.spine 0 keep;
+    Array.fill l.spine keep (l.nblocks - keep) no_block;
+    l.nblocks <- keep;
+    l.first <- first
+  end;
+  if l.nblocks > 0 && l.spine.(0) != no_block then
+    for k = max (old_floor + 1) ((first lsl block_bits) + 1) to floor do
+      l.spine.(0).msgs.((k - 1) land block_mask) <- no_message
+    done;
+  if floor > l.hi then l.hi <- floor
+
+(* Stored messages with [from < seq], ascending, consed onto [acc]. *)
+let log_fold_desc l ~from acc =
+  let acc = ref acc in
+  for k = l.hi downto from + 1 do
+    let m = log_find l k in
+    if m != no_message then acc := m :: !acc
+  done;
+  !acc
 
 type violation = {
   cut : int array;
@@ -49,11 +217,14 @@ type gc_stats = {
 type t = {
   nthreads : int;
   monitor : Pastltl.Monitor.compiled;
+  layout : layout;
+  atom_values : bool array;  (* scratch: the atoms over one transition's state *)
   spec : Pastltl.Formula.t;
   max_buffered : int option;  (* bound on out-of-order buffered messages *)
-  (* Message store: (tid, index) -> message, plus contiguous prefix
-     lengths and out-of-order buffer counts. *)
-  store : (Types.tid * int, Message.t) Hashtbl.t;
+  (* Message store: per-thread logs, plus contiguous prefix lengths and
+     out-of-order buffer counts. *)
+  logs : log array;
+  mutable stored : int;  (* messages in the logs *)
   prefix : int array;  (* per thread: largest k with 1..k all received *)
   beyond : int array;  (* per thread: received messages with index > prefix *)
   gc_floor : int array;  (* per thread: messages 1..gc_floor already collected *)
@@ -89,12 +260,42 @@ let record_violations t =
               t.rev_violations <-
                 { cut = Array.copy cut;
                   level = t.level;
-                  state = entry.state;
+                  state = to_state t.layout entry;
                   monitor_state = m }
                 :: t.rev_violations
             end)
           entry.msets)
       t.frontier
+
+(* The atoms' truth over [vals], into the shared scratch vector. *)
+let eval_atoms t vals =
+  let atoms = t.layout.atoms in
+  for a = 0 to Array.length atoms - 1 do
+    t.atom_values.(a) <- atoms.(a) vals
+  done
+
+let make ?max_buffered ~monitor ~layout ~spec ~prefix ~beyond ~gc_floor ~ended frontier =
+  { nthreads = Array.length prefix;
+    monitor;
+    layout;
+    atom_values = Array.make (Array.length layout.atoms) false;
+    spec;
+    max_buffered;
+    logs = Array.map (fun floor -> log_create ~floor) gc_floor;
+    stored = 0;
+    prefix = Array.copy prefix;
+    beyond = Array.copy beyond;
+    gc_floor = Array.copy gc_floor;
+    ended = Array.copy ended;
+    frontier;
+    level = 0;
+    done_ = false;
+    rev_violations = [];
+    n_violations = 0;
+    retired_cuts = 0;
+    peak_frontier_cuts = 0;
+    peak_frontier_entries = 0;
+    monitor_steps = 1 }
 
 let create ?max_buffered ~nthreads ~init ~spec () =
   if nthreads <= 0 then invalid_arg "Online.create: nthreads must be positive";
@@ -103,31 +304,17 @@ let create ?max_buffered ~nthreads ~init ~spec () =
   | Some k -> if M.enabled () then M.set m_max_buffered k
   | None -> ());
   let monitor = Pastltl.Monitor.compile spec in
+  let layout = make_layout ~listed:(List.map fst init) ~spec monitor in
   let init_state = Pastltl.State.of_list init in
-  let m0 = Pastltl.Monitor.init monitor init_state in
-  let frontier =
-    F.singleton ~width:nthreads (Array.make nthreads 0)
-      { state = init_state; msets = Mset.singleton m0 }
-  in
+  let vals = Array.make (Array.length layout.listed) 0 in
+  Array.iter (fun (x, s) -> vals.(s) <- Pastltl.State.get init_state x) layout.listed_sorted;
+  let m0 = Pastltl.Monitor.init_atoms monitor (Array.map (fun atom -> atom vals) layout.atoms) in
+  let zeros = Array.make nthreads 0 in
   let t =
-    { nthreads;
-      monitor;
-      spec;
-      max_buffered;
-      store = Hashtbl.create 64;
-      prefix = Array.make nthreads 0;
-      beyond = Array.make nthreads 0;
-      gc_floor = Array.make nthreads 0;
-      ended = Array.make nthreads false;
-      frontier;
-      level = 0;
-      done_ = false;
-      rev_violations = [];
-      n_violations = 0;
-      retired_cuts = 0;
-      peak_frontier_cuts = 0;
-      peak_frontier_entries = 0;
-      monitor_steps = 1 }
+    make ?max_buffered ~monitor ~layout ~spec ~prefix:zeros ~beyond:zeros ~gc_floor:zeros
+      ~ended:(Array.make nthreads false)
+      (F.singleton ~width:nthreads zeros
+         { vals; side = Smap.empty; msets = Mset.singleton m0 })
   in
   record_level_stats t;
   record_violations t;
@@ -146,38 +333,70 @@ let can_advance t =
       done;
       !ok)
 
+(* Threads whose next delivered event is enabled at [cut] (every other
+   component of its clock inside the cut), ascending, into [tids]. *)
+let enabled t cut tids =
+  let count = ref 0 in
+  for i = 0 to t.nthreads - 1 do
+    let k = cut.(i) + 1 in
+    if k <= t.prefix.(i) then begin
+      let m = (log_block t.logs.(i) k).msgs.((k - 1) land block_mask) in
+      let ok = ref true and j = ref 0 in
+      while !ok && !j < t.nthreads do
+        if !j <> i && Vclock.get m.Message.mvc !j > cut.(!j) then ok := false;
+        incr j
+      done;
+      if !ok then begin
+        tids.(!count) <- i;
+        incr count
+      end
+    end
+  done;
+  !count
+
+(* Every state of [msets] stepped over the atoms in [t.atom_values],
+   added to [into]. *)
+let step_all t stepped msets into =
+  Mset.fold
+    (fun ms acc ->
+      incr stepped;
+      Mset.add (Pastltl.Monitor.step_atoms t.monitor ms t.atom_values) acc)
+    msets into
+
+(* The lattice transition through [tid]'s next event at [cut]: the
+   message applied to the entry's state, every monitor state stepped
+   over the result. *)
+let step t stepped entry cut tid =
+  let k = cut.(tid) + 1 in
+  let blk = log_block t.logs.(tid) k in
+  let j = (k - 1) land block_mask in
+  let m = blk.msgs.(j) and slot = blk.mslots.(j) in
+  let vals =
+    if slot < 0 then entry.vals
+    else begin
+      let vals = Array.copy entry.vals in
+      vals.(slot) <- m.Message.value;
+      vals
+    end
+  in
+  let side =
+    if slot >= 0 && t.layout.listed.(slot) then entry.side
+    else Smap.add m.Message.var m.Message.value entry.side
+  in
+  eval_atoms t vals;
+  { vals; side; msets = step_all t stepped entry.msets Mset.empty }
+
+(* A second path into a successor [q] already holds: the global state
+   there is [q]'s by construction, so only the monitor states move. *)
+let join t stepped q entry _cut _tid =
+  eval_atoms t q.vals;
+  let msets = step_all t stepped entry.msets q.msets in
+  if msets == q.msets then q else { q with msets }
+
 let rec advance_one_level_body t =
   let stepped = ref 0 in
   let next =
-    F.expand
-      ~moves:(fun cut ->
-        let out = ref [] in
-        for i = t.nthreads - 1 downto 0 do
-          let k = cut.(i) + 1 in
-          if k <= t.prefix.(i) then begin
-            let m = Hashtbl.find t.store (i, k) in
-            (* Enabled iff every other component of the event's clock is
-               inside the cut. *)
-            let enabled = ref true and j = ref 0 in
-            while !enabled && !j < t.nthreads do
-              if !j <> i && Vclock.get m.Message.mvc !j > cut.(!j) then enabled := false;
-              incr j
-            done;
-            if !enabled then out := (i, m) :: !out
-          end
-        done;
-        !out)
-      ~transition:(fun entry ~tid:_ m ->
-        let state' = Observer.Computation.apply entry.state m in
-        let msets =
-          Mset.fold
-            (fun ms acc ->
-              incr stepped;
-              Mset.add (Pastltl.Monitor.step t.monitor ms state') acc)
-            entry.msets Mset.empty
-        in
-        { state = state'; msets })
-      t.frontier
+    F.expand ~enabled:(enabled t) ~step:(step t stepped) ~join:(join t stepped) t.frontier
   in
   let stepped = !stepped in
   t.monitor_steps <- t.monitor_steps + stepped;
@@ -203,13 +422,13 @@ let rec advance_one_level_body t =
 and gc_store t =
   (* The frontier's minimum components only grow level over level, so
      [gc_floor] records what previous sweeps already collected and each
-     key is removed exactly once over the whole run. *)
+     message is dropped exactly once over the whole run; all of
+     [gc_floor+1 .. floor] lies in the contiguous prefix. *)
   let floor = F.min_components t.frontier in
   for i = 0 to t.nthreads - 1 do
     if floor.(i) > t.gc_floor.(i) then begin
-      for k = t.gc_floor.(i) + 1 to floor.(i) do
-        Hashtbl.remove t.store (i, k)
-      done;
+      log_drop t.logs.(i) ~old_floor:t.gc_floor.(i) ~floor:floor.(i);
+      t.stored <- t.stored - (floor.(i) - t.gc_floor.(i));
       if M.deep_enabled () then M.add m_gc_removed (floor.(i) - t.gc_floor.(i));
       t.gc_floor.(i) <- floor.(i)
     end
@@ -230,7 +449,8 @@ let total_beyond t = Array.fold_left ( + ) 0 t.beyond
 let feed t (m : Message.t) =
   if m.tid < 0 || m.tid >= t.nthreads then invalid_arg "Online.feed: thread id out of range";
   let seq = Message.seq m in
-  if seq <= t.prefix.(m.tid) || Hashtbl.mem t.store (m.tid, seq) then
+  let log = t.logs.(m.tid) in
+  if seq <= t.prefix.(m.tid) || log_find log seq != no_message then
     invalid_arg "Online.feed: duplicate message";
   if t.ended.(m.tid) then invalid_arg "Online.feed: thread already ended";
   (match t.max_buffered with
@@ -238,11 +458,12 @@ let feed t (m : Message.t) =
       let buffered = total_beyond t in
       if buffered >= limit then raise (Backpressure { buffered; limit })
   | _ -> ());
-  Hashtbl.replace t.store (m.tid, seq) m;
+  ignore (log_add log seq m (var_slot t.layout m.var));
+  t.stored <- t.stored + 1;
   if seq = t.prefix.(m.tid) + 1 then begin
     (* Extend the contiguous prefix as far as buffered messages allow. *)
     let k = ref seq in
-    while Hashtbl.mem t.store (m.tid, !k + 1) do
+    while log_find log (!k + 1) != no_message do
       incr k;
       t.beyond.(m.tid) <- t.beyond.(m.tid) - 1
     done;
@@ -297,19 +518,20 @@ type snapshot = {
   snap_monitor_steps : int;
 }
 
+(* Stored messages past [from.(tid)], ascending [(tid, seq)]. *)
+let stored_after t from =
+  let acc = ref [] in
+  for i = t.nthreads - 1 downto 0 do
+    acc := log_fold_desc t.logs.(i) ~from:from.(i) !acc
+  done;
+  !acc
+
 let snapshot t =
-  let store =
-    Hashtbl.fold (fun _ m acc -> m :: acc) t.store []
-    |> List.sort (fun (a : Message.t) (b : Message.t) ->
-           match compare a.tid b.tid with
-           | 0 -> compare (Message.seq a) (Message.seq b)
-           | c -> c)
-  in
   let frontier =
     F.fold
       (fun acc cut e ->
         ( Array.copy cut,
-          Pastltl.State.to_list e.state,
+          bindings t.layout e,
           List.map Pastltl.Monitor.state_to_string (Mset.elements e.msets) )
         :: acc)
       [] t.frontier
@@ -331,13 +553,25 @@ let snapshot t =
     snap_beyond = Array.copy t.beyond;
     snap_gc_floor = Array.copy t.gc_floor;
     snap_ended = Array.copy t.ended;
-    snap_store = store;
+    snap_store = stored_after t t.gc_floor;
     snap_frontier = frontier;
     snap_violations = violations;
     snap_retired_cuts = t.retired_cuts;
     snap_peak_frontier_cuts = t.peak_frontier_cuts;
     snap_peak_frontier_entries = t.peak_frontier_entries;
     snap_monitor_steps = t.monitor_steps }
+
+(* The variables bound in every frontier state: at least the initial
+   ones, and bound in every later state too, since states only gain
+   bindings. *)
+let always_bound frontier =
+  match frontier with
+  | [] -> []
+  | (_, first, _) :: rest ->
+      List.filter
+        (fun (x, _) -> List.for_all (fun (_, bs, _) -> List.mem_assoc x bs) rest)
+        first
+      |> List.map fst
 
 let restore ?max_buffered ~spec s =
   let n = s.snap_nthreads in
@@ -353,6 +587,7 @@ let restore ?max_buffered ~spec s =
   if Array.length s.snap_ended <> n then invalid_arg "Online.restore: bad ended width";
   if s.snap_frontier = [] then invalid_arg "Online.restore: empty frontier";
   let monitor = Pastltl.Monitor.compile spec in
+  let layout = make_layout ~listed:(always_bound s.snap_frontier) ~spec monitor in
   let mstate bits =
     match Pastltl.Monitor.state_of_string monitor bits with
     | Some m -> m
@@ -361,68 +596,87 @@ let restore ?max_buffered ~spec s =
           "Online.restore: monitor state does not fit the specification \
            (snapshot taken under a different spec?)"
   in
+  let entry bindings msets =
+    let vals = Array.make (Array.length layout.listed) 0 in
+    let side =
+      List.fold_left
+        (fun side (x, v) ->
+          let slot = var_slot layout x in
+          if slot >= 0 then vals.(slot) <- v;
+          if slot >= 0 && layout.listed.(slot) then side else Smap.add x v side)
+        Smap.empty bindings
+    in
+    { vals; side; msets }
+  in
   let entries =
     List.map
       (fun (cut, bindings, msets) ->
         check_width "frontier cut" cut;
         if msets = [] then invalid_arg "Online.restore: cut with no monitor states";
-        ( cut,
-          { state = Pastltl.State.of_list bindings;
-            msets = Mset.of_list (List.map mstate msets) } ))
+        (cut, entry bindings (Mset.of_list (List.map mstate msets))))
       s.snap_frontier
   in
-  let store = Hashtbl.create (max 64 (List.length s.snap_store)) in
+  Array.iteri
+    (fun i floor ->
+      if floor < 0 || floor > s.snap_prefix.(i) then
+        invalid_arg "Online.restore: gc floor outside the delivered prefix")
+    s.snap_gc_floor;
+  let t =
+    make ?max_buffered ~monitor ~layout ~spec ~prefix:s.snap_prefix ~beyond:s.snap_beyond
+      ~gc_floor:s.snap_gc_floor ~ended:s.snap_ended (F.of_list ~width:n entries)
+  in
   List.iter
     (fun (m : Message.t) ->
       if m.tid < 0 || m.tid >= n then invalid_arg "Online.restore: stored tid out of range";
-      Hashtbl.replace store (m.tid, Message.seq m) m)
+      let seq = Message.seq m in
+      if seq <= t.gc_floor.(m.tid) then
+        invalid_arg "Online.restore: stored message at or below the gc floor";
+      if log_add t.logs.(m.tid) seq m (var_slot layout m.var) then t.stored <- t.stored + 1)
     s.snap_store;
-  { nthreads = n;
-    monitor;
-    spec;
-    max_buffered;
-    store;
-    prefix = Array.copy s.snap_prefix;
-    beyond = Array.copy s.snap_beyond;
-    gc_floor = Array.copy s.snap_gc_floor;
-    ended = Array.copy s.snap_ended;
-    frontier = F.of_list ~width:n entries;
-    level = s.snap_level;
-    done_ = s.snap_done;
-    rev_violations =
-      List.rev_map
-        (fun (cut, level, bindings, bits) ->
-          { cut; level; state = Pastltl.State.of_list bindings; monitor_state = mstate bits })
-        s.snap_violations;
-    n_violations = List.length s.snap_violations;
-    retired_cuts = s.snap_retired_cuts;
-    peak_frontier_cuts = s.snap_peak_frontier_cuts;
-    peak_frontier_entries = s.snap_peak_frontier_entries;
-    monitor_steps = s.snap_monitor_steps }
+  Array.iteri
+    (fun i l ->
+      for k = t.gc_floor.(i) + 1 to t.prefix.(i) do
+        if log_find l k == no_message then
+          invalid_arg "Online.restore: the delivered prefix has a stored gap"
+      done)
+    t.logs;
+  t.level <- s.snap_level;
+  t.done_ <- s.snap_done;
+  t.rev_violations <-
+    List.rev_map
+      (fun (cut, level, bindings, bits) ->
+        { cut; level; state = Pastltl.State.of_list bindings; monitor_state = mstate bits })
+      s.snap_violations;
+  t.n_violations <- List.length s.snap_violations;
+  t.retired_cuts <- s.snap_retired_cuts;
+  t.peak_frontier_cuts <- s.snap_peak_frontier_cuts;
+  t.peak_frontier_entries <- s.snap_peak_frontier_entries;
+  t.monitor_steps <- s.snap_monitor_steps;
+  t
 
 let violated t = t.rev_violations <> []
 let violations t = List.rev t.rev_violations
 let level t = t.level
 let frontier_cuts t = F.size t.frontier
 
-(* ~16 words per stored message: hashtable slot, the message record and
-   its clock.  The frontier term is the dominant one under a wide
-   workload, and [F.mem_words] is O(1) arithmetic, so this is cheap
-   enough to evaluate after every feed. *)
+(* Words per stored message: the message record (5 fields + header) and
+   its clock (nthreads + header).  Per allocated log block: two
+   256-slot arrays with their headers and the block record; per spine
+   entry one word.  The frontier term is the dominant one under a wide
+   workload.  All of it is O(threads) arithmetic over maintained
+   counters, cheap enough to evaluate after every feed. *)
+let block_words = (2 * (block_size + 1)) + 3
+
 let mem_words t =
-  F.mem_words t.frontier + (16 * Hashtbl.length t.store) + (5 * t.nthreads)
-
-let handoff t =
-  let pending =
-    Hashtbl.fold
-      (fun (tid, seq) m acc -> if seq > t.prefix.(tid) then m :: acc else acc)
-      t.store []
-    |> List.sort (fun (a : Message.t) (b : Message.t) ->
-           compare (a.tid, Message.seq a) (b.tid, Message.seq b))
+  let store =
+    Array.fold_left
+      (fun acc l -> acc + (block_words * l.live) + Array.length l.spine + 6)
+      0 t.logs
   in
-  (Array.copy t.prefix, Array.copy t.ended, pending)
+  F.mem_words t.frontier + ((t.nthreads + 7) * t.stored) + store + (5 * t.nthreads)
 
-let buffered t = Hashtbl.length t.store
+let handoff t = (Array.copy t.prefix, Array.copy t.ended, stored_after t t.prefix)
+let buffered t = t.stored
 let out_of_order t = total_beyond t
 
 let missing t =

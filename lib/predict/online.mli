@@ -88,8 +88,9 @@ val frontier_cuts : t -> int
 
 val mem_words : t -> int
 (** Approximate resident size of the analyzer's live state in words —
-    the frontier arena plus the undelivered message store (the
-    violation report is bounded by {!max_violations}).  O(1)
+    the frontier arena plus the message store: the stored messages with
+    their clocks and the per-thread log blocks holding them (the
+    violation report is bounded by {!max_violations}).  O(threads)
     arithmetic over maintained counters, cheap enough to check after
     every feed; the resource-budget layer compares it against
     [--memory-budget]. *)

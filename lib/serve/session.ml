@@ -37,6 +37,20 @@ type outcome =
   | Hello of { id : string; fp : string; rest : string }
   | Finished
 
+(* What [stats] and [health] print of a finished session, frozen when
+   it releases its reader and engines. *)
+type final = {
+  f_level : int;
+  f_buffered : int;
+  f_cuts : int;
+  f_causal : int;
+  f_degraded : Predict.Engines.degraded option;
+  f_lag : int;
+}
+
+let no_final =
+  { f_level = 0; f_buffered = 0; f_cuts = 0; f_causal = 0; f_degraded = None; f_lag = 0 }
+
 type t = {
   cfg : config;
   mutable s_id : string;
@@ -45,6 +59,7 @@ type t = {
   hello : Buffer.t;
   mutable reader : Wire.Reader.t option;
   mutable bundle : Predict.Engines.t option;
+  mutable final : final;  (** read while [bundle] is [None] *)
   mutable discard : int;  (** replayed-prefix bytes still to drop *)
   mutable offset : int;  (** absolute stream offset fed to the reader *)
   mutable s_events : int;
@@ -81,6 +96,7 @@ let create cfg fd =
     hello = Buffer.create 64;
     reader = None;
     bundle = None;
+    final = no_final;
     discard = 0;
     offset = 0;
     s_events = 0;
@@ -112,28 +128,50 @@ let fail_reason t = t.s_reason
    atomicity-only session it is the message count — either way a
    monotone progress measure ({!Predict.Engines.ticks}). *)
 let level t =
-  match t.bundle with Some b -> Predict.Engines.ticks b | None -> 0
+  match t.bundle with Some b -> Predict.Engines.ticks b | None -> t.final.f_level
 
 let buffered t =
-  match t.bundle with Some b -> Predict.Engines.out_of_order b | None -> 0
+  match t.bundle with
+  | Some b -> Predict.Engines.out_of_order b
+  | None -> t.final.f_buffered
 
 (* Budget accounting, all O(1) reads of maintained counters. *)
 
 let frontier_cuts t =
-  match t.bundle with Some b -> Predict.Engines.frontier_cuts b | None -> 0
+  match t.bundle with
+  | Some b -> Predict.Engines.frontier_cuts b
+  | None -> t.final.f_cuts
 
 let causal_buffered t =
-  match t.bundle with Some b -> Predict.Engines.causal_buffered b | None -> 0
+  match t.bundle with
+  | Some b -> Predict.Engines.causal_buffered b
+  | None -> t.final.f_causal
 
 let mem_words t =
   match t.bundle with Some b -> Predict.Engines.mem_words b | None -> 0
 
 let degraded t =
-  match t.bundle with Some b -> Predict.Engines.degraded b | None -> None
+  match t.bundle with Some b -> Predict.Engines.degraded b | None -> t.final.f_degraded
 
 (* Bytes received but not yet turned into events: the session's lag. *)
 let lag t =
-  match t.reader with Some r -> Wire.Reader.pending_bytes r | None -> 0
+  match t.reader with Some r -> Wire.Reader.pending_bytes r | None -> t.final.f_lag
+
+(* A finished session keeps only what [stats] and [health] print:
+   nothing reads its reader or engines again (drain and the idle sweep
+   skip [Done] and [Failed], and only a [Disconnected] session resumes
+   from memory), so they go now rather than at the idle sweep, and the
+   memory budget counts live sessions only. *)
+let release t =
+  t.final <-
+    { f_level = level t;
+      f_buffered = buffered t;
+      f_cuts = frontier_cuts t;
+      f_causal = causal_buffered t;
+      f_degraded = degraded t;
+      f_lag = lag t };
+  t.reader <- None;
+  t.bundle <- None
 
 let close t =
   match t.s_fd with
@@ -181,6 +219,7 @@ let finish_failed t code reason =
   t.s_state <- Failed;
   t.s_code <- code;
   t.s_reason <- reason;
+  release t;
   ignore (write_line t (Printf.sprintf "error %s\n" reason));
   close t;
   if M.enabled () then M.incr m_session_failures;
@@ -208,6 +247,7 @@ let finish_done t b =
         [ Jmpax.Pipeline.verdict_line (Predict.Online.violated o) ]
     | None, None -> []
   in
+  release t;
   ignore (write_line t (String.concat "" (List.map (fun l -> l ^ "\n") lines)));
   close t;
   if M.enabled () then begin
@@ -273,6 +313,7 @@ let mark_drain_failed t reason =
   t.s_state <- Failed;
   t.s_code <- 6;
   t.s_reason <- reason;
+  release t;
   if M.enabled () then M.incr m_session_failures
 
 (* {1 The streaming pump} *)

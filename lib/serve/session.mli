@@ -119,7 +119,11 @@ val causal_buffered : t -> int
 
 val mem_words : t -> int
 (** O(1) estimate of the session's resident analysis state in words —
-    the per-session term of the daemon's [--memory-budget]. *)
+    the per-session term of the daemon's [--memory-budget].  [0] once
+    the session is [Done] or [Failed]: a finished session releases its
+    reader and engines and keeps only the figures {!level},
+    {!buffered}, {!frontier_cuts}, {!causal_buffered}, {!degraded} and
+    {!lag} report, frozen at the transition. *)
 
 val degraded : t -> Predict.Engines.degraded option
 (** [Some _] once the session shed its lattice engine under

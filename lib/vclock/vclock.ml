@@ -58,7 +58,55 @@ let pp ppf v =
        Format.pp_print_int)
     (to_list v)
 
-let to_string v = Format.asprintf "%a" pp v
+(* Decimal width of a component; a negative one (only reachable through
+   the mutable interface) falls back to [string_of_int]. *)
+let rec nat_digits k = if k < 10 then 1 else 1 + nat_digits (k / 10)
+let digits k = if k >= 0 then nat_digits k else String.length (string_of_int k)
+
+(* Write [k] so that its last digit lands at [last]. *)
+let rec blit_nat b last k =
+  Bytes.unsafe_set b last (Char.unsafe_chr (48 + (k mod 10)));
+  if k >= 10 then blit_nat b (last - 1) (k / 10)
+
+(* [pp]'s text, built into one string of precomputed length: clocks are
+   rendered once per stored message on every checkpoint, where a
+   formatter and a buffer per call cost more than the message itself. *)
+let to_string v =
+  let n = Array.length v in
+  let len = ref (n + 1 + if n = 0 then 1 else 0) in
+  for j = 0 to n - 1 do
+    len := !len + digits v.(j)
+  done;
+  let b = Bytes.create !len in
+  Bytes.unsafe_set b 0 '(';
+  let pos = ref 1 in
+  for j = 0 to n - 1 do
+    if j > 0 then begin
+      Bytes.unsafe_set b !pos ',';
+      incr pos
+    end;
+    let k = v.(j) in
+    let d = digits k in
+    if k >= 0 then blit_nat b (!pos + d - 1) k
+    else Bytes.blit_string (string_of_int k) 0 b !pos d;
+    pos := !pos + d
+  done;
+  Bytes.unsafe_set b !pos ')';
+  Bytes.unsafe_to_string b
+
+let rec add_nat buf k =
+  if k >= 10 then add_nat buf (k / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (k mod 10)))
+
+let add_int buf k = if k >= 0 then add_nat buf k else Buffer.add_string buf (string_of_int k)
+
+let add_to_buffer buf v =
+  Buffer.add_char buf '(';
+  for j = 0 to Array.length v - 1 do
+    if j > 0 then Buffer.add_char buf ',';
+    add_int buf v.(j)
+  done;
+  Buffer.add_char buf ')'
 
 let of_string s =
   let n = String.length s in

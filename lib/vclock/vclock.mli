@@ -64,6 +64,15 @@ val pp : Format.formatter -> t -> unit
 (** Prints as [(v0,v1,...)]. *)
 
 val to_string : t -> string
+(** The text {!pp} prints, built without a formatter. *)
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append {!to_string}'s text, allocating nothing beyond the buffer's
+    own growth. *)
+
+val add_int : Buffer.t -> int -> unit
+(** Append [string_of_int k] without building the string (for
+    nonnegative [k]). *)
 
 val of_string : string -> t
 (** Inverse of {!to_string}.

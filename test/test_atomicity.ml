@@ -713,17 +713,6 @@ let qcheck_restore_model =
 
 (* {1 Golden results of the frontier core} *)
 
-let lock_counter_source ~threads ~iters ~nops =
-  let cells = List.init threads (Printf.sprintf "x%d = 0") in
-  Printf.sprintf "shared c = 0, %s;\n%s" (String.concat ", " cells)
-    (String.concat "\n"
-       (List.init threads (fun t ->
-            Printf.sprintf
-              "thread t%d { local i = 0; local r = 0; while (i < %d) { sync (m%d) { c = c \
-               + 1; } x%d = i + 1; r = x%d; %s i = i + 1; } }"
-              t iters (t mod 4) t ((t + 1) mod threads)
-              (String.concat " " (List.init nops (fun _ -> "nop;"))))))
-
 (* A 16-thread lock-counter run (8 iterations, schedule seed 5)
    delivered through a 64-message reorder window (seed 11), cut after
    half of its 768 messages.  [data/atomicity_16t_mid.snap] holds the
@@ -747,7 +736,7 @@ let read_lines path =
   |> List.filter (fun l -> l <> "")
 
 let test_golden_checkpoint () =
-  let program = Tml.Parser.parse_program (lock_counter_source ~threads:16 ~iters:8 ~nops:0) in
+  let program = Tml.Parser.parse_program (Lock_counter.source ~threads:16 ~iters:8 ~nops:0) in
   let exec =
     Option.get (Tml.Vm.run_program ~sched:(Tml.Sched.random ~seed:5) program).Tml.Vm.exec
   in
@@ -807,7 +796,7 @@ let golden_wide =
 let golden_lattice = "levels=129 cuts_visited=129 monitor_steps=129 violations=0"
 
 let test_golden_wide () =
-  let program = Tml.Parser.parse_program (lock_counter_source ~threads:64 ~iters:2 ~nops:20) in
+  let program = Tml.Parser.parse_program (Lock_counter.source ~threads:64 ~iters:2 ~nops:20) in
   let spec = Pastltl.Fparser.parse "(c > 0) ==> once (c == 1)" in
   List.iter
     (fun (seed, race_md5, atom_md5) ->

@@ -393,6 +393,99 @@ let test_kill_resume_differential () =
        (fun ex -> List.map (fun enc -> (ex, enc)) wire_encodings)
        paper_examples)
 
+(* {1 Golden lattice checkpoints}
+
+   A 4-thread lock-counter run (100 iterations, schedule seed 3) under a
+   spec that some consistent cuts falsify, reordered in transit (window
+   24, seed 5), written as wire v3 and cut after 3/5 of its bytes.  The
+   last checkpoint the cut-off run wrote was computed by an earlier
+   build and committed as [data/lattice_4t_mid.ckpt]: its [bmsg],
+   [front] and [viol] lines pin the [jmpax-ckpt 1] encoding of the
+   lattice's message store, global states and monitor states. *)
+
+let golden_lattice_spec = Pastltl.Fparser.parse "c <= x0 + x1 + x2 + x3 + 1"
+
+let golden_lattice_doc =
+  lazy
+    (let program =
+       Tml.Parser.parse_program (Lock_counter.source ~threads:4 ~iters:100 ~nops:0)
+     in
+     let config =
+       Jmpax.Config.default () |> Jmpax.Config.with_sched (Tml.Sched.random ~seed:3)
+     in
+     let out = Jmpax.Pipeline.check ~config ~spec:golden_lattice_spec program in
+     let relevant = out.Jmpax.Pipeline.relevant_vars in
+     let header =
+       { W.nthreads = 4;
+         init =
+           List.filter (fun (x, _) -> List.mem x relevant) program.Tml.Ast.shared }
+     in
+     let messages =
+       Observer.Channel.bounded_reorder ~seed:5 ~window:24
+         out.Jmpax.Pipeline.run.Tml.Vm.messages
+     in
+     (W.Framed3.encode header messages, Jmpax.Pipeline.predicted_violation out))
+
+let golden_lattice_md5 = "429712a4982d6dc97a03471e0278710c"
+
+let data_file name =
+  (* Beside the executable under [dune runtest], under [test/] from the
+     repository root under [dune exec]. *)
+  List.map
+    (fun dir -> Filename.concat dir (Filename.concat "data" name))
+    [ Filename.dirname Sys.executable_name; "test" ]
+  |> List.find Sys.file_exists
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let count_prefixed prefix text =
+  String.split_on_char '\n' text
+  |> List.filter (fun l -> String.starts_with ~prefix l)
+  |> List.length
+
+let test_golden_lattice_checkpoint () =
+  let doc, violated = Lazy.force golden_lattice_doc in
+  let cut = 3 * String.length doc / 5 in
+  in_temp_file (fun path ->
+      ignore
+        (Jmpax.Stream.run_string ~chunk_size:4096 ~checkpoint:(path, 1)
+           ~spec:golden_lattice_spec (String.sub doc 0 cut));
+      let ours = read_file path in
+      let committed = read_file (data_file "lattice_4t_mid.ckpt") in
+      Alcotest.(check string) "committed file digest" golden_lattice_md5
+        (Digest.to_hex (Digest.string committed));
+      Alcotest.(check bool) "hundreds of stored messages" true
+        (count_prefixed "bmsg " committed >= 200);
+      Alcotest.(check bool) "violations recorded" true
+        (count_prefixed "viol " committed > 0);
+      Alcotest.(check string) "byte-identical to the committed checkpoint"
+        committed ours;
+      let ck =
+        match C.read path with
+        | Ok ck -> ck
+        | Error e -> Alcotest.failf "read: %s" (C.error_to_string e)
+      in
+      Alcotest.(check string) "decode/encode round trip" committed (C.encode ck);
+      let expected =
+        match Jmpax.Stream.run_string ~chunk_size:4096 ~spec:golden_lattice_spec doc with
+        | Ok o -> o
+        | Error e -> Alcotest.failf "uninterrupted: %s" (E.to_string e)
+      in
+      Alcotest.(check bool) "stream verdict = check verdict" violated
+        expected.Jmpax.Stream.s_violated;
+      match
+        Jmpax.Stream.run_string ~chunk_size:4096 ~resume:ck
+          ~spec:golden_lattice_spec doc
+      with
+      | Error e -> Alcotest.failf "resume: %s" (E.to_string e)
+      | Ok o ->
+          Alcotest.(check string) "resumed summary = uninterrupted"
+            (summary_of expected) (summary_of o);
+          if
+            violation_keys expected.Jmpax.Stream.s_violations
+            <> violation_keys o.Jmpax.Stream.s_violations
+          then Alcotest.fail "resumed violations differ")
+
 (* {1 Transports} *)
 
 let string_raw doc =
@@ -557,6 +650,9 @@ let () =
       ( "differential",
         [ Alcotest.test_case "kill and resume" `Quick
             test_kill_resume_differential ] );
+      ( "golden",
+        [ Alcotest.test_case "mid-stream lattice checkpoint" `Quick
+            test_golden_lattice_checkpoint ] );
       ( "transport",
         [ Alcotest.test_case "EINTR retry" `Quick test_transport_eintr;
           Alcotest.test_case "fault-injection smoke" `Quick

@@ -103,10 +103,23 @@ end)
 
 (* A synthetic grid walk: from cut c, each component below [limit] can
    step; the move is tagged with the flattened source cut. *)
-let grid_moves ~width ~limit cut =
-  let tag = Array.fold_left (fun acc v -> (acc * (limit + 1)) + v) 0 cut in
-  List.init width (fun tid -> (tid, tag))
-  |> List.filter (fun (tid, _) -> cut.(tid) < limit)
+let grid_enabled ~limit cut tids =
+  let k = ref 0 in
+  Array.iteri
+    (fun tid v ->
+      if v < limit then begin
+        tids.(!k) <- tid;
+        incr k
+      end)
+    cut;
+  !k
+
+let grid_tag ~limit cut = Array.fold_left (fun acc v -> (acc * (limit + 1)) + v) 0 cut
+
+let grid_expand ~limit =
+  E.expand ~enabled:(grid_enabled ~limit)
+    ~step:(fun _ cut _ -> [ grid_tag ~limit cut ])
+    ~join:(fun q _ cut _ -> List.merge compare q [ grid_tag ~limit cut ])
 
 let run_grid ~width ~limit =
   let frontier = ref (E.singleton ~width (Array.make width 0) [ 0 ]) in
@@ -118,10 +131,7 @@ let run_grid ~width ~limit =
     in
     trace := List.rev level :: !trace;
     let next =
-      E.expand
-        ~moves:(fun cut -> grid_moves ~width ~limit cut)
-        ~transition:(fun _payload ~tid:_ tag -> [ tag ])
-        !frontier
+      grid_expand ~limit !frontier
     in
     if E.size next = 0 then running := false else frontier := next
   done;
@@ -161,10 +171,7 @@ let test_engine_grid_levels () =
 let test_engine_canonical_order_and_min () =
   let f = E.singleton ~width:2 [| 0; 0 |] [ 0 ] in
   let f =
-    E.expand
-      ~moves:(fun c -> grid_moves ~width:2 ~limit:3 c)
-      ~transition:(fun _ ~tid:_ tag -> [ tag ])
-      f
+    grid_expand ~limit:3 f
   in
   (* level 1 of the 2-d grid: (0,1) then (1,0) in lexicographic order *)
   let cuts = E.fold (fun acc cut _ -> Array.to_list cut :: acc) [] f |> List.rev in

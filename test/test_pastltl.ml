@@ -222,6 +222,116 @@ let prop_monitor_state_determinism =
       | None, None -> tr = []
       | _ -> false)
 
+(* {1 Compiled monitor vs the assoc-list evaluator}
+
+   [Reference] is the monitor as it was before [Monitor.compile]
+   resolved children to slot indices: it finds every child's slot with
+   [List.assoc_opt] under structural formula equality, on every step.
+   Snapshots serialize the whole state vector, so the property compares
+   every bit after every step, not just the verdict. *)
+
+module Reference = struct
+  type compiled = { subs : Formula.t array; index : (Formula.t * int) list }
+
+  let compile formula =
+    let subs = Array.of_list (Formula.subformulas formula) in
+    { subs; index = Array.to_list (Array.mapi (fun i f -> (f, i)) subs) }
+
+  let idx c f =
+    match List.assoc_opt f c.index with Some i -> i | None -> assert false
+
+  let compute_with c ~prev ~atom =
+    let now = Array.make (Array.length c.subs) false in
+    let value f = now.(idx c f) in
+    let prev_of f = match prev with Some p -> p.(idx c f) | None -> value f in
+    Array.iteri
+      (fun i f ->
+        now.(i) <-
+          (match f with
+          | Formula.True -> true
+          | Formula.False -> false
+          | Formula.Atom p -> atom p
+          | Formula.Not g -> not (value g)
+          | Formula.And (g, h) -> value g && value h
+          | Formula.Or (g, h) -> value g || value h
+          | Formula.Implies (g, h) -> (not (value g)) || value h
+          | Formula.Prev g -> prev_of g
+          | Formula.Once g -> value g || (prev <> None && prev_of f)
+          | Formula.Historically g -> value g && (prev = None || prev_of f)
+          | Formula.Since (g, h) -> value h || (prev <> None && value g && prev_of f)
+          | Formula.Interval (g, h) ->
+              (not (value h)) && (value g || (prev <> None && prev_of f))
+          | Formula.Start g -> (
+              match prev with None -> false | Some _ -> value g && not (prev_of g))
+          | Formula.End g -> (
+              match prev with None -> false | Some _ -> (not (value g)) && prev_of g)))
+      c.subs;
+    now
+
+  let bits s = String.init (Array.length s) (fun i -> if s.(i) then '1' else '0')
+end
+
+let prop_compiled_monitor_equals_reference =
+  QCheck.Test.make ~name:"compiled monitor = assoc-list reference, every bit"
+    ~count:1000 arb_formula_trace (fun (f, tr) ->
+      let compiled = Monitor.compile f and reference = Reference.compile f in
+      (* The same atoms over an [int array] state, as the online observer
+         evaluates them: [x] in slot 0, [y] in slot 1. *)
+      let slot = function "x" -> 0 | "y" -> 1 | _ -> assert false in
+      let atoms = Array.map (Predicate.compile ~slot) (Monitor.atoms compiled) in
+      let rec drive ours slots theirs = function
+        | [] -> true
+        | s :: rest ->
+            let atom p = Predicate.holds p s in
+            let vals = [| State.get s "x"; State.get s "y" |] in
+            let values = Array.map (fun a -> a vals) atoms in
+            let ours, slots, theirs =
+              match (ours, slots, theirs) with
+              | Some m, Some n, Some r ->
+                  ( Monitor.step compiled m s,
+                    Monitor.step_atoms compiled n values,
+                    Reference.compute_with reference ~prev:(Some r) ~atom )
+              | _ ->
+                  ( Monitor.init compiled s,
+                    Monitor.init_atoms compiled values,
+                    Reference.compute_with reference ~prev:None ~atom )
+            in
+            let expected = Reference.bits theirs in
+            Monitor.state_to_string ours = expected
+            && Monitor.state_to_string slots = expected
+            && drive (Some ours) (Some slots) (Some theirs) rest
+      in
+      drive None None None tr)
+
+(* [compare_state] orders states exactly as [Stdlib.compare] orders their
+   bool arrays: monitor-state sets, and the snapshot lines listing their
+   elements, depend on it. *)
+let prop_compare_state_is_stdlib =
+  QCheck.Test.make ~name:"compare_state = Stdlib.compare on bool arrays" ~count:300
+    QCheck.(pair arb_formula_trace arb_formula_trace)
+    (fun ((f, tr), (_, tr')) ->
+      let compiled = Monitor.compile f in
+      let states tr =
+        List.fold_left
+          (fun acc s ->
+            match acc with
+            | [] -> [ Monitor.init compiled s ]
+            | m :: _ -> Monitor.step compiled m s :: acc)
+          [] tr
+      in
+      let bools m =
+        let b = Monitor.state_to_string m in
+        Array.init (String.length b) (fun i -> b.[i] = '1')
+      in
+      let sign x = compare x 0 in
+      List.for_all
+        (fun a ->
+          List.for_all
+            (fun b ->
+              sign (Monitor.compare_state a b) = sign (Stdlib.compare (bools a) (bools b)))
+            (states tr'))
+        (states tr))
+
 (* {1 Formula parser} *)
 
 let formula =
@@ -381,7 +491,8 @@ let prop_fsm_minimize_minimal =
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [ prop_monitor_equals_semantics; prop_monitor_state_determinism; prop_fparser_roundtrip;
-      prop_fsm_equals_monitor; prop_fsm_minimize_preserves; prop_fsm_minimize_minimal ]
+      prop_fsm_equals_monitor; prop_fsm_minimize_preserves; prop_fsm_minimize_minimal;
+      prop_compiled_monitor_equals_reference; prop_compare_state_is_stdlib ]
 
 let () =
   Alcotest.run "pastltl"

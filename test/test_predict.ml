@@ -741,6 +741,236 @@ let test_counterexample_run_count_fields () =
   Alcotest.(check bool) "not saturated" false
     report.Predict.Counterexample.run_count_saturated
 
+(* {1 The message store against a reference model}
+
+   Random vector-clocked streams (2-4 threads, up to 400 messages per
+   thread, so a thread's log can span two 256-slot blocks), delivered
+   through [bounded_reorder] at several windows, with [end_of_thread]
+   once a thread's last message is in.  The model is a [Hashtbl] of the
+   received messages plus per-thread prefixes; the only thing it takes
+   from the observer is the gc floor (a property of the frontier, not of
+   the store).  After every feed [buffered], [out_of_order], [missing],
+   [handoff] and the snapshot's store and counters must match it.
+
+   Midway the observer is snapshotted and restored twice: as is, and
+   shifted [1 lsl 40] messages up every thread (cuts, prefixes, gc
+   floors, clocks; the level by the same amount, which leaves
+   [can_advance] unchanged).  Both continue the stream in lockstep with
+   the model, and the shifted one holds no more memory than the other. *)
+
+module Store_model = struct
+  type t = {
+    received : (int * int, Trace.Message.t) Hashtbl.t;
+    prefix : int array;
+    beyond : int array;
+    hi : int array;  (* highest seq received *)
+    ended : bool array;
+  }
+
+  let create n =
+    { received = Hashtbl.create 64;
+      prefix = Array.make n 0;
+      beyond = Array.make n 0;
+      hi = Array.make n 0;
+      ended = Array.make n false }
+
+  let feed t (m : Trace.Message.t) =
+    let k = Trace.Message.seq m in
+    Hashtbl.replace t.received (m.tid, k) m;
+    t.hi.(m.tid) <- max t.hi.(m.tid) k;
+    t.beyond.(m.tid) <- t.beyond.(m.tid) + 1;
+    while Hashtbl.mem t.received (m.tid, t.prefix.(m.tid) + 1) do
+      t.prefix.(m.tid) <- t.prefix.(m.tid) + 1;
+      t.beyond.(m.tid) <- t.beyond.(m.tid) - 1
+    done
+
+  (* Received messages with seq above [from.(tid)], ascending (tid, seq). *)
+  let above t from =
+    let acc = ref [] in
+    for i = Array.length from - 1 downto 0 do
+      for k = t.hi.(i) downto from.(i) + 1 do
+        match Hashtbl.find_opt t.received (i, k) with
+        | Some m -> acc := m :: !acc
+        | None -> ()
+      done
+    done;
+    !acc
+
+  let missing t =
+    let rec go i =
+      if i >= Array.length t.beyond then None
+      else if t.beyond.(i) > 0 then Some (i, t.prefix.(i) + 1)
+      else go (i + 1)
+    in
+    go 0
+end
+
+(* A random causally consistent stream: at each step some thread emits
+   a write, having first (three times in four) learned another
+   thread's current clock, which keeps the lattice narrow. *)
+let clocked_stream ~n ~per_thread ~seed =
+  let rng = Random.State.make [| seed |] in
+  let clocks = Array.init n (fun _ -> Array.make n 0) in
+  let left = Array.make n per_thread in
+  let out = ref [] and eid = ref 0 in
+  while Array.exists (fun k -> k > 0) left do
+    let i = Random.State.int rng n in
+    if left.(i) > 0 then begin
+      if Random.State.int rng 4 > 0 then begin
+        let j = Random.State.int rng n in
+        Array.iteri (fun k v -> clocks.(i).(k) <- max clocks.(i).(k) v) clocks.(j)
+      end;
+      clocks.(i).(i) <- clocks.(i).(i) + 1;
+      left.(i) <- left.(i) - 1;
+      let var = [| "a"; "b"; "c" |].(Random.State.int rng 3) in
+      out :=
+        Trace.Message.make ~eid:!eid ~tid:i ~var ~value:(Random.State.int rng 4)
+          ~mvc:(Vclock.of_array clocks.(i))
+        :: !out;
+      incr eid
+    end
+  done;
+  List.rev !out
+
+let gen_clocked_stream =
+  QCheck.Gen.(
+    int_range 2 4 >>= fun n ->
+    int_range 1 400 >>= fun per_thread ->
+    int_bound 100_000 >>= fun seed ->
+    oneofl [ 1; 4; 16; 64; 300 ] >>= fun window ->
+    int_bound 1000 >>= fun reorder_seed ->
+    oneofl random_specs_pool >>= fun spec ->
+    float_range 0.1 0.9 >>= fun cut ->
+    return
+      ( n,
+        Observer.Channel.bounded_reorder ~seed:reorder_seed ~window
+          (clocked_stream ~n ~per_thread ~seed),
+        spec,
+        cut ))
+
+let shift = 1 lsl 40
+
+let shift_message (m : Trace.Message.t) =
+  { m with mvc = Vclock.of_array (Array.map (fun k -> k + shift) (Vclock.to_array m.mvc)) }
+
+let shift_snapshot (s : Predict.Online.snapshot) =
+  let up = Array.map (fun k -> k + shift) in
+  { s with
+    Predict.Online.snap_level = s.Predict.Online.snap_level + shift;
+    snap_prefix = up s.snap_prefix;
+    snap_gc_floor = up s.snap_gc_floor;
+    snap_store = List.map shift_message s.snap_store;
+    snap_frontier = List.map (fun (cut, b, m) -> (up cut, b, m)) s.snap_frontier;
+    snap_violations =
+      List.map (fun (cut, l, b, m) -> (up cut, l + shift, b, m)) s.snap_violations }
+
+let unshift_messages = List.map (fun (m : Trace.Message.t) ->
+  { m with mvc = Vclock.of_array (Array.map (fun k -> k - shift) (Vclock.to_array m.mvc)) })
+
+let down = Array.map (fun k -> k - shift)
+
+let prop_store_matches_model =
+  QCheck.Test.make ~name:"message store = Hashtbl model, with a shifted restore" ~count:20
+    (QCheck.make
+       ~print:(fun (n, ms, spec, cut) ->
+         Printf.sprintf "%d threads, %d messages, %s, cut %.2f" n (List.length ms)
+           (Pastltl.Formula.to_string spec) cut)
+       gen_clocked_stream)
+    (fun (n, messages, spec, cut) ->
+      let module O = Predict.Online in
+      let init = [ ("a", 0); ("b", 0); ("c", 0) ] in
+      let model = Store_model.create n in
+      let total = Array.make n 0 in
+      List.iter (fun (m : Trace.Message.t) -> total.(m.tid) <- total.(m.tid) + 1) messages;
+      let fed = Array.make n 0 in
+      let fail fmt = Printf.ksprintf (fun s -> QCheck.Test.fail_report s) fmt in
+      (* [o] against the model; [shifted] against [o], shifted back. *)
+      let check step o shifted =
+        let snap = O.snapshot o in
+        let gc_floor = snap.O.snap_gc_floor in
+        let stored = Store_model.above model gc_floor in
+        if O.buffered o <> List.length stored then fail "step %d: buffered" step;
+        if snap.O.snap_store <> stored then fail "step %d: snapshot store" step;
+        if snap.O.snap_prefix <> model.prefix then fail "step %d: prefix" step;
+        if snap.O.snap_beyond <> model.beyond then fail "step %d: beyond" step;
+        if O.out_of_order o <> Array.fold_left ( + ) 0 model.beyond then
+          fail "step %d: out_of_order" step;
+        if O.missing o <> Store_model.missing model then fail "step %d: missing" step;
+        let prefix, ended, pending = O.handoff o in
+        if prefix <> model.prefix || ended <> model.ended
+           || pending <> Store_model.above model model.prefix
+        then fail "step %d: handoff" step;
+        match shifted with
+        | None -> ()
+        | Some sh ->
+            let ssnap = O.snapshot sh in
+            if O.buffered sh <> O.buffered o || O.out_of_order sh <> O.out_of_order o
+            then fail "step %d: shifted counters" step;
+            if down ssnap.O.snap_gc_floor <> gc_floor
+               || down ssnap.O.snap_prefix <> model.prefix
+               || unshift_messages ssnap.O.snap_store <> stored
+            then fail "step %d: shifted snapshot" step;
+            if O.mem_words sh <> O.mem_words o then fail "step %d: shifted mem_words" step
+      in
+      let feed o shifted (m : Trace.Message.t) =
+        O.feed o m;
+        Option.iter (fun sh -> O.feed sh (shift_message m)) shifted;
+        fed.(m.tid) <- fed.(m.tid) + 1;
+        Store_model.feed model m;
+        if fed.(m.tid) = total.(m.tid) && m.tid mod 2 = 0 then begin
+          O.end_of_thread o m.tid;
+          Option.iter (fun sh -> O.end_of_thread sh m.tid) shifted;
+          model.ended.(m.tid) <- true
+        end
+      in
+      let cut_at = int_of_float (cut *. float_of_int (List.length messages)) in
+      let o = ref (O.create ~nthreads:n ~init ~spec ()) and shifted = ref None in
+      List.iteri
+        (fun step m ->
+          if step = cut_at then begin
+            let snap = O.snapshot !o in
+            o := O.restore ~spec snap;
+            let sh = O.restore ~spec (shift_snapshot snap) in
+            if Obj.reachable_words (Obj.repr sh) > Obj.reachable_words (Obj.repr !o) then
+              fail "shifted restore holds more memory";
+            shifted := Some sh
+          end;
+          feed !o !shifted m;
+          check step !o !shifted)
+        messages;
+      O.finish !o;
+      Option.iter O.finish !shifted;
+      (match !shifted with
+      | Some sh when O.violated sh <> O.violated !o -> fail "shifted verdict"
+      | _ -> ());
+      O.buffered !o = List.length (Store_model.above model (O.snapshot !o).O.snap_gc_floor))
+
+(* [mem_words] is the estimate the memory budget compares after every
+   feed; it must stay within 25% of what the observer really holds while
+   thousands of messages are stored.  The spec is never violated: the
+   violation report (at most 1000 entries) is not part of the estimate. *)
+let test_mem_words_tracks_reachable () =
+  let messages =
+    Observer.Channel.bounded_reorder ~seed:3 ~window:16
+      (clocked_stream ~n:4 ~per_thread:2000 ~seed:1)
+  in
+  let o =
+    Predict.Online.create ~nthreads:4 ~init:[ ("a", 0); ("b", 0); ("c", 0) ]
+      ~spec:(Pastltl.Fparser.parse "always a <= 3") ()
+  in
+  List.iteri
+    (fun i m ->
+      Predict.Online.feed o m;
+      if i mod 1000 = 999 then begin
+        let est = Predict.Online.mem_words o
+        and real = Obj.reachable_words (Obj.repr o) in
+        if 5 * est < 4 * real || 4 * est > 5 * real then
+          Alcotest.failf "%d stored: mem_words %d, reachable words %d"
+            (Predict.Online.buffered o) est real
+      end)
+    messages;
+  Alcotest.(check bool) "thousands stored" true (Predict.Online.buffered o > 5000)
+
 let () =
   Alcotest.run "predict"
     [ ( "analyzer",
@@ -798,7 +1028,10 @@ let () =
           Alcotest.test_case "missing message" `Quick test_online_missing_message_detected;
           Alcotest.test_case "delivery order: randomized" `Quick
             test_online_order_independent_random;
-          Alcotest.test_case "violation cap" `Quick test_online_violation_cap ] );
+          Alcotest.test_case "violation cap" `Quick test_online_violation_cap;
+          QCheck_alcotest.to_alcotest prop_store_matches_model;
+          Alcotest.test_case "mem_words tracks reachable words" `Quick
+            test_mem_words_tracks_reachable ] );
       ( "liveness",
         [ Alcotest.test_case "eventually" `Quick test_eval_lasso_eventually;
           Alcotest.test_case "always/until" `Quick test_eval_lasso_always_until;

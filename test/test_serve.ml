@@ -877,6 +877,121 @@ let test_memory_budget_admission_control () =
         (recv_verdict t c);
       Unix.close c)
 
+(* {1 Finished sessions release their analysis state} *)
+
+(* The [session] lines of a [stats] reply without their [age=] token. *)
+let session_lines reply =
+  String.split_on_char '\n' reply
+  |> List.filter (String.starts_with ~prefix:"session ")
+  |> List.map (fun line ->
+         String.split_on_char ' ' line
+         |> List.filter (fun tok -> not (String.starts_with ~prefix:"age=" tok))
+         |> String.concat " ")
+
+(* What an earlier build, which kept every finished session's reader and
+   engines, printed for the three sessions below. *)
+let finished_stats =
+  [ "session id=bad state=failed events=3 level=1 buffered=1 lag=0 skipped=0 \
+     checkpoints=0 verdict=- code=3 cuts=2 causal=0 degraded=no";
+    "session id=done state=done events=3 level=3 buffered=0 lag=0 skipped=0 \
+     checkpoints=0 verdict=violation code=0 cuts=1 causal=0 degraded=no";
+    "session id=hog state=done events=60 level=60 buffered=0 lag=0 skipped=0 \
+     checkpoints=0 verdict=violation code=0 cuts=0 causal=0 \
+     degraded=frontier_budget" ]
+
+let test_finished_sessions_released () =
+  with_server ~spec:landing_spec ~budget:budget_64
+    ~on_overload:Jmpax.Budget.Degrade (fun t sock ->
+      let done_ = open_session t sock ~id:"done" ~fp:landing_fp in
+      send t done_ landing_doc;
+      Alcotest.(check string) "lattice verdict" landing_expected
+        (recv_verdict t done_);
+      let hog = open_session t sock ~id:"hog" ~fp:"-" in
+      send t hog (exploding_doc ());
+      ignore (recv_verdict t hog);
+      let bad = open_session t sock ~id:"bad" ~fp:"-" in
+      (* Fails on a duplicate while one message waits out of order. *)
+      send t bad
+        (W.Framed.encode_header { W.nthreads = 2; init = [ ("x", 0) ] }
+        ^ String.concat ""
+            (List.map W.Framed.encode_message
+               [ msg 0 "x" 1 [ 1; 0 ]; msg 0 "x" 3 [ 3; 0 ];
+                 msg 1 "x" 2 [ 0; 1 ]; msg 0 "x" 1 [ 1; 0 ] ]));
+      ticks t;
+      List.iter
+        (fun (id, state) ->
+          let s = Option.get (Serve.Registry.find (L.registry t) id) in
+          Alcotest.(check bool) (id ^ " finished") true (S.state s = state);
+          Alcotest.(check int) (id ^ " holds no analysis state") 0 (S.mem_words s))
+        [ ("done", S.Done); ("hog", S.Done); ("bad", S.Failed) ];
+      let reply = query t sock "stats" in
+      Alcotest.(check (list string)) "session lines unchanged by the release"
+        finished_stats (session_lines reply);
+      Alcotest.(check bool) "mem_bytes back to 0" true
+        (has reply "\nserve.mem_bytes 0\n");
+      List.iter Unix.close [ done_; hog; bad ])
+
+(* {1 Golden serve checkpoint}
+
+   A 3-thread lock-counter run (40 iterations, schedule seed 2) under an
+   interval spec, reordered in transit (window 16, seed 9) and written
+   as wire v2.  One session streams the first half of it and the daemon
+   drains; an earlier build's drain checkpoint is committed as
+   [data/serve_3t_mid.ckpt]. *)
+
+let golden_serve_spec =
+  Pastltl.Fparser.parse "start c > 2 ==> [x0 >= 1, x1 > x2 + 1)"
+
+let golden_serve_doc =
+  lazy
+    (let program =
+       Tml.Parser.parse_program (Lock_counter.source ~threads:3 ~iters:40 ~nops:0)
+     in
+     let config =
+       Jmpax.Config.default () |> Jmpax.Config.with_sched (Tml.Sched.random ~seed:2)
+     in
+     let out = Jmpax.Pipeline.check ~config ~spec:golden_serve_spec program in
+     let relevant = out.Jmpax.Pipeline.relevant_vars in
+     let header =
+       { W.nthreads = 3;
+         init =
+           List.filter (fun (x, _) -> List.mem x relevant) program.Tml.Ast.shared }
+     in
+     W.Framed.encode header
+       (Observer.Channel.bounded_reorder ~seed:9 ~window:16
+          out.Jmpax.Pipeline.run.Tml.Vm.messages))
+
+let golden_serve_md5 = "deb6f70a5583680656306d31218b78a7"
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_golden_serve_checkpoint () =
+  let doc = Lazy.force golden_serve_doc in
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  with_server ~spec:golden_serve_spec ~checkpoint_dir:dir (fun t sock ->
+      let c =
+        open_session t sock ~id:"w"
+          ~fp:(Jmpax.Checkpoint.fingerprint golden_serve_spec)
+      in
+      send t c (String.sub doc 0 (String.length doc / 2));
+      ticks t;
+      L.request_drain t;
+      tick t;
+      Alcotest.(check int) "clean drain exit" 0 (L.exit_code t);
+      Unix.close c);
+  let ours = read_file (Filename.concat dir "w.ckpt") in
+  let committed =
+    List.map
+      (fun d -> Filename.concat d "data/serve_3t_mid.ckpt")
+      [ Filename.dirname Sys.executable_name; "test" ]
+    |> List.find Sys.file_exists |> read_file
+  in
+  Alcotest.(check string) "committed file digest" golden_serve_md5
+    (Digest.to_hex (Digest.string committed));
+  Alcotest.(check string) "byte-identical to the committed checkpoint" committed
+    ours
+
 (* {1 The single-accept listener (regression)} *)
 
 (* [jmpax stream listen-unix:PATH] accepts exactly one writer; the
@@ -950,13 +1065,17 @@ let () =
         [ Alcotest.test_case "checkpoint failure is per-session" `Quick
             test_drain_failure_isolated_per_session;
           Alcotest.test_case "idle eviction checkpoints first" `Quick
-            test_idle_eviction_checkpoints ] );
+            test_idle_eviction_checkpoints;
+          Alcotest.test_case "golden lattice checkpoint" `Quick
+            test_golden_serve_checkpoint ] );
       ( "control",
         [ Alcotest.test_case "stats rollup" `Quick test_control_stats;
           Alcotest.test_case "metrics exposition" `Quick
             test_control_metrics_exposition;
           Alcotest.test_case "health thresholds" `Quick
-            test_control_health_thresholds ] );
+            test_control_health_thresholds;
+          Alcotest.test_case "finished sessions released" `Quick
+            test_finished_sessions_released ] );
       ( "budget",
         [ Alcotest.test_case "degrade isolates the neighbour" `Quick
             test_budget_degrade_isolates_neighbor;

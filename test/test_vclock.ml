@@ -165,11 +165,31 @@ let prop_sum_of_max_bounded =
   QCheck.Test.make ~name:"sum(max a b) <= sum a + sum b" ~count:500 (arb_pair 4)
     (fun (a, b) -> Vclock.sum (Vclock.max a b) <= Vclock.sum a + Vclock.sum b)
 
+(* [to_string] and [add_to_buffer] fill bytes by hand; checkpoints pin
+   their output, so it must stay the formatter's, digit for digit. *)
+let prop_to_string_is_pp =
+  QCheck.Test.make ~name:"to_string = add_to_buffer = pp" ~count:500
+    QCheck.(pair (int_range 1 12) (int_bound 1_000_000_000))
+    (fun (n, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let v =
+        Vclock.of_array
+          (Array.init n (fun _ ->
+               match Random.State.int rng 3 with
+               | 0 -> Random.State.int rng 10
+               | 1 -> Random.State.int rng 100_000
+               | _ -> Random.State.bits rng))
+      in
+      let buf = Buffer.create 8 in
+      Vclock.add_to_buffer buf v;
+      let expected = Format.asprintf "%a" Vclock.pp v in
+      Vclock.to_string v = expected && Buffer.contents buf = expected)
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [ prop_max_upper_bound; prop_max_least; prop_max_commutative; prop_max_associative;
       prop_leq_antisymmetric; prop_leq_transitive; prop_trichotomy; prop_roundtrip;
-      prop_inc_strictly_increases; prop_sum_of_max_bounded ]
+      prop_inc_strictly_increases; prop_sum_of_max_bounded; prop_to_string_is_pp ]
 
 (* {1 Sparse clocks (Dvclock)} *)
 

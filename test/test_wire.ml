@@ -69,6 +69,22 @@ let test_var_roundtrip =
       | Ok v' -> v' = v
       | Error e -> QCheck.Test.fail_reportf "rejected own encoding: %s" (E.to_string e))
 
+(* The escaping that wrote every committed trace and checkpoint: one
+   [Printf] escape per byte that needs one. *)
+let test_var_encoding_stable =
+  QCheck.Test.make ~name:"encode_var = per-byte Printf escaping" ~count:500
+    QCheck.(string_gen_of_size (Gen.int_range 0 20) Gen.char)
+    (fun v ->
+      let reference =
+        String.concat ""
+          (List.map
+             (fun c ->
+               if c = '%' || c <= ' ' || c = '\x7f' then Printf.sprintf "%%%02X" (Char.code c)
+               else String.make 1 c)
+             (List.of_seq (String.to_seq v)))
+      in
+      W.encode_var v = reference)
+
 (* {1 v1 header hardening} *)
 
 let v1_doc lines = String.concat "\n" ("jmpax-trace 1" :: lines)
@@ -922,7 +938,8 @@ let qcheck_tests =
       test_reader_chunk_insensitive;
       test_roundtrip_v3;
       test_v2_v3_parity;
-      test_reader_chunk_insensitive_v3 ]
+      test_reader_chunk_insensitive_v3;
+      test_var_encoding_stable ]
 
 let () =
   Alcotest.run "wire"
