@@ -66,46 +66,30 @@ let atoms c = c.atoms
 (* [now] is filled bottom-up, so children are available when a parent is
    computed.  [prev] is [None] on the initial state, in which case the
    Havelund–Roşu initial-state convention applies: the previous value of
-   a subformula is its current one. *)
+   a subformula is its current one, so only the temporal cases look at
+   [first]. *)
 let compute c ~prev (values : bool array) =
   let w = Array.length c.ops in
   let now = Array.make w false in
-  (match prev with
-  | None ->
-      for i = 0 to w - 1 do
-        now.(i) <-
-          (match c.ops.(i) with
-          | Const b -> b
-          | Atom a -> values.(a)
-          | Not g -> not now.(g)
-          | And (g, h) -> now.(g) && now.(h)
-          | Or (g, h) -> now.(g) || now.(h)
-          | Implies (g, h) -> (not now.(g)) || now.(h)
-          | Prev g -> now.(g)
-          | Once g -> now.(g)
-          | Historically g -> now.(g)
-          | Since (_, h) -> now.(h)
-          | Interval (g, h) -> (not now.(h)) && now.(g)
-          | Start _ | End _ -> false)
-      done
-  | Some (p : state) ->
-      for i = 0 to w - 1 do
-        now.(i) <-
-          (match c.ops.(i) with
-          | Const b -> b
-          | Atom a -> values.(a)
-          | Not g -> not now.(g)
-          | And (g, h) -> now.(g) && now.(h)
-          | Or (g, h) -> now.(g) || now.(h)
-          | Implies (g, h) -> (not now.(g)) || now.(h)
-          | Prev g -> p.(g)
-          | Once g -> now.(g) || p.(i)
-          | Historically g -> now.(g) && p.(i)
-          | Since (g, h) -> now.(h) || (now.(g) && p.(i))
-          | Interval (g, h) -> (not now.(h)) && (now.(g) || p.(i))
-          | Start g -> now.(g) && not p.(g)
-          | End g -> (not now.(g)) && p.(g))
-      done);
+  let first = Option.is_none prev in
+  let p : state = match prev with None -> now | Some p -> p in
+  for i = 0 to w - 1 do
+    now.(i) <-
+      (match c.ops.(i) with
+      | Const b -> b
+      | Atom a -> values.(a)
+      | Not g -> not now.(g)
+      | And (g, h) -> now.(g) && now.(h)
+      | Or (g, h) -> now.(g) || now.(h)
+      | Implies (g, h) -> (not now.(g)) || now.(h)
+      | Prev g -> if first then now.(g) else p.(g)
+      | Once g -> now.(g) || ((not first) && p.(i))
+      | Historically g -> now.(g) && (first || p.(i))
+      | Since (g, h) -> now.(h) || (now.(g) && (not first) && p.(i))
+      | Interval (g, h) -> (not now.(h)) && (now.(g) || ((not first) && p.(i)))
+      | Start g -> (not first) && now.(g) && not p.(g)
+      | End g -> (not first) && (not now.(g)) && p.(g))
+  done;
   now
 
 let init_atoms c values = compute c ~prev:None values

@@ -103,13 +103,24 @@ let to_state lay e = Pastltl.State.of_list (bindings lay e)
    holding the message and its variable's slot.  A block is at most 256
    words, so it is allocated on the minor heap (a larger or doubling
    array would go to the major heap and, by pacing the major GC
-   differently, keep garbage alive longer).  Blocks below the gc floor
+   differently, keep garbage alive longer).
+
+   Blocks near the gc floor sit on a dense spine: the spine reaches at
+   most [spine_slack] blocks past its last entry, so its length follows
+   the stored blocks.  A block further ahead (a message sent far out of
+   order, or a forged sequence number) waits in a map keyed by block
+   number and moves onto the spine once the spine comes within
+   [spine_slack] of it; the contiguous prefix, which is what the lattice
+   reads, therefore always lies on the spine.  Blocks below the gc floor
    are dropped from the spine as the floor passes them, so a log's size
-   follows the stored messages, never the floor. *)
+   follows the stored messages, never the floor or the largest [seq]. *)
 
 let block_bits = 8
 let block_size = 1 lsl block_bits
 let block_mask = block_size - 1
+let spine_slack = 4
+
+module Imap = Map.Make (Int)
 
 type block = { msgs : Message.t array; mslots : int array }
 
@@ -122,52 +133,80 @@ type log = {
   mutable first : int;  (* block number of [spine.(0)] *)
   mutable spine : block array;  (* [no_block]: nothing stored there yet *)
   mutable nblocks : int;  (* used prefix of [spine] *)
-  mutable hi : int;  (* highest seq stored, at least the gc floor *)
-  mutable live : int;  (* allocated blocks on the spine *)
+  mutable far : block Imap.t;
+      (* by block number, each at least [nblocks + spine_slack] past [first] *)
+  mutable nfar : int;  (* bindings in [far] *)
+  mutable live : int;  (* allocated blocks, on the spine or far *)
 }
 
 let log_create ~floor =
-  { first = floor lsr block_bits; spine = [||]; nblocks = 0; hi = floor; live = 0 }
+  { first = floor lsr block_bits; spine = [||]; nblocks = 0; far = Imap.empty; nfar = 0;
+    live = 0 }
+
+let block_of l k =
+  let b = ((k - 1) lsr block_bits) - l.first in
+  if b < l.nblocks then l.spine.(b)
+  else if Imap.is_empty l.far then no_block
+  else match Imap.find (b + l.first) l.far with blk -> blk | exception Not_found -> no_block
 
 let log_find l k =
-  let b = ((k - 1) lsr block_bits) - l.first in
-  if b < 0 || b >= l.nblocks then no_message
-  else
-    let blk = l.spine.(b) in
-    if blk == no_block then no_message else blk.msgs.((k - 1) land block_mask)
+  let blk = block_of l k in
+  if blk == no_block then no_message else blk.msgs.((k - 1) land block_mask)
 
-(* The block holding a stored message; unchecked. *)
+(* The block holding a message of the contiguous prefix; unchecked. *)
 let log_block l k = l.spine.(((k - 1) lsr block_bits) - l.first)
 
-(* Store [m] at [k > floor]; [true] when the slot was empty. *)
-let log_add l k m slot =
-  let b = ((k - 1) lsr block_bits) - l.first in
+(* Put [blk] at spine position [b], growing the spine. *)
+let place l b blk =
   if b >= Array.length l.spine then begin
     let spine = Array.make (max (b + 1) (2 * Array.length l.spine)) no_block in
     Array.blit l.spine 0 spine 0 l.nblocks;
     l.spine <- spine
   end;
-  if b >= l.nblocks then l.nblocks <- b + 1;
+  l.spine.(b) <- blk;
+  if b >= l.nblocks then l.nblocks <- b + 1
+
+(* Move the far blocks the spine now reaches onto it. *)
+let rec settle l =
+  match Imap.min_binding_opt l.far with
+  | Some (n, blk) when n - l.first < l.nblocks + spine_slack ->
+      l.far <- Imap.remove n l.far;
+      l.nfar <- l.nfar - 1;
+      place l (n - l.first) blk;
+      settle l
+  | _ -> ()
+
+let new_block l =
+  l.live <- l.live + 1;
+  { msgs = Array.make block_size no_message; mslots = Array.make block_size (-1) }
+
+(* Store [m] at [k > floor]; [true] when the slot was empty. *)
+let log_add l k m slot =
   let blk =
-    match l.spine.(b) with
-    | blk when blk == no_block ->
-        let blk =
-          { msgs = Array.make block_size no_message; mslots = Array.make block_size (-1) }
-        in
-        l.spine.(b) <- blk;
-        l.live <- l.live + 1;
+    match block_of l k with
+    | blk when blk != no_block -> blk
+    | _ ->
+        let n = (k - 1) lsr block_bits in
+        let blk = new_block l in
+        if n - l.first < l.nblocks + spine_slack then begin
+          place l (n - l.first) blk;
+          settle l
+        end
+        else begin
+          l.far <- Imap.add n blk l.far;
+          l.nfar <- l.nfar + 1
+        end;
         blk
-    | blk -> blk
   in
   let j = (k - 1) land block_mask in
   let fresh = blk.msgs.(j) == no_message in
   blk.msgs.(j) <- m;
   blk.mslots.(j) <- slot;
-  if k > l.hi then l.hi <- k;
   fresh
 
-(* Forget messages [old_floor+1 .. floor]: whole blocks leave the spine,
-   the block the floor now falls in is cleared up to it. *)
+(* Forget messages [old_floor+1 .. floor], all of them in the contiguous
+   prefix and so on the spine: whole blocks leave the spine, the block
+   the floor now falls in is cleared up to it. *)
 let log_drop l ~old_floor ~floor =
   let first = floor lsr block_bits in
   let d = first - l.first in
@@ -179,20 +218,28 @@ let log_drop l ~old_floor ~floor =
     Array.blit l.spine (min d l.nblocks) l.spine 0 keep;
     Array.fill l.spine keep (l.nblocks - keep) no_block;
     l.nblocks <- keep;
-    l.first <- first
+    l.first <- first;
+    settle l
   end;
   if l.nblocks > 0 && l.spine.(0) != no_block then
     for k = max (old_floor + 1) ((first lsl block_bits) + 1) to floor do
       l.spine.(0).msgs.((k - 1) land block_mask) <- no_message
-    done;
-  if floor > l.hi then l.hi <- floor
+    done
 
-(* Stored messages with [from < seq], ascending, consed onto [acc]. *)
+(* Stored messages with [from < seq], ascending, consed onto [acc]:
+   only allocated blocks are visited, the far ones (all past the spine)
+   first. *)
 let log_fold_desc l ~from acc =
   let acc = ref acc in
-  for k = l.hi downto from + 1 do
-    let m = log_find l k in
-    if m != no_message then acc := m :: !acc
+  let add n blk =
+    for j = block_size - 1 downto 0 do
+      let m = blk.msgs.(j) in
+      if m != no_message && (n lsl block_bits) + j + 1 > from then acc := m :: !acc
+    done
+  in
+  List.iter (fun (n, blk) -> add n blk) (Imap.fold (fun n blk bs -> (n, blk) :: bs) l.far []);
+  for b = l.nblocks - 1 downto 0 do
+    if l.spine.(b) != no_block then add (l.first + b) l.spine.(b)
   done;
   !acc
 
@@ -662,7 +709,8 @@ let frontier_cuts t = F.size t.frontier
 (* Words per stored message: the message record (5 fields + header) and
    its clock (nthreads + header).  Per allocated log block: two
    256-slot arrays with their headers and the block record; per spine
-   entry one word.  The frontier term is the dominant one under a wide
+   entry one word; per block held far ahead one map node (5 fields +
+   header).  The frontier term is the dominant one under a wide
    workload.  All of it is O(threads) arithmetic over maintained
    counters, cheap enough to evaluate after every feed. *)
 let block_words = (2 * (block_size + 1)) + 3
@@ -670,7 +718,8 @@ let block_words = (2 * (block_size + 1)) + 3
 let mem_words t =
   let store =
     Array.fold_left
-      (fun acc l -> acc + (block_words * l.live) + Array.length l.spine + 6)
+      (fun acc l ->
+        acc + (block_words * l.live) + Array.length l.spine + (6 * l.nfar) + 7)
       0 t.logs
   in
   F.mem_words t.frontier + ((t.nthreads + 7) * t.stored) + store + (5 * t.nthreads)

@@ -869,6 +869,23 @@ let unshift_messages = List.map (fun (m : Trace.Message.t) ->
 
 let down = Array.map (fun k -> k - shift)
 
+(* [o]'s store against the model after feed [step]. *)
+let check_store ~(fail : string -> unit) step o (model : Store_model.t) =
+  let module O = Predict.Online in
+  let snap = O.snapshot o in
+  let stored = Store_model.above model snap.O.snap_gc_floor in
+  if O.buffered o <> List.length stored then fail (Printf.sprintf "step %d: buffered" step);
+  if snap.O.snap_store <> stored then fail (Printf.sprintf "step %d: snapshot store" step);
+  if snap.O.snap_prefix <> model.prefix then fail (Printf.sprintf "step %d: prefix" step);
+  if snap.O.snap_beyond <> model.beyond then fail (Printf.sprintf "step %d: beyond" step);
+  if O.out_of_order o <> Array.fold_left ( + ) 0 model.beyond then
+    fail (Printf.sprintf "step %d: out_of_order" step);
+  if O.missing o <> Store_model.missing model then fail (Printf.sprintf "step %d: missing" step);
+  let prefix, ended, pending = O.handoff o in
+  if prefix <> model.prefix || ended <> model.ended
+     || pending <> Store_model.above model model.prefix
+  then fail (Printf.sprintf "step %d: handoff" step)
+
 let prop_store_matches_model =
   QCheck.Test.make ~name:"message store = Hashtbl model, with a shifted restore" ~count:20
     (QCheck.make
@@ -886,20 +903,10 @@ let prop_store_matches_model =
       let fail fmt = Printf.ksprintf (fun s -> QCheck.Test.fail_report s) fmt in
       (* [o] against the model; [shifted] against [o], shifted back. *)
       let check step o shifted =
+        check_store ~fail:(fail "%s") step o model;
         let snap = O.snapshot o in
         let gc_floor = snap.O.snap_gc_floor in
         let stored = Store_model.above model gc_floor in
-        if O.buffered o <> List.length stored then fail "step %d: buffered" step;
-        if snap.O.snap_store <> stored then fail "step %d: snapshot store" step;
-        if snap.O.snap_prefix <> model.prefix then fail "step %d: prefix" step;
-        if snap.O.snap_beyond <> model.beyond then fail "step %d: beyond" step;
-        if O.out_of_order o <> Array.fold_left ( + ) 0 model.beyond then
-          fail "step %d: out_of_order" step;
-        if O.missing o <> Store_model.missing model then fail "step %d: missing" step;
-        let prefix, ended, pending = O.handoff o in
-        if prefix <> model.prefix || ended <> model.ended
-           || pending <> Store_model.above model model.prefix
-        then fail "step %d: handoff" step;
         match shifted with
         | None -> ()
         | Some sh ->
@@ -944,6 +951,67 @@ let prop_store_matches_model =
       | Some sh when O.violated sh <> O.violated !o -> fail "shifted verdict"
       | _ -> ());
       O.buffered !o = List.length (Store_model.above model (O.snapshot !o).O.snap_gc_floor))
+
+(* Messages sent far ahead of their thread's prefix: a 2-thread stream
+   of 3,000 writes per thread, delivered in order except for a few
+   messages 1,000 to 2,900 ahead, which arrive first.  Their blocks are
+   held off the spine until the prefix comes near, and the store must
+   match the model after every feed all the same. *)
+let test_far_ahead_matches_model () =
+  let module O = Predict.Online in
+  let messages = clocked_stream ~n:2 ~per_thread:3000 ~seed:5 in
+  let early (m : Trace.Message.t) =
+    List.mem (m.tid, Trace.Message.seq m)
+      [ (0, 2900); (0, 2000); (0, 1500); (0, 1400); (1, 1301); (1, 2500) ]
+  in
+  let first, rest = List.partition early messages in
+  let o =
+    O.create ~nthreads:2 ~init:[ ("a", 0); ("b", 0); ("c", 0) ]
+      ~spec:(Pastltl.Fparser.parse "always a <= 3") ()
+  in
+  let model = Store_model.create 2 in
+  List.iteri
+    (fun step m ->
+      O.feed o m;
+      Store_model.feed model m;
+      check_store ~fail:Alcotest.fail step o model;
+      if step mod 500 = 499 then begin
+        let est = O.mem_words o and real = Obj.reachable_words (Obj.repr o) in
+        if 5 * est < 4 * real || 4 * est > 5 * real then
+          Alcotest.failf "step %d: mem_words %d, reachable words %d" step est real
+      end)
+    (List.rev first @ rest);
+  O.finish o;
+  Alcotest.(check bool) "not violated" false (O.violated o)
+
+(* One message with a forged sequence number 2^40 (a clock component
+   any wire frame may carry) costs one block, not a spine 2^32 long:
+   storing it, snapshotting, handing off and restoring all stay small. *)
+let test_forged_seq_stays_small () =
+  let module O = Predict.Online in
+  let far = Trace.Message.make ~eid:0 ~tid:0 ~var:"x" ~value:1 ~mvc:(Vclock.of_list [ 1 lsl 40; 0 ]) in
+  let o = O.create ~nthreads:2 ~init:[ ("x", 0) ] ~spec:(Pastltl.Fparser.parse "always x <= 3") () in
+  O.feed o far;
+  O.feed o (Trace.Message.make ~eid:1 ~tid:0 ~var:"x" ~value:2 ~mvc:(Vclock.of_list [ 1; 0 ]));
+  let t1 = Trace.Message.make ~eid:2 ~tid:1 ~var:"x" ~value:3 ~mvc:(Vclock.of_list [ 1; 1 ]) in
+  O.feed o t1;
+  let small what words =
+    if words > 5_000 then Alcotest.failf "%s: %d words" what words
+  in
+  small "mem_words" (O.mem_words o);
+  small "reachable" (Obj.reachable_words (Obj.repr o));
+  (* Level 1 is cut (1, 0) alone, so thread 0's first message is collected. *)
+  Alcotest.(check int) "buffered" 2 (O.buffered o);
+  Alcotest.(check (option (pair int int))) "missing" (Some (0, 2)) (O.missing o);
+  let snap = O.snapshot o in
+  Alcotest.(check bool) "snapshot store" true
+    (match snap.O.snap_store with [ a; b ] -> a == far && b == t1 | _ -> false);
+  let _, _, pending = O.handoff o in
+  Alcotest.(check bool) "handoff is the far message" true (pending = [ far ]);
+  let r = O.restore ~spec:(Pastltl.Fparser.parse "always x <= 3") snap in
+  small "restored mem_words" (O.mem_words r);
+  small "restored reachable" (Obj.reachable_words (Obj.repr r));
+  Alcotest.(check bool) "restored snapshot" true (O.snapshot r = snap)
 
 (* [mem_words] is the estimate the memory budget compares after every
    feed; it must stay within 25% of what the observer really holds while
@@ -1031,7 +1099,11 @@ let () =
           Alcotest.test_case "violation cap" `Quick test_online_violation_cap;
           QCheck_alcotest.to_alcotest prop_store_matches_model;
           Alcotest.test_case "mem_words tracks reachable words" `Quick
-            test_mem_words_tracks_reachable ] );
+            test_mem_words_tracks_reachable;
+          Alcotest.test_case "far-ahead messages = Hashtbl model" `Quick
+            test_far_ahead_matches_model;
+          Alcotest.test_case "forged seq 2^40 stays small" `Quick
+            test_forged_seq_stays_small ] );
       ( "liveness",
         [ Alcotest.test_case "eventually" `Quick test_eval_lasso_eventually;
           Alcotest.test_case "always/until" `Quick test_eval_lasso_always_until;

@@ -965,6 +965,47 @@ let golden_serve_md5 = "deb6f70a5583680656306d31218b78a7"
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
+(* A frame whose clock gives its thread the sequence number 2^40 is one
+   more out-of-order message: the session, its drain checkpoint and the
+   session resumed from that checkpoint all stay small. *)
+let test_forged_seq_stays_small () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let spec = Pastltl.Fparser.parse "always x <= 3" in
+  let fp = Jmpax.Checkpoint.fingerprint spec in
+  let doc =
+    W.Framed.encode_header { W.nthreads = 2; init = [ ("x", 0) ] }
+    ^ String.concat ""
+        (List.map W.Framed.encode_message
+           [ msg 0 "x" 1 [ 1; 0 ]; msg 0 "x" 2 [ 1 lsl 40; 0 ]; msg 1 "x" 3 [ 1; 1 ] ])
+  in
+  let small t =
+    let s = Option.get (Serve.Registry.find (L.registry t) "far") in
+    if S.mem_words s > 10_000 then Alcotest.failf "session holds %d words" (S.mem_words s)
+  in
+  with_server ~spec ~checkpoint_dir:dir (fun t sock ->
+      let c = open_session t sock ~id:"far" ~fp in
+      send t c doc;
+      ticks t;
+      small t;
+      L.request_drain t;
+      tick t;
+      Alcotest.(check int) "clean drain exit" 0 (L.exit_code t);
+      Unix.close c);
+  let ck = read_file (Filename.concat dir "far.ckpt") in
+  Alcotest.(check bool) "checkpoint keeps the far message" true
+    (has ck "(1099511627776,0)");
+  Alcotest.(check bool) "checkpoint is small" true (String.length ck < 4096);
+  with_server ~spec ~checkpoint_dir:dir (fun t sock ->
+      let c = connect sock in
+      send t c (hello "far" fp);
+      (match recv_line t c with
+      | Some ack when String.starts_with ~prefix:"ok " ack -> ()
+      | _ -> Alcotest.fail "no resume ack");
+      ticks t;
+      small t;
+      Unix.close c)
+
 let test_golden_serve_checkpoint () =
   let doc = Lazy.force golden_serve_doc in
   let dir = temp_dir () in
@@ -1064,6 +1105,8 @@ let () =
       ( "drain",
         [ Alcotest.test_case "checkpoint failure is per-session" `Quick
             test_drain_failure_isolated_per_session;
+          Alcotest.test_case "forged seq 2^40 stays small" `Quick
+            test_forged_seq_stays_small;
           Alcotest.test_case "idle eviction checkpoints first" `Quick
             test_idle_eviction_checkpoints;
           Alcotest.test_case "golden lattice checkpoint" `Quick
