@@ -37,6 +37,7 @@ type building = {
 module F_payload = struct
   type t = building
 
+  let dummy = { nid = -1; bstate = Pastltl.State.empty; preds = [] }
   let merge a b = { nid = -1; bstate = a.bstate; preds = a.preds @ b.preds }
 end
 
@@ -63,33 +64,24 @@ let build_body ?(max_nodes = 200_000) comp =
   let bottom_cut = Computation.bottom comp in
   let p0 = { nid = 0; bstate = Computation.init_state comp; preds = [] } in
   p0.nid <- add_node bottom_cut p0.bstate 0 [];
-  let frontier = ref (F.singleton ~width bottom_cut p0) in
+  let frontier = F.singleton ~width bottom_cut p0 in
+  let succ p cut tid =
+    let m = Computation.message comp tid (cut.(tid) + 1) in
+    { nid = -1; bstate = Computation.apply p.bstate m; preds = [ (p.nid, m) ] }
+  in
+  let enabled cut tids =
+    List.fold_left
+      (fun k (tid, _) ->
+        tids.(k) <- tid;
+        k + 1)
+      0 (Computation.enabled comp cut)
+  in
+  let join q p cut tid = F_payload.merge q (succ p cut tid) in
   let level = ref 0 in
-  let running = ref true in
-  while !running do
-    let next =
-      let succ p cut tid =
-        let m = Computation.message comp tid (cut.(tid) + 1) in
-        { nid = -1; bstate = Computation.apply p.bstate m; preds = [ (p.nid, m) ] }
-      in
-      F.expand
-        ~enabled:(fun cut tids ->
-          List.fold_left
-            (fun k (tid, _) ->
-              tids.(k) <- tid;
-              k + 1)
-            0 (Computation.enabled comp cut))
-        ~step:succ
-        ~join:(fun q p cut tid -> F_payload.merge q (succ p cut tid))
-        !frontier
-    in
-    if F.size next = 0 then running := false
-    else begin
-      incr level;
-      F.iter (fun cut p -> p.nid <- add_node cut p.bstate !level p.preds) next;
-      if M.deep_enabled () then M.push m_level_nodes (F.size next);
-      frontier := next
-    end
+  while F.advance ~enabled ~step:succ ~join frontier do
+    incr level;
+    F.iter (fun cut p -> p.nid <- add_node cut p.bstate !level p.preds) frontier;
+    if M.deep_enabled () then M.push m_level_nodes (F.size frontier)
   done;
   if M.enabled () then begin
     M.add m_nodes !count;

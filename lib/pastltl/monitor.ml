@@ -103,18 +103,19 @@ let equal_state (a : state) (b : state) = a = b
 
 (* The order of [Stdlib.compare] on bool arrays (size first, then
    elements, [false < true]) without the polymorphic walk: monitor-state
-   sets are ordered by it, and snapshots list their elements in it. *)
+   sets are ordered by it, and snapshots list their elements in it.  A
+   loop rather than a local recursive function, which would allocate a
+   closure on every comparison. *)
 let compare_state (a : state) (b : state) =
   let la = Array.length a and lb = Array.length b in
   if la <> lb then Int.compare la lb
-  else
-    let rec go i =
-      if i = la then 0
-      else
-        let x = Array.unsafe_get a i and y = Array.unsafe_get b i in
-        if x = y then go (i + 1) else if y then -1 else 1
-    in
-    go 0
+  else begin
+    let i = ref 0 in
+    while !i < la && Array.unsafe_get a !i = Array.unsafe_get b !i do
+      incr i
+    done;
+    if !i = la then 0 else if Array.unsafe_get b !i then -1 else 1
+  end
 
 let hash_state = Hashtbl.hash
 

@@ -79,6 +79,7 @@ type entry = { vals : int array; side : Types.value Smap.t; msets : Mset.t }
 module F = Observer.Frontier.Make (struct
   type t = entry
 
+  let dummy = { vals = [||]; side = Smap.empty; msets = Mset.empty }
   let merge a b = { a with msets = Mset.union a.msets b.msets }
 end)
 
@@ -276,8 +277,10 @@ type t = {
   beyond : int array;  (* per thread: received messages with index > prefix *)
   gc_floor : int array;  (* per thread: messages 1..gc_floor already collected *)
   ended : bool array;
-  (* Frontier: cuts of the current level, on the shared engine. *)
-  mutable frontier : F.frontier;
+  (* Frontier: cuts of the current level, on the shared engine's
+     two-level sweep. *)
+  frontier : F.frontier;
+  floor : int array;  (* scratch: the frontier's minimum components *)
   mutable level : int;
   mutable done_ : bool;  (* the frontier can never advance again *)
   mutable rev_violations : violation list;
@@ -286,6 +289,13 @@ type t = {
   mutable peak_frontier_cuts : int;
   mutable peak_frontier_entries : int;
   mutable monitor_steps : int;
+  mutable failing : bool;  (* a monitor state stepped on this level fails *)
+  (* The sweep's callbacks, built once per observer so that a level
+     step allocates no closures. *)
+  sweep_enabled : int array -> int array -> int;
+  sweep_step : entry -> int array -> int -> entry;
+  sweep_join : entry -> entry -> int array -> int -> entry;
+  sweep_step_one : Pastltl.Monitor.state -> Mset.t -> Mset.t;
 }
 
 let record_level_stats t =
@@ -321,52 +331,6 @@ let eval_atoms t vals =
     t.atom_values.(a) <- atoms.(a) vals
   done
 
-let make ?max_buffered ~monitor ~layout ~spec ~prefix ~beyond ~gc_floor ~ended frontier =
-  { nthreads = Array.length prefix;
-    monitor;
-    layout;
-    atom_values = Array.make (Array.length layout.atoms) false;
-    spec;
-    max_buffered;
-    logs = Array.map (fun floor -> log_create ~floor) gc_floor;
-    stored = 0;
-    prefix = Array.copy prefix;
-    beyond = Array.copy beyond;
-    gc_floor = Array.copy gc_floor;
-    ended = Array.copy ended;
-    frontier;
-    level = 0;
-    done_ = false;
-    rev_violations = [];
-    n_violations = 0;
-    retired_cuts = 0;
-    peak_frontier_cuts = 0;
-    peak_frontier_entries = 0;
-    monitor_steps = 1 }
-
-let create ?max_buffered ~nthreads ~init ~spec () =
-  if nthreads <= 0 then invalid_arg "Online.create: nthreads must be positive";
-  (match max_buffered with
-  | Some k when k < 0 -> invalid_arg "Online.create: max_buffered must be >= 0"
-  | Some k -> if M.enabled () then M.set m_max_buffered k
-  | None -> ());
-  let monitor = Pastltl.Monitor.compile spec in
-  let layout = make_layout ~listed:(List.map fst init) ~spec monitor in
-  let init_state = Pastltl.State.of_list init in
-  let vals = Array.make (Array.length layout.listed) 0 in
-  Array.iter (fun (x, s) -> vals.(s) <- Pastltl.State.get init_state x) layout.listed_sorted;
-  let m0 = Pastltl.Monitor.init_atoms monitor (Array.map (fun atom -> atom vals) layout.atoms) in
-  let zeros = Array.make nthreads 0 in
-  let t =
-    make ?max_buffered ~monitor ~layout ~spec ~prefix:zeros ~beyond:zeros ~gc_floor:zeros
-      ~ended:(Array.make nthreads false)
-      (F.singleton ~width:nthreads zeros
-         { vals; side = Smap.empty; msets = Mset.singleton m0 })
-  in
-  record_level_stats t;
-  record_violations t;
-  t
-
 (* Level L+1 can involve, per thread i, only events with index <= L+1;
    safe to advance when each thread has delivered that much or is done
    delivering. *)
@@ -401,19 +365,20 @@ let enabled t cut tids =
   done;
   !count
 
-(* Every state of [msets] stepped over the atoms in [t.atom_values],
-   added to [into]. *)
-let step_all t stepped msets into =
-  Mset.fold
-    (fun ms acc ->
-      incr stepped;
-      Mset.add (Pastltl.Monitor.step_atoms t.monitor ms t.atom_values) acc)
-    msets into
+(* One monitor state stepped over the atoms in [t.atom_values], added
+   to [acc]; a failing result flags the level for [record_violations].
+   Every state of a new level comes through here, so a level with no
+   flag has no violation to record. *)
+let step_one t ms acc =
+  t.monitor_steps <- t.monitor_steps + 1;
+  let ms = Pastltl.Monitor.step_atoms t.monitor ms t.atom_values in
+  if not (Pastltl.Monitor.verdict t.monitor ms) then t.failing <- true;
+  Mset.add ms acc
 
 (* The lattice transition through [tid]'s next event at [cut]: the
    message applied to the entry's state, every monitor state stepped
    over the result. *)
-let step t stepped entry cut tid =
+let step t entry cut tid =
   let k = cut.(tid) + 1 in
   let blk = log_block t.logs.(tid) k in
   let j = (k - 1) land block_mask in
@@ -431,34 +396,87 @@ let step t stepped entry cut tid =
     else Smap.add m.Message.var m.Message.value entry.side
   in
   eval_atoms t vals;
-  { vals; side; msets = step_all t stepped entry.msets Mset.empty }
+  { vals; side; msets = Mset.fold t.sweep_step_one entry.msets Mset.empty }
 
 (* A second path into a successor [q] already holds: the global state
    there is [q]'s by construction, so only the monitor states move. *)
-let join t stepped q entry _cut _tid =
+let join t q entry _cut _tid =
   eval_atoms t q.vals;
-  let msets = step_all t stepped entry.msets q.msets in
+  let msets = Mset.fold t.sweep_step_one entry.msets q.msets in
   if msets == q.msets then q else { q with msets }
 
-let rec advance_one_level_body t =
-  let stepped = ref 0 in
-  let next =
-    F.expand ~enabled:(enabled t) ~step:(step t stepped) ~join:(join t stepped) t.frontier
+let make ?max_buffered ~monitor ~layout ~spec ~prefix ~beyond ~gc_floor ~ended frontier =
+  let rec t =
+    { nthreads = Array.length prefix;
+      monitor;
+      layout;
+      atom_values = Array.make (Array.length layout.atoms) false;
+      spec;
+      max_buffered;
+      logs = Array.map (fun floor -> log_create ~floor) gc_floor;
+      stored = 0;
+      prefix = Array.copy prefix;
+      beyond = Array.copy beyond;
+      gc_floor = Array.copy gc_floor;
+      ended = Array.copy ended;
+      frontier;
+      floor = Array.make (Array.length prefix) 0;
+      level = 0;
+      done_ = false;
+      rev_violations = [];
+      n_violations = 0;
+      retired_cuts = 0;
+      peak_frontier_cuts = 0;
+      peak_frontier_entries = 0;
+      monitor_steps = 1;
+      failing = false;
+      sweep_enabled = (fun cut tids -> enabled t cut tids);
+      sweep_step = (fun entry cut tid -> step t entry cut tid);
+      sweep_join = (fun q entry cut tid -> join t q entry cut tid);
+      sweep_step_one = (fun ms acc -> step_one t ms acc) }
   in
-  let stepped = !stepped in
-  t.monitor_steps <- t.monitor_steps + stepped;
-  if M.deep_enabled () then M.add m_monitor_steps stepped;
-  if F.size next = 0 then t.done_ <- true
+  t
+
+let create ?max_buffered ~nthreads ~init ~spec () =
+  if nthreads <= 0 then invalid_arg "Online.create: nthreads must be positive";
+  (match max_buffered with
+  | Some k when k < 0 -> invalid_arg "Online.create: max_buffered must be >= 0"
+  | Some k -> if M.enabled () then M.set m_max_buffered k
+  | None -> ());
+  let monitor = Pastltl.Monitor.compile spec in
+  let layout = make_layout ~listed:(List.map fst init) ~spec monitor in
+  let init_state = Pastltl.State.of_list init in
+  let vals = Array.make (Array.length layout.listed) 0 in
+  Array.iter (fun (x, s) -> vals.(s) <- Pastltl.State.get init_state x) layout.listed_sorted;
+  let m0 = Pastltl.Monitor.init_atoms monitor (Array.map (fun atom -> atom vals) layout.atoms) in
+  let zeros = Array.make nthreads 0 in
+  let t =
+    make ?max_buffered ~monitor ~layout ~spec ~prefix:zeros ~beyond:zeros ~gc_floor:zeros
+      ~ended:(Array.make nthreads false)
+      (F.singleton ~width:nthreads zeros
+         { vals; side = Smap.empty; msets = Mset.singleton m0 })
+  in
+  record_level_stats t;
+  record_violations t;
+  t
+
+let rec advance_one_level_body t =
+  let retiring = F.size t.frontier and steps = t.monitor_steps in
+  t.failing <- false;
+  let advanced =
+    F.advance ~enabled:t.sweep_enabled ~step:t.sweep_step ~join:t.sweep_join t.frontier
+  in
+  if M.deep_enabled () then M.add m_monitor_steps (t.monitor_steps - steps);
+  if not advanced then t.done_ <- true
   else begin
-    t.retired_cuts <- t.retired_cuts + F.size t.frontier;
+    t.retired_cuts <- t.retired_cuts + retiring;
     if M.deep_enabled () then begin
-      M.add m_retired (F.size t.frontier);
-      M.push m_level_cuts (F.size next)
+      M.add m_retired retiring;
+      M.push m_level_cuts (F.size t.frontier)
     end;
-    t.frontier <- next;
     t.level <- t.level + 1;
     record_level_stats t;
-    record_violations t;
+    if t.failing then record_violations t;
     gc_store t
   end
 
@@ -471,7 +489,8 @@ and gc_store t =
      [gc_floor] records what previous sweeps already collected and each
      message is dropped exactly once over the whole run; all of
      [gc_floor+1 .. floor] lies in the contiguous prefix. *)
-  let floor = F.min_components t.frontier in
+  F.min_components_into t.frontier t.floor;
+  let floor = t.floor in
   for i = 0 to t.nthreads - 1 do
     if floor.(i) > t.gc_floor.(i) then begin
       log_drop t.logs.(i) ~old_floor:t.gc_floor.(i) ~floor:floor.(i);
@@ -710,8 +729,9 @@ let frontier_cuts t = F.size t.frontier
    its clock (nthreads + header).  Per allocated log block: two
    256-slot arrays with their headers and the block record; per spine
    entry one word; per block held far ahead one map node (5 fields +
-   header).  The frontier term is the dominant one under a wide
-   workload.  All of it is O(threads) arithmetic over maintained
+   header).  The frontier term counts both of the sweep's level buffers
+   (the spare keeps the storage of the widest level it has held) and is
+   the dominant one under a wide workload.  All of it is O(threads) arithmetic over maintained
    counters, cheap enough to evaluate after every feed. *)
 let block_words = (2 * (block_size + 1)) + 3
 
@@ -722,7 +742,7 @@ let mem_words t =
         acc + (block_words * l.live) + Array.length l.spine + (6 * l.nfar) + 7)
       0 t.logs
   in
-  F.mem_words t.frontier + ((t.nthreads + 7) * t.stored) + store + (5 * t.nthreads)
+  F.mem_words t.frontier + ((t.nthreads + 7) * t.stored) + store + (6 * t.nthreads)
 
 let handoff t = (Array.copy t.prefix, Array.copy t.ended, stored_after t t.prefix)
 let buffered t = t.stored
