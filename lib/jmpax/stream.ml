@@ -262,19 +262,23 @@ let run ?(chunk_size = default_chunk_size) ?max_frame ?max_buffered
                ~nthreads:h.Wire.nthreads ~init:h.Wire.init ~spec:(Some spec) ());
         loop ()
     | Wire.Reader.Item (Wire.Reader.Msg m) -> (
+        (* Matches, not [let*]: a bind's continuation is a closure
+           allocated per message. *)
         match feed_message m with
-        | Ok () -> (
-            let* () = enforce_budget () in
-            match maybe_checkpoint () with Ok () -> loop () | Error _ as e -> e)
+        | Ok () -> after_item ()
         | Error _ as e -> e)
-    | Wire.Reader.Item (Wire.Reader.End_of_thread tid) -> (
+    | Wire.Reader.Item (Wire.Reader.End_of_thread tid) ->
         incr ends;
         Option.iter (fun b -> Predict.Engines.end_of_thread b tid) !bundle;
-        let* () = enforce_budget () in
-        match maybe_checkpoint () with Ok () -> loop () | Error _ as e -> e)
+        after_item ()
     | Wire.Reader.Skip { error; bytes } -> (
         match on_skip error bytes with Ok () -> loop () | Error _ as e -> e)
     | Wire.Reader.Eof -> Ok ()
+  and after_item () =
+    match enforce_budget () with
+    | Ok () -> (
+        match maybe_checkpoint () with Ok () -> loop () | Error _ as e -> e)
+    | Error _ as e -> e
   in
   let* () = loop () in
   match !bundle with

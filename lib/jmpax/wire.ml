@@ -848,16 +848,21 @@ module Reader = struct
     t.scan <- t.scan + 1;
     b
 
+  (* A loop, not a local recursive function: without flambda that
+     function is a closure allocated on every call, several times per
+     message.  At most 9 bytes (63 bits); a value reaching the sign bit
+     or a 10th byte is an overflow. *)
   let get_varint t limit what =
-    let rec go acc shift =
+    let acc = ref 0 and shift = ref 0 and more = ref true in
+    while !more do
       let b = get_byte t limit what in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if acc < 0 then bad (Error.Bad_varint (what ^ ": overflow"))
-      else if b land 0x80 = 0 then acc
-      else if shift >= 56 then bad (Error.Bad_varint (what ^ ": overflow"))
-      else go acc (shift + 7)
-    in
-    go 0 0
+      acc := !acc lor ((b land 0x7f) lsl !shift);
+      if !acc < 0 then bad (Error.Bad_varint (what ^ ": overflow"))
+      else if b land 0x80 = 0 then more := false
+      else if !shift >= 56 then bad (Error.Bad_varint (what ^ ": overflow"))
+      else shift := !shift + 7
+    done;
+    !acc
 
   let unzigzag n = (n lsr 1) lxor (- (n land 1))
 
@@ -952,7 +957,10 @@ module Reader = struct
             bad
               (Error.Inconsistent_message
                  (Printf.sprintf "v3 msg tid=%d own-component=%d" tid baseline.(tid)));
-          let mvc = Vclock.of_array baseline in
+          (* Every component came off a checked varint or a
+             non-negative delta, and [n >= 1]: what [of_array] would
+             check, one closure call per component, already holds. *)
+          let mvc = Vclock.freeze baseline in
           let m =
             Message.make ~eid:t.next_eid ~tid ~var:t.vars.(vid) ~value ~mvc
           in

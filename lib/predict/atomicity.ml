@@ -216,16 +216,22 @@ module Core = struct
 
   (* The tail is in no live view once every observer that has not
      passed it sees the same own component in [vc]: [vc] then ends the
-     tail's run for each of them. *)
-  let tail_dominated lg ~n ~owner vc =
+     tail's run for each of them.  Epochs in [owner]'s log and [vc] are
+     [owner]'s, so every other component is read off [base] in place
+     (here and in the scans below). *)
+  let tail_dominated lg ~n ~owner (vc : Syncclock.epoch) =
     let i = lg.len - 1 in
-    let tail = lg.vcs.(i) in
-    let rec go u =
-      u >= n
-      || ((u = owner || offset lg u > i || Syncclock.get tail u = Syncclock.get vc u)
-         && go (u + 1))
-    in
-    go 0
+    let tail = lg.vcs.(i).base and vc = vc.base and offs = lg.offs in
+    let u = ref 0 in
+    while
+      !u < n
+      && (!u = owner
+         || (Array.length offs > 0 && offs.(!u) > i)
+         || tail.(!u) = vc.(!u))
+    do
+      incr u
+    done;
+    !u = n
 
   let log_append lg ~n ~owner vc eid =
     while lg.len > 0 && tail_dominated lg ~n ~owner vc do
@@ -269,24 +275,25 @@ module Core = struct
   (* Moves [observer]'s offset to the first entry whose owner component
      exceeds [gt], the observer's current knowledge of the owner, and
      returns it ([len] when there is none). *)
-  let log_seek lg ~nthreads ~owner ~observer gt =
+  let log_seek lg ~nthreads ~observer gt =
     if Array.length lg.offs = 0 then lg.offs <- Array.make nthreads 0;
     let lo = ref lg.offs.(observer) and hi = ref lg.len in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if Syncclock.get lg.vcs.(mid) owner > gt then hi := mid else lo := mid + 1
+      if lg.vcs.(mid).Syncclock.own > gt then hi := mid else lo := mid + 1
     done;
     lg.offs.(observer) <- !lo;
     !lo
 
   (* The last entry of [i]'s run of equal [vc(observer)]: the point of
-     [observer]'s view that stands for [i]. *)
+     [observer]'s view that stands for [i].  [observer] is not the
+     owner. *)
   let run_end lg ~observer i =
-    let q = Syncclock.get lg.vcs.(i) observer in
+    let q = lg.vcs.(i).Syncclock.base.(observer) in
     let lo = ref (i + 1) and hi = ref lg.len in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if Syncclock.get lg.vcs.(mid) observer > q then hi := mid else lo := mid + 1
+      if lg.vcs.(mid).Syncclock.base.(observer) > q then hi := mid else lo := mid + 1
     done;
     !lo - 1
 
@@ -343,6 +350,7 @@ module Core = struct
   let access t ~max_violations ~tid ~var ~kind ~vc ~eid =
     let fresh = ref [] in
     let vs = var_state t var in
+    let base = vc.Syncclock.base in
     (* As a remote, against closed pairs of other threads. *)
     for i = 0 to vs.v_npairs - 1 do
       let e = vs.v_pairs.(i) in
@@ -350,7 +358,7 @@ module Core = struct
         e.pe_tid <> tid
         && e.pe_reported land kind_bit kind = 0
         && unserializable (e.pe_k1, kind, e.pe_k2)
-        && e.pe_epoch > Syncclock.get vc e.pe_tid
+        && e.pe_epoch > base.(e.pe_tid)
       then
         record t ~max_violations e kind
           { tid = e.pe_tid; lock = e.pe_lock; var; first = e.pe_first;
@@ -389,12 +397,11 @@ module Core = struct
                 | Some r when u <> tid ->
                     let lg = r.r_logs.(kind_index kr) in
                     let i =
-                      log_seek lg ~nthreads:t.c_nthreads ~owner:u ~observer:tid
-                        (Syncclock.get vc u)
+                      log_seek lg ~nthreads:t.c_nthreads ~observer:tid base.(u)
                     in
                     if
                       i < lg.len
-                      && Syncclock.get lg.vcs.(i) tid < e1
+                      && lg.vcs.(i).Syncclock.base.(tid) < e1
                       && entry.pe_reported land kind_bit kr = 0
                     then
                       record t ~max_violations entry kr
@@ -413,7 +420,7 @@ module Core = struct
     (match t.c_current.(tid) with
     | None -> ()
     | Some _ -> (
-        let e = Some (Syncclock.get vc tid, eid) in
+        let e = Some (vc.Syncclock.own, eid) in
         match kind with Read -> own.f_read <- e | Write -> own.f_write <- e));
     List.rev !fresh
 
@@ -467,6 +474,19 @@ module Core = struct
             done)
           r.r_logs;
         !acc)
+      []
+
+  let log_epochs t =
+    fold_rows t
+      (fun _ owner r acc ->
+        Array.fold_left
+          (fun acc lg ->
+            let acc = ref acc in
+            for i = 0 to lg.len - 1 do
+              acc := (owner, lg.vcs.(i)) :: !acc
+            done;
+            !acc)
+          acc r.r_logs)
       []
 
   (* Restore entry points: the same state [access] builds. *)

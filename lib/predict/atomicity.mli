@@ -70,6 +70,11 @@ module Core : sig
   val read : what:string -> nthreads:int -> transactions:int -> Engine.Snapshot.reader -> t
   (** @raise Invalid_argument on malformed lines or an out-of-range
       thread. *)
+
+  val log_epochs : t -> (Types.tid * Syncclock.epoch) list
+  (** Every live access-log entry with its log's owner.  The scans read
+      an entry's components off its [base] and [own] in place, which
+      is sound only while each entry is its owner's epoch. *)
 end
 
 val analyze : ?max_violations:int -> Exec.t -> report

@@ -64,11 +64,9 @@ let delivered_total t = t.delivered_total
    delivered prefix does not yet cover [m.mvc(j)]; [nthreads] when the
    message is deliverable (its own prefix is the caller's business). *)
 let first_unsatisfied t (m : Message.t) ~from =
+  let mvc = (m.Message.mvc :> int array) and tid = m.Message.tid in
   let j = ref from in
-  while
-    !j < t.nthreads
-    && (!j = m.Message.tid || t.delivered.(!j) >= Vclock.get m.Message.mvc !j)
-  do
+  while !j < t.nthreads && (!j = tid || t.delivered.(!j) >= mvc.(!j)) do
     incr j
   done;
   !j

@@ -352,9 +352,10 @@ let enabled t cut tids =
     let k = cut.(i) + 1 in
     if k <= t.prefix.(i) then begin
       let m = (log_block t.logs.(i) k).msgs.((k - 1) land block_mask) in
+      let mvc = (m.Message.mvc :> int array) in
       let ok = ref true and j = ref 0 in
       while !ok && !j < t.nthreads do
-        if !j <> i && Vclock.get m.Message.mvc !j > cut.(!j) then ok := false;
+        if !j <> i && mvc.(!j) > cut.(!j) then ok := false;
         incr j
       done;
       if !ok then begin

@@ -85,8 +85,9 @@ module Core = struct
       t.races <- { first; second } :: t.races
     end
 
+  (* [a.epoch] is [a.tid]'s, so its own component is [own]. *)
   let store s a =
-    let own = Syncclock.get a.epoch a.tid in
+    let own = a.epoch.Syncclock.own in
     if a.is_write then begin
       s.writes.(a.tid) <- a;
       s.w_own.(a.tid) <- own
@@ -103,10 +104,12 @@ module Core = struct
     t.accesses <- t.accesses + 1;
     let this = { eid; tid; var; is_write; epoch } in
     let s = slots t var in
+    let base = epoch.Syncclock.base in
     let n = ref 0 in
     for u = 0 to t.nthreads - 1 do
       if u <> tid then begin
-        let known = Syncclock.get epoch u in
+        (* [epoch] is [tid]'s: for every other [u], [Syncclock.get epoch u]. *)
+        let known = base.(u) in
         if s.w_own.(u) > known then begin
           incr n;
           keep t s.writes.(u) this

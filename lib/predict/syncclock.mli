@@ -18,13 +18,17 @@ open Trace
 
 type t
 
-type epoch
-(** The sync-only clock of one data access.  Immutable; analyses keep
-    epochs by reference. *)
+type epoch = private { base : int array; tid : Types.tid; own : int }
+(** The sync-only clock of one data access by [tid].  Immutable;
+    analyses keep epochs by reference.  Component [u] is [own] for
+    [u = tid] and [base.(u)] otherwise ([base.(tid)] may lag [own]);
+    [base] is shared by the thread's accesses up to its next raising
+    join, so never write through it.  Per-thread loops read the fields
+    in place rather than call {!get} per component. *)
 
 val get : epoch -> int -> int
-(** Component [u] of the access's clock: the thread's own counter for
-    its own component, the base clock's otherwise. *)
+(** Component [u] of the access's clock: [e.own] if [u = e.tid], else
+    [e.base.(u)]. *)
 
 val to_vclock : epoch -> Vclock.t
 (** The full clock, built on demand (reports and snapshot lines). *)

@@ -8,7 +8,11 @@
     Values are immutable: every operation returns a fresh clock, so MVCs
     can be stored in emitted messages without defensive copies. *)
 
-type t
+type t = private int array
+(** Read-only outside this module: [(v :> int array).(j)] is component
+    [j], the read a per-thread loop makes in place (with [-opaque], as
+    in dune's dev profile, {!get} is a real call per component).  Never
+    write through the coercion: clocks are shared by reference. *)
 
 val dim : t -> int
 (** Number of threads the clock covers. *)

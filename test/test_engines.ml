@@ -314,6 +314,67 @@ let qcheck_epoch_oracle =
       Predict.Linear.finish front;
       !seen = 2 * (Predict.Race.detect exec).Predict.Race.accesses)
 
+(* The cores read an epoch's components in place: [base.(u)] for every
+   [u] other than the epoch's thread, [own] for that thread.  That is
+   [Syncclock.get] only while every epoch a sink receives is the
+   accessing thread's, full width, and every restored log entry is its
+   owner's. *)
+let epoch_invariant ~nthreads origin tid (e : Predict.Syncclock.epoch) =
+  let ok = ref (e.tid = tid && Array.length e.base = nthreads) in
+  if !ok then begin
+    for u = 0 to nthreads - 1 do
+      if u <> e.tid && e.base.(u) <> Predict.Syncclock.get e u then ok := false
+    done;
+    if e.own <> Predict.Syncclock.get e e.tid then ok := false
+  end;
+  !ok
+  || QCheck.Test.fail_reportf "%s: epoch of T%d (tid %d, own %d, base %s) breaks the invariant"
+       origin tid e.tid e.own
+       (String.concat "," (Array.to_list (Array.map string_of_int e.base)))
+
+let qcheck_epoch_invariant =
+  QCheck.Test.make ~name:"random sync programs: epochs and restored logs read in place"
+    ~count:150 arb_sync_program (fun ((_, sched_seed, reorder_seed) as p) ->
+      let exec = exec_of_program ~seed:sched_seed (program_of p) in
+      let nthreads = Trace.Exec.nthreads exec in
+      let checking origin =
+        { Predict.Linear.lock = (fun _ _ _ -> ());
+          access =
+            (fun tid _ ~is_write:_ ~eid:_ e ->
+              ignore (epoch_invariant ~nthreads origin tid e)) }
+      in
+      Predict.Linear.replay exec (checking "replay");
+      let core = Predict.Atomicity.Core.create ~nthreads in
+      let front = Predict.Linear.create ~nthreads () in
+      let sink =
+        Predict.Linear.fan_out [ checking "stream"; Predict.Atomicity.Core.sink core ]
+      in
+      let restored_logs_hold () =
+        let lines = ref [] in
+        Predict.Atomicity.Core.write lines core;
+        let restored =
+          Predict.Atomicity.Core.read ~what:"test" ~nthreads
+            ~transactions:(Predict.Atomicity.Core.transactions core)
+            (PE.Snapshot.reader (List.rev !lines))
+        in
+        List.iter
+          (fun (owner, e) -> ignore (epoch_invariant ~nthreads "restored log" owner e))
+          (Predict.Atomicity.Core.log_epochs restored)
+      in
+      let messages = Observer.Channel.shuffle ~seed:reorder_seed (PE.messages_of_exec exec) in
+      let half = List.length messages / 2 in
+      List.iteri
+        (fun i m ->
+          if i = half then restored_logs_hold ();
+          Predict.Linear.feed front sink m)
+        messages;
+      Predict.Linear.finish front;
+      restored_logs_hold ();
+      List.iter
+        (fun (owner, e) -> ignore (epoch_invariant ~nthreads "live log" owner e))
+        (Predict.Atomicity.Core.log_epochs core);
+      true)
+
 (* {1 Kill/resume differential, per engine set} *)
 
 let in_temp_file f =
@@ -728,7 +789,8 @@ let () =
           Alcotest.test_case "snapshot identity, reordered 16-thread trace" `Quick
             test_snapshot_identity ] );
       ( "oracle",
-        List.map QCheck_alcotest.to_alcotest [ qcheck_race_oracle; qcheck_epoch_oracle ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ qcheck_race_oracle; qcheck_epoch_oracle; qcheck_epoch_invariant ] );
       ( "restore",
         [ Alcotest.test_case "race 1 + atomicity 1 blocks resume" `Quick
             test_legacy_blocks_resume;

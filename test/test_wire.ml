@@ -839,6 +839,76 @@ let test_v3_wide_clocks_are_smaller () =
       (String.length v3) (String.length v2);
   roundtrip_ok "wide" W.decode_framed v3 h ms |> ignore
 
+(* {2 Varint edge cases}
+
+   A one-thread stream whose only message carries a full clock, the
+   clock entry being the varint under test.  The expected errors are
+   the recursive decoder's, which the loop must keep. *)
+
+let varint_doc varint =
+  let h = { W.nthreads = 1; init = [] } in
+  v3_doc h
+    [ W.Framed.frame W.Framed3.kind_vardef (W.encode_var "x");
+      (* full clock, tid 0, var id 0, value 0, then the clock entry *)
+      W.Framed.frame W.Framed3.kind_message ("\x01\x00\x00\x00" ^ varint) ]
+
+let expect_varint_error label varint expected =
+  let events = drain_all (varint_doc varint) in
+  Alcotest.(check (list error)) label [ E.Bad_varint expected ] (skip_errors events);
+  Alcotest.(check int) (label ^ ": nothing delivered") 0
+    (List.length (delivered_msgs events))
+
+let test_v3_varint_edges () =
+  (* The largest 9-byte varint: 62 one bits, [max_int]. *)
+  let largest = String.make 8 '\xff' ^ "\x3f" in
+  (match delivered_msgs (drain_all (varint_doc largest)) with
+  | [ m ] ->
+      Alcotest.(check (list int)) "largest decodes" [ max_int ]
+        (Vclock.to_list m.Trace.Message.mvc)
+  | ms -> Alcotest.failf "largest: %d messages delivered" (List.length ms));
+  (* [max_int + 1] would set the sign bit. *)
+  expect_varint_error "sign bit" (String.make 8 '\x80' ^ "\x40") "clock entry: overflow";
+  (* A continuation bit on the 9th byte asks for a 10th. *)
+  expect_varint_error "10th byte"
+    (String.make 8 '\xff' ^ "\xbf\x01")
+    "clock entry: overflow";
+  for k = 1 to String.length largest - 1 do
+    expect_varint_error
+      (Printf.sprintf "truncated after byte %d" k)
+      (String.sub largest 0 k) "clock entry: truncated"
+  done
+
+(* {2 Decode allocation}
+
+   Draining a reader over a 64-thread all-events v3 stream of the
+   benchmark's lock-counter shape allocates the [Message.t] and its
+   clock, plus a few words of wrapping, per message. *)
+
+let test_v3_decode_allocation () =
+  let threads = 64 in
+  let program = Tml.Parser.parse_program (Lock_counter.source ~threads ~iters:4 ~nops:0) in
+  let r = Tml.Vm.run_program ~sched:(Tml.Sched.random ~seed:1) program in
+  let exec = Option.get r.Tml.Vm.exec in
+  let messages = Predict.Engine.messages_of_exec exec in
+  let h = { W.nthreads = threads; init = Trace.Exec.init exec } in
+  let reader = W.Reader.create () in
+  W.Reader.feed reader (W.Framed3.encode h messages);
+  W.Reader.close reader;
+  let count = ref 0 and eof = ref false in
+  let before = Gc.minor_words () in
+  while not !eof do
+    match W.Reader.next reader with
+    | W.Reader.Item (W.Reader.Msg _) -> incr count
+    | W.Reader.Item _ | W.Reader.Await -> ()
+    | W.Reader.Skip _ -> Alcotest.fail "skip on a well-formed stream"
+    | W.Reader.Eof -> eof := true
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int !count in
+  Alcotest.(check int) "every message decoded" (List.length messages) !count;
+  let budget = float_of_int (threads + 40) in
+  if words > budget then
+    Alcotest.failf "%.1f minor words per decoded message (budget %.0f)" words budget
+
 (* {1 Frame-size symmetry (the Frame_too_large asymmetry fix)} *)
 
 let test_frame_boundary () =
@@ -970,7 +1040,10 @@ let () =
           Alcotest.test_case "unknown var id" `Quick test_v3_unknown_var_id;
           Alcotest.test_case "thread-count ceiling" `Quick test_v3_thread_limit;
           Alcotest.test_case "wide sparse clocks shrink 3x" `Quick
-            test_v3_wide_clocks_are_smaller ] );
+            test_v3_wide_clocks_are_smaller;
+          Alcotest.test_case "varint edges" `Quick test_v3_varint_edges;
+          Alcotest.test_case "decode allocates the message only" `Quick
+            test_v3_decode_allocation ] );
       ( "frame bounds",
         [ Alcotest.test_case "encoder rejects what the reader would" `Quick
             test_frame_boundary;
