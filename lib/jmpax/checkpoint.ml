@@ -51,23 +51,57 @@ let error_to_string = function
 
 let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
 
-(* {1 CRC32 (IEEE 802.3, reflected)} *)
+(* {1 CRC32 (IEEE 802.3, reflected)}
 
-let crc_table =
+   Slicing-by-8: table [k] (entries [256k .. 256k+255]) advances a byte
+   through [k] further zero bytes, so eight bytes take eight lookups
+   that do not depend on each other, and one pass over the CRC. *)
+
+let crc_tables =
   lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+    (let t = Array.make (8 * 256) 0 in
+     for n = 0 to 255 do
+       let c = ref n in
+       for _ = 0 to 7 do
+         c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+       done;
+       t.(n) <- !c
+     done;
+     for k = 1 to 7 do
+       for n = 0 to 255 do
+         let prev = t.(((k - 1) * 256) + n) in
+         t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
+       done
+     done;
+     t)
 
 let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
-    s;
+  let t = Lazy.force crc_tables in
+  let len = String.length s in
+  let c = ref 0xFFFFFFFF and i = ref 0 in
+  while !i + 8 <= len do
+    let j = !i in
+    let x =
+      !c
+      lxor (Char.code (String.unsafe_get s j)
+           lor (Char.code (String.unsafe_get s (j + 1)) lsl 8)
+           lor (Char.code (String.unsafe_get s (j + 2)) lsl 16)
+           lor (Char.code (String.unsafe_get s (j + 3)) lsl 24))
+    in
+    c :=
+      t.((7 * 256) + (x land 0xff))
+      lxor t.((6 * 256) + ((x lsr 8) land 0xff))
+      lxor t.((5 * 256) + ((x lsr 16) land 0xff))
+      lxor t.((4 * 256) + (x lsr 24))
+      lxor t.((3 * 256) + Char.code (String.unsafe_get s (j + 4)))
+      lxor t.((2 * 256) + Char.code (String.unsafe_get s (j + 5)))
+      lxor t.(256 + Char.code (String.unsafe_get s (j + 6)))
+      lxor t.(Char.code (String.unsafe_get s (j + 7)));
+    i := j + 8
+  done;
+  for j = !i to len - 1 do
+    c := t.((!c lxor Char.code (String.unsafe_get s j)) land 0xff) lxor (!c lsr 8)
+  done;
   !c lxor 0xFFFFFFFF
 
 let crc_hex s = Printf.sprintf "%08x" (crc32 s)

@@ -73,6 +73,10 @@ type error =
 val error_to_string : error -> string
 val pp_error : Format.formatter -> error -> unit
 
+val crc32 : string -> int
+(** The IEEE 802.3 CRC32 of the string (["123456789"] gives
+    [0xcbf43926]), as the envelope and {!fingerprint} use it. *)
+
 val fingerprint : Pastltl.Formula.t -> string
 (** 8-hex-digit digest of the formula's canonical rendering. *)
 

@@ -17,6 +17,14 @@ let m_levels = M.counter "frontier.levels_expanded"
 let m_level_cuts = M.histogram "frontier.level.cuts"
 let m_arena_words = M.gauge "frontier.cutset.peak_mem_words"
 
+(* [Array.blit] of a few ints, without its C call: into an array on
+   the major heap the runtime's blit goes through the write barrier
+   element by element, which costs more than the loop's plain stores. *)
+let copy_ints (src : int array) soff (dst : int array) doff n =
+  for i = 0 to n - 1 do
+    dst.(doff + i) <- src.(soff + i)
+  done
+
 module Cutset = struct
   type t = {
     width : int;
@@ -125,13 +133,16 @@ module Cutset = struct
 
   (* Empty the table, keeping its storage. *)
   let clear t =
-    Array.fill t.slots 0 (Array.length t.slots) (-1);
+    let slots = t.slots in
+    for i = 0 to Array.length slots - 1 do
+      slots.(i) <- -1
+    done;
     t.count <- 0
 
   let insert_at t (a : int array) off s =
     let id = t.count in
     ensure_arena t;
-    Array.blit a off t.arena (id * t.width) t.width;
+    copy_ints a off t.arena (id * t.width) t.width;
     t.count <- id + 1;
     t.slots.(s) <- id;
     id
@@ -187,14 +198,14 @@ module Cutset = struct
     if id >= 0 then Some id else None
 
   let get t id i = t.arena.((id * t.width) + i)
-  let blit t id dst = Array.blit t.arena (id * t.width) dst 0 t.width
+  let blit t id dst = copy_ints t.arena (id * t.width) dst 0 t.width
   let to_array t id = Array.sub t.arena (id * t.width) t.width
 
   (* Successor cut of [src_id] in [src] with component [tid] bumped,
      interned into [t] without allocating: the candidate goes through
      [t.scratch]. *)
   let intern_succ t ~src ~src_id ~tid =
-    Array.blit src.arena (src_id * src.width) t.scratch 0 t.width;
+    copy_ints src.arena (src_id * src.width) t.scratch 0 t.width;
     t.scratch.(tid) <- t.scratch.(tid) + 1;
     intern_off t t.scratch 0
 
@@ -212,9 +223,6 @@ module type PAYLOAD = sig
 
   val dummy : t
   (** Fills the payload slots no cut uses. *)
-
-  val merge : t -> t -> t
-  (** Must be associative; called when [of_list] meets a cut twice. *)
 end
 
 (* [order.(0 .. n-1)] sorted by cut, in place, by heapsort: O(n log n)
@@ -308,9 +316,9 @@ module Make (P : PAYLOAD) = struct
     of_level ~width lvl
 
   (* Rebuild a level from an explicit cut/payload list (checkpoint
-     restore).  Duplicated cuts fold through [P.merge] in list order;
-     the iteration order is re-sorted, so a frontier rebuilt from any
-     permutation of [fold]'s output is identical to the original. *)
+     restore).  The iteration order is re-sorted, so a frontier rebuilt
+     from any permutation of [fold]'s output is identical to the
+     original. *)
   let of_list ~width entries =
     if entries = [] then invalid_arg "Frontier.of_list: empty level";
     let lvl = level_create ~width (List.length entries) in
@@ -318,7 +326,8 @@ module Make (P : PAYLOAD) = struct
       (fun (cut, payload) ->
         let fresh = Cutset.count lvl.cuts in
         let id = Cutset.intern lvl.cuts cut in
-        set_payload lvl id (if id = fresh then payload else P.merge lvl.payloads.(id) payload))
+        if id <> fresh then invalid_arg "Frontier.of_list: a cut listed twice";
+        set_payload lvl id payload)
       entries;
     sort_level lvl;
     of_level ~width lvl
@@ -352,7 +361,9 @@ module Make (P : PAYLOAD) = struct
   let min_components_into f floor =
     let w = width f in
     if Array.length floor <> w then invalid_arg "Frontier.min_components_into: wrong width";
-    Array.fill floor 0 w max_int;
+    for i = 0 to w - 1 do
+      floor.(i) <- max_int
+    done;
     for id = 0 to size f - 1 do
       for i = 0 to w - 1 do
         let v = Cutset.get f.cur.cuts id i in
@@ -397,7 +408,9 @@ module Make (P : PAYLOAD) = struct
         f.spare <- level_create ~width:(Cutset.width src.cuts) (2 * m)
       else begin
         Cutset.clear src.cuts;
-        Array.fill src.payloads 0 n P.dummy;
+        for id = 0 to n - 1 do
+          src.payloads.(id) <- P.dummy
+        done;
         f.spare <- src
       end;
       f.cur <- dst;

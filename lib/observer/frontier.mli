@@ -67,10 +67,6 @@ module type PAYLOAD = sig
   val dummy : t
   (** Fills the payload slots no cut of a level uses; never passed to
       a callback. *)
-
-  val merge : t -> t -> t
-  (** Combine two payloads {!Make.of_list} finds at the same cut, in
-      list order. *)
 end
 
 (** The level-by-level engine over one payload type. *)
@@ -85,11 +81,11 @@ module Make (P : PAYLOAD) : sig
 
   val of_list : width:int -> (int array * P.t) list -> frontier
   (** Rebuild one level from explicit cut/payload pairs — the checkpoint
-      restore path of [Predict.Online].  Pairs hitting the same cut are
-      combined with [P.merge] in list order; iteration order is
+      restore path of [Predict.Online].  Iteration order is
       canonicalized, so rebuilding from any permutation of a level's
       {!fold} output reproduces that level exactly.
-      @raise Invalid_argument on an empty list or a wrong-width cut. *)
+      @raise Invalid_argument on an empty list, a wrong-width cut or a
+      cut listed twice. *)
 
   val size : frontier -> int
   val width : frontier -> int

@@ -117,7 +117,13 @@ let compare_state (a : state) (b : state) =
     if !i = la then 0 else if Array.unsafe_get b !i then -1 else 1
   end
 
-let hash_state = Hashtbl.hash
+(* Every bit counts: [Hashtbl.hash] reads only the first ten. *)
+let hash_state (s : state) =
+  let h = ref 0x811c9dc5 in
+  for i = 0 to Array.length s - 1 do
+    h := (!h lxor Bool.to_int (Array.unsafe_get s i)) * 0x01000193
+  done;
+  (!h lxor (!h lsr 29)) land max_int
 
 let pp_state ppf s =
   Format.pp_print_string ppf

@@ -64,4 +64,6 @@ val state_of_string : compiled -> string -> state option
 val equal_state : state -> state -> bool
 val compare_state : state -> state -> int
 val hash_state : state -> int
+(** A hash over every subformula's bit, consistent with {!equal_state}. *)
+
 val pp_state : Format.formatter -> state -> unit

@@ -73,9 +73,11 @@ let create ?max_buffered ?overflow_limit ~kinds ~nthreads ~init ~spec () =
   in
   { kinds; online; linear; events = 0; degraded = None; nthreads; max_buffered; overflow_limit }
 
+(* [match]es, not [Option.iter]: a closure over [m] would be allocated
+   per message. *)
 let feed t m =
   t.events <- t.events + 1;
-  Option.iter (fun o -> Online.feed o m) t.online;
+  (match t.online with Some o -> Online.feed o m | None -> ());
   match t.linear with
   | None -> ()
   | Some l ->
@@ -83,8 +85,8 @@ let feed t m =
       Linear.feed l.front l.sink m
 
 let end_of_thread t tid =
-  Option.iter (fun o -> Online.end_of_thread o tid) t.online;
-  Option.iter (fun l -> Linear.end_of_thread l.front tid) t.linear
+  (match t.online with Some o -> Online.end_of_thread o tid | None -> ());
+  match t.linear with Some l -> Linear.end_of_thread l.front tid | None -> ()
 
 let finish t =
   Option.iter Online.finish t.online;

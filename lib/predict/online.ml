@@ -11,12 +11,6 @@ let m_peak_buffered = M.gauge "online.peak_buffered"
 
 exception Backpressure of { buffered : int; limit : int }
 
-module Mset = Set.Make (struct
-  type t = Pastltl.Monitor.state
-
-  let compare = Pastltl.Monitor.compare_state
-end)
-
 module Smap = Map.Make (String)
 
 (* {1 Interned global states}
@@ -71,16 +65,22 @@ let make_layout ~listed:listed_vars ~spec monitor =
 
 let var_slot lay x = match Hashtbl.find lay.slot_of x with s -> s | exception Not_found -> -1
 
-type entry = { vals : int array; side : Types.value Smap.t; msets : Mset.t }
+(* A cut's payload: its global state, the set of monitor states its
+   paths reach (an {!Msets} id) and the letter of its state, the atoms'
+   truth over it, computed once when the cut is first reached.  Each
+   entry belongs to one cut: a second path into the cut replaces [sid]
+   in place, and [compact_msets] renumbers both ids. *)
+type entry = {
+  vals : int array;
+  side : Types.value Smap.t;
+  mutable sid : int;
+  mutable letter : int;
+}
 
-(* The cut determines the global state, so two entries meeting at one
-   cut carry equal states by construction; only the monitor-state sets
-   need unioning. *)
 module F = Observer.Frontier.Make (struct
   type t = entry
 
-  let dummy = { vals = [||]; side = Smap.empty; msets = Mset.empty }
-  let merge a b = { a with msets = Mset.union a.msets b.msets }
+  let dummy = { vals = [||]; side = Smap.empty; sid = -1; letter = 0 }
 end)
 
 (* The entry's state as name-ordered bindings: the listed slots merged
@@ -266,7 +266,8 @@ type t = {
   nthreads : int;
   monitor : Pastltl.Monitor.compiled;
   layout : layout;
-  atom_values : bool array;  (* scratch: the atoms over one transition's state *)
+  msets : Msets.t;  (* the monitor-state sets and the automaton over them *)
+  atom_values : bool array;  (* scratch: a wide letter's atom values *)
   spec : Pastltl.Formula.t;
   max_buffered : int option;  (* bound on out-of-order buffered messages *)
   (* Message store: per-thread logs, plus contiguous prefix lengths and
@@ -290,25 +291,23 @@ type t = {
   mutable peak_frontier_entries : int;
   mutable monitor_steps : int;
   mutable failing : bool;  (* a monitor state stepped on this level fails *)
+  mutable entries : int;  (* (cut, monitor state) pairs of the level being built *)
   (* The sweep's callbacks, built once per observer so that a level
      step allocates no closures. *)
   sweep_enabled : int array -> int array -> int;
   sweep_step : entry -> int array -> int -> entry;
   sweep_join : entry -> entry -> int array -> int -> entry;
-  sweep_step_one : Pastltl.Monitor.state -> Mset.t -> Mset.t;
 }
 
-let record_level_stats t =
-  let cuts = F.size t.frontier in
-  t.peak_frontier_cuts <- max t.peak_frontier_cuts cuts;
-  let entries = F.fold (fun acc _ e -> acc + Mset.cardinal e.msets) 0 t.frontier in
+let record_level_stats t ~entries =
+  t.peak_frontier_cuts <- max t.peak_frontier_cuts (F.size t.frontier);
   t.peak_frontier_entries <- max t.peak_frontier_entries entries
 
 let record_violations t =
   if t.n_violations < max_violations then
     F.iter
       (fun cut entry ->
-        Mset.iter
+        List.iter
           (fun m ->
             if t.n_violations < max_violations && not (Pastltl.Monitor.verdict t.monitor m)
             then begin
@@ -321,15 +320,26 @@ let record_violations t =
                   monitor_state = m }
                 :: t.rev_violations
             end)
-          entry.msets)
+          (Msets.elements t.msets entry.sid))
       t.frontier
 
-(* The atoms' truth over [vals], into the shared scratch vector. *)
-let eval_atoms t vals =
-  let atoms = t.layout.atoms in
-  for a = 0 to Array.length atoms - 1 do
-    t.atom_values.(a) <- atoms.(a) vals
-  done
+(* The letter of [vals]: the atoms' truth as a bit mask, or interned
+   when there are more atoms than an int has bits. *)
+let letter_of layout msets atom_values vals =
+  let atoms = layout.atoms in
+  if Msets.narrow msets then begin
+    let l = ref 0 in
+    for a = 0 to Array.length atoms - 1 do
+      if atoms.(a) vals then l := !l lor (1 lsl a)
+    done;
+    !l
+  end
+  else begin
+    for a = 0 to Array.length atoms - 1 do
+      atom_values.(a) <- atoms.(a) vals
+    done;
+    Msets.intern_letter msets atom_values
+  end
 
 (* Level L+1 can involve, per thread i, only events with index <= L+1;
    safe to advance when each thread has delivered that much or is done
@@ -366,19 +376,20 @@ let enabled t cut tids =
   done;
   !count
 
-(* One monitor state stepped over the atoms in [t.atom_values], added
-   to [acc]; a failing result flags the level for [record_violations].
-   Every state of a new level comes through here, so a level with no
-   flag has no violation to record. *)
-let step_one t ms acc =
-  t.monitor_steps <- t.monitor_steps + 1;
-  let ms = Pastltl.Monitor.step_atoms t.monitor ms t.atom_values in
-  if not (Pastltl.Monitor.verdict t.monitor ms) then t.failing <- true;
-  Mset.add ms acc
+(* Set [sid] stepped over [letter]: one memo lookup.  Every monitor
+   state of the set counts as a step, as if stepped one by one, and a
+   failing result flags the level for [record_violations]; every set
+   of a new level comes through here, so a level with no flag has no
+   violation to record. *)
+let transition t sid letter =
+  t.monitor_steps <- t.monitor_steps + Msets.cardinal t.msets sid;
+  let next = Msets.step t.msets sid letter in
+  if Msets.failing t.msets next then t.failing <- true;
+  next
 
 (* The lattice transition through [tid]'s next event at [cut]: the
-   message applied to the entry's state, every monitor state stepped
-   over the result. *)
+   message applied to the entry's state, its letter, and the entry's
+   set stepped over that letter. *)
 let step t entry cut tid =
   let k = cut.(tid) + 1 in
   let blk = log_block t.logs.(tid) k in
@@ -396,21 +407,29 @@ let step t entry cut tid =
     if slot >= 0 && t.layout.listed.(slot) then entry.side
     else Smap.add m.Message.var m.Message.value entry.side
   in
-  eval_atoms t vals;
-  { vals; side; msets = Mset.fold t.sweep_step_one entry.msets Mset.empty }
+  let letter = if slot < 0 then entry.letter else letter_of t.layout t.msets t.atom_values vals in
+  let sid = transition t entry.sid letter in
+  t.entries <- t.entries + Msets.cardinal t.msets sid;
+  { vals; side; sid; letter }
 
 (* A second path into a successor [q] already holds: the global state
-   there is [q]'s by construction, so only the monitor states move. *)
+   there is [q]'s by construction, so the incoming set is stepped over
+   [q]'s letter and joins [q]'s set. *)
 let join t q entry _cut _tid =
-  eval_atoms t q.vals;
-  let msets = Mset.fold t.sweep_step_one entry.msets q.msets in
-  if msets == q.msets then q else { q with msets }
+  let sid = transition t entry.sid q.letter in
+  if sid <> q.sid then begin
+    let union = Msets.union t.msets q.sid sid in
+    t.entries <- t.entries + Msets.cardinal t.msets union - Msets.cardinal t.msets q.sid;
+    q.sid <- union
+  end;
+  q
 
-let make ?max_buffered ~monitor ~layout ~spec ~prefix ~beyond ~gc_floor ~ended frontier =
+let make ?max_buffered ~monitor ~layout ~msets ~spec ~prefix ~beyond ~gc_floor ~ended frontier =
   let rec t =
     { nthreads = Array.length prefix;
       monitor;
       layout;
+      msets;
       atom_values = Array.make (Array.length layout.atoms) false;
       spec;
       max_buffered;
@@ -431,10 +450,10 @@ let make ?max_buffered ~monitor ~layout ~spec ~prefix ~beyond ~gc_floor ~ended f
       peak_frontier_entries = 0;
       monitor_steps = 1;
       failing = false;
+      entries = 0;
       sweep_enabled = (fun cut tids -> enabled t cut tids);
       sweep_step = (fun entry cut tid -> step t entry cut tid);
-      sweep_join = (fun q entry cut tid -> join t q entry cut tid);
-      sweep_step_one = (fun ms acc -> step_one t ms acc) }
+      sweep_join = (fun q entry cut tid -> join t q entry cut tid) }
   in
   t
 
@@ -449,21 +468,44 @@ let create ?max_buffered ~nthreads ~init ~spec () =
   let init_state = Pastltl.State.of_list init in
   let vals = Array.make (Array.length layout.listed) 0 in
   Array.iter (fun (x, s) -> vals.(s) <- Pastltl.State.get init_state x) layout.listed_sorted;
-  let m0 = Pastltl.Monitor.init_atoms monitor (Array.map (fun atom -> atom vals) layout.atoms) in
+  let values = Array.map (fun atom -> atom vals) layout.atoms in
+  let msets = Msets.create monitor in
+  let sid = Msets.of_states msets [ Pastltl.Monitor.init_atoms monitor values ] in
+  let letter = letter_of layout msets values vals in
   let zeros = Array.make nthreads 0 in
   let t =
-    make ?max_buffered ~monitor ~layout ~spec ~prefix:zeros ~beyond:zeros ~gc_floor:zeros
-      ~ended:(Array.make nthreads false)
-      (F.singleton ~width:nthreads zeros
-         { vals; side = Smap.empty; msets = Mset.singleton m0 })
+    make ?max_buffered ~monitor ~layout ~msets ~spec ~prefix:zeros ~beyond:zeros
+      ~gc_floor:zeros ~ended:(Array.make nthreads false)
+      (F.singleton ~width:nthreads zeros { vals; side = Smap.empty; sid; letter })
   in
-  record_level_stats t;
+  record_level_stats t ~entries:1;
   record_violations t;
   t
+
+(* What the automaton's tables may hold once a level is built: what
+   its entries keep (at most one set and one letter a cut, at most one
+   monitor state an entry), what the next level's transitions and
+   unions can add (a set and a memo entry each, at most [nthreads] of
+   them a cut), and a few hundred more, so a small frontier does not
+   compact every level. *)
+let msets_limit t = 256 + (4 * (t.nthreads + 1) * F.size t.frontier) + (2 * t.entries)
+
+(* Keep only the sets and letters the frontier's entries hold, once the
+   tables outgrow what the level can use: their size follows the live
+   frontier, not the stream. *)
+let compact_msets t =
+  if Msets.population t.msets > msets_limit t then
+    Msets.compact t.msets (fun ~set ~letter ->
+        F.iter
+          (fun _ e ->
+            e.sid <- set e.sid;
+            e.letter <- letter e.letter)
+          t.frontier)
 
 let rec advance_one_level_body t =
   let retiring = F.size t.frontier and steps = t.monitor_steps in
   t.failing <- false;
+  t.entries <- 0;
   let advanced =
     F.advance ~enabled:t.sweep_enabled ~step:t.sweep_step ~join:t.sweep_join t.frontier
   in
@@ -476,8 +518,9 @@ let rec advance_one_level_body t =
       M.push m_level_cuts (F.size t.frontier)
     end;
     t.level <- t.level + 1;
-    record_level_stats t;
+    record_level_stats t ~entries:t.entries;
     if t.failing then record_violations t;
+    compact_msets t;
     gc_store t
   end
 
@@ -599,7 +642,7 @@ let snapshot t =
       (fun acc cut e ->
         ( Array.copy cut,
           bindings t.layout e,
-          List.map Pastltl.Monitor.state_to_string (Mset.elements e.msets) )
+          List.map Pastltl.Monitor.state_to_string (Msets.elements t.msets e.sid) )
         :: acc)
       [] t.frontier
     |> List.rev
@@ -663,7 +706,9 @@ let restore ?max_buffered ~spec s =
           "Online.restore: monitor state does not fit the specification \
            (snapshot taken under a different spec?)"
   in
-  let entry bindings msets =
+  let msets = Msets.create monitor in
+  let atom_values = Array.make (Array.length layout.atoms) false in
+  let entry bindings states =
     let vals = Array.make (Array.length layout.listed) 0 in
     let side =
       List.fold_left
@@ -673,14 +718,17 @@ let restore ?max_buffered ~spec s =
           if slot >= 0 && layout.listed.(slot) then side else Smap.add x v side)
         Smap.empty bindings
     in
-    { vals; side; msets }
+    { vals;
+      side;
+      sid = Msets.of_states msets states;
+      letter = letter_of layout msets atom_values vals }
   in
   let entries =
     List.map
-      (fun (cut, bindings, msets) ->
+      (fun (cut, bindings, states) ->
         check_width "frontier cut" cut;
-        if msets = [] then invalid_arg "Online.restore: cut with no monitor states";
-        (cut, entry bindings (Mset.of_list (List.map mstate msets))))
+        if states = [] then invalid_arg "Online.restore: cut with no monitor states";
+        (cut, entry bindings (List.map mstate states)))
       s.snap_frontier
   in
   Array.iteri
@@ -689,7 +737,7 @@ let restore ?max_buffered ~spec s =
         invalid_arg "Online.restore: gc floor outside the delivered prefix")
     s.snap_gc_floor;
   let t =
-    make ?max_buffered ~monitor ~layout ~spec ~prefix:s.snap_prefix ~beyond:s.snap_beyond
+    make ?max_buffered ~monitor ~layout ~msets ~spec ~prefix:s.snap_prefix ~beyond:s.snap_beyond
       ~gc_floor:s.snap_gc_floor ~ended:s.snap_ended (F.of_list ~width:n entries)
   in
   List.iter
@@ -732,9 +780,16 @@ let frontier_cuts t = F.size t.frontier
    entry one word; per block held far ahead one map node (5 fields +
    header).  The frontier term counts both of the sweep's level buffers
    (the spare keeps the storage of the widest level it has held) and is
-   the dominant one under a wide workload.  All of it is O(threads) arithmetic over maintained
-   counters, cheap enough to evaluate after every feed. *)
+   the dominant one under a wide workload; the automaton's tables
+   follow the frontier.  The compiled specification (the monitor, its
+   formula and the atoms compiled over slots) takes about 12 words a
+   subformula and 16 more an atom.  All of it is O(threads) arithmetic
+   over maintained counters, cheap enough to evaluate after every
+   feed. *)
 let block_words = (2 * (block_size + 1)) + 3
+
+let spec_words t =
+  (12 * Pastltl.Monitor.width t.monitor) + (16 * Array.length t.layout.atoms) + 40
 
 let mem_words t =
   let store =
@@ -743,7 +798,8 @@ let mem_words t =
         acc + (block_words * l.live) + Array.length l.spine + (6 * l.nfar) + 7)
       0 t.logs
   in
-  F.mem_words t.frontier + ((t.nthreads + 7) * t.stored) + store + (6 * t.nthreads)
+  F.mem_words t.frontier + Msets.mem_words t.msets + ((t.nthreads + 7) * t.stored) + store
+  + (6 * t.nthreads) + spec_words t
 
 let handoff t = (Array.copy t.prefix, Array.copy t.ended, stored_after t t.prefix)
 let buffered t = t.stored

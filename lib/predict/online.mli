@@ -170,4 +170,5 @@ val restore :
     fresh, so a run can resume under a different buffering bound than it
     was checkpointed under.
     @raise Invalid_argument when the snapshot is internally inconsistent
-    or its monitor states do not fit [spec] (wrong specification). *)
+    (a frontier cut listed twice, say) or its monitor states do not fit
+    [spec] (wrong specification). *)

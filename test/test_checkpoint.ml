@@ -634,12 +634,48 @@ let test_faulty_deterministic () =
   Alcotest.(check string) "same bytes" (run ()) (run ());
   Alcotest.(check string) "and equal to the source" doc (run ())
 
+(* {1 CRC32}
+
+   The envelope's CRC against the bytewise table loop it replaced: the
+   standard check value, every length around the eight-byte stride, and
+   random strings.  (The golden checkpoints pin it end to end: their
+   envelopes must still verify.) *)
+
+let crc32_bytewise s =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFF in
+  String.iter (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8)) s;
+  !c lxor 0xFFFFFFFF
+
+let test_crc32_check_value () =
+  Alcotest.(check int) "123456789" 0xcbf43926 (C.crc32 "123456789");
+  Alcotest.(check int) "empty" 0 (C.crc32 "");
+  let s = String.init 40 (fun i -> Char.chr (((i * 37) + 11) land 0xff)) in
+  for len = 0 to String.length s do
+    let sub = String.sub s 0 len in
+    Alcotest.(check int) (Printf.sprintf "length %d" len) (crc32_bytewise sub) (C.crc32 sub)
+  done
+
+let test_crc32_random =
+  QCheck.Test.make ~name:"crc32 = bytewise reference" ~count:500
+    QCheck.(string_gen_of_size Gen.(int_bound 300) Gen.char)
+    (fun s -> C.crc32 s = crc32_bytewise s)
+
 let qcheck_tests =
-  List.map QCheck_alcotest.to_alcotest [ test_roundtrip; test_truncation_rejected ]
+  List.map QCheck_alcotest.to_alcotest
+    [ test_roundtrip; test_truncation_rejected; test_crc32_random ]
 
 let () =
   Alcotest.run "checkpoint"
     [ ("codec laws", qcheck_tests);
+      ("crc32", [ Alcotest.test_case "check value and strides" `Quick test_crc32_check_value ]);
       ( "corruption",
         [ Alcotest.test_case "flip any byte" `Quick test_flip_any_byte;
           Alcotest.test_case "missing file" `Quick test_read_missing ] );

@@ -113,13 +113,12 @@ let qcheck_cutset_vs_hashtbl =
 
 (* {1 Level expansion on a synthetic lattice} *)
 
-(* Payload: sorted list of source tags; merge is list merge, so every
+(* Payload: sorted list of source tags; [join] is list merge, so every
    cut ends up carrying the tags of all its predecessors. *)
 module E = Observer.Frontier.Make (struct
   type t = int list
 
   let dummy = []
-  let merge = List.merge compare
 end)
 
 (* A synthetic grid walk: from cut c, each component below [limit] can

@@ -1146,15 +1146,16 @@ let wide_then_narrow_stream ~wide ~narrow =
 
 (* [mem_words] is the estimate the memory budget compares after every
    feed; it must stay within 25% of what the observer really holds:
-   while thousands of messages are stored, and once the frontier has
-   narrowed to one cut after a 489-cut level, when both level buffers
-   keep the wide level's storage and the spare must hold no payloads.
-   The spec is never violated: the violation report (at most 1000
-   entries) is not part of the estimate. *)
+   while thousands of messages are stored (under a spec whose monitor
+   states carry history, so the automaton's memo is populated too), and
+   once the frontier has narrowed to one cut after a 489-cut level,
+   when both level buffers keep the wide level's storage and the spare
+   must hold no payloads.  The specs are never violated: the violation
+   report (at most 1000 entries) is not part of the estimate. *)
 let test_mem_words_tracks_reachable () =
-  let create () =
+  let create ?(spec = "always a <= 3") () =
     Predict.Online.create ~nthreads:4 ~init:[ ("a", 0); ("b", 0); ("c", 0) ]
-      ~spec:(Pastltl.Fparser.parse "always a <= 3") ()
+      ~spec:(Pastltl.Fparser.parse spec) ()
   in
   let within_25 o =
     let est = Predict.Online.mem_words o and real = Obj.reachable_words (Obj.repr o) in
@@ -1162,14 +1163,18 @@ let test_mem_words_tracks_reachable () =
       Alcotest.failf "%d stored, level %d: mem_words %d, reachable words %d"
         (Predict.Online.buffered o) (Predict.Online.level o) est real
   in
-  let o = create () in
-  List.iteri
-    (fun i m ->
-      Predict.Online.feed o m;
-      if i mod 1000 = 999 then within_25 o)
-    (Observer.Channel.bounded_reorder ~seed:3 ~window:16
-       (clocked_stream ~n:4 ~per_thread:2000 ~seed:1));
-  Alcotest.(check bool) "thousands stored" true (Predict.Online.buffered o > 5000);
+  List.iter
+    (fun spec ->
+      let o = create ~spec () in
+      List.iteri
+        (fun i m ->
+          Predict.Online.feed o m;
+          if i mod 1000 = 999 then within_25 o)
+        (Observer.Channel.bounded_reorder ~seed:3 ~window:16
+           (clocked_stream ~n:4 ~per_thread:2000 ~seed:1));
+      Alcotest.(check bool) "thousands stored" true (Predict.Online.buffered o > 5000);
+      Alcotest.(check bool) "not violated" false (Predict.Online.violated o))
+    [ "always a <= 3"; "(once (a == 2)) ==> (((b <= 3) since (c <= 3)) or [a == 1, b == 9))" ];
   let o = create () and narrowed = ref 0 in
   List.iter
     (fun m ->
@@ -1245,6 +1250,416 @@ let test_feed_allocation_budget () =
   if words > 40. then
     Alcotest.failf "Online.feed allocates %.1f words per message (budget 40)" words
 
+(* {1 The monitor automaton against set-by-set stepping}
+
+   The observer steps the lattice through a memoized automaton over
+   interned monitor-state sets.  The reference here is the stepping it
+   replaced, kept independent of it: every cut holds its global state
+   as a [Pastltl.State.t] and a [Set] of monitor states, and each
+   transition steps every state with the semantic monitor
+   ({!Pastltl.Monitor.step}) and adds the results to the successor's
+   set.  Level advance (every thread has delivered [level + 1] or has
+   ended), canonical cut order, violation order and the cap, and the gc
+   statistics are the observer's documented behaviour.  After every
+   feed the observer's violations, [gc_stats] and snapshot lines
+   (frontier, violations, counters) must equal the model's. *)
+
+module Set_model = struct
+  type t = {
+    monitor : Pastltl.Monitor.compiled;
+    n : int;
+    received : (int * int, Trace.Message.t) Hashtbl.t;
+    prefix : int array;
+    beyond : int array;
+    ended : bool array;
+    mutable level : int;
+    mutable done_ : bool;
+    mutable frontier : (int array * Pastltl.State.t * Sset.t) list;  (* canonical order *)
+    mutable violations : (int array * int * (string * int) list * string) list;  (* newest first *)
+    mutable kept : int;
+    mutable retired : int;
+    mutable peak_cuts : int;
+    mutable peak_entries : int;
+    mutable steps : int;
+  }
+
+  let record t =
+    List.iter
+      (fun (cut, st, ms) ->
+        Sset.iter
+          (fun m ->
+            if t.kept < Predict.Online.max_violations
+               && not (Pastltl.Monitor.verdict t.monitor m)
+            then begin
+              t.kept <- t.kept + 1;
+              t.violations <-
+                ( Array.copy cut,
+                  t.level,
+                  Pastltl.State.to_list st,
+                  Pastltl.Monitor.state_to_string m )
+                :: t.violations
+            end)
+          ms)
+      t.frontier
+
+  let create ~n ~init spec =
+    let monitor = Pastltl.Monitor.compile spec in
+    let st = Pastltl.State.of_list init in
+    let t =
+      { monitor;
+        n;
+        received = Hashtbl.create 64;
+        prefix = Array.make n 0;
+        beyond = Array.make n 0;
+        ended = Array.make n false;
+        level = 0;
+        done_ = false;
+        frontier = [ (Array.make n 0, st, Sset.singleton (Pastltl.Monitor.init monitor st)) ];
+        violations = [];
+        kept = 0;
+        retired = 0;
+        peak_cuts = 1;
+        peak_entries = 1;
+        steps = 1 }
+    in
+    record t;
+    t
+
+  let advance t =
+    let next = Hashtbl.create 16 and order = ref [] and failing = ref false in
+    List.iter
+      (fun (cut, _, ms) ->
+        for tid = 0 to t.n - 1 do
+          let k = cut.(tid) + 1 in
+          if k <= t.prefix.(tid) then begin
+            let m = Hashtbl.find t.received (tid, k) in
+            let mvc = Vclock.to_array m.Trace.Message.mvc in
+            if List.for_all (fun j -> j = tid || mvc.(j) <= cut.(j)) (List.init t.n Fun.id)
+            then begin
+              let succ = Array.copy cut in
+              succ.(tid) <- k;
+              let st =
+                match Hashtbl.find_opt next succ with
+                | Some (st, _) -> st
+                | None ->
+                    let _, st, _ = List.find (fun (c, _, _) -> c == cut) t.frontier in
+                    Pastltl.State.set st m.Trace.Message.var m.Trace.Message.value
+              in
+              let stepped =
+                Sset.map
+                  (fun q ->
+                    t.steps <- t.steps + 1;
+                    let q = Pastltl.Monitor.step t.monitor q st in
+                    if not (Pastltl.Monitor.verdict t.monitor q) then failing := true;
+                    q)
+                  ms
+              in
+              match Hashtbl.find_opt next succ with
+              | Some (st, old) -> Hashtbl.replace next succ (st, Sset.union old stepped)
+              | None ->
+                  order := succ :: !order;
+                  Hashtbl.replace next succ (st, stepped)
+            end
+          end
+        done)
+      t.frontier;
+    if !order = [] then t.done_ <- true
+    else begin
+      t.retired <- t.retired + List.length t.frontier;
+      t.level <- t.level + 1;
+      t.frontier <-
+        List.sort compare !order
+        |> List.map (fun cut ->
+               let st, ms = Hashtbl.find next cut in
+               (cut, st, ms));
+      t.peak_cuts <- max t.peak_cuts (List.length t.frontier);
+      t.peak_entries <-
+        max t.peak_entries
+          (List.fold_left (fun acc (_, _, ms) -> acc + Sset.cardinal ms) 0 t.frontier);
+      if !failing then record t
+    end
+
+  let rec pump t =
+    let ready i = t.prefix.(i) >= t.level + 1 || (t.ended.(i) && t.beyond.(i) = 0) in
+    if (not t.done_) && List.for_all ready (List.init t.n Fun.id) then begin
+      advance t;
+      pump t
+    end
+
+  let feed t (m : Trace.Message.t) =
+    Hashtbl.replace t.received (m.tid, Trace.Message.seq m) m;
+    t.beyond.(m.tid) <- t.beyond.(m.tid) + 1;
+    while Hashtbl.mem t.received (m.tid, t.prefix.(m.tid) + 1) do
+      t.prefix.(m.tid) <- t.prefix.(m.tid) + 1;
+      t.beyond.(m.tid) <- t.beyond.(m.tid) - 1
+    done;
+    pump t
+
+  let finish t =
+    Array.fill t.ended 0 t.n true;
+    pump t
+
+  let snapshot_lines t =
+    ( List.map
+        (fun (cut, st, ms) ->
+          ( cut,
+            Pastltl.State.to_list st,
+            List.map Pastltl.Monitor.state_to_string (Sset.elements ms) ))
+        t.frontier,
+      List.rev t.violations )
+end
+
+(* The observer's lattice against the model, or a description of the
+   first difference. *)
+let lattice_diff o (model : Set_model.t) =
+  let module O = Predict.Online in
+  let s = O.snapshot o and frontier, violations = Set_model.snapshot_lines model in
+  let g = O.gc_stats o in
+  let checks =
+    [ ("level", s.O.snap_level = model.level && O.level o = model.level);
+      ("done", s.O.snap_done = model.done_);
+      ("frontier lines", s.O.snap_frontier = frontier);
+      ("violation lines", s.O.snap_violations = violations);
+      ( "violations",
+        List.map
+          (fun (v : O.violation) ->
+            ( v.cut,
+              v.level,
+              Pastltl.State.to_list v.state,
+              Pastltl.Monitor.state_to_string v.monitor_state ))
+          (O.violations o)
+        = violations );
+      ("violated", O.violated o = (violations <> []));
+      ( "gc_stats",
+        g
+        = { O.retired_cuts = model.retired;
+            peak_frontier_cuts = model.peak_cuts;
+            peak_frontier_entries = model.peak_entries;
+            monitor_steps = model.steps } );
+      ( "snapshot counters",
+        s.O.snap_retired_cuts = model.retired
+        && s.O.snap_peak_frontier_cuts = model.peak_cuts
+        && s.O.snap_peak_frontier_entries = model.peak_entries
+        && s.O.snap_monitor_steps = model.steps ) ]
+  in
+  List.find_map (fun (what, ok) -> if ok then None else Some what) checks
+
+(* Feeds [messages] to the observer and the model in lockstep, comparing
+   after every feed and after [finish]; midway (at [restore_at]) the
+   observer is replaced by its own snapshot restored, which re-interns
+   every set.  [Some what] names the first difference. *)
+let run_against_model ~spec ~init ~n ?(restore_at = -1) messages =
+  let module O = Predict.Online in
+  let o = ref (O.create ~nthreads:n ~init ~spec ()) in
+  let model = Set_model.create ~n ~init spec in
+  let diff = ref (lattice_diff !o model) in
+  List.iteri
+    (fun i m ->
+      if !diff = None then begin
+        if i = restore_at then o := O.restore ~spec (O.snapshot !o);
+        O.feed !o m;
+        Set_model.feed model m;
+        diff := Option.map (Printf.sprintf "after feed %d: %s" i) (lattice_diff !o model)
+      end)
+    messages;
+  if !diff = None then begin
+    O.finish !o;
+    Set_model.finish model;
+    diff := Option.map (Printf.sprintf "after finish: %s") (lattice_diff !o model)
+  end;
+  !diff
+
+(* Specs whose monitor states carry history: [since], intervals, [once]
+   and [prev], so a cut's paths reach several monitor states. *)
+let multi_state_specs =
+  temporal_specs_pool
+  @ List.map Pastltl.Fparser.parse
+      [ "[a == 1, b == 2) and ((c == 1) since (a >= 1))";
+        "(once (a == 2)) ==> [b == 1, c == 3)";
+        "((a > b) since (c == 1)) or [b == 2, a == 3)";
+        "(prev (b == 1)) ==> ((once (a == 3)) or [c == 1, c == 2))" ]
+
+let prop_automaton_matches_model =
+  QCheck.Test.make ~name:"automaton == set-by-set stepping, after every feed" ~count:150
+    arb_random_program (fun ((_, _, spec_seed) as rp) ->
+      let comp = comp_of_random rp in
+      let spec = List.nth multi_state_specs (spec_seed mod List.length multi_state_specs) in
+      let messages =
+        Observer.Channel.shuffle ~seed:spec_seed (Observer.Computation.messages comp)
+      in
+      match
+        run_against_model ~spec
+          ~init:(Pastltl.State.to_list (Observer.Computation.init_state comp))
+          ~n:(Observer.Computation.nthreads comp)
+          ~restore_at:(spec_seed mod (List.length messages + 1))
+          messages
+      with
+      | None -> true
+      | Some what -> QCheck.Test.fail_report what)
+
+(* Many letters: [a], [b] and [c] are written in turn, each a digit of
+   a base-21 counter ([a] the fastest), so the 60 atoms [a >= k],
+   [b >= k], [c >= k] (k = 1..20) take a new joint value every few
+   messages, 9,261 in all.  Every letter reaches a monitor state of its
+   own, so the automaton's tables outgrow a few cuts' needs over and
+   over and are compacted; kept, they would grow with the stream for
+   its first 27,783 messages.  With [threads = 2] the writes alternate
+   between two threads, each learning the other's clock on every other
+   write of its own, so the lattice stays a few cuts wide; with
+   [threads = 1] it is a chain. *)
+let many_letter_stream ~threads n =
+  let clocks = Array.init threads (fun _ -> Array.make threads 0) in
+  List.init n (fun i ->
+      let tid = i mod threads in
+      let c = clocks.(tid) in
+      c.(tid) <- c.(tid) + 1;
+      if threads = 2 && i mod 4 >= 2 then c.(1 - tid) <- clocks.(1 - tid).(1 - tid);
+      let digit = i mod 3 in
+      Trace.Message.make ~eid:i ~tid
+        ~var:[| "a"; "b"; "c" |].(digit)
+        ~value:(i / [| 3; 63; 1323 |].(digit) mod 21)
+        ~mvc:(Vclock.of_array (Array.copy c)))
+
+(* Violated on most cuts, or (with [a >= 0]) never. *)
+let many_letter_spec ~clean =
+  List.init 20 (fun k ->
+      Printf.sprintf "((a >= %d) and (b >= %d) and (c >= %d))" (k + 1) (20 - k)
+        ((k * 7 mod 20) + 1))
+  |> String.concat " or "
+  |> Printf.sprintf "[a >= 20, b >= 20) or %s%s" (if clean then "(a >= 0) or " else "")
+  |> Pastltl.Fparser.parse
+
+(* The model comparison across those compactions, so ids are renumbered
+   under the frontier's feet (and restored midway). *)
+let test_automaton_compacts_like_model () =
+  match
+    run_against_model ~spec:(many_letter_spec ~clean:false)
+      ~init:[ ("a", 0); ("b", 0); ("c", 0) ] ~n:2
+      ~restore_at:1500
+      (Observer.Channel.bounded_reorder ~seed:4 ~window:8 (many_letter_stream ~threads:2 4000))
+  with
+  | None -> ()
+  | Some what -> Alcotest.fail what
+
+(* Specs as wide as letters get: 32 atoms (a bit-mask letter with room
+   to spare) and 66 (more atoms than an int has bits, so letters are
+   interned).  The atoms are [a == k], [b != k], [c == k] for k = 0, 1,
+   ..., three to a clause [(once A) ==> [B, C)] (two left over make an
+   interval); constants past the programs' values keep most atoms
+   constant, the low ones move. *)
+let wide_spec ~natoms =
+  let atom i =
+    let k = i / 3 in
+    match i mod 3 with
+    | 0 -> Printf.sprintf "(a == %d)" k
+    | 1 -> Printf.sprintf "(b != %d)" k
+    | _ -> Printf.sprintf "(c == %d)" k
+  in
+  List.init ((natoms + 2) / 3) (fun c ->
+      match natoms - (3 * c) with
+      | 1 -> Printf.sprintf "(once %s)" (atom (3 * c))
+      | 2 -> Printf.sprintf "[%s, %s)" (atom (3 * c)) (atom ((3 * c) + 1))
+      | _ ->
+          Printf.sprintf "((once %s) ==> [%s, %s))" (atom (3 * c))
+            (atom ((3 * c) + 1))
+            (atom ((3 * c) + 2)))
+  |> String.concat " and "
+  |> Pastltl.Fparser.parse
+
+let test_wide_specs_match_model () =
+  List.iter
+    (fun natoms ->
+      let spec = wide_spec ~natoms in
+      Alcotest.(check int) "atoms" natoms
+        (Array.length (Pastltl.Monitor.atoms (Pastltl.Monitor.compile spec)));
+      List.iter
+        (fun seed ->
+          let rp = QCheck.Gen.generate1 ~rand:(Random.State.make [| seed |]) gen_random_program in
+          let comp = comp_of_random rp in
+          match
+            run_against_model ~spec
+              ~init:(Pastltl.State.to_list (Observer.Computation.init_state comp))
+              ~n:(Observer.Computation.nthreads comp) ~restore_at:3
+              (Observer.Channel.shuffle ~seed (Observer.Computation.messages comp))
+          with
+          | None -> ()
+          | Some what -> Alcotest.failf "%d atoms, seed %d: %s" natoms seed what)
+        (List.init 12 Fun.id))
+    [ 32; 66 ]
+
+(* A snapshot lists each frontier cut once, with all its monitor
+   states; one listing a cut twice is malformed and is refused. *)
+let test_restore_rejects_repeated_cut () =
+  let module O = Predict.Online in
+  let spec = Pastltl.Fparser.parse "[a == 1, b == 2)" in
+  let o = O.create ~nthreads:2 ~init:[ ("a", 0); ("b", 0) ] ~spec () in
+  let s = O.snapshot o in
+  ignore (O.restore ~spec s);
+  match O.restore ~spec { s with O.snap_frontier = s.O.snap_frontier @ s.O.snap_frontier } with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a cut listed twice was restored"
+
+(* {1 Allocation and memory of the automaton} *)
+
+(* The 4-thread lock-counter stream of the benchmark's lattice workload
+   (2,500 iterations a thread, 20,000 relevant writes) under its
+   invariant: with one memo lookup per transition, [feed] and [finish]
+   together allocate about 41 words a message (a copied state and an
+   entry per new cut, and the message log).  Stepping every set state
+   by state allocated 84. *)
+let test_lock_counter_allocation () =
+  let program = Tml.Parser.parse_program (Lock_counter.source ~threads:4 ~iters:2_500 ~nops:0) in
+  let vars = [ "c"; "x0"; "x1"; "x2"; "x3" ] in
+  let r =
+    Tml.Vm.run_program ~relevance:(Mvc.Relevance.writes_of_vars vars)
+      ~sched:(Tml.Sched.random ~seed:1) program
+  in
+  let messages = r.Tml.Vm.messages in
+  let o =
+    Predict.Online.create ~nthreads:4
+      ~init:(List.filter (fun (x, _) -> List.mem x vars) program.Tml.Ast.shared)
+      ~spec:(Pastltl.Fparser.parse "c <= x0 + x1 + x2 + x3 + 4") ()
+  in
+  let feed = Predict.Online.feed o in
+  let before = Gc.minor_words () in
+  List.iter feed messages;
+  Predict.Online.finish o;
+  let words = (Gc.minor_words () -. before) /. float_of_int (List.length messages) in
+  Alcotest.(check bool) "clean" false (Predict.Online.violated o);
+  if words > 60. then
+    Alcotest.failf "Online.feed allocates %.1f words per message (budget 60)" words
+
+(* The automaton's tables follow the frontier, not the stream: over
+   40,000 messages of the many-letter chain (one thread, so the message
+   store holds next to nothing and [mem_words] is mostly the
+   automaton), the largest [mem_words] of the last 2,000 is no more
+   than a quarter above that of messages 2,000 to 4,000, and it stays
+   within 25% of what the observer really holds. *)
+let test_memo_bounded_by_frontier () =
+  let n = 40_000 in
+  let o =
+    Predict.Online.create ~nthreads:1 ~init:[ ("a", 0); ("b", 0); ("c", 0) ]
+      ~spec:(many_letter_spec ~clean:true) ()
+  in
+  let early = ref 0 and late = ref 0 in
+  List.iteri
+    (fun i m ->
+      Predict.Online.feed o m;
+      if i >= 2_000 && i < 4_000 then early := max !early (Predict.Online.mem_words o);
+      if i >= n - 2_000 then begin
+        late := max !late (Predict.Online.mem_words o);
+        if i mod 500 = 0 then begin
+          let est = Predict.Online.mem_words o and real = Obj.reachable_words (Obj.repr o) in
+          if 5 * est < 4 * real || 4 * est > 5 * real then
+            Alcotest.failf "message %d: mem_words %d, reachable words %d" i est real
+        end
+      end)
+    (many_letter_stream ~threads:1 n);
+  Alcotest.(check bool) "not violated" false (Predict.Online.violated o);
+  if 4 * !late > 5 * !early then
+    Alcotest.failf "largest mem_words %d over messages 2,000-4,000, %d over the last 2,000"
+      !early !late
+
 let () =
   Alcotest.run "predict"
     [ ( "analyzer",
@@ -1294,6 +1709,14 @@ let () =
             test_replay_counterexamples;
           Alcotest.test_case "wrong values rejected" `Quick test_replay_rejects_wrong_values;
           Alcotest.test_case "short target rejected" `Quick test_replay_rejects_short_target ] );
+      ( "automaton",
+        [ QCheck_alcotest.to_alcotest prop_automaton_matches_model;
+          Alcotest.test_case "compactions = set-by-set stepping" `Quick
+            test_automaton_compacts_like_model;
+          Alcotest.test_case "32 and 66 atoms = set-by-set stepping" `Quick
+            test_wide_specs_match_model;
+          Alcotest.test_case "restore refuses a cut listed twice" `Quick
+            test_restore_rejects_repeated_cut ] );
       ( "online",
         [ Alcotest.test_case "delivery order: examples" `Quick
             test_online_order_independent_on_examples;
@@ -1312,6 +1735,8 @@ let () =
           Alcotest.test_case "memory budget after a wide level" `Quick
             test_budget_after_wide_level;
           Alcotest.test_case "allocation budget of a level" `Quick test_feed_allocation_budget;
+          Alcotest.test_case "lock-counter allocation budget" `Quick test_lock_counter_allocation;
+          Alcotest.test_case "memo bounded by the frontier" `Quick test_memo_bounded_by_frontier;
           Alcotest.test_case "far-ahead messages = Hashtbl model" `Quick
             test_far_ahead_matches_model;
           Alcotest.test_case "forged seq 2^40 stays small" `Quick
