@@ -680,113 +680,6 @@ let e16 ?(smoke = false) () =
     ((!worst -. 1.) *. 100.);
   !worst <= 1.10
 
-(* {1 E17: wire codecs — framed streaming decode throughput} *)
-
-(* A structurally valid synthetic trace (tid in range, clock width right,
-   own component >= 1).  The wire layer never checks cross-thread
-   causality, so round-robin per-thread counters are enough. *)
-let synth_trace ~nthreads ~n =
-  let header =
-    { Jmpax.Wire.nthreads;
-      init = List.init nthreads (fun i -> (Printf.sprintf "v%d" i, 0)) }
-  in
-  let counts = Array.make nthreads 0 in
-  let ms =
-    List.init n (fun i ->
-        let tid = i mod nthreads in
-        counts.(tid) <- counts.(tid) + 1;
-        Trace.Message.make ~eid:i ~tid ~var:(Printf.sprintf "v%d" tid) ~value:i
-          ~mvc:(Vclock.of_list (Array.to_list counts)))
-  in
-  (header, ms)
-
-(* Drain a framed stream through the incremental reader in fixed-size
-   chunks — the [jmpax stream] hot path. *)
-let drain_framed ~chunk doc =
-  let r = Jmpax.Wire.Reader.create () in
-  let n = String.length doc in
-  let pos = ref 0 and items = ref 0 and skips = ref 0 in
-  let rec go () =
-    match Jmpax.Wire.Reader.next r with
-    | Jmpax.Wire.Reader.Item _ ->
-        incr items;
-        go ()
-    | Jmpax.Wire.Reader.Skip _ ->
-        incr skips;
-        go ()
-    | Jmpax.Wire.Reader.Eof -> ()
-    | Jmpax.Wire.Reader.Await ->
-        if !pos >= n then Jmpax.Wire.Reader.close r
-        else begin
-          let k = min chunk (n - !pos) in
-          Jmpax.Wire.Reader.feed r (String.sub doc !pos k);
-          pos := !pos + k
-        end;
-        go ()
-  in
-  go ();
-  (!items, !skips)
-
-let e17 () =
-  section "E17" "Wire codecs: v1 text vs framed v2, whole-document and streaming";
-  let nthreads = 4 and n = 20_000 in
-  let header, ms = synth_trace ~nthreads ~n in
-  let v1 = Jmpax.Wire.encode header ms in
-  let v2 = Jmpax.Wire.Framed.encode header ms in
-  (* A corrupted variant: noise spliced between frames every ~128 frames
-     prices the resynchronization path. *)
-  let noisy =
-    let buf = Buffer.create (String.length v2) in
-    Buffer.add_string buf Jmpax.Wire.Framed.preamble;
-    Buffer.add_string buf (Jmpax.Wire.Framed.encode_header header);
-    List.iteri
-      (fun i m ->
-        if i mod 128 = 0 then Buffer.add_string buf "\x01\x02 line noise \x03\x04";
-        Buffer.add_string buf (Jmpax.Wire.Framed.encode_message m))
-      ms;
-    Buffer.contents buf
-  in
-  (* Correctness before timing. *)
-  (match (Jmpax.Wire.decode v1, Jmpax.Wire.decode_framed v2) with
-  | Ok (_, a), Ok (_, b) when List.length a = n && List.length b = n -> ()
-  | _ -> failwith "E17: codecs disagree on the synthetic trace");
-  let items, skips = drain_framed ~chunk:4096 noisy in
-  Printf.printf "trace: %d messages; v1 %d bytes, framed %d bytes (%.2fx)\n" n
-    (String.length v1) (String.length v2)
-    (float_of_int (String.length v2) /. float_of_int (String.length v1));
-  Printf.printf "noisy drain: %d items, %d skips (resync works at speed)\n" items skips;
-  record ~experiment:"E17" ~metric:"framed_overhead_ratio"
-    (float_of_int (String.length v2) /. float_of_int (String.length v1));
-  let sizes =
-    [ ("v1 decode", String.length v1);
-      ("framed decode", String.length v2);
-      ("framed reader 4KiB chunks", String.length v2);
-      ("framed reader noisy", String.length noisy) ]
-  in
-  let tests =
-    [ Test.make ~name:"v1 decode"
-        (Staged.stage (fun () -> ignore (Jmpax.Wire.decode v1)));
-      Test.make ~name:"framed decode"
-        (Staged.stage (fun () -> ignore (Jmpax.Wire.decode_framed v2)));
-      Test.make ~name:"framed reader 4KiB chunks"
-        (Staged.stage (fun () -> ignore (drain_framed ~chunk:4096 v2)));
-      Test.make ~name:"framed reader noisy"
-        (Staged.stage (fun () -> ignore (drain_framed ~chunk:4096 noisy))) ]
-  in
-  Printf.printf "%-28s %12s %10s %12s\n" "codec" "per doc" "MB/s" "ns/message";
-  List.iter
-    (fun (name, ns) ->
-      let bytes = List.assoc name sizes in
-      let mbps = float_of_int bytes /. ns *. 1e3 in
-      Printf.printf "%-28s %s %9.1f %11.1f\n" name (pp_ns ns) mbps
-        (ns /. float_of_int n);
-      record ~experiment:"E17" ~metric:(name ^ " ns") ns;
-      record ~experiment:"E17" ~metric:(name ^ " MB/s") mbps)
-    (measure ~quota:0.5 tests);
-  Printf.printf
-    "series: the streaming reader should stay within ~2x of whole-document \
-     decode, and noise must not collapse throughput.\n"
-
 (* {1 E18: crash safety — checkpoint write cost, streaming overhead} *)
 
 (* A long-running concurrent trace with a *bounded* concurrency
@@ -834,7 +727,7 @@ let e18 ?(smoke = false) () =
     "Crash safety: checkpoint write cost and --checkpoint-every overhead";
   let nthreads = 4 and rounds = if smoke then 12 else 30 in
   let header, ms = windowed_trace ~nthreads ~rounds in
-  let doc = Jmpax.Wire.Framed.encode header ms in
+  let doc = Jmpax.Wire.Framed3.encode header ms in
   let spec = e18_spec ~nthreads ~nclauses:32 in
   let ckpath = Filename.temp_file "jmpax_bench" ".ckpt" in
   Fun.protect
@@ -921,93 +814,6 @@ let e18 ?(smoke = false) () =
     "verdict: checkpoint-every-level overhead %+.1f%% (gate: +15%%)\n"
     ((ratio -. 1.) *. 100.);
   ratio <= 1.15
-
-(* {1 E20: wire v3 — delta-encoded clocks, bytes and decode throughput} *)
-
-(* The workload the delta encoding is built for: a wide system where
-   each thread's clock advances mostly in its own component, with an
-   occasional join of one peer — vector clocks are wide but change in
-   only a couple of entries between a thread's consecutive messages.
-   A single densely-advancing shared clock would defeat deltas (every
-   entry changes every message); that shape is E17's v2 territory. *)
-let e20_trace ~nthreads ~n =
-  let header = { Jmpax.Wire.nthreads; init = [ ("x", 0) ] } in
-  let clocks = Array.init nthreads (fun _ -> Array.make nthreads 0) in
-  let ms =
-    List.init n (fun i ->
-        let tid = i * 7 mod nthreads in
-        clocks.(tid).(tid) <- clocks.(tid).(tid) + 1;
-        if i mod 8 = 0 then begin
-          let peer = (tid + 1 + (i mod (nthreads - 1))) mod nthreads in
-          clocks.(tid).(peer) <- max clocks.(tid).(peer) clocks.(peer).(peer)
-        end;
-        Trace.Message.make ~eid:i ~tid ~var:"x" ~value:i
-          ~mvc:(Vclock.of_array (Array.copy clocks.(tid))))
-  in
-  (header, ms)
-
-let e20 ?(smoke = false) () =
-  section "E20" "Wire v3: delta-encoded binary clocks vs framed v2";
-  let nthreads = 64 and n = if smoke then 4_000 else 40_000 in
-  let header, ms = e20_trace ~nthreads ~n in
-  let v2 = Jmpax.Wire.Framed.encode header ms in
-  let v3 = Jmpax.Wire.Framed3.encode header ms in
-  (* Correctness before timing: the encodings must decode to the same
-     messages. *)
-  (match (Jmpax.Wire.decode_framed v2, Jmpax.Wire.decode_framed v3) with
-  | Ok (_, a), Ok (_, b) when List.length a = n && List.length b = n ->
-      List.iter2
-        (fun (x : Trace.Message.t) (y : Trace.Message.t) ->
-          if
-            x.tid <> y.tid || x.var <> y.var || x.value <> y.value
-            || not (Vclock.equal x.mvc y.mvc)
-          then failwith "E20: v2 and v3 decode to different messages")
-        a b
-  | _ -> failwith "E20: codecs disagree on the synthetic trace");
-  let bytes_ratio = float_of_int (String.length v2) /. float_of_int (String.length v3) in
-  Printf.printf
-    "trace: %d messages x %d threads; v2 %d bytes, v3 %d bytes (%.2fx smaller)\n"
-    n nthreads (String.length v2) (String.length v3) bytes_ratio;
-  record ~experiment:"E20" ~metric:"v2_bytes" (float_of_int (String.length v2));
-  record ~experiment:"E20" ~metric:"v3_bytes" (float_of_int (String.length v3));
-  record ~experiment:"E20" ~metric:"bytes_ratio_v2_over_v3" bytes_ratio;
-  (* Decode throughput through the incremental reader in 64 KiB chunks
-     (the [jmpax stream] hot path), compared in events/s — the quantity
-     the monitor consumes; MB/s would flatter v2 for carrying more
-     bytes per event. *)
-  let quota = if smoke then 0.15 else 0.5 in
-  let results =
-    measure ~quota
-      [ Test.make ~name:"v2 reader"
-          (Staged.stage (fun () -> ignore (drain_framed ~chunk:65536 v2)));
-        Test.make ~name:"v3 reader"
-          (Staged.stage (fun () -> ignore (drain_framed ~chunk:65536 v3))) ]
-  in
-  let eps = ref [] in
-  Printf.printf "%-12s %12s %14s %10s\n" "codec" "per doc" "events/s" "MB/s";
-  List.iter
-    (fun (name, ns) ->
-      let bytes = if name = "v2 reader" then String.length v2 else String.length v3 in
-      let events_per_s = float_of_int n /. ns *. 1e9 in
-      let mbps = float_of_int bytes /. ns *. 1e3 in
-      Printf.printf "%-12s %s %14.0f %9.1f\n" name (pp_ns ns) events_per_s mbps;
-      let key = String.map (fun c -> if c = ' ' then '_' else c) name in
-      record ~experiment:"E20" ~metric:(key ^ "_ns") ns;
-      record ~experiment:"E20" ~metric:(key ^ "_events_per_s") events_per_s;
-      record ~experiment:"E20" ~metric:(key ^ "_MB_per_s") mbps;
-      eps := (name, events_per_s) :: !eps)
-    results;
-  let speedup =
-    match (List.assoc_opt "v3 reader" !eps, List.assoc_opt "v2 reader" !eps) with
-    | Some v3e, Some v2e -> v3e /. v2e
-    | _ -> nan
-  in
-  record ~experiment:"E20" ~metric:"decode_speedup_v3_over_v2" speedup;
-  Printf.printf
-    "verdict: v3 is %.2fx smaller (gate: >= 3x at width %d) and decodes %.2fx \
-     faster in events/s (gate: >= 2x)\n"
-    bytes_ratio nthreads speedup;
-  bytes_ratio >= 3.0 && speedup >= 2.0
 
 (* {1 E22: streaming race & atomicity engines — O(n) gate + offline parity} *)
 
@@ -1153,14 +959,6 @@ let run_e18 ?smoke () =
     gate_failed := true
   end
 
-let run_e20 ?smoke () =
-  if not (e20 ?smoke ()) then begin
-    prerr_endline
-      "bench: E20 wire v3 gate FAILED (need >= 3x smaller and >= 2x decode events/s \
-       vs v2)";
-    gate_failed := true
-  end
-
 let run_e22 ?smoke () =
   if not (e22 ?smoke ()) then begin
     prerr_endline
@@ -1173,7 +971,7 @@ let experiments =
   [ ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E6", e6); ("E7", e7); ("E8", e8);
     ("E9", e9); ("E10", e10); ("E11", e11); ("E12", e12); ("E13", e13);
     ("E14", e14); ("E16", fun () -> run_e16 ());
-    ("E17", e17); ("E18", fun () -> run_e18 ()); ("E20", fun () -> run_e20 ());
+    ("E18", fun () -> run_e18 ());
     ("E22", fun () -> run_e22 ()) ]
 
 let dump_metrics dest =
@@ -1220,7 +1018,6 @@ let () =
       e1 ();
       run_e16 ~smoke:true ();
       run_e18 ~smoke:true ();
-      run_e20 ~smoke:true ();
       run_e22 ~smoke:true ()
   | ([] | [ "all" ]), false -> List.iter (fun (_, f) -> f ()) experiments
   | [ "perf" ], _ ->

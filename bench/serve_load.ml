@@ -5,7 +5,7 @@
          [--trace FILE] [--prefix P]
        N concurrent writer sessions against an already-running
        [jmpax serve] daemon at ADDR (unix:PATH or tcp:PORT).  Each
-       session performs the hello handshake, replays its framed wire-v2
+       session performs the hello handshake, replays its framed wire-v3
        stream from byte 0, and prints the verdict line the daemon wrote
        back, one `<id>: <verdict>` line per session (sorted by id) —
        the CI load-smoke diffs these against `jmpax check`.
@@ -37,7 +37,7 @@ let synth_messages events =
       Trace.Message.make ~eid:i ~tid:0 ~var:"x" ~value:1
         ~mvc:(Vclock.of_array [| i + 1 |]))
 
-let synth_trace events = Jmpax.Wire.Framed.encode synth_header (synth_messages events)
+let synth_trace events = Jmpax.Wire.Framed3.encode synth_header (synth_messages events)
 
 (* The verdict every session must come back with, computed through the
    same single-session stream path the daemon's outputs are measured
@@ -612,7 +612,7 @@ let exploding_trace ~nthreads ~per_thread =
         :: !ms
     done
   done;
-  Jmpax.Wire.Framed.encode header !ms
+  Jmpax.Wire.Framed3.encode header !ms
 
 (* The exploding writer: a degraded session prints its linear-engine
    lines before the marked verdict, so read until the [predictive] one. *)

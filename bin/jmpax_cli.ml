@@ -287,12 +287,17 @@ let run_cmd =
                 program.Tml.Ast.shared }
         in
         (match Jmpax.Wire.write_file ~format path header r.Tml.Vm.messages with
-        | () -> ()
-        | exception Jmpax.Wire.Frame_overflow { length; limit; _ } ->
+        | Ok () -> ()
+        | Error
+            (( Jmpax.Wire.Error.Bad_thread_count _
+             | Jmpax.Wire.Error.Frame_too_large _ ) as e) ->
             Format.eprintf
-              "error: a clock this wide encodes into a %d-byte frame, over the \
-               %d-byte wire limit@."
-              length limit;
+              "error: %s; wire v3 cannot carry this trace, record it with \
+               --format v1@."
+              (Jmpax.Wire.Error.to_string e);
+            exit 3
+        | Error e ->
+            Format.eprintf "error: %s@." (Jmpax.Wire.Error.to_string e);
             exit 3);
         Format.printf "@.%d messages written to %s@." (List.length r.Tml.Vm.messages)
           path)
@@ -306,15 +311,13 @@ let run_cmd =
     Arg.(value
          & opt
              (enum
-                [ ("v1", Jmpax.Wire.V1);
-                  ("v2", Jmpax.Wire.Framed_v2);
-                  ("v3", Jmpax.Wire.Binary_v3) ])
-             Jmpax.Wire.Framed_v2
+                [ ("v1", Jmpax.Wire.V1); ("v3", Jmpax.Wire.Binary_v3) ])
+             Jmpax.Wire.Binary_v3
          & info [ "format" ] ~docv:"FMT"
-             ~doc:"Wire format for $(b,--output): $(b,v2) (framed text, default), \
-                   $(b,v3) (binary, delta-encoded clocks) or $(b,v1) \
-                   (line-oriented text).  $(b,check), $(b,stream) and \
-                   $(b,serve) accept any of them transparently.")
+             ~doc:"Wire format for $(b,--output): $(b,v3) (framed binary, \
+                   delta-encoded clocks, default; at most 4096 threads) or \
+                   $(b,v1) (line-oriented text, any width).  $(b,stream) and \
+                   $(b,serve) consume v3; $(b,observe) reads either.")
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Execute an instrumented program once and dump its messages.")

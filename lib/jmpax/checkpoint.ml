@@ -377,10 +377,11 @@ let decode_body body =
     in
     let* re, lines = field "reader-ended" "reader-ended" lines in
     let* reader_ended = bools_of_bits "reader-ended" re in
-    (* The v3 group is present iff the checkpointed stream was wire v3:
-       the reader's variable intern table and per-thread delta baselines
-       (with their validity bits), without which a resumed reader could
-       not decode another delta frame. *)
+    (* The v3 group: the reader's variable intern table and per-thread
+       delta baselines (with their validity bits), without which a
+       resumed reader could not decode another delta frame.  A body
+       without it was taken mid-way through a wire-v2 stream, which no
+       reader decodes any more. *)
     let* v3, lines =
       match lines with
       | line :: _
@@ -420,7 +421,10 @@ let decode_body body =
                       v3_baselines = Array.of_list bases;
                       v3_valid = valid },
                   lines )
-      | _ -> Ok (None, lines)
+      | _ ->
+          malformed
+            "no v3-vars group: the checkpoint of a wire v2 stream, which is no \
+             longer supported"
     in
     let* ss, lines = field "stream-stats" "stream-stats" lines in
     let* ends, quarantined, peak_buffered =
@@ -684,3 +688,10 @@ let validate ~spec t =
   let got = fingerprint spec in
   if got = t.ck_spec_fp then Ok ()
   else Error (Spec_mismatch { expected = t.ck_spec_fp; got })
+
+let reader ?max_frame t =
+  match t.ck_v3 with
+  | None -> invalid_arg "Checkpoint.reader: no wire-v3 reader state"
+  | Some v3 ->
+      Wire.Reader.resume ?max_frame ~v3 ~header:t.ck_header ~ended:t.ck_reader_ended
+        ~next_eid:t.ck_next_eid ~stats:t.ck_reader_stats ~consumed:t.ck_position ()

@@ -40,7 +40,10 @@ type t = {
   ck_reader_ended : bool array;
   ck_v3 : Wire.Reader.v3_state option;
       (** the wire-v3 delta-decode state (intern table, per-thread
-          baselines and their validity bits); [None] for a v2 stream *)
+          baselines and their validity bits).  Always [Some] in a
+          checkpoint {!decode} returns: a body without it was written
+          mid-stream by a build that still read wire v2, and is refused
+          as [Malformed]. *)
   ck_ends : int;  (** end-of-stream frames consumed by the driver *)
   ck_quarantined : int;
   ck_peak_buffered : int;
@@ -100,3 +103,10 @@ val validate : spec:Pastltl.Formula.t -> t -> (unit, error) result
 (** Refuses a checkpoint taken under a different specification —
     restoring a frontier of monitor states against the wrong monitor
     would silently corrupt verdicts. *)
+
+val reader : ?max_frame:int -> t -> Wire.Reader.t
+(** A {!Wire.Reader} standing where the checkpoint was taken: past the
+    header, at stream offset [ck_position], with the checkpoint's
+    counters and delta-decode state.
+    @raise Invalid_argument when [ck_v3] is [None] or a width disagrees
+    with the header. *)

@@ -76,15 +76,7 @@ let run ?(chunk_size = default_chunk_size) ?max_frame ?max_buffered
               ~blocks:ck.Checkpoint.ck_engines
               ~events:ck.Checkpoint.ck_reader_stats.Wire.Reader.messages ()
           in
-          let reader =
-            Wire.Reader.resume ?max_frame ?v3:ck.Checkpoint.ck_v3
-              ~header:ck.Checkpoint.ck_header
-              ~ended:ck.Checkpoint.ck_reader_ended
-              ~next_eid:ck.Checkpoint.ck_next_eid
-              ~stats:ck.Checkpoint.ck_reader_stats
-              ~consumed:ck.Checkpoint.ck_position ()
-          in
-          (reader, b)
+          (Checkpoint.reader ?max_frame ck, b)
         with
         | reader, b ->
             Ok
@@ -192,7 +184,15 @@ let run ?(chunk_size = default_chunk_size) ?max_frame ?max_buffered
         | Some breach -> apply_breach b breach)
     | _ -> Ok ()
   in
+  (* The first thread that lost a delta frame to a poisoned baseline:
+     its messages are gone from there on, even when nothing buffered
+     behind them shows the gap. *)
+  let stale = ref None in
   let on_skip error bytes =
+    (match error with
+    | Wire.Error.Stale_delta_baseline { tid } when Option.is_none !stale ->
+        stale := Some tid
+    | _ -> ());
     match recovery with
     | Config.Fail -> Error error
     | Config.Skip -> Ok ()
@@ -284,7 +284,12 @@ let run ?(chunk_size = default_chunk_size) ?max_frame ?max_buffered
   match !bundle with
   | None -> Error Wire.Error.Missing_header_frame
   | Some b ->
-      let incomplete = Predict.Engines.missing b in
+      let incomplete =
+        match Predict.Engines.missing b with
+        | Some _ as gap -> gap
+        | None ->
+            Option.map (fun tid -> (tid, Predict.Engines.next_index b tid)) !stale
+      in
       let* () =
         match (incomplete, recovery) with
         | Some (tid, next), Config.Fail ->

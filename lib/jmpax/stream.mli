@@ -3,7 +3,7 @@
 
     [run] pulls chunks from a transport (file, FIFO, socket, stdin —
     anything exposing a [read] function), decodes the framed wire format
-    v2 incrementally ({!Wire.Reader}), and drives {!Predict.Online} so
+    v3 incrementally ({!Wire.Reader}), and drives {!Predict.Online} so
     verdicts stream out while the monitored program still runs.  Two
     knobs make it survive hostile input:
 
@@ -37,7 +37,10 @@ type stats = {
   checkpoints : int;  (** checkpoints written during this run *)
   incomplete : (Types.tid * int) option;
       (** the stream ended while this thread was still missing this
-          message index (possible only under [Skip]/[Quarantine]) *)
+          message index (possible only under [Skip]/[Quarantine]): a
+          gap behind a buffered message, or else the next message of the
+          first thread whose delta frame a skip left undecodable
+          ({!Wire.Error.Stale_delta_baseline}) *)
 }
 
 type outcome = {

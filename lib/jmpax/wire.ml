@@ -28,7 +28,6 @@ module Error = struct
     | Unrecognized_line of string
     | Bad_preamble of string
     | Unknown_frame_kind of int
-    | Version_mismatch of { stream : int; frame : int }
     | Frame_too_large of { length : int; limit : int }
     | Truncated_frame of { expected : int; got : int }
     | Bad_frame_trailer of int
@@ -71,8 +70,6 @@ module Error = struct
     | Unrecognized_line s -> Printf.sprintf "unrecognized line %S" s
     | Bad_preamble s -> Printf.sprintf "bad stream preamble %S" s
     | Unknown_frame_kind k -> Printf.sprintf "unknown frame kind 0x%02X" k
-    | Version_mismatch { stream; frame } ->
-        Printf.sprintf "wire v%d frame inside a v%d stream" frame stream
     | Frame_too_large { length; limit } ->
         Printf.sprintf "frame of %d bytes exceeds the %d-byte limit" length limit
     | Truncated_frame { expected; got } ->
@@ -343,35 +340,51 @@ let decode text =
         go None [] rest
       end
 
-(* {1 Framed wire format, version 2}
+(* {1 Framed binary wire format, version 3}
 
-   A stream is the 13-byte preamble ["jmpax-wire 2\n"] followed by
+   A stream is the 13-byte preamble ["jmpax-wire 3\n"] followed by
    frames.  Each frame is
 
    {v
    0x00 'J' 'F'  kind  len:u32be  payload[len]  '\n'
    v}
 
-   The 3-byte sentinel can never occur inside a valid v2 payload
-   (payloads are single text lines whose variable names percent-encode
-   every control character), so a reader that hits garbage can
-   resynchronize by scanning for the next sentinel.  The trailing
-   newline doubles as a cheap tamper tripwire for corrupted lengths and
-   keeps streams greppable. *)
+   A reader that hits garbage resynchronizes by scanning for the next
+   3-byte sentinel; the trailing newline doubles as a cheap tamper
+   tripwire for corrupted lengths.  Message payloads are binary: LEB128
+   varints, variable names interned once per stream, and vector clocks
+   shipped as sparse {e deltas} against the sender's previous clock for
+   the same thread.  Between consecutive events of one thread only a few
+   entries change (Zheng & Garg's optimal-VC observation), so a delta
+   frame is a handful of bytes where a text line would re-send all
+   [nthreads] entries in decimal.
 
-module Framed = struct
-  let preamble = "jmpax-wire 2\n"
+   A full clock (flags bit 0) is the escape hatch: it replaces the
+   receiver's baseline outright, so an encoder that loses track of what
+   the peer last saw — a redial without byte-identical replay — calls
+   {!Framed3.reset} and the stream stays sound.  Binary payloads may
+   contain the sentinel bytes, so post-corruption resync is best-effort
+   (a false sentinel inside a payload costs an extra skip, never a wrong
+   decode: after any skip the reader poisons every baseline and
+   hard-errors on delta frames until a full clock re-anchors that
+   thread). *)
+
+module Framed3 = struct
+  let preamble = "jmpax-wire 3\n"
   let sentinel = "\x00JF"
-  let kind_header = 'H'
-  let kind_message = 'M'
-  let kind_end = 'E'
   let overhead = String.length sentinel + 1 + 4 + 1 (* kind + len + trailer *)
   let default_max_frame = 1 lsl 20
+  let kind_header = 'h'
+  let kind_vardef = 'v'
+  let kind_message = 'm'
+  let kind_end = 'e'
+
+  (* Bound on interned names per stream: a decoder can't be ballooned by
+     a hostile stream of vardef frames. *)
+  let var_limit = 1 lsl 20
 
   (* Encoders enforce the same bound the default reader enforces, so a
-     frame we emit is always a frame a peer accepts ([Frame_too_large]
-     used to be asymmetric: very wide clocks could encode into frames no
-     default reader would take back). *)
+     frame we emit is always a frame a peer accepts. *)
   let frame kind payload =
     let len = String.length payload in
     if len > default_max_frame then
@@ -392,53 +405,6 @@ module Framed = struct
     | s -> Ok s
     | exception Frame_overflow { length; limit; _ } ->
         Error (Error.Frame_too_large { length; limit })
-
-  let encode_header header = frame kind_header (encode_header_body header)
-  let encode_message m = frame kind_message (encode_message m)
-  let encode_end tid = frame kind_end (Printf.sprintf "end %d" tid)
-
-  let encode header messages =
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf preamble;
-    Buffer.add_string buf (encode_header header);
-    List.iter (fun m -> Buffer.add_string buf (encode_message m)) messages;
-    for tid = 0 to header.nthreads - 1 do
-      Buffer.add_string buf (encode_end tid)
-    done;
-    Buffer.contents buf
-end
-
-(* {1 Binary wire format, version 3}
-
-   Same sentinel framing as v2 — preamble ["jmpax-wire 3\n"], then
-   [0x00 'J' 'F' kind len:u32be payload '\n'] frames — but message
-   payloads are binary: LEB128 varints, variable names interned once per
-   stream, and vector clocks shipped as sparse {e deltas} against the
-   sender's previous clock for the same thread.  Between consecutive
-   events of one thread only a few entries change (Zheng & Garg's
-   optimal-VC observation), so a delta frame is a handful of bytes where
-   a v2 frame re-sends all [nthreads] entries in decimal.
-
-   A full clock (flags bit 0) is the escape hatch: it replaces the
-   receiver's baseline outright, so an encoder that loses track of what
-   the peer last saw — a redial without byte-identical replay — calls
-   {!Framed3.reset} and the stream stays sound.  Unlike v2 payloads, v3
-   payloads may contain the sentinel bytes, so post-corruption resync is
-   best-effort (a false sentinel inside a payload costs an extra skip,
-   never a wrong decode: after any skip the reader poisons every
-   baseline and hard-errors on delta frames until a full clock
-   re-anchors that thread). *)
-
-module Framed3 = struct
-  let preamble = "jmpax-wire 3\n"
-  let kind_header = 'h'
-  let kind_vardef = 'v'
-  let kind_message = 'm'
-  let kind_end = 'e'
-
-  (* Bound on interned names per stream: a decoder can't be ballooned by
-     a hostile stream of vardef frames. *)
-  let var_limit = 1 lsl 20
 
   (* Unsigned LEB128; OCaml ints are 63-bit so 9 groups of 7 suffice. *)
   let add_varint buf n =
@@ -465,9 +431,11 @@ module Framed3 = struct
   (* Decoding a v3 stream costs one clock-width baseline per active
      thread; without a ceiling a forged header claiming a billion
      threads would bill the reader quadratic memory before a single
-     message arrives.  v2, whose reader state is linear in the thread
-     count, accepts wider headers. *)
+     message arrives.  Wider traces stay in v1 text. *)
   let max_threads = 4096
+
+  let over_thread_limit n =
+    Error.Bad_thread_count (Printf.sprintf "threads %d (v3 limit %d)" n max_threads)
 
   let encoder h =
     if h.nthreads <= 0 then invalid_arg "Wire.Framed3.encoder: no threads";
@@ -486,7 +454,7 @@ module Framed3 = struct
      stream-scoped and the receiver never discards them. *)
   let reset enc = Array.fill enc.valid 0 (Array.length enc.valid) false
 
-  let encode_header h = Framed.frame kind_header (encode_header_body h)
+  let encode_header h = frame kind_header (encode_header_body h)
 
   let encode_message enc (m : Message.t) =
     let n = enc.enc_header.nthreads in
@@ -504,7 +472,7 @@ module Framed3 = struct
             invalid_arg "Wire.Framed3.encode_message: variable intern table full";
           Hashtbl.add enc.var_ids m.Message.var id;
           enc.nvars <- id + 1;
-          Buffer.add_string out (Framed.frame kind_vardef (encode_var m.Message.var));
+          Buffer.add_string out (frame kind_vardef (encode_var m.Message.var));
           id
     in
     let payload = Buffer.create 32 in
@@ -540,13 +508,13 @@ module Framed3 = struct
       enc.valid.(m.Message.tid) <- true
     end;
     Array.blit c 0 base 0 n;
-    Buffer.add_string out (Framed.frame kind_message (Buffer.contents payload));
+    Buffer.add_string out (frame kind_message (Buffer.contents payload));
     Buffer.contents out
 
   let encode_end tid =
     let payload = Buffer.create 4 in
     add_varint payload tid;
-    Framed.frame kind_end (Buffer.contents payload)
+    frame kind_end (Buffer.contents payload)
 
   let encode h messages =
     let buf = Buffer.create 1024 in
@@ -603,11 +571,10 @@ module Reader = struct
     mutable consumed : int;  (* stream offset of the next unparsed byte *)
     mutable closed : bool;
     mutable preamble_done : bool;
-    mutable version : int;  (* 0 before the preamble, then 2 or 3 *)
     mutable header : header option;
     mutable ended : bool array;  (* resized when the header arrives *)
     mutable next_eid : int;
-    (* v3 decode state *)
+    (* delta-decode state *)
     mutable vars : string array;  (* intern table, id order *)
     mutable nvars : int;
     mutable baselines : int array array;  (* per-thread last decoded clock *)
@@ -622,7 +589,7 @@ module Reader = struct
         (* why the hunt started; sticky until the span is flushed *)
   }
 
-  let create ?(max_frame = Framed.default_max_frame) () =
+  let create ?(max_frame = Framed3.default_max_frame) () =
     { max_frame;
       buf = Bytes.create 4096;
       pos = 0;
@@ -631,7 +598,6 @@ module Reader = struct
       consumed = 0;
       closed = false;
       preamble_done = false;
-      version = 0;
       header = None;
       ended = [||];
       next_eid = 0;
@@ -651,27 +617,17 @@ module Reader = struct
      restore path.  [consumed] seeds the stream offset so later
      checkpoints of the resumed run stay consistent, and [stats] carries
      the pre-crash counters so the final report covers the whole stream.
-     [v3] restores the intern table and per-thread delta baselines of a
-     v3 stream; omitting it resumes a v2 stream. *)
-  let resume ?(max_frame = Framed.default_max_frame) ?v3 ~header:h ~ended ~next_eid
+     [v3] restores the intern table and per-thread delta baselines. *)
+  let resume ?(max_frame = Framed3.default_max_frame) ~v3 ~header:h ~ended ~next_eid
       ~stats:(s : stats) ~consumed () =
     if Array.length ended <> h.nthreads then
       invalid_arg "Wire.Reader.resume: ended width disagrees with the header";
-    let version, vars, nvars, baselines, base_ok =
-      match v3 with
-      | None -> (2, [||], 0, [||], [||])
-      | Some { v3_vars; v3_baselines; v3_valid } ->
-          if
-            Array.length v3_baselines <> h.nthreads
-            || Array.length v3_valid <> h.nthreads
-            || Array.exists (fun b -> Array.length b <> h.nthreads) v3_baselines
-          then invalid_arg "Wire.Reader.resume: v3 state disagrees with the header";
-          ( 3,
-            Array.copy v3_vars,
-            Array.length v3_vars,
-            Array.map Array.copy v3_baselines,
-            Array.copy v3_valid )
-    in
+    let { v3_vars; v3_baselines; v3_valid } = v3 in
+    if
+      Array.length v3_baselines <> h.nthreads
+      || Array.length v3_valid <> h.nthreads
+      || Array.exists (fun b -> Array.length b <> h.nthreads) v3_baselines
+    then invalid_arg "Wire.Reader.resume: v3 state disagrees with the header";
     { max_frame;
       buf = Bytes.create 4096;
       pos = 0;
@@ -680,14 +636,13 @@ module Reader = struct
       consumed;
       closed = false;
       preamble_done = true;
-      version;
       header = Some h;
       ended = Array.copy ended;
       next_eid;
-      vars;
-      nvars;
-      baselines;
-      base_ok;
+      vars = Array.copy v3_vars;
+      nvars = Array.length v3_vars;
+      baselines = Array.map Array.copy v3_baselines;
+      base_ok = Array.copy v3_valid;
       frames = s.frames;
       messages = s.messages;
       skipped_frames = s.skipped_frames;
@@ -771,8 +726,7 @@ module Reader = struct
   (* Any skipped input may have hidden a message whose clock the peer
      folded into later deltas; until a full clock re-anchors a thread,
      decoding its deltas would be silently wrong.  Poison everything. *)
-  let poison t =
-    if t.version = 3 then Array.fill t.base_ok 0 (Array.length t.base_ok) false
+  let poison t = Array.fill t.base_ok 0 (Array.length t.base_ok) false
 
   (* Index of the first sentinel at or after [from], if any is complete
      in the buffered input. *)
@@ -824,14 +778,6 @@ module Reader = struct
           None
         end
 
-  let decode_end_payload payload =
-    match String.split_on_char ' ' (String.trim payload) with
-    | [ "end"; tid ] -> (
-        match int_of_string_opt tid with
-        | Some tid -> Ok tid
-        | None -> Error (Error.Bad_end_frame payload))
-    | _ -> Error (Error.Bad_end_frame payload)
-
   (* {2 In-place v3 payload parsing}
 
      All cursors live on [t.scan]; errors raise the local [Bad]
@@ -866,17 +812,14 @@ module Reader = struct
 
   let unzigzag n = (n lsr 1) lxor (- (n land 1))
 
+  (* Baseline rows are allocated lazily, on a thread's first message:
+     an empty row means "all zeros" (the initial baseline), and a
+     header's claimed width alone never costs quadratic memory. *)
   let install_header t h =
     t.header <- Some h;
     t.ended <- Array.make h.nthreads false;
-    if t.version = 3 then begin
-      (* Baseline rows are allocated lazily, on a thread's first
-         message: an empty row means "all zeros" (the initial baseline),
-         and a header's claimed width alone never costs quadratic
-         memory. *)
-      t.baselines <- Array.make h.nthreads [||];
-      t.base_ok <- Array.make h.nthreads true
-    end
+    t.baselines <- Array.make h.nthreads [||];
+    t.base_ok <- Array.make h.nthreads true
 
   let deliver_vardef t ~base ~len =
     match t.header with
@@ -994,64 +937,27 @@ module Reader = struct
             end
         | exception Bad e -> Error e)
 
+  let deliver_header t ~base ~len =
+    if t.header <> None then Error Error.Duplicate_header_frame
+    else
+      let* h = decode_header_body (Bytes.sub_string t.buf (base + 8) len) in
+      if h.nthreads > Framed3.max_threads then
+        Error (Framed3.over_thread_limit h.nthreads)
+      else begin
+        install_header t h;
+        Ok (Some (Header h))
+      end
+
   (* Decode one well-framed payload against the running stream state.
      [Ok None] is internal bookkeeping (a vardef): nothing to deliver,
      parse on.  The frame bytes are [buf[base .. base+8+len]] and have
-     already been consumed by the caller. *)
+     already been consumed by the caller.  Message frames, by far the
+     most frequent, are tested first. *)
   let deliver t kind ~base ~len =
-    let is_v2 =
-      kind = Framed.kind_header || kind = Framed.kind_message
-      || kind = Framed.kind_end
-    in
-    if is_v2 && t.version = 3 then
-      Error (Error.Version_mismatch { stream = 3; frame = 2 })
-    else if (not is_v2) && t.version = 2 then
-      Error (Error.Version_mismatch { stream = 2; frame = 3 })
-    else if kind = Framed.kind_header || kind = Framed3.kind_header then begin
-      if t.header <> None then Error Error.Duplicate_header_frame
-      else
-        let* h = decode_header_body (Bytes.sub_string t.buf (base + 8) len) in
-        if t.version = 3 && h.nthreads > Framed3.max_threads then
-          Error
-            (Error.Bad_thread_count
-               (Printf.sprintf "threads %d (v3 limit %d)" h.nthreads
-                  Framed3.max_threads))
-        else begin
-          install_header t h;
-          Ok (Some (Header h))
-        end
-    end
-    else if kind = Framed.kind_message then begin
-      match t.header with
-      | None -> Error Error.Missing_header_frame
-      | Some h ->
-          let payload = Bytes.sub_string t.buf (base + 8) len in
-          let* m = decode_message ~expect_width:h.nthreads payload in
-          if t.ended.(m.Message.tid) then
-            Error (Error.Message_after_end { tid = m.Message.tid })
-          else begin
-            let m = { m with Message.eid = t.next_eid } in
-            t.next_eid <- t.next_eid + 1;
-            t.messages <- t.messages + 1;
-            Ok (Some (Msg m))
-          end
-    end
-    else if kind = Framed.kind_end then begin
-      match t.header with
-      | None -> Error Error.Missing_header_frame
-      | Some h ->
-          let* tid = decode_end_payload (Bytes.sub_string t.buf (base + 8) len) in
-          if tid < 0 || tid >= h.nthreads then
-            Error (Error.Tid_out_of_range { tid; nthreads = h.nthreads })
-          else if t.ended.(tid) then Error (Error.Duplicate_end tid)
-          else begin
-            t.ended.(tid) <- true;
-            Ok (Some (End_of_thread tid))
-          end
-    end
+    if kind = Framed3.kind_message then deliver_msg3 t ~base ~len
     else if kind = Framed3.kind_vardef then deliver_vardef t ~base ~len
-    else if kind = Framed3.kind_message then deliver_msg3 t ~base ~len
     else if kind = Framed3.kind_end then deliver_end3 t ~base ~len
+    else if kind = Framed3.kind_header then deliver_header t ~base ~len
     else Error (Error.Unknown_frame_kind (Char.code kind))
 
   (* A frame-closed truncated tail (only possible once the transport is
@@ -1071,28 +977,25 @@ module Reader = struct
     && Bytes.get t.buf (t.pos + 2) = 'F'
 
   let known_kind k =
-    k = Framed.kind_header || k = Framed.kind_message || k = Framed.kind_end
-    || k = Framed3.kind_header || k = Framed3.kind_vardef
-    || k = Framed3.kind_message || k = Framed3.kind_end
+    k = Framed3.kind_message || k = Framed3.kind_vardef || k = Framed3.kind_end
+    || k = Framed3.kind_header
 
   let rec next t =
     if not t.preamble_done then begin
-      let want = String.length Framed.preamble in
+      let want = String.length Framed3.preamble in
       if available t >= want then begin
         let got = Bytes.sub_string t.buf t.pos want in
-        if got = Framed.preamble || got = Framed3.preamble then begin
+        if got = Framed3.preamble then begin
           advance t want;
           t.preamble_done <- true;
-          t.version <- (if got = Framed.preamble then 2 else 3);
           next t
         end
         else begin
           (* Hunt for a sentinel so a corrupted prefix does not hide the
-             rest of the stream.  The version byte is gone with the
-             preamble; assume v2 (a mangled v3 stream then fails loud
-             with [Version_mismatch] skips rather than guessing). *)
+             rest of the stream.  A v2 document lands here too: its
+             preamble is reported, and its text frames are unknown
+             kinds, never decoded. *)
           t.preamble_done <- true;
-          t.version <- 2;
           t.garbage_error <-
             Some
               (fun bytes ->
@@ -1105,7 +1008,6 @@ module Reader = struct
         else begin
           let got = take t (available t) in
           t.preamble_done <- true;
-          t.version <- 2;
           t.skipped_bytes <- t.skipped_bytes + String.length got;
           t.resyncs <- t.resyncs + 1;
           Skip { error = Error.Bad_preamble got; bytes = got }
@@ -1116,8 +1018,8 @@ module Reader = struct
     else if at_sentinel t then begin
       (* Back in sync; report any garbage span first. *)
       if Buffer.length t.garbage > 0 then flush_garbage t
-      else if available t < Framed.overhead then
-        if t.closed then truncated_tail t ~expected:Framed.overhead else Await
+      else if available t < Framed3.overhead then
+        if t.closed then truncated_tail t ~expected:Framed3.overhead else Await
       else begin
         let base = t.pos in
         let kind = Bytes.get t.buf (base + 3) in
@@ -1137,7 +1039,7 @@ module Reader = struct
           resync_past_sentinel
             (Error.Frame_too_large { length = len; limit = t.max_frame })
         else begin
-          let total = Framed.overhead + len in
+          let total = Framed3.overhead + len in
           if available t < total then
             if t.closed then truncated_tail t ~expected:total else Await
           else begin
@@ -1177,24 +1079,23 @@ module Reader = struct
   let ended_threads t = Array.copy t.ended
 
   let v3_state t =
-    if t.version <> 3 then None
-    else
-      let width = match t.header with Some h -> h.nthreads | None -> 0 in
-      Some
-        { v3_vars = Array.sub t.vars 0 t.nvars;
-          v3_baselines =
-            (* Lazily-unallocated rows are all-zero baselines; the
-               external invariant is full-width rows. *)
-            Array.map
-              (fun b -> if Array.length b = width then Array.copy b else Array.make width 0)
-              t.baselines;
-          v3_valid = Array.copy t.base_ok }
+    match t.header with
+    | None -> None
+    | Some { nthreads = width; _ } ->
+        Some
+          { v3_vars = Array.sub t.vars 0 t.nvars;
+            v3_baselines =
+              (* Lazily-unallocated rows are all-zero baselines; the
+                 external invariant is full-width rows. *)
+              Array.map
+                (fun b -> if Array.length b = width then Array.copy b else Array.make width 0)
+                t.baselines;
+            v3_valid = Array.copy t.base_ok }
 end
 
-(* Strict whole-document decode of a framed stream (v2 or v3, by
-   preamble): the first error aborts.  End-of-stream frames are checked
-   but not required, so a truncated-but-frame-aligned recording still
-   decodes. *)
+(* Strict whole-document decode of a framed stream: the first error
+   aborts.  End-of-stream frames are checked but not required, so a
+   truncated-but-frame-aligned recording still decodes. *)
 let decode_framed text =
   let r = Reader.create () in
   Reader.feed r text;
@@ -1215,15 +1116,10 @@ let decode_framed text =
 
 (* {1 Files} *)
 
-type format = V1 | Framed_v2 | Binary_v3
+type format = V1 | Binary_v3
 
 let sniff text =
-  let has_prefix p =
-    String.length text >= String.length p
-    && String.sub text 0 (String.length p) = p
-  in
-  if has_prefix Framed.preamble then Some Framed_v2
-  else if has_prefix Framed3.preamble then Some Binary_v3
+  if String.starts_with ~prefix:Framed3.preamble text then Some Binary_v3
   else
     let first =
       match String.index_opt text '\n' with
@@ -1234,18 +1130,28 @@ let sniff text =
 
 let decode_any text =
   match sniff text with
-  | Some (Framed_v2 | Binary_v3) -> decode_framed text
+  | Some Binary_v3 -> decode_framed text
   | Some V1 | None -> decode text
 
-let write_file ?(format = Framed_v2) path header messages =
-  let doc =
+let write_file ?(format = Binary_v3) path header messages =
+  let* doc =
     match format with
-    | V1 -> encode header messages
-    | Framed_v2 -> Framed.encode header messages
-    | Binary_v3 -> Framed3.encode header messages
+    | V1 -> Ok (encode header messages)
+    | Binary_v3 -> (
+        if header.nthreads > Framed3.max_threads then
+          Error (Framed3.over_thread_limit header.nthreads)
+        else
+          match Framed3.encode header messages with
+          | doc -> Ok doc
+          | exception Frame_overflow { length; limit; _ } ->
+              Error (Error.Frame_too_large { length; limit }))
   in
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc doc)
+  match
+    let oc = open_out_bin path in
+    Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc doc)
+  with
+  | () -> Ok ()
+  | exception Sys_error e -> Error (Error.Io e)
 
 let read_file path =
   match

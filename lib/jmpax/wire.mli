@@ -1,7 +1,7 @@
 (** Wire formats for observer messages.
 
     JMPaX ships [⟨e, i, V⟩] messages over a socket to an external
-    observer process (paper, Fig. 4). This module fixes three encodings
+    observer process (paper, Fig. 4). This module fixes two encodings
     so executions can cross process boundaries here too, in any delivery
     order:
 
@@ -16,28 +16,31 @@
 
     Variable names are percent-encoded so spaces and newlines cannot
     corrupt framing.  Whole-document only: a reader must see the full
-    text before decoding.
-
-    {2 Version 2 — length-framed text stream ({!Framed})}
-
-    The streaming format an online observer consumes while the program
-    runs: a versioned preamble followed by self-delimiting frames
-    (header, message, per-thread end-of-stream), each guarded by a
-    sentinel that cannot occur in a valid payload.
+    text before decoding.  The debug and file format, and the only one
+    for traces wider than {!Framed3.max_threads}.
 
     {2 Version 3 — length-framed binary stream ({!Framed3})}
 
-    Same sentinel framing, binary payloads: LEB128 varints, variable
-    names interned once per stream, and vector clocks shipped as sparse
-    deltas against the sender's previous clock for the same thread, with
-    a full-clock escape frame for resynchronization.  An order of
-    magnitude fewer bytes on wide clocks, and decoded in place by the
-    reader with no per-message allocation beyond the message itself.
+    The streaming format an online observer consumes while the program
+    runs: a versioned preamble followed by self-delimiting frames
+    (header, variable definition, message, per-thread end-of-stream),
+    each guarded by a sentinel.  Payloads are binary: LEB128 varints,
+    variable names interned once per stream, and vector clocks shipped
+    as sparse deltas against the sender's previous clock for the same
+    thread, with a full-clock escape frame for resynchronization.
+    Decoded in place by the reader with no per-message allocation
+    beyond the message itself.
 
-    {!Reader} decodes v2 and v3 incrementally from arbitrary chunk
-    boundaries (the preamble selects the version) and {e resynchronizes}
-    on the next frame after malformed input instead of giving up — every
-    failure is a typed {!Error.t}, never an exception. *)
+    {!Reader} decodes v3 incrementally from arbitrary chunk boundaries
+    and {e resynchronizes} on the next frame after malformed input
+    instead of giving up — every failure is a typed {!Error.t}, never an
+    exception.  A skip poisons every delta baseline, so the delta frames
+    that follow it are skipped too ({!Error.Stale_delta_baseline}) until
+    a full clock re-anchors their thread: recovery loses messages, and
+    reports them, but never decodes a wrong clock.  The retired text
+    stream, wire v2 (preamble ["jmpax-wire 2"]), is refused: its
+    preamble is a {!Error.Bad_preamble} (a {!Error.Bad_magic} for
+    {!decode_any}) and its frames are unknown kinds. *)
 
 open Trace
 
@@ -67,9 +70,6 @@ module Error : sig
     | Unrecognized_line of string
     | Bad_preamble of string
     | Unknown_frame_kind of int
-    | Version_mismatch of { stream : int; frame : int }
-        (** a frame of one wire version inside a stream of the other:
-            mixed v2/v3 streams are a hard error, never decoded *)
     | Frame_too_large of { length : int; limit : int }
     | Truncated_frame of { expected : int; got : int }
     | Bad_frame_trailer of int
@@ -100,8 +100,8 @@ end
 
 exception Frame_overflow of { kind : char; length : int; limit : int }
 (** Raised by encoders handed a payload larger than
-    {!Framed.default_max_frame} — a frame no default reader would accept
-    back.  See {!Framed.frame_result} for the result-typed variant. *)
+    {!Framed3.default_max_frame} — a frame no default reader would accept
+    back.  See {!Framed3.frame_result} for the result-typed variant. *)
 
 (** {1 Variable-name escaping} *)
 
@@ -133,20 +133,22 @@ val decode : string -> (header * Message.t list, Error.t) result
     header's range, and a vector clock whose width disagrees with the
     header. *)
 
-(** {1 Version-2 framed streams} *)
+(** {1 Version-3 binary streams}
 
-module Framed : sig
+    Each frame is the sentinel, a kind byte, a u32be payload length, the
+    payload and a ['\n'] trailer, under the ["jmpax-wire 3\n"]
+    preamble.  See DESIGN §4i for the full byte-level specification. *)
+
+module Framed3 : sig
   val preamble : string
-  (** ["jmpax-wire 2\n"] — the versioned magic that opens every stream. *)
+  (** ["jmpax-wire 3\n"] — the versioned magic that opens every stream. *)
 
   val sentinel : string
-  (** The 3-byte frame guard; cannot occur inside a valid v2 payload. *)
+  (** The 3-byte frame guard ["\x00JF"]. *)
 
   val default_max_frame : int
-
-  val kind_header : char
-  val kind_message : char
-  val kind_end : char
+  (** 1 MiB: the largest payload an encoder emits and a default
+      {!Reader} accepts. *)
 
   val frame : char -> string -> string
   (** A raw frame (sentinel, kind, length, payload, trailer) around an
@@ -160,31 +162,9 @@ module Framed : sig
   (** {!frame} with the overflow surfaced as
       [Error (Frame_too_large _)] instead of an exception. *)
 
-  val encode_header : header -> string
-  (** The header frame (without the preamble). *)
-
-  val encode_message : Message.t -> string
-  val encode_end : int -> string
-  (** The per-thread end-of-stream frame. *)
-
-  val encode : header -> Message.t list -> string
-  (** Preamble, header frame, message frames, then one end-of-stream
-      frame per thread. *)
-end
-
-(** {1 Version-3 binary streams}
-
-    Frame layout is byte-for-byte the v2 one (sentinel, kind, u32be
-    length, payload, ['\n'] trailer) under the ["jmpax-wire 3\n"]
-    preamble; payloads are binary.  See DESIGN §4i for the full
-    byte-level specification. *)
-
-module Framed3 : sig
-  val preamble : string
-  (** ["jmpax-wire 3\n"]. *)
-
   val kind_header : char
-  (** ['h'] — payload is the v2 text header body (one per stream). *)
+  (** ['h'] — payload is the text header body ([threads <n>] and
+      [init] lines, as in v1), one per stream. *)
 
   val kind_vardef : char
   (** ['v'] — payload is a percent-encoded variable name; interned ids
@@ -209,8 +189,7 @@ module Framed3 : sig
       claiming an absurd width would otherwise bill the reader
       quadratic memory; readers reject wider v3 headers with
       {!Error.Bad_thread_count} and {!encoder} refuses to produce them
-      ([Invalid_argument]).  v2, whose reader state is linear in the
-      thread count, has no such ceiling. *)
+      ([Invalid_argument]).  Wider traces are written as v1 text. *)
 
   type encoder
   (** Per-stream encoder state: the variable intern table and the
@@ -232,7 +211,7 @@ module Framed3 : sig
       right after {!reset}).
       @raise Invalid_argument on a thread id or clock width that
       disagrees with the encoder's header.
-      @raise Frame_overflow as {!Framed.frame}. *)
+      @raise Frame_overflow as {!frame}. *)
 
   val encode_end : int -> string
 
@@ -249,11 +228,10 @@ module Framed3 : sig
 end
 
 val decode_framed : string -> (header * Message.t list, Error.t) result
-(** Strict whole-document decode of a framed stream — v2 or v3, chosen
-    by the preamble: the first error aborts.  End-of-stream frames are
-    checked but not required. *)
+(** Strict whole-document decode of a framed stream: the first error
+    aborts.  End-of-stream frames are checked but not required. *)
 
-(** Incremental decoder for framed streams (v2 and v3). *)
+(** Incremental decoder for framed streams. *)
 module Reader : sig
   type item =
     | Header of header
@@ -284,20 +262,19 @@ module Reader : sig
             (the lost bytes may have hidden a message) and only a
             full-clock frame re-anchors a thread *)
   }
-  (** The delta-decode state of a v3 stream — what a checkpoint must
-      persist beyond the v2 reader fields for a resume to keep decoding
-      deltas. *)
+  (** The delta-decode state of a stream — what a checkpoint must
+      persist beyond the reader's position and counters for a resume to
+      keep decoding deltas. *)
 
   type t
 
   val create : ?max_frame:int -> unit -> t
   (** [max_frame] (default 1 MiB) bounds a single frame; larger length
-      prefixes are treated as corruption and resynchronized past.  The
-      stream version is detected from the preamble. *)
+      prefixes are treated as corruption and resynchronized past. *)
 
   val resume :
     ?max_frame:int ->
-    ?v3:v3_state ->
+    v3:v3_state ->
     header:header ->
     ended:bool array ->
     next_eid:int ->
@@ -309,9 +286,9 @@ module Reader : sig
       checkpoint-restore path of [Stream].  The transport must be
       positioned at stream offset [consumed] (the value {!consumed}
       reported when the checkpoint was taken); [stats] seeds the
-      counters so the final report covers the whole stream.  Pass [v3]
-      (the {!v3_state} captured at checkpoint time) to resume a v3
-      stream; omit it for v2.
+      counters so the final report covers the whole stream, and [v3]
+      (the {!v3_state} captured at checkpoint time) the delta-decode
+      state.
       @raise Invalid_argument when [ended]'s or [v3]'s width disagrees
       with the header. *)
 
@@ -357,21 +334,26 @@ module Reader : sig
       empty before the header). *)
 
   val v3_state : t -> v3_state option
-  (** [Some] (a deep copy) iff the stream's preamble selected v3. *)
+  (** [Some] (a deep copy) once the header frame has been delivered;
+      [None] before. *)
 
   val stats : t -> stats
 end
 
 (** {1 Files} *)
 
-type format = V1 | Framed_v2 | Binary_v3
+type format = V1 | Binary_v3
 
 val decode_any : string -> (header * Message.t list, Error.t) result
 (** Sniffs the magic and dispatches to {!decode} or {!decode_framed}. *)
 
-val write_file : ?format:format -> string -> header -> Message.t list -> unit
-(** Default format: {!Framed_v2}.
-    @raise Frame_overflow as {!Framed.frame}. *)
+val write_file :
+  ?format:format -> string -> header -> Message.t list -> (unit, Error.t) result
+(** Default format: {!Binary_v3}.  Nothing is written when the trace
+    does not fit the format: a header wider than {!Framed3.max_threads}
+    is {!Error.Bad_thread_count} and a payload over
+    {!Framed3.default_max_frame} is {!Error.Frame_too_large} (v1 text
+    has neither limit); an unwritable path is [Error (Io _)]. *)
 
 val read_file : string -> (header * Message.t list, Error.t) result
 (** Reads any format ({!decode_any}); [Error (Io _)] on unreadable

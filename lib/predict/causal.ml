@@ -217,6 +217,8 @@ let missing t =
   done;
   !res
 
+let next_index t tid = t.delivered.(tid) + 1
+
 let finish t =
   Array.iteri (fun tid _ -> t.ended.(tid) <- true) t.ended;
   if t.buffered > 0 then

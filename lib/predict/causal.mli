@@ -61,6 +61,9 @@ val missing : t -> (Types.tid * int) option
     when nothing buffered is blocked.  O(threads): read off the delivery
     index, with no clock scan. *)
 
+val next_index : t -> Types.tid -> int
+(** The index of the thread's next undelivered message. *)
+
 val finish : t -> unit
 (** Declare end-of-stream.
     @raise Invalid_argument when buffered messages can never be

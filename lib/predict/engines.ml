@@ -123,6 +123,11 @@ let missing t =
   | Some m -> Some m
   | None -> linear_or t Linear.missing ~default:None
 
+let next_index t tid =
+  match t.online with
+  | Some o -> Online.next_index o tid
+  | None -> linear_or t (fun l -> Linear.next_index l tid) ~default:1
+
 let verdict_lines t =
   match t.linear with
   | None -> []

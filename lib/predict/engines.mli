@@ -105,6 +105,11 @@ val out_of_order : t -> int
 
 val missing : t -> (Types.tid * int) option
 
+val next_index : t -> Types.tid -> int
+(** The index of the thread's next message the bundle has not
+    received: what a thread whose messages were lost in transit, with
+    none of its later ones buffered, is missing. *)
+
 val verdict_lines : t -> (string * string) list
 (** Canonical [(engine, verdict)] lines of the non-lattice engines, in
     selection order (the lattice verdict keeps its historical

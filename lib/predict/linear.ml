@@ -80,6 +80,7 @@ let nthreads t = Causal.nthreads t.causal
 let buffered t = Causal.buffered t.causal
 let out_of_order t = t.ooo
 let missing t = Causal.missing t.causal
+let next_index t tid = Causal.next_index t.causal tid
 
 (* {1 Checkpointing} *)
 

@@ -46,6 +46,7 @@ val nthreads : t -> int
 val buffered : t -> int
 val out_of_order : t -> int
 val missing : t -> (Types.tid * int) option
+val next_index : t -> Types.tid -> int
 
 (** {1 Checkpointing} *)
 

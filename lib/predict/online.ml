@@ -813,6 +813,8 @@ let missing t =
   in
   go 0
 
+let next_index t tid = t.prefix.(tid) + 1
+
 let gc_stats t =
   { retired_cuts = t.retired_cuts;
     peak_frontier_cuts = t.peak_frontier_cuts;

@@ -117,6 +117,10 @@ val missing : t -> (Types.tid * int) option
 (** The first thread with a delivery gap and the index it is waiting
     for; [None] when every buffered message is contiguous. *)
 
+val next_index : t -> Types.tid -> int
+(** The index of the thread's next message the store has not received
+    (one past its contiguous prefix). *)
+
 type gc_stats = {
   retired_cuts : int;  (** cuts discarded after their level was passed *)
   peak_frontier_cuts : int;

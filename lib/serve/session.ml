@@ -595,12 +595,7 @@ let start_resume_checkpoint t ~id ~ck ~rest =
       ~blocks:ck.Checkpoint.ck_engines
       ~events:ck.Checkpoint.ck_reader_stats.Wire.Reader.messages ()
   in
-  let reader =
-    Wire.Reader.resume ?v3:ck.Checkpoint.ck_v3 ~header:ck.Checkpoint.ck_header
-      ~ended:ck.Checkpoint.ck_reader_ended ~next_eid:ck.Checkpoint.ck_next_eid
-      ~stats:ck.Checkpoint.ck_reader_stats ~consumed:ck.Checkpoint.ck_position
-      ()
-  in
+  let reader = Checkpoint.reader ck in
   t.s_id <- id;
   t.reader <- Some reader;
   t.bundle <- Some bundle;

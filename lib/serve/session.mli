@@ -29,7 +29,7 @@
     PR 5 reconnecting-transport convention); [<discard>] is the size of
     the replayed prefix the daemon already consumed and will drop before
     new bytes reach the analyzer — diagnostic for the writer, never an
-    instruction to seek.  The framed wire-v2 stream follows; at its
+    instruction to seek.  The framed wire-v3 stream follows; at its
     logical end the daemon writes the {!Jmpax.Pipeline.verdict_line}
     back and closes.
 

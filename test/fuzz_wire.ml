@@ -1,4 +1,4 @@
-(* Decoder fuzz smoke for CI: a seeded corpus of valid framed and v1
+(* Decoder fuzz smoke for CI: a seeded corpus of valid v3 and v1
    documents, each run through N random mutations, every result pushed
    through the strict decoders and the resynchronizing reader.  The
    contract under test: malformed input yields a typed [Wire.Error.t] or
@@ -26,15 +26,13 @@ let corpus =
         msg 1 "p%q" 4 [ 2; 2 ] ] )
   in
   let t3 = (h3, [ msg 2 "v" 9 [ 0; 0; 1 ] ]) in
-  let docs (h, ms) =
-    [ W.Framed.encode h ms; W.encode h ms; W.Framed3.encode h ms ]
-  in
+  let docs (h, ms) = [ W.encode h ms; W.Framed3.encode h ms ] in
   (* A wide sparse-clock v3 document: long index gaps and multi-byte
-     varints, the byte shapes v2 never produces.  Clocks are chained
-     (each message joins its predecessor) so the events are totally
-     ordered: a fully concurrent 32-thread trace would make the
-     downstream lattice frontier combinatorial, which is the analysis's
-     documented worst case, not a decoder property worth fuzzing. *)
+     varints.  Clocks are chained (each message joins its predecessor)
+     so the events are totally ordered: a fully concurrent 32-thread
+     trace would make the downstream lattice frontier combinatorial,
+     which is the analysis's documented worst case, not a decoder
+     property worth fuzzing. *)
   let wide =
     let nthreads = 32 in
     let active = [| 0; 13; 27 |] in
@@ -52,8 +50,6 @@ let corpus =
   List.concat_map docs [ t1; t2; t3 ]
   @ [ wide;
       (* degenerate but valid-prefix shapes *)
-      W.Framed.preamble;
-      W.Framed.preamble ^ W.Framed.encode_header { W.nthreads = 1; init = [] };
       W.Framed3.preamble;
       W.Framed3.preamble ^ W.Framed3.encode_header { W.nthreads = 2; init = [] };
       "jmpax-trace 1\nthreads 1\n" ]
@@ -81,17 +77,17 @@ let mutate rng doc =
       let len = 1 + pick (min 48 (n - i)) in
       String.sub doc 0 (i + len) ^ String.sub doc i (n - i)
   | 5 ->
-      (* forge a frame with a random kind and payload: random kinds hit
-         the unknown-kind path, v2 kinds inside v3 streams (and vice
-         versa) hit the version-mismatch path *)
+      (* forge a frame with a random kind and payload: random kinds and
+         the retired wire-v2 kinds 'H'/'M'/'E' hit the unknown-kind
+         path *)
       let kind =
         match pick 4 with
-        | 0 -> W.Framed.kind_message
+        | 0 -> "HME".[pick 3]
         | 1 -> W.Framed3.kind_message
         | 2 -> W.Framed3.kind_vardef
         | _ -> Char.chr (pick 256)
       in
-      doc ^ W.Framed.frame kind (String.init (pick 32) (fun _ -> Char.chr (pick 256)))
+      doc ^ W.Framed3.frame kind (String.init (pick 32) (fun _ -> Char.chr (pick 256)))
   | 6 ->
       (* forge a v3 message frame with adversarial varint bytes:
          truncated runs (0x80+ continuation with no terminator),
@@ -100,7 +96,7 @@ let mutate rng doc =
         String.init (pick 24) (fun _ ->
             if pick 2 = 0 then Char.chr (0x80 lor pick 128) else Char.chr (pick 256))
       in
-      doc ^ W.Framed.frame W.Framed3.kind_message payload
+      doc ^ W.Framed3.frame W.Framed3.kind_message payload
   | _ -> String.init (1 + pick 128) (fun _ -> Char.chr (pick 256))
 
 let drain_reader rng doc =

@@ -30,15 +30,9 @@ let recorded_trace program script spec =
   in
   (out, header, out.Jmpax.Pipeline.run.Tml.Vm.messages)
 
-let framed_doc ?(encode = W.Framed.encode) program script spec =
+let framed_doc program script spec =
   let _, header, messages = recorded_trace program script spec in
-  encode header messages
-
-(* The differential runs over both binary encodings: v3 resume must
-   restore the delta-decode state ([ck_v3]) or every delta frame after
-   the checkpoint would be rejected as stale. *)
-let wire_encodings =
-  [ ("v2", W.Framed.encode); ("v3", W.Framed3.encode) ]
+  W.Framed3.encode header messages
 
 let in_temp_file f =
   let path = Filename.temp_file "jmpax" ".ckpt" in
@@ -99,18 +93,17 @@ let gen_checkpoint =
     nat_array >>= fun gc_floor ->
     bool_array >>= fun ended ->
     bool_array >>= fun reader_ended ->
-    (* Half the checkpoints carry wire-v3 delta-decode state. *)
-    oneof
-      [ return None;
-        (list_size (int_range 0 4) var >>= fun vars ->
-         array_size (return nthreads) nat_array >>= fun baselines ->
-         bool_array >>= fun valid ->
-         return
-           (Some
-              { W.Reader.v3_vars = Array.of_list vars;
-                v3_baselines = baselines;
-                v3_valid = valid })) ]
-    >>= fun v3 ->
+    (* Every checkpoint carries wire-v3 delta-decode state: decode
+       refuses a body without it. *)
+    list_size (int_range 0 4) var >>= fun vars ->
+    array_size (return nthreads) nat_array >>= fun baselines ->
+    bool_array >>= fun valid ->
+    let v3 =
+      Some
+        { W.Reader.v3_vars = Array.of_list vars;
+          v3_baselines = baselines;
+          v3_valid = valid }
+    in
     int_range 0 100_000 >>= fun position ->
     int_range 0 999 >>= fun next_eid ->
     int_range 0 40 >>= fun level ->
@@ -324,11 +317,12 @@ let violation_keys (vs : Predict.Analyzer.violation list) =
         Pastltl.Monitor.state_to_string v.Predict.Analyzer.monitor_state ))
     vs
 
+(* A v3 resume must restore the delta-decode state ([ck_v3]) or every
+   delta frame after the checkpoint would be rejected as stale. *)
 let test_kill_resume_differential () =
   List.iter
-    (fun ((name, program, script, spec), (enc_name, encode)) ->
-      let name = Printf.sprintf "%s/%s" name enc_name in
-      let doc = framed_doc ~encode program script spec in
+    (fun (name, program, script, spec) ->
+      let doc = framed_doc program script spec in
       let expected =
         match Jmpax.Stream.run_string ~chunk_size:13 ~spec doc with
         | Ok o -> o
@@ -336,7 +330,7 @@ let test_kill_resume_differential () =
       in
       let rng = Random.State.make [| 0x5eed; String.length doc |] in
       let kill_points =
-        List.init 14 (fun _ -> Random.State.int rng (String.length doc + 1))
+        List.init 28 (fun _ -> Random.State.int rng (String.length doc + 1))
       in
       List.iter
         (fun kill ->
@@ -389,9 +383,7 @@ let test_kill_resume_differential () =
                   then
                     Alcotest.failf "%s kill=%d: violations differ" name kill))
         kill_points)
-    (List.concat_map
-       (fun ex -> List.map (fun enc -> (ex, enc)) wire_encodings)
-       paper_examples)
+    paper_examples
 
 (* {1 Golden lattice checkpoints}
 
@@ -485,6 +477,30 @@ let test_golden_lattice_checkpoint () =
             violation_keys expected.Jmpax.Stream.s_violations
             <> violation_keys o.Jmpax.Stream.s_violations
           then Alcotest.fail "resumed violations differ")
+
+(* A daemon drain checkpoint an earlier build wrote mid-way through a
+   wire-v2 stream ([data/serve_3t_mid.ckpt]): its body has no v3 group,
+   and decode refuses it with a typed error that names the retired
+   format, so [stream --resume] exits 6 and [serve] starts the session
+   fresh (test_serve checks the daemon side). *)
+let v2_checkpoint_md5 = "deb6f70a5583680656306d31218b78a7"
+
+let test_v2_checkpoint_refused () =
+  let path = data_file "serve_3t_mid.ckpt" in
+  let text = read_file path in
+  Alcotest.(check string) "committed file digest" v2_checkpoint_md5
+    (Digest.to_hex (Digest.string text));
+  Alcotest.(check int) "no v3 group" 0 (count_prefixed "v3-vars " text);
+  match C.read path with
+  | Error (C.Malformed m as e) ->
+      let has needle =
+        let n = String.length needle in
+        let rec at i = i + n <= String.length m && (String.sub m i n = needle || at (i + 1)) in
+        at 0
+      in
+      Alcotest.(check bool) (C.error_to_string e) true (has "wire v2")
+  | Error e -> Alcotest.failf "wrong error: %s" (C.error_to_string e)
+  | Ok _ -> Alcotest.fail "a wire-v2 checkpoint decoded"
 
 (* {1 Transports} *)
 
@@ -688,7 +704,9 @@ let () =
             test_kill_resume_differential ] );
       ( "golden",
         [ Alcotest.test_case "mid-stream lattice checkpoint" `Quick
-            test_golden_lattice_checkpoint ] );
+            test_golden_lattice_checkpoint;
+          Alcotest.test_case "wire v2 checkpoint refused" `Quick
+            test_v2_checkpoint_refused ] );
       ( "transport",
         [ Alcotest.test_case "EINTR retry" `Quick test_transport_eintr;
           Alcotest.test_case "fault-injection smoke" `Quick

@@ -394,7 +394,7 @@ let engine_stream_doc ~sched_seed program =
   let header =
     { W.nthreads = Trace.Exec.nthreads exec; init = Trace.Exec.init exec }
   in
-  W.Framed.encode header (PE.messages_of_exec exec)
+  W.Framed3.encode header (PE.messages_of_exec exec)
 
 let engine_sets =
   [ ("race", [ PE.Race ]);
@@ -680,7 +680,7 @@ let test_restore_checks_widths () =
   (* Through the stream front end, the refusal is a checkpoint error
      (exit 6 from the CLI). *)
   let doc =
-    W.Framed.encode
+    W.Framed3.encode
       { W.nthreads = Trace.Exec.nthreads exec; init = Trace.Exec.init exec }
       (PE.messages_of_exec exec)
   in
@@ -733,7 +733,7 @@ let test_pipeline_stream_parity () =
   let header =
     { W.nthreads = Trace.Exec.nthreads exec; init = Trace.Exec.init exec }
   in
-  let doc = W.Framed.encode header (PE.messages_of_exec exec) in
+  let doc = W.Framed3.encode header (PE.messages_of_exec exec) in
   match
     Jmpax.Stream.run_string ~engines:[ PE.Race; PE.Atomicity ] ~spec doc
   with

@@ -275,7 +275,9 @@ let test_wire_file_and_observer () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Jmpax.Wire.write_file path header messages;
+      (match Jmpax.Wire.write_file path header messages with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail (Jmpax.Wire.Error.to_string e));
       match Jmpax.Wire.read_file path with
       | Error e -> Alcotest.fail (Jmpax.Wire.Error.to_string e)
       | Ok (h, ms) ->

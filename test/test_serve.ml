@@ -33,7 +33,7 @@ let landing_doc, landing_expected =
       init =
         List.filter (fun (x, _) -> List.mem x relevant) program.Tml.Ast.shared }
   in
-  let doc = W.Framed.encode header out.Jmpax.Pipeline.run.Tml.Vm.messages in
+  let doc = W.Framed3.encode header out.Jmpax.Pipeline.run.Tml.Vm.messages in
   (doc, Jmpax.Pipeline.verdict_line (Jmpax.Pipeline.predicted_violation out))
 
 let landing_spec = Pastltl.Formula.landing_spec
@@ -43,7 +43,7 @@ let landing_fp = Jmpax.Checkpoint.fingerprint landing_spec
 let chain_doc n =
   let header = { W.nthreads = 1; init = [ ("x", 1) ] } in
   let ms = List.init n (fun i -> msg ~eid:i 0 "x" 1 [ i + 1 ]) in
-  W.Framed.encode header ms
+  W.Framed3.encode header ms
 
 (* The adversarial tenant of the budget tests: six threads whose
    messages carry only their own vector-clock component, so every
@@ -66,14 +66,14 @@ let exploding_messages () =
   !ms
 
 let exploding_header = { W.nthreads = exploding_nthreads; init = [ ("x", 0) ] }
-let exploding_doc () = W.Framed.encode exploding_header (exploding_messages ())
+let exploding_doc () = W.Framed3.encode exploding_header (exploding_messages ())
 
 (* The same bytes minus the end-of-stream frames, for tests that need
    the exploding session still live (e.g. to drain it mid-flight). *)
 let exploding_prefix () =
   let full = exploding_doc () in
   let ends =
-    String.concat "" (List.init exploding_nthreads W.Framed.encode_end)
+    String.concat "" (List.init exploding_nthreads W.Framed3.encode_end)
   in
   String.sub full 0 (String.length full - String.length ends)
 
@@ -82,9 +82,16 @@ let exploding_prefix () =
 let reversed_doc n =
   let header = { W.nthreads = 1; init = [ ("x", 0) ] } in
   let ms = List.init n (fun i -> msg 0 "x" (i + 1) [ i + 1 ]) in
-  W.Framed.encode header (List.rev ms)
+  W.Framed3.encode header (List.rev ms)
 
 let true_fp = Jmpax.Checkpoint.fingerprint Pastltl.Formula.True
+
+(* A header frame followed by message frames from one encoder (the
+   tests below send them without a preamble, in pieces). *)
+let frames header ms =
+  let enc = W.Framed3.encoder header in
+  W.Framed3.encode_header header
+  :: List.map (W.Framed3.encode_message enc) ms
 
 (* {1 The in-process harness} *)
 
@@ -676,10 +683,8 @@ let test_control_health_thresholds () =
          crossing the threshold of 2. *)
       let c = open_session t sock ~id:"w" ~fp:true_fp in
       let header = { W.nthreads = 1; init = [ ("x", 0) ] } in
-      send t c (W.Framed.encode_header header);
-      List.iter
-        (fun i -> send t c (W.Framed.encode_message (msg 0 "x" i [ i ])))
-        [ 2; 3; 4; 5 ];
+      List.iter (send t c)
+        (frames header (List.map (fun i -> msg 0 "x" i [ i ]) [ 2; 3; 4; 5 ]));
       ticks t;
       let reply = query t sock "health" in
       Alcotest.(check bool) "degraded under buffering" true
@@ -834,13 +839,14 @@ let test_causal_overflow_routed_through_policy () =
     ~budget ~on_overload:Jmpax.Budget.Fail (fun t sock ->
       let c = open_session t sock ~id:"w" ~fp:true_fp in
       let header = { W.nthreads = 2; init = [ ("x", 0) ] } in
-      send t c (W.Framed.encode_header header);
       (* Thread 1's messages all wait on thread 0's fifth message, which
          never comes: each parks in the causal-delivery buffer until the
          budget of 3 is crossed. *)
-      for j = 1 to 6 do
-        send t c (W.Framed.encode_message (msg ~eid:j 1 "x" j [ 5; j ]))
-      done;
+      List.iter (send t c)
+        (frames header
+           (List.init 6 (fun i ->
+                let j = i + 1 in
+                msg ~eid:j 1 "x" j [ 5; j ])));
       ticks t ~n:20;
       let s = Option.get (Serve.Registry.find (L.registry t) "w") in
       Alcotest.(check bool) "offender failed" true (S.state s = S.Failed);
@@ -854,7 +860,9 @@ let test_memory_budget_admission_control () =
   with_server ~memory_budget:1 (fun t sock ->
       let c = open_session t sock ~id:"resident" ~fp:true_fp in
       (* Any live analysis state exceeds a one-byte global budget. *)
-      send t c (W.Framed.encode_header { W.nthreads = 1; init = [ ("x", 0) ] });
+      let header = { W.nthreads = 1; init = [ ("x", 0) ] } in
+      let enc = W.Framed3.encoder header in
+      send t c (W.Framed3.encode_header header);
       ticks t;
       let probe = connect sock in
       ticks t;
@@ -870,8 +878,8 @@ let test_memory_budget_admission_control () =
       Alcotest.(check bool) "reason named" true (has reply "reason=memory_budget");
       Alcotest.(check bool) "offender named" true (has reply "sid=resident");
       (* The resident is unharmed and completes normally. *)
-      send t c (W.Framed.encode_message (msg 0 "x" 1 [ 1 ]));
-      send t c (W.Framed.encode_end 0);
+      send t c (W.Framed3.encode_message enc (msg 0 "x" 1 [ 1 ]));
+      send t c (W.Framed3.encode_end 0);
       Alcotest.(check string) "resident verdict"
         (Jmpax.Pipeline.verdict_line false)
         (recv_verdict t c);
@@ -912,11 +920,10 @@ let test_finished_sessions_released () =
       let bad = open_session t sock ~id:"bad" ~fp:"-" in
       (* Fails on a duplicate while one message waits out of order. *)
       send t bad
-        (W.Framed.encode_header { W.nthreads = 2; init = [ ("x", 0) ] }
-        ^ String.concat ""
-            (List.map W.Framed.encode_message
-               [ msg 0 "x" 1 [ 1; 0 ]; msg 0 "x" 3 [ 3; 0 ];
-                 msg 1 "x" 2 [ 0; 1 ]; msg 0 "x" 1 [ 1; 0 ] ]));
+        (String.concat ""
+           (frames { W.nthreads = 2; init = [ ("x", 0) ] }
+              [ msg 0 "x" 1 [ 1; 0 ]; msg 0 "x" 3 [ 3; 0 ];
+                msg 1 "x" 2 [ 0; 1 ]; msg 0 "x" 1 [ 1; 0 ] ]));
       ticks t;
       List.iter
         (fun (id, state) ->
@@ -935,9 +942,10 @@ let test_finished_sessions_released () =
 
    A 3-thread lock-counter run (40 iterations, schedule seed 2) under an
    interval spec, reordered in transit (window 16, seed 9) and written
-   as wire v2.  One session streams the first half of it and the daemon
+   as wire v3.  One session streams the first half of it and the daemon
    drains; an earlier build's drain checkpoint is committed as
-   [data/serve_3t_mid.ckpt]. *)
+   [data/serve_3t_v3_mid.ckpt].  The same run written as wire v2 left
+   [data/serve_3t_mid.ckpt], which is now refused. *)
 
 let golden_serve_spec =
   Pastltl.Fparser.parse "start c > 2 ==> [x0 >= 1, x1 > x2 + 1)"
@@ -957,13 +965,21 @@ let golden_serve_doc =
          init =
            List.filter (fun (x, _) -> List.mem x relevant) program.Tml.Ast.shared }
      in
-     W.Framed.encode header
+     W.Framed3.encode header
        (Observer.Channel.bounded_reorder ~seed:9 ~window:16
           out.Jmpax.Pipeline.run.Tml.Vm.messages))
 
-let golden_serve_md5 = "deb6f70a5583680656306d31218b78a7"
+let golden_serve_md5 = "f18fb0cfa333b280c384e2fd76d6cb64"
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let data_file name =
+  (* Beside the executable under [dune runtest], under [test/] from the
+     repository root under [dune exec]. *)
+  List.map
+    (fun d -> Filename.concat d (Filename.concat "data" name))
+    [ Filename.dirname Sys.executable_name; "test" ]
+  |> List.find Sys.file_exists
 
 (* A frame whose clock gives its thread the sequence number 2^40 is one
    more out-of-order message: the session, its drain checkpoint and the
@@ -974,10 +990,9 @@ let test_forged_seq_stays_small () =
   let spec = Pastltl.Fparser.parse "always x <= 3" in
   let fp = Jmpax.Checkpoint.fingerprint spec in
   let doc =
-    W.Framed.encode_header { W.nthreads = 2; init = [ ("x", 0) ] }
-    ^ String.concat ""
-        (List.map W.Framed.encode_message
-           [ msg 0 "x" 1 [ 1; 0 ]; msg 0 "x" 2 [ 1 lsl 40; 0 ]; msg 1 "x" 3 [ 1; 1 ] ])
+    String.concat ""
+      (frames { W.nthreads = 2; init = [ ("x", 0) ] }
+         [ msg 0 "x" 1 [ 1; 0 ]; msg 0 "x" 2 [ 1 lsl 40; 0 ]; msg 1 "x" 3 [ 1; 1 ] ])
   in
   let small t =
     let s = Option.get (Serve.Registry.find (L.registry t) "far") in
@@ -1022,16 +1037,42 @@ let test_golden_serve_checkpoint () =
       Alcotest.(check int) "clean drain exit" 0 (L.exit_code t);
       Unix.close c);
   let ours = read_file (Filename.concat dir "w.ckpt") in
-  let committed =
-    List.map
-      (fun d -> Filename.concat d "data/serve_3t_mid.ckpt")
-      [ Filename.dirname Sys.executable_name; "test" ]
-    |> List.find Sys.file_exists |> read_file
-  in
+  let committed = read_file (data_file "serve_3t_v3_mid.ckpt") in
   Alcotest.(check string) "committed file digest" golden_serve_md5
     (Digest.to_hex (Digest.string committed));
   Alcotest.(check string) "byte-identical to the committed checkpoint" committed
     ours
+
+(* The daemon meets the wire-v2 drain checkpoint of the same session id
+   (written by an earlier build): it logs [checkpoint_invalid], starts
+   the session fresh, and the replayed v3 stream gets the verdict of an
+   uninterrupted run. *)
+let test_v2_checkpoint_starts_fresh () =
+  let doc = Lazy.force golden_serve_doc in
+  let expected =
+    match Jmpax.Stream.run_string ~spec:golden_serve_spec doc with
+    | Ok o -> Jmpax.Pipeline.verdict_line o.Jmpax.Stream.s_violated
+    | Error e -> Alcotest.failf "stream: %s" (W.Error.to_string e)
+  in
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Out_channel.with_open_bin (Filename.concat dir "w.ckpt") (fun oc ->
+      output_string oc (read_file (data_file "serve_3t_mid.ckpt")));
+  with_server ~spec:golden_serve_spec ~checkpoint_dir:dir (fun t sock ->
+      let log = Buffer.create 256 in
+      Telemetry.Log.set_sink (Buffer.add_string log);
+      let c = connect sock in
+      send t c (hello "w" (Jmpax.Checkpoint.fingerprint golden_serve_spec));
+      Alcotest.(check (option string)) "fresh start" (Some "ok 0") (recv_line t c);
+      let log = Buffer.contents log in
+      Alcotest.(check bool) "checkpoint_invalid logged" true
+        (has log "checkpoint_invalid");
+      Alcotest.(check bool) "the log names wire v2" true (has log "wire v2");
+      send t c doc;
+      Alcotest.(check (option string)) "uninterrupted verdict" (Some expected)
+        (recv_line t c);
+      Alcotest.(check int) "no resume counted" 0 (L.counters t).Serve.Control.resumes;
+      Unix.close c)
 
 (* {1 The single-accept listener (regression)} *)
 
@@ -1110,7 +1151,9 @@ let () =
           Alcotest.test_case "idle eviction checkpoints first" `Quick
             test_idle_eviction_checkpoints;
           Alcotest.test_case "golden lattice checkpoint" `Quick
-            test_golden_serve_checkpoint ] );
+            test_golden_serve_checkpoint;
+          Alcotest.test_case "wire v2 checkpoint starts fresh" `Quick
+            test_v2_checkpoint_starts_fresh ] );
       ( "control",
         [ Alcotest.test_case "stats rollup" `Quick test_control_stats;
           Alcotest.test_case "metrics exposition" `Quick

@@ -1,4 +1,4 @@
-(* The streaming trace path: decoder hardening, framed wire v2, the
+(* The streaming trace path: decoder hardening, framed wire v3, the
    incremental reader, recovery policies and backpressure.
 
    The round-trip and adversarial properties here are the in-suite
@@ -180,20 +180,17 @@ let test_roundtrip_v1 =
   QCheck.Test.make ~name:"decode (encode h ms) = Ok (h, ms)" ~count:300 arb_trace
     (fun (h, ms) -> roundtrip_ok "v1" W.decode (W.encode h ms) h ms)
 
-let test_roundtrip_framed =
-  QCheck.Test.make ~name:"decode_framed (Framed.encode h ms) = Ok (h, ms)"
-    ~count:300 arb_trace (fun (h, ms) ->
-      roundtrip_ok "framed" W.decode_framed (W.Framed.encode h ms) h ms)
-
 let test_decode_any_sniffs =
   QCheck.Test.make ~name:"decode_any sniffs both formats" ~count:100 arb_trace
     (fun (h, ms) ->
       roundtrip_ok "any/v1" W.decode_any (W.encode h ms) h ms
-      && roundtrip_ok "any/v2" W.decode_any (W.Framed.encode h ms) h ms)
+      && roundtrip_ok "any/v3" W.decode_any (W.Framed3.encode h ms) h ms)
 
-(* The incremental reader must be insensitive to chunk boundaries. *)
-let reader_drain_items doc ~chunks =
+(* The incremental reader must be insensitive to chunk boundaries, fed
+   strings ([feed]) or slices of a transport buffer ([feed_bytes]). *)
+let reader_drain_items ?(bytes = false) doc ~chunks =
   let r = W.Reader.create () in
+  let src = Bytes.of_string doc in
   let items = ref [] and skips = ref 0 in
   let rec drain () =
     match W.Reader.next r with
@@ -212,7 +209,8 @@ let reader_drain_items doc ~chunks =
         drain ()
     | n :: rest ->
         let n = min n (String.length doc - pos) in
-        W.Reader.feed r (String.sub doc pos n);
+        if bytes then W.Reader.feed_bytes r src pos n
+        else W.Reader.feed r (String.sub doc pos n);
         drain ();
         feed (pos + n) rest
   in
@@ -235,8 +233,8 @@ let arb_trace_chunked =
 let test_reader_chunk_insensitive =
   QCheck.Test.make ~name:"Reader is chunk-boundary insensitive" ~count:300
     arb_trace_chunked (fun ((h, ms), chunks) ->
-      let doc = W.Framed.encode h ms in
-      let items, skips = reader_drain_items doc ~chunks in
+      let doc = W.Framed3.encode h ms in
+      let items, skips = reader_drain_items ~bytes:true doc ~chunks in
       if skips <> 0 then QCheck.Test.fail_reportf "clean stream produced %d skips" skips;
       let headers =
         List.filter_map (function W.Reader.Header h -> Some h | _ -> None) items
@@ -291,15 +289,17 @@ let no_exceptions_on doc ~chunks =
   let _items, _skips = reader_drain_items doc ~chunks in
   ()
 
+(* Mutations of the v1 text document and of the v3 stream, alternating:
+   every decoder sees both, whatever the preamble says. *)
 let test_adversarial_corpus () =
   let rng = Random.State.make [| 0xC0FFEE |] in
   let h, ms =
     ( { W.nthreads = 2; init = [ ("x", 0); ("odd var", 1) ] },
       [ msg 0 "x" 1 [ 1; 0 ]; msg 1 "odd var" 2 [ 0; 1 ]; msg 0 "x" 3 [ 2; 0 ] ] )
   in
-  let base = W.Framed.encode h ms in
-  for _ = 1 to 1_000 do
-    let doc = mutate rng base in
+  let bases = [| W.encode h ms; W.Framed3.encode h ms |] in
+  for i = 1 to 1_000 do
+    let doc = mutate rng bases.(i mod 2) in
     let chunks = List.init (1 + Random.State.int rng 8) (fun _ -> 1 + Random.State.int rng 9) in
     match no_exceptions_on doc ~chunks with
     | () -> ()
@@ -307,34 +307,55 @@ let test_adversarial_corpus () =
         Alcotest.failf "decoder raised %s on %S" (Printexc.to_string e) doc
   done
 
+let drain_all doc =
+  let r = W.Reader.create () in
+  W.Reader.feed r doc;
+  W.Reader.close r;
+  let rec go acc =
+    match W.Reader.next r with
+    | W.Reader.Item i -> go (`Item i :: acc)
+    | W.Reader.Skip { error; bytes } -> go (`Skip (error, bytes) :: acc)
+    | W.Reader.Await -> go acc
+    | W.Reader.Eof -> (List.rev acc, W.Reader.stats r)
+  in
+  go []
+
+let skip_errors (events, _) =
+  List.filter_map (function `Skip (e, _) -> Some e | _ -> None) events
+
+let delivered_msgs (events, _) =
+  List.filter_map (function `Item (W.Reader.Msg m) -> Some m | _ -> None) events
+
+(* Splice noise between two frames: the reader skips it and counts the
+   resync.  The noise may have hidden a message, so every delta
+   baseline is poisoned: the thread's delta frames that follow are
+   skipped too, and only its full-clock frame (here after the writer's
+   [reset]) is delivered. *)
 let test_framed_skip_counts () =
   let h = { W.nthreads = 1; init = [] } in
-  let ms = [ msg 0 "x" 1 [ 1 ]; msg 0 "x" 2 [ 2 ] ] in
-  let doc = W.Framed.encode h ms in
-  (* Splice noise between two frames: the reader must skip it, count the
-     resync, and still deliver every frame. *)
-  let split = String.length W.Framed.preamble + String.length (W.Framed.encode_header h) in
-  let noisy = String.sub doc 0 split ^ "NOISE" ^ String.sub doc split (String.length doc - split) in
-  let r = W.Reader.create () in
-  W.Reader.feed r noisy;
-  W.Reader.close r;
-  let rec drain acc =
-    match W.Reader.next r with
-    | W.Reader.Item i -> drain (`Item i :: acc)
-    | W.Reader.Skip { error; bytes } -> drain (`Skip (error, bytes) :: acc)
-    | W.Reader.Await -> drain acc
-    | W.Reader.Eof -> List.rev acc
+  let ms = [ msg 0 "x" 1 [ 1 ]; msg 0 "x" 2 [ 2 ]; msg 0 "x" 3 [ 3 ] ] in
+  let enc = W.Framed3.encoder h in
+  let f1 = W.Framed3.encode_message enc (List.nth ms 0) in
+  let f2 = W.Framed3.encode_message enc (List.nth ms 1) in
+  W.Framed3.reset enc;
+  let f3 = W.Framed3.encode_message enc (List.nth ms 2) in
+  let vardef = W.Framed3.frame W.Framed3.kind_vardef "x" in
+  let lost = String.length f1 - String.length vardef + String.length f2 in
+  let drained =
+    drain_all (W.Framed3.preamble ^ W.Framed3.encode_header h ^ "NOISE" ^ f1 ^ f2 ^ f3)
   in
-  let events = drain [] in
-  let skips = List.filter_map (function `Skip s -> Some s | _ -> None) events in
-  (match skips with
-  | [ (E.Lost_sync 5, "NOISE") ] -> ()
-  | _ -> Alcotest.failf "expected one Lost_sync 5 skip, got %d skips" (List.length skips));
-  let msgs = List.filter_map (function `Item (W.Reader.Msg m) -> Some m | _ -> None) events in
-  check_payloads "frames after resync" ms msgs;
-  let s = W.Reader.stats r in
+  (match fst drained with
+  | `Item (W.Reader.Header _) :: `Skip (E.Lost_sync 5, "NOISE") :: _ -> ()
+  | _ -> Alcotest.fail "expected the header, then one Lost_sync 5 skip of the noise");
+  Alcotest.(check (list error)) "skips"
+    [ E.Lost_sync 5; E.Stale_delta_baseline { tid = 0 }; E.Stale_delta_baseline { tid = 0 } ]
+    (skip_errors drained);
+  check_payloads "the full clock re-anchors the thread" [ List.nth ms 2 ]
+    (delivered_msgs drained);
+  let s = snd drained in
   Alcotest.(check int) "resyncs" 1 s.W.Reader.resyncs;
-  Alcotest.(check int) "skipped bytes" 5 s.W.Reader.skipped_bytes
+  Alcotest.(check int) "skipped frames" 2 s.W.Reader.skipped_frames;
+  Alcotest.(check int) "skipped bytes" (5 + lost) s.W.Reader.skipped_bytes
 
 (* {1 Stream driver: parity with the offline pipeline} *)
 
@@ -358,30 +379,58 @@ let recorded_trace program script spec =
   in
   (out, header, out.Jmpax.Pipeline.run.Tml.Vm.messages)
 
+(* Run [doc] through the stream driver at several chunk sizes and hold
+   it to the offline pipeline's verdict for the same trace. *)
+let check_stream_parity ~spec name out messages doc =
+  List.iter
+    (fun chunk_size ->
+      match Jmpax.Stream.run_string ~chunk_size ~spec doc with
+      | Error e -> Alcotest.failf "%s: stream failed: %s" name (E.to_string e)
+      | Ok o ->
+          (* The acceptance bar: the verdict line is byte-identical. *)
+          Alcotest.(check string)
+            (Printf.sprintf "%s (chunk %d): verdict line" name chunk_size)
+            (Jmpax.Pipeline.verdict_line (Jmpax.Pipeline.predicted_violation out))
+            (Jmpax.Pipeline.verdict_line o.Jmpax.Stream.s_violated);
+          Alcotest.(check int)
+            (Printf.sprintf "%s: messages" name)
+            (List.length messages)
+            o.Jmpax.Stream.s_stats.Jmpax.Stream.messages;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: complete" name)
+            true
+            (o.Jmpax.Stream.s_stats.Jmpax.Stream.incomplete = None))
+    [ 1; 7; 64 * 1024 ]
+
 let test_stream_matches_check () =
   List.iter
     (fun (name, program, script, spec) ->
       let out, header, messages = recorded_trace program script spec in
-      let doc = W.Framed.encode header messages in
-      List.iter
-        (fun chunk_size ->
-          match Jmpax.Stream.run_string ~chunk_size ~spec doc with
-          | Error e -> Alcotest.failf "%s: stream failed: %s" name (E.to_string e)
-          | Ok o ->
-              (* The acceptance bar: the verdict line is byte-identical. *)
-              Alcotest.(check string)
-                (Printf.sprintf "%s (chunk %d): verdict line" name chunk_size)
-                (Jmpax.Pipeline.verdict_line (Jmpax.Pipeline.predicted_violation out))
-                (Jmpax.Pipeline.verdict_line o.Jmpax.Stream.s_violated);
-              Alcotest.(check int)
-                (Printf.sprintf "%s: messages" name)
-                (List.length messages)
-                o.Jmpax.Stream.s_stats.Jmpax.Stream.messages;
-              Alcotest.(check bool)
-                (Printf.sprintf "%s: complete" name)
-                true
-                (o.Jmpax.Stream.s_stats.Jmpax.Stream.incomplete = None))
-        [ 1; 7; 64 * 1024 ])
+      check_stream_parity ~spec name out messages (W.Framed3.encode header messages))
+    paper_examples
+
+(* A v3 document written frame by frame, as a live writer emits it, with
+   the encoder's baselines reset halfway (a writer that redialed and
+   continued mid-stream): the second half mixes full clocks into the
+   delta stream, and the verdict must not change. *)
+let test_stream_matches_check_v3 () =
+  List.iter
+    (fun (name, program, script, spec) ->
+      let out, header, messages = recorded_trace program script spec in
+      let buf = Buffer.create 1024 in
+      Buffer.add_string buf W.Framed3.preamble;
+      Buffer.add_string buf (W.Framed3.encode_header header);
+      let enc = W.Framed3.encoder header in
+      let half = List.length messages / 2 in
+      List.iteri
+        (fun i m ->
+          if i = half then W.Framed3.reset enc;
+          Buffer.add_string buf (W.Framed3.encode_message enc m))
+        messages;
+      for tid = 0 to header.W.nthreads - 1 do
+        Buffer.add_string buf (W.Framed3.encode_end tid)
+      done;
+      check_stream_parity ~spec (name ^ " (v3, reset)") out messages (Buffer.contents buf))
     paper_examples
 
 let test_stream_over_fifo () =
@@ -389,7 +438,7 @@ let test_stream_over_fifo () =
      read through the same code path as [jmpax stream FIFO]. *)
   let name, program, script, spec = List.nth paper_examples 0 in
   let out, header, messages = recorded_trace program script spec in
-  let doc = W.Framed.encode header messages in
+  let doc = W.Framed3.encode header messages in
   let dir = Filename.temp_file "jmpax" ".fifo.d" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
@@ -424,9 +473,40 @@ let test_stream_over_fifo () =
 
 (* {1 Recovery policies} *)
 
-(* A landing trace with the payload of one message frame corrupted in a
-   way that survives framing (the frame is well-delimited but its tid is
-   out of range). *)
+(* Offset of the last frame of [s], a run of whole frames. *)
+let last_frame s =
+  let rec go pos =
+    let b i = Char.code s.[pos + 4 + i] in
+    let next = pos + 9 + ((b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3) in
+    if next >= String.length s then pos else go next
+  in
+  go 0
+
+(* Every message the reader delivers equals the original message of the
+   same thread and index — a skip may lose messages, never mint a
+   wrong clock — and [incomplete] names one that was lost. *)
+let check_losses what messages doc (incomplete : (int * int) option) =
+  let key (m : Trace.Message.t) = (m.tid, Trace.Message.seq m) in
+  let delivered = delivered_msgs (drain_all doc) in
+  List.iter
+    (fun (m : Trace.Message.t) ->
+      match List.find_opt (fun o -> key o = key m) messages with
+      | Some o when same_payload o m -> ()
+      | _ -> Alcotest.failf "%s: delivered %s, not an original" what (W.encode_message m))
+    delivered;
+  match incomplete with
+  | None -> Alcotest.failf "%s: the loss went unreported" what
+  | Some k ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: reported (%d, %d) is an original" what (fst k) (snd k))
+        true
+        (List.exists (fun m -> key m = k) messages);
+      Alcotest.(check bool) (what ^ ": reported message was lost") false
+        (List.exists (fun m -> key m = k) delivered)
+
+(* A landing trace with one message frame corrupted in transit in a way
+   that survives framing: the frame is well-delimited but its thread id
+   byte now reads 9, out of range. *)
 let corrupted_landing () =
   let _, header, messages = List.nth paper_examples 0 |> fun (_, p, s, f) -> recorded_trace p s f in
   (* The victim must have a successor in its own thread, otherwise the
@@ -441,47 +521,57 @@ let corrupted_landing () =
     in
     pick messages
   in
+  let enc = W.Framed3.encoder header in
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf W.Framed.preamble;
-  Buffer.add_string buf (W.Framed.encode_header header);
+  let mangled = ref "" in
+  Buffer.add_string buf W.Framed3.preamble;
+  Buffer.add_string buf (W.Framed3.encode_header header);
   List.iter
     (fun (m : Trace.Message.t) ->
-      if m == victim then
-        (* Same length, invalid tid: "msg 9 ...". *)
-        let line = W.encode_message m in
-        let mangled = "msg 9" ^ String.sub line 5 (String.length line - 5) in
-        Buffer.add_string buf (W.Framed.frame W.Framed.kind_message mangled)
-      else Buffer.add_string buf (W.Framed.encode_message m))
+      let frames = W.Framed3.encode_message enc m in
+      if m == victim then begin
+        (* the message frame's payload: flags byte, then the tid *)
+        let b = Bytes.of_string frames in
+        let at = last_frame frames in
+        Bytes.set b (at + 9) '\x09';
+        mangled := Bytes.sub_string b at (Bytes.length b - at);
+        Buffer.add_bytes buf b
+      end
+      else Buffer.add_string buf frames)
     messages;
   for tid = 0 to header.W.nthreads - 1 do
-    Buffer.add_string buf (W.Framed.encode_end tid)
+    Buffer.add_string buf (W.Framed3.encode_end tid)
   done;
-  (Buffer.contents buf, victim, List.length messages)
+  (Buffer.contents buf, messages, victim, !mangled)
 
 let landing_spec = Pastltl.Formula.landing_spec
 
 let test_recovery_fail () =
-  let doc, _, _ = corrupted_landing () in
+  let doc, _, _, _ = corrupted_landing () in
   match Jmpax.Stream.run_string ~spec:landing_spec doc with
-  | Error (E.Tid_out_of_range _) -> ()
+  | Error (E.Tid_out_of_range { tid = 9; _ }) -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (E.to_string e)
   | Ok _ -> Alcotest.fail "fail policy accepted a corrupt frame"
 
+(* The skip poisons every delta baseline, so the message frames after
+   the victim are skipped as stale: the verdict covers the prefix, and
+   the report names a message that never arrived. *)
 let test_recovery_skip () =
-  let doc, victim, _total = corrupted_landing () in
+  let doc, messages, victim, _ = corrupted_landing () in
   match Jmpax.Stream.run_string ~recovery:Jmpax.Config.Skip ~spec:landing_spec doc with
   | Error e -> Alcotest.failf "skip policy failed: %s" (E.to_string e)
   | Ok o ->
       let s = o.Jmpax.Stream.s_stats in
-      Alcotest.(check int) "one frame skipped" 1 s.Jmpax.Stream.skipped_frames;
-      (* The lost message leaves a gap: the verdict covers the prefix and
-         the report says which message never arrived. *)
-      Alcotest.(check bool) "gap reported" true
-        (s.Jmpax.Stream.incomplete
-        = Some (victim.Trace.Message.tid, Trace.Message.seq victim))
+      let rec after = function
+        | m :: rest -> if m == victim then List.length rest else after rest
+        | [] -> 0
+      in
+      Alcotest.(check int) "the victim and every later message frame skipped"
+        (1 + after messages) s.Jmpax.Stream.skipped_frames;
+      check_losses "skip" messages doc s.Jmpax.Stream.incomplete
 
 let test_recovery_quarantine () =
-  let doc, _, _ = corrupted_landing () in
+  let doc, _, _, mangled = corrupted_landing () in
   let bin = Buffer.create 64 in
   match
     Jmpax.Stream.run_string ~recovery:Jmpax.Config.Quarantine
@@ -492,42 +582,37 @@ let test_recovery_quarantine () =
       let s = o.Jmpax.Stream.s_stats in
       Alcotest.(check int) "quarantined bytes" (Buffer.length bin)
         s.Jmpax.Stream.quarantined_bytes;
-      Alcotest.(check bool) "quarantine preserves the mangled payload" true
-        (Buffer.length bin > 0
-        &&
-        let q = Buffer.contents bin in
-        let rec find i =
-          i + 5 <= String.length q && (String.sub q i 5 = "msg 9" || find (i + 1))
-        in
-        find 0)
+      let q = Buffer.contents bin in
+      Alcotest.(check bool) "quarantine preserves the mangled frame first" true
+        (String.length q >= String.length mangled
+        && String.sub q 0 (String.length mangled) = mangled)
 
-let test_recovery_skip_noise_keeps_verdict () =
-  (* Raw garbage between frames (not a lost frame): every message still
-     arrives, so the verdict must match the clean run exactly. *)
+(* Raw garbage between frames (not a lost frame).  Under wire v3 it
+   poisons every delta baseline, so the messages after it are lost
+   until a full clock; the stream still completes, reports what it
+   lost, and never delivers a wrong clock. *)
+let test_recovery_skip_noise () =
   let _, program, script, spec = List.nth paper_examples 0 in
-  let out, header, messages = recorded_trace program script spec in
+  let _, header, messages = recorded_trace program script spec in
+  let enc = W.Framed3.encoder header in
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf W.Framed.preamble;
-  Buffer.add_string buf (W.Framed.encode_header header);
+  Buffer.add_string buf W.Framed3.preamble;
+  Buffer.add_string buf (W.Framed3.encode_header header);
   List.iteri
     (fun i m ->
       if i = 1 then Buffer.add_string buf "\x01garbage between frames\x02";
-      Buffer.add_string buf (W.Framed.encode_message m))
+      Buffer.add_string buf (W.Framed3.encode_message enc m))
     messages;
   for tid = 0 to header.W.nthreads - 1 do
-    Buffer.add_string buf (W.Framed.encode_end tid)
+    Buffer.add_string buf (W.Framed3.encode_end tid)
   done;
-  match
-    Jmpax.Stream.run_string ~recovery:Jmpax.Config.Skip ~spec (Buffer.contents buf)
-  with
+  let doc = Buffer.contents buf in
+  match Jmpax.Stream.run_string ~recovery:Jmpax.Config.Skip ~spec doc with
   | Error e -> Alcotest.failf "noise: %s" (E.to_string e)
   | Ok o ->
       let s = o.Jmpax.Stream.s_stats in
       Alcotest.(check bool) "resynced" true (s.Jmpax.Stream.resyncs >= 1);
-      Alcotest.(check bool) "nothing lost" true (s.Jmpax.Stream.incomplete = None);
-      Alcotest.(check string) "verdict unchanged"
-        (Jmpax.Pipeline.verdict_line (Jmpax.Pipeline.predicted_violation out))
-        (Jmpax.Pipeline.verdict_line o.Jmpax.Stream.s_violated)
+      check_losses "noise" messages doc s.Jmpax.Stream.incomplete
 
 (* {1 Backpressure} *)
 
@@ -569,7 +654,7 @@ let test_ingest_backpressure () =
 
 let test_stream_backpressure_enforced () =
   let header, rev_ms = reversed_singlethread 6 in
-  let doc = W.Framed.encode header rev_ms in
+  let doc = W.Framed3.encode header rev_ms in
   (match Jmpax.Stream.run_string ~max_buffered:2 ~spec:Pastltl.Formula.True doc with
   | Error (E.Backpressure { limit = 2; _ }) -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (E.to_string e)
@@ -590,7 +675,7 @@ let with_metrics f =
 
 let test_stream_max_buffered_gauge () =
   let header, rev_ms = reversed_singlethread 4 in
-  let doc = W.Framed.encode header rev_ms in
+  let doc = W.Framed3.encode header rev_ms in
   with_metrics (fun () ->
       (match Jmpax.Stream.run_string ~max_buffered:8 ~spec:Pastltl.Formula.True doc with
       | Ok _ -> ()
@@ -640,24 +725,6 @@ let test_roundtrip_v3 =
       roundtrip_ok "v3" W.decode_framed (W.Framed3.encode h ms) h ms
       && roundtrip_ok "any/v3" W.decode_any (W.Framed3.encode h ms) h ms)
 
-(* v2 and v3 are two encodings of the same stream: decoding either must
-   yield payload-identical messages in the same order. *)
-let test_v2_v3_parity =
-  QCheck.Test.make ~name:"v3 decodes to exactly what v2 decodes to" ~count:300
-    arb_trace (fun (h, ms) ->
-      match
-        (W.decode_framed (W.Framed.encode h ms), W.decode_framed (W.Framed3.encode h ms))
-      with
-      | Ok (h2, ms2), Ok (h3, ms3) ->
-          h2 = h3
-          && List.length ms2 = List.length ms3
-          && List.for_all2 same_payload ms2 ms3
-          && List.for_all2
-               (fun (a : Trace.Message.t) (b : Trace.Message.t) -> a.eid = b.eid)
-               ms2 ms3
-      | Error e, _ | _, Error e ->
-          QCheck.Test.fail_reportf "parity: %s" (E.to_string e))
-
 let test_reader_chunk_insensitive_v3 =
   QCheck.Test.make ~name:"Reader is chunk-boundary insensitive (v3)" ~count:300
     arb_trace_chunked (fun ((h, ms), chunks) ->
@@ -691,30 +758,11 @@ let test_v3_deterministic () =
 let v3_doc h frames =
   W.Framed3.preamble ^ W.Framed3.encode_header h ^ String.concat "" frames
 
-let drain_all doc =
-  let r = W.Reader.create () in
-  W.Reader.feed r doc;
-  W.Reader.close r;
-  let rec go acc =
-    match W.Reader.next r with
-    | W.Reader.Item i -> go (`Item i :: acc)
-    | W.Reader.Skip { error; bytes } -> go (`Skip (error, bytes) :: acc)
-    | W.Reader.Await -> go acc
-    | W.Reader.Eof -> List.rev acc
-  in
-  go []
-
-let skip_errors events =
-  List.filter_map (function `Skip (e, _) -> Some e | _ -> None) events
-
-let delivered_msgs events =
-  List.filter_map (function `Item (W.Reader.Msg m) -> Some m | _ -> None) events
-
 let test_v3_truncated_varint () =
   let h = { W.nthreads = 1; init = [] } in
   (* flags byte says "full clock", then a varint that never ends. *)
   let doc =
-    v3_doc h [ W.Framed.frame W.Framed3.kind_message "\x01\xff" ]
+    v3_doc h [ W.Framed3.frame W.Framed3.kind_message "\x01\xff" ]
   in
   let events = drain_all doc in
   (match skip_errors events with
@@ -748,38 +796,89 @@ let test_v3_stale_baseline_after_skip () =
      the right absolute clock. *)
   check_payloads "survivors" [ m1; m3 ] (delivered_msgs events)
 
-let test_v3_mixed_versions_hard_error () =
+(* Frames of the retired text wire v2 (kinds 'H', 'M' and 'E', same
+   envelope) inside a v3 stream are unknown kinds: skipped, never
+   decoded. *)
+let test_v2_frames_are_unknown_kinds () =
   let h = { W.nthreads = 1; init = [] } in
-  let m = msg 0 "x" 1 [ 1 ] in
-  (* A v2 message frame inside a v3 stream... *)
-  let doc3 = v3_doc h [ W.Framed.encode_message m ] in
-  (match W.decode_framed doc3 with
-  | Error (E.Version_mismatch { stream = 3; frame = 2 }) -> ()
-  | Error e -> Alcotest.failf "v2-in-v3: wrong error: %s" (E.to_string e)
-  | Ok _ -> Alcotest.fail "v2-in-v3 frame decoded");
-  (* ... and a v3 message frame inside a v2 stream. *)
-  let enc = W.Framed3.encoder h in
-  let doc2 =
-    W.Framed.preamble ^ W.Framed.encode_header h
-    ^ W.Framed3.encode_message enc m
+  let doc =
+    v3_doc h
+      [ W.Framed3.frame 'H' "threads 1";
+        W.Framed3.frame 'M' "msg 0 x 1 (1)";
+        W.Framed3.frame 'E' "end 0" ]
   in
-  (match W.decode_framed doc2 with
-  | Error (E.Version_mismatch { stream = 2; frame = 3 }) -> ()
-  | Error e -> Alcotest.failf "v3-in-v2: wrong error: %s" (E.to_string e)
-  | Ok _ -> Alcotest.fail "v3-in-v2 frame decoded");
-  (* The skipping reader surfaces the same typed error, not a decode. *)
-  let events = drain_all doc3 in
-  match skip_errors events with
-  | [ E.Version_mismatch { stream = 3; frame = 2 } ] -> ()
-  | es ->
-      Alcotest.failf "reader: expected Version_mismatch, got [%s]"
-        (String.concat "; " (List.map E.to_string es))
+  (match W.decode_framed doc with
+  | Error e -> Alcotest.check error "strict decode" (E.Unknown_frame_kind (Char.code 'H')) e
+  | Ok _ -> Alcotest.fail "v2 frames decoded");
+  let drained = drain_all doc in
+  Alcotest.(check (list error)) "reader skips"
+    (List.map (fun k -> E.Unknown_frame_kind (Char.code k)) [ 'H'; 'M'; 'E' ])
+    (skip_errors drained);
+  Alcotest.(check int) "nothing delivered" 0 (List.length (delivered_msgs drained))
+
+(* A whole wire-v2 document is refused with its preamble in the error:
+   [read_file] reports bad magic (not v1 text, not v3), the stream
+   driver a bad preamble, which [jmpax stream] exits 3 on. *)
+let test_v2_document_refused () =
+  let v2 =
+    "jmpax-wire 2\n"
+    ^ W.Framed3.frame 'H' "threads 1\ninit x 0"
+    ^ W.Framed3.frame 'M' "msg 0 x 1 (1)"
+    ^ W.Framed3.frame 'E' "end 0"
+  in
+  let has_preamble what e =
+    let text = E.to_string e and needle = "jmpax-wire 2" in
+    let n = String.length needle in
+    let rec at i = i + n <= String.length text && (String.sub text i n = needle || at (i + 1)) in
+    Alcotest.(check bool) (Printf.sprintf "%s: %s" what text) true (at 0)
+  in
+  let path = Filename.temp_file "jmpax" ".trace" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc v2);
+      match W.read_file path with
+      | Error (E.Bad_magic _ as e) -> has_preamble "read_file" e
+      | Error e -> Alcotest.failf "read_file: wrong error %s" (E.to_string e)
+      | Ok _ -> Alcotest.fail "read_file decoded a v2 document");
+  match Jmpax.Stream.run_string ~spec:Pastltl.Formula.True v2 with
+  | Error (E.Bad_preamble _ as e) -> has_preamble "stream" e
+  | Error e -> Alcotest.failf "stream: wrong error %s" (E.to_string e)
+  | Ok _ -> Alcotest.fail "stream decoded a v2 document"
+
+(* The default format is v3, whose reader state grows with the square
+   of the width: a header over [Framed3.max_threads] is refused before
+   anything is written ([jmpax run] exits 3 and names --format v1), and
+   v1 text takes it. *)
+let test_write_file_width () =
+  let wide = W.Framed3.max_threads + 1 in
+  let h = { W.nthreads = wide; init = [ ("x", 0) ] } in
+  let ms = [ msg 0 "x" 1 (1 :: List.init (wide - 1) (fun _ -> 0)) ] in
+  let path = Filename.temp_file "jmpax" ".trace" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      (match W.write_file path h ms with
+      | Error e ->
+          Alcotest.check error "default format"
+            (E.Bad_thread_count (Printf.sprintf "threads %d (v3 limit 4096)" wide))
+            e
+      | Ok () -> Alcotest.fail "v3 written past the thread limit");
+      Alcotest.(check bool) "nothing written" false (Sys.file_exists path);
+      (match W.write_file ~format:W.V1 path h ms with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "v1: %s" (E.to_string e));
+      match W.read_file path with
+      | Ok (h', [ m ]) ->
+          Alcotest.(check int) "width survives" wide h'.W.nthreads;
+          Alcotest.(check bool) "payload survives" true (same_payload (List.hd ms) m)
+      | Ok _ -> Alcotest.fail "wrong message count"
+      | Error e -> Alcotest.failf "read back: %s" (E.to_string e))
 
 (* Found by the fuzzer: a forged v3 header claiming a huge thread count
    must be a typed error, not a quadratic allocation. *)
 let test_v3_thread_limit () =
   let forged =
-    W.Framed3.preamble ^ W.Framed.frame W.Framed3.kind_header "threads 999999999"
+    W.Framed3.preamble ^ W.Framed3.frame W.Framed3.kind_header "threads 999999999"
   in
   (match skip_errors (drain_all forged) with
   | [ E.Bad_thread_count _ ] -> ()
@@ -805,7 +904,7 @@ let test_v3_unknown_var_id () =
   let h = { W.nthreads = 1; init = [] } in
   (* full clock, tid 0, var id 7 (never defined), value 0, clock [1] *)
   let payload = "\x01\x00\x07\x00\x01" in
-  let doc = v3_doc h [ W.Framed.frame W.Framed3.kind_message payload ] in
+  let doc = v3_doc h [ W.Framed3.frame W.Framed3.kind_message payload ] in
   let events = drain_all doc in
   match skip_errors events with
   | [ E.Unknown_var_id { id = 7; defined = 0 } ] -> ()
@@ -813,8 +912,8 @@ let test_v3_unknown_var_id () =
       Alcotest.failf "expected Unknown_var_id, got [%s]"
         (String.concat "; " (List.map E.to_string es))
 
-(* The E20 workload shape in miniature: wide clocks, sparse updates —
-   the case the delta encoding exists for. *)
+(* Wide clocks, sparse updates — the case the delta encoding exists
+   for. *)
 let test_v3_wide_clocks_are_smaller () =
   let nthreads = 64 in
   let h = { W.nthreads; init = [ ("x", 0) ] } in
@@ -833,10 +932,12 @@ let test_v3_wide_clocks_are_smaller () =
         end;
         msg ~eid:i tid "x" i (Array.to_list c))
   in
-  let v2 = W.Framed.encode h ms and v3 = W.Framed3.encode h ms in
-  if String.length v3 * 3 > String.length v2 then
-    Alcotest.failf "v3 not 3x smaller on wide sparse clocks: %d vs %d bytes"
-      (String.length v3) (String.length v2);
+  (* v1 text: every clock entry in decimal, as the retired wire v2
+     framed it (plus 9 bytes a frame). *)
+  let text = W.encode h ms and v3 = W.Framed3.encode h ms in
+  if String.length v3 * 3 > String.length text then
+    Alcotest.failf "v3 not 3x smaller than text on wide sparse clocks: %d vs %d bytes"
+      (String.length v3) (String.length text);
   roundtrip_ok "wide" W.decode_framed v3 h ms |> ignore
 
 (* {2 Varint edge cases}
@@ -848,9 +949,9 @@ let test_v3_wide_clocks_are_smaller () =
 let varint_doc varint =
   let h = { W.nthreads = 1; init = [] } in
   v3_doc h
-    [ W.Framed.frame W.Framed3.kind_vardef (W.encode_var "x");
+    [ W.Framed3.frame W.Framed3.kind_vardef (W.encode_var "x");
       (* full clock, tid 0, var id 0, value 0, then the clock entry *)
-      W.Framed.frame W.Framed3.kind_message ("\x01\x00\x00\x00" ^ varint) ]
+      W.Framed3.frame W.Framed3.kind_message ("\x01\x00\x00\x00" ^ varint) ]
 
 let expect_varint_error label varint expected =
   let events = drain_all (varint_doc varint) in
@@ -912,25 +1013,25 @@ let test_v3_decode_allocation () =
 (* {1 Frame-size symmetry (the Frame_too_large asymmetry fix)} *)
 
 let test_frame_boundary () =
-  let limit = W.Framed.default_max_frame in
+  let limit = W.Framed3.default_max_frame in
   let at = String.make limit 'a' and over = String.make (limit + 1) 'a' in
   (* Exactly at the reader's limit: both sides accept. *)
-  (match W.Framed.frame_result 'M' at with
+  (match W.Framed3.frame_result 'm' at with
   | Ok f ->
       (* sentinel + kind + u32 length + trailing newline *)
-      let overhead = String.length W.Framed.sentinel + 6 in
+      let overhead = String.length W.Framed3.sentinel + 6 in
       Alcotest.(check int) "framed length" (limit + overhead) (String.length f)
   | Error e -> Alcotest.failf "frame at the limit rejected: %s" (E.to_string e));
   (* One byte over: the encoder fails with the same typed error the
      reader would report, instead of emitting an undecodable frame. *)
-  (match W.Framed.frame_result 'M' over with
+  (match W.Framed3.frame_result 'm' over with
   | Error (E.Frame_too_large { length; limit = l }) ->
       Alcotest.(check int) "length" (limit + 1) length;
       Alcotest.(check int) "limit" limit l
   | Error e -> Alcotest.failf "wrong error: %s" (E.to_string e)
   | Ok _ -> Alcotest.fail "frame over the limit accepted");
-  (match W.Framed.frame 'M' over with
-  | exception W.Frame_overflow { kind = 'M'; length; limit = l } ->
+  (match W.Framed3.frame 'm' over with
+  | exception W.Frame_overflow { kind = 'm'; length; limit = l } ->
       Alcotest.(check int) "exn length" (limit + 1) length;
       Alcotest.(check int) "exn limit" limit l
   | _ -> Alcotest.fail "frame over the limit did not raise");
@@ -938,23 +1039,20 @@ let test_frame_boundary () =
      cannot fit any legal frame raises instead of corrupting the stream. *)
   let h = { W.nthreads = 1; init = [] } in
   let giant = msg 0 (String.make (limit + 1) 'v') 1 [ 1 ] in
-  (match W.Framed.encode h [ giant ] with
-  | exception W.Frame_overflow _ -> ()
-  | _ -> Alcotest.fail "v2 encode accepted an overflowing message");
   match W.Framed3.encode h [ giant ] with
   | exception W.Frame_overflow _ -> ()
   | _ -> Alcotest.fail "v3 encode accepted an overflowing message"
 
-(* A message frame at exactly the limit must round-trip through the
-   reader: the boundary is inclusive on both sides. *)
+(* A frame at exactly the limit must round-trip through the reader: the
+   boundary is inclusive on both sides.  Here it is the vardef frame of
+   a limit-long variable name. *)
 let test_frame_boundary_roundtrip () =
-  let limit = W.Framed.default_max_frame in
-  let pad = String.length (W.encode_message (msg 0 "" 1 [ 1 ])) in
-  let m = msg 0 (String.make (limit - pad) 'v') 1 [ 1 ] in
+  let limit = W.Framed3.default_max_frame in
+  let m = msg 0 (String.make limit 'v') 1 [ 1 ] in
   Alcotest.(check int) "payload is exactly the limit" limit
-    (String.length (W.encode_message m));
+    (String.length (W.encode_var m.Trace.Message.var));
   let h = { W.nthreads = 1; init = [] } in
-  match W.decode_framed (W.Framed.encode h [ m ]) with
+  match W.decode_framed (W.Framed3.encode h [ m ]) with
   | Ok (_, [ m' ]) ->
       Alcotest.(check bool) "payload survives" true (same_payload m m')
   | Ok (_, ms) -> Alcotest.failf "expected 1 message, got %d" (List.length ms)
@@ -976,38 +1074,13 @@ let test_adversarial_corpus_v3 () =
         Alcotest.failf "v3 decoder raised %s on %S" (Printexc.to_string e) doc
   done
 
-(* v3 through the full stream driver: verdict parity with the offline
-   pipeline, the acceptance bar of the format change. *)
-let test_stream_matches_check_v3 () =
-  List.iter
-    (fun (name, program, script, spec) ->
-      let out, header, messages = recorded_trace program script spec in
-      let doc = W.Framed3.encode header messages in
-      List.iter
-        (fun chunk_size ->
-          match Jmpax.Stream.run_string ~chunk_size ~spec doc with
-          | Error e -> Alcotest.failf "%s (v3): stream failed: %s" name (E.to_string e)
-          | Ok o ->
-              Alcotest.(check string)
-                (Printf.sprintf "%s (v3, chunk %d): verdict line" name chunk_size)
-                (Jmpax.Pipeline.verdict_line (Jmpax.Pipeline.predicted_violation out))
-                (Jmpax.Pipeline.verdict_line o.Jmpax.Stream.s_violated);
-              Alcotest.(check int)
-                (Printf.sprintf "%s (v3): messages" name)
-                (List.length messages)
-                o.Jmpax.Stream.s_stats.Jmpax.Stream.messages)
-        [ 1; 7; 64 * 1024 ])
-    paper_examples
-
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ test_var_roundtrip;
       test_roundtrip_v1;
-      test_roundtrip_framed;
       test_decode_any_sniffs;
       test_reader_chunk_insensitive;
       test_roundtrip_v3;
-      test_v2_v3_parity;
       test_reader_chunk_insensitive_v3;
       test_var_encoding_stable ]
 
@@ -1035,8 +1108,11 @@ let () =
           Alcotest.test_case "truncated varint" `Quick test_v3_truncated_varint;
           Alcotest.test_case "stale baseline after skip" `Quick
             test_v3_stale_baseline_after_skip;
-          Alcotest.test_case "mixed v2/v3 hard-errors" `Quick
-            test_v3_mixed_versions_hard_error;
+          Alcotest.test_case "v2 frames are unknown kinds" `Quick
+            test_v2_frames_are_unknown_kinds;
+          Alcotest.test_case "v2 document refused" `Quick test_v2_document_refused;
+          Alcotest.test_case "write_file refuses a v3 width" `Quick
+            test_write_file_width;
           Alcotest.test_case "unknown var id" `Quick test_v3_unknown_var_id;
           Alcotest.test_case "thread-count ceiling" `Quick test_v3_thread_limit;
           Alcotest.test_case "wide sparse clocks shrink 3x" `Quick
@@ -1058,8 +1134,8 @@ let () =
         [ Alcotest.test_case "fail" `Quick test_recovery_fail;
           Alcotest.test_case "skip" `Quick test_recovery_skip;
           Alcotest.test_case "quarantine" `Quick test_recovery_quarantine;
-          Alcotest.test_case "skip keeps verdict on noise" `Quick
-            test_recovery_skip_noise_keeps_verdict ] );
+          Alcotest.test_case "skip reports what noise lost" `Quick
+            test_recovery_skip_noise ] );
       ( "backpressure",
         [ Alcotest.test_case "online raises at the bound" `Quick test_online_backpressure;
           Alcotest.test_case "ingest rejects at the bound" `Quick test_ingest_backpressure;
