@@ -22,14 +22,6 @@ type report = {
   violations : violation list;
 }
 
-(* a1; r; a2 with r remote: the four unserializable triples. *)
-let unserializable = function
-  | Read, Write, Read -> true  (* stale re-read *)
-  | Write, Write, Read -> true  (* lost local write *)
-  | Read, Write, Write -> true  (* update from a stale read *)
-  | Write, Read, Write -> true  (* dirty intermediate read *)
-  | (Read | Write), _, (Read | Write) -> false
-
 let pattern_name = function
   | Read, Write, Read -> "stale re-read (R-W-R)"
   | Write, Write, Read -> "lost local write (W-W-R)"
@@ -80,12 +72,13 @@ let pattern_code (k1, kr, k2) =
    Layout: an access resolves its variable once, to a [var_state]
    holding one lazily allocated [row] per owner thread.  A row carries
    the owner's two access logs (one per kind), its open-block frame and
-   its closed pairs; the variable keeps every closed pair in one array
-   for the remote scan.  Per access that is one string hash, one log
-   append and O(threads) comparisons, with no per-observer allocation.
-   A closed pair remembers which remote kinds already have their class
-   recorded, so known classes are skipped before a violation record is
-   built. *)
+   its closed pairs; the variable lists, per remote kind, the closed
+   pairs whose class that kind would record and has not yet, for the
+   remote scan.  Per access that is one string hash, one log append and
+   O(threads) comparisons, with no per-observer allocation.  A closed
+   pair remembers which remote kinds already have their class
+   recorded: a known class leaves the remote scan's list and costs its
+   closing scans no search. *)
 
 module Core = struct
   type pair_entry = {
@@ -102,13 +95,20 @@ module Core = struct
   (* One owner's accesses of one kind to one variable, kept as remotes
      for every other thread.  Entries [0 .. len - 1] hold each access's
      sync-only epoch, by reference (epochs are immutable), and its
-     eid.
+     eid; the owner component strictly increases along them.
 
-     [offs.(t)] is observer [t]'s offset: the first entry whose owner
-     component exceeds [t]'s knowledge of the owner when [t] last
-     looked.  That knowledge only grows, so [t] never matches an entry
-     below its offset again.  What [t] can still match is the pareto
-     view of [vcs.(offs.(t)) ..]: the last entry of each run of equal
+     Observer [t]'s offset is the first entry whose owner component
+     exceeds [t]'s knowledge of the owner when [t] last looked: that
+     knowledge only grows, so [t] never matches an entry below its
+     offset again.  The log keeps no offsets.  Each observer's
+     knowledge is recorded per variable and remote kind ([v_seen]) at
+     every closing scan, whether or not the scan searches, and an
+     offset is derived from it where it is read: the tail test and
+     compaction below, and the snapshot views.  An entry appended
+     later lies above every knowledge recorded before it (the owner
+     ticked since), so the derived offset is the one a binary search
+     at every scan would keep.  What [t] can still match is the pareto
+     view of [vcs.(offset) ..]: the last entry of each run of equal
      [vc(t)].  Appending drops a tail that is not in any live
      observer's view, and a full log first drops the prefix below every
      observer's offset, so the log stays short when observers keep
@@ -117,9 +117,6 @@ module Core = struct
     mutable vcs : Syncclock.epoch array;
     mutable eids : int array;
     mutable len : int;
-    mutable offs : int array;
-        (* by observer, the owner's own slot unused; allocated by the
-           first seek, every offset is 0 until then *)
   }
 
   type row = {
@@ -132,8 +129,15 @@ module Core = struct
 
   type var_state = {
     v_rows : row option array;  (* by owner thread *)
-    mutable v_pairs : pair_entry array;  (* [0 .. v_npairs - 1] *)
-    mutable v_npairs : int;
+    v_open : pair_entry array array;
+        (* by remote kind: the closed pairs that kind makes unserializable
+           and whose class is not recorded, in the order they closed *)
+    v_nopen : int array;
+    mutable v_seen : int array array;
+        (* [v_seen.(kind_index k * nthreads + t)]: observer [t]'s
+           knowledge, by owner, at its last scan of the kind-[k] logs
+           (an epoch's base, shared); allocated by the first scan, all
+           knowledge is 0 until then *)
   }
 
   type t = {
@@ -146,6 +150,7 @@ module Core = struct
       ( Types.tid * string * Types.var * (access_kind * access_kind * access_kind),
         violation )
       Hashtbl.t;
+    c_zeros : int array;  (* the knowledge of an observer that never looked *)
   }
 
   let create ~nthreads =
@@ -154,7 +159,8 @@ module Core = struct
       c_depth = Array.make nthreads 0;
       c_current = Array.make nthreads None;
       c_vars = Hashtbl.create 16;
-      c_classes = Hashtbl.create 8 }
+      c_classes = Hashtbl.create 8;
+      c_zeros = Array.make nthreads 0 }
 
   let transactions t = t.c_transactions
 
@@ -183,12 +189,31 @@ module Core = struct
     match Hashtbl.find_opt t.c_vars var with
     | Some vs -> vs
     | None ->
-        let vs = { v_rows = Array.make t.c_nthreads None; v_pairs = [||]; v_npairs = 0 } in
+        let vs =
+          { v_rows = Array.make t.c_nthreads None; v_open = [| [||]; [||] |];
+            v_nopen = [| 0; 0 |]; v_seen = [||] }
+        in
         Hashtbl.replace t.c_vars var vs;
         vs
 
-  let new_log () = { vcs = [||]; eids = [||]; len = 0; offs = [||] }
-  let offset lg u = if Array.length lg.offs = 0 then 0 else lg.offs.(u)
+  let new_log () = { vcs = [||]; eids = [||]; len = 0 }
+
+  (* Observer [u]'s knowledge of [owner] at its last scan of the
+     kind-[ki] logs of [vs]. *)
+  let knows vs ~n ~ki u owner =
+    if Array.length vs.v_seen = 0 then 0 else vs.v_seen.((ki * n) + u).(owner)
+
+  (* The first entry whose owner component exceeds [gt] ([len] when
+     there is none). *)
+  let log_first lg gt =
+    let lo = ref 0 and hi = ref lg.len in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if lg.vcs.(mid).Syncclock.own > gt then hi := mid else lo := mid + 1
+    done;
+    !lo
+
+  let offset vs ~n ~ki lg ~owner u = log_first lg (knows vs ~n ~ki u owner)
 
   let row vs tid =
     match vs.v_rows.(tid) with
@@ -218,36 +243,32 @@ module Core = struct
      passed it sees the same own component in [vc]: [vc] then ends the
      tail's run for each of them.  Epochs in [owner]'s log and [vc] are
      [owner]'s, so every other component is read off [base] in place
-     (here and in the scans below). *)
-  let tail_dominated lg ~n ~owner (vc : Syncclock.epoch) =
-    let i = lg.len - 1 in
-    let tail = lg.vcs.(i).base and vc = vc.base and offs = lg.offs in
+     (here and in the scans below).  [u] has passed the tail when its
+     knowledge of [owner] reaches the tail's own component. *)
+  let tail_dominated vs ~n ~ki lg ~owner (vc : Syncclock.epoch) =
+    let tail = lg.vcs.(lg.len - 1) in
+    let base = tail.base and own = tail.own and vc = vc.base in
     let u = ref 0 in
     while
       !u < n
-      && (!u = owner
-         || (Array.length offs > 0 && offs.(!u) > i)
-         || tail.(!u) = vc.(!u))
+      && (!u = owner || base.(!u) = vc.(!u) || own <= knows vs ~n ~ki !u owner)
     do
       incr u
     done;
     !u = n
 
-  let log_append lg ~n ~owner vc eid =
-    while lg.len > 0 && tail_dominated lg ~n ~owner vc do
-      lg.len <- lg.len - 1;
-      (* An observer that had passed the dropped tail now sits at the
-         end, where [vc] goes. *)
-      for u = 0 to Array.length lg.offs - 1 do
-        if lg.offs.(u) > lg.len then lg.offs.(u) <- lg.len
-      done
+  (* Append to the kind-[ki] log of [owner] in [vs]. *)
+  let log_append vs ~n ~ki ~owner lg vc eid =
+    while lg.len > 0 && tail_dominated vs ~n ~ki lg ~owner vc do
+      lg.len <- lg.len - 1
     done;
     if lg.len = Array.length lg.vcs then begin
-      let lo = ref lg.len in
+      (* Every observer's offset is at least the least knowledge's. *)
+      let least = ref max_int in
       for u = 0 to n - 1 do
-        if u <> owner && offset lg u < !lo then lo := offset lg u
+        if u <> owner then least := min !least (knows vs ~n ~ki u owner)
       done;
-      let lo = !lo in
+      let lo = log_first lg !least in
       let live = lg.len - lo in
       if 2 * lo > lg.len then begin
         (* Reclaim the prefix every observer has passed, in place. *)
@@ -263,27 +284,11 @@ module Core = struct
         lg.vcs <- vcs;
         lg.eids <- eids
       end;
-      lg.len <- live;
-      for u = 0 to Array.length lg.offs - 1 do
-        if u <> owner then lg.offs.(u) <- lg.offs.(u) - lo
-      done
+      lg.len <- live
     end;
     lg.vcs.(lg.len) <- vc;
     lg.eids.(lg.len) <- eid;
     lg.len <- lg.len + 1
-
-  (* Moves [observer]'s offset to the first entry whose owner component
-     exceeds [gt], the observer's current knowledge of the owner, and
-     returns it ([len] when there is none). *)
-  let log_seek lg ~nthreads ~observer gt =
-    if Array.length lg.offs = 0 then lg.offs <- Array.make nthreads 0;
-    let lo = ref lg.offs.(observer) and hi = ref lg.len in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if lg.vcs.(mid).Syncclock.own > gt then hi := mid else lo := mid + 1
-    done;
-    lg.offs.(observer) <- !lo;
-    !lo
 
   (* The last entry of [i]'s run of equal [vc(observer)]: the point of
      [observer]'s view that stands for [i].  [observer] is not the
@@ -299,9 +304,9 @@ module Core = struct
 
   (* [observer]'s view as [(p, q, eid)] points, [p] the owner component
      and [q] the observer's, both strictly increasing. *)
-  let view lg ~owner ~observer =
+  let view lg ~owner ~observer ~from =
     let pts = ref [] in
-    for i = lg.len - 1 downto offset lg observer do
+    for i = lg.len - 1 downto from do
       let q = Syncclock.get lg.vcs.(i) observer in
       if i = lg.len - 1 || Syncclock.get lg.vcs.(i + 1) observer <> q then
         pts := (Syncclock.get lg.vcs.(i) owner, q, lg.eids.(i)) :: !pts
@@ -313,25 +318,29 @@ module Core = struct
       (fun e -> e.pe_k1 = k1 && e.pe_k2 = k2 && String.equal e.pe_lock lock)
       r.r_pairs
 
+  (* The one remote kind that makes [k1; r; k2] unserializable: a read
+     between two writes (dirty intermediate read, W-R-W), a write
+     otherwise (stale re-read R-W-R, lost local write W-W-R, update from
+     a stale read R-W-W). *)
+  let remote_kind k1 k2 =
+    match (k1, k2) with Write, Write -> Read | _ -> Write
+
   let pair_add vs r ~tid ~lock k1 k2 ~epoch ~first ~second =
     let e =
       { pe_tid = tid; pe_lock = lock; pe_k1 = k1; pe_k2 = k2; pe_epoch = epoch;
         pe_first = first; pe_second = second; pe_reported = 0 }
     in
     r.r_pairs <- e :: r.r_pairs;
-    if vs.v_npairs = Array.length vs.v_pairs then begin
-      let a = Array.make (max 4 (2 * vs.v_npairs)) e in
-      Array.blit vs.v_pairs 0 a 0 vs.v_npairs;
-      vs.v_pairs <- a
+    let ki = kind_index (remote_kind k1 k2) in
+    let n = vs.v_nopen.(ki) in
+    if n = Array.length vs.v_open.(ki) then begin
+      let a = Array.make (max 4 (2 * n)) e in
+      Array.blit vs.v_open.(ki) 0 a 0 n;
+      vs.v_open.(ki) <- a
     end;
-    vs.v_pairs.(vs.v_npairs) <- e;
-    vs.v_npairs <- vs.v_npairs + 1;
+    vs.v_open.(ki).(n) <- e;
+    vs.v_nopen.(ki) <- n + 1;
     e
-
-  (* The one remote kind that makes [k1; r; k2] unserializable (see
-     [unserializable]): a read between two writes, a write otherwise. *)
-  let remote_kind k1 k2 =
-    match (k1, k2) with Write, Write -> Read | _ -> Write
 
   (* Record the class of [v] — closed pair [e] with a remote of kind
      [kr] — unless the cap is reached; either way [e] learns whether the
@@ -345,77 +354,92 @@ module Core = struct
       fresh := v :: !fresh
     end
 
+  (* As a remote of kind [ki]: against the open pairs of other threads.
+     A pair whose class got recorded (here or by a closing scan) leaves
+     the list; the rest keep their order. *)
+  let remote_scan t ~max_violations vs ~ki ~kind ~tid ~var ~eid base fresh =
+    let bit = 1 lsl ki and pairs = vs.v_open.(ki) in
+    let kept = ref 0 in
+    for i = 0 to vs.v_nopen.(ki) - 1 do
+      let e = pairs.(i) in
+      if e.pe_reported land bit = 0 then begin
+        if e.pe_tid <> tid && e.pe_epoch > base.(e.pe_tid) then
+          record t ~max_violations e kind
+            { tid = e.pe_tid; lock = e.pe_lock; var; first = e.pe_first;
+              second = e.pe_second; remote = eid; remote_tid = tid;
+              pattern = (e.pe_k1, kind, e.pe_k2) }
+            fresh;
+        if e.pe_reported land bit = 0 then begin
+          pairs.(!kept) <- e;
+          incr kept
+        end
+      end
+    done;
+    vs.v_nopen.(ki) <- !kept
+
+  (* [tid]'s access [eid] of kind [kind] closes the local pair that
+     starts at its in-block access [eid1] of kind [k1], whose own
+     component is [e1]. *)
+  let close t ~max_violations vs own ~tid ~lock ~var ~kind ~eid base k1 e1 eid1 fresh =
+    let n = t.c_nthreads in
+    (* Future remotes via the pair's max epoch. *)
+    let entry =
+      match pair_find own ~lock k1 kind with
+      | Some entry ->
+          if e1 > entry.pe_epoch then begin
+            entry.pe_epoch <- e1;
+            entry.pe_first <- eid1;
+            entry.pe_second <- eid
+          end;
+          entry
+      | None -> pair_add vs own ~tid ~lock k1 kind ~epoch:e1 ~first:eid1 ~second:eid
+    in
+    (* Past remotes via the other owners' logs, unless the class is
+       known.  Either way this observer's knowledge is recorded: it is
+       what moves its offsets past their dead prefixes. *)
+    let kr = remote_kind k1 kind in
+    let ki = kind_index kr and bit = kind_bit kr in
+    if Array.length vs.v_seen = 0 then vs.v_seen <- Array.make (2 * n) t.c_zeros;
+    vs.v_seen.((ki * n) + tid) <- base;
+    let u = ref 0 in
+    while !u < n && entry.pe_reported land bit = 0 do
+      (match vs.v_rows.(!u) with
+      | Some r when !u <> tid ->
+          let lg = r.r_logs.(ki) in
+          let i = log_first lg base.(!u) in
+          if i < lg.len && lg.vcs.(i).Syncclock.base.(tid) < e1 then
+            record t ~max_violations entry kr
+              { tid; lock; var; first = eid1; second = eid;
+                remote = lg.eids.(run_end lg ~observer:tid i); remote_tid = !u;
+                pattern = (k1, kr, kind) }
+              fresh
+      | Some _ | None -> ());
+      incr u
+    done
+
   (* One data access, in causal processing order.  Returns the
      violations whose class this access closed (usually none). *)
   let access t ~max_violations ~tid ~var ~kind ~vc ~eid =
     let fresh = ref [] in
     let vs = var_state t var in
-    let base = vc.Syncclock.base in
-    (* As a remote, against closed pairs of other threads. *)
-    for i = 0 to vs.v_npairs - 1 do
-      let e = vs.v_pairs.(i) in
-      if
-        e.pe_tid <> tid
-        && e.pe_reported land kind_bit kind = 0
-        && unserializable (e.pe_k1, kind, e.pe_k2)
-        && e.pe_epoch > base.(e.pe_tid)
-      then
-        record t ~max_violations e kind
-          { tid = e.pe_tid; lock = e.pe_lock; var; first = e.pe_first;
-            second = e.pe_second; remote = eid; remote_tid = tid;
-            pattern = (e.pe_k1, kind, e.pe_k2) }
-          fresh
-    done;
+    let base = vc.Syncclock.base and ki = kind_index kind in
+    remote_scan t ~max_violations vs ~ki ~kind ~tid ~var ~eid base fresh;
     let own = row vs tid in
     (* As the closing end of a local pair. *)
     (match t.c_current.(tid) with
     | None -> ()
-    | Some (block, lock) ->
+    | Some (block, lock) -> (
         frame own block;
-        let close k1 = function
-          | None -> ()
-          | Some (e1, eid1) ->
-              (* Future remotes via the pair's max epoch. *)
-              let entry =
-                match pair_find own ~lock k1 kind with
-                | Some entry ->
-                    if e1 > entry.pe_epoch then begin
-                      entry.pe_epoch <- e1;
-                      entry.pe_first <- eid1;
-                      entry.pe_second <- eid
-                    end;
-                    entry
-                | None ->
-                    pair_add vs own ~tid ~lock k1 kind ~epoch:e1 ~first:eid1 ~second:eid
-              in
-              (* Past remotes via the other owners' logs.  Every log is
-                 sought, known classes included: the seek also moves
-                 this observer's offset past its dead prefix. *)
-              let kr = remote_kind k1 kind in
-              for u = 0 to t.c_nthreads - 1 do
-                match vs.v_rows.(u) with
-                | Some r when u <> tid ->
-                    let lg = r.r_logs.(kind_index kr) in
-                    let i =
-                      log_seek lg ~nthreads:t.c_nthreads ~observer:tid base.(u)
-                    in
-                    if
-                      i < lg.len
-                      && lg.vcs.(i).Syncclock.base.(tid) < e1
-                      && entry.pe_reported land kind_bit kr = 0
-                    then
-                      record t ~max_violations entry kr
-                        { tid; lock; var; first = eid1; second = eid;
-                          remote = lg.eids.(run_end lg ~observer:tid i);
-                          remote_tid = u; pattern = (k1, kr, kind) }
-                        fresh
-                | Some _ | None -> ()
-              done
-        in
-        close Read own.f_read;
-        close Write own.f_write);
+        (match own.f_read with
+        | Some (e1, eid1) ->
+            close t ~max_violations vs own ~tid ~lock ~var ~kind ~eid base Read e1 eid1 fresh
+        | None -> ());
+        match own.f_write with
+        | Some (e1, eid1) ->
+            close t ~max_violations vs own ~tid ~lock ~var ~kind ~eid base Write e1 eid1 fresh
+        | None -> ()));
     (* As a future remote for every other thread. *)
-    log_append own.r_logs.(kind_index kind) ~n:t.c_nthreads ~owner:tid vc eid;
+    log_append vs ~n:t.c_nthreads ~ki ~owner:tid own.r_logs.(ki) vc eid;
     (* Finally, become the latest in-block access of this kind. *)
     (match t.c_current.(tid) with
     | None -> ()
@@ -461,16 +485,18 @@ module Core = struct
       []
 
   let views t =
+    let n = t.c_nthreads in
     fold_rows t
       (fun var owner r acc ->
+        let vs = Hashtbl.find t.c_vars var in
         let acc = ref acc in
         Array.iteri
           (fun ki lg ->
             let kind = if ki = 0 then Read else Write in
-            for observer = 0 to t.c_nthreads - 1 do
-              if observer <> owner && offset lg observer < lg.len then
-                acc :=
-                  ((var, owner, observer, kind), view lg ~owner ~observer) :: !acc
+            for observer = 0 to n - 1 do
+              let from = offset vs ~n ~ki lg ~owner observer in
+              if observer <> owner && from < lg.len then
+                acc := ((var, owner, observer, kind), view lg ~owner ~observer ~from) :: !acc
             done)
           r.r_logs;
         !acc)
@@ -487,6 +513,12 @@ module Core = struct
             done;
             !acc)
           acc r.r_logs)
+      []
+
+  let log_lengths t =
+    fold_rows t
+      (fun var owner r acc ->
+        (var, owner, Read, r.r_logs.(0).len) :: (var, owner, Write, r.r_logs.(1).len) :: acc)
       []
 
   (* Restore entry points: the same state [access] builds. *)
@@ -513,9 +545,17 @@ module Core = struct
      ordered by [p]; an entry missing from [t]'s view was dominated
      there, so it takes [vc(t)] from [t]'s next point.  [t]'s offset is
      its first point; an observer without a view has passed the whole
-     log. *)
+     log.  Its knowledge of [owner] is restored as the owner component
+     of the entry below its offset (0 below the first), from which the
+     same offset derives.  That can exceed [t]'s real knowledge, which
+     its next scan records: the entries in between come back into its
+     view.  They lay in its first point's run, so every entry below the
+     first point takes that point's [vc(t)]; the entries at or below
+     the real knowledge stay out of [t]'s view for good. *)
   let restore_log t var ~owner kind views =
-    let lg = (row (var_state t var) owner).r_logs.(kind_index kind) in
+    let n = t.c_nthreads and ki = kind_index kind in
+    let vs = var_state t var in
+    let lg = (row vs owner).r_logs.(ki) in
     let entries =
       List.concat_map (fun (_, pts) -> List.map (fun (p, _, eid) -> (p, eid)) pts) views
       |> List.sort_uniq (fun (a, _) (b, _) -> compare a b)
@@ -526,8 +566,7 @@ module Core = struct
     Array.iteri (fun i (p, _) -> Hashtbl.replace index p i) entries;
     let clocks = Array.map (fun _ -> Array.make t.c_nthreads 0) entries in
     Array.iteri (fun i (p, _) -> clocks.(i).(owner) <- p) entries;
-    lg.offs <- Array.make t.c_nthreads len;
-    lg.offs.(owner) <- 0;
+    let offs = Array.make n len in
     List.iter
       (fun (observer, pts) ->
         if observer = owner then
@@ -535,10 +574,11 @@ module Core = struct
         match pts with
         | [] -> ()
         | (p0, _, _) :: _ ->
-            lg.offs.(observer) <- Hashtbl.find index p0;
+            offs.(observer) <- Hashtbl.find index p0;
             (* Each point covers the entries from just after the
-               previous point up to itself. *)
-            let from = ref lg.offs.(observer) in
+               previous point up to itself, the first point every entry
+               below it: see above. *)
+            let from = ref 0 in
             List.iter
               (fun (p, q, _) ->
                 let upto = Hashtbl.find index p in
@@ -548,6 +588,15 @@ module Core = struct
                 from := upto + 1)
               pts)
       views;
+    for observer = 0 to n - 1 do
+      let off = offs.(observer) in
+      if observer <> owner && off > 0 then begin
+        if Array.length vs.v_seen = 0 then vs.v_seen <- Array.make (2 * n) t.c_zeros;
+        let i = (ki * n) + observer in
+        if vs.v_seen.(i) == t.c_zeros then vs.v_seen.(i) <- Array.make n 0;
+        vs.v_seen.(i).(owner) <- fst entries.(off - 1)
+      end
+    done;
     lg.vcs <- Array.map (fun c -> Syncclock.of_vclock owner (Vclock.of_array c)) clocks;
     lg.eids <- Array.map snd entries;
     lg.len <- len

@@ -75,6 +75,12 @@ module Core : sig
   (** Every live access-log entry with its log's owner.  The scans read
       an entry's components off its [base] and [own] in place, which
       is sound only while each entry is its owner's epoch. *)
+
+  val log_lengths : t -> (Types.var * Types.tid * access_kind * int) list
+  (** The live entries of each access log, by variable, owner and
+      kind.  A log keeps what some observer can still match, so its
+      length follows how far behind the slowest observer of its
+      variable's scans is, not the stream's length. *)
 end
 
 val analyze : ?max_violations:int -> Exec.t -> report

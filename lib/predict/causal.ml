@@ -10,18 +10,30 @@ exception Causal_buffer_overflow of { buffered : int; limit : int }
    thread it is parked on delivers, or on [restore]; components below
    the parked one stay satisfied (delivered prefixes only grow), so a
    re-examination resumes the scan at [j].  Per message that is O(n)
-   array work and no hash probe per thread. *)
+   array work and no hash probe per thread.
+
+   A thread's pending messages sit in a ring indexed by [seq]: slot
+   [seq land (length - 1)] holds message [seq] for the [length] indices
+   just past the delivered prefix, [Message.none] where nothing arrived.
+   The ring doubles as messages arrive farther ahead, up to [reach]
+   slots; a message beyond that (sent far out of order, or a forged
+   sequence number) waits in a map by [seq] and moves into the ring
+   when it becomes the head, so a thread's buffer follows its pending
+   messages, never the largest [seq]. *)
 
 let absent = -2
 let ready = -1
+let reach = 1024
+let far_node = 6  (* a map node: 5 fields and a header *)
 
 type t = {
   nthreads : int;
   delivered : int array;
-  pending : (int, Message.t) Hashtbl.t array;  (* per thread, keyed by seq *)
+  rings : Message.t array array;  (* per thread, a power of two long or empty *)
+  far : Message.t Imap.t array;  (* per thread, by seq: beyond the ring's reach *)
+  npending : int array;  (* per thread: messages in its ring and [far] *)
   ended : bool array;
   state : int array;  (* per thread: [absent], [ready] or the parking thread *)
-  heads : Message.t option array;  (* the examined head, when present *)
   waiters : int array array;  (* waiters.(j).(0 .. nwaiting.(j) - 1) *)
   nwaiting : int array;
   mutable nready : int;
@@ -30,6 +42,7 @@ type t = {
   mutable buffered : int;
   mutable peak_buffered : int;
   mutable delivered_total : int;
+  mutable words : int;  (* the rings and [waiters] with their headers, the [far] nodes *)
 }
 
 let create ?max_buffered ?overflow_limit ~nthreads () =
@@ -42,10 +55,11 @@ let create ?max_buffered ?overflow_limit ~nthreads () =
   | _ -> ());
   { nthreads;
     delivered = Array.make nthreads 0;
-    pending = Array.init nthreads (fun _ -> Hashtbl.create 8);
+    rings = Array.make nthreads [||];
+    far = Array.make nthreads Imap.empty;
+    npending = Array.make nthreads 0;
     ended = Array.make nthreads false;
     state = Array.make nthreads absent;
-    heads = Array.make nthreads None;
     waiters = Array.make nthreads [||];
     nwaiting = Array.make nthreads 0;
     nready = 0;
@@ -53,12 +67,80 @@ let create ?max_buffered ?overflow_limit ~nthreads () =
     overflow_limit;
     buffered = 0;
     peak_buffered = 0;
-    delivered_total = 0 }
+    delivered_total = 0;
+    words = 0 }
+
+(* Grow [tid]'s ring to at least [d] slots ([d <= reach]), moving the
+   pending messages it holds to their slots in the new one. *)
+let grow t tid d =
+  let old = t.rings.(tid) in
+  let n = Array.length old in
+  let cap = ref (max 8 (2 * n)) in
+  while !cap < d do
+    cap := 2 * !cap
+  done;
+  let ring = Array.make !cap Message.none in
+  let from = t.delivered.(tid) + 1 in
+  for s = from to from + n - 1 do
+    let m = old.(s land (n - 1)) in
+    if m != Message.none then ring.(s land (!cap - 1)) <- m
+  done;
+  t.rings.(tid) <- ring;
+  t.words <- t.words + !cap - n + if n = 0 then 1 else 0
+
+(* Is message [seq] of [tid] pending? *)
+let holds t tid seq =
+  let d = seq - t.delivered.(tid) in
+  let ring = t.rings.(tid) in
+  (d >= 1
+  && d <= Array.length ring
+  && ring.(seq land (Array.length ring - 1)) != Message.none)
+  || Imap.mem seq t.far.(tid)
+
+(* Buffer [m], which is not pending, as message [seq] of [tid]: in the
+   ring when within [reach] of the delivered prefix, else in [far]. *)
+let put t tid seq m =
+  let d = seq - t.delivered.(tid) in
+  if d >= 1 && d <= reach then begin
+    if d > Array.length t.rings.(tid) then grow t tid d;
+    let ring = t.rings.(tid) in
+    ring.(seq land (Array.length ring - 1)) <- m
+  end
+  else begin
+    t.far.(tid) <- Imap.add seq m t.far.(tid);
+    t.words <- t.words + far_node
+  end;
+  t.npending.(tid) <- t.npending.(tid) + 1;
+  t.buffered <- t.buffered + 1
+
+(* The head of [tid] when present, [Message.none] otherwise; a head
+   found in [far] moves into the ring. *)
+let head t tid =
+  let seq = t.delivered.(tid) + 1 in
+  let ring = t.rings.(tid) in
+  let m =
+    if Array.length ring = 0 then Message.none else ring.(seq land (Array.length ring - 1))
+  in
+  if m != Message.none || Imap.is_empty t.far.(tid) then m
+  else
+    match Imap.find_opt seq t.far.(tid) with
+    | None -> Message.none
+    | Some m ->
+        t.far.(tid) <- Imap.remove seq t.far.(tid);
+        t.words <- t.words - far_node;
+        if Array.length ring = 0 then grow t tid 1;
+        let ring = t.rings.(tid) in
+        ring.(seq land (Array.length ring - 1)) <- m;
+        m
 
 let nthreads t = t.nthreads
 let buffered t = t.buffered
 let peak_buffered t = t.peak_buffered
 let delivered_total t = t.delivered_total
+
+(* ~16 words per buffered message, plus the rings' and the waiting
+   lists' slots and the map nodes of messages held far ahead. *)
+let mem_words t = (16 * t.buffered) + t.words
 
 (* The first thread [j >= from], other than the message's own, whose
    delivered prefix does not yet cover [m.mvc(j)]; [nthreads] when the
@@ -76,6 +158,7 @@ let park t tid j =
   if n = Array.length t.waiters.(j) then begin
     let a = Array.make (max 4 (2 * n)) 0 in
     Array.blit t.waiters.(j) 0 a 0 n;
+    t.words <- t.words + Array.length a - n + if n = 0 then 1 else 0;
     t.waiters.(j) <- a
   end;
   t.waiters.(j).(n) <- tid;
@@ -94,13 +177,8 @@ let classify t tid (m : Message.t) ~from =
 (* Look up and classify a fresh head of [tid]; the thread is neither
    ready nor parked. *)
 let examine t tid =
-  match Hashtbl.find_opt t.pending.(tid) (t.delivered.(tid) + 1) with
-  | None ->
-      t.heads.(tid) <- None;
-      t.state.(tid) <- absent
-  | Some m as head ->
-      t.heads.(tid) <- head;
-      classify t tid m ~from:0
+  let m = head t tid in
+  if m == Message.none then t.state.(tid) <- absent else classify t tid m ~from:0
 
 (* [j] delivered: re-examine the heads parked on it.  A head still
    parked on [j] is written back at an index no greater than the one
@@ -110,27 +188,26 @@ let wake t j =
   t.nwaiting.(j) <- 0;
   for i = 0 to n - 1 do
     let w = t.waiters.(j).(i) in
-    match t.heads.(w) with
-    | Some m -> classify t w m ~from:j
-    | None -> assert false
+    let ring = t.rings.(w) in
+    classify t w ring.((t.delivered.(w) + 1) land (Array.length ring - 1)) ~from:j
   done
 
 (* Deliver [tid]'s run of consecutive deliverable messages. *)
 let run t tid out =
   t.nready <- t.nready - 1;
   let continue = ref true in
+  let ring = t.rings.(tid) in
   while !continue do
-    match t.heads.(tid) with
-    | None -> assert false
-    | Some m ->
-        let seq = t.delivered.(tid) + 1 in
-        Hashtbl.remove t.pending.(tid) seq;
-        t.delivered.(tid) <- seq;
-        t.buffered <- t.buffered - 1;
-        t.delivered_total <- t.delivered_total + 1;
-        out := m :: !out;
-        examine t tid;
-        if t.state.(tid) = ready then t.nready <- t.nready - 1 else continue := false
+    let seq = t.delivered.(tid) + 1 in
+    let i = seq land (Array.length ring - 1) in
+    out := ring.(i) :: !out;
+    ring.(i) <- Message.none;
+    t.delivered.(tid) <- seq;
+    t.npending.(tid) <- t.npending.(tid) - 1;
+    t.buffered <- t.buffered - 1;
+    t.delivered_total <- t.delivered_total + 1;
+    examine t tid;
+    if t.state.(tid) = ready then t.nready <- t.nready - 1 else continue := false
   done;
   wake t tid
 
@@ -171,16 +248,14 @@ let feed t (m : Message.t) =
   if seq < 1 then
     invalid_arg
       (Printf.sprintf "Causal.feed: message of thread %d has no own tick" m.Message.tid);
-  if seq <= t.delivered.(m.Message.tid) || Hashtbl.mem t.pending.(m.Message.tid) seq
-  then
+  if seq <= t.delivered.(m.Message.tid) || holds t m.Message.tid seq then
     invalid_arg
       (Printf.sprintf "Causal.feed: duplicate message (thread %d, index %d)"
          m.Message.tid seq);
   if t.ended.(m.Message.tid) then
     invalid_arg
       (Printf.sprintf "Causal.feed: thread %d already ended" m.Message.tid);
-  Hashtbl.replace t.pending.(m.Message.tid) seq m;
-  t.buffered <- t.buffered + 1;
+  put t m.Message.tid seq m;
   if t.buffered > t.peak_buffered then t.peak_buffered <- t.buffered;
   if seq = t.delivered.(m.Message.tid) + 1 then examine t m.Message.tid;
   let out = drain t in
@@ -209,7 +284,7 @@ let missing t =
   let res = ref None in
   let tid = ref 0 in
   while Option.is_none !res && !tid < t.nthreads do
-    (if Hashtbl.length t.pending.(!tid) > 0 then
+    (if t.npending.(!tid) > 0 then
        let s = t.state.(!tid) in
        if s = absent then res := Some (!tid, t.delivered.(!tid) + 1)
        else if s <> ready then res := Some (s, t.delivered.(s) + 1));
@@ -243,10 +318,18 @@ type snapshot = {
 }
 
 let snapshot t =
+  let pending = ref [] in
+  for tid = 0 to t.nthreads - 1 do
+    let ring = t.rings.(tid) in
+    let from = t.delivered.(tid) + 1 in
+    for s = from to from + Array.length ring - 1 do
+      let m = ring.(s land (Array.length ring - 1)) in
+      if m != Message.none then pending := m :: !pending
+    done;
+    Imap.iter (fun _ m -> pending := m :: !pending) t.far.(tid)
+  done;
   let pending =
-    Array.to_list t.pending
-    |> List.concat_map (fun table ->
-           Hashtbl.fold (fun _ m acc -> m :: acc) table [])
+    !pending
     |> List.sort (fun (a : Message.t) (b : Message.t) ->
            compare (a.Message.tid, Message.seq a) (b.Message.tid, Message.seq b))
   in
@@ -270,8 +353,7 @@ let restore ?max_buffered ?overflow_limit (s : snapshot) =
         invalid_arg "Causal.restore: buffered message thread id out of range";
       if Vclock.dim m.Message.mvc < nthreads then
         invalid_arg "Causal.restore: buffered message clock narrower than thread count";
-      Hashtbl.replace t.pending.(m.Message.tid) (Message.seq m) m;
-      t.buffered <- t.buffered + 1)
+      put t m.Message.tid (Message.seq m) m)
     s.snap_pending;
   (* Heads restored deliverable stay buffered until the next [feed]
      drains them, as they would have been before the snapshot. *)

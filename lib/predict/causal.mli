@@ -53,6 +53,13 @@ val peak_buffered : t -> int
 val delivered_total : t -> int
 val nthreads : t -> int
 
+val mem_words : t -> int
+(** Words held by the buffer: about 16 per buffered message plus every
+    slot of the per-thread rings (each grows by doubling, to at most
+    1,024 slots, as messages arrive ahead of the delivered prefix) and
+    of the waiting lists, and a map node per message held farther
+    ahead.  The fixed per-thread arrays are not counted.  O(1). *)
+
 val missing : t -> (Types.tid * int) option
 (** The blocker of the lowest-numbered thread that has buffered messages
     but cannot deliver: [(t, s)] when its own next message [s] is

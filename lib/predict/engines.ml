@@ -161,8 +161,7 @@ let frontier_cuts t = lattice_or t Online.frontier_cuts ~default:0
 let causal_buffered t = linear_or t Linear.buffered ~default:0
 
 let mem_words t =
-  (* ~16 words per message parked in the delivery buffer. *)
-  lattice_or t Online.mem_words ~default:0 + (16 * causal_buffered t)
+  lattice_or t Online.mem_words ~default:0 + linear_or t Linear.mem_words ~default:0
 
 (* {1 Degradation}
 

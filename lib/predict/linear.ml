@@ -78,6 +78,7 @@ let end_of_thread t = Causal.end_of_thread t.causal
 let finish t = Causal.finish t.causal
 let nthreads t = Causal.nthreads t.causal
 let buffered t = Causal.buffered t.causal
+let mem_words t = Causal.mem_words t.causal
 let out_of_order t = t.ooo
 let missing t = Causal.missing t.causal
 let next_index t tid = Causal.next_index t.causal tid

@@ -44,6 +44,10 @@ val end_of_thread : t -> Types.tid -> unit
 val finish : t -> unit
 val nthreads : t -> int
 val buffered : t -> int
+
+val mem_words : t -> int
+(** The delivery buffer's words, {!Causal.mem_words}. *)
+
 val out_of_order : t -> int
 val missing : t -> (Types.tid * int) option
 val next_index : t -> Types.tid -> int

@@ -104,7 +104,10 @@ let to_state lay e = Pastltl.State.of_list (bindings lay e)
    holding the message and its variable's slot.  A block is at most 256
    words, so it is allocated on the minor heap (a larger or doubling
    array would go to the major heap and, by pacing the major GC
-   differently, keep garbage alive longer).
+   differently, keep garbage alive longer).  A log's first block starts
+   at two slots and doubles up to [block_size] as higher slots are
+   written, so a thread that stores two messages holds a few words, not
+   517.
 
    Blocks near the gc floor sit on a dense spine: the spine reaches at
    most [spine_slack] blocks past its last entry, so its length follows
@@ -121,12 +124,7 @@ let block_size = 1 lsl block_bits
 let block_mask = block_size - 1
 let spine_slack = 4
 
-module Imap = Map.Make (Int)
-
-type block = { msgs : Message.t array; mslots : int array }
-
-let no_message =
-  Message.make ~eid:(-1) ~tid:0 ~var:"" ~value:0 ~mvc:(Vclock.of_list [ 1 ])
+type block = { mutable msgs : Message.t array; mutable mslots : int array }
 
 let no_block = { msgs = [||]; mslots = [||] }
 
@@ -138,11 +136,12 @@ type log = {
       (* by block number, each at least [nblocks + spine_slack] past [first] *)
   mutable nfar : int;  (* bindings in [far] *)
   mutable live : int;  (* allocated blocks, on the spine or far *)
+  mutable slots : int;  (* their summed lengths *)
 }
 
 let log_create ~floor =
   { first = floor lsr block_bits; spine = [||]; nblocks = 0; far = Imap.empty; nfar = 0;
-    live = 0 }
+    live = 0; slots = 0 }
 
 let block_of l k =
   let b = ((k - 1) lsr block_bits) - l.first in
@@ -151,8 +150,8 @@ let block_of l k =
   else match Imap.find (b + l.first) l.far with blk -> blk | exception Not_found -> no_block
 
 let log_find l k =
-  let blk = block_of l k in
-  if blk == no_block then no_message else blk.msgs.((k - 1) land block_mask)
+  let blk = block_of l k and j = (k - 1) land block_mask in
+  if j < Array.length blk.msgs then blk.msgs.(j) else Message.none
 
 (* The block holding a message of the contiguous prefix; unchecked. *)
 let log_block l k = l.spine.(((k - 1) lsr block_bits) - l.first)
@@ -177,9 +176,30 @@ let rec settle l =
       settle l
   | _ -> ()
 
+(* A log's first block starts at two slots and grows by doubling as
+   higher slots are written ([widen]; a thread may store only a message
+   or two); every later block is full-sized. *)
 let new_block l =
+  let size = if Array.length l.spine > 0 || l.nfar > 0 then block_size else 2 in
   l.live <- l.live + 1;
-  { msgs = Array.make block_size no_message; mslots = Array.make block_size (-1) }
+  l.slots <- l.slots + size;
+  { msgs = Array.make size Message.none; mslots = Array.make size (-1) }
+
+(* Make room in [blk] for slot [j]. *)
+let widen l blk j =
+  let n = Array.length blk.msgs in
+  let size = ref (2 * n) in
+  while !size <= j do
+    size := 2 * !size
+  done;
+  let msgs = Array.make !size Message.none and mslots = Array.make !size (-1) in
+  for i = 0 to n - 1 do
+    msgs.(i) <- blk.msgs.(i);
+    mslots.(i) <- blk.mslots.(i)
+  done;
+  blk.msgs <- msgs;
+  blk.mslots <- mslots;
+  l.slots <- l.slots + !size - n
 
 (* Store [m] at [k > floor]; [true] when the slot was empty. *)
 let log_add l k m slot =
@@ -200,7 +220,8 @@ let log_add l k m slot =
         blk
   in
   let j = (k - 1) land block_mask in
-  let fresh = blk.msgs.(j) == no_message in
+  if j >= Array.length blk.msgs then widen l blk j;
+  let fresh = blk.msgs.(j) == Message.none in
   blk.msgs.(j) <- m;
   blk.mslots.(j) <- slot;
   fresh
@@ -213,7 +234,10 @@ let log_drop l ~old_floor ~floor =
   let d = first - l.first in
   if d > 0 then begin
     for b = 0 to min d l.nblocks - 1 do
-      if l.spine.(b) != no_block then l.live <- l.live - 1
+      if l.spine.(b) != no_block then begin
+        l.live <- l.live - 1;
+        l.slots <- l.slots - Array.length l.spine.(b).msgs
+      end
     done;
     let keep = max 0 (l.nblocks - d) in
     Array.blit l.spine (min d l.nblocks) l.spine 0 keep;
@@ -224,7 +248,7 @@ let log_drop l ~old_floor ~floor =
   end;
   if l.nblocks > 0 && l.spine.(0) != no_block then
     for k = max (old_floor + 1) ((first lsl block_bits) + 1) to floor do
-      l.spine.(0).msgs.((k - 1) land block_mask) <- no_message
+      l.spine.(0).msgs.((k - 1) land block_mask) <- Message.none
     done
 
 (* Stored messages with [from < seq], ascending, consed onto [acc]:
@@ -233,9 +257,9 @@ let log_drop l ~old_floor ~floor =
 let log_fold_desc l ~from acc =
   let acc = ref acc in
   let add n blk =
-    for j = block_size - 1 downto 0 do
+    for j = Array.length blk.msgs - 1 downto 0 do
       let m = blk.msgs.(j) in
-      if m != no_message && (n lsl block_bits) + j + 1 > from then acc := m :: !acc
+      if m != Message.none && (n lsl block_bits) + j + 1 > from then acc := m :: !acc
     done
   in
   List.iter (fun (n, blk) -> add n blk) (Imap.fold (fun n blk bs -> (n, blk) :: bs) l.far []);
@@ -560,7 +584,7 @@ let feed t (m : Message.t) =
   if m.tid < 0 || m.tid >= t.nthreads then invalid_arg "Online.feed: thread id out of range";
   let seq = Message.seq m in
   let log = t.logs.(m.tid) in
-  if seq <= t.prefix.(m.tid) || log_find log seq != no_message then
+  if seq <= t.prefix.(m.tid) || log_find log seq != Message.none then
     invalid_arg "Online.feed: duplicate message";
   if t.ended.(m.tid) then invalid_arg "Online.feed: thread already ended";
   (match t.max_buffered with
@@ -573,7 +597,7 @@ let feed t (m : Message.t) =
   if seq = t.prefix.(m.tid) + 1 then begin
     (* Extend the contiguous prefix as far as buffered messages allow. *)
     let k = ref seq in
-    while log_find log (!k + 1) != no_message do
+    while log_find log (!k + 1) != Message.none do
       incr k;
       t.beyond.(m.tid) <- t.beyond.(m.tid) - 1
     done;
@@ -751,7 +775,7 @@ let restore ?max_buffered ~spec s =
   Array.iteri
     (fun i l ->
       for k = t.gc_floor.(i) + 1 to t.prefix.(i) do
-        if log_find l k == no_message then
+        if log_find l k == Message.none then
           invalid_arg "Online.restore: the delivered prefix has a stored gap"
       done)
     t.logs;
@@ -775,8 +799,9 @@ let level t = t.level
 let frontier_cuts t = F.size t.frontier
 
 (* Words per stored message: the message record (5 fields + header) and
-   its clock (nthreads + header).  Per allocated log block: two
-   256-slot arrays with their headers and the block record; per spine
+   its clock (nthreads + header).  Per allocated log block: two arrays
+   of its length (256 slots, a first block fewer) with their headers and
+   the block record; per spine
    entry one word; per block held far ahead one map node (5 fields +
    header).  The frontier term counts both of the sweep's level buffers
    (the spare keeps the storage of the widest level it has held) and is
@@ -786,8 +811,6 @@ let frontier_cuts t = F.size t.frontier
    subformula and 16 more an atom.  All of it is O(threads) arithmetic
    over maintained counters, cheap enough to evaluate after every
    feed. *)
-let block_words = (2 * (block_size + 1)) + 3
-
 let spec_words t =
   (12 * Pastltl.Monitor.width t.monitor) + (16 * Array.length t.layout.atoms) + 40
 
@@ -795,7 +818,7 @@ let mem_words t =
   let store =
     Array.fold_left
       (fun acc l ->
-        acc + (block_words * l.live) + Array.length l.spine + (6 * l.nfar) + 7)
+        acc + (2 * l.slots) + (5 * l.live) + Array.length l.spine + (6 * l.nfar) + 8)
       0 t.logs
   in
   F.mem_words t.frontier + Msets.mem_words t.msets + ((t.nthreads + 7) * t.stored) + store

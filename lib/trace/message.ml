@@ -11,6 +11,7 @@ let make ~eid ~tid ~var ~value ~mvc =
   { eid; tid; var; value; mvc }
 
 let seq m = Vclock.get m.mvc m.tid
+let none = make ~eid:(-1) ~tid:0 ~var:"" ~value:0 ~mvc:(Vclock.of_list [ 1 ])
 let equal a b = a.eid = b.eid && a.tid = b.tid && Vclock.equal a.mvc b.mvc
 let compare a b = Stdlib.compare (a.eid, a.tid, a.var, a.value) (b.eid, b.tid, b.var, b.value)
 

@@ -22,6 +22,10 @@ val seq : t -> int
 (** [seq m = Vclock.get m.mvc m.tid]: the index (1-based) of this relevant
     event among the relevant events of its thread. *)
 
+val none : t
+(** A message no thread sends (eid [-1], no variable): the mark of an
+    empty slot in arrays of messages, tested with [==]. *)
+
 val causally_precedes : t -> t -> bool
 (** The Theorem 3 test: [causally_precedes m m'] iff [e ⊳ e'].
     Reflexive on distinct messages of the same thread ordering; returns

@@ -818,6 +818,140 @@ let test_golden_wide () =
            (List.length report.Predict.Analyzer.violations)))
     golden_wide
 
+(* {1 Log bound}
+
+   A 16-thread lock-counter stream, 200 iterations a thread, through a
+   64-message reorder window (19,200 messages): each thread's R-W-W class on [c] is
+   recorded within its first blocks, so from then on every closing scan
+   skips its searches.  The observers' knowledge is still recorded at
+   each of those scans, and the offsets derived from it must keep
+   moving: the write logs of [c], which every closing scan reads, stay
+   within one entry per thread all stream long.  (The read logs of [c]
+   and the cells' logs are read by no scan of this program, so no
+   offset moves there and they follow the stream.) *)
+let test_log_bound () =
+  let threads = 16 in
+  let program =
+    Tml.Parser.parse_program (Lock_counter.source ~threads ~iters:200 ~nops:0)
+  in
+  let exec =
+    Option.get (Tml.Vm.run_program ~sched:(Tml.Sched.random ~seed:5) program).Tml.Vm.exec
+  in
+  (* Reordered a block at a time: [bounded_reorder] is quadratic. *)
+  let rec reorder i = function
+    | [] -> []
+    | ms ->
+        let block = List.filteri (fun j _ -> j < 2048) ms in
+        Observer.Channel.bounded_reorder ~seed:(11 + i) ~window:64 block
+        @ reorder (i + 1) (List.filteri (fun j _ -> j >= 2048) ms)
+  in
+  let messages = reorder 0 (PE.messages_of_exec exec) in
+  let core = A.Core.create ~nthreads:threads in
+  let front = Predict.Linear.create ~nthreads:threads () in
+  let sink = A.Core.sink core in
+  let longest = ref 0 and recorded_by = ref (-1) in
+  List.iteri
+    (fun i m ->
+      Predict.Linear.feed front sink m;
+      if i mod 16 = 0 then begin
+        if !recorded_by < 0 && List.length (A.Core.report core).A.violations = threads then
+          recorded_by := i;
+        List.iter
+          (fun (var, _, kind, len) ->
+            if var = "c" && kind = A.Write then longest := max !longest len)
+          (A.Core.log_lengths core)
+      end)
+    messages;
+  Predict.Linear.finish front;
+  Alcotest.(check int) "message count" 19_200 (List.length messages);
+  if !recorded_by < 0 || !recorded_by > 2_000 then
+    Alcotest.failf "every class recorded only after message %d" !recorded_by;
+  if !longest > threads then
+    Alcotest.failf "a write log of c reached %d entries (bound %d)" !longest threads
+
+(* {1 Restored knowledge below an observer's first point}
+
+   Three threads on [x]: [t] (T1) releases [a], which [o] (T0) then
+   takes before writing [x] (so [o]'s writes know [t]: [vc(t) > 0]);
+   [u] (T2) releases [b], which [o] takes before writing [x] again.  At
+   the cut [o]'s write log holds both writes: [t], which never learned
+   anything of [o], sees one run (one point, the second write), while
+   [u] sees two points, the first below [t]'s.  After the cut [t]
+   closes an R-R pair on [x] still knowing nothing of [o], so its scan
+   starts at the first write again.  A restored engine must carry on
+   exactly as an uninterrupted one and as the frontier model, whether
+   it is restored from the model's [atomicity 1] block or from its own
+   [linear 1] block. *)
+let test_restore_below_first_point () =
+  let program =
+    Tml.Parser.parse_program
+      "shared x = 0;\n\
+       thread o { sync (a) { x = 1; } sync (b) { x = 2; } }\n\
+       thread t { local r = 0; sync (a) { r = 0; } sync (c) { r = x; r = x; } }\n\
+       thread u { sync (b) { } }"
+  in
+  (* Each thread runs its picks in turn; past the plan, the lowest
+     runnable thread. *)
+  let plan = ref [ (1, 2); (0, 3); (2, 2); (0, 3); (1, 4) ] in
+  let pick runnable count =
+    let runnable = Array.sub runnable 0 count in
+    match !plan with
+    | (tid, k) :: rest when Array.mem tid runnable ->
+        plan := if k > 1 then (tid, k - 1) :: rest else rest;
+        tid
+    | _ -> runnable.(0)
+  in
+  let sched = Tml.Sched.make_raw ~name:"plan" ~pick_fn:pick ~choose_fn:(fun _ -> 0) in
+  let exec = Option.get (Tml.Vm.run_program ~sched program).Tml.Vm.exec in
+  let messages = PE.messages_of_exec exec in
+  let shape = List.map (fun (m : Message.t) -> (m.Message.tid, m.Message.var)) messages in
+  let sync tid l body = ((tid, Types.lock_var l) :: body) @ [ (tid, Types.lock_var l) ] in
+  let read = Types.read_var "x" in
+  Alcotest.(check (list (pair int string))) "scripted order"
+    (sync 1 "a" [] @ sync 0 "a" [ (0, "x") ] @ sync 2 "b" [] @ sync 0 "b" [ (0, "x") ]
+    @ sync 1 "c" [ (1, read); (1, read) ])
+    shape;
+  let cut = 10 in
+  let model = Model.create ~nthreads:3 in
+  let ours = create exec in
+  List.iteri
+    (fun i m ->
+      if i < cut then begin
+        Model.feed model m;
+        Engines.feed ours m
+      end)
+    messages;
+  let legacy = Model.snapshot model and mid = linear_lines ours in
+  Alcotest.(check (list string)) "engine == model at the cut" legacy (legacy_lines ours);
+  List.iter
+    (fun l ->
+      if not (List.mem l legacy) then Alcotest.failf "no %S line at the cut" l)
+    [ "fr x 0 1 W 1"; "fr x 0 2 W 2" ];
+  let rest e =
+    List.iteri (fun i m -> if i >= cut then Engines.feed e m) messages;
+    Engines.finish e
+  in
+  rest ours;
+  List.iteri (fun i m -> if i >= cut then Model.feed model m) messages;
+  Model.finish model;
+  let resumed =
+    [ ("atomicity 1", restore exec ~events:cut legacy);
+      ( "linear 1",
+        Engines.restore ~kinds:[ PE.Atomicity ] ~nthreads:3 ~init:(Exec.init exec) ~spec:None
+          ~online_snapshot:None ~blocks:[ ("linear", mid) ] ~events:cut () ) ]
+  in
+  List.iter
+    (fun (from, e) ->
+      Alcotest.(check (list string)) (from ^ ": restored at the cut") mid (linear_lines e);
+      rest e;
+      Alcotest.(check string) (from ^ ": verdict") (verdict ours) (verdict e);
+      Alcotest.(check (list string)) (from ^ ": final == uninterrupted") (linear_lines ours)
+        (linear_lines e);
+      Alcotest.(check (list string)) (from ^ ": final == model") (Model.snapshot model)
+        (legacy_lines e))
+    resumed;
+  Alcotest.(check string) "model verdict" (Model.verdict model) (verdict ours)
+
 let () =
   Alcotest.run "atomicity-core"
     [ ( "reference model",
@@ -827,4 +961,10 @@ let () =
         [ Alcotest.test_case "atomicity 1 checkpoint, 16 threads" `Quick
             test_golden_checkpoint;
           Alcotest.test_case "race, atomicity and lattice, 64 threads" `Quick
-            test_golden_wide ] ) ]
+            test_golden_wide ] );
+      ( "restore",
+        [ Alcotest.test_case "knowledge below an observer's first point" `Quick
+            test_restore_below_first_point ] );
+      ( "log bound",
+        [ Alcotest.test_case "derived offsets keep c's write logs short" `Quick
+            test_log_bound ] ) ]

@@ -1250,6 +1250,54 @@ let test_feed_allocation_budget () =
   if words > 40. then
     Alcotest.failf "Online.feed allocates %.1f words per message (budget 40)" words
 
+(* A wide, short stream: 64 threads send two messages each, every one
+   after learning every clock so far (the lattice is a chain).  A
+   thread's first log block is sized to what it stores, so the message
+   store holds a few words a thread: [feed] plus [finish] allocate about
+   13 words a message and [mem_words] peaks near 11,700.  With a full
+   256-slot block per thread (517 words) they allocated 267 and
+   [mem_words] passed 44,000.  [mem_words] must also stay within 25% of
+   the reachable words. *)
+let test_wide_short_stream_budget () =
+  let n = 64 in
+  let clocks = Array.make n 0 in
+  let messages =
+    List.init (2 * n) (fun i ->
+        let tid = i mod n in
+        clocks.(tid) <- clocks.(tid) + 1;
+        Trace.Message.make ~eid:i ~tid ~var:"c" ~value:i ~mvc:(Vclock.of_array clocks))
+  in
+  let o =
+    Predict.Online.create ~nthreads:n ~init:[ ("c", 0) ]
+      ~spec:(Pastltl.Fparser.parse "always c <= 1000") ()
+  in
+  let peak = ref 0 in
+  let before = Gc.minor_words () in
+  List.iter
+    (fun m ->
+      Predict.Online.feed o m;
+      peak := max !peak (Predict.Online.mem_words o))
+    messages;
+  Predict.Online.finish o;
+  let words = (Gc.minor_words () -. before) /. float_of_int (2 * n) in
+  Alcotest.(check int) "every level" (2 * n) (Predict.Online.level o);
+  if words > 40. then
+    Alcotest.failf "feed and finish allocate %.1f words per message (budget 40)" words;
+  if !peak > 20_000 then Alcotest.failf "mem_words reached %d (budget 20,000)" !peak;
+  let o =
+    Predict.Online.create ~nthreads:n ~init:[ ("c", 0) ]
+      ~spec:(Pastltl.Fparser.parse "always c <= 1000") ()
+  in
+  List.iteri
+    (fun i m ->
+      Predict.Online.feed o m;
+      if i mod 8 = 0 then begin
+        let est = Predict.Online.mem_words o and real = Obj.reachable_words (Obj.repr o) in
+        if 5 * est < 4 * real || 4 * est > 5 * real then
+          Alcotest.failf "message %d: mem_words %d, reachable words %d" i est real
+      end)
+    messages
+
 (* {1 The monitor automaton against set-by-set stepping}
 
    The observer steps the lattice through a memoized automaton over
@@ -1736,6 +1784,8 @@ let () =
             test_budget_after_wide_level;
           Alcotest.test_case "allocation budget of a level" `Quick test_feed_allocation_budget;
           Alcotest.test_case "lock-counter allocation budget" `Quick test_lock_counter_allocation;
+          Alcotest.test_case "64 threads, two messages each: budget" `Quick
+            test_wide_short_stream_budget;
           Alcotest.test_case "memo bounded by the frontier" `Quick test_memo_bounded_by_frontier;
           Alcotest.test_case "far-ahead messages = Hashtbl model" `Quick
             test_far_ahead_matches_model;
