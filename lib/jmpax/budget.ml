@@ -42,7 +42,11 @@ type limits = {
 let unlimited =
   { max_frontier_cuts = None; max_causal_buffered = None; memory_budget = None }
 
-let is_unlimited l = l = unlimited
+(* A match, not [l = unlimited]: the stream loops ask once per message,
+   and a structural equality is a C call. *)
+let is_unlimited = function
+  | { max_frontier_cuts = None; max_causal_buffered = None; memory_budget = None } -> true
+  | _ -> false
 
 let check_limit what = function
   | Some k when k < 1 ->

@@ -5,10 +5,16 @@
     to never having stopped: the stream header, the
     {!Predict.Online.snapshot} (frontier, message store, violations,
     counters), the {!Wire.Reader} position and counters, and the
-    driver's own statistics.  Thanks to the paper's level-by-level
-    garbage collection the live state is proportional to the current
-    frontier, not to the history — snapshots stay small however long
-    the monitored program runs.
+    driver's own statistics.  The paper's level-by-level garbage
+    collection keeps the frontier part of that state proportional to
+    the current frontier, not to the history.  The message store is
+    not bounded that way yet: {!Predict.Online} advances past level [L]
+    only once every thread has delivered [L + 1] messages, so a
+    mid-stream snapshot holds every message still waiting on that loose
+    test — on the benchmark's lock-counter streams about (n−1)/n of the
+    messages received on n threads (2,035 of 4,039 on two threads), one
+    [bmsg] line each.  ROADMAP item 3 (the exact advance condition) is
+    what would bound it.
 
     {2 File format (version 1)}
 

@@ -209,7 +209,7 @@ let run ?(chunk_size = default_chunk_size) ?max_frame ?max_buffered
     | Some b -> (
         match Predict.Engines.feed b m with
         | () ->
-            peak := max !peak (Predict.Engines.out_of_order b);
+            peak := Int.max !peak (Predict.Engines.out_of_order b);
             Ok ()
         | exception Predict.Online.Backpressure { buffered; limit } ->
             Error (Wire.Error.Backpressure { buffered; limit })

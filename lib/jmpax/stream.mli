@@ -18,8 +18,9 @@
 
     For long-running monitors two more knobs add crash safety:
     [checkpoint] periodically persists the full resumable state as a
-    {!Checkpoint} (the online analyzer's garbage-collected frontier
-    keeps it small), and [resume] restarts a run from such a
+    {!Checkpoint} (its frontier is garbage-collected level by level, but
+    its message store still holds most of the messages received; see
+    {!Checkpoint}), and [resume] restarts a run from such a
     checkpoint with verdicts, violations and gc statistics identical
     to never having stopped. *)
 

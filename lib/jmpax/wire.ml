@@ -798,7 +798,7 @@ module Reader = struct
      function is a closure allocated on every call, several times per
      message.  At most 9 bytes (63 bits); a value reaching the sign bit
      or a 10th byte is an overflow. *)
-  let get_varint t limit what =
+  let get_varint_loop t limit what =
     let acc = ref 0 and shift = ref 0 and more = ref true in
     while !more do
       let b = get_byte t limit what in
@@ -809,6 +809,22 @@ module Reader = struct
       else shift := !shift + 7
     done;
     !acc
+
+  (* Most varints of a frame are one byte (small thread and variable
+     ids, delta gaps, clock deltas): those take one bounds test and one
+     load, inlined at the call site.  Anything else, an empty payload
+     tail included, goes through the loop and its exact errors. *)
+  let[@inline] get_varint t limit what =
+    let s = t.scan in
+    if s < limit then begin
+      let b = Char.code (Bytes.unsafe_get t.buf s) in
+      if b < 0x80 then begin
+        t.scan <- s + 1;
+        b
+      end
+      else get_varint_loop t limit what
+    end
+    else get_varint_loop t limit what
 
   let unzigzag n = (n lsr 1) lxor (- (n land 1))
 
@@ -838,85 +854,75 @@ module Reader = struct
           t.nvars <- t.nvars + 1;
           Ok None
 
+  (* A message frame's payload, decoded in place into its thread's
+     baseline row.  Every defect raises [Bad] (or, for an index the
+     checks did not foresee, [Invalid_argument]); {!next} turns either
+     into a skip. *)
   let deliver_msg3 t ~base ~len =
-    match t.header with
-    | None -> Error Error.Missing_header_frame
-    | Some h -> (
-        let limit = base + 8 + len in
-        t.scan <- base + 8;
-        match
-          let flags = get_byte t limit "flags" in
-          if flags land lnot 1 <> 0 then
-            bad (Error.Bad_delta (Printf.sprintf "bad flags byte 0x%02X" flags));
-          let full = flags land 1 = 1 in
-          let tid = get_varint t limit "thread id" in
-          if tid >= h.nthreads then
-            bad (Error.Tid_out_of_range { tid; nthreads = h.nthreads });
-          if t.ended.(tid) then bad (Error.Message_after_end { tid });
-          let vid = get_varint t limit "variable id" in
-          if vid >= t.nvars then
-            bad (Error.Unknown_var_id { id = vid; defined = t.nvars });
-          let value = unzigzag (get_varint t limit "value") in
-          let n = h.nthreads in
-          let baseline =
-            let b = t.baselines.(tid) in
-            if Array.length b = n then b
-            else begin
-              (* First message from this thread: materialize its
-                 all-zero baseline row. *)
-              let b = Array.make n 0 in
-              t.baselines.(tid) <- b;
-              b
-            end
-          in
-          if full then begin
-            for i = 0 to n - 1 do
-              baseline.(i) <- get_varint t limit "clock entry"
-            done;
-            t.base_ok.(tid) <- true
-          end
-          else begin
-            if not t.base_ok.(tid) then bad (Error.Stale_delta_baseline { tid });
-            let k = get_varint t limit "delta count" in
-            if k > n then
-              bad
-                (Error.Bad_delta
-                   (Printf.sprintf "%d deltas for a %d-thread clock" k n));
-            let idx = ref (-1) in
-            for _ = 1 to k do
-              let gap = get_varint t limit "delta index" in
-              let i = !idx + 1 + gap in
-              if i >= n then bad (Error.Bad_delta "entry index out of range");
-              idx := i;
-              let d = unzigzag (get_varint t limit "delta value") in
-              let v = baseline.(i) + d in
-              if v < 0 then bad (Error.Bad_delta "negative clock entry");
-              baseline.(i) <- v
-            done
-          end;
-          if t.scan <> limit then
-            bad (Error.Bad_delta "trailing bytes in message frame");
-          if baseline.(tid) < 1 then
-            bad
-              (Error.Inconsistent_message
-                 (Printf.sprintf "v3 msg tid=%d own-component=%d" tid baseline.(tid)));
-          (* Every component came off a checked varint or a
-             non-negative delta, and [n >= 1]: what [of_array] would
-             check, one closure call per component, already holds. *)
-          let mvc = Vclock.freeze baseline in
-          let m =
-            Message.make ~eid:t.next_eid ~tid ~var:t.vars.(vid) ~value ~mvc
-          in
-          t.next_eid <- t.next_eid + 1;
-          t.messages <- t.messages + 1;
-          Msg m
-        with
-        | item -> Ok (Some item)
-        | exception Bad e -> Error e
-        | exception Invalid_argument _ ->
-            Error
-              (Error.Inconsistent_message
-                 (Printf.sprintf "v3 msg (%d-byte payload)" len)))
+    let h = match t.header with None -> bad Error.Missing_header_frame | Some h -> h in
+    let limit = base + 8 + len in
+    t.scan <- base + 8;
+    let flags = get_byte t limit "flags" in
+    if flags land lnot 1 <> 0 then
+      bad (Error.Bad_delta (Printf.sprintf "bad flags byte 0x%02X" flags));
+    let full = flags land 1 = 1 in
+    let tid = get_varint t limit "thread id" in
+    if tid >= h.nthreads then
+      bad (Error.Tid_out_of_range { tid; nthreads = h.nthreads });
+    if t.ended.(tid) then bad (Error.Message_after_end { tid });
+    let vid = get_varint t limit "variable id" in
+    if vid >= t.nvars then
+      bad (Error.Unknown_var_id { id = vid; defined = t.nvars });
+    let value = unzigzag (get_varint t limit "value") in
+    let n = h.nthreads in
+    let baseline =
+      let b = t.baselines.(tid) in
+      if Array.length b = n then b
+      else begin
+        (* First message from this thread: materialize its
+           all-zero baseline row. *)
+        let b = Array.make n 0 in
+        t.baselines.(tid) <- b;
+        b
+      end
+    in
+    if full then begin
+      for i = 0 to n - 1 do
+        baseline.(i) <- get_varint t limit "clock entry"
+      done;
+      t.base_ok.(tid) <- true
+    end
+    else begin
+      if not t.base_ok.(tid) then bad (Error.Stale_delta_baseline { tid });
+      let k = get_varint t limit "delta count" in
+      if k > n then
+        bad (Error.Bad_delta (Printf.sprintf "%d deltas for a %d-thread clock" k n));
+      let idx = ref (-1) in
+      for _ = 1 to k do
+        let gap = get_varint t limit "delta index" in
+        let i = !idx + 1 + gap in
+        if i >= n then bad (Error.Bad_delta "entry index out of range");
+        idx := i;
+        let d = unzigzag (get_varint t limit "delta value") in
+        let v = baseline.(i) + d in
+        if v < 0 then bad (Error.Bad_delta "negative clock entry");
+        baseline.(i) <- v
+      done
+    end;
+    if t.scan <> limit then
+      bad (Error.Bad_delta "trailing bytes in message frame");
+    if baseline.(tid) < 1 then
+      bad
+        (Error.Inconsistent_message
+           (Printf.sprintf "v3 msg tid=%d own-component=%d" tid baseline.(tid)));
+    (* Every component came off a checked varint or a non-negative
+       delta, and [n >= 1]: what [of_array] would check, one closure
+       call per component, already holds. *)
+    let mvc = Vclock.freeze baseline in
+    let m = Message.make ~eid:t.next_eid ~tid ~var:t.vars.(vid) ~value ~mvc in
+    t.next_eid <- t.next_eid + 1;
+    t.messages <- t.messages + 1;
+    m
 
   let deliver_end3 t ~base ~len =
     match t.header with
@@ -948,14 +954,13 @@ module Reader = struct
         Ok (Some (Header h))
       end
 
-  (* Decode one well-framed payload against the running stream state.
-     [Ok None] is internal bookkeeping (a vardef): nothing to deliver,
-     parse on.  The frame bytes are [buf[base .. base+8+len]] and have
-     already been consumed by the caller.  Message frames, by far the
-     most frequent, are tested first. *)
+  (* Decode one well-framed payload other than a message against the
+     running stream state.  [Ok None] is internal bookkeeping (a
+     vardef): nothing to deliver, parse on.  The frame bytes are
+     [buf[base .. base+8+len]] and have already been consumed by the
+     caller. *)
   let deliver t kind ~base ~len =
-    if kind = Framed3.kind_message then deliver_msg3 t ~base ~len
-    else if kind = Framed3.kind_vardef then deliver_vardef t ~base ~len
+    if kind = Framed3.kind_vardef then deliver_vardef t ~base ~len
     else if kind = Framed3.kind_end then deliver_end3 t ~base ~len
     else if kind = Framed3.kind_header then deliver_header t ~base ~len
     else Error (Error.Unknown_frame_kind (Char.code kind))
@@ -975,6 +980,14 @@ module Reader = struct
     && Bytes.get t.buf t.pos = '\x00'
     && Bytes.get t.buf (t.pos + 1) = 'J'
     && Bytes.get t.buf (t.pos + 2) = 'F'
+
+  (* A well-delimited frame whose payload is refused: the whole frame is
+     skipped, and every delta baseline poisoned. *)
+  let skip_frame t ~base ~total error =
+    t.skipped_frames <- t.skipped_frames + 1;
+    t.skipped_bytes <- t.skipped_bytes + total;
+    poison t;
+    Skip { error; bytes = Bytes.sub_string t.buf base total }
 
   let known_kind k =
     k = Framed3.kind_message || k = Framed3.kind_vardef || k = Framed3.kind_end
@@ -1023,21 +1036,12 @@ module Reader = struct
       else begin
         let base = t.pos in
         let kind = Bytes.get t.buf (base + 3) in
-        let b i = Char.code (Bytes.get t.buf (base + 4 + i)) in
-        let len = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
-        let resync_past_sentinel error =
-          (* The frame header itself is suspect: drop just the sentinel
-             and hunt for the next one. *)
-          t.skipped_frames <- t.skipped_frames + 1;
-          Buffer.add_string t.garbage (take t 3);
-          t.garbage_error <- Some (fun _ -> error);
-          next t
-        in
+        (* An unsigned 32-bit big-endian length. *)
+        let len = Int32.to_int (Bytes.get_int32_be t.buf (base + 4)) land 0xffff_ffff in
         if not (known_kind kind) then
-          resync_past_sentinel (Error.Unknown_frame_kind (Char.code kind))
+          resync_past_sentinel t (Error.Unknown_frame_kind (Char.code kind))
         else if len > t.max_frame then
-          resync_past_sentinel
-            (Error.Frame_too_large { length = len; limit = t.max_frame })
+          resync_past_sentinel t (Error.Frame_too_large { length = len; limit = t.max_frame })
         else begin
           let total = Framed3.overhead + len in
           if available t < total then
@@ -1045,22 +1049,31 @@ module Reader = struct
           else begin
             let trailer = Bytes.get t.buf (base + total - 1) in
             if trailer <> '\n' then
-              resync_past_sentinel (Error.Bad_frame_trailer (Char.code trailer))
+              resync_past_sentinel t (Error.Bad_frame_trailer (Char.code trailer))
             else begin
               advance t total;
-              match deliver t kind ~base ~len with
-              | Ok (Some item) ->
-                  t.frames <- t.frames + 1;
-                  Item item
-              | Ok None ->
-                  (* Internal bookkeeping (vardef); keep parsing. *)
-                  t.frames <- t.frames + 1;
-                  next t
-              | Error error ->
-                  t.skipped_frames <- t.skipped_frames + 1;
-                  t.skipped_bytes <- t.skipped_bytes + total;
-                  poison t;
-                  Skip { error; bytes = Bytes.sub_string t.buf base total }
+              (* Message frames, by far the most frequent, are tested
+                 first and delivered without a result wrapper. *)
+              if kind = Framed3.kind_message then
+                match deliver_msg3 t ~base ~len with
+                | m ->
+                    t.frames <- t.frames + 1;
+                    Item (Msg m)
+                | exception Bad error -> skip_frame t ~base ~total error
+                | exception Invalid_argument _ ->
+                    skip_frame t ~base ~total
+                      (Error.Inconsistent_message
+                         (Printf.sprintf "v3 msg (%d-byte payload)" len))
+              else
+                match deliver t kind ~base ~len with
+                | Ok (Some item) ->
+                    t.frames <- t.frames + 1;
+                    Item item
+                | Ok None ->
+                    (* Internal bookkeeping (vardef); keep parsing. *)
+                    t.frames <- t.frames + 1;
+                    next t
+                | Error error -> skip_frame t ~base ~total error
             end
           end
         end
@@ -1074,6 +1087,14 @@ module Reader = struct
       | Some ev -> ev
       | None -> if t.closed then Eof else Await
     end
+
+  (* The frame header itself is suspect: drop just the sentinel and hunt
+     for the next one. *)
+  and resync_past_sentinel t error =
+    t.skipped_frames <- t.skipped_frames + 1;
+    Buffer.add_string t.garbage (take t 3);
+    t.garbage_error <- Some (fun _ -> error);
+    next t
 
   let header t = t.header
   let ended_threads t = Array.copy t.ended

@@ -113,10 +113,11 @@ let lattice_or t f ~default = match t.online with Some o -> f o | None -> defaul
 let linear_or t f ~default = match t.linear with Some l -> f l.front | None -> default
 
 let buffered t =
-  max (lattice_or t Online.buffered ~default:0) (linear_or t Linear.buffered ~default:0)
+  Int.max (lattice_or t Online.buffered ~default:0) (linear_or t Linear.buffered ~default:0)
 
 let out_of_order t =
-  max (lattice_or t Online.out_of_order ~default:0) (linear_or t Linear.out_of_order ~default:0)
+  Int.max (lattice_or t Online.out_of_order ~default:0)
+    (linear_or t Linear.out_of_order ~default:0)
 
 let missing t =
   match lattice_or t Online.missing ~default:None with

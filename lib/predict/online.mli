@@ -132,10 +132,14 @@ val gc_stats : t -> gc_stats
 
 (** {1 Checkpointing}
 
-    Thanks to the level-by-level garbage collection, the analyzer's live
-    state at any quiescent point (between {!feed} calls) is small:
-    the current frontier, the undelivered message store, and a few
-    counters.  {!snapshot} captures exactly that as plain serializable
+    The analyzer's live state at any quiescent point (between {!feed}
+    calls) is the current frontier, the undelivered message store, and
+    a few counters.  The level-by-level garbage collection keeps the
+    frontier small, but not the store: a level advances only once every
+    thread has delivered [level + 1] messages, so on an n-thread stream
+    whose threads interleave the store holds about (n−1)/n of the
+    messages received (ROADMAP item 3).  {!snapshot} captures exactly
+    that as plain serializable
     values; {!restore} rebuilds an analyzer that continues the run with
     verdicts, violations and {!gc_stats} identical to never having
     stopped — the property the crash-kill-resume differential suite

@@ -106,17 +106,20 @@ module Core = struct
     let s = slots t var in
     let base = epoch.Syncclock.base in
     let n = ref 0 in
+    (* Once the cap is reached (at once for a core created with
+       [max_races:0]) the scan only counts. *)
+    let keeping = t.kept < t.max_races in
     for u = 0 to t.nthreads - 1 do
       if u <> tid then begin
         (* [epoch] is [tid]'s: for every other [u], [Syncclock.get epoch u]. *)
         let known = base.(u) in
         if s.w_own.(u) > known then begin
           incr n;
-          keep t s.writes.(u) this
+          if keeping then keep t s.writes.(u) this
         end;
         if is_write && s.r_own.(u) > known then begin
           incr n;
-          keep t s.reads.(u) this
+          if keeping then keep t s.reads.(u) this
         end
       end
     done;

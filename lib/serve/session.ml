@@ -350,7 +350,7 @@ let feed_message t b m =
   match Predict.Engines.feed b m with
   | () ->
       t.s_events <- t.s_events + 1;
-      t.peak_buffered <- max t.peak_buffered (Predict.Engines.out_of_order b);
+      t.peak_buffered <- Int.max t.peak_buffered (Predict.Engines.out_of_order b);
       Ok ()
   | exception Predict.Online.Backpressure { buffered; limit } ->
       Error

@@ -12,7 +12,27 @@ module W = Jmpax.Wire
 let msg tid var value clock =
   Trace.Message.make ~eid:0 ~tid ~var ~value ~mvc:(Vclock.of_list clock)
 
-(* The corpus: structurally diverse valid documents. *)
+(* The benchmark's frame shape: a 64-thread all-events lock-counter run
+   (four iterations a thread, 1,536 messages), reordered as a
+   multi-channel transport delivers it.  Its delta frames carry about 12
+   entries each, and a few hundred of its varints take two bytes
+   (counter values from 64 on, variable ids from 128 on), so mutations
+   land in frames that switch between the reader's one-byte fast path
+   and its loop. *)
+let lock_counter_doc =
+  let threads = 64 in
+  let program = Tml.Parser.parse_program (Lock_counter.source ~threads ~iters:4 ~nops:0) in
+  let run = Tml.Vm.run_program ~sched:(Tml.Sched.random ~seed:1) program in
+  let exec = Option.get run.Tml.Vm.exec in
+  let messages =
+    Observer.Channel.bounded_reorder ~seed:1 ~window:64 (Predict.Engine.messages_of_exec exec)
+  in
+  W.Framed3.encode { W.nthreads = threads; init = Trace.Exec.init exec } messages
+
+(* The corpus: structurally diverse valid documents, each with the
+   engines the stream attempt runs.  The lock-counter document's 64
+   concurrent threads would make the lattice frontier combinatorial, so
+   it goes through the linear-time engines. *)
 let corpus =
   let h1 = { W.nthreads = 1; init = [ ("x", 0) ] } in
   let h2 = { W.nthreads = 2; init = [ ("a b", 1); ("p%q", -3) ] } in
@@ -47,12 +67,15 @@ let corpus =
     in
     W.Framed3.encode h ms
   in
-  List.concat_map docs [ t1; t2; t3 ]
-  @ [ wide;
-      (* degenerate but valid-prefix shapes *)
-      W.Framed3.preamble;
-      W.Framed3.preamble ^ W.Framed3.encode_header { W.nthreads = 2; init = [] };
-      "jmpax-trace 1\nthreads 1\n" ]
+  List.map
+    (fun doc -> (doc, [ Predict.Engine.Lattice ]))
+    (List.concat_map docs [ t1; t2; t3 ]
+    @ [ wide;
+        (* degenerate but valid-prefix shapes *)
+        W.Framed3.preamble;
+        W.Framed3.preamble ^ W.Framed3.encode_header { W.nthreads = 2; init = [] };
+        "jmpax-trace 1\nthreads 1\n" ])
+  @ [ (lock_counter_doc, [ Predict.Engine.Race; Predict.Engine.Atomicity ]) ]
 
 let mutate rng doc =
   let pick n = Random.State.int rng n in
@@ -140,7 +163,7 @@ let () =
   let failures = ref 0 in
   for run = 1 to !runs do
     List.iteri
-      (fun ci base ->
+      (fun ci (base, engines) ->
         (* Stack 1-3 mutations so corruption compounds. *)
         let doc = ref base in
         for _ = 0 to Random.State.int rng 3 do
@@ -160,7 +183,7 @@ let () =
         attempt "decode_any" (fun () -> W.decode_any doc);
         attempt "Reader" (fun () -> drain_reader rng doc);
         attempt "Stream.run_string(skip)" (fun () ->
-            Jmpax.Stream.run_string ~recovery:Jmpax.Config.Skip
+            Jmpax.Stream.run_string ~recovery:Jmpax.Config.Skip ~engines
               ~spec:Pastltl.Formula.True doc))
       corpus
   done;
