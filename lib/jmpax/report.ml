@@ -51,16 +51,11 @@ let stream_summary (o : Stream.outcome) =
     p "peak out-of-order buffer: %d messages\n" s.Stream.peak_buffered;
   if s.Stream.checkpoints > 0 then
     p "checkpoints written: %d\n" s.Stream.checkpoints;
-  List.iter (fun (_, line) -> p "%s\n" line) o.Stream.s_engines;
   (* The lattice line reports the lattice verdict alone, matching
-     [Pipeline.pp_output]; [s_violated] also covers the other engines.
-     A run that shed its lattice engine under a budget prints the
-     marked degraded line instead — never a full-coverage verdict. *)
-  (match o.Stream.s_degraded with
-  | Some d -> p "%s\n" (Pipeline.degraded_verdict_line d)
-  | None ->
-      if o.Stream.s_lattice then
-        p "%s\n" (Pipeline.verdict_line (o.Stream.s_violations <> [])));
+     [Pipeline.pp_output]; [s_violated] also covers the other engines. *)
+  List.iter (p "%s\n")
+    (Driver.verdict_lines ~engines:o.Stream.s_engines ~degraded:o.Stream.s_degraded
+       ~lattice:(if o.Stream.s_lattice then Some (o.Stream.s_violations <> []) else None));
   Buffer.contents buf
 
 let detection_table ~spec ~program ~seeds =

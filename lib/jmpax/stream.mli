@@ -79,13 +79,14 @@ val run :
   unit ->
   (outcome, Wire.Error.t) result
 (** [read buf pos len] must block until input is available and return 0
-    at end of transport.  Never raises on malformed input: every decode
-    failure is either recovered per [recovery] or returned as a typed
-    [Error].  {!Wire.Error.Backpressure} is always fatal — it signals a
-    resource bound, not an input defect.  On a clean, complete stream
-    the verdict, violations and gc statistics are identical to feeding
-    the same messages to {!Predict.Online} directly (and hence to the
-    offline analyzer).
+    at end of transport.  Each decoded item goes through a {!Driver},
+    the per-message driver the serve sessions share: it never raises on
+    malformed input (every decode failure is recovered per [recovery]
+    or returned as a typed [Error]), {!Wire.Error.Backpressure} is
+    always fatal, and a gap at the end is {!stats}[.incomplete].  On a
+    clean, complete stream the verdict, violations and gc statistics
+    are identical to feeding the same messages to {!Predict.Online}
+    directly (and hence to the offline analyzer).
 
     [checkpoint:(path, every)] writes a {!Checkpoint} to [path]
     (atomically) each time the analyzer's lattice level has advanced by
@@ -116,19 +117,13 @@ val run :
     stream.
 
     [budget] (default {!Budget.unlimited}) bounds the live analysis
-    state — frontier cuts, causal-delivery buffering, resident memory —
-    with the O(1) counters of {!Budget.usage}, checked after every
-    consumed item (a clean causal boundary, since a feed always pumps
-    to quiescence).  When a limit is crossed, [on_overload] decides:
-    [Degrade] relieves a frontier breach by swapping the lattice engine
-    for the linear-time engines ({!Predict.Engines.degrade}) and keeps
-    streaming with [s_degraded] set; [Evict] persists a final
-    checkpoint (when [checkpoint] is configured) and raises; [Fail] —
-    the default, today's behaviour — raises immediately.  The raise is
-    {!Budget.Exceeded}, the only exception this function deliberately
-    lets escape; front ends map it to the budget exit code.  With
-    [budget] unlimited, output is byte-identical to pre-budget
-    behaviour. *)
+    state, checked after every consumed item.  When a limit is crossed,
+    [on_overload] decides: [Degrade] relieves a frontier breach in place
+    ({!Predict.Engines.degrade}) and keeps streaming with [s_degraded]
+    set; [Evict] persists a final checkpoint (when [checkpoint] is
+    configured) and raises; [Fail], the default, raises at once.  The
+    raise is {!Budget.Exceeded}, the only exception this function lets
+    escape; front ends map it to the budget exit code. *)
 
 val run_string :
   ?chunk_size:int ->

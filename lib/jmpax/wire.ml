@@ -870,6 +870,9 @@ module Reader = struct
     if tid >= h.nthreads then
       bad (Error.Tid_out_of_range { tid; nthreads = h.nthreads });
     if t.ended.(tid) then bad (Error.Message_after_end { tid });
+    (* Before the variable id: a frame lost to a resync may have been
+       the very vardef this delta names, and the loss is the thread's. *)
+    if not (full || t.base_ok.(tid)) then bad (Error.Stale_delta_baseline { tid });
     let vid = get_varint t limit "variable id" in
     if vid >= t.nvars then
       bad (Error.Unknown_var_id { id = vid; defined = t.nvars });
@@ -893,7 +896,6 @@ module Reader = struct
       t.base_ok.(tid) <- true
     end
     else begin
-      if not t.base_ok.(tid) then bad (Error.Stale_delta_baseline { tid });
       let k = get_varint t limit "delta count" in
       if k > n then
         bad (Error.Bad_delta (Printf.sprintf "%d deltas for a %d-thread clock" k n));

@@ -1,7 +1,7 @@
 module M = Telemetry.Metrics
 module L = Telemetry.Log
 module Wire = Jmpax.Wire
-module Checkpoint = Jmpax.Checkpoint
+module Driver = Jmpax.Driver
 
 let m_checkpoints = M.counter "serve.checkpoints"
 let m_verdicts = M.counter "serve.verdicts"
@@ -38,8 +38,11 @@ type outcome =
   | Finished
 
 (* What [stats] and [health] print of a finished session, frozen when
-   it releases its reader and engines. *)
+   it releases its driver (reader and engines). *)
 type final = {
+  f_events : int;
+  f_skipped : int;
+  f_checkpoints : int;
   f_level : int;
   f_buffered : int;
   f_cuts : int;
@@ -49,7 +52,8 @@ type final = {
 }
 
 let no_final =
-  { f_level = 0; f_buffered = 0; f_cuts = 0; f_causal = 0; f_degraded = None; f_lag = 0 }
+  { f_events = 0; f_skipped = 0; f_checkpoints = 0; f_level = 0; f_buffered = 0;
+    f_cuts = 0; f_causal = 0; f_degraded = None; f_lag = 0 }
 
 type t = {
   cfg : config;
@@ -57,17 +61,10 @@ type t = {
   mutable s_fd : Unix.file_descr option;
   mutable s_state : state;
   hello : Buffer.t;
-  mutable reader : Wire.Reader.t option;
-  mutable bundle : Predict.Engines.t option;
-  mutable final : final;  (** read while [bundle] is [None] *)
+  mutable driver : Driver.t option;  (** from the handshake until released *)
+  mutable final : final;  (** read while [driver] is [None] *)
   mutable discard : int;  (** replayed-prefix bytes still to drop *)
   mutable offset : int;  (** absolute stream offset fed to the reader *)
-  mutable s_events : int;
-  mutable s_ends : int;
-  mutable s_skipped : int;
-  mutable peak_buffered : int;
-  mutable s_checkpoints : int;
-  mutable last_ck_ticks : int;
   mutable s_violated : bool option;
   mutable s_code : int;
   mutable s_reason : string;
@@ -94,17 +91,10 @@ let create cfg fd =
     s_fd = Some fd;
     s_state = Handshaking;
     hello = Buffer.create 64;
-    reader = None;
-    bundle = None;
+    driver = None;
     final = no_final;
     discard = 0;
     offset = 0;
-    s_events = 0;
-    s_ends = 0;
-    s_skipped = 0;
-    peak_buffered = 0;
-    s_checkpoints = 0;
-    last_ck_ticks = 0;
     s_violated = None;
     s_code = 0;
     s_reason = "";
@@ -117,45 +107,38 @@ let connected t = t.s_fd <> None
 let fd t = t.s_fd
 let last_activity t = t.s_last_activity
 let created_at t = t.s_created
-let events t = t.s_events
-let skipped t = t.s_skipped
-let checkpoints t = t.s_checkpoints
 let violated t = t.s_violated
 let exit_code t = t.s_code
 let fail_reason t = t.s_reason
 
+let events t = match t.driver with Some d -> Driver.events d | None -> t.final.f_events
+let skipped t = match t.driver with Some d -> Driver.skipped d | None -> t.final.f_skipped
+
+let checkpoints t =
+  match t.driver with Some d -> Driver.checkpoints d | None -> t.final.f_checkpoints
+
+(* The engine figures: the frozen ones before the header frame too. *)
+let from_bundle t f ~final =
+  match Option.bind t.driver Driver.bundle with Some b -> f b | None -> final
+
 (* With the lattice engine this is the lattice level; for a race/
    atomicity-only session it is the message count — either way a
    monotone progress measure ({!Predict.Engines.ticks}). *)
-let level t =
-  match t.bundle with Some b -> Predict.Engines.ticks b | None -> t.final.f_level
-
-let buffered t =
-  match t.bundle with
-  | Some b -> Predict.Engines.out_of_order b
-  | None -> t.final.f_buffered
+let level t = from_bundle t Predict.Engines.ticks ~final:t.final.f_level
+let buffered t = from_bundle t Predict.Engines.out_of_order ~final:t.final.f_buffered
 
 (* Budget accounting, all O(1) reads of maintained counters. *)
 
-let frontier_cuts t =
-  match t.bundle with
-  | Some b -> Predict.Engines.frontier_cuts b
-  | None -> t.final.f_cuts
-
-let causal_buffered t =
-  match t.bundle with
-  | Some b -> Predict.Engines.causal_buffered b
-  | None -> t.final.f_causal
-
-let mem_words t =
-  match t.bundle with Some b -> Predict.Engines.mem_words b | None -> 0
-
-let degraded t =
-  match t.bundle with Some b -> Predict.Engines.degraded b | None -> t.final.f_degraded
+let frontier_cuts t = from_bundle t Predict.Engines.frontier_cuts ~final:t.final.f_cuts
+let causal_buffered t = from_bundle t Predict.Engines.causal_buffered ~final:t.final.f_causal
+let mem_words t = from_bundle t Predict.Engines.mem_words ~final:0
+let degraded t = from_bundle t Predict.Engines.degraded ~final:t.final.f_degraded
 
 (* Bytes received but not yet turned into events: the session's lag. *)
 let lag t =
-  match t.reader with Some r -> Wire.Reader.pending_bytes r | None -> t.final.f_lag
+  match t.driver with
+  | Some d -> Wire.Reader.pending_bytes (Driver.reader d)
+  | None -> t.final.f_lag
 
 (* A finished session keeps only what [stats] and [health] print:
    nothing reads its reader or engines again (drain and the idle sweep
@@ -164,14 +147,16 @@ let lag t =
    memory budget counts live sessions only. *)
 let release t =
   t.final <-
-    { f_level = level t;
+    { f_events = events t;
+      f_skipped = skipped t;
+      f_checkpoints = checkpoints t;
+      f_level = level t;
       f_buffered = buffered t;
       f_cuts = frontier_cuts t;
       f_causal = causal_buffered t;
       f_degraded = degraded t;
       f_lag = lag t };
-  t.reader <- None;
-  t.bundle <- None
+  t.driver <- None
 
 let close t =
   match t.s_fd with
@@ -215,6 +200,15 @@ let checkpoint_path cfg sid =
 
 (* The session's terminal transitions. *)
 
+(* A connection refused before it streamed: nothing to release. *)
+let refuse t ?reply code reason =
+  Option.iter (fun line -> ignore (write_line t line)) reply;
+  close t;
+  t.s_state <- Failed;
+  t.s_code <- code;
+  t.s_reason <- reason;
+  Finished
+
 let finish_failed t code reason =
   t.s_state <- Failed;
   t.s_code <- code;
@@ -228,7 +222,7 @@ let finish_failed t code reason =
     reason;
   Finished
 
-let finish_done t b =
+let finish_done t b incomplete =
   let violated_ = Predict.Engines.violated b in
   t.s_violated <- Some violated_;
   t.s_state <- Done;
@@ -236,16 +230,8 @@ let finish_done t b =
      the standalone front ends; the lattice line last, when present. *)
   let engine_lines = Predict.Engines.verdict_lines b in
   let lines =
-    List.map snd engine_lines
-    @
-    (* A degraded session's marker line stands where the lattice verdict
-       would have: reduced coverage is never presented as a full
-       verdict. *)
-    match (Predict.Engines.degraded b, Predict.Engines.online b) with
-    | Some d, _ -> [ Jmpax.Pipeline.degraded_verdict_line d ]
-    | None, Some o ->
-        [ Jmpax.Pipeline.verdict_line (Predict.Online.violated o) ]
-    | None, None -> []
+    Driver.verdict_lines ~engines:engine_lines ~degraded:(Predict.Engines.degraded b)
+      ~lattice:(Option.map Predict.Online.violated (Predict.Engines.online b))
   in
   release t;
   ignore (write_line t (String.concat "" (List.map (fun l -> l ^ "\n") lines)));
@@ -262,52 +248,31 @@ let finish_done t b =
     engine_lines;
   L.info ~sid:t.s_id ~event:"verdict"
     ~fields:
-      [ ("verdict", if violated_ then "violation" else "ok");
-        ("events", string_of_int t.s_events) ]
+      (("verdict", if violated_ then "violation" else "ok")
+      :: ("events", string_of_int (events t))
+      ::
+      (* The verdict covers only the received prefix. *)
+      (match incomplete with
+      | Some (tid, next) -> [ ("incomplete", Printf.sprintf "%d:%d" tid next) ]
+      | None -> []))
     "session complete";
   Finished
 
 (* {1 Checkpointing} *)
 
-(* Taken with the reader drained to [Await]: [consumed] then points at
-   the first byte the reader has not turned into an event — a position a
-   replaying writer can be fast-forwarded to. *)
+(* Taken with the reader drained to [Await], or right after an item:
+   [consumed] then points at the first byte the reader has not turned
+   into an event — a position a replaying writer can be fast-forwarded
+   to. *)
 let write_checkpoint t =
-  match (checkpoint_path t.cfg t.s_id, t.reader, t.bundle) with
-  | None, _, _ | _, None, _ | _, _, None -> Ok ()
-  | Some path, Some reader, Some bundle -> (
-      match Wire.Reader.header reader with
-      | None -> Ok ()
-      | Some header -> (
-          let ck =
-            { Checkpoint.ck_header = header;
-              ck_spec_fp = t.cfg.spec_fp;
-              ck_position = Wire.Reader.consumed reader;
-              ck_next_eid = Wire.Reader.next_eid reader;
-              ck_reader_stats = Wire.Reader.stats reader;
-              ck_reader_ended = Wire.Reader.ended_threads reader;
-              ck_v3 = Wire.Reader.v3_state reader;
-              ck_ends = t.s_ends;
-              ck_quarantined = 0;
-              ck_peak_buffered = t.peak_buffered;
-              ck_engines = Predict.Engines.snapshots bundle;
-              ck_online =
-                Option.map Predict.Online.snapshot
-                  (Predict.Engines.online bundle);
-              ck_degraded = Predict.Engines.degraded bundle }
-          in
-          match Checkpoint.write path ck with
-          | Ok () ->
-              t.s_checkpoints <- t.s_checkpoints + 1;
-              t.last_ck_ticks <- Predict.Engines.ticks bundle;
-              if M.enabled () then M.incr m_checkpoints;
-              L.info ~sid:t.s_id ~event:"checkpoint"
-                ~fields:
-                  [ ("position", string_of_int ck.Checkpoint.ck_position);
-                    ("ticks", string_of_int t.last_ck_ticks) ]
-                "";
-              Ok ()
-          | Error e -> Error (Checkpoint.error_to_string e)))
+  match t.driver with
+  | None -> Ok ()
+  | Some d -> (
+      match Driver.write_checkpoint d with
+      | Ok written ->
+          if written && M.enabled () then M.incr m_checkpoints;
+          Ok ()
+      | Error e -> Error e)
 
 let mark_drain_failed t reason =
   t.s_state <- Failed;
@@ -317,68 +282,6 @@ let mark_drain_failed t reason =
   if M.enabled () then M.incr m_session_failures
 
 (* {1 The streaming pump} *)
-
-let logically_ended reader =
-  Wire.Reader.pending_bytes reader = 0
-  &&
-  match Wire.Reader.header reader with
-  | Some h ->
-      let ended = Wire.Reader.ended_threads reader in
-      Array.length ended = h.Wire.nthreads && Array.for_all Fun.id ended
-  | None -> false
-
-let complete t =
-  match t.bundle with
-  | None -> finish_failed t 3 "stream ended before the header frame"
-  | Some b -> (
-      match Predict.Engines.missing b with
-      | Some (tid, next) when t.cfg.recovery = Jmpax.Config.Fail ->
-          finish_failed t 3
-            (Printf.sprintf "thread %d never delivered message %d" tid next)
-      | missing ->
-          (* Under skip/quarantine a gap is one more recoverable loss:
-             the verdict covers the prefix that did arrive. *)
-          (match missing with
-          | None -> (
-              match Predict.Engines.finish b with
-              | () -> ()
-              | exception Invalid_argument _ -> ())
-          | Some _ -> ());
-          finish_done t b)
-
-let feed_message t b m =
-  match Predict.Engines.feed b m with
-  | () ->
-      t.s_events <- t.s_events + 1;
-      t.peak_buffered <- Int.max t.peak_buffered (Predict.Engines.out_of_order b);
-      Ok ()
-  | exception Predict.Online.Backpressure { buffered; limit } ->
-      Error
-        (`Fatal
-          ( 4,
-            Printf.sprintf
-              "backpressure: %d messages buffered out of order (limit %d)"
-              buffered limit ))
-  | exception Predict.Causal.Causal_buffer_overflow { buffered; limit } ->
-      (* The budget cap on the linear engines' delivery buffer: routed
-         through the overload policy, not the hard backpressure class. *)
-      Error (`Breach (Jmpax.Budget.Causal_buffered { buffered; limit }))
-  | exception Invalid_argument _ ->
-      (* A well-formed frame carrying a (thread, index) pair already
-         consumed: an input defect, so the recovery policy applies. *)
-      Error
-        (`Skip
-          (Wire.Error.Duplicate_message
-             { tid = m.Trace.Message.tid; index = Trace.Message.seq m }))
-
-let on_skip t error =
-  match t.cfg.recovery with
-  | Jmpax.Config.Fail -> Error (3, Wire.Error.to_string error)
-  | Jmpax.Config.Skip | Jmpax.Config.Quarantine ->
-      t.s_skipped <- t.s_skipped + 1;
-      Ok ()
-
-(* {1 Budget enforcement} *)
 
 (* Checkpoint-then-drop: only the offender pays, and its resumable
    state survives on disk (when a checkpoint_dir is configured) so a
@@ -392,101 +295,43 @@ let finish_evicted t reason =
   L.warn ~sid:t.s_id ~event:"evict" ~fields:[ ("class", "budget") ] reason;
   finish_failed t 8 ("budget: " ^ reason)
 
-(* In a multi-tenant daemon a breach degradation cannot relieve still
-   must not take the daemon down, so under [Degrade] it falls back to
-   evicting the offender; [Fail] fails only the offending session
-   (exit class 8), never its neighbours. *)
-let apply_breach t b breach =
-  match t.cfg.on_overload with
-  | Jmpax.Budget.Degrade
-    when Jmpax.Budget.degradable breach && Predict.Engines.online b <> None ->
-      let reason = Jmpax.Budget.breach_reason breach in
-      Predict.Engines.degrade b ~reason;
-      if M.enabled () then M.incr m_degrades;
-      L.warn ~sid:t.s_id ~event:"degrade"
-        ~fields:
-          [ ("reason", reason); ("at_event", string_of_int t.s_events) ]
-        (Jmpax.Budget.breach_message breach);
-      `Continue
-  | Jmpax.Budget.Fail -> `Fail (Jmpax.Budget.breach_message breach)
-  | Jmpax.Budget.Degrade | Jmpax.Budget.Evict ->
-      `Evict (Jmpax.Budget.breach_message breach)
-
-let budget_step t b =
-  if Jmpax.Budget.is_unlimited t.cfg.budget then `Continue
-  else begin
-    let u = Jmpax.Budget.usage b in
-    Jmpax.Budget.observe u;
-    match Jmpax.Budget.check t.cfg.budget u with
-    | None -> `Continue
-    | Some breach -> apply_breach t b breach
-  end
-
 (* Drain every decodable event out of the reader, then (at [Await])
    take a periodic checkpoint if the lattice advanced far enough.  The
    loop's read budget bounds how many bytes one pump can cover, so a
-   firehose session cannot monopolize the daemon from in here. *)
-let rec pump t reader =
-  match Wire.Reader.next reader with
-  | Wire.Reader.Item (Wire.Reader.Header h) ->
-      t.bundle <-
-        Some
-          (Predict.Engines.create ?max_buffered:t.cfg.max_buffered
-             ?overflow_limit:t.cfg.budget.Jmpax.Budget.max_causal_buffered
-             ~kinds:t.cfg.engines ~nthreads:h.Wire.nthreads ~init:h.Wire.init
-             ~spec:(Some t.cfg.spec) ());
-      pump t reader
-  | Wire.Reader.Item (Wire.Reader.Msg m) -> (
-      match t.bundle with
-      | None -> finish_failed t 3 "message frame before the header frame"
-      | Some b -> (
-          match feed_message t b m with
-          | Ok () -> (
-              match budget_step t b with
-              | `Continue -> pump t reader
-              | `Fail reason -> finish_failed t 8 ("budget: " ^ reason)
-              | `Evict reason -> finish_evicted t reason)
-          | Error (`Fatal (code, reason)) -> finish_failed t code reason
-          | Error (`Breach breach) -> (
-              match apply_breach t b breach with
-              | `Continue -> pump t reader
-              | `Fail reason -> finish_failed t 8 ("budget: " ^ reason)
-              | `Evict reason -> finish_evicted t reason)
-          | Error (`Skip error) -> (
-              match on_skip t error with
-              | Ok () -> pump t reader
-              | Error (code, reason) -> finish_failed t code reason)))
-  | Wire.Reader.Item (Wire.Reader.End_of_thread tid) -> (
-      t.s_ends <- t.s_ends + 1;
-      Option.iter (fun b -> Predict.Engines.end_of_thread b tid) t.bundle;
-      match t.bundle with
-      | Some b -> (
-          match budget_step t b with
-          | `Continue -> pump t reader
-          | `Fail reason -> finish_failed t 8 ("budget: " ^ reason)
-          | `Evict reason -> finish_evicted t reason)
-      | None -> pump t reader)
-  | Wire.Reader.Skip { error; bytes = _ } -> (
-      match on_skip t error with
-      | Ok () -> pump t reader
-      | Error (code, reason) -> finish_failed t code reason)
-  | Wire.Reader.Await ->
-      if logically_ended reader then complete t
-      else begin
-        match (t.bundle, t.cfg.checkpoint_dir) with
-        | Some b, Some _
-          when Predict.Engines.ticks b - t.last_ck_ticks
-               >= t.cfg.checkpoint_every -> (
-            match write_checkpoint t with
-            | Ok () -> Continue
-            | Error reason ->
-                (* Mirrors the stream path: silently continuing without
-                   the crash safety the operator asked for would defeat
-                   it — but only this session pays. *)
-                finish_failed t 6 ("checkpoint: " ^ reason))
-        | _ -> Continue
-      end
-  | Wire.Reader.Eof -> complete t
+   firehose session cannot monopolize the daemon from in here.  In a
+   multi-tenant daemon a budget breach degradation cannot relieve must
+   not take the daemon down: under [Degrade] it falls back to evicting
+   the offender, and [Fail] fails only the offending session (exit
+   class 8), never its neighbours. *)
+let rec pump t d =
+  match Driver.next d with
+  | Driver.Continue -> pump t d
+  | Driver.Degraded ->
+      if M.enabled () then M.incr m_degrades;
+      pump t d
+  | Driver.Await ->
+      if Driver.checkpoint_due d then
+        match write_checkpoint t with
+        | Ok () -> Continue
+        | Error reason ->
+            (* Mirrors the stream path: silently continuing without the
+               crash safety the operator asked for would defeat it — but
+               only this session pays. *)
+            finish_failed t 6 ("checkpoint: " ^ reason)
+      else Continue
+  | Driver.Ended -> (
+      match Driver.complete d with
+      | Ok (b, incomplete) -> finish_done t b incomplete
+      | Error e -> finish_failed t 3 (Wire.Error.to_string e))
+  | Driver.Failed e ->
+      finish_failed t
+        (match e with Wire.Error.Backpressure _ -> 4 | _ -> 3)
+        (Wire.Error.to_string e)
+  | Driver.Breach breach -> (
+      let reason = Jmpax.Budget.breach_message breach in
+      match t.cfg.on_overload with
+      | Jmpax.Budget.Fail -> finish_failed t 8 ("budget: " ^ reason)
+      | Jmpax.Budget.Degrade | Jmpax.Budget.Evict -> finish_evicted t reason)
 
 let stream_bytes t data =
   (* Drop the replayed prefix of a resumed session first. *)
@@ -500,12 +345,12 @@ let stream_bytes t data =
   in
   if String.length data = 0 then Continue
   else
-    match t.reader with
+    match t.driver with
     | None -> finish_failed t 3 "internal: no reader"
-    | Some reader ->
-        Wire.Reader.feed reader data;
+    | Some d ->
+        Wire.Reader.feed (Driver.reader d) data;
         t.offset <- t.offset + String.length data;
-        pump t reader
+        pump t d
 
 let on_bytes t data =
   t.s_last_activity <- t.cfg.now ();
@@ -520,14 +365,8 @@ let on_bytes t data =
       end
       else stream_bytes t data
   | Handshaking ->
-      if Buffer.length t.hello + String.length data > hello_limit then begin
-        ignore (write_line t "reject hello line too long\n");
-        close t;
-        t.s_state <- Failed;
-        t.s_code <- 3;
-        t.s_reason <- "hello line too long";
-        Finished
-      end
+      if Buffer.length t.hello + String.length data > hello_limit then
+        refuse t ~reply:"reject hello line too long\n" 3 "hello line too long"
       else begin
         Buffer.add_string t.hello data;
         let text = Buffer.contents t.hello in
@@ -544,15 +383,11 @@ let on_bytes t data =
             match String.split_on_char ' ' line with
             | [ "jmpax-serve"; "1"; sid; fp ] -> Hello { id = sid; fp; rest }
             | _ ->
-                ignore
-                  (write_line t
-                     (Printf.sprintf "reject bad hello (expected %S)\n"
-                        (hello_magic ^ " <id> <spec-fp>")));
-                close t;
-                t.s_state <- Failed;
-                t.s_code <- 3;
-                t.s_reason <- "bad hello";
-                Finished)
+                refuse t
+                  ~reply:
+                    (Printf.sprintf "reject bad hello (expected %S)\n"
+                       (hello_magic ^ " <id> <spec-fp>"))
+                  3 "bad hello")
       end
   | Disconnected | Done | Failed -> Continue
 
@@ -565,49 +400,41 @@ let on_eof t =
       close t;
       t.s_state <- Disconnected;
       Continue
-  | Handshaking ->
-      close t;
-      t.s_state <- Failed;
-      t.s_code <- 3;
-      t.s_reason <- "closed during handshake";
-      Finished
+  | Handshaking -> refuse t 3 "closed during handshake"
   | Disconnected | Done | Failed ->
       close t;
       Continue
 
 (* {1 Handshake completions} *)
 
+(* Serve has no quarantine sink: [Quarantine] counts like [Skip]. *)
+let driver cfg ~id ?resume () =
+  Driver.create ~sid:id ?max_buffered:cfg.max_buffered
+    ?checkpoint:
+      (Option.map (fun path -> (path, cfg.checkpoint_every)) (checkpoint_path cfg id))
+    ?resume
+    ~recovery:
+      (match cfg.recovery with
+      | Jmpax.Config.Quarantine -> Jmpax.Config.Skip
+      | r -> r)
+    ~kinds:cfg.engines ~budget:cfg.budget ~on_overload:cfg.on_overload ~spec:cfg.spec ()
+
 let start_fresh t ~id ~rest =
   t.s_id <- id;
-  t.reader <- Some (Wire.Reader.create ());
+  t.driver <- Some (driver t.cfg ~id ());
   t.s_state <- Streaming;
   if write_line t "ok 0\n" then stream_bytes t rest
   else on_eof t
 
 let start_resume_checkpoint t ~id ~ck ~rest =
-  let bundle =
-    Predict.Engines.restore ?max_buffered:t.cfg.max_buffered
-      ?overflow_limit:t.cfg.budget.Jmpax.Budget.max_causal_buffered
-      ?degraded:ck.Checkpoint.ck_degraded
-      ~kinds:t.cfg.engines ~nthreads:ck.Checkpoint.ck_header.Wire.nthreads
-      ~init:ck.Checkpoint.ck_header.Wire.init ~spec:(Some t.cfg.spec)
-      ~online_snapshot:ck.Checkpoint.ck_online
-      ~blocks:ck.Checkpoint.ck_engines
-      ~events:ck.Checkpoint.ck_reader_stats.Wire.Reader.messages ()
-  in
-  let reader = Checkpoint.reader ck in
+  let d = driver t.cfg ~id ~resume:ck () in
+  let position = ck.Jmpax.Checkpoint.ck_position in
   t.s_id <- id;
-  t.reader <- Some reader;
-  t.bundle <- Some bundle;
-  t.discard <- ck.Checkpoint.ck_position;
-  t.offset <- ck.Checkpoint.ck_position;
-  t.s_ends <- ck.Checkpoint.ck_ends;
-  t.s_events <- ck.Checkpoint.ck_reader_stats.Wire.Reader.messages;
-  t.peak_buffered <- ck.Checkpoint.ck_peak_buffered;
-  t.last_ck_ticks <- Predict.Engines.ticks bundle;
+  t.driver <- Some d;
+  t.discard <- position;
+  t.offset <- position;
   t.s_state <- Streaming;
-  if write_line t (Printf.sprintf "ok %d\n" ck.Checkpoint.ck_position) then
-    stream_bytes t rest
+  if write_line t (Printf.sprintf "ok %d\n" position) then stream_bytes t rest
   else on_eof t
 
 let adopt t ~from ~rest =
@@ -623,9 +450,5 @@ let adopt t ~from ~rest =
   else on_eof t
 
 let reject t reason =
-  ignore (write_line t (Printf.sprintf "reject %s\n" reason));
-  close t;
-  t.s_state <- Failed;
-  t.s_code <- 2;
-  t.s_reason <- reason;
+  ignore (refuse t ~reply:(Printf.sprintf "reject %s\n" reason) 2 reason);
   L.warn ?sid:(if t.s_id = "" then None else Some t.s_id) ~event:"reject" reason

@@ -1,9 +1,9 @@
 (** One monitored session of the multi-tenant observer daemon.
 
-    A session is the per-connection composition of the pieces PR 4/5
-    built for the single-session stream path: an incremental
-    {!Jmpax.Wire.Reader}, a {!Predict.Online} analyzer, and an optional
-    per-session checkpoint file.  The daemon's event loop owns the
+    A session drives the same per-message {!Jmpax.Driver} as
+    [jmpax stream] (reader, engines, recovery, budget, checkpoint
+    capture, completion) with an optional per-session checkpoint
+    file.  The daemon's event loop owns the
     socket and hands a session whatever bytes arrived; the session runs
     its state machine
 

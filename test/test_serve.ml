@@ -1121,6 +1121,181 @@ let test_listen_once_closes_listener () =
       Jmpax.Transport.close transport);
   Thread.join writer
 
+(* {1 One driver under stream and serve} *)
+
+(* Run [doc] through a fresh session over a socketpair, logging at info
+   level.  Returns the session, the lines it wrote after its ack, and
+   the log lines. *)
+let session_run cfg doc =
+  let log = ref [] in
+  Telemetry.Log.set_level Telemetry.Log.Info;
+  Telemetry.Log.set_sink (fun l -> log := l :: !log);
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.Log.set_sink ignore;
+      Telemetry.Log.set_level Telemetry.Log.Warn)
+  @@ fun () ->
+  let s, peer = mk_session ~cfg () in
+  Fun.protect ~finally:(fun () -> Unix.close peer) @@ fun () ->
+  ignore (S.start_fresh s ~id:"one" ~rest:doc);
+  if S.state s <> S.Done && S.state s <> S.Failed then
+    Alcotest.fail "the session did not finish on its document";
+  let reply = In_channel.input_all (Unix.in_channel_of_descr peer) in
+  let lines = List.filter (( <> ) "") (String.split_on_char '\n' reply) in
+  (s, List.tl lines, List.rev !log)
+
+let stream_outcome ?budget ?on_overload ~recovery ~engines ~spec doc =
+  match Jmpax.Stream.run_string ?budget ?on_overload ~recovery ~engines ~spec doc with
+  | Ok o -> o
+  | Error e -> Alcotest.failf "stream: %s" (W.Error.to_string e)
+
+(* The verdict lines of [jmpax stream]'s report. *)
+let verdict_lines o =
+  String.split_on_char '\n' (Jmpax.Report.stream_summary o)
+  |> List.filter (String.starts_with ~prefix:"predict")
+
+(* 24 noise bytes before every vardef and message frame of the landing
+   document, and inside each one's sentinel (which loses the frame): a
+   session under [--on-decode-error skip] must report the gap stream
+   reports ([incomplete=tid:next] in its verdict log line) and send
+   stream's verdict lines.  A lost frame may be the vardef of a later
+   delta, or leave a thread with nothing buffered behind its loss. *)
+let test_lossy_parity_with_stream () =
+  let noise = String.make 24 'x' in
+  let doc = landing_doc in
+  let frames =
+    List.filter
+      (fun i ->
+        String.sub doc i 3 = W.Framed3.sentinel
+        && (doc.[i + 3] = W.Framed3.kind_message || doc.[i + 3] = W.Framed3.kind_vardef))
+      (List.init (String.length doc - 3) Fun.id)
+  in
+  Alcotest.(check bool) "landing frames found" true (List.length frames >= 6);
+  let gaps = ref 0 in
+  List.iter
+    (fun engines ->
+      List.iter
+        (fun at ->
+          let noisy =
+            String.sub doc 0 at ^ noise ^ String.sub doc at (String.length doc - at)
+          in
+          let what = Printf.sprintf "noise at byte %d, %d engines" at (List.length engines) in
+          let o =
+            stream_outcome ~recovery:Jmpax.Config.Skip ~engines ~spec:landing_spec noisy
+          in
+          let s, lines, log =
+            session_run
+              (default_session ~spec:landing_spec ~engines
+                 ~recovery:Jmpax.Config.Skip ())
+              noisy
+          in
+          Alcotest.(check bool) (what ^ ": done") true (S.state s = S.Done);
+          Alcotest.(check (list string)) (what ^ ": stream's verdict lines")
+            (verdict_lines o) lines;
+          let verdict_log =
+            List.filter (fun l -> has l "event=verdict ") log
+          in
+          Alcotest.(check int) (what ^ ": one verdict log line") 1 (List.length verdict_log);
+          let v = List.hd verdict_log in
+          match o.Jmpax.Stream.s_stats.Jmpax.Stream.incomplete with
+          | Some (tid, next) ->
+              incr gaps;
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: incomplete=%d:%d in %S" what tid next v)
+                true
+                (has v (Printf.sprintf " incomplete=%d:%d " tid next))
+          | None ->
+              Alcotest.(check bool) (what ^ ": no incomplete field") false
+                (has v "incomplete="))
+        (List.concat_map (fun i -> [ i; i + 1 ]) frames))
+    [ [ Predict.Engine.Lattice ];
+      [ Predict.Engine.Lattice; Predict.Engine.Race; Predict.Engine.Atomicity ] ];
+  Alcotest.(check bool) "some variants lose a frame for good" true (!gaps > 0)
+
+(* The [at_event] of the [degrade] log event is the verdict marker's, on
+   both front ends, also when a skipped duplicate frame went before it
+   (the marker counts it, the session's [events] does not). *)
+let test_degrade_log_at_event () =
+  let doc =
+    let ms = exploding_messages () in
+    W.Framed3.encode exploding_header (List.hd ms :: ms)
+  in
+  let logged log =
+    match List.filter (fun l -> has l "event=degrade ") log with
+    | [ l ] -> (
+        match
+          List.find_opt (String.starts_with ~prefix:"at_event=") (String.split_on_char ' ' l)
+        with
+        | Some tok -> int_of_string (String.sub tok 9 (String.length tok - 9))
+        | None -> Alcotest.failf "no at_event in %S" l)
+    | ls -> Alcotest.failf "%d degrade log lines" (List.length ls)
+  in
+  let marker = function
+    | Some d -> d.Predict.Engines.d_at_event
+    | None -> Alcotest.fail "never degraded"
+  in
+  let log = ref [] in
+  Telemetry.Log.set_sink (fun l -> log := l :: !log);
+  let o =
+    Fun.protect ~finally:(fun () -> Telemetry.Log.set_sink ignore) @@ fun () ->
+    stream_outcome ~budget:budget_64 ~on_overload:Jmpax.Budget.Degrade
+      ~recovery:Jmpax.Config.Skip ~engines:Predict.Engine.default_kinds
+      ~spec:Pastltl.Formula.True doc
+  in
+  let at = marker o.Jmpax.Stream.s_degraded in
+  Alcotest.(check int) "stream logs the marker's at_event" at (logged !log);
+  let s, _, log =
+    session_run
+      (default_session ~budget:budget_64 ~on_overload:Jmpax.Budget.Degrade
+         ~recovery:Jmpax.Config.Skip ())
+      doc
+  in
+  Alcotest.(check int) "serve logs the marker's at_event" (marker (S.degraded s))
+    (logged log);
+  Alcotest.(check int) "one marker on both" at (marker (S.degraded s));
+  Alcotest.(check int) "the duplicate was skipped" 1 (S.skipped s)
+
+(* A session's per-message cost, as [Session.on_bytes] sees it: the
+   race and atomicity engines over the 64-thread all-events lock-counter
+   trace of [test_wire]'s stream allocation test, in 64 KiB chunks cut
+   beforehand, allocate 137.0 minor words per message (best of three),
+   as they did before the session shared its driver with the stream
+   path.  The budget leaves 1.1 words over that, so a result wrapper
+   (2 words) or a closure (3 or more) built per message fails it. *)
+let session_alloc_budget = 138.1
+
+let test_session_allocation () =
+  let threads = 64 in
+  let program = Tml.Parser.parse_program (Lock_counter.source ~threads ~iters:8 ~nops:0) in
+  let r = Tml.Vm.run_program ~sched:(Tml.Sched.random ~seed:1) program in
+  let exec = Option.get r.Tml.Vm.exec in
+  let messages = Predict.Engine.messages_of_exec exec in
+  let doc = W.Framed3.encode { W.nthreads = threads; init = Trace.Exec.init exec } messages in
+  let chunk = 65536 in
+  let chunks =
+    List.init
+      ((String.length doc + chunk - 1) / chunk)
+      (fun i -> String.sub doc (i * chunk) (min chunk (String.length doc - (i * chunk))))
+  in
+  let cfg =
+    default_session ~engines:[ Predict.Engine.Race; Predict.Engine.Atomicity ] ()
+  in
+  let run () =
+    let s, peer = mk_session ~cfg () in
+    Fun.protect ~finally:(fun () -> Unix.close peer) @@ fun () ->
+    ignore (S.start_fresh s ~id:"alloc" ~rest:"");
+    let before = Gc.minor_words () in
+    List.iter (fun c -> ignore (S.on_bytes s c)) chunks;
+    let words = (Gc.minor_words () -. before) /. float_of_int (List.length messages) in
+    Alcotest.(check bool) "session done" true (S.state s = S.Done);
+    Alcotest.(check int) "every message consumed" (List.length messages) (S.events s);
+    words
+  in
+  let words = List.fold_left min infinity (List.init 3 (fun _ -> run ())) in
+  if words > session_alloc_budget then
+    Alcotest.failf "%.1f minor words per session message (budget %.1f)" words
+      session_alloc_budget
+
 let () =
   Alcotest.run "serve"
     [ ( "registry",
@@ -1175,4 +1350,11 @@ let () =
             test_memory_budget_admission_control ] );
       ( "transport",
         [ Alcotest.test_case "listen-once closes the listener" `Quick
-            test_listen_once_closes_listener ] ) ]
+            test_listen_once_closes_listener ] );
+      ( "driver",
+        [ Alcotest.test_case "lossy input: stream's gaps and verdicts" `Quick
+            test_lossy_parity_with_stream;
+          Alcotest.test_case "degrade logs the marker's at_event" `Quick
+            test_degrade_log_at_event;
+          Alcotest.test_case "allocation per message" `Quick
+            test_session_allocation ] ) ]

@@ -796,6 +796,30 @@ let test_v3_stale_baseline_after_skip () =
      the right absolute clock. *)
   check_payloads "survivors" [ m1; m3 ] (delivered_msgs events)
 
+(* A resync can swallow the vardef frame a delta names.  The thread's
+   baseline is stale by then, and that is what the frame reports: as an
+   unknown variable id the loss would stay invisible to the stream
+   driver, which counts a stale baseline as a gap in the thread. *)
+let test_v3_stale_before_unknown_var () =
+  let h = { W.nthreads = 1; init = [ ("x", 0); ("y", 0) ] } in
+  let m1 = msg ~eid:0 0 "x" 1 [ 1 ] and m2 = msg ~eid:1 0 "y" 2 [ 2 ] in
+  let enc = W.Framed3.encoder h in
+  let f1 = W.Framed3.encode_message enc m1 in
+  let f2 = W.Framed3.encode_message enc m2 in
+  let vardef = W.Framed3.frame W.Framed3.kind_vardef "y" in
+  Alcotest.(check string) "the delta's frames start with its vardef" vardef
+    (String.sub f2 0 (String.length vardef));
+  let delta = String.sub f2 (String.length vardef) (String.length f2 - String.length vardef) in
+  let doc = v3_doc h [ f1; "NOISE"; delta; W.Framed3.encode_end 0 ] in
+  Alcotest.(check (list error)) "skips"
+    [ E.Lost_sync 5; E.Stale_delta_baseline { tid = 0 } ]
+    (skip_errors (drain_all doc));
+  match Jmpax.Stream.run_string ~recovery:Jmpax.Config.Skip ~spec:Pastltl.Formula.True doc with
+  | Ok o ->
+      Alcotest.(check (option (pair int int))) "the stream reports the gap"
+        (Some (0, 2)) o.Jmpax.Stream.s_stats.Jmpax.Stream.incomplete
+  | Error e -> Alcotest.failf "stream: %s" (E.to_string e)
+
 (* Frames of the retired text wire v2 (kinds 'H', 'M' and 'E', same
    envelope) inside a v3 stream are unknown kinds: skipped, never
    decoded. *)
@@ -1071,6 +1095,37 @@ let test_v3_decode_allocation () =
   if words > budget then
     Alcotest.failf "%.1f minor words per decoded message (budget %.0f)" words budget
 
+(* The stream path per message: [Stream.run_string] with the race and
+   atomicity engines over a 64-thread all-events lock-counter trace
+   allocates 136.9 minor words per message (best of three runs; the
+   decode is 83.9 of them), 137.0 before the per-message driver was
+   shared with the serve sessions.  The budget leaves 1.1 words over
+   that, so a result wrapper (2 words) or a closure (3 or more) built
+   per message in the driver fails it. *)
+let stream_alloc_budget = 138.1
+
+let test_stream_allocation () =
+  let threads = 64 in
+  let program = Tml.Parser.parse_program (Lock_counter.source ~threads ~iters:8 ~nops:0) in
+  let r = Tml.Vm.run_program ~sched:(Tml.Sched.random ~seed:1) program in
+  let exec = Option.get r.Tml.Vm.exec in
+  let messages = Predict.Engine.messages_of_exec exec in
+  let doc = W.Framed3.encode { W.nthreads = threads; init = Trace.Exec.init exec } messages in
+  let engines = [ Predict.Engine.Race; Predict.Engine.Atomicity ] in
+  let run () =
+    let before = Gc.minor_words () in
+    (match Jmpax.Stream.run_string ~engines ~spec:Pastltl.Formula.True doc with
+    | Ok o ->
+        Alcotest.(check int) "every message streamed" (List.length messages)
+          o.Jmpax.Stream.s_stats.Jmpax.Stream.messages
+    | Error e -> Alcotest.failf "stream: %s" (E.to_string e));
+    (Gc.minor_words () -. before) /. float_of_int (List.length messages)
+  in
+  let words = List.fold_left min infinity (List.init 3 (fun _ -> run ())) in
+  if words > stream_alloc_budget then
+    Alcotest.failf "%.1f minor words per streamed message (budget %.1f)" words
+      stream_alloc_budget
+
 (* {1 Frame-size symmetry (the Frame_too_large asymmetry fix)} *)
 
 let test_frame_boundary () =
@@ -1169,6 +1224,8 @@ let () =
           Alcotest.test_case "truncated varint" `Quick test_v3_truncated_varint;
           Alcotest.test_case "stale baseline after skip" `Quick
             test_v3_stale_baseline_after_skip;
+          Alcotest.test_case "stale baseline before unknown var" `Quick
+            test_v3_stale_before_unknown_var;
           Alcotest.test_case "v2 frames are unknown kinds" `Quick
             test_v2_frames_are_unknown_kinds;
           Alcotest.test_case "v2 document refused" `Quick test_v2_document_refused;
@@ -1192,7 +1249,8 @@ let () =
         [ Alcotest.test_case "verdicts match check" `Quick test_stream_matches_check;
           Alcotest.test_case "verdicts match check (v3)" `Quick
             test_stream_matches_check_v3;
-          Alcotest.test_case "over a FIFO" `Quick test_stream_over_fifo ] );
+          Alcotest.test_case "over a FIFO" `Quick test_stream_over_fifo;
+          Alcotest.test_case "allocation per message" `Quick test_stream_allocation ] );
       ( "recovery",
         [ Alcotest.test_case "fail" `Quick test_recovery_fail;
           Alcotest.test_case "skip" `Quick test_recovery_skip;
