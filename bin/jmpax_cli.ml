@@ -316,50 +316,13 @@ let run_cmd =
          & info [ "format" ] ~docv:"FMT"
              ~doc:"Wire format for $(b,--output): $(b,v3) (framed binary, \
                    delta-encoded clocks, default; at most 4096 threads) or \
-                   $(b,v1) (line-oriented text, any width).  $(b,stream) and \
-                   $(b,serve) consume v3; $(b,observe) reads either.")
+                   $(b,v1) (line-oriented text, any width, for external \
+                   tools).  $(b,stream) and $(b,serve) consume v3 only.")
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Execute an instrumented program once and dump its messages.")
     Term.(const run $ example_arg $ file_arg $ seed_arg $ fuel_arg $ output $ format
           $ spec_arg $ clock_arg $ engine_arg $ metrics_arg $ trace_arg)
-
-(* {1 observe} *)
-
-let observe_cmd =
-  let run trace spec metrics span_trace =
-    let spec = parse_spec spec in
-    match Jmpax.Wire.read_file trace with
-    | Error e -> or_die (Error (Jmpax.Wire.Error.to_string e))
-    | Ok (header, messages) -> (
-        match
-          Observer.Computation.of_messages ~nthreads:header.Jmpax.Wire.nthreads
-            ~init:header.Jmpax.Wire.init messages
-        with
-        | Error e -> or_die (Error ("trace is not a computation: " ^ e))
-        | Ok comp ->
-            let tconfig =
-              Jmpax.Config.default () |> Jmpax.Config.with_metrics metrics
-              |> Jmpax.Config.with_trace span_trace
-            in
-            let code =
-              Jmpax.Pipeline.with_telemetry tconfig (fun () ->
-                  let report = Predict.Analyzer.analyze ~spec comp in
-                  Format.printf "%d messages, %d threads@." (List.length messages)
-                    header.Jmpax.Wire.nthreads;
-                  Format.printf "%a@." Predict.Analyzer.pp_report report;
-                  if Predict.Analyzer.violated report then 1 else 0)
-            in
-            if code <> 0 then exit code)
-  in
-  let trace =
-    Arg.(required & pos 0 (some file) None
-         & info [] ~docv:"TRACE" ~doc:"Wire trace produced by $(b,jmpax run --output).")
-  in
-  Cmd.v
-    (Cmd.info "observe"
-       ~doc:"Run the external observer on a previously recorded wire trace.")
-    Term.(const run $ trace $ spec_arg $ metrics_arg $ trace_arg)
 
 (* {1 stream} *)
 
@@ -519,6 +482,9 @@ let stream_cmd =
       | None -> None
       | Some path -> (
           match Jmpax.Checkpoint.read path with
+          | Error (Jmpax.Checkpoint.Io msg) ->
+              (* The system's text already names the file. *)
+              die exit_checkpoint msg
           | Error e ->
               die exit_checkpoint
                 (Printf.sprintf "%s: %s" path (Jmpax.Checkpoint.error_to_string e))
@@ -1122,44 +1088,6 @@ let fsm_cmd =
        ~doc:"Synthesize the finite state machine of a past-time LTL specification.")
     Term.(const run $ spec_arg $ minimized)
 
-(* {1 monitor (online)} *)
-
-let monitor_cmd =
-  let run example file spec seed fuel clock metrics trace =
-    let program = or_die (load_program ~example ~file) in
-    let spec = parse_spec spec in
-    let clock = or_die (parse_clock clock) in
-    let config =
-      { (Jmpax.Config.default ()) with
-        Jmpax.Config.sched = sched_of_seed seed;
-        fuel;
-        clock;
-        metrics;
-        trace }
-    in
-    let code =
-      Jmpax.Pipeline.with_telemetry config (fun () ->
-          let o = Jmpax.Pipeline.check_online ~config ~spec program in
-          Format.printf
-            "spec: %a@.run: %a, %d steps@.online verdict: %s (lattice level %d)@.\
-             peak frontier: %d entries, %d cuts retired, %d monitor steps@."
-            Pastltl.Formula.pp o.Jmpax.Pipeline.o_spec Tml.Vm.pp_outcome
-            o.Jmpax.Pipeline.o_run.Tml.Vm.outcome o.Jmpax.Pipeline.o_run.Tml.Vm.steps
-            (if o.Jmpax.Pipeline.o_violated then "VIOLATION PREDICTED" else "no violation")
-            o.Jmpax.Pipeline.o_level
-            o.Jmpax.Pipeline.o_gc.Predict.Online.peak_frontier_entries
-            o.Jmpax.Pipeline.o_gc.Predict.Online.retired_cuts
-            o.Jmpax.Pipeline.o_gc.Predict.Online.monitor_steps;
-          if o.Jmpax.Pipeline.o_violated then 1 else 0)
-    in
-    if code <> 0 then exit code
-  in
-  Cmd.v
-    (Cmd.info "monitor"
-       ~doc:"Monitor a program online: the lattice is analyzed while the program runs.")
-    Term.(const run $ example_arg $ file_arg $ spec_arg $ seed_arg $ fuel_arg
-          $ clock_arg $ metrics_arg $ trace_arg)
-
 (* {1 stats} *)
 
 (* A control-socket hang is not a connection refusal: supervisors retry
@@ -1454,5 +1382,4 @@ let () =
   let info = Cmd.info "jmpax" ~version:"1.0.0" ~doc in
   exit (Cmd.eval (Cmd.group info [ check_cmd; run_cmd; lattice_cmd; race_cmd;
                                    deadlock_cmd; atomicity_cmd; compare_cmd; examples_cmd; fsm_cmd;
-                                   monitor_cmd; observe_cmd; stream_cmd; serve_cmd;
-                                   stats_cmd; top_cmd ]))
+                                   stream_cmd; serve_cmd; stats_cmd; top_cmd ]))

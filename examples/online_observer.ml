@@ -1,14 +1,16 @@
 (* The observer side in online mode: messages arrive out of order (as
-   over JMPaX's sockets), are buffered and released per-thread in index
-   order, and the computation — hence the verdict — is identical to
-   in-order delivery. Also demonstrates the Section 3.2 message-passing
-   interpretation agreeing with Algorithm A on the same run.
+   over JMPaX's sockets), the online observer buffers them and sweeps
+   the lattice level by level as the events become available, and the
+   verdict is identical to in-order delivery. Also demonstrates the
+   Section 3.2 message-passing interpretation agreeing with Algorithm A
+   on the same run.
 
    Run with: dune exec examples/online_observer.exe *)
 
 let () =
   let program = Tml.Programs.xyz in
-  let vars = Pastltl.Formula.vars Pastltl.Formula.xyz_spec in
+  let spec = Pastltl.Formula.xyz_spec in
+  let vars = Pastltl.Formula.vars spec in
   let relevance = Mvc.Relevance.writes_of_vars vars in
   let r =
     Tml.Vm.run_program ~relevance
@@ -27,22 +29,21 @@ let () =
        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "  ")
        Trace.Message.pp)
     scrambled;
-  (* Feed one by one; watch the ready prefix grow. *)
-  let ingest = Observer.Ingest.create ~nthreads:2 ~init:program.Tml.Ast.shared () in
+  (* Feed one by one; watch the frontier climb as gaps close. *)
+  let online = Predict.Online.create ~nthreads:2 ~init:program.Tml.Ast.shared ~spec () in
   List.iter
     (fun m ->
-      Observer.Ingest.add ingest m;
-      let ready = Observer.Ingest.take_ready ingest in
-      Format.printf "received %a -> released %d (buffered %d)@." Trace.Message.pp m
-        (List.length ready) (Observer.Ingest.pending ingest))
+      Predict.Online.feed online m;
+      Format.printf "received %a -> level %d (buffered %d, out of order %d)@."
+        Trace.Message.pp m (Predict.Online.level online) (Predict.Online.buffered online)
+        (Predict.Online.out_of_order online))
     scrambled;
-  let comp =
-    match Observer.Ingest.computation ingest with
-    | Ok c -> c
-    | Error msg -> failwith msg
-  in
-  let report = Predict.Analyzer.analyze ~spec:Pastltl.Formula.xyz_spec comp in
-  Format.printf "@.%a@.@." Predict.Analyzer.pp_report report;
+  Predict.Online.finish online;
+  let gc = Predict.Online.gc_stats online in
+  Format.printf "@.online verdict: %s at level %d (%d cuts retired, peak %d cuts)@.@."
+    (if Predict.Online.violated online then "VIOLATION PREDICTED" else "no violation")
+    (Predict.Online.level online) gc.Predict.Online.retired_cuts
+    gc.Predict.Online.peak_frontier_cuts;
   (* Section 3.2: the distributed interpretation reproduces Algorithm A
      message for message. *)
   (match
@@ -54,4 +55,4 @@ let () =
          %d hidden (one per read)@."
         stats.Dsim.Simulate.packets stats.Dsim.Simulate.hidden
   | Error _ -> print_endline "distributed interpretation DIVERGED (bug)");
-  assert (Predict.Analyzer.violated report)
+  assert (Predict.Online.violated online)

@@ -99,19 +99,15 @@ let check ?(config = Config.default ()) ~spec program =
     List.filter (fun (x, _) -> List.mem x relevant_vars) program.Tml.Ast.shared
   in
   let nthreads = List.length program.Tml.Ast.threads in
-  (* Ship the messages through the configured channel and let the
-     observer reassemble them. *)
+  (* Ship the messages through the configured channel into the online
+     observer, in the order they arrive. *)
   let delivered = apply_channel config run.Tml.Vm.messages in
-  let ingest =
-    Observer.Ingest.create ?max_buffered:config.Config.max_buffered ~nthreads ~init ()
-  in
-  Observer.Ingest.add_all ingest delivered;
   let computation =
-    match Observer.Ingest.computation ingest with
+    match Observer.Computation.of_messages ~nthreads ~init delivered with
     | Ok c -> c
     | Error msg -> invalid_arg ("Pipeline.check: observer could not reassemble: " ^ msg)
   in
-  let predictive = Predict.Analyzer.analyze ~spec computation in
+  let predictive = Predict.Analyzer.sweep ~spec ~nthreads ~init delivered in
   let observed_ok =
     Predict.Analyzer.observed_run_verdict ~spec ~init run.Tml.Vm.messages
   in
@@ -160,48 +156,10 @@ let check ?(config = Config.default ()) ~spec program =
 let check_source ?config ~spec source =
   check ?config ~spec:(Pastltl.Fparser.parse spec) (Tml.Parser.parse_program source)
 
-type online_output = {
-  o_spec : Pastltl.Formula.t;
-  o_run : Tml.Vm.run_result;
-  o_violated : bool;
-  o_violations : Predict.Analyzer.violation list;
-  o_level : int;
-  o_gc : Predict.Online.gc_stats;
-}
-
-let check_online ?(config = Config.default ()) ~spec program =
-  let relevant_vars = Pastltl.Formula.vars spec in
-  let image = Tml.Instrument.instrument_program program in
-  let relevance = Mvc.Relevance.writes_of_vars relevant_vars in
-  let init =
-    List.filter (fun (x, _) -> List.mem x relevant_vars) program.Tml.Ast.shared
-  in
-  let nthreads = List.length program.Tml.Ast.threads in
-  let online =
-    Predict.Online.create ?max_buffered:config.Config.max_buffered ~nthreads ~init
-      ~spec ()
-  in
-  let run =
-    Tml.Vm.run_image ~clock:config.Config.clock ~fuel:config.Config.fuel ~relevance
-      ~sink:(Predict.Online.feed online) ~sched:config.Config.sched image
-  in
-  (match run.Tml.Vm.outcome with
-  | Tml.Vm.Runtime_error { tid; message } ->
-      invalid_arg
-        (Printf.sprintf "Pipeline.check_online: runtime error in thread %d: %s" tid message)
-  | Tml.Vm.Completed | Tml.Vm.Deadlocked _ | Tml.Vm.Fuel_exhausted -> ());
-  Predict.Online.finish online;
-  { o_spec = spec;
-    o_run = run;
-    o_violated = Predict.Online.violated online;
-    o_violations = Predict.Online.violations online;
-    o_level = Predict.Online.level online;
-    o_gc = Predict.Online.gc_stats online }
-
 let predicted_violation output = Predict.Analyzer.violated output.predictive
 let missed_by_baseline output = predicted_violation output && output.observed_ok
 
-(* Every front end (check, check_online, jmpax stream) prints its verdict
+(* Every front end (check, jmpax stream, jmpax serve) prints its verdict
    through this one function, so the outputs stay byte-comparable. *)
 let verdict_line violated =
   Printf.sprintf "predictive verdict (JMPaX): %s"

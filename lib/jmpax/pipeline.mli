@@ -3,8 +3,8 @@
     {v
     program ──compile──> bytecode ──instrument──> instrumented bytecode
         ──execute (VM + scheduler)──> messages ⟨e, i, V⟩
-        ──channel──> observer ──ingest──> computation
-        ──level-by-level predictive analysis──> report
+        ──channel──> online observer (level-by-level predictive analysis)
+        ──> report
     v}
 
     The relevant variables are extracted from the specification, exactly
@@ -19,7 +19,11 @@ type output = {
   run : Tml.Vm.run_result;  (** the single monitored execution *)
   delivered : Message.t list;  (** messages in (possibly reordered) arrival order *)
   computation : Observer.Computation.t;
-  predictive : Predict.Analyzer.report;  (** JMPaX verdict over all runs *)
+      (** the delivered messages grouped per thread, for the lattice,
+          counterexample and figure printers; the verdict does not read it *)
+  predictive : Predict.Analyzer.report;
+      (** JMPaX verdict over all runs: the delivered messages fed to one
+          {!Predict.Online} in arrival order ({!Predict.Analyzer.sweep}) *)
   observed_ok : bool;  (** JPaX/Java-MaC baseline: the observed run only *)
   races : Predict.Race.report option;
   deadlocks : Predict.Lockgraph.report option;
@@ -51,29 +55,6 @@ val check : ?config:Config.t -> spec:Pastltl.Formula.t -> Tml.Ast.program -> out
 val check_source : ?config:Config.t -> spec:string -> string -> output
 (** Same, from concrete syntax for both program and specification. *)
 
-(** {1 Online mode}
-
-    The analyzer of {!check} works offline on the completed message list.
-    {!check_online} instead attaches a {!Predict.Online} analyzer to the
-    instrumented program's message sink, so the computation lattice is
-    explored {e while the program runs}, levels are garbage-collected as
-    they are passed, and a violation can be known before the program
-    terminates — the paper's online-analysis claim. *)
-
-type online_output = {
-  o_spec : Pastltl.Formula.t;
-  o_run : Tml.Vm.run_result;
-  o_violated : bool;
-  o_violations : Predict.Analyzer.violation list;
-  o_level : int;  (** final lattice level reached *)
-  o_gc : Predict.Online.gc_stats;
-}
-
-val check_online :
-  ?config:Config.t -> spec:Pastltl.Formula.t -> Tml.Ast.program -> online_output
-(** The channel model is ignored (the sink is synchronous); verdicts are
-    identical to {!check} — the tests drive both on the same runs. *)
-
 val predicted_violation : output -> bool
 val missed_by_baseline : output -> bool
 (** True when prediction found a violation the observed run did not
@@ -81,7 +62,7 @@ val missed_by_baseline : output -> bool
 
 val verdict_line : bool -> string
 (** The one-line predictive verdict, shared by every front end
-    ([check], [check_online], [jmpax stream]) so their outputs are
+    ([check], [jmpax stream], [jmpax serve]) so their outputs are
     byte-comparable. *)
 
 val degraded_verdict_line : Predict.Engines.degraded -> string

@@ -27,16 +27,12 @@ type report = {
   stats : stats;
 }
 
-(* Offline is the online observer fed the recorded messages in order:
-   once every message is in, [finish] sweeps the lattice to its top.
-   The retired cuts plus the final frontier are every cut visited. *)
-let analyze_body ~spec comp =
-  let online =
-    Online.create ~nthreads:(Observer.Computation.nthreads comp)
-      ~init:(Pastltl.State.to_list (Observer.Computation.init_state comp))
-      ~spec ()
-  in
-  Online.feed_all online (Observer.Computation.messages comp);
+(* The one lattice sweep: an [Online] observer fed the messages in
+   whatever order they arrive, then finished.  The retired cuts plus
+   the final frontier are every cut visited. *)
+let sweep_body ~spec ~nthreads ~init messages =
+  let online = Online.create ~nthreads ~init ~spec () in
+  Online.feed_all online messages;
   Online.finish online;
   let gc = Online.gc_stats online in
   { spec;
@@ -48,11 +44,12 @@ let analyze_body ~spec comp =
         monitor_steps = gc.Online.monitor_steps;
         cuts_visited = gc.Online.retired_cuts + Online.frontier_cuts online } }
 
-let analyze ~spec comp =
+let sweep ~spec ~nthreads ~init messages =
   let r =
     if Telemetry.Span.enabled () then
-      Telemetry.Span.with_ ~name:"predict.analyze" (fun () -> analyze_body ~spec comp)
-    else analyze_body ~spec comp
+      Telemetry.Span.with_ ~name:"predict.analyze" (fun () ->
+          sweep_body ~spec ~nthreads ~init messages)
+    else sweep_body ~spec ~nthreads ~init messages
   in
   if M.enabled () then begin
     M.add m_levels r.stats.levels;
@@ -62,6 +59,11 @@ let analyze ~spec comp =
     M.set_max m_max_entries r.stats.max_frontier_entries
   end;
   r
+
+let analyze ~spec comp =
+  sweep ~spec ~nthreads:(Observer.Computation.nthreads comp)
+    ~init:(Pastltl.State.to_list (Observer.Computation.init_state comp))
+    (Observer.Computation.messages comp)
 
 let violated report = report.violations <> []
 

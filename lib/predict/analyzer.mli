@@ -14,9 +14,11 @@
     consistent cuts per level times the number of distinct monitor
     states (at most [2^|φ|], in practice a handful).
 
-    The sweep itself is {!Online}'s: the offline analysis is the online
-    observer fed the computation's messages in order, then finished.
-    This module only repackages its verdict and counters as a report. *)
+    The sweep itself is {!Online}'s: {!sweep} feeds one online observer
+    the messages in whatever order they arrive, finishes it, and
+    repackages its verdict and counters as a report; [jmpax check]
+    feeds it the channel's delivery order, {!analyze} a computation's
+    messages in order. *)
 
 open Trace
 
@@ -43,9 +45,19 @@ type report = {
   stats : stats;
 }
 
+val sweep :
+  spec:Pastltl.Formula.t ->
+  nthreads:int ->
+  init:(Types.var * Types.value) list ->
+  Message.t list ->
+  report
+(** [Online.create], [Online.feed_all] over the messages (any order),
+    then [Online.finish], under the [predict.analyze] span; records the
+    [predict.*] metrics.
+    @raise Invalid_argument on a duplicate or lost message. *)
+
 val analyze : spec:Pastltl.Formula.t -> Observer.Computation.t -> report
-(** [Online.create], [Online.feed_all] over
-    {!Observer.Computation.messages}, then [Online.finish]. *)
+(** {!sweep} over {!Observer.Computation.messages}. *)
 
 val violated : report -> bool
 

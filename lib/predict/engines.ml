@@ -74,15 +74,16 @@ let create ?max_buffered ?overflow_limit ~kinds ~nthreads ~init ~spec () =
   { kinds; online; linear; events = 0; degraded = None; nthreads; max_buffered; overflow_limit }
 
 (* [match]es, not [Option.iter]: a closure over [m] would be allocated
-   per message. *)
+   per message.  A message counts once every engine has accepted it: a
+   refused duplicate is not an event. *)
 let feed t m =
-  t.events <- t.events + 1;
   (match t.online with Some o -> Online.feed o m | None -> ());
-  match t.linear with
+  (match t.linear with
   | None -> ()
   | Some l ->
-      if M.enabled () then List.iter (fun k -> M.incr (List.assq k m_events)) l.order;
-      Linear.feed l.front l.sink m
+      Linear.feed l.front l.sink m;
+      if M.enabled () then List.iter (fun k -> M.incr (List.assq k m_events)) l.order);
+  t.events <- t.events + 1
 
 let end_of_thread t tid =
   (match t.online with Some o -> Online.end_of_thread o tid | None -> ());

@@ -17,9 +17,12 @@
     a thread halts); without it the analyzer still makes all progress
     that is safe.
 
-    This is the only lattice sweep in the library: the offline
-    {!Analyzer} is this observer fed the recorded messages in order.
-    The frontier runs on the sequential {!Observer.Frontier} engine.
+    This is the only lattice sweep in the library and the one route to
+    a lattice verdict: [jmpax check] feeds it the channel's delivery
+    order ({!Analyzer.sweep}), [jmpax stream] and [jmpax serve] the
+    decoded wire ({!Engines}), and {!Analyzer.analyze} a computation's
+    messages in order.  The frontier runs on the sequential
+    {!Observer.Frontier} engine.
     Verdicts do not depend on delivery order, and they agree with
     explicit run enumeration ({!Counterexample.check}) — properties the
     test suite checks over random programs. *)

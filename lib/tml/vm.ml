@@ -387,8 +387,8 @@ let run ?(fuel = 100_000) t =
   else loop ();
   result t
 
-let run_image ?clock ?fuel ?relevance ?sink ~sched image =
-  run ?fuel (create ?clock ?relevance ?sink ~sched image)
+let run_image ?clock ?fuel ?relevance ~sched image =
+  run ?fuel (create ?clock ?relevance ~sched image)
 
 let run_program ?clock ?fuel ?relevance ~sched program =
   run_image ?clock ?fuel ?relevance ~sched (Instrument.instrument_program program)

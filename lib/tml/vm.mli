@@ -93,7 +93,6 @@ val run_image :
   ?clock:Clock.Spec.backend ->
   ?fuel:int ->
   ?relevance:Mvc.Relevance.t ->
-  ?sink:(Message.t -> unit) ->
   sched:Sched.t ->
   Bytecode.image ->
   run_result

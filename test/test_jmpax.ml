@@ -93,54 +93,6 @@ let test_safe_program_is_clean () =
   | Some report -> Alcotest.(check bool) "race free" true (Predict.Race.race_free report)
   | None -> Alcotest.fail "race detection was on"
 
-(* {1 Online mode} *)
-
-let test_check_online_agrees_with_offline () =
-  List.iter
-    (fun (program, spec, script) ->
-      let config =
-        Jmpax.Config.default () |> Jmpax.Config.with_sched (Tml.Sched.of_script script)
-      in
-      let offline = Jmpax.Pipeline.check ~config ~spec program in
-      let config =
-        Jmpax.Config.default () |> Jmpax.Config.with_sched (Tml.Sched.of_script script)
-      in
-      let online = Jmpax.Pipeline.check_online ~config ~spec program in
-      Alcotest.(check bool) "verdicts agree"
-        (Jmpax.Pipeline.predicted_violation offline)
-        online.Jmpax.Pipeline.o_violated;
-      Alcotest.(check int) "same violation count"
-        (List.length offline.Jmpax.Pipeline.predictive.Predict.Analyzer.violations)
-        (List.length online.Jmpax.Pipeline.o_violations);
-      Alcotest.(check int) "frontier matches offline peak"
-        offline.Jmpax.Pipeline.predictive.Predict.Analyzer.stats
-          .Predict.Analyzer.max_frontier_entries
-        online.Jmpax.Pipeline.o_gc.Predict.Online.peak_frontier_entries)
-    [ (Tml.Programs.landing_bounded, Pastltl.Formula.landing_spec,
-       Tml.Programs.landing_observed);
-      (Tml.Programs.xyz, Pastltl.Formula.xyz_spec, Tml.Programs.xyz_observed) ]
-
-let test_check_online_random_schedules () =
-  List.iter
-    (fun seed ->
-      let offline =
-        Jmpax.Pipeline.check
-          ~config:(Jmpax.Config.default () |> Jmpax.Config.with_seed seed)
-          ~spec:Pastltl.Formula.landing_spec
-          (Tml.Programs.landing_full ~rounds:2)
-      in
-      let online =
-        Jmpax.Pipeline.check_online
-          ~config:(Jmpax.Config.default () |> Jmpax.Config.with_seed seed)
-          ~spec:Pastltl.Formula.landing_spec
-          (Tml.Programs.landing_full ~rounds:2)
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d agrees" seed)
-        (Jmpax.Pipeline.predicted_violation offline)
-        online.Jmpax.Pipeline.o_violated)
-    [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
-
 (* {1 Pipeline-level soundness} *)
 
 (* Across programs, specs, seeds and channels:
@@ -393,10 +345,6 @@ let () =
           Alcotest.test_case "check_source" `Quick test_check_source;
           Alcotest.test_case "safe program" `Quick test_safe_program_is_clean;
           Alcotest.test_case "--metrics clock gauges" `Quick test_metrics_clock_gauges ] );
-      ( "online",
-        [ Alcotest.test_case "agrees with offline" `Quick
-            test_check_online_agrees_with_offline;
-          Alcotest.test_case "random schedules" `Quick test_check_online_random_schedules ] );
       ( "soundness",
         [ Alcotest.test_case "observed => predicted; analyzer = enumeration" `Quick
             test_pipeline_soundness_sweep ] );

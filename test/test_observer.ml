@@ -1,4 +1,4 @@
-(* Tests for the observer: channels, ingestion, computation
+(* Tests for the observer: channels, computation
    reconstruction and the computation lattice, validated against
    exhaustive schedule exploration. *)
 
@@ -70,50 +70,6 @@ let test_bounded_reorder_window_bound () =
       in
       Alcotest.(check bool) "displacement bounded" true (old_pos - new_pos <= 1))
     delivered
-
-(* {1 Ingest} *)
-
-let test_ingest_in_order () =
-  let nthreads, init, messages = xyz_obs () in
-  let ing = Observer.Ingest.create ~nthreads ~init () in
-  Observer.Ingest.add_all ing messages;
-  Alcotest.(check int) "all added" 4 (Observer.Ingest.added ing);
-  let ready = Observer.Ingest.take_ready ing in
-  Alcotest.(check int) "all released" 4 (List.length ready);
-  Alcotest.(check int) "nothing pending" 0 (Observer.Ingest.pending ing)
-
-let test_ingest_out_of_order_releases_prefixes () =
-  let nthreads, init, messages = xyz_obs () in
-  (* Deliver thread 0's second message before its first. *)
-  let m0_1 = List.nth messages 0 (* x=0, T0 #1 *) in
-  let m0_2 = List.nth messages 3 (* y=1, T0 #2 *) in
-  let ing = Observer.Ingest.create ~nthreads ~init () in
-  Observer.Ingest.add ing m0_2;
-  Alcotest.(check int) "buffered, not ready" 0
-    (List.length (Observer.Ingest.take_ready ing));
-  Alcotest.(check int) "pending one" 1 (Observer.Ingest.pending ing);
-  Observer.Ingest.add ing m0_1;
-  Alcotest.(check int) "both released in order" 2
-    (List.length (Observer.Ingest.take_ready ing));
-  Alcotest.(check int) "released count" 2 (Observer.Ingest.released ing)
-
-let test_ingest_rejects_duplicates () =
-  let nthreads, init, messages = xyz_obs () in
-  let ing = Observer.Ingest.create ~nthreads ~init () in
-  let m = List.hd messages in
-  Observer.Ingest.add ing m;
-  match Observer.Ingest.add ing m with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "duplicate accepted"
-
-let test_ingest_detects_gaps () =
-  let nthreads, init, messages = xyz_obs () in
-  let ing = Observer.Ingest.create ~nthreads ~init () in
-  (* Drop thread 0's first message. *)
-  List.iteri (fun i m -> if i <> 0 then Observer.Ingest.add ing m) messages;
-  match Observer.Ingest.computation ing with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "gap not detected"
 
 (* {1 Computation reconstruction} *)
 
@@ -423,11 +379,6 @@ let () =
         [ Alcotest.test_case "permute but preserve" `Quick test_channels_permute_but_preserve;
           Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_is_permutation;
           Alcotest.test_case "bounded window" `Quick test_bounded_reorder_window_bound ] );
-      ( "ingest",
-        [ Alcotest.test_case "in order" `Quick test_ingest_in_order;
-          Alcotest.test_case "out of order" `Quick test_ingest_out_of_order_releases_prefixes;
-          Alcotest.test_case "duplicates" `Quick test_ingest_rejects_duplicates;
-          Alcotest.test_case "gaps" `Quick test_ingest_detects_gaps ] );
       ( "computation",
         [ Alcotest.test_case "order independent" `Quick test_reconstruction_order_independent;
           Alcotest.test_case "Fig. 6 causality" `Quick test_precedes_matches_paper_fig6;

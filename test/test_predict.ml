@@ -602,11 +602,24 @@ let test_online_duplicate_rejected () =
   let comp = xyz_comp () in
   let init = Pastltl.State.to_list (Observer.Computation.init_state comp) in
   let online = Predict.Online.create ~nthreads:2 ~init ~spec:Pastltl.Formula.True () in
-  let m = List.hd (Observer.Computation.messages comp) in
-  Predict.Online.feed online m;
-  match Predict.Online.feed online m with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "duplicate accepted"
+  (* Thread 0's second message ahead of its first is held back; the
+     first releases both, and a repeat of either is refused. *)
+  let m0_1, m0_2 =
+    match Observer.Computation.messages comp with
+    | a :: b :: _ -> (a, b)
+    | _ -> Alcotest.fail "xyz has two messages on thread 0"
+  in
+  Predict.Online.feed online m0_2;
+  Alcotest.(check int) "second held out of order" 1 (Predict.Online.out_of_order online);
+  Predict.Online.feed online m0_1;
+  Alcotest.(check int) "first releases the prefix" 0 (Predict.Online.out_of_order online);
+  Alcotest.(check int) "prefix 1..2" 3 (Predict.Online.next_index online 0);
+  List.iter
+    (fun m ->
+      match Predict.Online.feed online m with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.fail "duplicate accepted")
+    [ m0_1; m0_2 ]
 
 let test_online_missing_message_detected () =
   let comp = xyz_comp () in
@@ -617,6 +630,8 @@ let test_online_missing_message_detected () =
     (fun (m : Message.t) ->
       if not (m.tid = 0 && Message.seq m = 1) then Predict.Online.feed online m)
     (Observer.Computation.messages comp);
+  Alcotest.(check (option (pair int int))) "waiting for T0 #1" (Some (0, 1))
+    (Predict.Online.missing online);
   match Predict.Online.finish online with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "gap not detected"

@@ -1213,8 +1213,8 @@ let test_lossy_parity_with_stream () =
   Alcotest.(check bool) "some variants lose a frame for good" true (!gaps > 0)
 
 (* The [at_event] of the [degrade] log event is the verdict marker's, on
-   both front ends, also when a skipped duplicate frame went before it
-   (the marker counts it, the session's [events] does not). *)
+   both front ends, also when a skipped duplicate frame went before it:
+   neither the marker nor the session's [events] counts the duplicate. *)
 let test_degrade_log_at_event () =
   let doc =
     let ms = exploding_messages () in
@@ -1253,6 +1253,13 @@ let test_degrade_log_at_event () =
   Alcotest.(check int) "serve logs the marker's at_event" (marker (S.degraded s))
     (logged log);
   Alcotest.(check int) "one marker on both" at (marker (S.degraded s));
+  let clean =
+    stream_outcome ~budget:budget_64 ~on_overload:Jmpax.Budget.Degrade
+      ~recovery:Jmpax.Config.Fail ~engines:Predict.Engine.default_kinds
+      ~spec:Pastltl.Formula.True
+      (W.Framed3.encode exploding_header (exploding_messages ()))
+  in
+  Alcotest.(check int) "the duplicate is not counted" (marker clean.Jmpax.Stream.s_degraded) at;
   Alcotest.(check int) "the duplicate was skipped" 1 (S.skipped s)
 
 (* A session's per-message cost, as [Session.on_bytes] sees it: the

@@ -367,10 +367,8 @@ let paper_examples =
 
 (* The recorded trace of one monitored run, exactly as [jmpax run -o]
    writes it. *)
-let recorded_trace program script spec =
-  let config =
-    Jmpax.Config.default () |> Jmpax.Config.with_sched (Tml.Sched.of_script script)
-  in
+let recorded_trace program sched spec =
+  let config = Jmpax.Config.default () |> Jmpax.Config.with_sched sched in
   let out = Jmpax.Pipeline.check ~config ~spec program in
   let relevant = out.Jmpax.Pipeline.relevant_vars in
   let header =
@@ -380,7 +378,7 @@ let recorded_trace program script spec =
   (out, header, out.Jmpax.Pipeline.run.Tml.Vm.messages)
 
 (* Run [doc] through the stream driver at several chunk sizes and hold
-   it to the offline pipeline's verdict for the same trace. *)
+   it to [check]'s verdict and widest frontier for the same trace. *)
 let check_stream_parity ~spec name out messages doc =
   List.iter
     (fun chunk_size ->
@@ -393,6 +391,11 @@ let check_stream_parity ~spec name out messages doc =
             (Jmpax.Pipeline.verdict_line (Jmpax.Pipeline.predicted_violation out))
             (Jmpax.Pipeline.verdict_line o.Jmpax.Stream.s_violated);
           Alcotest.(check int)
+            (Printf.sprintf "%s: peak frontier entries" name)
+            out.Jmpax.Pipeline.predictive.Predict.Analyzer.stats
+              .Predict.Analyzer.max_frontier_entries
+            o.Jmpax.Stream.s_gc.Predict.Online.peak_frontier_entries;
+          Alcotest.(check int)
             (Printf.sprintf "%s: messages" name)
             (List.length messages)
             o.Jmpax.Stream.s_stats.Jmpax.Stream.messages;
@@ -403,11 +406,18 @@ let check_stream_parity ~spec name out messages doc =
     [ 1; 7; 64 * 1024 ]
 
 let test_stream_matches_check () =
+  let parity name program sched spec =
+    let out, header, messages = recorded_trace program sched spec in
+    check_stream_parity ~spec name out messages (W.Framed3.encode header messages)
+  in
   List.iter
     (fun (name, program, script, spec) ->
-      let out, header, messages = recorded_trace program script spec in
-      check_stream_parity ~spec name out messages (W.Framed3.encode header messages))
-    paper_examples
+      parity name program (Tml.Sched.of_script script) spec)
+    paper_examples;
+  for seed = 0 to 9 do
+    parity (Printf.sprintf "landing_full, seed %d" seed) (Tml.Programs.landing_full ~rounds:2)
+      (Tml.Sched.random ~seed) Pastltl.Formula.landing_spec
+  done
 
 (* A v3 document written frame by frame, as a live writer emits it, with
    the encoder's baselines reset halfway (a writer that redialed and
@@ -416,7 +426,7 @@ let test_stream_matches_check () =
 let test_stream_matches_check_v3 () =
   List.iter
     (fun (name, program, script, spec) ->
-      let out, header, messages = recorded_trace program script spec in
+      let out, header, messages = recorded_trace program (Tml.Sched.of_script script) spec in
       let buf = Buffer.create 1024 in
       Buffer.add_string buf W.Framed3.preamble;
       Buffer.add_string buf (W.Framed3.encode_header header);
@@ -437,7 +447,7 @@ let test_stream_over_fifo () =
   (* The real transport: a named pipe with a writer in another domain,
      read through the same code path as [jmpax stream FIFO]. *)
   let name, program, script, spec = List.nth paper_examples 0 in
-  let out, header, messages = recorded_trace program script spec in
+  let out, header, messages = recorded_trace program (Tml.Sched.of_script script) spec in
   let doc = W.Framed3.encode header messages in
   let dir = Filename.temp_file "jmpax" ".fifo.d" in
   Sys.remove dir;
@@ -508,7 +518,8 @@ let check_losses what messages doc (incomplete : (int * int) option) =
    that survives framing: the frame is well-delimited but its thread id
    byte now reads 9, out of range. *)
 let corrupted_landing () =
-  let _, header, messages = List.nth paper_examples 0 |> fun (_, p, s, f) -> recorded_trace p s f in
+  let _, program, script, spec = List.nth paper_examples 0 in
+  let _, header, messages = recorded_trace program (Tml.Sched.of_script script) spec in
   (* The victim must have a successor in its own thread, otherwise the
      loss is unobservable (nothing ever waits on the gap). *)
   let victim =
@@ -593,7 +604,7 @@ let test_recovery_quarantine () =
    lost, and never delivers a wrong clock. *)
 let test_recovery_skip_noise () =
   let _, program, script, spec = List.nth paper_examples 0 in
-  let _, header, messages = recorded_trace program script spec in
+  let _, header, messages = recorded_trace program (Tml.Sched.of_script script) spec in
   let enc = W.Framed3.encoder header in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf W.Framed3.preamble;
@@ -634,23 +645,6 @@ let test_online_backpressure () =
   | exception Predict.Online.Backpressure { buffered; limit } ->
       Alcotest.(check int) "limit" 2 limit;
       Alcotest.(check int) "buffered at the bound" 2 buffered
-
-let test_ingest_backpressure () =
-  let header, rev_ms = reversed_singlethread 4 in
-  let ing =
-    Observer.Ingest.create ~max_buffered:2 ~nthreads:header.W.nthreads
-      ~init:header.W.init ()
-  in
-  let rec push = function
-    | [] -> Alcotest.fail "bound of 2 absorbed 3 out-of-order messages"
-    | m :: rest -> (
-        match Observer.Ingest.offer ing m with
-        | Ok () -> push rest
-        | Error (Observer.Ingest.Overflow { limit; _ }) ->
-            Alcotest.(check int) "limit" 2 limit
-        | Error r -> Alcotest.fail (Observer.Ingest.reject_to_string r))
-  in
-  push rev_ms
 
 let test_stream_backpressure_enforced () =
   let header, rev_ms = reversed_singlethread 6 in
@@ -1126,6 +1120,39 @@ let test_stream_allocation () =
     Alcotest.failf "%.1f minor words per streamed message (budget %.1f)" words
       stream_alloc_budget
 
+(* The lattice over a wide all-events trace is bounded by the frontier
+   budget: a 16-thread lock-counter run recorded with every event (768
+   messages) under [1 == 1] needs 11,152 cuts on one level.  With a
+   10,000-cut budget the stream fails with [Budget.Exceeded], or sheds
+   the lattice and says so in the verdict. *)
+let test_stream_wide_trace_bounded () =
+  let threads = 16 in
+  let program = Tml.Parser.parse_program (Lock_counter.source ~threads ~iters:8 ~nops:0) in
+  let r =
+    Tml.Vm.run_program ~relevance:Mvc.Relevance.all_events ~sched:(Tml.Sched.random ~seed:1)
+      program
+  in
+  let messages = r.Tml.Vm.messages in
+  Alcotest.(check int) "messages" 768 (List.length messages);
+  let doc =
+    W.Framed3.encode { W.nthreads = threads; init = program.Tml.Ast.shared } messages
+  in
+  let budget = Jmpax.Budget.limits ~max_frontier_cuts:10_000 () in
+  let spec = Pastltl.Fparser.parse "1 == 1" in
+  let run on_overload = Jmpax.Stream.run_string ~budget ~on_overload ~spec doc in
+  (match run Jmpax.Budget.Fail with
+  | exception Jmpax.Budget.Exceeded b ->
+      Alcotest.(check string) "breach" "frontier budget exceeded: 11152 cuts > limit 10000"
+        (Jmpax.Budget.breach_message b)
+  | _ -> Alcotest.fail "the frontier budget did not stop the lattice");
+  match run Jmpax.Budget.Degrade with
+  | Ok { Jmpax.Stream.s_degraded = Some d; _ } ->
+      Alcotest.(check string) "degraded verdict"
+        "predictive verdict (JMPaX): degraded(from=lattice,reason=frontier_budget,at_event=762)"
+        (Jmpax.Pipeline.degraded_verdict_line d)
+  | Ok _ -> Alcotest.fail "never degraded"
+  | Error e -> Alcotest.failf "stream: %s" (E.to_string e)
+
 (* {1 Frame-size symmetry (the Frame_too_large asymmetry fix)} *)
 
 let test_frame_boundary () =
@@ -1250,7 +1277,9 @@ let () =
           Alcotest.test_case "verdicts match check (v3)" `Quick
             test_stream_matches_check_v3;
           Alcotest.test_case "over a FIFO" `Quick test_stream_over_fifo;
-          Alcotest.test_case "allocation per message" `Quick test_stream_allocation ] );
+          Alcotest.test_case "allocation per message" `Quick test_stream_allocation;
+          Alcotest.test_case "wide all-events trace is bounded" `Quick
+            test_stream_wide_trace_bounded ] );
       ( "recovery",
         [ Alcotest.test_case "fail" `Quick test_recovery_fail;
           Alcotest.test_case "skip" `Quick test_recovery_skip;
@@ -1259,7 +1288,6 @@ let () =
             test_recovery_skip_noise ] );
       ( "backpressure",
         [ Alcotest.test_case "online raises at the bound" `Quick test_online_backpressure;
-          Alcotest.test_case "ingest rejects at the bound" `Quick test_ingest_backpressure;
           Alcotest.test_case "stream enforces --max-buffered" `Quick
             test_stream_backpressure_enforced;
           Alcotest.test_case "gauge visible in metrics" `Quick
