@@ -11,7 +11,7 @@
 
    Usage:
      dune exec bench/main.exe            # everything
-     dune exec bench/main.exe -- E6      # one experiment (E1..E22)
+     dune exec bench/main.exe -- E6      # one experiment by id
      dune exec bench/main.exe -- perf    # only the Bechamel timing runs
 
    Add [--json FILE] to also write every recorded (experiment, metric,
@@ -499,109 +499,6 @@ let e13 () =
     "shape: violations are predicted from a serial (never-interleaved) run, and\n\
      disappear when the remote access takes the same lock.\n"
 
-(* {1 E14: clock backends on wide-thread workloads} *)
-
-(* Two program shapes where thread counts in the hundreds are realistic
-   and communication is localized, so a join usually carries few new
-   entries:
-
-   - dynamic-threads style: a master thread publishes a flag that every
-     worker reads, each worker writes its own variable, and the master
-     periodically audits all worker variables (a scaled-up version of
-     the dynamic-threads example's spawn/collect shape);
-   - race-audit style: threads share one variable per 8-thread group
-     and occasionally peek at the neighbouring group's variable.
-
-   The dense backend writes all n components on every join regardless of
-   this locality; the tree backend's monotone copy touches only entries
-   that actually advanced. *)
-let e14_workload ~nthreads ~style =
-  let evs = ref [] in
-  let push tid k = evs := (tid, k) :: !evs in
-  let own tid = Printf.sprintf "x%d" tid in
-  (match style with
-  | `Dynamic ->
-      for round = 1 to 4 do
-        push 0 (Trace.Event.Write ("flag", round));
-        for tid = 0 to nthreads - 1 do
-          push tid (Trace.Event.Read ("flag", 0));
-          push tid (Trace.Event.Write (own tid, round))
-        done;
-        for tid = 0 to nthreads - 1 do
-          push 0 (Trace.Event.Read (own tid, 0))
-        done
-      done
-  | `Race ->
-      let groups = max 1 (nthreads / 8) in
-      let gvar g = Printf.sprintf "g%d" g in
-      for round = 1 to 6 do
-        for tid = 0 to nthreads - 1 do
-          push tid (Trace.Event.Write (gvar (tid mod groups), round));
-          if round mod 2 = 0 then
-            push tid (Trace.Event.Read (gvar ((tid + 1) mod groups), 0))
-        done
-      done);
-  Array.of_list (List.rev !evs)
-
-let e14 () =
-  section "E14" "Clock backends (dense/sparse/tree): join cost at 64-512 threads";
-  let replay (backend : Clock.Spec.backend) ~nthreads events =
-    let module C = (val backend) in
-    let module A = Mvc.Algorithm.Make (C) in
-    fun () ->
-      let algo = A.create ~nthreads ~relevance:Mvc.Relevance.all_writes in
-      Array.iter (fun (tid, kind) -> ignore (A.process algo tid kind)) events
-  in
-  Printf.printf "%-16s %7s %-7s %9s %14s %11s %11s\n" "workload" "threads" "backend"
-    "joins" "entry-updates" "fast-joins" "time/replay";
-  let all_ok = ref true in
-  List.iter
-    (fun (sname, style) ->
-      List.iter
-        (fun nthreads ->
-          let events = e14_workload ~nthreads ~style in
-          let dense_updates = ref 0 in
-          let tree_updates = ref 0 in
-          List.iter
-            (fun bname ->
-              let backend = Clock.Registry.get bname in
-              let run = replay backend ~nthreads events in
-              Clock.Stats.reset ();
-              run ();
-              let joins = Clock.Stats.joins () in
-              let updates = Clock.Stats.entry_updates () in
-              let fast = Clock.Stats.fast_joins () in
-              Clock.Stats.reset ();
-              let ns =
-                match measure ~quota:0.2 [ Test.make ~name:bname (Staged.stage run) ] with
-                | [ (_, ns) ] -> ns
-                | _ -> nan
-              in
-              Clock.Stats.reset ();
-              if bname = "dense" then dense_updates := updates;
-              if bname = "tree" then tree_updates := updates;
-              let key m = Printf.sprintf "%s/%d/%s/%s" sname nthreads bname m in
-              record ~experiment:"E14" ~metric:(key "joins") (float_of_int joins);
-              record ~experiment:"E14" ~metric:(key "entry_updates")
-                (float_of_int updates);
-              record ~experiment:"E14" ~metric:(key "fast_joins") (float_of_int fast);
-              record ~experiment:"E14" ~metric:(key "ns_per_replay") ns;
-              Printf.printf "%-16s %7d %-7s %9d %14d %11d %11s\n" sname nthreads bname
-                joins updates fast (pp_ns ns))
-            [ "dense"; "sparse"; "tree" ];
-          let ok = !tree_updates < !dense_updates in
-          if not ok then all_ok := false;
-          Printf.printf "%-16s %7d tree vs dense entry updates: %d vs %d (%s)\n" sname
-            nthreads !tree_updates !dense_updates
-            (if ok then "strictly fewer" else "NOT FEWER"))
-        [ 64; 256; 512 ])
-    [ ("dynamic-threads", `Dynamic); ("race-audit", `Race) ];
-  record ~experiment:"E14" ~metric:"tree_strictly_fewer_than_dense"
-    (if !all_ok then 1. else 0.);
-  Printf.printf
-    "verdict: tree performs strictly fewer per-entry join updates than dense on %s\n"
-    (if !all_ok then "every workload above" else "SOME workloads only (unexpected)")
-
 (* {1 E16: telemetry overhead} *)
 
 (* The telemetry contract is one atomic load and branch per site when
@@ -970,7 +867,7 @@ let run_e22 ?smoke () =
 let experiments =
   [ ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E6", e6); ("E7", e7); ("E8", e8);
     ("E9", e9); ("E10", e10); ("E11", e11); ("E12", e12); ("E13", e13);
-    ("E14", e14); ("E16", fun () -> run_e16 ());
+    ("E16", fun () -> run_e16 ());
     ("E18", fun () -> run_e18 ());
     ("E22", fun () -> run_e22 ()) ]
 
@@ -1022,15 +919,15 @@ let () =
   | ([] | [ "all" ]), false -> List.iter (fun (_, f) -> f ()) experiments
   | [ "perf" ], _ ->
       e3 ();
-      e4 ();
-      e14 ()
+      e4 ()
   | ids, _ ->
       List.iter
         (fun id ->
           match List.assoc_opt (String.uppercase_ascii id) experiments with
           | Some f -> f ()
           | None ->
-              Printf.eprintf "unknown experiment %s (known: E1..E22, all, perf, --smoke)\n" id;
+              Printf.eprintf "unknown experiment %s (known: %s, all, perf, --smoke)\n" id
+                (String.concat ", " (List.map fst experiments));
               exit 2)
         ids);
   Option.iter write_json !json_path;

@@ -71,17 +71,6 @@ let channel_arg =
   in
   Arg.(value & opt string "in-order" & info [ "channel" ] ~docv:"MODEL" ~doc)
 
-let clock_arg =
-  let doc =
-    Printf.sprintf "Clock backend for Algorithm A: %s."
-      (String.concat ", "
-         (List.map (Printf.sprintf "$(b,%s)") (Clock.Registry.names ())))
-  in
-  Arg.(
-    value
-    & opt string Clock.Registry.default_name
-    & info [ "clock-backend" ] ~docv:"BACKEND" ~doc)
-
 let metrics_arg =
   let doc =
     "Record telemetry metrics during the run and dump the registry to \
@@ -117,14 +106,6 @@ let trace_arg =
      $(b,jmpax stats))."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-
-let parse_clock s =
-  match Clock.Registry.find s with
-  | Some b -> Ok b
-  | None ->
-      Error
-        (Printf.sprintf "unknown clock backend %S (known: %s)" s
-           (String.concat ", " (Clock.Registry.names ())))
 
 let parse_channel s =
   match String.split_on_char ':' s with
@@ -172,18 +153,16 @@ let parse_engines = function
 (* {1 check} *)
 
 let check_cmd =
-  let run example file spec seed fuel channel clock engine counterexamples
-      replay metrics trace =
+  let run example file spec seed fuel channel engine counterexamples replay metrics
+      trace =
     let program = or_die (load_program ~example ~file) in
     let spec = parse_spec spec in
     let channel = or_die (parse_channel channel) in
-    let clock = or_die (parse_clock clock) in
     let config =
       { (Jmpax.Config.default ()) with
         Jmpax.Config.sched = sched_of_seed seed;
         fuel;
         channel;
-        clock;
         engines = parse_engines engine;
         metrics;
         trace }
@@ -234,15 +213,14 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check" ~doc:"Run a program once and predict violations over all causally consistent runs.")
     Term.(const run $ example_arg $ file_arg $ spec_arg $ seed_arg $ fuel_arg
-          $ channel_arg $ clock_arg $ engine_arg $ counterexamples
+          $ channel_arg $ engine_arg $ counterexamples
           $ replay $ metrics_arg $ trace_arg)
 
 (* {1 run} *)
 
 let run_cmd =
-  let run example file seed fuel output format spec clock engine metrics trace =
+  let run example file seed fuel output format spec engine metrics trace =
     let program = or_die (load_program ~example ~file) in
-    let clock = or_die (parse_clock clock) in
     (* The race/atomicity engines consume reads as well as writes, so a
        trace recorded for them must carry every event; the mangled
        [#read:] messages pass through check/stream/serve transparently. *)
@@ -269,7 +247,7 @@ let run_cmd =
       |> Jmpax.Config.with_trace trace
     in
     Jmpax.Pipeline.with_telemetry tconfig @@ fun () ->
-    let r = Tml.Vm.run_program ~clock ~fuel ~relevance ~sched:(sched_of_seed seed) program in
+    let r = Tml.Vm.run_program ~fuel ~relevance ~sched:(sched_of_seed seed) program in
     Format.printf "outcome: %a (%d observable steps)@." Tml.Vm.pp_outcome
       r.Tml.Vm.outcome r.Tml.Vm.steps;
     Format.printf "final state:";
@@ -322,7 +300,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Execute an instrumented program once and dump its messages.")
     Term.(const run $ example_arg $ file_arg $ seed_arg $ fuel_arg $ output $ format
-          $ spec_arg $ clock_arg $ engine_arg $ metrics_arg $ trace_arg)
+          $ spec_arg $ engine_arg $ metrics_arg $ trace_arg)
 
 (* {1 stream} *)
 
@@ -932,15 +910,11 @@ let serve_cmd =
 (* {1 lattice} *)
 
 let lattice_cmd =
-  let run example file spec seed fuel clock dot =
+  let run example file spec seed fuel dot =
     let program = or_die (load_program ~example ~file) in
     let spec = parse_spec spec in
-    let clock = or_die (parse_clock clock) in
     let config =
-      { (Jmpax.Config.default ()) with
-        Jmpax.Config.sched = sched_of_seed seed;
-        fuel;
-        clock }
+      { (Jmpax.Config.default ()) with Jmpax.Config.sched = sched_of_seed seed; fuel }
     in
     let output = Jmpax.Pipeline.check ~config ~spec program in
     if dot then begin
@@ -966,8 +940,7 @@ let lattice_cmd =
   Cmd.v
     (Cmd.info "lattice"
        ~doc:"Print the computation lattice of one monitored run (cf. the paper's Figs. 5 and 6).")
-    Term.(const run $ example_arg $ file_arg $ spec_arg $ seed_arg $ fuel_arg
-          $ clock_arg $ dot)
+    Term.(const run $ example_arg $ file_arg $ spec_arg $ seed_arg $ fuel_arg $ dot)
 
 (* {1 race} *)
 

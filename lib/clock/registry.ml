@@ -1,66 +1,15 @@
-(* Name -> backend lookup for CLI flags and tests. *)
+(* Clock backends by name, kept only for the benchmark ledger's
+   per-backend Algorithm A probe (bench/ledger/probes.ml), which hands
+   [get]'s result to [Mvc.Emitter.create ~clock].  Algorithm A runs on
+   dense vector clocks alone, so dense is the one backend; this module
+   goes when the ledger retires that probe. *)
 
-let builtin : Spec.backend list = [ (module Dense); (module Sparse); (module Tree) ]
-let registered : Spec.backend list ref = ref builtin
+type backend = Dense
 
-let register (b : Spec.backend) =
-  let module B = (val b) in
-  if
-    List.exists
-      (fun (c : Spec.backend) ->
-        let module C = (val c) in
-        C.name = B.name)
-      !registered
-  then invalid_arg (Printf.sprintf "Registry.register: backend %S already registered" B.name)
-  else registered := !registered @ [ b ]
-
-let names () =
-  List.map
-    (fun (b : Spec.backend) ->
-      let module B = (val b) in
-      B.name)
-    !registered
-
-let find name =
-  List.find_opt
-    (fun (b : Spec.backend) ->
-      let module B = (val b) in
-      B.name = name)
-    !registered
+let default = Dense
+let default_name = "dense"
+let names () = [ default_name ]
 
 let get name =
-  match find name with
-  | Some b -> b
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Registry.get: unknown clock backend %S (known: %s)" name
-           (String.concat ", " (names ())))
-
-let default : Spec.backend = (module Dense)
-let default_name = Dense.name
-
-(* {1 Per-backend join statistics}
-
-   Every backend module accounts its joins into a named [Stats] handle;
-   these accessors make that readable (and resettable) from outside the
-   library, keyed by the same names [find]/[get] use. *)
-
-let zero_stats : Stats.snapshot = { joins = 0; entry_updates = 0; fast_joins = 0 }
-
-let stats name =
-  ignore (get name);
-  (* Backends create their handle at module init, so a registered name
-     always resolves; a backend that never joined reads all zeros. *)
-  match Stats.find name with Some s -> s | None -> zero_stats
-
-let all_stats () =
-  List.map
-    (fun name -> (name, match Stats.find name with Some s -> s | None -> zero_stats))
-    (names ())
-
-let reset_stats ?name () =
-  match name with
-  | None -> Stats.reset ()
-  | Some name ->
-      ignore (get name);
-      Stats.reset_backend name
+  if name = default_name then default
+  else invalid_arg (Printf.sprintf "Registry.get: unknown clock backend %S (known: dense)" name)

@@ -12,7 +12,6 @@ type t = {
   sched : Tml.Sched.t;
   fuel : int;
   channel : channel_model;
-  clock : Clock.Spec.backend;
   detect_races : bool;
   detect_deadlocks : bool;
   detect_atomicity : bool;
@@ -25,7 +24,6 @@ let default () =
   { sched = Tml.Sched.round_robin ();
     fuel = 100_000;
     channel = In_order;
-    clock = Clock.Registry.default;
     detect_races = true;
     detect_deadlocks = true;
     detect_atomicity = true;

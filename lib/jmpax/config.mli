@@ -18,7 +18,6 @@ type t = {
   sched : Tml.Sched.t;
   fuel : int;  (** observable-step budget for the monitored run *)
   channel : channel_model;  (** delivery model between program and observer *)
-  clock : Clock.Spec.backend;  (** Algorithm A clock backend *)
   detect_races : bool;
   detect_deadlocks : bool;
   detect_atomicity : bool;
@@ -35,8 +34,8 @@ type t = {
 }
 
 val default : unit -> t
-(** Round-robin schedule, [fuel = 100_000], in-order delivery, dense
-    clocks, race, deadlock and atomicity detection on. *)
+(** Round-robin schedule, [fuel = 100_000], in-order delivery, race,
+    deadlock and atomicity detection on. *)
 
 val with_sched : Tml.Sched.t -> t -> t
 val with_seed : int -> t -> t

@@ -20,24 +20,19 @@ type output = {
 let telemetry_sink dest =
   if dest = "-" then (stdout, false) else (open_out dest, true)
 
-(* The clock backends account joins into [Clock.Stats] unconditionally
-   (three field writes per join); surfacing them as gauges at dump time
-   folds them into the one metrics report. *)
-let inject_clock_stats () =
-  List.iter
-    (fun (name, (s : Clock.Stats.snapshot)) ->
-      let set suffix v =
-        Telemetry.Metrics.set
-          (Telemetry.Metrics.gauge (Printf.sprintf "clock.%s.%s" name suffix))
-          v
-      in
-      set "joins" s.joins;
-      set "entry_updates" s.entry_updates;
-      set "fast_joins" s.fast_joins)
-    (Clock.Registry.all_stats ())
+(* Algorithm A counts its joins unconditionally (two field writes per
+   join); publishing the counts as gauges at dump time folds them into
+   the one metrics report.  A dense join writes all n entries, never
+   none, so [fast_joins] reads 0. *)
+let publish_join_stats () =
+  let s = Mvc.Algorithm.join_stats () in
+  let set name v = Telemetry.Metrics.set (Telemetry.Metrics.gauge ("clock.dense." ^ name)) v in
+  set "joins" s.joins;
+  set "entry_updates" s.entry_updates;
+  set "fast_joins" 0
 
 let dump_metrics dest =
-  inject_clock_stats ();
+  publish_join_stats ();
   let text =
     if Filename.check_suffix dest ".json" then Telemetry.Metrics.to_json ()
     else Telemetry.Metrics.to_text ()
@@ -60,7 +55,7 @@ let with_telemetry (config : Config.t) f =
       in
       if metrics <> None then begin
         Telemetry.Metrics.reset ();
-        Clock.Registry.reset_stats ();
+        Mvc.Algorithm.reset_join_stats ();
         Telemetry.Metrics.enable_deep ()
       end;
       Fun.protect
@@ -88,8 +83,7 @@ let check ?(config = Config.default ()) ~spec program =
   let image = Tml.Instrument.instrument_program program in
   let relevance = Mvc.Relevance.writes_of_vars relevant_vars in
   let run =
-    Tml.Vm.run_image ~clock:config.Config.clock ~fuel:config.Config.fuel ~relevance
-      ~sched:config.Config.sched image
+    Tml.Vm.run_image ~fuel:config.Config.fuel ~relevance ~sched:config.Config.sched image
   in
   (match run.Tml.Vm.outcome with
   | Tml.Vm.Runtime_error { tid; message } ->

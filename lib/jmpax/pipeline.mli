@@ -40,9 +40,9 @@ type output = {
 val with_telemetry : Config.t -> (unit -> 'a) -> 'a
 (** Runs the thunk with telemetry configured per [config.metrics] /
     [config.trace].  When both are [None] this is exactly [f ()].
-    Otherwise: metric recording (and clock-stats counters) is reset and
-    enabled for the duration when [metrics] is set, and the registry —
-    including per-backend {!Clock.Stats} as [clock.<backend>.*] gauges —
+    Otherwise: metric recording (and Algorithm A's join counts) is reset
+    and enabled for the duration when [metrics] is set, and the registry
+    — including {!Mvc.Algorithm.join_stats} as [clock.dense.*] gauges —
     is dumped to the destination afterwards ([.json] selects the JSON
     exporter, ["-"] stdout); span tracing is written to [trace]
     likewise.  Dump and teardown also happen when the thunk raises. *)

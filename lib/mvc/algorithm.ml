@@ -1,102 +1,10 @@
 open Trace
 
-module type S = sig
-  type clock
-  type t
-
-  val create : nthreads:int -> relevance:Relevance.t -> t
-  val nthreads : t -> int
-  val relevance : t -> Relevance.t
-  val process : t -> Types.tid -> Event.kind -> clock option
-  val thread_clock : t -> Types.tid -> clock
-  val access_clock : t -> Types.var -> clock
-  val write_clock : t -> Types.var -> clock
-  val relevant_count : t -> Types.tid -> int
-  val invariant : t -> bool
-end
-
-module Make (C : Clock.Spec.CLOCK) = struct
-  type clock = C.t
-
-  type t = {
-    n : int;
-    relevance : Relevance.t;
-    vi : C.t array;
-    va : (Types.var, C.t) Hashtbl.t;
-    vw : (Types.var, C.t) Hashtbl.t;
-  }
-
-  let create ~nthreads ~relevance =
-    if nthreads <= 0 then invalid_arg "Algorithm.create: nthreads must be positive";
-    { n = nthreads;
-      relevance;
-      vi = Array.init nthreads (fun _ -> C.zero nthreads);
-      va = Hashtbl.create 16;
-      vw = Hashtbl.create 16 }
-
-  let nthreads t = t.n
-  let relevance t = t.relevance
-
-  let var_clock table n x =
-    match Hashtbl.find_opt table x with Some v -> v | None -> C.zero n
-
-  let access_clock t x = var_clock t.va t.n x
-  let write_clock t x = var_clock t.vw t.n x
-  let thread_clock t i =
-    if i < 0 || i >= t.n then invalid_arg "Algorithm.thread_clock: bad thread id";
-    t.vi.(i)
-
-  let relevant_count t i = C.get (thread_clock t i) i
-
-  let process t i (kind : Event.kind) =
-    if i < 0 || i >= t.n then invalid_arg "Algorithm.process: bad thread id";
-    let relevant = Relevance.is_relevant t.relevance kind in
-    (* step 1 *)
-    if relevant then t.vi.(i) <- C.inc t.vi.(i) i;
-    (match kind with
-    | Event.Internal -> ()
-    | Event.Read (x, _) ->
-        (* step 2; the live thread clock absorbs, the variable clock
-           accumulates. *)
-        t.vi.(i) <- C.absorb t.vi.(i) (write_clock t x);
-        Hashtbl.replace t.va x (C.max (access_clock t x) t.vi.(i))
-    | Event.Write (x, _) ->
-        (* step 3 *)
-        let v = C.absorb t.vi.(i) (access_clock t x) in
-        t.vi.(i) <- v;
-        Hashtbl.replace t.va x v;
-        Hashtbl.replace t.vw x v);
-    (* step 4 *)
-    if relevant then Some t.vi.(i) else None
-
-  let invariant t =
-    let ok = ref true in
-    let totals = Array.init t.n (fun i -> relevant_count t i) in
-    let within v =
-      let rec go j = j >= t.n || (C.get v j <= totals.(j) && go (j + 1)) in
-      go 0
-    in
-    Hashtbl.iter
-      (fun x va ->
-        if not (C.leq (write_clock t x) va) then ok := false;
-        if not (within va) then ok := false)
-      t.va;
-    Hashtbl.iter (fun _ vw -> if not (within vw) then ok := false) t.vw;
-    Array.iter (fun v -> if not (within v) then ok := false) t.vi;
-    !ok
-end
-
-(* {1 The in-place dense instance}
-
-   Variables are interned to dense ids; [va.(x)] and [vw.(x)] are
+(* Variables are interned to dense ids; [va.(x)] and [vw.(x)] are
    mutable clocks, allocated (zero) when [x] is interned, and every
    join is {!Vclock.join_into}.  A clock is copied only when it leaves:
    in an emitted message or from an accessor, so no clock handed out
-   ever changes.  Each join visits all [n] components, so it accounts
-   into the dense backend's statistics exactly as [Make (Clock.Dense)]'s
-   [max] does. *)
-
-type clock = Vclock.t
+   ever changes. *)
 
 type t = {
   n : int;
@@ -168,14 +76,25 @@ let thread_clock t i =
   check_tid "thread_clock" t i;
   Vclock.freeze t.vi.(i)
 
-(* The functor's error text, whose [relevant_count] reads [thread_clock]. *)
+(* The error text names [thread_clock], which [relevant_count] reads. *)
 let relevant_count t i =
   check_tid "thread_clock" t i;
   t.vi.(i).(i)
 
+type join_stats = { joins : int; entry_updates : int }
+type counters = { mutable joins : int; mutable entry_updates : int }
+
+let counters = { joins = 0; entry_updates = 0 }
+let join_stats () : join_stats = { joins = counters.joins; entry_updates = counters.entry_updates }
+
+let reset_join_stats () =
+  counters.joins <- 0;
+  counters.entry_updates <- 0
+
 let join t dst src =
   ignore (Vclock.join_into dst src ~own:(-1));
-  Clock.Stats.note_join Clock.Dense.stats ~entries:t.n
+  counters.joins <- counters.joins + 1;
+  counters.entry_updates <- counters.entry_updates + t.n
 
 let process_at t i ~var (kind : Event.kind) =
   check_tid "process" t i;

@@ -1,85 +1,58 @@
 open Trace
 
-module type S = sig
-  type clock
-  type t
+type t = {
+  relevance : Relevance.t;
+  vi : (Types.tid, Dvclock.t) Hashtbl.t;
+  va : (Types.var, Dvclock.t) Hashtbl.t;
+  vw : (Types.var, Dvclock.t) Hashtbl.t;
+  mutable seen : Types.tid list;  (* ascending *)
+}
 
-  val create : relevance:Relevance.t -> t
-  val spawn : t -> parent:Types.tid -> child:Types.tid -> unit
-  val join : t -> parent:Types.tid -> child:Types.tid -> unit
-  val process : t -> Types.tid -> Event.kind -> clock option
-  val thread_clock : t -> Types.tid -> clock
-  val access_clock : t -> Types.var -> clock
-  val write_clock : t -> Types.var -> clock
-  val threads_seen : t -> Types.tid list
-  val relevant_count : t -> Types.tid -> int
-end
+let create ~relevance =
+  { relevance; vi = Hashtbl.create 8; va = Hashtbl.create 8; vw = Hashtbl.create 8;
+    seen = [] }
 
-module Make (C : Clock.Spec.CLOCK) = struct
-  type clock = C.t
+let note_thread t tid =
+  if not (List.mem tid t.seen) then t.seen <- List.sort compare (tid :: t.seen)
 
-  type t = {
-    relevance : Relevance.t;
-    vi : (Types.tid, C.t) Hashtbl.t;
-    va : (Types.var, C.t) Hashtbl.t;
-    vw : (Types.var, C.t) Hashtbl.t;
-    mutable seen : Types.tid list;  (* ascending *)
-  }
+let clock_of table key =
+  match Hashtbl.find_opt table key with Some v -> v | None -> Dvclock.empty
 
-  (* Open thread population: the capacity hint is meaningless, any
-     nonnegative id may appear. *)
-  let bottom () = C.zero 1
+let thread_clock t tid = clock_of t.vi tid
+let access_clock t x = clock_of t.va x
+let write_clock t x = clock_of t.vw x
 
-  let create ~relevance =
-    { relevance; vi = Hashtbl.create 8; va = Hashtbl.create 8; vw = Hashtbl.create 8;
-      seen = [] }
+let spawn t ~parent ~child =
+  if parent < 0 || child < 0 then invalid_arg "Dynamic.spawn: negative thread id";
+  if Hashtbl.mem t.vi child then
+    invalid_arg "Dynamic.spawn: child thread already exists";
+  note_thread t parent;
+  note_thread t child;
+  (* The child inherits the parent's knowledge: every prior parent event
+     causally precedes every child event. *)
+  Hashtbl.replace t.vi child (thread_clock t parent)
 
-  let note_thread t tid =
-    if not (List.mem tid t.seen) then t.seen <- List.sort compare (tid :: t.seen)
+let join t ~parent ~child =
+  note_thread t parent;
+  note_thread t child;
+  Hashtbl.replace t.vi parent (Dvclock.max (thread_clock t parent) (thread_clock t child))
 
-  let thread_clock t tid =
-    match Hashtbl.find_opt t.vi tid with Some v -> v | None -> bottom ()
+let process t tid (kind : Event.kind) =
+  if tid < 0 then invalid_arg "Dynamic.process: negative thread id";
+  note_thread t tid;
+  let relevant = Relevance.is_relevant t.relevance kind in
+  if relevant then Hashtbl.replace t.vi tid (Dvclock.inc (thread_clock t tid) tid);
+  (match kind with
+  | Event.Internal -> ()
+  | Event.Read (x, _) ->
+      Hashtbl.replace t.vi tid (Dvclock.max (thread_clock t tid) (write_clock t x));
+      Hashtbl.replace t.va x (Dvclock.max (access_clock t x) (thread_clock t tid))
+  | Event.Write (x, _) ->
+      let v = Dvclock.max (thread_clock t tid) (access_clock t x) in
+      Hashtbl.replace t.vi tid v;
+      Hashtbl.replace t.va x v;
+      Hashtbl.replace t.vw x v);
+  if relevant then Some (thread_clock t tid) else None
 
-  let var_clock table x =
-    match Hashtbl.find_opt table x with Some v -> v | None -> bottom ()
-
-  let access_clock t x = var_clock t.va x
-  let write_clock t x = var_clock t.vw x
-
-  let spawn t ~parent ~child =
-    if parent < 0 || child < 0 then invalid_arg "Dynamic.spawn: negative thread id";
-    if Hashtbl.mem t.vi child then
-      invalid_arg "Dynamic.spawn: child thread already exists";
-    note_thread t parent;
-    note_thread t child;
-    (* The child inherits the parent's knowledge: every prior parent event
-       causally precedes every child event. *)
-    Hashtbl.replace t.vi child (thread_clock t parent)
-
-  let join t ~parent ~child =
-    note_thread t parent;
-    note_thread t child;
-    Hashtbl.replace t.vi parent (C.absorb (thread_clock t parent) (thread_clock t child))
-
-  let process t tid (kind : Event.kind) =
-    if tid < 0 then invalid_arg "Dynamic.process: negative thread id";
-    note_thread t tid;
-    let relevant = Relevance.is_relevant t.relevance kind in
-    if relevant then Hashtbl.replace t.vi tid (C.inc (thread_clock t tid) tid);
-    (match kind with
-    | Event.Internal -> ()
-    | Event.Read (x, _) ->
-        Hashtbl.replace t.vi tid (C.absorb (thread_clock t tid) (write_clock t x));
-        Hashtbl.replace t.va x (C.max (access_clock t x) (thread_clock t tid))
-    | Event.Write (x, _) ->
-        let v = C.absorb (thread_clock t tid) (access_clock t x) in
-        Hashtbl.replace t.vi tid v;
-        Hashtbl.replace t.va x v;
-        Hashtbl.replace t.vw x v);
-    if relevant then Some (thread_clock t tid) else None
-
-  let threads_seen t = t.seen
-  let relevant_count t tid = C.get (thread_clock t tid) tid
-end
-
-include Make (Clock.Sparse)
+let threads_seen t = t.seen
+let relevant_count t tid = Dvclock.get (thread_clock t tid) tid

@@ -22,61 +22,32 @@ let per_tid_counter i =
     grown.(i)
   end
 
-(* Dense clocks run the in-place toplevel algorithm on variable ids;
-   any other backend runs [Algorithm.Make], erased behind closures.
-   Messages always carry dense clocks, so the wire format is
-   backend-independent. *)
-type algorithm =
-  | In_place of Algorithm.t
-  | Functor of { process : Types.tid -> Event.kind -> Vclock.t option; check : unit -> bool }
-
 type t = {
   builder : Exec.builder;
-  algorithm : algorithm;
+  algorithm : Algorithm.t;
   vars : Types.var array;
-  backend : string;
   sink : Message.t -> unit;
   mutable rev_messages : Message.t list;
   mutable count : int;
 }
 
-let create ?(clock = Clock.Registry.default) ?(vars = [||]) ~nthreads ~init ~relevance
-    ?(sink = fun _ -> ()) () =
-  let module C = (val clock : Clock.Spec.CLOCK) in
-  let algorithm =
-    if C.name = Clock.Dense.name then begin
-      let algo = Algorithm.create ~nthreads ~relevance in
-      Array.iteri
-        (fun id x ->
-          if Algorithm.intern algo x <> id then
-            invalid_arg ("Emitter.create: variable " ^ x ^ " listed twice"))
-        vars;
-      In_place algo
-    end
-    else begin
-      let module A = Algorithm.Make (C) in
-      let algo = A.create ~nthreads ~relevance in
-      Functor
-        { process =
-            (fun tid kind -> Option.map (C.to_vclock ~dim:nthreads) (A.process algo tid kind));
-          check = (fun () -> A.invariant algo) }
-    end
-  in
+let create ?clock:_ ?(vars = [||]) ~nthreads ~init ~relevance ?(sink = fun _ -> ()) () =
+  let algorithm = Algorithm.create ~nthreads ~relevance in
+  Array.iteri
+    (fun id x ->
+      if Algorithm.intern algorithm x <> id then
+        invalid_arg ("Emitter.create: variable " ^ x ^ " listed twice"))
+    vars;
   { builder = Exec.builder ~nthreads ~init;
     algorithm;
     vars;
-    backend = C.name;
     sink;
     rev_messages = [];
     count = 0 }
 
-let process t var (e : Event.t) =
-  match t.algorithm with
-  | In_place algo -> Algorithm.process_at algo e.tid ~var e.kind
-  | Functor f -> f.process e.tid e.kind
+let process t var (e : Event.t) = Algorithm.process_at t.algorithm e.tid ~var e.kind
 
-(* [var] is the event's variable id (unused for internal events and by
-   the functor path). *)
+(* [var] is the event's variable id (unused for internal events). *)
 let dispatch t var (e : Event.t) =
   if M.enabled () then M.incr m_events;
   let mvc =
@@ -108,7 +79,7 @@ let dispatch t var (e : Event.t) =
       end;
       t.sink m
 
-let var_id t x = match t.algorithm with In_place algo -> Algorithm.intern algo x | Functor _ -> -1
+let var_id t x = Algorithm.intern t.algorithm x
 
 let on_internal t tid = dispatch t (-1) (Exec.add_internal t.builder tid)
 let on_read t tid x v = dispatch t (var_id t x) (Exec.add_read t.builder tid x v)
@@ -116,9 +87,6 @@ let on_write t tid x v = dispatch t (var_id t x) (Exec.add_write t.builder tid x
 let on_read_id t tid id v = dispatch t id (Exec.add_read t.builder tid t.vars.(id) v)
 let on_write_id t tid id v = dispatch t id (Exec.add_write t.builder tid t.vars.(id) v)
 
-let invariant t =
-  match t.algorithm with In_place algo -> Algorithm.invariant algo | Functor f -> f.check ()
-
-let backend_name t = t.backend
+let invariant t = Algorithm.invariant t.algorithm
 let message_count t = t.count
 let finish t = (Exec.freeze t.builder, List.rev t.rev_messages)

@@ -158,7 +158,7 @@ let rebuild_runnable t =
     done;
   t.nrunnable <- !n
 
-let create ?clock ?(relevance = Mvc.Relevance.all_writes) ?sink ~sched image =
+let create ?(relevance = Mvc.Relevance.all_writes) ?sink ~sched image =
   (match Bytecode.validate image with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Vm.create: invalid image: " ^ msg));
@@ -167,7 +167,7 @@ let create ?clock ?(relevance = Mvc.Relevance.all_writes) ?sink ~sched image =
   let emitter =
     if image.instrumented then
       Some
-        (Mvc.Emitter.create ?clock ~vars:image.vars ~nthreads:(nthreads image)
+        (Mvc.Emitter.create ~vars:image.vars ~nthreads:(nthreads image)
            ~init:image.shared_init ~relevance ?sink ())
     else None
   in
@@ -387,11 +387,10 @@ let run ?(fuel = 100_000) t =
   else loop ();
   result t
 
-let run_image ?clock ?fuel ?relevance ~sched image =
-  run ?fuel (create ?clock ?relevance ~sched image)
+let run_image ?fuel ?relevance ~sched image = run ?fuel (create ?relevance ~sched image)
 
-let run_program ?clock ?fuel ?relevance ~sched program =
-  run_image ?clock ?fuel ?relevance ~sched (Instrument.instrument_program program)
+let run_program ?fuel ?relevance ~sched program =
+  run_image ?fuel ?relevance ~sched (Instrument.instrument_program program)
 
 let pp_outcome ppf = function
   | Completed -> Format.pp_print_string ppf "completed"

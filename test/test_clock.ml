@@ -1,12 +1,14 @@
-(* Conformance laws for the pluggable clock backends, instantiated per
-   backend, plus differential tests running Algorithm A over two
-   backends side by side.
+(* Conformance laws for the two clock modules Algorithm A runs on: the
+   dense [Vclock] of the paper's Fig. 2 and the sparse [Dvclock] behind
+   its dynamic-threads extension ([Mvc.Dynamic], Section 2); and the
+   in-place [Mvc.Algorithm] against a reference model, the hash-table
+   algorithm over immutable clocks that Fig. 2 reads as.
 
-   Clock families are generated by the protocol Algorithm A follows
-   (see the [Clock.Spec] doc): thread clocks advance only through their
-   own [inc]/[absorb] lineage, accumulator clocks only through [max].
-   Every generated clock is shadowed by a dense model array, so each law
-   is checked against ground truth. *)
+   Clock families are generated by the protocol Algorithm A follows:
+   thread clocks advance only through their own [inc] and joins into
+   themselves, accumulator clocks only through joins.  Every generated
+   clock is shadowed by a dense model array, so each law is checked
+   against ground truth. *)
 
 open Trace
 
@@ -76,11 +78,38 @@ let event_kind = function
 
 (* {1 The law suite} *)
 
-module Laws (C : Clock.Spec.CLOCK) = struct
+(* What the laws read of a clock module.  [emit] runs Algorithm A over
+   it on [steps] and returns the emitted (thread, clock) pairs in order
+   and the algorithm's consistency verdict. *)
+module type CLOCK = sig
+  type t
+
+  val name : string
+  val zero : int -> t
+  val get : t -> int -> int
+  val inc : t -> int -> t
+  val max : t -> t -> t
+  val leq : t -> t -> bool
+  val lt : t -> t -> bool
+  val equal : t -> t -> bool
+  val compare : t -> t -> int
+  val concurrent : t -> t -> bool
+  val sum : t -> int
+  val hash : t -> int
+
+  val serialize_roundtrip : t -> t
+  (** Out to the module's external form and back. *)
+
+  val of_vclock : Vclock.t -> t
+  val to_vclock : dim:int -> t -> Vclock.t
+  val emit : nthreads:int -> (int * Event.kind) list -> (int * t) list * bool
+end
+
+module Laws (C : CLOCK) = struct
   let mjoin a b = Array.mapi (fun j x -> Stdlib.max x b.(j)) a
 
-  (* Replay a protocol op sequence against backend [C] and the dense
-     model in lockstep; returns every live clock with its model. *)
+  (* Replay a protocol op sequence against [C] and the dense model in
+     lockstep; returns every live clock with its model. *)
   let replay ~nthreads ops =
     let tc = Array.init nthreads (fun _ -> C.zero nthreads) in
     let tm = Array.make_matrix nthreads nthreads 0 in
@@ -99,7 +128,7 @@ module Laws (C : Clock.Spec.CLOCK) = struct
             am.(a) <- mjoin am.(a) tm.(i)
         | Absorb (i, a) ->
             let i = i mod nthreads and a = a mod nacc in
-            tc.(i) <- C.absorb tc.(i) ac.(a);
+            tc.(i) <- C.max tc.(i) ac.(a);
             tm.(i) <- mjoin tm.(i) am.(a)
         | Join_acc (a, b) ->
             let a = a mod nacc and b = b mod nacc in
@@ -168,7 +197,7 @@ module Laws (C : Clock.Spec.CLOCK) = struct
     law "serialize roundtrips (value, order, hash)" 200 (fun ops ->
         List.for_all
           (fun (c, m) ->
-            let c' = C.deserialize (C.serialize c) in
+            let c' = C.serialize_roundtrip c in
             C.equal c c' && C.hash c = C.hash c' && agrees ~nthreads c' m)
           (replay ~nthreads ops))
 
@@ -182,24 +211,16 @@ module Laws (C : Clock.Spec.CLOCK) = struct
             && C.equal (C.of_vclock v) c)
           (replay ~nthreads ops))
 
-  (* Theorem 3 on messages emitted by Algorithm A over this backend:
-     for emissions k < l, V_k[i_k] <= V_l[i_k] iff V_k < V_l. *)
-  module A = Mvc.Algorithm.Make (C)
-
+  (* Theorem 3 on messages emitted by Algorithm A over this clock: for
+     emissions k < l, V_k[i_k] <= V_l[i_k] iff V_k < V_l. *)
   let t_theorem3 =
     let nthreads = 4 in
     QCheck.Test.make
       ~name:(Printf.sprintf "%s: Theorem 3 equivalence on emitted pairs" C.name)
       ~count:300 (arb_steps ~nthreads) (fun steps ->
-        let algo = A.create ~nthreads ~relevance:relevance_writes in
-        let emitted = ref [] in
-        List.iter
-          (fun (tid, a) ->
-            match A.process algo tid (event_kind a) with
-            | Some v -> emitted := (tid, v) :: !emitted
-            | None -> ())
-          steps;
-        let emitted = List.rev !emitted in
+        let emitted, consistent =
+          C.emit ~nthreads (List.map (fun (tid, a) -> (tid, event_kind a)) steps)
+        in
         let rec pairs = function
           | [] -> true
           | (ik, vk) :: rest ->
@@ -208,62 +229,106 @@ module Laws (C : Clock.Spec.CLOCK) = struct
                 rest
               && pairs rest
         in
-        pairs emitted && A.invariant algo)
+        pairs emitted && consistent)
 
   let tests =
     [ t_values; t_order; t_join; t_inc; t_serialize; t_vclock; t_theorem3 ]
 end
 
-(* The sparse adapter shares its representation with Dvclock; this
-   instance runs the same laws directly over the raw Dvclock operations
-   (no stats wrapper), covering the pre-existing module itself. *)
-module Dvclock_direct : Clock.Spec.CLOCK = struct
-  include Clock.Sparse
+let emit_with process steps =
+  List.filter_map
+    (fun (tid, kind) -> Option.map (fun v -> (tid, v)) (process tid kind))
+    steps
+
+module Dense_laws = Laws (struct
+  include Vclock
+
+  let name = "dense"
+  let serialize_roundtrip v = of_string (to_string v)
+  let of_vclock v = v
+  let to_vclock ~dim:_ v = v
+
+  let emit ~nthreads steps =
+    let algo = Mvc.Algorithm.create ~nthreads ~relevance:relevance_writes in
+    let emitted = emit_with (Mvc.Algorithm.process algo) steps in
+    (emitted, Mvc.Algorithm.invariant algo)
+end)
+
+module Dvclock_laws = Laws (struct
+  include Dvclock
 
   let name = "dvclock"
-  let max = Dvclock.max
-  let absorb = Dvclock.max
-end
+  let zero _ = empty
+  let hash v = Hashtbl.hash (to_list v)
+  let serialize_roundtrip v = of_list (to_list v)
 
-module Dense_laws = Laws (Clock.Dense)
-module Sparse_laws = Laws (Clock.Sparse)
-module Tree_laws = Laws (Clock.Tree)
-module Dvclock_laws = Laws (Dvclock_direct)
+  let emit ~nthreads:_ steps =
+    let algo = Mvc.Dynamic.create ~relevance:relevance_writes in
+    (emit_with (Mvc.Dynamic.process algo) steps, true)
+end)
 
-(* {1 Differential tests: Algorithm A across backends} *)
+(* {1 The in-place algorithm against a reference model}
 
-module Ad = Mvc.Algorithm.Make (Clock.Dense)
-
-(* Replay the same synthetic event stream through dense and [C];
-   emissions (converted to dense wire clocks) must be identical. *)
-let differential_test (backend : Clock.Spec.backend) =
-  let module C = (val backend) in
-  let module Ac = Mvc.Algorithm.Make (C) in
-  let nthreads = 4 in
-  QCheck.Test.make
-    ~name:(Printf.sprintf "Algorithm A: %s emits the same causality as dense" C.name)
-    ~count:400 (arb_steps ~nthreads) (fun steps ->
-      let dense = Ad.create ~nthreads ~relevance:relevance_writes in
-      let other = Ac.create ~nthreads ~relevance:relevance_writes in
-      List.for_all
-        (fun (tid, a) ->
-          let kind = event_kind a in
-          match (Ad.process dense tid kind, Ac.process other tid kind) with
-          | None, None -> true
-          | Some v, Some w -> Vclock.equal v (C.to_vclock ~dim:nthreads w)
-          | _ -> false)
-        steps
-      && Ac.invariant other)
-
-(* {1 The in-place toplevel instance against the functor}
-
-   Events over data variables and the dummy lock and notify variables of
+   The reference is Fig. 2 read literally: immutable dense clocks, a
+   hash table per variable kind, relevance decided per event.  Events
+   range over data variables and the dummy lock and notify variables of
    Section 3.1, under filters decided per variable and one decided per
-   event.  After every event the toplevel (in-place) algorithm must agree
-   with [Make (Clock.Dense)] on the event's result, every thread, access
-   and write clock, and the invariant; a dense emitter driven through
-   variable ids must emit the same clocks; and no clock handed out so far
-   -- by [process], an accessor or in a message -- may have changed. *)
+   event.  After every event the in-place [Mvc.Algorithm] must agree with
+   the reference on the event's result, every thread, access and write
+   clock, and the invariant; a dense emitter driven through variable ids
+   must emit the same clocks; and no clock handed out so far -- by
+   [process], an accessor or in a message -- may have changed. *)
+
+module Reference = struct
+  type t = {
+    n : int;
+    relevance : Mvc.Relevance.t;
+    vi : Vclock.t array;
+    va : (Types.var, Vclock.t) Hashtbl.t;
+    vw : (Types.var, Vclock.t) Hashtbl.t;
+  }
+
+  let create ~nthreads ~relevance =
+    { n = nthreads;
+      relevance;
+      vi = Array.init nthreads (fun _ -> Vclock.zero nthreads);
+      va = Hashtbl.create 16;
+      vw = Hashtbl.create 16 }
+
+  let var_clock t table x =
+    match Hashtbl.find_opt table x with Some v -> v | None -> Vclock.zero t.n
+
+  let access_clock t x = var_clock t t.va x
+  let write_clock t x = var_clock t t.vw x
+  let thread_clock t i = t.vi.(i)
+  let relevant_count t i = Vclock.get t.vi.(i) i
+
+  let process t i (kind : Event.kind) =
+    let relevant = Mvc.Relevance.is_relevant t.relevance kind in
+    (* step 1 *)
+    if relevant then t.vi.(i) <- Vclock.inc t.vi.(i) i;
+    (match kind with
+    | Event.Internal -> ()
+    | Event.Read (x, _) ->
+        (* step 2 *)
+        t.vi.(i) <- Vclock.max t.vi.(i) (write_clock t x);
+        Hashtbl.replace t.va x (Vclock.max (access_clock t x) t.vi.(i))
+    | Event.Write (x, _) ->
+        (* step 3 *)
+        let v = Vclock.max t.vi.(i) (access_clock t x) in
+        t.vi.(i) <- v;
+        Hashtbl.replace t.va x v;
+        Hashtbl.replace t.vw x v);
+    (* step 4 *)
+    if relevant then Some t.vi.(i) else None
+
+  let invariant t =
+    let totals = Array.init t.n (relevant_count t) in
+    let within v = List.for_all2 ( >= ) (Array.to_list totals) (Vclock.to_list v) in
+    Hashtbl.fold (fun x va ok -> ok && Vclock.leq (write_clock t x) va && within va) t.va true
+    && Hashtbl.fold (fun _ vw ok -> ok && within vw) t.vw true
+    && Array.for_all within t.vi
+end
 
 let sync_vars = [ "x"; "y"; Types.lock_var "m"; Types.lock_var "n"; Types.notify_var "c" ]
 let all_vars = "never" :: sync_vars
@@ -287,7 +352,7 @@ let in_place_relevances =
         | Event.Read (x, _) -> x = "y"
         | Event.Internal -> false) ) ]
 
-let in_place_matches_functor (rname, relevance) =
+let in_place_matches_reference (rname, relevance) =
   let nthreads = 4 in
   let vars = Array.of_list sync_vars in
   let id x =
@@ -295,12 +360,12 @@ let in_place_matches_functor (rname, relevance) =
     find 0
   in
   QCheck.Test.make
-    ~name:(Printf.sprintf "in-place = functor: %s" rname)
+    ~name:(Printf.sprintf "in-place = reference: %s" rname)
     ~count:300
     (QCheck.make ~print:print_steps (gen_sync_steps ~nthreads))
     (fun steps ->
       let algo = Mvc.Algorithm.create ~nthreads ~relevance in
-      let reference = Ad.create ~nthreads ~relevance in
+      let reference = Reference.create ~nthreads ~relevance in
       let emitted = Queue.create () in
       let em =
         Mvc.Emitter.create ~vars ~nthreads ~init:[] ~relevance ~sink:(fun m -> Queue.add m emitted)
@@ -315,7 +380,7 @@ let in_place_matches_functor (rname, relevance) =
       List.for_all
         (fun (tid, a) ->
           let kind = event_kind a in
-          let expected = Ad.process reference tid kind in
+          let expected = Reference.process reference tid kind in
           let result =
             match (Mvc.Algorithm.process algo tid kind, expected) with
             | None, None -> true
@@ -337,99 +402,22 @@ let in_place_matches_functor (rname, relevance) =
           result && message
           && List.for_all
                (fun i ->
-                 same (Mvc.Algorithm.thread_clock algo i) (Ad.thread_clock reference i)
-                 && Mvc.Algorithm.relevant_count algo i = Ad.relevant_count reference i)
+                 same (Mvc.Algorithm.thread_clock algo i) (Reference.thread_clock reference i)
+                 && Mvc.Algorithm.relevant_count algo i = Reference.relevant_count reference i)
                (List.init nthreads Fun.id)
           && List.for_all
                (fun x ->
-                 same (Mvc.Algorithm.access_clock algo x) (Ad.access_clock reference x)
-                 && same (Mvc.Algorithm.write_clock algo x) (Ad.write_clock reference x))
+                 same (Mvc.Algorithm.access_clock algo x) (Reference.access_clock reference x)
+                 && same (Mvc.Algorithm.write_clock algo x) (Reference.write_clock reference x))
                all_vars
-          && Mvc.Algorithm.invariant algo = Ad.invariant reference
+          && Mvc.Algorithm.invariant algo = Reference.invariant reference
           && Mvc.Emitter.invariant em
           && List.for_all (fun (v, l) -> Vclock.to_list v = l) !handed)
         steps)
 
-let in_place_tests =
-  List.map QCheck_alcotest.to_alcotest (List.map in_place_matches_functor in_place_relevances)
-
-let qcheck_tests =
-  List.map QCheck_alcotest.to_alcotest
-    (Dense_laws.tests @ Sparse_laws.tests @ Tree_laws.tests @ Dvclock_laws.tests
-    @ [ differential_test (module Clock.Sparse); differential_test (module Clock.Tree) ])
-
-(* End-to-end: the VM pipeline over every example program and backend
-   produces identical messages and outcome. *)
-let vm_differential () =
-  List.iter
-    (fun (name, program) ->
-      List.iter
-        (fun seed ->
-          let run clock =
-            Tml.Vm.run_program ~clock ~fuel:20_000
-              ~sched:(Tml.Sched.random ~seed) program
-          in
-          let rd = run (module Clock.Dense : Clock.Spec.CLOCK) in
-          List.iter
-            (fun backend ->
-              let module C = (val backend : Clock.Spec.CLOCK) in
-              let r = run backend in
-              Alcotest.(check bool)
-                (Printf.sprintf "%s/%s seed %d: same outcome" name C.name seed)
-                true
-                (rd.Tml.Vm.outcome = r.Tml.Vm.outcome);
-              Alcotest.(check bool)
-                (Printf.sprintf "%s/%s seed %d: same messages" name C.name seed)
-                true
-                (List.length rd.Tml.Vm.messages = List.length r.Tml.Vm.messages
-                && List.for_all2 Message.equal rd.Tml.Vm.messages r.Tml.Vm.messages))
-            [ (module Clock.Sparse : Clock.Spec.CLOCK); (module Clock.Tree) ])
-        [ 11; 23 ])
-    (Tml.Programs.all_named ())
-
-let registry () =
-  Alcotest.(check (list string))
-    "builtin names" [ "dense"; "sparse"; "tree" ] (Clock.Registry.names ());
-  Alcotest.(check bool) "find tree" true (Clock.Registry.find "tree" <> None);
-  Alcotest.(check bool) "find unknown" true (Clock.Registry.find "nope" = None);
-  Alcotest.check_raises "get unknown"
-    (Invalid_argument
-       "Registry.get: unknown clock backend \"nope\" (known: dense, sparse, tree)")
-    (fun () -> ignore (Clock.Registry.get "nope"));
-  let module B = (val Clock.Registry.get "dense") in
-  Alcotest.(check string) "get dense" "dense" B.name
-
-(* The acceptance anchor for E14: on a wide, group-local workload the
-   tree backend performs strictly fewer per-entry join updates than the
-   dense backend. *)
-let tree_join_savings () =
-  let nthreads = 64 and groups = 8 and rounds = 6 in
-  let replay (backend : Clock.Spec.backend) =
-    let module C = (val backend) in
-    let module A = Mvc.Algorithm.Make (C) in
-    let algo = A.create ~nthreads ~relevance:Mvc.Relevance.all_writes in
-    Clock.Stats.reset ();
-    for _ = 1 to rounds do
-      for tid = 0 to nthreads - 1 do
-        ignore
-          (A.process algo tid (Event.Write (Printf.sprintf "g%d" (tid mod groups), tid)))
-      done
-    done;
-    let updates = Clock.Stats.entry_updates () in
-    Clock.Stats.reset ();
-    updates
-  in
-  let dense = replay (module Clock.Dense) in
-  let tree = replay (module Clock.Tree) in
-  Alcotest.(check bool)
-    (Printf.sprintf "tree join updates (%d) < dense join updates (%d)" tree dense)
-    true (tree < dense)
-
 let () =
   Alcotest.run "clock"
-    [ ("laws", qcheck_tests);
+    [ ("laws", List.map QCheck_alcotest.to_alcotest (Dense_laws.tests @ Dvclock_laws.tests));
       ( "integration",
-        [ Alcotest.test_case "registry" `Quick registry;
-          Alcotest.test_case "vm differential" `Quick vm_differential;
-          Alcotest.test_case "tree join savings" `Quick tree_join_savings ]
-        @ in_place_tests ) ]
+        List.map QCheck_alcotest.to_alcotest
+          (List.map in_place_matches_reference in_place_relevances) ) ]

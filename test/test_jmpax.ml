@@ -288,11 +288,11 @@ let test_detection_table () =
   in
   Alcotest.(check bool) "JMPaX >= JPaX" true (jmpax >= jpax)
 
-(* [--metrics] on a check of a lock program: the in-place Algorithm A
-   accounts its joins into the dense backend's gauges as the functor's
-   dense clock does (a read joins twice, a write once, each over every
-   thread's component), and [mvc.messages.tN] counts thread N's
-   messages. *)
+(* [--metrics] on a check of a lock program: Algorithm A's join counts
+   surface as the [clock.dense.*] gauges (a read joins twice, a write
+   once, each over every thread's component), no other clock family is
+   registered (the dump omits zero values, an exposition scrape would
+   not), and [mvc.messages.tN] counts thread N's messages. *)
 let test_metrics_clock_gauges () =
   let dest = Filename.temp_file "jmpax-metrics" ".txt" in
   let config =
@@ -325,6 +325,10 @@ let test_metrics_clock_gauges () =
     (gauge "clock.dense.entry_updates");
   Alcotest.(check int) "clock.dense.fast_joins" 0 (gauge "clock.dense.fast_joins");
   Alcotest.(check bool) "gauge dumped" true (contains ~needle:"clock.dense.joins" dumped);
+  Alcotest.(check (list string)) "no sparse or tree gauges registered" []
+    (List.filter
+       (fun name -> contains ~needle:"clock.sparse." name || contains ~needle:"clock.tree." name)
+       (List.map fst (M.all ())));
   List.iter
     (fun tid ->
       Alcotest.(check int)
