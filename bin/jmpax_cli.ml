@@ -159,8 +159,7 @@ let check_cmd =
     let spec = parse_spec spec in
     let channel = or_die (parse_channel channel) in
     let config =
-      { (Jmpax.Config.default ()) with
-        Jmpax.Config.sched = sched_of_seed seed;
+      { Jmpax.Config.sched = sched_of_seed seed;
         fuel;
         channel;
         engines = parse_engines engine;
@@ -437,11 +436,8 @@ let on_overload_arg =
                  the offending session under $(b,serve)); $(b,fail) \
                  (default) stops with exit code 8.")
 
-let make_budget ?memory_budget ~max_frontier_cuts ~max_causal_buffered () =
-  match
-    Jmpax.Budget.limits ?max_frontier_cuts ?max_causal_buffered ?memory_budget
-      ()
-  with
+let make_budget ~max_frontier_cuts ~max_causal_buffered () =
+  match Jmpax.Budget.limits ?max_frontier_cuts ?max_causal_buffered () with
   | limits -> limits
   | exception Invalid_argument msg -> die 2 msg
 

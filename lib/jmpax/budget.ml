@@ -6,8 +6,8 @@
    hostile (or merely wide) workload from growing the observer without
    bound: cheap O(1) usage counters over the live engine state, limits
    the front ends configure from --max-frontier-cuts /
-   --max-causal-buffered / --memory-budget, and the overload policy
-   that decides what happens when a limit is crossed. *)
+   --max-causal-buffered, and the overload policy that decides what
+   happens when a limit is crossed. *)
 
 module M = Telemetry.Metrics
 
@@ -36,16 +36,14 @@ let policy_to_string = function
 type limits = {
   max_frontier_cuts : int option;
   max_causal_buffered : int option;
-  memory_budget : int option;  (** bytes, over {!usage.mem_words} * word size *)
 }
 
-let unlimited =
-  { max_frontier_cuts = None; max_causal_buffered = None; memory_budget = None }
+let unlimited = { max_frontier_cuts = None; max_causal_buffered = None }
 
 (* A match, not [l = unlimited]: the stream loops ask once per message,
    and a structural equality is a C call. *)
 let is_unlimited = function
-  | { max_frontier_cuts = None; max_causal_buffered = None; memory_budget = None } -> true
+  | { max_frontier_cuts = None; max_causal_buffered = None } -> true
   | _ -> false
 
 let check_limit what = function
@@ -53,11 +51,10 @@ let check_limit what = function
       invalid_arg (Printf.sprintf "Budget: %s must be >= 1" what)
   | _ -> ()
 
-let limits ?max_frontier_cuts ?max_causal_buffered ?memory_budget () =
+let limits ?max_frontier_cuts ?max_causal_buffered () =
   check_limit "max_frontier_cuts" max_frontier_cuts;
   check_limit "max_causal_buffered" max_causal_buffered;
-  check_limit "memory_budget" memory_budget;
-  { max_frontier_cuts; max_causal_buffered; memory_budget }
+  { max_frontier_cuts; max_causal_buffered }
 
 (* {1 Usage} *)
 
@@ -66,10 +63,6 @@ type usage = {
   causal_buffered : int;
   mem_words : int;
 }
-
-let word_bytes = Sys.word_size / 8
-
-let mem_bytes u = u.mem_words * word_bytes
 
 let usage bundle =
   { frontier_cuts = Predict.Engines.frontier_cuts bundle;
@@ -88,7 +81,6 @@ let observe u =
 type breach =
   | Frontier_cuts of { cuts : int; limit : int }
   | Causal_buffered of { buffered : int; limit : int }
-  | Memory of { bytes : int; limit : int }
 
 (* Stable machine-readable tokens: these end up inside the
    [degraded(reason=...)] verdict marker and the checkpoint line, so
@@ -96,7 +88,6 @@ type breach =
 let breach_reason = function
   | Frontier_cuts _ -> "frontier_budget"
   | Causal_buffered _ -> "causal_budget"
-  | Memory _ -> "memory_budget"
 
 let breach_message = function
   | Frontier_cuts { cuts; limit } ->
@@ -104,8 +95,6 @@ let breach_message = function
   | Causal_buffered { buffered; limit } ->
       Printf.sprintf "causal buffer budget exceeded: %d buffered > limit %d"
         buffered limit
-  | Memory { bytes; limit } ->
-      Printf.sprintf "memory budget exceeded: %d bytes > budget %d" bytes limit
 
 (* A frontier breach can be shed by degrading onto the linear-time
    engines; a causal-buffer breach cannot (the buffered messages ARE the
@@ -113,7 +102,7 @@ let breach_message = function
    harsher policy for it. *)
 let degradable = function
   | Frontier_cuts _ -> true
-  | Causal_buffered _ | Memory _ -> false
+  | Causal_buffered _ -> false
 
 let check limits u =
   let breach =
@@ -124,11 +113,7 @@ let check limits u =
         match limits.max_causal_buffered with
         | Some limit when u.causal_buffered > limit ->
             Some (Causal_buffered { buffered = u.causal_buffered; limit })
-        | _ -> (
-            match limits.memory_budget with
-            | Some limit when mem_bytes u > limit ->
-                Some (Memory { bytes = mem_bytes u; limit })
-            | _ -> None))
+        | _ -> None)
   in
   (match breach with
   | Some _ when M.enabled () -> M.incr m_breaches

@@ -9,8 +9,9 @@
       live {!Predict.Engines} bundle (frontier cut count and arena
       words, causal-delivery buffering, total resident words);
     - {b limits}: what the front ends configure from
-      [--max-frontier-cuts], [--max-causal-buffered] and the global
-      [--memory-budget];
+      [--max-frontier-cuts] and [--max-causal-buffered] (serve's
+      [--memory-budget] is the daemon's admission control, not a
+      per-bundle limit);
     - {b policy}: {!check} turns usage + limits into a typed {!breach},
       and the {!policy} chosen with [--on-overload] decides its fate —
       [Degrade] swaps the lattice engine for the linear-time engines at
@@ -40,7 +41,6 @@ val policy_to_string : policy -> string
 type limits = {
   max_frontier_cuts : int option;
   max_causal_buffered : int option;
-  memory_budget : int option;  (** bytes *)
 }
 
 val unlimited : limits
@@ -49,7 +49,6 @@ val is_unlimited : limits -> bool
 val limits :
   ?max_frontier_cuts:int ->
   ?max_causal_buffered:int ->
-  ?memory_budget:int ->
   unit ->
   limits
 (** @raise Invalid_argument on a limit below 1. *)
@@ -63,8 +62,6 @@ type usage = {
 val usage : Predict.Engines.t -> usage
 (** O(1): reads maintained counters, never walks the state. *)
 
-val mem_bytes : usage -> int
-
 val observe : usage -> unit
 (** Publish peak usage to the [budget.*] telemetry gauges (cheap no-op
     with metrics off). *)
@@ -72,15 +69,15 @@ val observe : usage -> unit
 type breach =
   | Frontier_cuts of { cuts : int; limit : int }
   | Causal_buffered of { buffered : int; limit : int }
-  | Memory of { bytes : int; limit : int }
 
 val check : limits -> usage -> breach option
-(** First crossed limit, in frontier / causal / memory order; counts
-    [budget.breaches] when metrics are on. *)
+(** First crossed limit, frontier before causal; counts
+    [budget.breaches] when metrics are on.  The one place a budget is
+    checked: the stream driver calls it after every item. *)
 
 val breach_reason : breach -> string
-(** Stable token for markers and logs: ["frontier_budget"],
-    ["causal_budget"] or ["memory_budget"] — never contains spaces,
+(** Stable token for markers and logs: ["frontier_budget"] or
+    ["causal_budget"] — never contains spaces,
     commas or parentheses (it is embedded in the [degraded(...)]
     verdict marker). *)
 
@@ -89,8 +86,8 @@ val breach_message : breach -> string
 
 val degradable : breach -> bool
 (** Whether shedding the lattice engine can relieve this breach — true
-    for {!Frontier_cuts} only: a causal-buffer or memory breach is not
-    lattice state, so the degrade policy escalates it instead. *)
+    for {!Frontier_cuts} only: a causal-buffer breach is not lattice
+    state, so the degrade policy escalates it instead. *)
 
 exception Exceeded of breach
 (** Raised by the streaming front end under the [Fail] policy; mapped to

@@ -5,8 +5,6 @@ let m_writes = M.counter "checkpoint.writes"
 let m_bytes = M.counter "checkpoint.bytes"
 let m_level = M.gauge "checkpoint.level"
 
-let ( let* ) = Result.bind
-
 type t = {
   ck_header : Wire.header;
   ck_spec_fp : string;
@@ -252,371 +250,182 @@ let encode t =
   let body = encode_body t in
   envelope body ^ body
 
-(* {1 Decoding} *)
+(* {1 Decoding}
 
-(* Every parser returns [Result]; the first failure aborts the whole
-   decode, so corruption that survives the CRC (it cannot, but belt and
-   braces) still never yields a partial value. *)
+   One pass over an {!Predict.Engine.Snapshot.reader}, the codec the
+   engine blocks inside the body use too.  Every reader raises
+   [Invalid_argument] on a field it refuses; [decode_body] turns the
+   first one into [Malformed], so a body that survives the CRC but not
+   its fields (it cannot, but belt and braces) still never yields a
+   partial value. *)
 
-let malformed fmt = Printf.ksprintf (fun s -> Error (Malformed s)) fmt
-
-let int_field what s =
-  match int_of_string_opt s with
-  | Some v -> Ok v
-  | None -> malformed "bad integer %S in %s" s what
-
-let nat_field what s =
-  let* v = int_field what s in
-  if v < 0 then malformed "negative %s" what else Ok v
-
-let bools_of_bits what s =
-  if String.for_all (fun c -> c = '0' || c = '1') s then
-    Ok (Array.init (String.length s) (fun i -> s.[i] = '1'))
-  else malformed "bad bit string %S in %s" s what
-
-let ints_field what s =
-  if s = "" then malformed "empty int list in %s" what
-  else
-    let parts = String.split_on_char ',' s in
-    let rec go acc = function
-      | [] -> Ok (Array.of_list (List.rev acc))
-      | p :: rest ->
-          let* v = nat_field what p in
-          go (v :: acc) rest
-    in
-    go [] parts
-
-let decode_bindings what tokens =
-  match tokens with
-  | [] -> malformed "missing binding count in %s" what
-  | n :: rest ->
-      let* n = nat_field what n in
-      let rec go acc k = function
-        | rest when k = 0 -> Ok (List.rev acc, rest)
-        | x :: v :: rest -> (
-            match (Wire.decode_var x, int_of_string_opt v) with
-            | Ok x, Some v -> go ((x, v) :: acc) (k - 1) rest
-            | _ -> malformed "bad binding in %s" what)
-        | _ -> malformed "truncated bindings in %s" what
+let read_body r =
+  let open Predict.Engine.Snapshot in
+  let fields ?n key = fields ~what:key ~key ?n r in
+  let single key = (fields ~n:1 key).(0) in
+  let var what s =
+    match Wire.decode_var s with
+    | Ok x -> x
+    | Error e -> invalid_arg (what ^ ": " ^ Wire.Error.to_string e)
+  in
+  let flag what b = if b > 1 then invalid_arg (what ^ ": bad flag") else b = 1 in
+  let at what f i =
+    if i < Array.length f then f.(i) else invalid_arg (what ^ ": line ends early")
+  in
+  let spec_fp = single "spec" in
+  let nthreads = nat ~what:"threads" (single "threads") in
+  if nthreads = 0 then invalid_arg "thread count must be positive";
+  let init =
+    many ~key:"init" r (fun () ->
+        let f = fields ~n:2 "init" in
+        (var "init" f.(0), int ~what:"init" f.(1)))
+  in
+  let position = nat ~what:"position" (single "position") in
+  let next_eid = nat ~what:"next-eid" (single "next-eid") in
+  let rs = Array.map (nat ~what:"reader-stats") (fields ~n:5 "reader-stats") in
+  let reader_stats =
+    { Wire.Reader.frames = rs.(0);
+      messages = rs.(1);
+      skipped_frames = rs.(2);
+      resyncs = rs.(3);
+      skipped_bytes = rs.(4) }
+  in
+  let reader_ended = bools ~what:"reader-ended" ~width:nthreads (single "reader-ended") in
+  (* The v3 group: the reader's variable intern table and per-thread
+     delta baselines (with their validity bits), without which a resumed
+     reader could not decode another delta frame.  A body without it was
+     taken mid-way through a wire-v2 stream, which no reader decodes any
+     more. *)
+  if next_key r <> Some "v3-vars" then
+    invalid_arg
+      "no v3-vars group: the checkpoint of a wire v2 stream, which is no longer supported";
+  let nvars = nat ~what:"v3-vars" (single "v3-vars") in
+  if nvars > 1 lsl 20 then invalid_arg (Printf.sprintf "v3-vars count %d too large" nvars);
+  let v3_vars = Array.init nvars (fun _ -> var "v3-var" (single "v3-var")) in
+  let v3_valid = bools ~what:"v3-valid" ~width:nthreads (single "v3-valid") in
+  let v3_baselines =
+    Array.init nthreads (fun _ -> nats ~what:"v3-base" ~width:nthreads (single "v3-base"))
+  in
+  let ss = Array.map (nat ~what:"stream-stats") (fields ~n:3 "stream-stats") in
+  (* The degraded marker is present iff the bundle shed its lattice
+     engine mid-stream; absent in every checkpoint written before budgets
+     existed, so old files decode unchanged. *)
+  let degraded =
+    if next_key r <> Some "degraded" then None
+    else
+      let f = fields ~n:4 "degraded" in
+      Some
+        { Predict.Engines.d_from = f.(0);
+          d_reason = f.(1);
+          d_at_event = nat ~what:"degraded" f.(2);
+          d_violated = flag "degraded" (nat ~what:"degraded" f.(3)) }
+  in
+  (* Engine sub-blocks: opaque payload lines framed by an exact count
+     (absent in files written before the registry, which always carry
+     the online group instead). *)
+  let engines =
+    many ~key:"engine" r (fun () ->
+        let f = fields ~n:2 "engine" in
+        let name = f.(0) in
+        (name, List.init (nat ~what:"engine" f.(1)) (fun _ -> line ~what:name r)))
+  in
+  let names = List.map fst engines in
+  if List.length (List.sort_uniq String.compare names) <> List.length names then
+    invalid_arg "duplicate engine block";
+  let online =
+    if eof r then
+      if engines = [] then invalid_arg "checkpoint carries no engine state" else None
+    else if degraded <> None then
+      invalid_arg "checkpoint is degraded yet carries lattice engine state"
+    else
+      let o = Array.map (nat ~what:"online") (fields ~n:6 "online") in
+      let per_thread key = nats ~what:key ~width:nthreads (single key) in
+      let prefix = per_thread "prefix" in
+      let beyond = per_thread "beyond" in
+      let gc_floor = per_thread "gc-floor" in
+      let ended = bools ~what:"ended" ~width:nthreads (single "ended") in
+      let store =
+        many ~key:"bmsg" r (fun () ->
+            match Array.to_list (fields "bmsg") with
+            | eid :: msg -> (
+                let eid = nat ~what:"bmsg" eid in
+                match Wire.decode_message ~expect_width:nthreads (String.concat " " msg) with
+                | Ok m -> { m with Message.eid }
+                | Error e -> invalid_arg ("bmsg: " ^ Wire.Error.to_string e))
+            | [] -> invalid_arg "bmsg: no event id")
       in
-      go [] n rest
-
-let decode_msets what width tokens =
-  match tokens with
-  | [] -> malformed "missing monitor-state count in %s" what
-  | n :: rest ->
-      let* n = nat_field what n in
-      if n = 0 then malformed "cut with no monitor states in %s" what
-      else
-        let rec go acc k = function
-          | [] when k = 0 -> Ok (List.rev acc)
-          | bits :: rest when k > 0 ->
-              if bits <> "" && String.for_all (fun c -> c = '0' || c = '1') bits
-              then go (bits :: acc) (k - 1) rest
-              else malformed "bad monitor state %S in %s" bits what
-          | _ -> malformed "monitor-state count disagrees with line in %s" what
-        in
-        let* msets = go [] n rest in
-        ignore width;
-        Ok msets
+      (* A global state's bindings: a count, then that many name/value
+         pairs from field [i] on; returns them and the next field. *)
+      let bindings what f i =
+        let n = nat ~what (at what f i) in
+        if n > (Array.length f - i - 1) / 2 then invalid_arg (what ^ ": truncated bindings");
+        (List.init n (fun k -> (var what f.(i + 1 + (2 * k)), int ~what f.(i + 2 + (2 * k)))),
+         i + 1 + (2 * n))
+      in
+      let frontier =
+        many ~key:"front" r (fun () ->
+            let f = fields "front" in
+            let bs, i = bindings "front" f 1 in
+            let k = nat ~what:"front" (at "front" f i) in
+            if k = 0 || Array.length f <> i + 1 + k then
+              invalid_arg "front: monitor-state count disagrees with line";
+            ( nats ~what:"front" ~width:nthreads f.(0),
+              bs,
+              List.init k (fun j -> bits ~what:"front" f.(i + 1 + j)) ))
+      in
+      if frontier = [] then invalid_arg "checkpoint carries no frontier";
+      let violations =
+        many ~key:"viol" r (fun () ->
+            let f = fields "viol" in
+            let bs, i = bindings "viol" f 2 in
+            if Array.length f <> i + 1 then invalid_arg "viol: bad monitor state";
+            ( nats ~what:"viol" ~width:nthreads f.(0),
+              nat ~what:"viol" f.(1),
+              bs,
+              bits ~what:"viol" f.(i) ))
+      in
+      if not (eof r) then
+        invalid_arg (Printf.sprintf "unrecognized line %S" (line ~what:"body" r));
+      Some
+        { Predict.Online.snap_nthreads = nthreads;
+          snap_level = o.(0);
+          snap_done = flag "online" o.(1);
+          snap_prefix = prefix;
+          snap_beyond = beyond;
+          snap_gc_floor = gc_floor;
+          snap_ended = ended;
+          snap_store = store;
+          snap_frontier = frontier;
+          snap_violations = violations;
+          snap_retired_cuts = o.(2);
+          snap_peak_frontier_cuts = o.(3);
+          snap_peak_frontier_entries = o.(4);
+          snap_monitor_steps = o.(5) }
+  in
+  { ck_header = { Wire.nthreads; init };
+    ck_spec_fp = spec_fp;
+    ck_position = position;
+    ck_next_eid = next_eid;
+    ck_reader_stats = reader_stats;
+    ck_reader_ended = reader_ended;
+    ck_v3 = Some { Wire.Reader.v3_vars; v3_baselines; v3_valid };
+    ck_ends = ss.(0);
+    ck_quarantined = ss.(1);
+    ck_peak_buffered = ss.(2);
+    ck_engines = engines;
+    ck_online = online;
+    ck_degraded = degraded }
 
 let decode_body body =
-  let lines = String.split_on_char '\n' body in
   (* The body ends with a newline, so the split yields a trailing "". *)
   let lines =
-    match List.rev lines with
+    match List.rev (String.split_on_char '\n' body) with
     | "" :: rev -> List.rev rev
-    | _ -> lines
+    | rev -> List.rev rev
   in
-  let expect_line what = function
-    | [] -> malformed "missing %s line" what
-    | line :: rest -> Ok (line, rest)
-  in
-  let field what prefix lines =
-    let* line, rest = expect_line what lines in
-    let plen = String.length prefix in
-    if String.length line > plen
-       && String.sub line 0 plen = prefix
-       && line.[plen] = ' '
-    then Ok (String.sub line (plen + 1) (String.length line - plen - 1), rest)
-    else malformed "expected %s line, got %S" what line
-  in
-  let* spec_fp, lines = field "spec" "spec" lines in
-  let* nthreads_s, lines = field "threads" "threads" lines in
-  let* nthreads = nat_field "threads" nthreads_s in
-  if nthreads = 0 then malformed "thread count must be positive"
-  else
-    let rec take_inits acc lines =
-      match lines with
-      | line :: rest when String.length line >= 5 && String.sub line 0 5 = "init " -> (
-          match String.split_on_char ' ' line with
-          | [ "init"; x; v ] -> (
-              match (Wire.decode_var x, int_of_string_opt v) with
-              | Ok x, Some v -> take_inits ((x, v) :: acc) rest
-              | _ -> malformed "bad init line %S" line)
-          | _ -> malformed "bad init line %S" line)
-      | _ -> Ok (List.rev acc, lines)
-    in
-    let* init, lines = take_inits [] lines in
-    let* pos_s, lines = field "position" "position" lines in
-    let* position = nat_field "position" pos_s in
-    let* eid_s, lines = field "next-eid" "next-eid" lines in
-    let* next_eid = nat_field "next-eid" eid_s in
-    let* rs, lines = field "reader-stats" "reader-stats" lines in
-    let* reader_stats =
-      match String.split_on_char ' ' rs with
-      | [ a; b; c; d; e ] ->
-          let* frames = nat_field "reader-stats" a in
-          let* messages = nat_field "reader-stats" b in
-          let* skipped_frames = nat_field "reader-stats" c in
-          let* resyncs = nat_field "reader-stats" d in
-          let* skipped_bytes = nat_field "reader-stats" e in
-          Ok
-            { Wire.Reader.frames; messages; skipped_frames; resyncs; skipped_bytes }
-      | _ -> malformed "bad reader-stats line %S" rs
-    in
-    let* re, lines = field "reader-ended" "reader-ended" lines in
-    let* reader_ended = bools_of_bits "reader-ended" re in
-    (* The v3 group: the reader's variable intern table and per-thread
-       delta baselines (with their validity bits), without which a
-       resumed reader could not decode another delta frame.  A body
-       without it was taken mid-way through a wire-v2 stream, which no
-       reader decodes any more. *)
-    let* v3, lines =
-      match lines with
-      | line :: _
-        when String.length line >= 8 && String.sub line 0 8 = "v3-vars " ->
-          let* nv_s, lines = field "v3-vars" "v3-vars" lines in
-          let* nv = nat_field "v3-vars" nv_s in
-          if nv > 1 lsl 20 then malformed "v3-vars count %d too large" nv
-          else
-            let rec take_vars acc k lines =
-              if k = 0 then Ok (List.rev acc, lines)
-              else
-                let* v, lines = field "v3-var" "v3-var" lines in
-                match Wire.decode_var v with
-                | Ok name -> take_vars (name :: acc) (k - 1) lines
-                | Error e ->
-                    malformed "bad v3-var line: %s" (Wire.Error.to_string e)
-            in
-            let* vars, lines = take_vars [] nv lines in
-            let* vb, lines = field "v3-valid" "v3-valid" lines in
-            let* valid = bools_of_bits "v3-valid" vb in
-            if Array.length valid <> nthreads then
-              malformed "v3-valid width disagrees with %d threads" nthreads
-            else
-              let rec take_bases acc k lines =
-                if k = 0 then Ok (List.rev acc, lines)
-                else
-                  let* b, lines = field "v3-base" "v3-base" lines in
-                  let* a = ints_field "v3-base" b in
-                  if Array.length a <> nthreads then
-                    malformed "v3-base width disagrees with %d threads" nthreads
-                  else take_bases (a :: acc) (k - 1) lines
-              in
-              let* bases, lines = take_bases [] nthreads lines in
-              Ok
-                ( Some
-                    { Wire.Reader.v3_vars = Array.of_list vars;
-                      v3_baselines = Array.of_list bases;
-                      v3_valid = valid },
-                  lines )
-      | _ ->
-          malformed
-            "no v3-vars group: the checkpoint of a wire v2 stream, which is no \
-             longer supported"
-    in
-    let* ss, lines = field "stream-stats" "stream-stats" lines in
-    let* ends, quarantined, peak_buffered =
-      match String.split_on_char ' ' ss with
-      | [ a; b; c ] ->
-          let* ends = nat_field "stream-stats" a in
-          let* quarantined = nat_field "stream-stats" b in
-          let* peak = nat_field "stream-stats" c in
-          Ok (ends, quarantined, peak)
-      | _ -> malformed "bad stream-stats line %S" ss
-    in
-    (* The degraded marker is present iff the bundle shed its lattice
-       engine mid-stream; absent in every checkpoint written before
-       budgets existed, so old files decode unchanged. *)
-    let* degraded, lines =
-      match lines with
-      | line :: _
-        when String.length line >= 9 && String.sub line 0 9 = "degraded " ->
-          let* d, lines = field "degraded" "degraded" lines in
-          let* parsed =
-            match String.split_on_char ' ' d with
-            | [ from; reason; at_event; violated ] ->
-                let* at_event = nat_field "degraded at_event" at_event in
-                let* violated = nat_field "degraded violated" violated in
-                if violated > 1 then malformed "bad violated flag in degraded line"
-                else if from = "" || reason = "" then
-                  malformed "empty token in degraded line"
-                else
-                  Ok
-                    { Predict.Engines.d_from = from;
-                      d_reason = reason;
-                      d_at_event = at_event;
-                      d_violated = violated = 1 }
-            | _ -> malformed "bad degraded line %S" d
-          in
-          Ok (Some parsed, lines)
-      | _ -> Ok (None, lines)
-    in
-    (* Engine sub-blocks (absent in files written before the registry,
-       which always carry the online group instead). *)
-    let rec take_engines acc lines =
-      match lines with
-      | line :: rest when String.length line >= 7 && String.sub line 0 7 = "engine "
-        -> (
-          match String.split_on_char ' ' line with
-          | [ "engine"; name; n ] ->
-              let* n = nat_field "engine" n in
-              if name = "" then malformed "empty engine name"
-              else if List.mem_assoc name acc then
-                malformed "duplicate engine block %S" name
-              else
-                let rec take k payload lines =
-                  if k = 0 then Ok (List.rev payload, lines)
-                  else
-                    match lines with
-                    | [] -> malformed "truncated engine block %S" name
-                    | l :: rest -> take (k - 1) (l :: payload) rest
-                in
-                let* payload, lines = take n [] rest in
-                take_engines ((name, payload) :: acc) lines
-          | _ -> malformed "bad engine line %S" line)
-      | _ -> Ok (List.rev acc, lines)
-    in
-    let* engines, lines = take_engines [] lines in
-    if Array.length reader_ended <> nthreads then
-      malformed "reader-ended bit width disagrees with %d threads" nthreads
-    else
-      let finish online =
-        Ok
-          { ck_header = { Wire.nthreads; init };
-            ck_spec_fp = spec_fp;
-            ck_position = position;
-            ck_next_eid = next_eid;
-            ck_reader_stats = reader_stats;
-            ck_reader_ended = reader_ended;
-            ck_v3 = v3;
-            ck_ends = ends;
-            ck_quarantined = quarantined;
-            ck_peak_buffered = peak_buffered;
-            ck_engines = engines;
-            ck_online = online;
-            ck_degraded = degraded }
-      in
-      match lines with
-      | [] ->
-          if engines = [] then malformed "checkpoint carries no engine state"
-          else finish None
-      | _ when degraded <> None ->
-          malformed "checkpoint is degraded yet carries lattice engine state"
-      | _ ->
-    let* ol, lines = field "online" "online" lines in
-    let* level, done_, retired, peak_cuts, peak_entries, steps =
-      match String.split_on_char ' ' ol with
-      | [ a; b; c; d; e; f ] ->
-          let* level = nat_field "online" a in
-          let* done_ = nat_field "online" b in
-          if done_ > 1 then malformed "bad done flag in online line"
-          else
-            let* retired = nat_field "online" c in
-            let* peak_cuts = nat_field "online" d in
-            let* peak_entries = nat_field "online" e in
-            let* steps = nat_field "online" f in
-            Ok (level, done_ = 1, retired, peak_cuts, peak_entries, steps)
-      | _ -> malformed "bad online line %S" ol
-    in
-    let int_array what lines =
-      let* s, lines = field what what lines in
-      let* a = ints_field what s in
-      if Array.length a <> nthreads then
-        malformed "%s width %d disagrees with %d threads" what (Array.length a)
-          nthreads
-      else Ok (a, lines)
-    in
-    let* prefix, lines = int_array "prefix" lines in
-    let* beyond, lines = int_array "beyond" lines in
-    let* gc_floor, lines = int_array "gc-floor" lines in
-    let* en, lines = field "ended" "ended" lines in
-    let* ended = bools_of_bits "ended" en in
-    if Array.length ended <> nthreads then
-      malformed "ended bit width disagrees with %d threads" nthreads
-    else
-      let rec take_msgs acc lines =
-        match lines with
-        | line :: rest when String.length line >= 5 && String.sub line 0 5 = "bmsg " -> (
-            match String.index_from_opt line 5 ' ' with
-            | None -> malformed "bad bmsg line %S" line
-            | Some sp -> (
-                let* eid = nat_field "bmsg" (String.sub line 5 (sp - 5)) in
-                let rest_line = String.sub line (sp + 1) (String.length line - sp - 1) in
-                match Wire.decode_message ~expect_width:nthreads rest_line with
-                | Ok m -> take_msgs ({ m with Message.eid } :: acc) rest
-                | Error e -> malformed "bad bmsg line: %s" (Wire.Error.to_string e)))
-        | _ -> Ok (List.rev acc, lines)
-      in
-      let* store, lines = take_msgs [] lines in
-      let cut_field what s =
-        let* cut = ints_field what s in
-        if Array.length cut <> nthreads then
-          malformed "%s cut width disagrees with %d threads" what nthreads
-        else Ok cut
-      in
-      let rec take_fronts acc lines =
-        match lines with
-        | line :: rest when String.length line >= 6 && String.sub line 0 6 = "front " -> (
-            match String.split_on_char ' ' line with
-            | "front" :: cut :: tokens ->
-                let* cut = cut_field "front" cut in
-                let* bindings, tokens = decode_bindings "front" tokens in
-                let* msets = decode_msets "front" nthreads tokens in
-                take_fronts ((cut, bindings, msets) :: acc) rest
-            | _ -> malformed "bad front line %S" line)
-        | _ -> Ok (List.rev acc, lines)
-      in
-      let* frontier, lines = take_fronts [] lines in
-      if frontier = [] then malformed "checkpoint carries no frontier"
-      else
-        let rec take_viols acc lines =
-          match lines with
-          | line :: rest when String.length line >= 5 && String.sub line 0 5 = "viol " -> (
-              match String.split_on_char ' ' line with
-              | "viol" :: cut :: lvl :: tokens -> (
-                  let* cut = cut_field "viol" cut in
-                  let* lvl = nat_field "viol level" lvl in
-                  let* bindings, tokens = decode_bindings "viol" tokens in
-                  match tokens with
-                  | [ bits ]
-                    when bits <> ""
-                         && String.for_all (fun c -> c = '0' || c = '1') bits ->
-                      take_viols ((cut, lvl, bindings, bits) :: acc) rest
-                  | _ -> malformed "bad viol line %S" line)
-              | _ -> malformed "bad viol line %S" line)
-          | [] -> Ok (List.rev acc)
-          | line :: _ -> malformed "unrecognized line %S" line
-        in
-        let* violations = take_viols [] lines in
-        finish
-          (Some
-             { Predict.Online.snap_nthreads = nthreads;
-               snap_level = level;
-               snap_done = done_;
-               snap_prefix = prefix;
-               snap_beyond = beyond;
-               snap_gc_floor = gc_floor;
-               snap_ended = ended;
-               snap_store = store;
-               snap_frontier = frontier;
-               snap_violations = violations;
-               snap_retired_cuts = retired;
-               snap_peak_frontier_cuts = peak_cuts;
-               snap_peak_frontier_entries = peak_entries;
-               snap_monitor_steps = steps })
-
+  match read_body (Predict.Engine.Snapshot.reader lines) with
+  | t -> Ok t
+  | exception Invalid_argument msg -> Error (Malformed msg)
 let decode text =
   match String.index_opt text '\n' with
   | None -> Error (Bad_magic text)

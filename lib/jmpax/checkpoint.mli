@@ -13,8 +13,8 @@
     mid-stream snapshot holds every message still waiting on that loose
     test — on the benchmark's lock-counter streams about (n−1)/n of the
     messages received on n threads (2,035 of 4,039 on two threads), one
-    [bmsg] line each.  ROADMAP item 3 (the exact advance condition) is
-    what would bound it.
+    [bmsg] line each.  ROADMAP item 4(a) (the exact advance condition)
+    is what would bound it.
 
     {2 File format (version 1)}
 
@@ -25,7 +25,9 @@
     v}
 
     The body is a line-oriented text section (variable names
-    percent-encoded exactly as on the wire) whose length and IEEE CRC32
+    percent-encoded exactly as on the wire), read back through the same
+    line codec as the engine blocks it carries
+    ({!Predict.Engine.Snapshot}), whose length and IEEE CRC32
     are pinned by the envelope: a flip of {e any} byte of the file is
     rejected before a single field is interpreted, so a restore is
     all-or-nothing.  Writes are atomic — the file is assembled under a
@@ -96,7 +98,9 @@ val decode : string -> (t, error) result
 (** Strict inverse of {!encode}: magic, envelope, CRC and every field
     are validated before anything is returned — corruption can never
     yield a partial restore.  Internal consistency (array widths vs the
-    header's thread count) is checked here too. *)
+    header's thread count) is checked here too.  Fields are single-space
+    separated and naturals are plain decimal digits, as {!encode} writes
+    them; anything else is [Malformed]. *)
 
 val write : string -> t -> (unit, error) result
 (** Atomic: encodes to [path ^ ".tmp"] and renames over [path], so

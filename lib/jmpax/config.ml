@@ -12,9 +12,6 @@ type t = {
   sched : Tml.Sched.t;
   fuel : int;
   channel : channel_model;
-  detect_races : bool;
-  detect_deadlocks : bool;
-  detect_atomicity : bool;
   metrics : string option;
   trace : string option;
   engines : Predict.Engine.kind list;
@@ -24,9 +21,6 @@ let default () =
   { sched = Tml.Sched.round_robin ();
     fuel = 100_000;
     channel = In_order;
-    detect_races = true;
-    detect_deadlocks = true;
-    detect_atomicity = true;
     metrics = None;
     trace = None;
     engines = Predict.Engine.default_kinds }

@@ -18,9 +18,6 @@ type t = {
   sched : Tml.Sched.t;
   fuel : int;  (** observable-step budget for the monitored run *)
   channel : channel_model;  (** delivery model between program and observer *)
-  detect_races : bool;
-  detect_deadlocks : bool;
-  detect_atomicity : bool;
   metrics : string option;
   (** where {!Pipeline.with_telemetry} dumps the metrics registry after
       the run: a path ([.json] selects the JSON exporter) or ["-"] for
@@ -34,8 +31,7 @@ type t = {
 }
 
 val default : unit -> t
-(** Round-robin schedule, [fuel = 100_000], in-order delivery, race,
-    deadlock and atomicity detection on. *)
+(** Round-robin schedule, [fuel = 100_000], in-order delivery. *)
 
 val with_sched : Tml.Sched.t -> t -> t
 val with_seed : int -> t -> t

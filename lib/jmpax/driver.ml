@@ -42,10 +42,8 @@ let create ?sid ?max_frame ?max_buffered ?quarantine ?checkpoint ?resume
     | Some ck ->
         let h = ck.Checkpoint.ck_header in
         let b =
-          Predict.Engines.restore ?max_buffered
-            ?overflow_limit:budget.Budget.max_causal_buffered
-            ?degraded:ck.Checkpoint.ck_degraded ~kinds ~nthreads:h.Wire.nthreads
-            ~init:h.Wire.init ~spec:(Some spec)
+          Predict.Engines.restore ?max_buffered ?degraded:ck.Checkpoint.ck_degraded ~kinds
+            ~nthreads:h.Wire.nthreads ~init:h.Wire.init ~spec:(Some spec)
             ~online_snapshot:ck.Checkpoint.ck_online
             ~blocks:ck.Checkpoint.ck_engines
             ~events:ck.Checkpoint.ck_reader_stats.Wire.Reader.messages ()
@@ -179,11 +177,6 @@ let feed t m =
           check_budget t b
       | exception Predict.Online.Backpressure { buffered; limit } ->
           Failed (Wire.Error.Backpressure { buffered; limit })
-      | exception Predict.Causal.Causal_buffer_overflow { buffered; limit } ->
-          (* The budget cap on the linear engines' delivery buffer: routed
-             through the overload policy rather than the hard
-             backpressure exit. *)
-          relieve t b (Budget.Causal_buffered { buffered; limit })
       | exception Invalid_argument _ -> (
           (* A well-formed frame carrying a (thread, index) pair we
              already consumed: an input defect, so the recovery policy
@@ -217,8 +210,7 @@ let next t =
   | Wire.Reader.Item (Wire.Reader.Header h) ->
       t.bundle <-
         Some
-          (Predict.Engines.create ?max_buffered:t.max_buffered
-             ?overflow_limit:t.budget.Budget.max_causal_buffered ~kinds:t.kinds
+          (Predict.Engines.create ?max_buffered:t.max_buffered ~kinds:t.kinds
              ~nthreads:h.Wire.nthreads ~init:h.Wire.init ~spec:(Some t.spec) ());
       Continue
   | Wire.Reader.Item (Wire.Reader.End_of_thread tid) -> (

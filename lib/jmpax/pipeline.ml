@@ -22,14 +22,12 @@ let telemetry_sink dest =
 
 (* Algorithm A counts its joins unconditionally (two field writes per
    join); publishing the counts as gauges at dump time folds them into
-   the one metrics report.  A dense join writes all n entries, never
-   none, so [fast_joins] reads 0. *)
+   the one metrics report. *)
 let publish_join_stats () =
   let s = Mvc.Algorithm.join_stats () in
   let set name v = Telemetry.Metrics.set (Telemetry.Metrics.gauge ("clock.dense." ^ name)) v in
   set "joins" s.joins;
-  set "entry_updates" s.entry_updates;
-  set "fast_joins" 0
+  set "entry_updates" s.entry_updates
 
 let dump_metrics dest =
   publish_join_stats ();
@@ -105,40 +103,32 @@ let check ?(config = Config.default ()) ~spec program =
   let observed_ok =
     Predict.Analyzer.observed_run_verdict ~spec ~init run.Tml.Vm.messages
   in
-  let deadlocks =
-    if config.Config.detect_deadlocks then
-      Option.map Predict.Lockgraph.analyze run.Tml.Vm.exec
-    else None
-  in
+  let deadlocks = Option.map Predict.Lockgraph.analyze run.Tml.Vm.exec in
   (* One sync-clock pass serves the race and atomicity reports and the
      [--engine race,atomicity] verdict lines, which equal the streaming
      engines' lines for [jmpax run]/[stream] on the same execution. *)
   let engine_kinds =
     List.filter (fun k -> k <> Predict.Engine.Lattice) config.Config.engines
   in
-  let race_report, atomicity_report =
+  let races, atomicity =
     match run.Tml.Vm.exec with
     | None -> (None, None)
     | Some exec ->
         Predict.Engines.analyze ~metered:engine_kinds
-          ((if config.Config.detect_races then [ Predict.Engine.Race ] else [])
-          @ (if config.Config.detect_atomicity then [ Predict.Engine.Atomicity ] else [])
-          @ engine_kinds)
+          (Predict.Engine.Race :: Predict.Engine.Atomicity :: engine_kinds)
           exec
   in
-  let races = if config.Config.detect_races then race_report else None in
-  let atomicity = if config.Config.detect_atomicity then atomicity_report else None in
   let engine_line = function
     | Predict.Engine.Race ->
         Option.map
           (fun r -> (("race", Predict.Race.verdict_of_report r), not (Predict.Race.race_free r)))
-          race_report
+          races
     | Predict.Engine.Atomicity ->
         Option.map
           (fun r ->
             ( ("atomicity", Predict.Atomicity.verdict_of_report r),
               not (Predict.Atomicity.serializable r) ))
-          atomicity_report
+          atomicity
     | Predict.Engine.Lattice -> None
   in
   let engine_lines = List.filter_map engine_line engine_kinds in

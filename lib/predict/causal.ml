@@ -1,7 +1,5 @@
 open Trace
 
-exception Causal_buffer_overflow of { buffered : int; limit : int }
-
 (* Delivery is event-driven.  Each thread's {e head} — its next
    undelivered message, [delivered + 1] — is in one of three states:
    absent, ready (deliverable now) or parked on the first thread [j]
@@ -38,20 +36,16 @@ type t = {
   nwaiting : int array;
   mutable nready : int;
   max_buffered : int option;
-  overflow_limit : int option;
   mutable buffered : int;
   mutable peak_buffered : int;
   mutable delivered_total : int;
   mutable words : int;  (* the rings and [waiters] with their headers, the [far] nodes *)
 }
 
-let create ?max_buffered ?overflow_limit ~nthreads () =
+let create ?max_buffered ~nthreads () =
   if nthreads <= 0 then invalid_arg "Causal.create: nthreads must be positive";
   (match max_buffered with
   | Some k when k < 0 -> invalid_arg "Causal.create: max_buffered must be >= 0"
-  | _ -> ());
-  (match overflow_limit with
-  | Some k when k < 0 -> invalid_arg "Causal.create: overflow_limit must be >= 0"
   | _ -> ());
   { nthreads;
     delivered = Array.make nthreads 0;
@@ -64,7 +58,6 @@ let create ?max_buffered ?overflow_limit ~nthreads () =
     nwaiting = Array.make nthreads 0;
     nready = 0;
     max_buffered;
-    overflow_limit;
     buffered = 0;
     peak_buffered = 0;
     delivered_total = 0;
@@ -259,13 +252,6 @@ let feed t (m : Message.t) =
   if t.buffered > t.peak_buffered then t.peak_buffered <- t.buffered;
   if seq = t.delivered.(m.Message.tid) + 1 then examine t m.Message.tid;
   let out = drain t in
-  (* The budget cap first: its typed error routes through the overload
-     policy (degrade / evict / fail), a gentler fate than the hard
-     backpressure disconnect below. *)
-  (match t.overflow_limit with
-  | Some limit when t.buffered > limit ->
-      raise (Causal_buffer_overflow { buffered = t.buffered; limit })
-  | _ -> ());
   (match t.max_buffered with
   | Some limit when t.buffered > limit ->
       raise (Online.Backpressure { buffered = t.buffered; limit })
@@ -339,12 +325,12 @@ let snapshot t =
     snap_peak_buffered = t.peak_buffered;
     snap_delivered_total = t.delivered_total }
 
-let restore ?max_buffered ?overflow_limit (s : snapshot) =
+let restore ?max_buffered (s : snapshot) =
   let nthreads = Array.length s.snap_delivered in
   if nthreads = 0 then invalid_arg "Causal.restore: empty snapshot";
   if Array.length s.snap_ended <> nthreads then
     invalid_arg "Causal.restore: ended array does not match thread count";
-  let t = create ?max_buffered ?overflow_limit ~nthreads () in
+  let t = create ?max_buffered ~nthreads () in
   Array.blit s.snap_delivered 0 t.delivered 0 nthreads;
   Array.blit s.snap_ended 0 t.ended 0 nthreads;
   List.iter

@@ -21,19 +21,10 @@ open Trace
 
 type t
 
-exception Causal_buffer_overflow of { buffered : int; limit : int }
-(** Raised by {!feed} when the delivery buffer exceeds the
-    [overflow_limit] {e budget} cap.  Unlike {!Online.Backpressure}
-    (the hard per-stream bound, exit class 4), this typed error is
-    routed through the resource-budget overload policy
-    (degrade / evict / fail), so a slow-loris writer withholding one
-    thread's messages gets the per-session treatment instead of growing
-    the daemon without bound. *)
-
-val create : ?max_buffered:int -> ?overflow_limit:int -> nthreads:int -> unit -> t
-(** [max_buffered] is the hard backpressure bound ({!Online.Backpressure});
-    [overflow_limit] is the softer budget cap ({!Causal_buffer_overflow}).
-    When both are exceeded by one message the budget cap wins. *)
+val create : ?max_buffered:int -> nthreads:int -> unit -> t
+(** [max_buffered] is the hard backpressure bound ({!Online.Backpressure}).
+    The softer budget cap on the same buffer is the front end's: it
+    reads {!buffered} after each message ([Budget.check]). *)
 
 val feed : t -> Message.t -> Message.t list
 (** Buffer one message and return every message that became deliverable,
@@ -44,7 +35,6 @@ val feed : t -> Message.t -> Message.t list
     @raise Invalid_argument on duplicates, out-of-range thread ids,
     clocks narrower than the thread count, or messages arriving after
     their thread ended.
-    @raise Causal_buffer_overflow when the buffer exceeds [overflow_limit].
     @raise Online.Backpressure when the buffer exceeds [max_buffered]. *)
 
 val end_of_thread : t -> Types.tid -> unit
@@ -87,5 +77,5 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
-val restore : ?max_buffered:int -> ?overflow_limit:int -> snapshot -> t
+val restore : ?max_buffered:int -> snapshot -> t
 (** @raise Invalid_argument on an inconsistent snapshot. *)

@@ -84,7 +84,7 @@ module Snapshot = struct
 
   let line ~what r =
     match r.lines with
-    | [] -> invalid_arg (what ^ ": truncated engine snapshot")
+    | [] -> invalid_arg (what ^ ": truncated snapshot")
     | l :: rest ->
         r.lines <- rest;
         l
@@ -117,4 +117,50 @@ module Snapshot = struct
     match keyed ~what ~key r with
     | [ n ] -> List.init (int ~what n) (fun _ -> item ())
     | _ -> invalid_arg (Printf.sprintf "%s: malformed %s line" what key)
+
+  let many ~key r item =
+    let rec go acc = if next_key r = Some key then go (item () :: acc) else List.rev acc in
+    go []
+
+  (* The strict readers: a line splits at single spaces only, and a
+     natural is decimal digits with no sign, base prefix or underscore,
+     so a field reads back only in the forms an encoder writes. *)
+
+  let fields ~what ~key ?n r =
+    let l = line ~what r in
+    match String.split_on_char ' ' l with
+    | k :: rest when k = key ->
+        let f = Array.of_list rest in
+        if Array.exists (fun s -> s = "") f then
+          invalid_arg (Printf.sprintf "%s: empty field in %S" what l);
+        (match n with
+        | Some n when Array.length f <> n ->
+            invalid_arg
+              (Printf.sprintf "%s: %d fields where %d belong in %S" what (Array.length f) n l)
+        | _ -> ());
+        f
+    | _ -> invalid_arg (Printf.sprintf "%s: expected %S line, found %S" what key l)
+
+  let nat ~what s =
+    match int_of_string_opt s with
+    | Some n when s <> "" && String.for_all (function '0' .. '9' -> true | _ -> false) s -> n
+    | _ -> invalid_arg (Printf.sprintf "%s: bad natural %S" what s)
+
+  let bits ~what s =
+    if s <> "" && String.for_all (fun c -> c = '0' || c = '1') s then s
+    else invalid_arg (Printf.sprintf "%s: bad bit string %S" what s)
+
+  let check_width ~what ~width n =
+    if n <> width then
+      invalid_arg (Printf.sprintf "%s: %d wide, disagrees with %d threads" what n width)
+
+  let bools ~what ~width s =
+    let s = bits ~what s in
+    check_width ~what ~width (String.length s);
+    Array.init width (fun i -> s.[i] = '1')
+
+  let nats ~what ~width s =
+    let a = Array.of_list (List.map (nat ~what) (String.split_on_char ',' s)) in
+    check_width ~what ~width (Array.length a);
+    a
 end

@@ -64,4 +64,31 @@ module Snapshot : sig
 
   val counted : what:string -> key:string -> reader -> (unit -> 'a) -> 'a list
   (** A ["key n"] line, then [n] items read in order. *)
+
+  val many : key:string -> reader -> (unit -> 'a) -> 'a list
+  (** Items read in order while the next line's keyword is [key]. *)
+
+  (** {2 Strict fields}
+
+      What a checkpoint body reads through: a line splits at single
+      spaces only, and a natural, a bit string or a comma list has one
+      spelling each.  Every reader raises [Invalid_argument] naming
+      [what] on anything else. *)
+
+  val fields : what:string -> key:string -> ?n:int -> reader -> string array
+  (** The next line's fields after its keyword [key] — exactly [n] of
+      them when [n] is given.  A doubled, leading or trailing space (an
+      empty field) is refused. *)
+
+  val nat : what:string -> string -> int
+  (** Decimal digits only: no sign, no base prefix, no underscore. *)
+
+  val bits : what:string -> string -> string
+  (** A non-empty string of ['0'] and ['1'], returned as is. *)
+
+  val bools : what:string -> width:int -> string -> bool array
+  (** A bit string of exactly [width] bits. *)
+
+  val nats : what:string -> width:int -> string -> int array
+  (** A comma list of exactly [width] naturals. *)
 end

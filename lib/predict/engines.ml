@@ -25,7 +25,6 @@ type t = {
   mutable degraded : degraded option;
   nthreads : int;
   max_buffered : int option;
-  overflow_limit : int option;
 }
 
 let kinds t = t.kinds
@@ -59,7 +58,7 @@ let attach ?race ?atomicity front order =
   let atomicity = core Engine.Atomicity atomicity (fun () -> Atomicity.Core.create ~nthreads) in
   { front; order; race; atomicity; sink = sink_of ~metered:(fun _ -> true) race atomicity }
 
-let create ?max_buffered ?overflow_limit ~kinds ~nthreads ~init ~spec () =
+let create ?max_buffered ~kinds ~nthreads ~init ~spec () =
   validate_kinds kinds ~spec;
   let online =
     if List.mem Engine.Lattice kinds then
@@ -69,9 +68,9 @@ let create ?max_buffered ?overflow_limit ~kinds ~nthreads ~init ~spec () =
   let linear =
     match linear_kinds kinds with
     | [] -> None
-    | order -> Some (attach (Linear.create ?max_buffered ?overflow_limit ~nthreads ()) order)
+    | order -> Some (attach (Linear.create ?max_buffered ~nthreads ()) order)
   in
-  { kinds; online; linear; events = 0; degraded = None; nthreads; max_buffered; overflow_limit }
+  { kinds; online; linear; events = 0; degraded = None; nthreads; max_buffered }
 
 (* [match]es, not [Option.iter]: a closure over [m] would be allocated
    per message.  A message counts once every engine has accepted it: a
@@ -201,8 +200,7 @@ let degrade t ~reason =
                 snap_delivered_total = Array.fold_left ( + ) 0 prefix }
             in
             attach
-              (Linear.create ?max_buffered:t.max_buffered ?overflow_limit:t.overflow_limit
-                 ~start ~nthreads:t.nthreads ())
+              (Linear.create ?max_buffered:t.max_buffered ~start ~nthreads:t.nthreads ())
               order
       in
       t.linear <- Some linear;
@@ -253,7 +251,7 @@ let refuse fmt = Printf.ksprintf (fun s -> invalid_arg ("Engines.restore: " ^ s)
 (* One block — [linear 1], or a legacy [race 1] / [atomicity 1] — as
    its front-end lines (between the version and counts lines), the front
    end and the cores it carries. *)
-let read_block ?max_buffered ?overflow_limit (name, lines) =
+let read_block ?max_buffered (name, lines) =
   let what = name ^ " engine" in
   let open Engine.Snapshot in
   let kind =
@@ -268,7 +266,7 @@ let read_block ?max_buffered ?overflow_limit (name, lines) =
     invalid_arg (Printf.sprintf "%s: unsupported snapshot version %S" what v);
   let head = ref [] in
   let front =
-    Linear.read ~what ?max_buffered ?overflow_limit r ~events:(fun r ->
+    Linear.read ~what ?max_buffered r ~events:(fun r ->
         match List.rev_map (int ~what) (keyed ~what ~key:"counts" r) with
         | ooo :: events :: rest ->
             head := List.rev rest;
@@ -306,8 +304,8 @@ let read_block ?max_buffered ?overflow_limit (name, lines) =
   in
   (shared (List.tl lines), front, race, atomicity)
 
-let read_blocks ?max_buffered ?overflow_limit order blocks =
-  let blocks = List.map (read_block ?max_buffered ?overflow_limit) blocks in
+let read_blocks ?max_buffered order blocks =
+  let blocks = List.map (read_block ?max_buffered) blocks in
   let carried =
     List.concat_map
       (fun (_, _, r, a) ->
@@ -334,7 +332,7 @@ let read_blocks ?max_buffered ?overflow_limit order blocks =
     ?atomicity:(List.find_map (fun (_, _, _, a) -> a) blocks)
     front order
 
-let restore ?max_buffered ?overflow_limit ?degraded ~kinds ~nthreads ~init:_ ~spec
+let restore ?max_buffered ?degraded ~kinds ~nthreads ~init:_ ~spec
     ~online_snapshot ~blocks ~events () =
   validate_kinds kinds ~spec;
   let online =
@@ -354,11 +352,11 @@ let restore ?max_buffered ?overflow_limit ?degraded ~kinds ~nthreads ~init:_ ~sp
     match (order, blocks) with
     | [], [] -> None
     | [], (name, _) :: _ -> refuse "checkpoint has state for unselected engine %S" name
-    | _ -> Some (read_blocks ?max_buffered ?overflow_limit order blocks)
+    | _ -> Some (read_blocks ?max_buffered order blocks)
   in
   Option.iter
     (fun l ->
       if Linear.nthreads l.front <> nthreads then
         refuse "engine state for %d threads, stream of %d" (Linear.nthreads l.front) nthreads)
     linear;
-  { kinds; online; linear; events; degraded; nthreads; max_buffered; overflow_limit }
+  { kinds; online; linear; events; degraded; nthreads; max_buffered }

@@ -28,16 +28,13 @@ type degraded = {
 
 val create :
   ?max_buffered:int ->
-  ?overflow_limit:int ->
   kinds:Engine.kind list ->
   nthreads:int ->
   init:(Types.var * Types.value) list ->
   spec:Pastltl.Formula.t option ->
   unit ->
   t
-(** [overflow_limit] is the budget cap on the linear front end's causal
-    delivery buffer ({!Causal.Causal_buffer_overflow}).
-    @raise Invalid_argument when [kinds] is empty, or when the lattice
+(** @raise Invalid_argument when [kinds] is empty, or when the lattice
     engine is selected without a specification. *)
 
 val kinds : t -> Engine.kind list
@@ -123,7 +120,6 @@ val snapshots : t -> (string * string list) list
 
 val restore :
   ?max_buffered:int ->
-  ?overflow_limit:int ->
   ?degraded:degraded ->
   kinds:Engine.kind list ->
   nthreads:int ->

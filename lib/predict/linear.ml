@@ -27,12 +27,12 @@ type t = {
   mutable ooo : int;
 }
 
-let create ?max_buffered ?overflow_limit ?start ~nthreads () =
+let create ?max_buffered ?start ~nthreads () =
   { clocks = Syncclock.create ~nthreads;
     causal =
       (match start with
-      | Some cut -> Causal.restore ?max_buffered ?overflow_limit cut
-      | None -> Causal.create ?max_buffered ?overflow_limit ~nthreads ());
+      | Some cut -> Causal.restore ?max_buffered cut
+      | None -> Causal.create ?max_buffered ~nthreads ());
     events = 0;
     ooo = 0 }
 
@@ -98,7 +98,7 @@ let write lines t =
           m.Message.value (Vclock.to_string m.Message.mvc) ]);
   push (Printf.sprintf "counts %d %d" t.events t.ooo)
 
-let read ~what ?max_buffered ?overflow_limit ~events r =
+let read ~what ?max_buffered ~events r =
   let open Engine.Snapshot in
   let clocks = Syncclock.read ~what r in
   let ints key = keyed ~what ~key r |> List.map (int ~what) |> Array.of_list in
@@ -118,7 +118,7 @@ let read ~what ?max_buffered ?overflow_limit ~events r =
         | _ -> invalid_arg (what ^ ": malformed msg line"))
   in
   let causal =
-    Causal.restore ?max_buffered ?overflow_limit
+    Causal.restore ?max_buffered
       { Causal.snap_delivered = delivered;
         snap_ended = ended;
         snap_pending = pending;

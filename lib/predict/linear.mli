@@ -28,10 +28,10 @@ val fan_out : sink list -> sink
 type t
 
 val create :
-  ?max_buffered:int -> ?overflow_limit:int -> ?start:Causal.snapshot -> nthreads:int -> unit -> t
+  ?max_buffered:int -> ?start:Causal.snapshot -> nthreads:int -> unit -> t
 (** [start] seeds the delivery buffer mid-stream (the degrade handoff
-    cut); the clocks still start at zero.  [max_buffered] and
-    [overflow_limit] are {!Causal.create}'s. *)
+    cut); the clocks still start at zero.  [max_buffered] is
+    {!Causal.create}'s. *)
 
 val feed : t -> sink -> Message.t -> unit
 (** Buffer one message and hand every access it makes deliverable to the
@@ -61,7 +61,6 @@ val write : string list ref -> t -> unit
 val read :
   what:string ->
   ?max_buffered:int ->
-  ?overflow_limit:int ->
   events:(Engine.Snapshot.reader -> int * int) ->
   Engine.Snapshot.reader ->
   t

@@ -141,7 +141,7 @@ val gc_stats : t -> gc_stats
     frontier small, but not the store: a level advances only once every
     thread has delivered [level + 1] messages, so on an n-thread stream
     whose threads interleave the store holds about (n−1)/n of the
-    messages received (ROADMAP item 3).  {!snapshot} captures exactly
+    messages received (ROADMAP item 4(a)).  {!snapshot} captures exactly
     that as plain serializable
     values; {!restore} rebuilds an analyzer that continues the run with
     verdicts, violations and {!gc_stats} identical to never having

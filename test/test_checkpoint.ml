@@ -502,6 +502,110 @@ let test_v2_checkpoint_refused () =
   | Error e -> Alcotest.failf "wrong error: %s" (C.error_to_string e)
   | Ok _ -> Alcotest.fail "a wire-v2 checkpoint decoded"
 
+(* {1 Body checks}
+
+   The envelope pins a body's length and CRC, so flipped bytes never
+   reach the field checks.  Here each body is mutated one line at a
+   time and then wrapped in a correct envelope: [decode] must answer
+   [Ok] or [Malformed], never raise, and whatever it accepts must
+   encode to bytes it reads back to the same bytes. *)
+
+let body_of text =
+  let i = String.index text '\n' in
+  let j = String.index_from text (i + 1) '\n' in
+  String.sub text (j + 1) (String.length text - j - 1)
+
+let wrap body =
+  Printf.sprintf "jmpax-ckpt 1\nlen %d crc %08x\n%s" (String.length body) (C.crc32 body)
+    body
+
+let positions p s = List.filter (fun i -> p s.[i]) (List.init (String.length s) Fun.id)
+
+let is_digit = function '0' .. '9' -> true | _ -> false
+
+(* One mutation of one line: drop, duplicate or swap it, double a space,
+   turn a digit into a letter, cut it short, or move a number in it off
+   by one.  A mutation that does not apply to the line drops it. *)
+let mutate rng body =
+  let lines = String.split_on_char '\n' body in
+  let n = List.length lines in
+  let i = Random.State.int rng n in
+  let line = List.nth lines i in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let edit f = List.mapi (fun k l -> if k = i then f l else l) lines in
+  let drop () = List.filteri (fun k _ -> k <> i) lines in
+  let lines =
+    match Random.State.int rng 7 with
+    | 0 -> drop ()
+    | 1 -> List.concat (List.mapi (fun k l -> if k = i then [ l; l ] else [ l ]) lines)
+    | 2 ->
+        let j = Random.State.int rng n in
+        let lj = List.nth lines j in
+        List.mapi (fun k l -> if k = i then lj else if k = j then line else l) lines
+    | 3 -> (
+        match positions (( = ) ' ') line with
+        | [] -> drop ()
+        | ps ->
+            let p = pick ps in
+            edit (fun l -> String.sub l 0 p ^ " " ^ String.sub l p (String.length l - p)))
+    | 4 -> (
+        match positions is_digit line with
+        | [] -> drop ()
+        | ps ->
+            let p = pick ps in
+            let c = Char.chr (Char.code 'a' + Random.State.int rng 26) in
+            edit (String.mapi (fun k ch -> if k = p then c else ch)))
+    | 5 -> edit (fun l -> String.sub l 0 (Random.State.int rng (max 1 (String.length l))))
+    | _ -> (
+        (* The starts of the line's digit runs. *)
+        let starts = List.filter (fun p -> p = 0 || not (is_digit line.[p - 1])) in
+        match starts (positions is_digit line) with
+        | [] -> drop ()
+        | ps ->
+            let p = pick ps in
+            let e = ref p in
+            while !e < String.length line && is_digit line.[!e] do incr e done;
+            match int_of_string_opt (String.sub line p (!e - p)) with
+            | None -> drop ()
+            | Some v ->
+                let v = if Random.State.bool rng then v + 1 else v - 1 in
+                edit (fun l ->
+                    String.sub l 0 p ^ string_of_int v ^ String.sub l !e (String.length l - !e)))
+  in
+  String.concat "\n" lines
+
+let golden_bodies =
+  lazy
+    (List.map
+       (fun name -> body_of (read_file (data_file name)))
+       [ "lattice_4t_mid.ckpt"; "serve_3t_v3_mid.ckpt" ])
+
+let test_mutated_bodies =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (oneof
+           [ map (fun ck -> body_of (C.encode ck)) gen_checkpoint;
+             map (fun k -> List.nth (Lazy.force golden_bodies) k) (int_bound 1) ])
+        (pair (int_range 1 3) int))
+  in
+  QCheck.Test.make ~name:"mutated bodies: Ok or Malformed, never raise" ~count:1500
+    (QCheck.make gen) (fun (body, (k, seed)) ->
+      let rng = Random.State.make [| seed |] in
+      let body = ref body in
+      for _ = 1 to k do body := mutate rng !body done;
+      match C.decode (wrap !body) with
+      | Error (C.Malformed _) -> true
+      | Error e -> QCheck.Test.fail_reportf "not Malformed: %s" (C.error_to_string e)
+      | Ok ck -> (
+          let enc = C.encode ck in
+          match C.decode enc with
+          | Ok ck' when C.encode ck' = enc -> true
+          | Ok _ -> QCheck.Test.fail_reportf "re-encoding differs"
+          | Error e ->
+              QCheck.Test.fail_reportf "refused its own re-encoding: %s" (C.error_to_string e))
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 (* {1 Transports} *)
 
 let string_raw doc =
@@ -687,6 +791,7 @@ let test_crc32_random =
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ test_roundtrip; test_truncation_rejected; test_crc32_random ]
+  @ [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) test_mutated_bodies ]
 
 let () =
   Alcotest.run "checkpoint"

@@ -137,36 +137,20 @@ let test_pipeline_soundness_sweep () =
 
 (* {1 JPaX baseline} *)
 
+(* The observed-run verdict latches: a state that falsified the
+   specification is not undone by a later good one. *)
 let test_jpax_latching () =
   let spec = Pastltl.Fparser.parse "always x == 0" in
-  let monitor = Jmpax.Jpax.create ~spec ~init:[ ("x", 0) ] in
-  Alcotest.(check bool) "initially ok" true (Jmpax.Jpax.ok monitor);
   let mk v seq =
     Trace.Message.make ~eid:seq ~tid:0 ~var:"x" ~value:v
       ~mvc:(Vclock.of_list [ seq ])
   in
-  Jmpax.Jpax.feed monitor (mk 0 1);
-  Alcotest.(check bool) "still ok" true (Jmpax.Jpax.ok monitor);
-  Jmpax.Jpax.feed monitor (mk 1 2);
-  Alcotest.(check bool) "violated" false (Jmpax.Jpax.ok monitor);
-  Jmpax.Jpax.feed monitor (mk 0 3);
-  Alcotest.(check bool) "latched" false (Jmpax.Jpax.ok monitor);
-  Alcotest.(check (option int)) "violation at state 2" (Some 2)
-    (Jmpax.Jpax.violation_index monitor);
-  Alcotest.(check int) "4 states seen" 4 (Jmpax.Jpax.states_seen monitor)
-
-let test_jpax_agrees_with_observed_verdict () =
-  let spec = Pastltl.Formula.xyz_spec in
-  let r =
-    Tml.Vm.run_program
-      ~relevance:(Mvc.Relevance.writes_of_vars [ "x"; "y"; "z" ])
-      ~sched:(Tml.Sched.of_script Tml.Programs.xyz_observed)
-      Tml.Programs.xyz
+  let verdict values =
+    Predict.Analyzer.observed_run_verdict ~spec ~init:[ ("x", 0) ]
+      (List.mapi (fun i v -> mk v (i + 1)) values)
   in
-  let init = Tml.Programs.xyz.Tml.Ast.shared in
-  Alcotest.(check bool) "one-shot = analyzer baseline"
-    (Predict.Analyzer.observed_run_verdict ~spec ~init r.Tml.Vm.messages)
-    (Jmpax.Jpax.check_messages ~spec ~init r.Tml.Vm.messages)
+  Alcotest.(check bool) "x = 0 holds" true (verdict [ 0 ]);
+  Alcotest.(check bool) "x = 0, 1, 0 latched" false (verdict [ 0; 1; 0 ])
 
 (* {1 Wire format} *)
 
@@ -323,11 +307,13 @@ let test_metrics_clock_gauges () =
   Alcotest.(check int) "clock.dense.joins" expected_joins (gauge "clock.dense.joins");
   Alcotest.(check int) "clock.dense.entry_updates" (2 * expected_joins)
     (gauge "clock.dense.entry_updates");
-  Alcotest.(check int) "clock.dense.fast_joins" 0 (gauge "clock.dense.fast_joins");
   Alcotest.(check bool) "gauge dumped" true (contains ~needle:"clock.dense.joins" dumped);
-  Alcotest.(check (list string)) "no sparse or tree gauges registered" []
+  Alcotest.(check (list string)) "no sparse, tree or fast-join gauges registered" []
     (List.filter
-       (fun name -> contains ~needle:"clock.sparse." name || contains ~needle:"clock.tree." name)
+       (fun name ->
+         contains ~needle:"clock.sparse." name
+         || contains ~needle:"clock.tree." name
+         || name = "clock.dense.fast_joins")
        (List.map fst (M.all ())));
   List.iter
     (fun tid ->
@@ -353,9 +339,7 @@ let () =
         [ Alcotest.test_case "observed => predicted; analyzer = enumeration" `Quick
             test_pipeline_soundness_sweep ] );
       ( "jpax",
-        [ Alcotest.test_case "latching" `Quick test_jpax_latching;
-          Alcotest.test_case "agrees with analyzer baseline" `Quick
-            test_jpax_agrees_with_observed_verdict ] );
+        [ Alcotest.test_case "latching" `Quick test_jpax_latching ] );
       ( "wire",
         [ Alcotest.test_case "roundtrip" `Quick test_wire_roundtrip;
           Alcotest.test_case "escaping" `Quick test_wire_escaping;

@@ -1203,40 +1203,33 @@ let test_mem_words_tracks_reachable () =
     (wide_then_narrow_stream ~wide:8 ~narrow:40);
   Alcotest.(check bool) "checked on narrow levels" true (!narrowed > 50)
 
-(* The memory budget over a stream that goes wide and then narrow.
-   [mem_words] must give the wide levels' storage back once the
-   frontier has narrowed: a budget of twice what the final state needs
-   (the same state restored from a snapshot, which rebuilds the
-   frontier at its level's size) is breached while the frontier is
-   wide and met on every message once the frontier has been one cut
-   for two levels. *)
+(* Memory over a stream that goes wide and then narrow.  [mem_words]
+   must give the wide levels' storage back once the frontier has
+   narrowed: twice what the final state needs (the same state restored
+   from a snapshot, which rebuilds the frontier at its level's size) is
+   exceeded while the frontier is wide and met on every message once
+   the frontier has been one cut for two levels. *)
 let test_budget_after_wide_level () =
   let module O = Predict.Online in
-  let module B = Jmpax.Budget in
   let spec = Pastltl.Fparser.parse "always a <= 3" in
   let o = O.create ~nthreads:4 ~init:[ ("a", 0); ("b", 0); ("c", 0) ] ~spec () in
-  let usage () =
-    { B.frontier_cuts = O.frontier_cuts o; causal_buffered = 0; mem_words = O.mem_words o }
-  in
   let trail = ref [] and narrow_since = ref max_int in
   List.iter
     (fun m ->
       O.feed o m;
       if O.frontier_cuts o > 1 then narrow_since := max_int
       else if !narrow_since = max_int then narrow_since := O.level o;
-      trail := (O.level o - !narrow_since >= 2, usage ()) :: !trail)
+      trail := (O.level o - !narrow_since >= 2, O.mem_words o) :: !trail)
     (wide_then_narrow_stream ~wide:8 ~narrow:40);
-  let need = O.mem_words (O.restore ~spec (O.snapshot o)) in
-  let limits = B.limits ~memory_budget:(2 * need * (Sys.word_size / 8)) () in
+  let limit = 2 * O.mem_words (O.restore ~spec (O.snapshot o)) in
   let settled = List.filter fst !trail in
   Alcotest.(check bool) "settled on narrow levels" true (List.length settled > 50);
-  Alcotest.(check bool) "breached while wide" true
-    (List.exists (fun (_, u) -> B.check limits u <> None) !trail);
+  Alcotest.(check bool) "exceeded while wide" true
+    (List.exists (fun (_, words) -> words > limit) !trail);
   List.iter
-    (fun (_, u) ->
-      match B.check limits u with
-      | None -> ()
-      | Some b -> Alcotest.failf "narrow frontier: %s" (B.breach_message b))
+    (fun (_, words) ->
+      if words > limit then
+        Alcotest.failf "narrow frontier: %d words > limit %d" words limit)
     settled
 
 (* The allocation budget of a level step.  On a one-thread stream every
