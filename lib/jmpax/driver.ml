@@ -43,7 +43,7 @@ let create ?sid ?max_frame ?max_buffered ?quarantine ?checkpoint ?resume
         let h = ck.Checkpoint.ck_header in
         let b =
           Predict.Engines.restore ?max_buffered ?degraded:ck.Checkpoint.ck_degraded ~kinds
-            ~nthreads:h.Wire.nthreads ~init:h.Wire.init ~spec:(Some spec)
+            ~nthreads:h.Wire.nthreads ~spec:(Some spec)
             ~online_snapshot:ck.Checkpoint.ck_online
             ~blocks:ck.Checkpoint.ck_engines
             ~events:ck.Checkpoint.ck_reader_stats.Wire.Reader.messages ()

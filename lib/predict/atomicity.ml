@@ -658,62 +658,48 @@ module Core = struct
     let open Engine.Snapshot in
     let t = create ~nthreads in
     t.c_transactions <- transactions;
-    let depth = keyed ~what ~key:"depth" r |> List.map (int ~what) in
-    if List.length depth <> nthreads then
-      invalid_arg (what ^ ": depth array does not match thread count");
-    List.iteri (fun tid d -> t.c_depth.(tid) <- d) depth;
+    Array.iteri
+      (fun tid d -> t.c_depth.(tid) <- nat ~what d)
+      (fields ~what ~key:"depth" ~n:nthreads r);
     let tid_of s =
-      let tid = int ~what s in
-      if tid < 0 || tid >= nthreads then invalid_arg (what ^ ": thread id out of range");
+      let tid = nat ~what s in
+      if tid >= nthreads then invalid_arg (what ^ ": thread id out of range");
       tid
     in
-    let kind = kind_of_code ~what in
-    let counted key item = ignore (counted ~what ~key r item) in
-    counted "current" (fun () ->
-        match keyed ~what ~key:"cur" r with
-        | [ tid; block; lock ] -> t.c_current.(tid_of tid) <- Some (int ~what block, lock)
-        | _ -> invalid_arg (what ^ ": malformed cur line"));
-    counted "frames" (fun () ->
-        match keyed ~what ~key:"fs" r with
-        | [ tid; var; k; epoch; eid ] ->
-            restore_frame t (tid_of tid) var (kind k) (Some (int ~what epoch, int ~what eid))
-        | _ -> invalid_arg (what ^ ": malformed fs line"));
-    counted "pairs" (fun () ->
-        match keyed ~what ~key:"pm" r with
-        | [ var; tid; lock; k1; k2; epoch; first; second ] ->
-            restore_pair t var (tid_of tid) ~lock (kind k1) (kind k2) ~epoch:(int ~what epoch)
-              ~first:(int ~what first) ~second:(int ~what second)
-        | _ -> invalid_arg (what ^ ": malformed pm line"));
+    let kind = kind_of_code ~what and nat = nat ~what in
+    let counted key ~line ~n item =
+      ignore (counted ~what ~key r (fun () -> item (fields ~what ~key:line ~n r)))
+    in
+    counted "current" ~line:"cur" ~n:3 (fun f ->
+        t.c_current.(tid_of f.(0)) <- Some (nat f.(1), f.(2)));
+    counted "frames" ~line:"fs" ~n:5 (fun f ->
+        restore_frame t (tid_of f.(0)) f.(1) (kind f.(2)) (Some (nat f.(3), nat f.(4))));
+    counted "pairs" ~line:"pm" ~n:8 (fun f ->
+        restore_pair t f.(0) (tid_of f.(1)) ~lock:f.(2) (kind f.(3)) (kind f.(4))
+          ~epoch:(nat f.(5)) ~first:(nat f.(6)) ~second:(nat f.(7)));
     (* Views arrive per observer; a log is rebuilt from all of its own. *)
     let logs = Hashtbl.create 16 in
-    counted "frontiers" (fun () ->
-        match keyed ~what ~key:"fr" r with
-        | [ var; rtid; ltid; k; len ] ->
-            let rtid = tid_of rtid and ltid = tid_of ltid in
-            let pts =
-              List.init (int ~what len) (fun _ ->
-                  match keyed ~what ~key:"pt" r with
-                  | [ p; q; eid ] -> (int ~what p, int ~what q, int ~what eid)
-                  | _ -> invalid_arg (what ^ ": malformed pt line"))
-            in
-            let key = (var, rtid, kind k) in
-            let views = Option.value ~default:[] (Hashtbl.find_opt logs key) in
-            Hashtbl.replace logs key ((ltid, pts) :: views)
-        | _ -> invalid_arg (what ^ ": malformed fr line"));
+    counted "frontiers" ~line:"fr" ~n:5 (fun f ->
+        let rtid = tid_of f.(1) and ltid = tid_of f.(2) in
+        let pts =
+          List.init (nat f.(4)) (fun _ ->
+              let p = fields ~what ~key:"pt" ~n:3 r in
+              (nat p.(0), nat p.(1), nat p.(2)))
+        in
+        let key = (f.(0), rtid, kind f.(3)) in
+        let views = Option.value ~default:[] (Hashtbl.find_opt logs key) in
+        Hashtbl.replace logs key ((ltid, pts) :: views));
     Hashtbl.iter (fun (var, owner, kind) views -> restore_log t var ~owner kind views) logs;
-    counted "classes" (fun () ->
-        match keyed ~what ~key:"cl" r with
-        | [ tid; lock; var; k1; kr; k2; first; second; remote; rtid ] ->
-            let v =
-              { tid = tid_of tid; lock; var;
-                first = int ~what first;
-                second = int ~what second;
-                remote = int ~what remote;
-                remote_tid = int ~what rtid;
-                pattern = (kind k1, kind kr, kind k2) }
-            in
-            Hashtbl.replace t.c_classes (v.tid, v.lock, v.var, v.pattern) v
-        | _ -> invalid_arg (what ^ ": malformed cl line"));
+    counted "classes" ~line:"cl" ~n:10 (fun f ->
+        let v =
+          { tid = tid_of f.(0); lock = f.(1); var = f.(2);
+            first = nat f.(6);
+            second = nat f.(7);
+            remote = nat f.(8);
+            remote_tid = nat f.(9);
+            pattern = (kind f.(3), kind f.(4), kind f.(5)) }
+        in
+        Hashtbl.replace t.c_classes (v.tid, v.lock, v.var, v.pattern) v);
     t
 end
 

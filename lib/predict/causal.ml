@@ -38,7 +38,6 @@ type t = {
   max_buffered : int option;
   mutable buffered : int;
   mutable peak_buffered : int;
-  mutable delivered_total : int;
   mutable words : int;  (* the rings and [waiters] with their headers, the [far] nodes *)
 }
 
@@ -60,7 +59,6 @@ let create ?max_buffered ~nthreads () =
     max_buffered;
     buffered = 0;
     peak_buffered = 0;
-    delivered_total = 0;
     words = 0 }
 
 (* Grow [tid]'s ring to at least [d] slots ([d <= reach]), moving the
@@ -129,7 +127,6 @@ let head t tid =
 let nthreads t = t.nthreads
 let buffered t = t.buffered
 let peak_buffered t = t.peak_buffered
-let delivered_total t = t.delivered_total
 
 (* ~16 words per buffered message, plus the rings' and the waiting
    lists' slots and the map nodes of messages held far ahead. *)
@@ -198,7 +195,6 @@ let run t tid out =
     t.delivered.(tid) <- seq;
     t.npending.(tid) <- t.npending.(tid) - 1;
     t.buffered <- t.buffered - 1;
-    t.delivered_total <- t.delivered_total + 1;
     examine t tid;
     if t.state.(tid) = ready then t.nready <- t.nready - 1 else continue := false
   done;
@@ -300,7 +296,6 @@ type snapshot = {
   snap_ended : bool array;
   snap_pending : Message.t list;  (** ascending [(tid, seq)] *)
   snap_peak_buffered : int;
-  snap_delivered_total : int;
 }
 
 let snapshot t =
@@ -322,8 +317,7 @@ let snapshot t =
   { snap_delivered = Array.copy t.delivered;
     snap_ended = Array.copy t.ended;
     snap_pending = pending;
-    snap_peak_buffered = t.peak_buffered;
-    snap_delivered_total = t.delivered_total }
+    snap_peak_buffered = t.peak_buffered }
 
 let restore ?max_buffered (s : snapshot) =
   let nthreads = Array.length s.snap_delivered in
@@ -347,5 +341,4 @@ let restore ?max_buffered (s : snapshot) =
     examine t tid
   done;
   t.peak_buffered <- max s.snap_peak_buffered t.buffered;
-  t.delivered_total <- s.snap_delivered_total;
   t

@@ -40,7 +40,6 @@ val feed : t -> Message.t -> Message.t list
 val end_of_thread : t -> Types.tid -> unit
 val buffered : t -> int
 val peak_buffered : t -> int
-val delivered_total : t -> int
 val nthreads : t -> int
 
 val mem_words : t -> int
@@ -73,7 +72,6 @@ type snapshot = {
   snap_ended : bool array;
   snap_pending : Message.t list;  (** ascending [(tid, seq)] *)
   snap_peak_buffered : int;
-  snap_delivered_total : int;
 }
 
 val snapshot : t -> snapshot

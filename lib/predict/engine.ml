@@ -64,11 +64,12 @@ let messages_of_exec exec =
 
 (* {1 Snapshot line codec}
 
-   Engine snapshots are persisted as opaque line blocks inside the
-   checkpoint file; these helpers keep the per-engine codecs small and
-   the error messages uniform.  Variable names never contain spaces
-   (TML identifiers plus the reserved [#...:] prefixes) and
-   [Vclock.to_string] is space-free, so fields are space-separated. *)
+   Engine snapshots are persisted as line blocks inside the checkpoint
+   file, and the checkpoint body itself is read through the same
+   readers.  Variable names never contain spaces (TML identifiers plus
+   the reserved [#...:] prefixes) and [Vclock.to_string] is space-free,
+   so a line splits at single spaces; a number, a bit string or a comma
+   list reads back only in the spelling an encoder writes. *)
 
 module Snapshot = struct
   type reader = { mutable lines : string list }
@@ -77,10 +78,10 @@ module Snapshot = struct
 
   let eof r = r.lines = []
 
-  let words l = String.split_on_char ' ' l |> List.filter (fun s -> s <> "")
-
   let next_key r =
-    match r.lines with l :: _ -> List.nth_opt (words l) 0 | [] -> None
+    match r.lines with
+    | l :: _ -> Some (match String.index_opt l ' ' with Some i -> String.sub l 0 i | None -> l)
+    | [] -> None
 
   let line ~what r =
     match r.lines with
@@ -88,43 +89,6 @@ module Snapshot = struct
     | l :: rest ->
         r.lines <- rest;
         l
-
-  let int ~what s =
-    match int_of_string_opt s with
-    | Some n -> n
-    | None -> invalid_arg (Printf.sprintf "%s: bad integer %S" what s)
-
-  let clock ~what s =
-    match Vclock.of_string s with
-    | v -> v
-    | exception Invalid_argument _ ->
-        invalid_arg (Printf.sprintf "%s: bad clock %S" what s)
-
-  let keyed ~what ~key r =
-    match words (line ~what r) with
-    | k :: rest when k = key -> rest
-    | k :: _ ->
-        invalid_arg (Printf.sprintf "%s: expected %S line, found %S" what key k)
-    | [] -> invalid_arg (Printf.sprintf "%s: expected %S line, found blank" what key)
-
-  let push lines l = lines := l :: !lines
-
-  let push_counted lines key items render =
-    push lines (Printf.sprintf "%s %d" key (List.length items));
-    List.iter (fun x -> List.iter (push lines) (render x)) items
-
-  let counted ~what ~key r item =
-    match keyed ~what ~key r with
-    | [ n ] -> List.init (int ~what n) (fun _ -> item ())
-    | _ -> invalid_arg (Printf.sprintf "%s: malformed %s line" what key)
-
-  let many ~key r item =
-    let rec go acc = if next_key r = Some key then go (item () :: acc) else List.rev acc in
-    go []
-
-  (* The strict readers: a line splits at single spaces only, and a
-     natural is decimal digits with no sign, base prefix or underscore,
-     so a field reads back only in the forms an encoder writes. *)
 
   let fields ~what ~key ?n r =
     let l = line ~what r in
@@ -141,10 +105,43 @@ module Snapshot = struct
         f
     | _ -> invalid_arg (Printf.sprintf "%s: expected %S line, found %S" what key l)
 
+  (* The one spelling [string_of_int] writes: digits, no leading zero. *)
+  let decimal s =
+    s <> ""
+    && String.for_all (function '0' .. '9' -> true | _ -> false) s
+    && (s = "0" || s.[0] <> '0')
+
   let nat ~what s =
     match int_of_string_opt s with
-    | Some n when s <> "" && String.for_all (function '0' .. '9' -> true | _ -> false) s -> n
+    | Some n when decimal s -> n
     | _ -> invalid_arg (Printf.sprintf "%s: bad natural %S" what s)
+
+  let int ~what s =
+    let digits =
+      if String.starts_with ~prefix:"-" s then String.sub s 1 (String.length s - 1) else s
+    in
+    match int_of_string_opt s with
+    | Some n when decimal digits && s <> "-0" -> n
+    | _ -> invalid_arg (Printf.sprintf "%s: bad integer %S" what s)
+
+  let clock ~what s =
+    let n = String.length s in
+    if n >= 2 && s.[0] = '(' && s.[n - 1] = ')' then
+      Vclock.of_list (List.map (nat ~what) (String.split_on_char ',' (String.sub s 1 (n - 2))))
+    else invalid_arg (Printf.sprintf "%s: bad clock %S" what s)
+
+  let push lines l = lines := l :: !lines
+
+  let push_counted lines key items render =
+    push lines (Printf.sprintf "%s %d" key (List.length items));
+    List.iter (fun x -> List.iter (push lines) (render x)) items
+
+  let counted ~what ~key r item =
+    List.init (nat ~what (fields ~what ~key ~n:1 r).(0)) (fun _ -> item ())
+
+  let many ~key r item =
+    let rec go acc = if next_key r = Some key then go (item () :: acc) else List.rev acc in
+    go []
 
   let bits ~what s =
     if s <> "" && String.for_all (fun c -> c = '0' || c = '1') s then s

@@ -36,7 +36,12 @@ val messages_of_exec : Exec.t -> Message.t list
     [jmpax run --engine race] records, and what the streaming engines
     consume. *)
 
-(** {1 Snapshot line codec} *)
+(** {1 Snapshot line codec}
+
+    What the checkpoint body and the engine blocks inside it read
+    through: a line splits at single spaces only, and a number, a clock,
+    a bit string or a comma list has one spelling each.  Every reader
+    raises [Invalid_argument] naming [what] on anything else. *)
 
 module Snapshot : sig
   type reader
@@ -45,16 +50,26 @@ module Snapshot : sig
   val eof : reader -> bool
 
   val next_key : reader -> string option
-  (** The next line's leading keyword, without consuming it. *)
+  (** The next line's leading keyword (up to its first space), without
+      consuming it. *)
 
   val line : what:string -> reader -> string
   (** @raise Invalid_argument when exhausted. *)
 
-  val int : what:string -> string -> int
-  val clock : what:string -> string -> Vclock.t
+  val fields : what:string -> key:string -> ?n:int -> reader -> string array
+  (** The next line's fields after its keyword [key] — exactly [n] of
+      them when [n] is given.  A doubled, leading or trailing space (an
+      empty field) is refused. *)
 
-  val keyed : what:string -> key:string -> reader -> string list
-  (** Next line's fields after checking its leading keyword. *)
+  val nat : what:string -> string -> int
+  (** Decimal digits only, as [string_of_int] writes them: no sign, no
+      base prefix, no underscore, no leading zero. *)
+
+  val int : what:string -> string -> int
+  (** An optional ['-'] followed by a {!nat}; not ["-0"]. *)
+
+  val clock : what:string -> string -> Vclock.t
+  (** [(n,...,n)], each component a {!nat}. *)
 
   val push : string list ref -> string -> unit
   (** Lines accumulate reversed; finish with [List.rev]. *)
@@ -67,21 +82,6 @@ module Snapshot : sig
 
   val many : key:string -> reader -> (unit -> 'a) -> 'a list
   (** Items read in order while the next line's keyword is [key]. *)
-
-  (** {2 Strict fields}
-
-      What a checkpoint body reads through: a line splits at single
-      spaces only, and a natural, a bit string or a comma list has one
-      spelling each.  Every reader raises [Invalid_argument] naming
-      [what] on anything else. *)
-
-  val fields : what:string -> key:string -> ?n:int -> reader -> string array
-  (** The next line's fields after its keyword [key] — exactly [n] of
-      them when [n] is given.  A doubled, leading or trailing space (an
-      empty field) is refused. *)
-
-  val nat : what:string -> string -> int
-  (** Decimal digits only: no sign, no base prefix, no underscore. *)
 
   val bits : what:string -> string -> string
   (** A non-empty string of ['0'] and ['1'], returned as is. *)

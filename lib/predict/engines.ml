@@ -116,8 +116,7 @@ let buffered t =
   Int.max (lattice_or t Online.buffered ~default:0) (linear_or t Linear.buffered ~default:0)
 
 let out_of_order t =
-  Int.max (lattice_or t Online.out_of_order ~default:0)
-    (linear_or t Linear.out_of_order ~default:0)
+  Int.max (lattice_or t Online.out_of_order ~default:0) (linear_or t Linear.buffered ~default:0)
 
 let missing t =
   match lattice_or t Online.missing ~default:None with
@@ -196,8 +195,7 @@ let degrade t ~reason =
               { Causal.snap_delivered = prefix;
                 snap_ended = ended;
                 snap_pending = pending;
-                snap_peak_buffered = List.length pending;
-                snap_delivered_total = Array.fold_left ( + ) 0 prefix }
+                snap_peak_buffered = List.length pending }
             in
             attach
               (Linear.create ?max_buffered:t.max_buffered ~start ~nthreads:t.nthreads ())
@@ -214,127 +212,84 @@ let degrade t ~reason =
 
 (* {1 Checkpointing}
 
-   One [linear 1] block: the front end once (sync clocks, delivery
-   buffer, a [counts <events> <out-of-order>] line), then a section per
-   core, headed [race-core <accesses> <pairs>] / [atomicity-core
-   <transactions>].
-   Older checkpoints carry a [race 1] and/or an [atomicity 1] block, each
-   with its own copy of the front end and its core's counts leading the
-   [counts] line; they load when the copies agree. *)
+   One [linear 2] block: the front end once (sync clocks, then the
+   delivery buffer), then a section per core, headed [race-core
+   <accesses> <pairs>] / [atomicity-core <transactions>].  It is the
+   only layout that loads: a [linear 1] block, or the [race 1] /
+   [atomicity 1] blocks of builds before the shared front end, is
+   refused by its version line. *)
 
 let block_name = "linear"
-let version = "linear 1"
+let version = "linear 2"
+
+let write_block l =
+  let open Engine.Snapshot in
+  let lines = ref [] in
+  push lines version;
+  Linear.write lines l.front;
+  Option.iter
+    (fun r ->
+      let accesses, pairs = Race.Core.counts r in
+      push lines (Printf.sprintf "race-core %d %d" accesses pairs);
+      Race.Core.write lines r)
+    l.race;
+  Option.iter
+    (fun a ->
+      push lines (Printf.sprintf "atomicity-core %d" (Atomicity.Core.transactions a));
+      Atomicity.Core.write lines a)
+    l.atomicity;
+  List.rev !lines
 
 let snapshots t =
-  match t.linear with
-  | None -> []
-  | Some l ->
-      let open Engine.Snapshot in
-      let lines = ref [] in
-      push lines version;
-      Linear.write lines l.front;
-      Option.iter
-        (fun r ->
-          let accesses, pairs = Race.Core.counts r in
-          push lines (Printf.sprintf "race-core %d %d" accesses pairs);
-          Race.Core.write lines r)
-        l.race;
-      Option.iter
-        (fun a ->
-          push lines (Printf.sprintf "atomicity-core %d" (Atomicity.Core.transactions a));
-          Atomicity.Core.write lines a)
-        l.atomicity;
-      [ (block_name, List.rev !lines) ]
+  match t.linear with None -> [] | Some l -> [ (block_name, write_block l) ]
 
 let refuse fmt = Printf.ksprintf (fun s -> invalid_arg ("Engines.restore: " ^ s)) fmt
 
-(* One block — [linear 1], or a legacy [race 1] / [atomicity 1] — as
-   its front-end lines (between the version and counts lines), the front
-   end and the cores it carries. *)
-let read_block ?max_buffered (name, lines) =
-  let what = name ^ " engine" in
+let check_version (name, lines) =
+  match lines with
+  | v :: _ when name = block_name && v = version -> ()
+  | v :: _ -> refuse "engine block %S has version %S; this build reads %S only" name v version
+  | [] -> refuse "engine block %S is empty" name
+
+(* The block's front end and the cores [order] selects.  A block is
+   taken only in the form the restored state writes back, so every
+   field, count and ordering reads one way. *)
+let read_block ?max_buffered order lines =
+  let what = block_name ^ " engine" in
   let open Engine.Snapshot in
-  let kind =
-    match Engine.kind_of_string name with
-    | Some (Engine.Race | Engine.Atomicity) as k -> k
-    | _ when name = block_name -> None
-    | _ -> refuse "checkpoint has state for unselected engine %S" name
-  in
-  let r = reader lines in
-  let v = line ~what r in
-  if v <> name ^ " 1" then
-    invalid_arg (Printf.sprintf "%s: unsupported snapshot version %S" what v);
-  let head = ref [] in
-  let front =
-    Linear.read ~what ?max_buffered r ~events:(fun r ->
-        match List.rev_map (int ~what) (keyed ~what ~key:"counts" r) with
-        | ooo :: events :: rest ->
-            head := List.rev rest;
-            (events, ooo)
-        | _ -> invalid_arg (what ^ ": malformed counts line"))
-  in
+  let r = reader (List.tl lines) in
+  let front = Linear.read ~what ?max_buffered r in
   let nthreads = Linear.nthreads front in
-  let race = function
-    | [ accesses; pairs ] -> Race.Core.read ~what ~nthreads ~accesses ~pairs r
-    | _ -> invalid_arg (what ^ ": malformed race counts")
+  let section key ~n read =
+    if next_key r <> Some key then None
+    else Some (read (Array.map (nat ~what) (fields ~what ~key ~n r)))
   in
-  let atomicity = function
-    | [ transactions ] -> Atomicity.Core.read ~what ~nthreads ~transactions r
-    | _ -> invalid_arg (what ^ ": malformed atomicity counts")
+  let race =
+    section "race-core" ~n:2 (fun c ->
+        Race.Core.read ~what ~nthreads ~accesses:c.(0) ~pairs:c.(1) r)
   in
-  (* A legacy block's core counts lead its counts line; [linear 1] heads
-     each core's section with its own. *)
-  let race, atomicity =
-    match (kind, !head) with
-    | Some Engine.Race, head -> (Some (race head), None)
-    | Some _, head -> (None, Some (atomicity head))
-    | None, [] ->
-        let section key read =
-          if next_key r = Some key then Some (read (List.map (int ~what) (keyed ~what ~key r)))
-          else None
-        in
-        let race = section "race-core" race in
-        (race, section "atomicity-core" atomicity)
-    | None, _ -> invalid_arg (what ^ ": malformed counts line")
+  let atomicity =
+    section "atomicity-core" ~n:1 (fun c ->
+        Atomicity.Core.read ~what ~nthreads ~transactions:c.(0) r)
   in
   if not (eof r) then invalid_arg (what ^ ": trailing lines in snapshot");
-  let rec shared = function
-    | l :: rest when not (String.starts_with ~prefix:"counts " l) -> l :: shared rest
-    | _ -> []
-  in
-  (shared (List.tl lines), front, race, atomicity)
-
-let read_blocks ?max_buffered order blocks =
-  let blocks = List.map (read_block ?max_buffered) blocks in
-  let carried =
-    List.concat_map
-      (fun (_, _, r, a) ->
-        (if Option.is_none r then [] else [ Engine.Race ])
-        @ if Option.is_none a then [] else [ Engine.Atomicity ])
-      blocks
-  in
   List.iter
-    (fun k ->
-      match (List.mem k order, List.mem k carried) with
+    (fun (k, carried) ->
+      match (List.mem k order, carried) with
       | true, false -> refuse "checkpoint has no state for engine %S" (Engine.kind_to_string k)
       | false, true ->
           refuse "checkpoint has state for unselected engine %S" (Engine.kind_to_string k)
       | _ -> ())
-    [ Engine.Race; Engine.Atomicity ];
-  let shared, front, _, _ = List.hd blocks in
-  List.iter
-    (fun (s, _, _, _) ->
-      if s <> shared then
-        refuse "the race 1 and atomicity 1 blocks disagree on the delivery buffer or sync clocks")
-    blocks;
-  attach
-    ?race:(List.find_map (fun (_, _, r, _) -> r) blocks)
-    ?atomicity:(List.find_map (fun (_, _, _, a) -> a) blocks)
-    front order
+    [ (Engine.Race, Option.is_some race); (Engine.Atomicity, Option.is_some atomicity) ];
+  let l = attach ?race ?atomicity front order in
+  if write_block l <> lines then
+    invalid_arg (what ^ ": block is not in the form its state writes");
+  l
 
-let restore ?max_buffered ?degraded ~kinds ~nthreads ~init:_ ~spec
-    ~online_snapshot ~blocks ~events () =
+let restore ?max_buffered ?degraded ~kinds ~nthreads ~spec ~online_snapshot ~blocks ~events
+    () =
   validate_kinds kinds ~spec;
+  List.iter check_version blocks;
   let online =
     match (List.mem Engine.Lattice kinds, degraded, online_snapshot) with
     | _, Some _, Some _ -> refuse "checkpoint is degraded yet carries lattice engine state"
@@ -351,8 +306,10 @@ let restore ?max_buffered ?degraded ~kinds ~nthreads ~init:_ ~spec
   let linear =
     match (order, blocks) with
     | [], [] -> None
-    | [], (name, _) :: _ -> refuse "checkpoint has state for unselected engine %S" name
-    | _ -> Some (read_blocks ?max_buffered order blocks)
+    | [], _ :: _ -> refuse "checkpoint has state for unselected engine %S" block_name
+    | k :: _, [] -> refuse "checkpoint has no state for engine %S" (Engine.kind_to_string k)
+    | _, [ (_, lines) ] -> Some (read_block ?max_buffered order lines)
+    | _, _ -> refuse "checkpoint has more than one %S block" block_name
   in
   Option.iter
     (fun l ->

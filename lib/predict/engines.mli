@@ -98,7 +98,9 @@ val buffered : t -> int
 (** Worst case over engines. *)
 
 val out_of_order : t -> int
-(** Worst case over engines. *)
+(** Messages held now, waiting for an earlier message: the larger of
+    the lattice's ({!Online.out_of_order}) and the delivery buffer's
+    ({!Linear.buffered}) counts. *)
 
 val missing : t -> (Types.tid * int) option
 
@@ -115,7 +117,7 @@ val verdict_lines : t -> (string * string) list
 val snapshots : t -> (string * string list) list
 (** Checkpointable [(name, opaque lines)] blocks of the non-lattice
     engines ({!Online.snapshot} carries the lattice state): one
-    ["linear"] block, versioned [linear 1], holding the front end once
+    ["linear"] block, versioned [linear 2], holding the front end once
     and a section per selected core. *)
 
 val restore :
@@ -123,7 +125,6 @@ val restore :
   ?degraded:degraded ->
   kinds:Engine.kind list ->
   nthreads:int ->
-  init:(Types.var * Types.value) list ->
   spec:Pastltl.Formula.t option ->
   online_snapshot:Online.snapshot option ->
   blocks:(string * string list) list ->
@@ -135,15 +136,15 @@ val restore :
     is expected even when [Lattice] is selected, the race and atomicity
     state is restored instead, and the degraded status is preserved —
     kill/resume never upgrades a degraded verdict back to a full one.
-    Besides [linear 1], the [race 1] / [atomicity 1] blocks of older
-    checkpoints load; when both are present their front-end lines must
-    agree.
-    @raise Invalid_argument when the selected engines and the
-    checkpointed state disagree (missing or unselected engine blocks,
+    Only a [linear 2] block loads, and only in the form its restored
+    state writes back ({!snapshots} of the result equals [blocks]).
+    @raise Invalid_argument on an engine block of any other version
+    ([linear 1], or the [race 1] / [atomicity 1] blocks of older
+    builds; the message names it), when the selected engines and the
+    checkpointed state disagree (missing or unselected engine state,
     lattice state without the lattice engine or vice versa, degraded
-    with lattice state, disagreeing legacy blocks), or on a malformed
-    block, including a clock whose width disagrees with the delivery
-    buffer's thread count. *)
+    with lattice state), or on a malformed block, including a clock
+    whose width disagrees with the delivery buffer's thread count. *)
 
 (** {1 Offline} *)
 

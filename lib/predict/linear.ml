@@ -20,21 +20,14 @@ let fan_out = function
                 b.access tid x ~is_write ~eid e) })
         s rest
 
-type t = {
-  clocks : Syncclock.t;
-  causal : Causal.t;
-  mutable events : int;
-  mutable ooo : int;
-}
+type t = { clocks : Syncclock.t; causal : Causal.t }
 
 let create ?max_buffered ?start ~nthreads () =
   { clocks = Syncclock.create ~nthreads;
     causal =
       (match start with
       | Some cut -> Causal.restore ?max_buffered cut
-      | None -> Causal.create ?max_buffered ~nthreads ());
-    events = 0;
-    ooo = 0 }
+      | None -> Causal.create ?max_buffered ~nthreads ()) }
 
 (* One access in causal order.  Lock traffic reaches the sink before
    its clock update, so an acquire opens its own block. *)
@@ -58,11 +51,7 @@ let rec deliver_all t sink = function
       deliver t sink m;
       deliver_all t sink rest
 
-let feed t sink m =
-  t.events <- t.events + 1;
-  let delivered = Causal.feed t.causal m in
-  if not (List.memq m delivered) then t.ooo <- t.ooo + 1;
-  deliver_all t sink delivered
+let feed t sink m = deliver_all t sink (Causal.feed t.causal m)
 
 let replay exec sink =
   let clocks = Syncclock.create ~nthreads:(Exec.nthreads exec) in
@@ -79,7 +68,6 @@ let finish t = Causal.finish t.causal
 let nthreads t = Causal.nthreads t.causal
 let buffered t = Causal.buffered t.causal
 let mem_words t = Causal.mem_words t.causal
-let out_of_order t = t.ooo
 let missing t = Causal.missing t.causal
 let next_index t tid = Causal.next_index t.causal tid
 
@@ -92,39 +80,31 @@ let write lines t =
   let ints a = String.concat " " (Array.to_list (Array.map string_of_int a)) in
   push ("delivered " ^ ints c.Causal.snap_delivered);
   push ("ended " ^ ints (Array.map Bool.to_int c.Causal.snap_ended));
-  push (Printf.sprintf "progress %d %d" c.Causal.snap_peak_buffered c.Causal.snap_delivered_total);
+  push (Printf.sprintf "progress %d" c.Causal.snap_peak_buffered);
   Engine.Snapshot.push_counted lines "pending" c.Causal.snap_pending (fun (m : Message.t) ->
       [ Printf.sprintf "msg %d %d %s %d %s" m.Message.eid m.Message.tid m.Message.var
-          m.Message.value (Vclock.to_string m.Message.mvc) ]);
-  push (Printf.sprintf "counts %d %d" t.events t.ooo)
+          m.Message.value (Vclock.to_string m.Message.mvc) ])
 
-let read ~what ?max_buffered ~events r =
+let read ~what ?max_buffered r =
   let open Engine.Snapshot in
   let clocks = Syncclock.read ~what r in
-  let ints key = keyed ~what ~key r |> List.map (int ~what) |> Array.of_list in
-  let delivered = ints "delivered" in
-  let ended = Array.map (fun b -> b <> 0) (ints "ended") in
-  let peak, total =
-    match keyed ~what ~key:"progress" r with
-    | [ p; t ] -> (int ~what p, int ~what t)
-    | _ -> invalid_arg (what ^ ": malformed progress line")
+  let delivered = Array.map (nat ~what) (fields ~what ~key:"delivered" r) in
+  let ended =
+    fields ~what ~key:"ended" ~n:(Array.length delivered) r
+    |> Array.map (fun b -> (bools ~what ~width:1 b).(0))
   in
+  let peak = nat ~what (fields ~what ~key:"progress" ~n:1 r).(0) in
   let pending =
     counted ~what ~key:"pending" r (fun () ->
-        match keyed ~what ~key:"msg" r with
-        | [ eid; tid; var; value; mvc ] ->
-            Message.make ~eid:(int ~what eid) ~tid:(int ~what tid) ~var
-              ~value:(int ~what value) ~mvc:(clock ~what mvc)
-        | _ -> invalid_arg (what ^ ": malformed msg line"))
+        let f = fields ~what ~key:"msg" ~n:5 r in
+        Message.make ~eid:(nat ~what f.(0)) ~tid:(nat ~what f.(1)) ~var:f.(2)
+          ~value:(int ~what f.(3)) ~mvc:(clock ~what f.(4)))
   in
   let causal =
     Causal.restore ?max_buffered
       { Causal.snap_delivered = delivered;
         snap_ended = ended;
         snap_pending = pending;
-        snap_peak_buffered = peak;
-        snap_delivered_total = total }
+        snap_peak_buffered = peak }
   in
-  let clocks = clocks ~nthreads:(Causal.nthreads causal) in
-  let events, ooo = events r in
-  { clocks; causal; events; ooo }
+  { clocks = clocks ~nthreads:(Causal.nthreads causal); causal }

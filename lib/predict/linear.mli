@@ -44,27 +44,24 @@ val end_of_thread : t -> Types.tid -> unit
 val finish : t -> unit
 val nthreads : t -> int
 val buffered : t -> int
+(** Messages held now, waiting for an earlier message. *)
 
 val mem_words : t -> int
 (** The delivery buffer's words, {!Causal.mem_words}. *)
 
-val out_of_order : t -> int
 val missing : t -> (Types.tid * int) option
 val next_index : t -> Types.tid -> int
 
 (** {1 Checkpointing} *)
 
 val write : string list ref -> t -> unit
-(** The sync clocks, the delivery buffer, then [counts <events>
-    <out-of-order>]. *)
+(** The sync clocks, then the delivery buffer: [delivered] prefixes,
+    [ended] flags, [progress <peak buffered>] and the [pending]
+    messages. *)
 
-val read :
-  what:string ->
-  ?max_buffered:int ->
-  events:(Engine.Snapshot.reader -> int * int) ->
-  Engine.Snapshot.reader ->
-  t
-(** Reads what {!write} wrote, [events] parsing the counts line.
+val read : what:string -> ?max_buffered:int -> Engine.Snapshot.reader -> t
+(** Reads what {!write} wrote, through {!Engine.Snapshot}'s strict
+    readers.
     @raise Invalid_argument on a malformed section, or when a clock's
     width or the number of thread clocks disagrees with the delivery
     buffer's thread count. *)

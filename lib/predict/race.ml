@@ -167,25 +167,18 @@ module Core = struct
     let open Engine.Snapshot in
     let t = { (create ~max_races:0 ~nthreads ()) with accesses; pairs } in
     t.racy <-
-      Sset.of_list
-        (counted ~what ~key:"racy" r (fun () ->
-             match keyed ~what ~key:"rv" r with
-             | [ x ] -> x
-             | _ -> invalid_arg (what ^ ": malformed rv line")));
+      Sset.of_list (counted ~what ~key:"racy" r (fun () -> (fields ~what ~key:"rv" ~n:1 r).(0)));
     let table name is_write =
       ignore
         (counted ~what ~key:name r (fun () ->
-             match keyed ~what ~key:"la" r with
-             | [ x; tid; eid; vc ] ->
-                 let tid = int ~what tid and vc = clock ~what vc in
-                 if tid < 0 || tid >= nthreads then
-                   invalid_arg (what ^ ": summary thread id out of range");
-                 if Vclock.dim vc <> nthreads then
-                   invalid_arg (what ^ ": summary clock width disagrees with thread count");
-                 store (slots t x)
-                   { eid = int ~what eid; tid; var = x; is_write;
-                     epoch = Syncclock.of_vclock tid vc }
-             | _ -> invalid_arg (what ^ ": malformed la line")))
+             let f = fields ~what ~key:"la" ~n:4 r in
+             let tid = nat ~what f.(1) and vc = clock ~what f.(3) in
+             if tid >= nthreads then invalid_arg (what ^ ": summary thread id out of range");
+             if Vclock.dim vc <> nthreads then
+               invalid_arg (what ^ ": summary clock width disagrees with thread count");
+             store (slots t f.(0))
+               { eid = nat ~what f.(2); tid; var = f.(0); is_write;
+                 epoch = Syncclock.of_vclock tid vc }))
     in
     table "writes" true;
     table "reads" false;

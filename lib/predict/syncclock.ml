@@ -81,12 +81,11 @@ let write lines t =
 
 let read ~what r =
   let open Engine.Snapshot in
-  let vi = List.map (clock ~what) (keyed ~what ~key:"vi" r) in
+  let vi = Array.map (clock ~what) (fields ~what ~key:"vi" r) in
   let table key =
     counted ~what ~key r (fun () ->
-        match keyed ~what ~key:"kv" r with
-        | [ x; c ] -> (x, clock ~what c)
-        | _ -> invalid_arg (what ^ ": malformed kv line"))
+        let f = fields ~what ~key:"kv" ~n:2 r in
+        (f.(0), clock ~what f.(1)))
   in
   let va = table "va" in
   let vw = table "vw" in
@@ -97,12 +96,12 @@ let read ~what r =
           (Printf.sprintf "%s: %d-wide sync clock for %d threads" what (Vclock.dim c) nthreads);
       Vclock.to_array c
     in
-    if List.length vi <> nthreads then
+    if Array.length vi <> nthreads then
       invalid_arg
-        (Printf.sprintf "%s: %d thread clocks for %d threads" what (List.length vi) nthreads);
+        (Printf.sprintf "%s: %d thread clocks for %d threads" what (Array.length vi) nthreads);
     let t =
-      { vi = Array.of_list (List.map check vi);
-        base = Array.of_list (List.map check vi);
+      { vi = Array.map check vi;
+        base = Array.map check vi;
         stale = Array.make nthreads false;
         vars = Hashtbl.create 8 }
     in

@@ -265,9 +265,8 @@ let try_resume_from_disk t s ~sid ~rest =
                 | exception Invalid_argument msg ->
                     L.warn ~sid ~event:"checkpoint_invalid"
                       ~fields:[ ("path", path) ]
-                      (Printf.sprintf "restore failed (%s)" msg);
-                    Session.reject s "checkpoint restore failed";
-                    Finished))
+                      (Printf.sprintf "restore failed (%s); starting fresh" msg);
+                    Session.start_fresh s ~id:sid ~rest))
       end
 
 (* [s] is a pending connection whose hello just completed; decide its

@@ -4,7 +4,7 @@
    (with its offline pass and snapshot writer) as the reference for the
    access-log core.  On random lock/data executions of 2 to 64 threads
    the two must give identical reports, every eid included, identical
-   [atomicity 1] snapshot lines every few messages under reordered
+   [linear 2] snapshot lines every few messages under reordered
    delivery, and identical futures after the model's snapshot is
    restored into the new engine.  The golden cases pin results the
    frontier core wrote: a mid-stream 16-thread snapshot committed under
@@ -101,9 +101,7 @@ module Model = struct
     let ints a = String.concat " " (Array.to_list (Array.map string_of_int a)) in
     push ("delivered " ^ ints s.Causal.snap_delivered);
     push ("ended " ^ ints (Array.map (fun b -> if b then 1 else 0) s.Causal.snap_ended));
-    push
-      (Printf.sprintf "progress %d %d" s.Causal.snap_peak_buffered
-         s.Causal.snap_delivered_total);
+    push (Printf.sprintf "progress %d" s.Causal.snap_peak_buffered);
     push (Printf.sprintf "pending %d" (List.length s.Causal.snap_pending));
     List.iter
       (fun (m : Message.t) ->
@@ -462,16 +460,12 @@ module Model = struct
     e_clocks : Syncclock.t;
     e_causal : Causal.t;
     e_core : Core.t;
-    mutable e_events : int;
-    mutable e_ooo : int;
   }
 
   let create ~nthreads =
     { e_clocks = Syncclock.create ~nthreads;
       e_causal = Causal.create ~nthreads ();
-      e_core = Core.create ~nthreads;
-      e_events = 0;
-      e_ooo = 0 }
+      e_core = Core.create ~nthreads }
 
   let deliver st (m : Message.t) =
     let var, is_read =
@@ -491,11 +485,7 @@ module Model = struct
              ~kind:(if is_read then Read else Write)
              ~vc ~eid:m.Message.eid)
 
-  let feed st m =
-    st.e_events <- st.e_events + 1;
-    let delivered = Causal.feed st.e_causal m in
-    if not (List.memq m delivered) then st.e_ooo <- st.e_ooo + 1;
-    List.iter (deliver st) delivered
+  let feed st m = List.iter (deliver st) (Causal.feed st.e_causal m)
 
   let finish st = Causal.finish st.e_causal
 
@@ -506,12 +496,10 @@ module Model = struct
     let lines = ref [] in
     let open PE.Snapshot in
     let core = st.e_core in
-    push lines "atomicity 1";
+    push lines "linear 2";
     Syncclock.write lines st.e_clocks;
     write_causal lines (Causal.snapshot st.e_causal);
-    push lines
-      (Printf.sprintf "counts %d %d %d" core.Core.c_transactions st.e_events
-         st.e_ooo);
+    push lines (Printf.sprintf "atomicity-core %d" core.Core.c_transactions);
     push lines
       ("depth "
       ^ String.concat " " (Array.to_list (Array.map string_of_int core.Core.c_depth)));
@@ -635,15 +623,11 @@ let create exec =
     ~spec:None ()
 
 let restore exec ~events lines =
-  Engines.restore ~kinds:[ PE.Atomicity ] ~nthreads:(Exec.nthreads exec) ~init:(Exec.init exec)
-    ~spec:None ~online_snapshot:None ~blocks:[ ("atomicity", lines) ] ~events ()
+  Engines.restore ~kinds:[ PE.Atomicity ] ~nthreads:(Exec.nthreads exec) ~spec:None
+    ~online_snapshot:None ~blocks:[ ("linear", lines) ] ~events ()
 
 let linear_lines e = List.assoc "linear" (Engines.snapshots e)
 let verdict e = List.assoc "atomicity" (Engines.verdict_lines e)
-
-(* The engine's [linear 1] block in the [atomicity 1] layout the model
-   writes. *)
-let legacy_lines e = List.assoc "atomicity" (Legacy_blocks.of_linear (linear_lines e))
 
 let report_string r = Format.asprintf "%a" A.pp_report r
 
@@ -668,7 +652,7 @@ let run_both ~k ~from messages model ours =
       if i >= from then begin
         Model.feed model m;
         Engines.feed ours m;
-        if (i + 1) mod k = 0 && Model.snapshot model <> legacy_lines ours then
+        if (i + 1) mod k = 0 && Model.snapshot model <> linear_lines ours then
           QCheck.Test.fail_reportf "snapshot lines differ after message %d" (i + 1)
       end)
     messages;
@@ -677,7 +661,7 @@ let run_both ~k ~from messages model ours =
   if Model.verdict model <> verdict ours then
     QCheck.Test.fail_reportf "verdicts differ:\nmodel: %s\nours:  %s" (Model.verdict model)
       (verdict ours);
-  Model.snapshot model = legacy_lines ours
+  Model.snapshot model = linear_lines ours
   || QCheck.Test.fail_reportf "final snapshot lines differ"
 
 let reordered exec ((_, _, _, reorder_seed) : _ * _ * _ * int) =
@@ -692,8 +676,6 @@ let qcheck_snapshots =
       let k = max 1 (List.length messages / 12) in
       run_both ~k ~from:0 messages (Model.create ~nthreads:(Exec.nthreads exec)) (create exec))
 
-(* The model writes [atomicity 1] blocks: restoring one exercises the
-   legacy load path. *)
 let qcheck_restore_model =
   QCheck.Test.make ~name:"model snapshot restored into the engine: same future"
     ~count:80 arb_program (fun p ->
@@ -706,7 +688,7 @@ let qcheck_restore_model =
           List.iteri (fun i m -> if i < cut then Model.feed model m) messages;
           let lines = Model.snapshot model in
           let ours = restore exec ~events:cut lines in
-          (legacy_lines ours = lines
+          (linear_lines ours = lines
           || QCheck.Test.fail_reportf "cut=%d: restore -> snapshot changed the lines" cut)
           && run_both ~k:(max 1 (n / 4)) ~from:cut messages model ours)
         [ n / 3; (2 * n) / 3 ])
@@ -715,14 +697,11 @@ let qcheck_restore_model =
 
 (* A 16-thread lock-counter run (8 iterations, schedule seed 5)
    delivered through a 64-message reorder window (seed 11), cut after
-   half of its 768 messages.  [data/atomicity_16t_mid.snap] holds the
-   frontier core's [atomicity 1] block at that cut; [frontier_final_md5]
-   is that writer's block at the end.  [golden_mid_md5] and
-   [golden_final_md5] pin the [linear 1] blocks at the same points. *)
-let committed_md5 = "4c3622af364a6452ebf73c90bdaf2ef2"
-let frontier_final_md5 = "0eb852e490845b36ba9cae86e76d7682"
-let golden_mid_md5 = "4b16467c191e30118a0e5ed4379b37fe"
-let golden_final_md5 = "ba6bac62e4cc82b36a57d088d3144d93"
+   half of its 768 messages.  [data/linear_16t_mid.snap] holds the
+   frontier core's state at that cut in the [linear 2] layout;
+   [golden_final_md5] pins the block at the end. *)
+let committed_md5 = "f833e17338940af5b4c3f703676a4459"
+let golden_final_md5 = "f970ba957def243b6387eccd281810c2"
 
 let golden_verdict =
   "predict.atomicity: VIOLATIONS PREDICTED {"
@@ -751,29 +730,24 @@ let test_golden_checkpoint () =
     Engines.finish e
   in
   let digest lines = md5 (String.concat "\n" lines) in
-  let ours = create exec in
-  List.iteri (fun i m -> if i < cut then Engines.feed ours m) messages;
-  let mid = linear_lines ours in
-  Alcotest.(check string) "mid snapshot digest" golden_mid_md5 (digest mid);
   let committed =
     (* Beside the executable under [dune runtest], under [test/] from
        the repository root under [dune exec]. *)
     List.map
-      (fun dir -> Filename.concat dir "data/atomicity_16t_mid.snap")
+      (fun dir -> Filename.concat dir "data/linear_16t_mid.snap")
       [ Filename.dirname Sys.executable_name; "test" ]
     |> List.find Sys.file_exists |> read_lines
   in
   Alcotest.(check string) "committed lines digest" committed_md5 (digest committed);
-  Alcotest.(check (list string)) "mid state in the atomicity 1 layout" committed
-    (legacy_lines ours);
+  let ours = create exec in
+  List.iteri (fun i m -> if i < cut then Engines.feed ours m) messages;
+  Alcotest.(check (list string)) "mid state == committed" committed (linear_lines ours);
   feed ours cut;
   Alcotest.(check string) "final verdict" golden_verdict (verdict ours);
   let final = linear_lines ours in
   Alcotest.(check string) "final snapshot digest" golden_final_md5 (digest final);
-  Alcotest.(check string) "final state in the atomicity 1 layout" frontier_final_md5
-    (digest (legacy_lines ours));
   let resumed = restore exec ~events:cut committed in
-  Alcotest.(check (list string)) "resumed snapshot == uninterrupted, at the cut" mid
+  Alcotest.(check (list string)) "resumed snapshot == committed, at the cut" committed
     (linear_lines resumed);
   feed resumed cut;
   Alcotest.(check string) "resumed verdict" golden_verdict (verdict resumed);
@@ -879,9 +853,7 @@ let test_log_bound () =
    [u] sees two points, the first below [t]'s.  After the cut [t]
    closes an R-R pair on [x] still knowing nothing of [o], so its scan
    starts at the first write again.  A restored engine must carry on
-   exactly as an uninterrupted one and as the frontier model, whether
-   it is restored from the model's [atomicity 1] block or from its own
-   [linear 1] block. *)
+   exactly as an uninterrupted one and as the frontier model. *)
 let test_restore_below_first_point () =
   let program =
     Tml.Parser.parse_program
@@ -921,11 +893,10 @@ let test_restore_below_first_point () =
         Engines.feed ours m
       end)
     messages;
-  let legacy = Model.snapshot model and mid = linear_lines ours in
-  Alcotest.(check (list string)) "engine == model at the cut" legacy (legacy_lines ours);
+  let mid = linear_lines ours in
+  Alcotest.(check (list string)) "engine == model at the cut" (Model.snapshot model) mid;
   List.iter
-    (fun l ->
-      if not (List.mem l legacy) then Alcotest.failf "no %S line at the cut" l)
+    (fun l -> if not (List.mem l mid) then Alcotest.failf "no %S line at the cut" l)
     [ "fr x 0 1 W 1"; "fr x 0 2 W 2" ];
   let rest e =
     List.iteri (fun i m -> if i >= cut then Engines.feed e m) messages;
@@ -934,22 +905,12 @@ let test_restore_below_first_point () =
   rest ours;
   List.iteri (fun i m -> if i >= cut then Model.feed model m) messages;
   Model.finish model;
-  let resumed =
-    [ ("atomicity 1", restore exec ~events:cut legacy);
-      ( "linear 1",
-        Engines.restore ~kinds:[ PE.Atomicity ] ~nthreads:3 ~init:(Exec.init exec) ~spec:None
-          ~online_snapshot:None ~blocks:[ ("linear", mid) ] ~events:cut () ) ]
-  in
-  List.iter
-    (fun (from, e) ->
-      Alcotest.(check (list string)) (from ^ ": restored at the cut") mid (linear_lines e);
-      rest e;
-      Alcotest.(check string) (from ^ ": verdict") (verdict ours) (verdict e);
-      Alcotest.(check (list string)) (from ^ ": final == uninterrupted") (linear_lines ours)
-        (linear_lines e);
-      Alcotest.(check (list string)) (from ^ ": final == model") (Model.snapshot model)
-        (legacy_lines e))
-    resumed;
+  let e = restore exec ~events:cut mid in
+  Alcotest.(check (list string)) "restored at the cut" mid (linear_lines e);
+  rest e;
+  Alcotest.(check string) "verdict" (verdict ours) (verdict e);
+  Alcotest.(check (list string)) "final == uninterrupted" (linear_lines ours) (linear_lines e);
+  Alcotest.(check (list string)) "final == model" (Model.snapshot model) (linear_lines e);
   Alcotest.(check string) "model verdict" (Model.verdict model) (verdict ours)
 
 let () =
@@ -958,7 +919,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ qcheck_analyze; qcheck_snapshots; qcheck_restore_model ] );
       ( "golden",
-        [ Alcotest.test_case "atomicity 1 checkpoint, 16 threads" `Quick
+        [ Alcotest.test_case "linear 2 checkpoint, 16 threads" `Quick
             test_golden_checkpoint;
           Alcotest.test_case "race, atomicity and lattice, 64 threads" `Quick
             test_golden_wide ] );

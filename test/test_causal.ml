@@ -209,8 +209,7 @@ let test_restore_deliverable_heads () =
     { Predict.Causal.snap_delivered = [| 0; 0; 0 |];
       snap_ended = [| false; false; false |];
       snap_pending = [ msg ~eid:10 ~tid:1 [ 0; 1; 0 ]; msg ~eid:11 ~tid:2 [ 0; 1; 1 ] ];
-      snap_peak_buffered = 2;
-      snap_delivered_total = 0 }
+      snap_peak_buffered = 2 }
   in
   let c = Predict.Causal.restore snap in
   (* T1's head is ready and skipped; T2's is parked on it. *)
@@ -230,9 +229,9 @@ let test_restore_deliverable_heads () =
    agree on every release, every rejection, [buffered], [missing],
    [peak_buffered], the snapshot and the future after [restore]. *)
 module Table = struct
-  type t = { r : Rescan.t; mutable buffered : int; mutable peak : int; mutable total : int }
+  type t = { r : Rescan.t; mutable buffered : int; mutable peak : int }
 
-  let create ~nthreads = { r = Rescan.create ~nthreads; buffered = 0; peak = 0; total = 0 }
+  let create ~nthreads = { r = Rescan.create ~nthreads; buffered = 0; peak = 0 }
 
   let feed t (m : Message.t) =
     let tid = m.Message.tid and seq = Message.seq m in
@@ -243,7 +242,6 @@ module Table = struct
     t.peak <- max t.peak t.buffered;
     let out = Rescan.feed t.r m in
     t.buffered <- t.buffered - List.length out;
-    t.total <- t.total + List.length out;
     out
 
   let pending t =
@@ -313,10 +311,9 @@ let arrivals a =
   Array.to_list !arr
 
 let pp_snapshot (s : Predict.Causal.snapshot) =
-  Printf.sprintf "delivered [%s] pending [%s] peak %d total %d"
+  Printf.sprintf "delivered [%s] pending [%s] peak %d"
     (String.concat " " (Array.to_list (Array.map string_of_int s.Predict.Causal.snap_delivered)))
     (pp_eids s.Predict.Causal.snap_pending) s.Predict.Causal.snap_peak_buffered
-    s.Predict.Causal.snap_delivered_total
 
 let result f = match f () with x -> Ok x | exception Invalid_argument e -> Error e
 
@@ -331,8 +328,7 @@ let agrees_with_table a =
           { Predict.Causal.snap_delivered = Array.copy model.Table.r.Rescan.delivered;
             snap_ended = Array.make a.a_threads false;
             snap_pending = Table.pending model;
-            snap_peak_buffered = model.Table.peak;
-            snap_delivered_total = model.Table.total }
+            snap_peak_buffered = model.Table.peak }
         in
         if snap <> want then
           QCheck.Test.fail_reportf "snapshot after %d feeds:\nmodel %s\nrings %s" i

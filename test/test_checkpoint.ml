@@ -43,6 +43,32 @@ let in_temp_file f =
       if Sys.file_exists (path ^ ".tmp") then Sys.remove (path ^ ".tmp"))
     (fun () -> f path)
 
+let race_atomicity = [ Predict.Engine.Race; Predict.Engine.Atomicity ]
+
+let engine_doc ~sched program reorder =
+  let exec = Option.get (Tml.Vm.run_program ~sched program).Tml.Vm.exec in
+  W.Framed3.encode
+    { W.nthreads = Trace.Exec.nthreads exec; init = Trace.Exec.init exec }
+    (reorder (Predict.Engine.messages_of_exec exec))
+
+let final_checkpoint ~engines doc =
+  in_temp_file (fun path ->
+      ignore
+        (Jmpax.Stream.run_string ~checkpoint:(path, 1) ~engines ~spec:Pastltl.Formula.True
+           doc);
+      match C.read path with Ok ck -> ck | Error e -> failwith (C.error_to_string e))
+
+(* A race+atomicity checkpoint taken mid-stream: a three-thread
+   lock-counter run reordered in transit, its stream cut half way. *)
+let engine_checkpoint =
+  lazy
+    (let doc =
+       engine_doc ~sched:(Tml.Sched.random ~seed:3)
+         (Tml.Parser.parse_program (Lock_counter.source ~threads:3 ~iters:4 ~nops:0))
+         (Observer.Channel.bounded_reorder ~seed:7 ~window:16)
+     in
+     final_checkpoint ~engines:race_atomicity (String.sub doc 0 (String.length doc / 2)))
+
 (* {1 Codec round-trip laws} *)
 
 (* Structurally valid checkpoints: consistent widths, nonempty frontier,
@@ -116,15 +142,10 @@ let gen_checkpoint =
     int_range 0 9 >>= fun ends ->
     int_range 0 99 >>= fun quarantined ->
     int_range 0 9 >>= fun peak_buffered ->
-    (* Engine sub-blocks are opaque counted lines; exercise none, one
-       and two, and (when at least one is present) the lattice-less
-       variant of the format. *)
-    oneofl
-      [ [];
-        [ ("race", [ "race 1"; "counts 1 2 3 4" ]) ];
-        [ ("race", [ "race 1" ]); ("atomicity", [ "atomicity 1"; "depth 0 0" ]) ]
-      ]
-    >>= fun engines ->
+    (* Engine blocks are opaque counted lines to the codec; exercise
+       none and a real [linear 2] block, and (with the block) the
+       lattice-less variant of the format. *)
+    oneofl [ []; (Lazy.force engine_checkpoint).C.ck_engines ] >>= fun engines ->
     bool >>= fun drop_online ->
     let with_online = engines = [] || not drop_online in
     bool >>= fun degraded_flag ->
@@ -606,6 +627,65 @@ let test_mutated_bodies =
               QCheck.Test.fail_reportf "refused its own re-encoding: %s" (C.error_to_string e))
       | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
 
+(* {1 Engine blocks}
+
+   The same mutations applied inside a real [linear 2] block: what
+   [decode] accepts, [Engines.restore] must refuse with
+   [Invalid_argument] or restore to a bundle that writes the block back
+   unchanged. *)
+
+let restore_engines ck =
+  Predict.Engines.restore ~kinds:race_atomicity ~nthreads:ck.C.ck_header.W.nthreads
+    ~spec:None ~online_snapshot:None ~blocks:ck.C.ck_engines ~events:0 ()
+
+let test_mutated_engine_blocks =
+  QCheck.Test.make ~name:"mutated engine blocks: refused or restored as written" ~count:1000
+    (QCheck.make QCheck.Gen.(pair (int_range 1 3) int))
+    (fun (k, seed) ->
+      let ck = Lazy.force engine_checkpoint in
+      let rng = Random.State.make [| seed |] in
+      let block = ref (String.concat "\n" (List.assoc "linear" ck.C.ck_engines)) in
+      for _ = 1 to k do block := mutate rng !block done;
+      let ck = { ck with C.ck_engines = [ ("linear", String.split_on_char '\n' !block) ] } in
+      match C.decode (C.encode ck) with
+      | Error (C.Malformed _) -> true
+      | Error e -> QCheck.Test.fail_reportf "not Malformed: %s" (C.error_to_string e)
+      | Ok ck -> (
+          match restore_engines ck with
+          | b ->
+              Predict.Engines.snapshots b = ck.C.ck_engines
+              || QCheck.Test.fail_reportf "restored a block it writes differently:\n%s" !block
+          | exception Invalid_argument _ -> true
+          | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)))
+
+(* The probe that found the loose engine readers: the [progress] line
+   of a dekker-sketch race+atomicity checkpoint taken at the end of the
+   stream, rewritten as [progress  +1 6] (a doubled space, a signed
+   number and a field the layout does not have).  The loose readers
+   took the same line in a [linear 1] block and resumed. *)
+let test_loose_progress_refused () =
+  let doc = engine_doc ~sched:(Tml.Sched.random ~seed:1) Tml.Programs.dekker_sketch Fun.id in
+  let ck = final_checkpoint ~engines:race_atomicity doc in
+  let lines = List.assoc "linear" ck.C.ck_engines in
+  let progress = String.starts_with ~prefix:"progress " in
+  Alcotest.(check (list string)) "progress line" [ "progress 1" ] (List.filter progress lines);
+  ignore (restore_engines ck);
+  let loose = List.map (fun l -> if progress l then "progress  +1 6" else l) lines in
+  let ck =
+    match C.decode (C.encode { ck with C.ck_engines = [ ("linear", loose) ] }) with
+    | Ok ck -> ck
+    | Error e -> Alcotest.failf "decode: %s" (C.error_to_string e)
+  in
+  Alcotest.check_raises "restore"
+    (Invalid_argument "linear engine: empty field in \"progress  +1 6\"")
+    (fun () -> ignore (restore_engines ck));
+  match
+    Jmpax.Stream.run_string ~resume:ck ~engines:race_atomicity ~spec:Pastltl.Formula.True doc
+  with
+  | Error (E.Checkpoint _) -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (E.to_string e)
+  | Ok _ -> Alcotest.fail "resumed from a loose progress line"
+
 (* {1 Transports} *)
 
 let string_raw doc =
@@ -791,7 +871,9 @@ let test_crc32_random =
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ test_roundtrip; test_truncation_rejected; test_crc32_random ]
-  @ [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) test_mutated_bodies ]
+  @ List.map
+      (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]))
+      [ test_mutated_bodies; test_mutated_engine_blocks ]
 
 let () =
   Alcotest.run "checkpoint"
@@ -812,6 +894,9 @@ let () =
             test_golden_lattice_checkpoint;
           Alcotest.test_case "wire v2 checkpoint refused" `Quick
             test_v2_checkpoint_refused ] );
+      ( "engine block",
+        [ Alcotest.test_case "loose progress line refused" `Quick
+            test_loose_progress_refused ] );
       ( "transport",
         [ Alcotest.test_case "EINTR retry" `Quick test_transport_eintr;
           Alcotest.test_case "fault-injection smoke" `Quick

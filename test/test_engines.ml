@@ -537,7 +537,7 @@ let test_snapshot_identity () =
           List.iteri (fun i m -> if i < cut then Predict.Engines.feed before m) messages;
           let blocks = Predict.Engines.snapshots before in
           let resumed =
-            Predict.Engines.restore ~kinds ~nthreads ~init ~spec:None ~online_snapshot:None
+            Predict.Engines.restore ~kinds ~nthreads ~spec:None ~online_snapshot:None
               ~blocks ~events:(Predict.Engines.events before) ()
           in
           Alcotest.(check (list (pair string (list string))))
@@ -555,7 +555,7 @@ let test_snapshot_identity () =
       ("atomicity", [ PE.Atomicity ]);
       ("race+atomicity", [ PE.Race; PE.Atomicity ]) ]
 
-(* {1 Legacy checkpoints and restore checks} *)
+(* {1 Restore checks} *)
 
 let lock_counter_messages ~threads ~iters =
   let exec =
@@ -568,51 +568,12 @@ let bundle exec kinds =
     ~init:(Trace.Exec.init exec) ~spec:None ()
 
 let restore_blocks exec kinds blocks ~events =
-  Predict.Engines.restore ~kinds ~nthreads:(Trace.Exec.nthreads exec)
-    ~init:(Trace.Exec.init exec) ~spec:None ~online_snapshot:None ~blocks ~events ()
+  Predict.Engines.restore ~kinds ~nthreads:(Trace.Exec.nthreads exec) ~spec:None
+    ~online_snapshot:None ~blocks ~events ()
 
 let linear_block b = List.assoc "linear" (Predict.Engines.snapshots b)
 
-let run_to_end b messages =
-  List.iter (Predict.Engines.feed b) messages;
-  Predict.Engines.finish b;
-  Predict.Engines.verdict_lines b
-
 let both = [ PE.Race; PE.Atomicity ]
-
-(* A checkpoint in the pre-shared layout — a [race 1] and an
-   [atomicity 1] block, each with its own copy of the front end — taken
-   from a run of this code resumes to the uninterrupted verdicts. *)
-let test_legacy_blocks_resume () =
-  let exec, messages = lock_counter_messages ~threads:16 ~iters:6 in
-  let n = List.length messages in
-  let expected = run_to_end (bundle exec both) messages in
-  List.iter
-    (fun cut ->
-      let label = Printf.sprintf "cut=%d/%d" cut n in
-      let before = bundle exec both in
-      List.iteri (fun i m -> if i < cut then Predict.Engines.feed before m) messages;
-      let legacy = Legacy_blocks.of_linear (linear_block before) in
-      Alcotest.(check (list string)) (label ^ ": legacy blocks") [ "race"; "atomicity" ]
-        (List.map fst legacy);
-      let resumed = restore_blocks exec both legacy ~events:cut in
-      Alcotest.(check (list string)) (label ^ ": rewritten as linear 1") (linear_block before)
-        (linear_block resumed);
-      Alcotest.(check (list (pair string string))) (label ^ ": resumed verdicts") expected
-        (run_to_end resumed (List.filteri (fun i _ -> i >= cut) messages)))
-    [ 1; n / 3; (2 * n) / 3 ];
-  (* Blocks whose front ends disagree are refused. *)
-  let at cut =
-    let b = bundle exec both in
-    List.iteri (fun i m -> if i < cut then Predict.Engines.feed b m) messages;
-    Legacy_blocks.of_linear (linear_block b)
-  in
-  let mixed = [ List.hd (at (n / 3)); List.nth (at (n / 2)) 1 ] in
-  Alcotest.check_raises "disagreeing front ends"
-    (Invalid_argument
-       "Engines.restore: the race 1 and atomicity 1 blocks disagree on the delivery buffer \
-        or sync clocks")
-    (fun () -> ignore (restore_blocks exec both mixed ~events:(n / 2)))
 
 let refused label f =
   match f () with
@@ -645,7 +606,10 @@ let drop_last_clock key lines =
 
 (* Every clock in a block must match the delivery buffer's thread count:
    a short [vi] array, or a narrow [vi], [va], [vw] or summary clock, is
-   refused at restore instead of failing at the next feed. *)
+   refused at restore instead of failing at the next feed.  A block in a
+   layout this build no longer writes is refused by its version line. *)
+let older_versions = [ ("linear", "linear 1"); ("race", "race 1"); ("atomicity", "atomicity 1") ]
+
 let test_restore_checks_widths () =
   let exec, _ = lock_counter_messages ~threads:3 ~iters:2 in
   let messages = PE.messages_of_exec exec in
@@ -653,31 +617,28 @@ let test_restore_checks_widths () =
   List.iteri (fun i m -> if i < List.length messages / 2 then Predict.Engines.feed b m) messages;
   let events = Predict.Engines.events b in
   let linear = linear_block b in
-  let race, atomicity =
-    match Legacy_blocks.of_linear linear with
-    | [ r; a ] -> (r, a)
-    | _ -> Alcotest.fail "expected two legacy blocks"
-  in
-  let restore kinds blocks () = restore_blocks exec kinds blocks ~events in
+  let restore blocks () = restore_blocks exec both blocks ~events in
   List.iter
     (fun key ->
       Alcotest.(check bool) (key ^ " lines present") true
         (List.exists (String.starts_with ~prefix:(key ^ " ")) linear))
     [ "kv"; "la" ];
-  (* The unmodified blocks restore. *)
-  ignore (restore both [ ("linear", linear) ] ());
-  ignore (restore both [ race; atomicity ] ());
-  refused "race 1, 2 vi clocks for 3 threads"
-    (restore [ PE.Race ] [ ("race", drop_last_clock "vi" (snd race)) ]);
-  refused "atomicity 1, 2-wide vi clocks"
-    (restore [ PE.Atomicity ] [ ("atomicity", map_clocks "vi" narrower (snd atomicity)) ]);
+  (* The unmodified block restores. *)
+  ignore (restore [ ("linear", linear) ] ());
   List.iter
-    (fun (label, lines) -> refused ("linear 1, " ^ label) (restore both [ ("linear", lines) ]))
+    (fun (label, lines) -> refused label (restore [ ("linear", lines) ]))
     [ ("2 vi clocks", drop_last_clock "vi" linear);
       ("2-wide vi clocks", map_clocks "vi" narrower linear);
       ("2-wide va clock", map_clocks "kv" narrower linear);
       ("2-wide summary clock", map_clocks "la" narrower linear) ];
-  (* Through the stream front end, the refusal is a checkpoint error
+  List.iter
+    (fun (name, version) ->
+      match restore [ (name, version :: List.tl linear) ] () with
+      | _ -> Alcotest.failf "%s: restored" version
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool) (msg ^ " names " ^ version) true (contains msg version))
+    older_versions;
+  (* Through the stream front end, each refusal is a checkpoint error
      (exit 6 from the CLI). *)
   let doc =
     W.Framed3.encode
@@ -692,13 +653,20 @@ let test_restore_checks_widths () =
       let ck =
         match C.read path with Ok ck -> ck | Error e -> Alcotest.fail (C.error_to_string e)
       in
-      let narrow (name, lines) = (name, map_clocks "vi" narrower lines) in
-      let ck = { ck with C.ck_engines = List.map narrow ck.C.ck_engines }
-      in
-      match Jmpax.Stream.run_string ~resume:ck ~engines:both ~spec doc with
-      | Error (E.Checkpoint _) -> ()
-      | Error e -> Alcotest.failf "wrong error: %s" (E.to_string e)
-      | Ok _ -> Alcotest.fail "resumed from narrow clocks")
+      let lines = List.assoc "linear" ck.C.ck_engines in
+      List.iter
+        (fun (label, engines) ->
+          match
+            Jmpax.Stream.run_string ~resume:{ ck with C.ck_engines = engines } ~engines:both
+              ~spec doc
+          with
+          | Error (E.Checkpoint msg) when contains msg label -> ()
+          | Error e -> Alcotest.failf "%s: wrong error: %s" label (E.to_string e)
+          | Ok _ -> Alcotest.failf "%s: resumed" label)
+        (("sync clock", [ ("linear", map_clocks "vi" narrower lines) ])
+        :: List.map
+             (fun (name, version) -> (version, [ (name, version :: List.tl lines) ]))
+             older_versions))
 
 (* The race+atomicity bundle parks each out-of-order message once, in
    its one delivery buffer: its budget usage is the race engine's
@@ -717,6 +685,48 @@ let test_budget_counts_buffer_once () =
         Alcotest.failf "message %d: race+atomicity usage differs from race-only" i)
     messages;
   Alcotest.(check bool) "messages were parked" true (!parked > 0)
+
+(* {1 Out of order means held now}
+
+   [Engines.out_of_order] counts messages held now, waiting for an
+   earlier one, so the stream's peak out-of-order buffer — in its
+   summary and in the [stream-stats] line of a checkpoint taken at the
+   end — is the delivery buffer's peak, not a running count of every
+   message that ever arrived early. *)
+let test_peak_is_held_messages () =
+  let exec =
+    exec_of_program ~seed:1
+      (Tml.Parser.parse_program (Lock_counter.source ~threads:16 ~iters:8 ~nops:0))
+  in
+  let messages =
+    Observer.Channel.bounded_reorder ~seed:1 ~window:64 (PE.messages_of_exec exec)
+  in
+  let b = bundle exec both in
+  let held =
+    List.fold_left
+      (fun peak m ->
+        Predict.Engines.feed b m;
+        max peak (Predict.Engines.causal_buffered b))
+      0 messages
+  in
+  let doc =
+    W.Framed3.encode
+      { W.nthreads = Trace.Exec.nthreads exec; init = Trace.Exec.init exec }
+      messages
+  in
+  in_temp_file (fun path ->
+      let n = List.length messages in
+      match
+        Jmpax.Stream.run_string ~checkpoint:(path, n) ~engines:both
+          ~spec:Pastltl.Formula.True doc
+      with
+      | Error e -> Alcotest.failf "stream: %s" (E.to_string e)
+      | Ok o -> (
+          Alcotest.(check bool) "messages were held" true (held > 0 && held < n);
+          Alcotest.(check int) "stream peak" held o.Jmpax.Stream.s_stats.Jmpax.Stream.peak_buffered;
+          match C.read path with
+          | Ok ck -> Alcotest.(check int) "checkpoint peak" held ck.C.ck_peak_buffered
+          | Error e -> Alcotest.fail (C.error_to_string e)))
 
 (* {1 Front-end parity: check == stream, engine line for engine line} *)
 
@@ -792,13 +802,13 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ qcheck_race_oracle; qcheck_epoch_oracle; qcheck_epoch_invariant ] );
       ( "restore",
-        [ Alcotest.test_case "race 1 + atomicity 1 blocks resume" `Quick
-            test_legacy_blocks_resume;
-          Alcotest.test_case "clock widths checked on restore" `Quick
+        [ Alcotest.test_case "clock widths checked on restore" `Quick
             test_restore_checks_widths ] );
       ( "budget",
         [ Alcotest.test_case "race+atomicity usage == race-only" `Quick
-            test_budget_counts_buffer_once ] );
+            test_budget_counts_buffer_once;
+          Alcotest.test_case "peak out-of-order = messages held" `Quick
+            test_peak_is_held_messages ] );
       ( "parity",
         [ Alcotest.test_case "check == stream verdict lines" `Quick
             test_pipeline_stream_parity ] );

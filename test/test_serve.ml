@@ -1043,9 +1043,11 @@ let test_golden_serve_checkpoint () =
   Alcotest.(check string) "byte-identical to the committed checkpoint" committed
     ours
 
-(* The daemon meets the wire-v2 drain checkpoint of the same session id
-   (written by an earlier build): it logs [checkpoint_invalid], starts
-   the session fresh, and the replayed v3 stream gets the verdict of an
+(* The daemon meets a checkpoint of the same session id that an earlier
+   build wrote: the wire-v2 drain checkpoint, or the v3 one carrying an
+   engine block in a retired layout ([linear 1], [race 1], [atomicity
+   1]).  It logs [checkpoint_invalid] naming the format, starts the
+   session fresh, and the replayed v3 stream gets the verdict of an
    uninterrupted run. *)
 let test_v2_checkpoint_starts_fresh () =
   let doc = Lazy.force golden_serve_doc in
@@ -1054,25 +1056,36 @@ let test_v2_checkpoint_starts_fresh () =
     | Ok o -> Jmpax.Pipeline.verdict_line o.Jmpax.Stream.s_violated
     | Error e -> Alcotest.failf "stream: %s" (W.Error.to_string e)
   in
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  Out_channel.with_open_bin (Filename.concat dir "w.ckpt") (fun oc ->
-      output_string oc (read_file (data_file "serve_3t_mid.ckpt")));
-  with_server ~spec:golden_serve_spec ~checkpoint_dir:dir (fun t sock ->
-      let log = Buffer.create 256 in
-      Telemetry.Log.set_sink (Buffer.add_string log);
-      let c = connect sock in
-      send t c (hello "w" (Jmpax.Checkpoint.fingerprint golden_serve_spec));
-      Alcotest.(check (option string)) "fresh start" (Some "ok 0") (recv_line t c);
-      let log = Buffer.contents log in
-      Alcotest.(check bool) "checkpoint_invalid logged" true
-        (has log "checkpoint_invalid");
-      Alcotest.(check bool) "the log names wire v2" true (has log "wire v2");
-      send t c doc;
-      Alcotest.(check (option string)) "uninterrupted verdict" (Some expected)
-        (recv_line t c);
-      Alcotest.(check int) "no resume counted" 0 (L.counters t).Serve.Control.resumes;
-      Unix.close c)
+  let with_block (name, version) =
+    match Jmpax.Checkpoint.decode (read_file (data_file "serve_3t_v3_mid.ckpt")) with
+    | Ok ck -> (version, Jmpax.Checkpoint.encode { ck with ck_engines = [ (name, [ version ]) ] })
+    | Error e -> Alcotest.fail (Jmpax.Checkpoint.error_to_string e)
+  in
+  List.iter
+    (fun (format, text) ->
+      let dir = temp_dir () in
+      Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+      Out_channel.with_open_bin (Filename.concat dir "w.ckpt") (fun oc -> output_string oc text);
+      with_server ~spec:golden_serve_spec ~checkpoint_dir:dir (fun t sock ->
+          let log = Buffer.create 256 in
+          Telemetry.Log.set_sink (Buffer.add_string log);
+          let c = connect sock in
+          send t c (hello "w" (Jmpax.Checkpoint.fingerprint golden_serve_spec));
+          Alcotest.(check (option string)) (format ^ ": fresh start") (Some "ok 0")
+            (recv_line t c);
+          let log = Buffer.contents log in
+          Alcotest.(check bool) (format ^ ": checkpoint_invalid logged") true
+            (has log "checkpoint_invalid");
+          Alcotest.(check bool) ("the log names " ^ format) true (has log format);
+          send t c doc;
+          Alcotest.(check (option string)) (format ^ ": uninterrupted verdict") (Some expected)
+            (recv_line t c);
+          Alcotest.(check int) (format ^ ": no resume counted") 0
+            (L.counters t).Serve.Control.resumes;
+          Unix.close c))
+    (("wire v2", read_file (data_file "serve_3t_mid.ckpt"))
+    :: List.map with_block
+         [ ("linear", "linear 1"); ("race", "race 1"); ("atomicity", "atomicity 1") ])
 
 (* {1 The single-accept listener (regression)} *)
 
