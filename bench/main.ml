@@ -238,9 +238,13 @@ let e7 () =
           ~init:program.Tml.Ast.shared r.Tml.Vm.messages
       in
       let lattice = Observer.Lattice.build comp in
-      let report = Predict.Analyzer.analyze ~spec comp in
+      let messages = Observer.Computation.messages comp in
+      let sweep () =
+        Predict.Analyzer.sweep ~spec ~nthreads:threads ~init:program.Tml.Ast.shared messages
+      in
+      let report = sweep () in
       let t0 = Sys.time () in
-      ignore (Predict.Analyzer.analyze ~spec comp);
+      ignore (sweep ());
       let dt = Sys.time () -. t0 in
       Printf.printf "%-10s %8d %8d %10d %10d %12d %9.1f ms\n"
         (Printf.sprintf "%dx%d" threads writes)
@@ -349,7 +353,9 @@ let e10 () =
       let comp =
         Observer.Computation.of_messages_exn ~nthreads ~init r.Tml.Vm.messages
       in
-      let offline = Predict.Analyzer.analyze ~spec comp in
+      let offline =
+        Predict.Analyzer.sweep ~spec ~nthreads ~init (Observer.Computation.messages comp)
+      in
       let online = Predict.Online.create ~nthreads ~init ~spec () in
       Predict.Online.feed_all online r.Tml.Vm.messages;
       Predict.Online.finish online;
@@ -436,7 +442,10 @@ let e12 () =
           Observer.Computation.of_messages_exn ~nthreads ~init:program.Tml.Ast.shared
             r.Tml.Vm.messages
         in
-        let report = Predict.Analyzer.analyze ~spec comp in
+        let report =
+          Predict.Analyzer.sweep ~spec ~nthreads ~init:program.Tml.Ast.shared
+            (Observer.Computation.messages comp)
+        in
         (List.length r.Tml.Vm.messages,
          report.Predict.Analyzer.stats.Predict.Analyzer.cuts_visited)
       in
@@ -524,7 +533,10 @@ let e16 ?(smoke = false) () =
     in
     let spec = Pastltl.Fparser.parse "always v0 <= 9" in
     ( Printf.sprintf "grid-%dx%d" threads writes,
-      fun () -> ignore (Predict.Analyzer.analyze ~spec comp) )
+      fun () ->
+        ignore
+          (Predict.Analyzer.sweep ~spec ~nthreads:threads ~init:program.Tml.Ast.shared
+             (Observer.Computation.messages comp)) )
   in
   let workloads =
     if smoke then

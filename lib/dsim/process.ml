@@ -18,9 +18,3 @@ let bump t i =
   | Thread _ | Access _ | Writer _ ->
       invalid_arg "Process.bump: only a thread bumps its own component"
 
-let equal_pid (a : pid) (b : pid) = a = b
-
-let pp_pid ppf = function
-  | Thread i -> Types.pp_tid ppf i
-  | Access x -> Format.fprintf ppf "%s^a" x
-  | Writer x -> Format.fprintf ppf "%s^w" x

@@ -27,6 +27,3 @@ val bump : t -> Types.tid -> unit
 (** Step 1 of Algorithm A: a relevant event increments the thread's own
     component. Only meaningful for [Thread] pids.
     @raise Invalid_argument otherwise. *)
-
-val equal_pid : pid -> pid -> bool
-val pp_pid : Format.formatter -> pid -> unit

@@ -20,17 +20,6 @@ let m_breaches = M.counter "budget.breaches"
 
 type policy = Degrade | Evict | Fail
 
-let policy_of_string = function
-  | "degrade" -> Some Degrade
-  | "evict" -> Some Evict
-  | "fail" -> Some Fail
-  | _ -> None
-
-let policy_to_string = function
-  | Degrade -> "degrade"
-  | Evict -> "evict"
-  | Fail -> "fail"
-
 (* {1 Limits} *)
 
 type limits = {

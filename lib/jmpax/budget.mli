@@ -33,11 +33,6 @@ type policy =
   | Evict  (** checkpoint, then drop only the offender *)
   | Fail  (** stop the stream with the budget exit code *)
 
-val policy_of_string : string -> policy option
-(** Accepts ["degrade"], ["evict"], ["fail"]. *)
-
-val policy_to_string : policy -> string
-
 type limits = {
   max_frontier_cuts : int option;
   max_causal_buffered : int option;

@@ -344,15 +344,24 @@ let read_body r =
       let beyond = per_thread "beyond" in
       let gc_floor = per_thread "gc-floor" in
       let ended = bools ~what:"ended" ~width:nthreads (single "ended") in
+      (* A buffered message: its event id, then its wire-v1 [msg] line
+         ({!Wire.add_message}). *)
       let store =
         many ~key:"bmsg" r (fun () ->
-            match Array.to_list (fields "bmsg") with
-            | eid :: msg -> (
-                let eid = nat ~what:"bmsg" eid in
-                match Wire.decode_message ~expect_width:nthreads (String.concat " " msg) with
-                | Ok m -> { m with Message.eid }
-                | Error e -> invalid_arg ("bmsg: " ^ Wire.Error.to_string e))
-            | [] -> invalid_arg "bmsg: no event id")
+            let f = fields ~n:6 "bmsg" in
+            if f.(1) <> "msg" then invalid_arg (Printf.sprintf "bmsg: %S is not msg" f.(1));
+            let tid = nat ~what:"bmsg" f.(2) and mvc = clock ~what:"bmsg" f.(5) in
+            if tid >= nthreads then
+              invalid_arg
+                (Printf.sprintf "bmsg: thread id %d out of range (trace has %d threads)" tid
+                   nthreads);
+            if Vclock.dim mvc <> nthreads then
+              invalid_arg
+                (Printf.sprintf "bmsg: clock has %d components where the header promises %d"
+                   (Vclock.dim mvc) nthreads);
+            if Vclock.get mvc tid < 1 then invalid_arg "bmsg: own clock component below 1";
+            Message.make ~eid:(nat ~what:"bmsg" f.(0)) ~tid ~var:(var "bmsg" f.(3))
+              ~value:(int ~what:"bmsg" f.(4)) ~mvc)
       in
       (* A global state's bindings: a count, then that many name/value
          pairs from field [i] on; returns them and the next field. *)

@@ -32,7 +32,3 @@ let with_channel channel t = { t with channel }
 let with_metrics metrics t = { t with metrics }
 let with_trace trace t = { t with trace }
 
-let with_engine_names names t =
-  match Predict.Engine.kinds_of_string names with
-  | Ok engines -> { t with engines }
-  | Error msg -> invalid_arg ("Config.with_engine_names: " ^ msg)

@@ -41,7 +41,3 @@ val with_channel : channel_model -> t -> t
 
 val with_metrics : string option -> t -> t
 val with_trace : string option -> t -> t
-
-val with_engine_names : string -> t -> t
-(** Parses [--engine] syntax (comma-separated, duplicates dropped).
-    @raise Invalid_argument on an unknown engine name. *)

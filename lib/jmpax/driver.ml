@@ -180,12 +180,12 @@ let feed t m =
       | exception Invalid_argument _ -> (
           (* A well-formed frame carrying a (thread, index) pair we
              already consumed: an input defect, so the recovery policy
-             applies. *)
+             applies to the frame's own bytes. *)
           match
             skip t
               (Wire.Error.Duplicate_message
                  { tid = m.Message.tid; index = Message.seq m })
-              (Wire.encode_message m)
+              (Wire.Reader.refuse t.reader)
           with
           | Continue -> check_budget t b
           | step -> step))

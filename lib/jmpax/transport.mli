@@ -79,9 +79,6 @@ type backoff = {
           arithmetic as production. *)
 }
 
-val default_backoff : backoff
-(** 50 ms .. 5 s, 10 redials, 30 s deadline. *)
-
 val reconnecting :
   ?backoff:backoff ->
   ?sleep:(float -> unit) ->

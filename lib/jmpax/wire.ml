@@ -11,20 +11,14 @@ let magic = "jmpax-trace 1"
 
 module Error = struct
   type t =
-    | Empty
-    | Bad_magic of string
     | Missing_threads
     | Duplicate_threads of string
-    | Misplaced_threads of string
     | Bad_thread_count of string
     | Bad_escape of string
     | Truncated_escape of string
     | Bad_init of string
-    | Malformed_msg of string
-    | Bad_clock of string
     | Inconsistent_message of string
     | Tid_out_of_range of { tid : int; nthreads : int }
-    | Clock_width_mismatch of { width : int; expected : int }
     | Unrecognized_line of string
     | Bad_preamble of string
     | Unknown_frame_kind of int
@@ -49,24 +43,15 @@ module Error = struct
     | Io of string
 
   let to_string = function
-    | Empty -> "empty trace"
-    | Bad_magic s -> Printf.sprintf "bad magic %S" s
     | Missing_threads -> "missing 'threads' line"
     | Duplicate_threads s -> Printf.sprintf "duplicate 'threads' line %S" s
-    | Misplaced_threads s ->
-        Printf.sprintf "'threads' line %S after the first message" s
     | Bad_thread_count s -> Printf.sprintf "bad thread count %S" s
     | Bad_escape s -> Printf.sprintf "bad escape in variable name %S" s
     | Truncated_escape s -> Printf.sprintf "truncated escape in variable name %S" s
     | Bad_init s -> Printf.sprintf "bad init line %S" s
-    | Malformed_msg s -> Printf.sprintf "malformed msg line %S" s
-    | Bad_clock s -> Printf.sprintf "bad vector clock %S" s
     | Inconsistent_message s -> Printf.sprintf "inconsistent message %S" s
     | Tid_out_of_range { tid; nthreads } ->
         Printf.sprintf "thread id %d out of range (trace has %d threads)" tid nthreads
-    | Clock_width_mismatch { width; expected } ->
-        Printf.sprintf "vector clock has %d components where the header promises %d"
-          width expected
     | Unrecognized_line s -> Printf.sprintf "unrecognized line %S" s
     | Bad_preamble s -> Printf.sprintf "bad stream preamble %S" s
     | Unknown_frame_kind k -> Printf.sprintf "unknown frame kind 0x%02X" k
@@ -171,54 +156,8 @@ let decode_var s =
   in
   go 0
 
-(* {1 Line (record) codecs} *)
-
-let add_message buf (m : Message.t) =
-  Buffer.add_string buf "msg ";
-  Vclock.add_int buf m.tid;
-  Buffer.add_char buf ' ';
-  Buffer.add_string buf (encode_var m.var);
-  Buffer.add_char buf ' ';
-  Vclock.add_int buf m.value;
-  Buffer.add_char buf ' ';
-  Vclock.add_to_buffer buf m.mvc
-
-let encode_message m =
-  let buf = Buffer.create 32 in
-  add_message buf m;
-  Buffer.contents buf
-
-(* [expect_width] is the header's thread count; when given, the thread id
-   and the clock's dimension are validated against it. *)
-let decode_message ?expect_width line =
-  match String.split_on_char ' ' (String.trim line) with
-  | [ "msg"; tid; var; value; clock ] -> (
-      match (int_of_string_opt tid, decode_var var, int_of_string_opt value) with
-      | Some tid, Ok var, Some value -> (
-          let* mvc =
-            match Vclock.of_string clock with
-            | mvc -> Ok mvc
-            | exception Invalid_argument _ -> Error (Error.Bad_clock clock)
-          in
-          let* () =
-            match expect_width with
-            | Some nthreads when tid < 0 || tid >= nthreads ->
-                Error (Error.Tid_out_of_range { tid; nthreads })
-            | Some nthreads when Vclock.dim mvc <> nthreads ->
-                Error
-                  (Error.Clock_width_mismatch
-                     { width = Vclock.dim mvc; expected = nthreads })
-            | _ -> Ok ()
-          in
-          if tid < 0 || tid >= Vclock.dim mvc || Vclock.get mvc tid < 1 then
-            Error (Error.Inconsistent_message line)
-          else
-            match Message.make ~eid:0 ~tid ~var ~value ~mvc with
-            | m -> Ok m
-            | exception _ -> Error (Error.Inconsistent_message line))
-      | _, Error e, _ -> Error e
-      | _ -> Error (Error.Malformed_msg line))
-  | _ -> Error (Error.Malformed_msg line)
+(* {1 Header bodies: [threads] and [init] lines, in v1 documents and v3
+   header frames} *)
 
 let encode_header_body header =
   let buf = Buffer.create 128 in
@@ -269,7 +208,21 @@ let decode_header_body text =
   in
   go None lines
 
-(* {1 Version-1 text documents} *)
+(* {1 Version-1 text documents}
+
+   Written, never read: the human-readable dump of a trace and the only
+   format for traces wider than {!Framed3.max_threads}.  A [msg] line is
+   also how a checkpoint stores a buffered message ([bmsg]). *)
+
+let add_message buf (m : Message.t) =
+  Buffer.add_string buf "msg ";
+  Vclock.add_int buf m.tid;
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf (encode_var m.var);
+  Buffer.add_char buf ' ';
+  Vclock.add_int buf m.value;
+  Buffer.add_char buf ' ';
+  Vclock.add_to_buffer buf m.mvc
 
 let encode header messages =
   let buf = Buffer.create 1024 in
@@ -279,66 +232,10 @@ let encode header messages =
   Buffer.add_char buf '\n';
   List.iter
     (fun m ->
-      Buffer.add_string buf (encode_message m);
+      add_message buf m;
       Buffer.add_char buf '\n')
     messages;
   Buffer.contents buf
-
-let decode text =
-  let lines =
-    String.split_on_char '\n' text
-    |> List.map String.trim
-    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
-  in
-  match lines with
-  | [] -> Error Error.Empty
-  | first :: rest ->
-      if first <> magic then Error (Error.Bad_magic first)
-      else begin
-        let rec go header rev_msgs = function
-          | [] -> (
-              match header with
-              | None -> Error Error.Missing_threads
-              | Some h ->
-                  (* Restore observed-order event ids. *)
-                  let msgs =
-                    List.rev rev_msgs
-                    |> List.mapi (fun i (m : Message.t) -> { m with Message.eid = i })
-                  in
-                  Ok ({ h with init = List.rev h.init }, msgs))
-          | line :: rest -> (
-              match String.split_on_char ' ' line with
-              | "threads" :: args -> (
-                  (* A second header line — or one arriving after messages
-                     already decoded against the first — would silently
-                     rebind every subsequent validation; both are hard
-                     errors. *)
-                  if rev_msgs <> [] then Error (Error.Misplaced_threads line)
-                  else if header <> None then Error (Error.Duplicate_threads line)
-                  else
-                    match args with
-                    | [ n ] -> (
-                        match int_of_string_opt n with
-                        | Some n when n > 0 ->
-                            go (Some { nthreads = n; init = [] }) rev_msgs rest
-                        | _ -> Error (Error.Bad_thread_count line))
-                    | _ -> Error (Error.Bad_thread_count line))
-              | "init" :: args -> (
-                  match header with
-                  | None -> Error Error.Missing_threads
-                  | Some h ->
-                      let* kv = decode_init_line line args in
-                      go (Some { h with init = kv :: h.init }) rev_msgs rest)
-              | "msg" :: _ -> (
-                  match header with
-                  | None -> Error Error.Missing_threads
-                  | Some h ->
-                      let* m = decode_message ~expect_width:h.nthreads line in
-                      go header (m :: rev_msgs) rest)
-              | _ -> Error (Error.Unrecognized_line line))
-        in
-        go None [] rest
-      end
 
 (* {1 Framed binary wire format, version 3}
 
@@ -399,12 +296,6 @@ module Framed3 = struct
     Buffer.add_string buf payload;
     Buffer.add_char buf '\n';
     Buffer.contents buf
-
-  let frame_result kind payload =
-    match frame kind payload with
-    | s -> Ok s
-    | exception Frame_overflow { length; limit; _ } ->
-        Error (Error.Frame_too_large { length; limit })
 
   (* Unsigned LEB128; OCaml ints are 63-bit so 9 groups of 7 suffice. *)
   let add_varint buf n =
@@ -568,6 +459,7 @@ module Reader = struct
     mutable pos : int;  (* parse position in [buf] *)
     mutable len : int;  (* end of valid data in [buf] *)
     mutable scan : int;  (* in-place varint cursor (v3 payloads) *)
+    mutable msg_at : int;  (* [buf] offset of the last delivered message frame *)
     mutable consumed : int;  (* stream offset of the next unparsed byte *)
     mutable closed : bool;
     mutable preamble_done : bool;
@@ -579,7 +471,7 @@ module Reader = struct
     mutable nvars : int;
     mutable baselines : int array array;  (* per-thread last decoded clock *)
     mutable base_ok : bool array;  (* poisoned by skips until a full clock *)
-    mutable frames : int;
+    mutable other_frames : int;  (* delivered frames other than messages *)
     mutable messages : int;
     mutable skipped_frames : int;
     mutable resyncs : int;
@@ -595,6 +487,7 @@ module Reader = struct
       pos = 0;
       len = 0;
       scan = 0;
+      msg_at = 0;
       consumed = 0;
       closed = false;
       preamble_done = false;
@@ -605,7 +498,7 @@ module Reader = struct
       nvars = 0;
       baselines = [||];
       base_ok = [||];
-      frames = 0;
+      other_frames = 0;
       messages = 0;
       skipped_frames = 0;
       resyncs = 0;
@@ -633,6 +526,7 @@ module Reader = struct
       pos = 0;
       len = 0;
       scan = 0;
+      msg_at = 0;
       consumed;
       closed = false;
       preamble_done = true;
@@ -643,7 +537,7 @@ module Reader = struct
       nvars = Array.length v3_vars;
       baselines = Array.map Array.copy v3_baselines;
       base_ok = Array.copy v3_valid;
-      frames = s.frames;
+      other_frames = s.frames - s.messages;
       messages = s.messages;
       skipped_frames = s.skipped_frames;
       resyncs = s.resyncs;
@@ -652,7 +546,7 @@ module Reader = struct
       garbage_error = None }
 
   let stats t =
-    { frames = t.frames;
+    { frames = t.other_frames + t.messages;
       messages = t.messages;
       skipped_frames = t.skipped_frames;
       resyncs = t.resyncs;
@@ -991,6 +885,16 @@ module Reader = struct
     poison t;
     Skip { error; bytes = Bytes.sub_string t.buf base total }
 
+  (* The frame of the message [next] just delivered still sits in
+     [buf], at [msg_at] up to [pos]: only a feed moves the window.  The
+     frame moves from the delivered counts to the skipped ones. *)
+  let refuse t =
+    let total = t.pos - t.msg_at in
+    t.messages <- t.messages - 1;
+    t.skipped_frames <- t.skipped_frames + 1;
+    t.skipped_bytes <- t.skipped_bytes + total;
+    Bytes.sub_string t.buf t.msg_at total
+
   let known_kind k =
     k = Framed3.kind_message || k = Framed3.kind_vardef || k = Framed3.kind_end
     || k = Framed3.kind_header
@@ -1059,7 +963,9 @@ module Reader = struct
               if kind = Framed3.kind_message then
                 match deliver_msg3 t ~base ~len with
                 | m ->
-                    t.frames <- t.frames + 1;
+                    (* [deliver_msg3] counted it in [messages], which
+                       [stats] adds to [frames]. *)
+                    t.msg_at <- base;
                     Item (Msg m)
                 | exception Bad error -> skip_frame t ~base ~total error
                 | exception Invalid_argument _ ->
@@ -1069,11 +975,11 @@ module Reader = struct
               else
                 match deliver t kind ~base ~len with
                 | Ok (Some item) ->
-                    t.frames <- t.frames + 1;
+                    t.other_frames <- t.other_frames + 1;
                     Item item
                 | Ok None ->
                     (* Internal bookkeeping (vardef); keep parsing. *)
-                    t.frames <- t.frames + 1;
+                    t.other_frames <- t.other_frames + 1;
                     next t
                 | Error error -> skip_frame t ~base ~total error
             end
@@ -1141,21 +1047,6 @@ let decode_framed text =
 
 type format = V1 | Binary_v3
 
-let sniff text =
-  if String.starts_with ~prefix:Framed3.preamble text then Some Binary_v3
-  else
-    let first =
-      match String.index_opt text '\n' with
-      | Some i -> String.sub text 0 i
-      | None -> text
-    in
-    if String.trim first = magic then Some V1 else None
-
-let decode_any text =
-  match sniff text with
-  | Some Binary_v3 -> decode_framed text
-  | Some V1 | None -> decode text
-
 let write_file ?(format = Binary_v3) path header messages =
   let* doc =
     match format with
@@ -1174,14 +1065,4 @@ let write_file ?(format = Binary_v3) path header messages =
     Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc doc)
   with
   | () -> Ok ()
-  | exception Sys_error e -> Error (Error.Io e)
-
-let read_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | text -> decode_any text
   | exception Sys_error e -> Error (Error.Io e)

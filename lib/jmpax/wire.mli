@@ -2,10 +2,10 @@
 
     JMPaX ships [⟨e, i, V⟩] messages over a socket to an external
     observer process (paper, Fig. 4). This module fixes two encodings
-    so executions can cross process boundaries here too, in any delivery
-    order:
+    so executions can cross process boundaries here too; observers read
+    only the second:
 
-    {2 Version 1 — line-oriented text}
+    {2 Version 1 — line-oriented text, written only}
 
     {v
     jmpax-trace 1          -- header: magic and version
@@ -15,9 +15,10 @@
     v}
 
     Variable names are percent-encoded so spaces and newlines cannot
-    corrupt framing.  Whole-document only: a reader must see the full
-    text before decoding.  The debug and file format, and the only one
-    for traces wider than {!Framed3.max_threads}.
+    corrupt framing.  The human-readable dump of a trace, and the only
+    format for traces wider than {!Framed3.max_threads}; nothing in this
+    library reads a v1 document back.  Checkpoints store buffered
+    messages as [msg] lines ({!add_message}).
 
     {2 Version 3 — length-framed binary stream ({!Framed3})}
 
@@ -39,8 +40,8 @@
     a full clock re-anchors their thread: recovery loses messages, and
     reports them, but never decodes a wrong clock.  The retired text
     stream, wire v2 (preamble ["jmpax-wire 2"]), is refused: its
-    preamble is a {!Error.Bad_preamble} (a {!Error.Bad_magic} for
-    {!decode_any}) and its frames are unknown kinds. *)
+    preamble is a {!Error.Bad_preamble} and its frames are unknown
+    kinds. *)
 
 open Trace
 
@@ -49,24 +50,18 @@ type header = {
   init : (Types.var * Types.value) list;
 }
 
-(** Decode-error taxonomy shared by all formats. *)
+(** Decode-error taxonomy of the v3 reader (and the stream driver on top of it). *)
 module Error : sig
   type t =
-    | Empty
-    | Bad_magic of string
     | Missing_threads
     | Duplicate_threads of string
-    | Misplaced_threads of string  (** a [threads] line after the first message *)
     | Bad_thread_count of string
     | Bad_escape of string
     | Truncated_escape of string
     | Bad_init of string
-    | Malformed_msg of string
-    | Bad_clock of string
     | Inconsistent_message of string
         (** the emitting thread's own clock component is missing or < 1 *)
     | Tid_out_of_range of { tid : int; nthreads : int }
-    | Clock_width_mismatch of { width : int; expected : int }
     | Unrecognized_line of string
     | Bad_preamble of string
     | Unknown_frame_kind of int
@@ -101,7 +96,7 @@ end
 exception Frame_overflow of { kind : char; length : int; limit : int }
 (** Raised by encoders handed a payload larger than
     {!Framed3.default_max_frame} — a frame no default reader would accept
-    back.  See {!Framed3.frame_result} for the result-typed variant. *)
+    back. *)
 
 (** {1 Variable-name escaping} *)
 
@@ -114,24 +109,11 @@ val decode_var : string -> (Types.var, Error.t) result
 
 (** {1 Version-1 text documents} *)
 
-val encode_message : Message.t -> string
-(** One [msg] line, without the newline. *)
-
 val add_message : Buffer.t -> Message.t -> unit
-(** Append {!encode_message}'s line without building it as a string. *)
-
-val decode_message : ?expect_width:int -> string -> (Message.t, Error.t) result
-(** [expect_width] is the header's thread count; when given, the thread
-    id and the clock's dimension are validated against it. *)
+(** Append one [msg] line, without the newline. *)
 
 val encode : header -> Message.t list -> string
 (** A complete trace document. *)
-
-val decode : string -> (header * Message.t list, Error.t) result
-(** Accepts blank lines and [#] comments.  Hard errors include a
-    duplicate or post-message [threads] line, a thread id outside the
-    header's range, and a vector clock whose width disagrees with the
-    header. *)
 
 (** {1 Version-3 binary streams}
 
@@ -158,10 +140,6 @@ module Framed3 : sig
       {!default_max_frame}: every frame an encoder emits is a frame a
       default {!Reader} accepts. *)
 
-  val frame_result : char -> string -> (string, Error.t) result
-  (** {!frame} with the overflow surfaced as
-      [Error (Frame_too_large _)] instead of an exception. *)
-
   val kind_header : char
   (** ['h'] — payload is the text header body ([threads <n>] and
       [init] lines, as in v1), one per stream. *)
@@ -178,10 +156,6 @@ module Framed3 : sig
 
   val kind_end : char
   (** ['e'] — payload is the varint thread id. *)
-
-  val var_limit : int
-  (** Interned names per stream a reader will accept before erroring
-      with {!Error.Too_many_vars}. *)
 
   val max_threads : int
   (** Widest clock a v3 stream may carry (4096).  Decoding costs one
@@ -333,6 +307,13 @@ module Reader : sig
   (** Which threads have delivered their end-of-stream frame (a copy;
       empty before the header). *)
 
+  val refuse : t -> string
+  (** The consumer refuses the message the last {!next} delivered (a
+      duplicate): its frame leaves the delivered [frames] and [messages]
+      of {!stats} for [skipped_frames] and [skipped_bytes], and its wire
+      bytes are returned, for quarantining.  Call it right after [next]
+      returned [Item (Msg _)], before anything else touches [t]. *)
+
   val v3_state : t -> v3_state option
   (** [Some] (a deep copy) once the header frame has been delivered;
       [None] before. *)
@@ -344,9 +325,6 @@ end
 
 type format = V1 | Binary_v3
 
-val decode_any : string -> (header * Message.t list, Error.t) result
-(** Sniffs the magic and dispatches to {!decode} or {!decode_framed}. *)
-
 val write_file :
   ?format:format -> string -> header -> Message.t list -> (unit, Error.t) result
 (** Default format: {!Binary_v3}.  Nothing is written when the trace
@@ -354,7 +332,3 @@ val write_file :
     is {!Error.Bad_thread_count} and a payload over
     {!Framed3.default_max_frame} is {!Error.Frame_too_large} (v1 text
     has neither limit); an unwritable path is [Error (Io _)]. *)
-
-val read_file : string -> (header * Message.t list, Error.t) result
-(** Reads any format ({!decode_any}); [Error (Io _)] on unreadable
-    files. *)

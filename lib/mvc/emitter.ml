@@ -28,7 +28,6 @@ type t = {
   vars : Types.var array;
   sink : Message.t -> unit;
   mutable rev_messages : Message.t list;
-  mutable count : int;
 }
 
 let create ?clock:_ ?(vars = [||]) ~nthreads ~init ~relevance ?(sink = fun _ -> ()) () =
@@ -42,8 +41,7 @@ let create ?clock:_ ?(vars = [||]) ~nthreads ~init ~relevance ?(sink = fun _ -> 
     algorithm;
     vars;
     sink;
-    rev_messages = [];
-    count = 0 }
+    rev_messages = [] }
 
 let process t var (e : Event.t) = Algorithm.process_at t.algorithm e.tid ~var e.kind
 
@@ -72,7 +70,6 @@ let dispatch t var (e : Event.t) =
       in
       let m = Message.make ~eid:e.eid ~tid:e.tid ~var ~value ~mvc in
       t.rev_messages <- m :: t.rev_messages;
-      t.count <- t.count + 1;
       if M.enabled () then begin
         M.incr m_messages;
         M.incr (per_tid_counter e.tid)
@@ -88,5 +85,4 @@ let on_read_id t tid id v = dispatch t id (Exec.add_read t.builder tid t.vars.(i
 let on_write_id t tid id v = dispatch t id (Exec.add_write t.builder tid t.vars.(id) v)
 
 let invariant t = Algorithm.invariant t.algorithm
-let message_count t = t.count
 let finish t = (Exec.freeze t.builder, List.rev t.rev_messages)

@@ -42,8 +42,6 @@ val invariant : t -> bool
 (** The underlying algorithm's internal-consistency check (useful for
     assertions in tests). *)
 
-val message_count : t -> int
-
 val finish : t -> Exec.t * Message.t list
 (** The recorded execution and all emitted messages, in emission order.
     The emitter can keep being used afterwards; [finish] snapshots. *)

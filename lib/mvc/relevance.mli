@@ -16,10 +16,6 @@ val writes_of_vars : Types.var list -> t
 val all_writes : t
 (** Every write of a data variable is relevant. *)
 
-val all_accesses : t
-(** Every read or write of a data variable is relevant (used by the
-    predictive race detector, which needs read events too). *)
-
 val all_events : t
 (** Every read or write is relevant, {e including} the dummy
     synchronization variables — the relevance the streaming race and
@@ -34,9 +30,6 @@ val nothing : t
 val custom : (Event.kind -> bool) -> t
 
 val is_relevant : t -> Event.kind -> bool
-
-val on_event : t -> Event.t -> bool
-(** {!is_relevant} applied to the event's kind. *)
 
 val per_variable : t -> bool
 (** Whether {!is_relevant} depends only on an access's kind and

@@ -28,28 +28,6 @@ let bounded_reorder ~seed ~window ms =
   in
   drain ms []
 
-let per_thread_channels ms =
-  let tids =
-    List.sort_uniq compare (List.map (fun (m : Message.t) -> m.tid) ms)
-  in
-  let queues =
-    List.map (fun tid -> ref (List.filter (fun (m : Message.t) -> m.tid = tid) ms)) tids
-  in
-  let out = ref [] in
-  let remaining = ref (List.length ms) in
-  while !remaining > 0 do
-    List.iter
-      (fun q ->
-        match !q with
-        | [] -> ()
-        | m :: rest ->
-            q := rest;
-            decr remaining;
-            out := m :: !out)
-      queues
-  done;
-  List.rev !out
-
 let is_plausible_delivery ~original delivered =
   let per_thread ms tid =
     List.filter (fun (m : Message.t) -> m.tid = tid) ms

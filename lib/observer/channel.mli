@@ -23,13 +23,8 @@ val bounded_reorder : seed:int -> window:int -> Message.t list -> Message.t list
     [window - 1] others.
     @raise Invalid_argument if [window < 1]. *)
 
-val per_thread_channels : Message.t list -> Message.t list
-(** One FIFO channel per emitting thread, drained round-robin: per-thread
-    order is preserved (as a real per-thread socket would), global order
-    is not. *)
-
 val is_plausible_delivery : original:Message.t list -> Message.t list -> bool
 (** True when the second list is a permutation of the first that
-    preserves each thread's message order — what {!identity} and
-    {!per_thread_channels} produce. {!shuffle} and {!bounded_reorder}
-    may reorder within a thread too; the observer handles both. *)
+    preserves each thread's message order — what {!identity} produces.
+    {!shuffle} and {!bounded_reorder} may reorder within a thread too;
+    the observer handles both. *)

@@ -49,7 +49,6 @@ let of_messages_exn ~nthreads ~init messages =
 
 let nthreads c = c.nthreads
 let total c = Array.fold_left (fun n ms -> n + Array.length ms) 0 c.by_thread
-let thread_count c i = Array.length c.by_thread.(i)
 
 let message c i k =
   if i < 0 || i >= c.nthreads then invalid_arg "Computation.message: bad thread";

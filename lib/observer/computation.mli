@@ -25,7 +25,6 @@ val nthreads : t -> int
 val total : t -> int
 (** Total number of relevant events. *)
 
-val thread_count : t -> Types.tid -> int
 val message : t -> Types.tid -> int -> Message.t
 (** [message c i k] is the [k]-th (1-based) relevant event of thread [i].
     @raise Invalid_argument if out of range. *)

@@ -231,5 +231,3 @@ let parse src =
   let f = parse_formula st in
   if peek st <> TEOF then raise (Error "trailing input");
   f
-
-let roundtrip f = parse (Formula.to_string f)

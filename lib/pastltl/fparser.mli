@@ -24,6 +24,3 @@ exception Error of string
 
 val parse : string -> Formula.t
 (** @raise Error on malformed input. *)
-
-val roundtrip : Formula.t -> Formula.t
-(** [parse (Formula.to_string f)] — used by tests. *)

@@ -28,11 +28,6 @@ val atoms : t -> Predicate.t list
     the truth of atom [i]). *)
 
 val state_count : t -> int
-val alphabet_size : t -> int
-(** [2^|atoms|]. *)
-
-val valuation : t -> State.t -> int
-(** The letter a global state induces. *)
 
 val initial : t -> int -> int
 (** [initial fsm letter]: the state entered on the initial global

@@ -99,7 +99,6 @@ let step_with c state ~atom = compute c ~prev:(Some state) (Array.map atom c.ato
 let init c global = init_with c ~atom:(fun p -> Predicate.holds p global)
 let step c state global = step_with c state ~atom:(fun p -> Predicate.holds p global)
 let verdict c state = state.(width c - 1)
-let equal_state (a : state) (b : state) = a = b
 
 (* The order of [Stdlib.compare] on bool arrays (size first, then
    elements, [false < true]) without the polymorphic walk: monitor-state
@@ -124,10 +123,6 @@ let hash_state (s : state) =
     h := (!h lxor Bool.to_int (Array.unsafe_get s i)) * 0x01000193
   done;
   (!h lxor (!h lsr 29)) land max_int
-
-let pp_state ppf s =
-  Format.pp_print_string ppf
-    (String.concat "" (List.map (fun b -> if b then "1" else "0") (Array.to_list s)))
 
 let state_to_string (s : state) =
   String.init (Array.length s) (fun i -> if s.(i) then '1' else '0')

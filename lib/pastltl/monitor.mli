@@ -52,8 +52,7 @@ val verdict : compiled -> state -> bool
 
 val state_to_string : state -> string
 (** The state as a bit string (["0101"]), one character per subformula —
-    a stable textual form for checkpoints and logs; {!pp_state} prints
-    the same encoding. *)
+    a stable textual form for checkpoints and logs. *)
 
 val state_of_string : compiled -> string -> state option
 (** Inverse of {!state_to_string} against a compiled monitor; [None]
@@ -61,9 +60,6 @@ val state_of_string : compiled -> string -> state option
     character is not ['0']/['1'] — a checkpoint written for a different
     specification can never silently restore. *)
 
-val equal_state : state -> state -> bool
 val compare_state : state -> state -> int
 val hash_state : state -> int
-(** A hash over every subformula's bit, consistent with {!equal_state}. *)
-
-val pp_state : Format.formatter -> state -> unit
+(** A hash over every subformula's bit, consistent with structural equality. *)

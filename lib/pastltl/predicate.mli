@@ -17,7 +17,6 @@ type cmp = Eq | Ne | Lt | Le | Gt | Ge
 type t = { cmp : cmp; lhs : aexp; rhs : aexp }
 
 val make : cmp -> aexp -> aexp -> t
-val eval_aexp : State.t -> aexp -> int
 val holds : t -> State.t -> bool
 
 val compile : slot:(Types.var -> int) -> t -> int array -> bool

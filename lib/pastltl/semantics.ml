@@ -46,11 +46,6 @@ let eval formula trace =
   in
   table formula
 
-let holds_at f trace t =
-  let values = eval f trace in
-  if t < 0 || t >= Array.length values then invalid_arg "Semantics.holds_at: bad index";
-  values.(t)
-
 let first_violation f states =
   match states with
   | [] -> None

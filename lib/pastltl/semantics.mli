@@ -6,10 +6,6 @@ val eval : Formula.t -> State.t array -> bool array
 (** [eval f trace] gives [f]'s truth value at every index of [trace].
     @raise Invalid_argument on an empty trace. *)
 
-val holds_at : Formula.t -> State.t array -> int -> bool
-(** Truth value at one index.
-    @raise Invalid_argument if the index is out of bounds. *)
-
 val first_violation : Formula.t -> State.t list -> int option
 (** Index of the first state falsifying [f], if any — the safety-checking
     view: a trace is accepted iff [f] holds at every state. *)

@@ -60,11 +60,6 @@ let sweep ~spec ~nthreads ~init messages =
   end;
   r
 
-let analyze ~spec comp =
-  sweep ~spec ~nthreads:(Observer.Computation.nthreads comp)
-    ~init:(Pastltl.State.to_list (Observer.Computation.init_state comp))
-    (Observer.Computation.messages comp)
-
 let violated report = report.violations <> []
 
 let observed_run_verdict ~spec ~init messages =

@@ -17,8 +17,7 @@
     The sweep itself is {!Online}'s: {!sweep} feeds one online observer
     the messages in whatever order they arrive, finishes it, and
     repackages its verdict and counters as a report; [jmpax check]
-    feeds it the channel's delivery order, {!analyze} a computation's
-    messages in order. *)
+    feeds it the channel's delivery order. *)
 
 open Trace
 
@@ -55,9 +54,6 @@ val sweep :
     then [Online.finish], under the [predict.analyze] span; records the
     [predict.*] metrics.
     @raise Invalid_argument on a duplicate or lost message. *)
-
-val analyze : spec:Pastltl.Formula.t -> Observer.Computation.t -> report
-(** {!sweep} over {!Observer.Computation.messages}. *)
 
 val violated : report -> bool
 

@@ -98,17 +98,10 @@ val analyze : ?max_violations:int -> Exec.t -> report
 val serializable : report -> bool
 val pattern_name : access_kind * access_kind * access_kind -> string
 
-val pattern_code : access_kind * access_kind * access_kind -> string
-(** Compact ["R-W-R"]-style rendering, used in canonical verdicts. *)
-
 val pp_violation : Format.formatter -> violation -> unit
 val pp_report : Format.formatter -> report -> unit
 
 (** {1 Canonical verdict} *)
-
-val classes_of_report :
-  report -> (Types.tid * string * Types.var * (access_kind * access_kind * access_kind)) list
-(** Distinct violation classes, sorted. *)
 
 val verdict :
   classes:

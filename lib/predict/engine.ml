@@ -17,7 +17,6 @@ let kind_of_string = function
 
 let default_kinds = [ Lattice ]
 
-let kinds_to_string kinds = String.concat "," (List.map kind_to_string kinds)
 
 let kinds_of_string s =
   let names =

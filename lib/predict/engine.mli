@@ -14,12 +14,9 @@ open Trace
 type kind = Lattice | Race | Atomicity
 
 val kind_to_string : kind -> string
-val kind_of_string : string -> kind option
 
 val default_kinds : kind list
 (** [[Lattice]] — the historical behaviour. *)
-
-val kinds_to_string : kind list -> string
 
 val kinds_of_string : string -> (kind list, string) result
 (** Parse a comma-separated engine list ([--engine] syntax).  Order is

@@ -165,23 +165,3 @@ let check ?max_lassos ~spec lattice =
   List.find_opt
     (fun l -> not (eval_lasso spec ~prefix:l.prefix_states ~cycle:l.cycle_states))
     lassos
-
-let rec pp_fformula ppf = function
-  | FTrue -> Format.pp_print_string ppf "true"
-  | FFalse -> Format.pp_print_string ppf "false"
-  | FAtom p -> Pastltl.Predicate.pp ppf p
-  | FNot f -> Format.fprintf ppf "!(%a)" pp_fformula f
-  | FAnd (f, g) -> Format.fprintf ppf "(%a and %a)" pp_fformula f pp_fformula g
-  | FOr (f, g) -> Format.fprintf ppf "(%a or %a)" pp_fformula f pp_fformula g
-  | FNext f -> Format.fprintf ppf "X (%a)" pp_fformula f
-  | FEventually f -> Format.fprintf ppf "F (%a)" pp_fformula f
-  | FAlways f -> Format.fprintf ppf "G (%a)" pp_fformula f
-  | FUntil (f, g) -> Format.fprintf ppf "(%a U %a)" pp_fformula f pp_fformula g
-
-let pp_lasso ~vars ppf l =
-  let pp_states = Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ")
-      (Pastltl.State.pp_values ~vars)
-  in
-  Format.fprintf ppf "@[<v>lasso u (%d events): %a@,cycle v (%d events): %a (repeats forever)@]"
-    (List.length l.prefix) pp_states l.prefix_states (List.length l.cycle) pp_states
-    l.cycle_states

@@ -43,6 +43,3 @@ val check :
   ?max_lassos:int -> spec:fformula -> Observer.Lattice.t -> lasso option
 (** First candidate lasso whose [u·v{^ω}] violates the liveness
     specification, if any. *)
-
-val pp_fformula : Format.formatter -> fformula -> unit
-val pp_lasso : vars:Types.var list -> Format.formatter -> lasso -> unit

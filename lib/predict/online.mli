@@ -20,8 +20,7 @@
     This is the only lattice sweep in the library and the one route to
     a lattice verdict: [jmpax check] feeds it the channel's delivery
     order ({!Analyzer.sweep}), [jmpax stream] and [jmpax serve] the
-    decoded wire ({!Engines}), and {!Analyzer.analyze} a computation's
-    messages in order.  The frontier runs on the sequential
+    decoded wire ({!Engines}).  The frontier runs on the sequential
     {!Observer.Frontier} engine.
     Verdicts do not depend on delivery order, and they agree with
     explicit run enumeration ({!Counterexample.check}) — properties the

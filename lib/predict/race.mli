@@ -70,7 +70,6 @@ val detect : ?max_races:int -> Exec.t -> report
     past the cap, and pairs past it are never built. *)
 
 val race_free : report -> bool
-val pp_race : Format.formatter -> race -> unit
 
 val pp_report : Format.formatter -> report -> unit
 (** Renders ["N racy pairs (M shown)"] when the recorded list was

@@ -264,6 +264,10 @@ let render v =
    [jmpax_serve_sessions_omitted]. *)
 let session_series_cap = 64
 
+(* The [metrics] response body: Prometheus text exposition.  Daemon
+   counters render from the plain counters, so the scrape works with
+   telemetry off; the live registry adds the latency histogram and the
+   rolling rates when telemetry is on. *)
 let prometheus v =
   sync ~registry:v.v_registry ~counters:v.v_counters ~pending:0 ~now:v.v_now;
   let counters = v.v_counters in

@@ -9,8 +9,11 @@
       slice of the metrics registry.  Plain [key value] lines followed
       by [session k=v ...] lines, so shell tooling can grep it and
       [jmpax top] can parse it without a JSON reader;
-    - [metrics] — the same state in Prometheus text exposition format
-      (see {!prometheus});
+    - [metrics] — the same state in Prometheus text exposition format:
+      per-session families labeled [sid="..."] and capped at 64
+      sessions (the rest counted in [jmpax_serve_sessions_omitted]),
+      plus the latency histogram and rolling rates when telemetry is
+      enabled;
     - [health] — one line: [ok], [degraded <detail>] or [draining],
       from the configured thresholds;
     - [ping] — [pong], a liveness probe. *)
@@ -74,19 +77,6 @@ val health : view -> string * string
 
 val render : view -> string
 (** The [stats] response body. *)
-
-val prometheus : view -> string
-(** The [metrics] response body: Prometheus text exposition.  Daemon
-    counters render from the plain {!counters} (so the scrape works
-    even with telemetry off); per-session series are labeled families
-    ([sid="..."]) capped at {!session_series_cap} with the overflow
-    counted in [jmpax_serve_sessions_omitted]; the live registry
-    contributes the latency histogram
-    ([jmpax_serve_verdict_latency_seconds_bucket]) and rolling rates
-    ([jmpax_serve_events_per_second]) when telemetry is enabled. *)
-
-val session_series_cap : int
-(** Cardinality cap on per-session labeled families (64). *)
 
 val handle_request : view -> string -> string
 (** Map one request line to its response. *)

@@ -133,6 +133,7 @@ let to_string t =
 
 (* {1 Mapping the metrics registry} *)
 
+(* Every character outside [[a-zA-Z0-9_:]] becomes ['_']. *)
 let mangle name =
   String.map
     (fun c ->

@@ -43,9 +43,6 @@ val histogram :
 
 val to_string : t -> string
 
-val mangle : string -> string
-(** Replace every character outside [[a-zA-Z0-9_:]] with ['_']. *)
-
 val of_metrics : ?keep:(string -> bool) -> ?now:float -> t -> unit
 (** Append one family per live registry metric whose (internal) name
     satisfies [keep].  [now] is the clock used to evaluate window

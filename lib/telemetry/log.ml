@@ -14,18 +14,6 @@ let level_name = function
   | Warn -> "warn"
   | Error -> "error"
 
-let level_of_string = function
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" | "warning" -> Some Warn
-  | "error" -> Some Error
-  | _ -> None
-
-let format_of_string = function
-  | "text" -> Some Text
-  | "json" -> Some Json
-  | _ -> None
-
 (* Library default is Warn so embedding jmpax stays quiet; the CLIs
    raise it to Info (the --log-level default) at startup. *)
 let cur_level = Atomic.make (severity Warn)

@@ -24,9 +24,6 @@ type format = Text | Json
 
 val set_level : level -> unit
 val level : unit -> level
-val level_name : level -> string
-val level_of_string : string -> level option
-val format_of_string : string -> format option
 val set_format : format -> unit
 
 val set_sink : (string -> unit) -> unit

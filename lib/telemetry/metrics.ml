@@ -169,7 +169,6 @@ let observe h v =
 
 let hist_count h = Atomic.get h.h_count
 let hist_sum h = Atomic.get h.h_sum
-let hist_max h = Atomic.get h.h_max
 
 let hist_bucket h k =
   if k < 0 || k >= nbuckets then invalid_arg "Metrics.hist_bucket: bad bucket";

@@ -91,7 +91,6 @@ val observe : histogram -> int -> unit
 
 val hist_count : histogram -> int
 val hist_sum : histogram -> int
-val hist_max : histogram -> int
 
 val hist_bucket : histogram -> int -> int
 (** [hist_bucket h k] is the count in bucket [k] (see {!observe}). *)
@@ -109,30 +108,24 @@ val hist_quantile : histogram -> float -> float
     the observed values by linear interpolation inside the log2 bucket
     containing the target rank.  Returns [0.] on an empty histogram;
     the top bucket's upper edge is clamped to the observed max, so the
-    estimate never exceeds {!hist_max}.  Monotone in [q]. *)
+    estimate never exceeds the largest observed value.  Monotone in
+    [q]. *)
 
 val push : series -> int -> unit
-val series_values : series -> int list
 
 val window_add : window -> now:float -> int -> unit
 (** Record [n] deltas at time [now] (seconds; negative clamps to 0).
     Out-of-order timestamps within the retained range land in their
     own slot. *)
 
-val window_sum : window -> now:float -> span:float -> int
-(** Sum of deltas recorded in the last [ceil (span / width)] slots up
-    to and including the slot containing [now] — slot-aligned, so with
-    [span = slots * width] and every push inside that range, the sum
-    is exactly the sum of pushed deltas. *)
-
 val window_rate : window -> now:float -> span:float -> float
-(** [window_sum] divided by the effective span ([ceil (span / width) *
-    width], clamped to the ring size), i.e. the average per-second
-    rate over the window.  [rate * span = sum] whenever [span] is a
-    multiple of the slot width (the qcheck law in the test suite). *)
-
-val window_last : window -> float
-(** Largest [now] ever passed to {!window_add} (0. if never pushed). *)
+(** The deltas recorded in the last [ceil (span / width)] slots up to
+    and including the slot containing [now], divided by the effective
+    span ([ceil (span / width) * width], clamped to the ring size),
+    i.e. the average per-second rate over the window.  [rate * span]
+    is the sum of the pushed deltas whenever [span] is a multiple of
+    the slot width and every push lies inside it (the qcheck law in
+    the test suite). *)
 
 (** {1 Registry} *)
 

@@ -23,7 +23,6 @@ type t = {
   max_depth : int;  (** deepest simultaneous span nesting seen *)
 }
 
-val of_lines : string list -> (t, string) result
 val of_file : string -> (t, string) result
 
 val well_formed : t -> bool

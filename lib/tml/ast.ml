@@ -46,37 +46,3 @@ let seq stmts =
 
 let program ~shared ~threads =
   { shared; threads = List.map (fun (tname, body) -> { tname; body }) threads }
-
-module Sset = Set.Make (String)
-
-let rec expr_vars_set = function
-  | Int _ -> Sset.empty
-  | Var x -> Sset.singleton x
-  | Unop (_, e) -> expr_vars_set e
-  | Binop (_, a, b) -> Sset.union (expr_vars_set a) (expr_vars_set b)
-  | Choose es -> List.fold_left (fun s e -> Sset.union s (expr_vars_set e)) Sset.empty es
-
-let expr_vars e = Sset.elements (expr_vars_set e)
-
-let rec stmt_vars_set = function
-  | Skip | Nop _ | Lock _ | Unlock _ | Wait _ | Notify _ | Spawn _ | Join _ ->
-      Sset.empty
-  | Assign (x, e) | Local_decl (x, e) -> Sset.add x (expr_vars_set e)
-  | Seq ss -> List.fold_left (fun s st -> Sset.union s (stmt_vars_set st)) Sset.empty ss
-  | If (c, a, b) ->
-      Sset.union (expr_vars_set c) (Sset.union (stmt_vars_set a) (stmt_vars_set b))
-  | While (c, b) -> Sset.union (expr_vars_set c) (stmt_vars_set b)
-  | Sync (_, s) -> stmt_vars_set s
-
-let stmt_vars s = Sset.elements (stmt_vars_set s)
-
-let rec stmt_size = function
-  | Skip | Nop _ | Assign _ | Local_decl _ | Lock _ | Unlock _ | Wait _ | Notify _
-  | Spawn _ | Join _ -> 1
-  | Seq ss -> List.fold_left (fun n s -> n + stmt_size s) 1 ss
-  | If (_, a, b) -> 1 + stmt_size a + stmt_size b
-  | While (_, b) | Sync (_, b) -> 1 + stmt_size b
-
-let equal_expr (a : expr) (b : expr) = a = b
-let equal_stmt (a : stmt) (b : stmt) = a = b
-let equal_program (a : program) (b : program) = a = b

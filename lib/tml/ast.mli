@@ -63,18 +63,3 @@ val seq : stmt list -> stmt
 (** Smart constructor: flattens nested sequences and drops [Skip]. *)
 
 val program : shared:(string * int) list -> threads:(string * stmt) list -> program
-
-(** {1 Traversals} *)
-
-val expr_vars : expr -> string list
-(** Variables read by an expression (sorted, unique). *)
-
-val stmt_vars : stmt -> string list
-(** Variables read or assigned (locals included; sorted, unique). *)
-
-val stmt_size : stmt -> int
-(** Number of AST statement nodes, for generators and metrics. *)
-
-val equal_expr : expr -> expr -> bool
-val equal_stmt : stmt -> stmt -> bool
-val equal_program : program -> program -> bool

@@ -56,8 +56,6 @@ let is_plain_observable_op = function
   | Notify_cond _ -> true
   | _ -> false
 
-let instr_count image = Array.fold_left (fun n c -> n + Array.length c) 0 image.code
-
 (* One pass over every instruction; the checks are closures built once,
    not per instruction, since every image is validated on creation. *)
 let validate image =

@@ -63,11 +63,7 @@ type image = {
 
 val nthreads : image -> int
 
-val is_silent : instr -> bool
 val is_observable : instr -> bool
-
-val instr_count : image -> int
-(** Total instructions over all threads. *)
 
 val validate : image -> (unit, string) result
 (** Checks jump targets in range, local slots in range, [Halt]-terminated
@@ -75,5 +71,4 @@ val validate : image -> (unit, string) result
     variable ids are in range and name the variable their opcode (or
     [shared_init] position) does. *)
 
-val pp_instr : Format.formatter -> instr -> unit
 val pp_image : Format.formatter -> image -> unit

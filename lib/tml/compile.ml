@@ -178,5 +178,3 @@ let compile (p : Ast.program) =
   | Ok () -> ()
   | Error msg -> invalid_arg ("Compile: produced invalid image: " ^ msg));
   image
-
-let compile_string src = compile (Parser.parse_program src)

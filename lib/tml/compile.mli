@@ -9,7 +9,3 @@
 
 val compile : Ast.program -> Bytecode.image
 (** @raise Invalid_argument if the program fails {!Typecheck.check}. *)
-
-val compile_string : string -> Bytecode.image
-(** Parse then compile.
-    @raise Parser.Error on syntax errors. *)

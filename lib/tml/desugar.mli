@@ -21,11 +21,6 @@
     A [spawn] that never executes leaves the dormant thread spinning
     (fuel exhaustion rather than deadlock), matching an orphan thread. *)
 
-val spawn_gate : string -> Trace.Types.var
-(** The dummy variable guarding activation of the named thread. *)
-
-val join_flag : string -> Trace.Types.var
-
 val desugar : Ast.program -> Ast.program
 (** The result contains no [Spawn]/[Join] statements and declares the
     gate/done variables it introduced. Programs without [spawn]/[join]

@@ -26,9 +26,6 @@ val explore :
     the given scheduler (e.g. a closure over {!Vm.run_image} or
     {!Interp.run_program}). [max_runs] defaults to [10_000]. *)
 
-val all_runs : ?max_runs:int -> ?fuel:int -> Bytecode.image -> exploration
-(** Exhaustive runs of an image (instrumented or not). *)
-
 val all_program_runs : ?max_runs:int -> ?fuel:int -> Ast.program -> exploration
 (** Compile + instrument + explore. *)
 

@@ -5,11 +5,7 @@
 
 val pp_unop : Format.formatter -> Ast.unop -> unit
 val pp_binop : Format.formatter -> Ast.binop -> unit
-val pp_expr : Format.formatter -> Ast.expr -> unit
-(** Parenthesizes minimally according to the parser's precedences. *)
 
-val pp_stmt : Format.formatter -> Ast.stmt -> unit
-val pp_program : Format.formatter -> Ast.program -> unit
 val expr_to_string : Ast.expr -> string
 val stmt_to_string : Ast.stmt -> string
 val program_to_string : Ast.program -> string

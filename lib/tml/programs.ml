@@ -281,19 +281,6 @@ let spawn_unsynchronized_src =
 
 let spawn_unsynchronized = parse spawn_unsynchronized_src
 
-let philosophers ~n =
-  if n < 2 then invalid_arg "Programs.philosophers: n must be >= 2";
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "shared meals = 0;\n";
-  for i = 0 to n - 1 do
-    Buffer.add_string buf
-      (Printf.sprintf
-         "thread phil%d { lock fork%d; lock fork%d; meals = meals + 1; unlock fork%d; \
-          unlock fork%d; }\n"
-         i i ((i + 1) mod n) ((i + 1) mod n) i)
-  done;
-  parse (Buffer.contents buf)
-
 let pipeline ~stages =
   if stages < 2 then invalid_arg "Programs.pipeline: stages must be >= 2";
   let buf = Buffer.create 256 in

@@ -78,12 +78,6 @@ val spawn_unsynchronized : Ast.program
     cell — dynamic creation does not order the {e subsequent} accesses,
     so the race detector must still fire. *)
 
-val philosophers : n:int -> Ast.program
-(** [n] dining philosophers, each locking fork [i] then fork
-    [(i+1) mod n]: the lock-order graph has the classic [n]-cycle and
-    some schedule deadlocks.
-    @raise Invalid_argument if [n < 2]. *)
-
 val pipeline : stages:int -> Ast.program
 (** [stages] threads forwarding a value through a chain of shared cells;
     long causal chains with no concurrency between adjacent writes. *)

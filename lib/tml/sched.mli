@@ -67,5 +67,4 @@ val recording : t -> t * (unit -> script)
 (** [recording inner] behaves as [inner] and additionally records every
     decision; the callback returns the script so far (in order). *)
 
-val pp_decision : Format.formatter -> decision -> unit
 val pp_script : Format.formatter -> script -> unit

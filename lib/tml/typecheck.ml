@@ -9,17 +9,6 @@ let error_to_string e = Format.asprintf "%a" pp_error e
 
 let shared_vars (p : Ast.program) = List.map fst p.shared
 
-let locals_of_thread (t : Ast.thread) =
-  let rec go acc = function
-    | Ast.Local_decl (x, _) -> x :: acc
-    | Ast.Seq ss -> List.fold_left go acc ss
-    | Ast.If (_, a, b) -> go (go acc a) b
-    | Ast.While (_, b) | Ast.Sync (_, b) -> go acc b
-    | Ast.Skip | Ast.Nop _ | Ast.Assign _ | Ast.Lock _ | Ast.Unlock _ | Ast.Wait _
-    | Ast.Notify _ | Ast.Spawn _ | Ast.Join _ -> acc
-  in
-  List.rev (go [] t.body)
-
 module Sset = Set.Make (String)
 
 let rec dups seen = function

@@ -20,7 +20,3 @@ val error_to_string : error -> string
 
 val shared_vars : Ast.program -> string list
 (** Declared shared variables, in declaration order. *)
-
-val locals_of_thread : Ast.thread -> string list
-(** Locals declared anywhere in the thread body, in declaration order
-    (meaningful only for well-formed threads). *)

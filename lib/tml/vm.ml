@@ -357,8 +357,6 @@ let step t tid =
     Telemetry.Span.with_ ~name:"vm.step" (fun () -> step_body t tid)
   else step_body t tid
 
-let steps_taken t = t.steps
-
 let final_shared t =
   List.filter_map
     (fun (id, x) -> if Types.is_data_var x then Some (x, t.globals.(id)) else None)

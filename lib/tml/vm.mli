@@ -77,8 +77,6 @@ val step : t -> Types.tid -> unit
 val global_value : t -> Types.var -> Types.value
 (** Current value of a shared variable. *)
 
-val steps_taken : t -> int
-
 val result : t -> run_result
 (** Snapshot; normally called once {!finished} is [Some]. If called
     mid-run, [outcome] is [Fuel_exhausted]. *)

@@ -16,10 +16,8 @@ let write ~eid ~tid ~pos ~var ~value = make ~eid ~tid ~pos (Write (var, value))
 let variable e =
   match e.kind with Internal -> None | Read (x, _) | Write (x, _) -> Some x
 
-let written_value e = match e.kind with Write (_, v) -> Some v | Read _ | Internal -> None
 let is_read e = match e.kind with Read _ -> true | Write _ | Internal -> false
 let is_write e = match e.kind with Write _ -> true | Read _ | Internal -> false
-let is_access e = is_read e || is_write e
 let accesses e x = match variable e with Some y -> String.equal x y | None -> false
 let writes e x = match e.kind with Write (y, _) -> String.equal x y | Read _ | Internal -> false
 let equal a b = a = b

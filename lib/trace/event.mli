@@ -21,13 +21,8 @@ val write : eid:int -> tid:Types.tid -> pos:int -> var:Types.var -> value:Types.
 val variable : t -> Types.var option
 (** The variable accessed, if any. *)
 
-val written_value : t -> Types.value option
-(** The value written, for write events. *)
-
 val is_read : t -> bool
 val is_write : t -> bool
-val is_access : t -> bool
-(** Read or write. *)
 
 val accesses : t -> Types.var -> bool
 (** [accesses e x] iff [e] reads or writes [x]. *)
@@ -37,4 +32,3 @@ val writes : t -> Types.var -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
-val pp_kind : Format.formatter -> kind -> unit

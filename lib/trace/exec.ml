@@ -44,9 +44,6 @@ let event m eid =
 
 let init m = m.init
 
-let init_value m x =
-  match List.assoc_opt x m.init with Some v -> v | None -> 0
-
 let variables m =
   let module S = Set.Make (String) in
   let s = List.fold_left (fun s (x, _) -> S.add x s) S.empty m.init in
@@ -56,9 +53,6 @@ let variables m =
       s m.events
   in
   S.elements s
-
-let thread_events m tid =
-  Array.to_list m.events |> List.filter (fun e -> e.Event.tid = tid)
 
 let pp ppf m =
   Format.fprintf ppf "@[<v>exec (%d threads, %d events)@," m.nthreads (length m);

@@ -35,13 +35,8 @@ val event : t -> int -> Event.t
     @raise Invalid_argument if out of bounds. *)
 
 val init : t -> (Types.var * Types.value) list
-val init_value : t -> Types.var -> Types.value
-(** Initial value of a variable, [0] if not declared. *)
 
 val variables : t -> Types.var list
 (** All shared variables accessed or declared, sorted. *)
-
-val thread_events : t -> Types.tid -> Event.t list
-(** Events of one thread, in program order. *)
 
 val pp : Format.formatter -> t -> unit

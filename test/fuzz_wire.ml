@@ -1,6 +1,6 @@
-(* Decoder fuzz smoke for CI: a seeded corpus of valid v3 and v1
-   documents, each run through N random mutations, every result pushed
-   through the strict decoders and the resynchronizing reader.  The
+(* Decoder fuzz smoke for CI: a seeded corpus of valid v3 documents,
+   each run through N random mutations, every result pushed through the
+   strict decoder, the resynchronizing reader and the stream driver.  The
    contract under test: malformed input yields a typed [Wire.Error.t] or
    recovered [Skip] events — never an exception.
 
@@ -46,7 +46,6 @@ let corpus =
         msg 1 "p%q" 4 [ 2; 2 ] ] )
   in
   let t3 = (h3, [ msg 2 "v" 9 [ 0; 0; 1 ] ]) in
-  let docs (h, ms) = [ W.encode h ms; W.Framed3.encode h ms ] in
   (* A wide sparse-clock v3 document: long index gaps and multi-byte
      varints.  Clocks are chained (each message joins its predecessor)
      so the events are totally ordered: a fully concurrent 32-thread
@@ -69,12 +68,11 @@ let corpus =
   in
   List.map
     (fun doc -> (doc, [ Predict.Engine.Lattice ]))
-    (List.concat_map docs [ t1; t2; t3 ]
+    (List.map (fun (h, ms) -> W.Framed3.encode h ms) [ t1; t2; t3 ]
     @ [ wide;
         (* degenerate but valid-prefix shapes *)
         W.Framed3.preamble;
-        W.Framed3.preamble ^ W.Framed3.encode_header { W.nthreads = 2; init = [] };
-        "jmpax-trace 1\nthreads 1\n" ])
+        W.Framed3.preamble ^ W.Framed3.encode_header { W.nthreads = 2; init = [] } ])
   @ [ (lock_counter_doc, [ Predict.Engine.Race; Predict.Engine.Atomicity ]) ]
 
 let mutate rng doc =
@@ -180,7 +178,6 @@ let () =
                 what (Printexc.to_string e) !seed run ci doc
         in
         attempt "decode_framed" (fun () -> W.decode_framed doc);
-        attempt "decode_any" (fun () -> W.decode_any doc);
         attempt "Reader" (fun () -> drain_reader rng doc);
         attempt "Stream.run_string(skip)" (fun () ->
             Jmpax.Stream.run_string ~recovery:Jmpax.Config.Skip ~engines

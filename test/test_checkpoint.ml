@@ -868,6 +868,60 @@ let test_crc32_random =
     QCheck.(string_gen_of_size Gen.(int_bound 300) Gen.char)
     (fun s -> C.crc32 s = crc32_bytewise s)
 
+(* {1 Buffered messages}
+
+   A checkpoint stores each message the lattice engine still holds as a
+   [bmsg <eid>] line followed by its wire-v1 [msg] line, read back with
+   the header's width in force: thread id in range, clock as wide as
+   the header, own component at least 1.  One [bmsg] line of the
+   committed 4-thread golden is replaced at a time, under a correct
+   envelope. *)
+
+let with_first_bmsg line =
+  let body = body_of (read_file (data_file "lattice_4t_mid.ckpt")) in
+  let replaced = ref false in
+  String.split_on_char '\n' body
+  |> List.map (fun l ->
+         if (not !replaced) && String.starts_with ~prefix:"bmsg " l then begin
+           replaced := true;
+           line
+         end
+         else l)
+  |> String.concat "\n" |> wrap
+
+let expect_bmsg_refused line needle =
+  match C.decode (with_first_bmsg line) with
+  | Error (C.Malformed m) ->
+      let n = String.length needle in
+      let rec at i = i + n <= String.length m && (String.sub m i n = needle || at (i + 1)) in
+      if not (at 0) then Alcotest.failf "%S: %S does not name %S" line m needle
+  | Error e -> Alcotest.failf "%S: not Malformed: %s" line (C.error_to_string e)
+  | Ok _ -> Alcotest.failf "%S accepted" line
+
+let test_bmsg_tid_out_of_range () =
+  (match C.decode (with_first_bmsg "bmsg 105 msg 0 c 33 (27,21,25,23)") with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "the golden's own line refused: %s" (C.error_to_string e));
+  expect_bmsg_refused "bmsg 105 msg 4 c 33 (27,21,25,23)"
+    "thread id 4 out of range (trace has 4 threads)";
+  expect_bmsg_refused "bmsg 105 msg -1 c 33 (27,21,25,23)" "bmsg"
+
+let test_bmsg_clock_width () =
+  expect_bmsg_refused "bmsg 105 msg 0 c 33 (27,21,25,23,1)"
+    "clock has 5 components where the header promises 4";
+  expect_bmsg_refused "bmsg 105 msg 0 c 33 (27,21,25)"
+    "clock has 3 components where the header promises 4"
+
+let test_bmsg_own_component () =
+  expect_bmsg_refused "bmsg 105 msg 0 c 33 (0,21,25,23)" "own clock component below 1"
+
+let test_bmsg_malformed () =
+  List.iter
+    (fun line -> expect_bmsg_refused line "bmsg")
+    [ "bmsg 105 msg zero c 33 (27,21,25,23)"; "bmsg 105 msg 0 c 33"; "bmsg 105";
+      "bmsg 105 msh 0 c 33 (27,21,25,23)"; "bmsg 105 msg 0 c x (27,21,25,23)";
+      "bmsg 105 msg 0 c%4_ 33 (27,21,25,23)"; "bmsg 105 msg 0 c 33 27,21,25,23" ]
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ test_roundtrip; test_truncation_rejected; test_crc32_random ]
@@ -894,6 +948,11 @@ let () =
             test_golden_lattice_checkpoint;
           Alcotest.test_case "wire v2 checkpoint refused" `Quick
             test_v2_checkpoint_refused ] );
+      ( "v1 hardening",
+        [ Alcotest.test_case "tid out of range" `Quick test_bmsg_tid_out_of_range;
+          Alcotest.test_case "clock width" `Quick test_bmsg_clock_width;
+          Alcotest.test_case "own component" `Quick test_bmsg_own_component;
+          Alcotest.test_case "malformed bmsg line" `Quick test_bmsg_malformed ] );
       ( "engine block",
         [ Alcotest.test_case "loose progress line refused" `Quick
             test_loose_progress_refused ] );

@@ -345,7 +345,10 @@ let gen_sync_steps ~nthreads =
 let in_place_relevances =
   [ ("writes of x", Mvc.Relevance.writes_of_vars [ "x" ]);
     ("all events", Mvc.Relevance.all_events);
-    ("all accesses", Mvc.Relevance.all_accesses);
+    ( "all accesses",
+      Mvc.Relevance.custom (function
+        | Event.Read (x, _) | Event.Write (x, _) -> Types.is_data_var x
+        | Event.Internal -> false) );
     ( "custom",
       Mvc.Relevance.custom (function
         | Event.Write (_, v) -> v mod 2 = 0

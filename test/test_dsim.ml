@@ -104,7 +104,7 @@ let check_equiv ~relevance nthreads steps =
         Array.to_list (Exec.events exec) |> List.filter Event.is_read |> List.length
       in
       let accesses =
-        Array.to_list (Exec.events exec) |> List.filter Event.is_access |> List.length
+        Array.to_list (Exec.events exec) |> List.filter (fun e -> Event.is_read e || Event.is_write e) |> List.length
       in
       stats.Dsim.Simulate.hidden = reads && stats.Dsim.Simulate.packets = 3 * accesses
   | Error d ->
@@ -121,7 +121,13 @@ let prop_equiv_writes_relevance =
 let prop_equiv_all_accesses =
   QCheck.Test.make ~name:"network = Algorithm A (all accesses relevant)" ~count:400
     (QCheck.make ~print:print_steps (gen_steps ~nthreads:2))
-    (fun steps -> check_equiv ~relevance:Mvc.Relevance.all_accesses 2 steps)
+    (fun steps ->
+      check_equiv
+        ~relevance:
+          (Mvc.Relevance.custom (function
+            | Trace.Event.Read (x, _) | Trace.Event.Write (x, _) -> Trace.Types.is_data_var x
+            | Trace.Event.Internal -> false))
+        2 steps)
 
 let prop_equiv_nothing_relevant =
   QCheck.Test.make ~name:"network = Algorithm A (nothing relevant)" ~count:200

@@ -163,67 +163,84 @@ let xyz_messages () =
   in
   r.Tml.Vm.messages
 
+let xyz_header = { Jmpax.Wire.nthreads = 2; init = Tml.Programs.xyz.Tml.Ast.shared }
+
+let decode_framed text =
+  match Jmpax.Wire.decode_framed text with
+  | Ok d -> d
+  | Error e -> Alcotest.fail (Jmpax.Wire.Error.to_string e)
+
+let same_payload (a : Trace.Message.t) (b : Trace.Message.t) =
+  a.tid = b.tid && a.var = b.var && a.value = b.value && Vclock.equal a.mvc b.mvc
+
 let test_wire_roundtrip () =
   let messages = xyz_messages () in
-  let header = { Jmpax.Wire.nthreads = 2; init = Tml.Programs.xyz.Tml.Ast.shared } in
-  let text = Jmpax.Wire.encode header messages in
-  match Jmpax.Wire.decode text with
-  | Error e -> Alcotest.fail (Jmpax.Wire.Error.to_string e)
-  | Ok (header', messages') ->
-      Alcotest.(check int) "nthreads" 2 header'.Jmpax.Wire.nthreads;
-      Alcotest.(check (list (pair string int))) "init" header.Jmpax.Wire.init
-        header'.Jmpax.Wire.init;
-      Alcotest.(check int) "message count" (List.length messages) (List.length messages');
-      List.iter2
-        (fun (a : Trace.Message.t) (b : Trace.Message.t) ->
-          Alcotest.(check bool) "same payload" true
-            (a.tid = b.tid && a.var = b.var && a.value = b.value
-            && Vclock.equal a.mvc b.mvc))
-        messages messages'
+  let header', messages' = decode_framed (Jmpax.Wire.Framed3.encode xyz_header messages) in
+  Alcotest.(check int) "nthreads" 2 header'.Jmpax.Wire.nthreads;
+  Alcotest.(check (list (pair string int))) "init" xyz_header.Jmpax.Wire.init
+    header'.Jmpax.Wire.init;
+  Alcotest.(check int) "message count" (List.length messages) (List.length messages');
+  Alcotest.(check bool) "same payloads" true (List.for_all2 same_payload messages messages')
+
+(* The v1 writer has no reader: its output on the xyz run is pinned by
+   a committed file. *)
+let test_wire_v1_golden () =
+  let committed =
+    List.map (fun dir -> Filename.concat dir "data/xyz.v1")
+      [ Filename.dirname Sys.executable_name; "test" ]
+    |> List.find Sys.file_exists
+    |> fun path -> In_channel.with_open_bin path In_channel.input_all
+  in
+  Alcotest.(check string) "v1 text" committed
+    (Jmpax.Wire.encode xyz_header (xyz_messages ()))
 
 let test_wire_escaping () =
   let mvc = Vclock.of_list [ 1 ] in
   let weird = "a var%with\nnewline" in
   let m = Trace.Message.make ~eid:0 ~tid:0 ~var:weird ~value:(-3) ~mvc in
-  let line = Jmpax.Wire.encode_message m in
-  Alcotest.(check bool) "single line" true (not (String.contains line '\n'));
-  match Jmpax.Wire.decode_message line with
-  | Ok m' ->
+  let header = { Jmpax.Wire.nthreads = 1; init = [ (weird, 7) ] } in
+  let line = Buffer.create 32 in
+  Jmpax.Wire.add_message line m;
+  Alcotest.(check bool) "single v1 line" true
+    (not (String.contains (Buffer.contents line) '\n'));
+  match decode_framed (Jmpax.Wire.Framed3.encode header [ m ]) with
+  | h, [ m' ] ->
+      Alcotest.(check (list (pair string int))) "init restored" header.Jmpax.Wire.init
+        h.Jmpax.Wire.init;
       Alcotest.(check string) "variable restored" weird m'.Trace.Message.var;
       Alcotest.(check int) "value restored" (-3) m'.Trace.Message.value
-  | Error e -> Alcotest.fail (Jmpax.Wire.Error.to_string e)
+  | _ -> Alcotest.fail "wrong message count"
 
 let test_wire_rejects_garbage () =
   let expect_error text =
-    match Jmpax.Wire.decode text with
+    match Jmpax.Wire.decode_framed text with
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "accepted %S" text
   in
+  let module F = Jmpax.Wire.Framed3 in
+  let header body = F.preamble ^ F.frame F.kind_header body in
   List.iter expect_error
-    [ ""; "not a trace"; "jmpax-trace 1\nmsg 0 x 1 (1)";
-      "jmpax-trace 1\nthreads 0"; "jmpax-trace 1\nthreads 2\nmsg zero x 1 (1,0)";
-      "jmpax-trace 1\nthreads 2\nmsg 0 x 1 (0,0)" ]
+    [ ""; "not a trace"; Jmpax.Wire.encode xyz_header (xyz_messages ());
+      F.preamble; header "threads 0"; header "threads two";
+      header "threads 2" ^ F.frame F.kind_message "\x01\x00";
+      header "threads 2" ^ F.frame F.kind_end "zero" ]
 
 let test_wire_file_and_observer () =
   let messages = xyz_messages () in
-  let header = { Jmpax.Wire.nthreads = 2; init = Tml.Programs.xyz.Tml.Ast.shared } in
   let path = Filename.temp_file "jmpax" ".trace" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      (match Jmpax.Wire.write_file path header messages with
+      (match Jmpax.Wire.write_file path xyz_header messages with
       | Ok () -> ()
       | Error e -> Alcotest.fail (Jmpax.Wire.Error.to_string e));
-      match Jmpax.Wire.read_file path with
-      | Error e -> Alcotest.fail (Jmpax.Wire.Error.to_string e)
-      | Ok (h, ms) ->
-          let comp =
-            Observer.Computation.of_messages_exn ~nthreads:h.Jmpax.Wire.nthreads
-              ~init:h.Jmpax.Wire.init ms
-          in
-          let report = Predict.Analyzer.analyze ~spec:Pastltl.Formula.xyz_spec comp in
-          Alcotest.(check bool) "violation predicted from the file" true
-            (Predict.Analyzer.violated report))
+      let h, ms = decode_framed (In_channel.with_open_bin path In_channel.input_all) in
+      let report =
+        Predict.Analyzer.sweep ~spec:Pastltl.Formula.xyz_spec ~nthreads:h.Jmpax.Wire.nthreads
+          ~init:h.Jmpax.Wire.init ms
+      in
+      Alcotest.(check bool) "violation predicted from the file" true
+        (Predict.Analyzer.violated report))
 
 (* {1 Reports} *)
 
@@ -342,6 +359,7 @@ let () =
         [ Alcotest.test_case "latching" `Quick test_jpax_latching ] );
       ( "wire",
         [ Alcotest.test_case "roundtrip" `Quick test_wire_roundtrip;
+          Alcotest.test_case "v1 writer golden" `Quick test_wire_v1_golden;
           Alcotest.test_case "escaping" `Quick test_wire_escaping;
           Alcotest.test_case "garbage rejected" `Quick test_wire_rejects_garbage;
           Alcotest.test_case "file to observer" `Quick test_wire_file_and_observer ] );

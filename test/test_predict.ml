@@ -19,10 +19,16 @@ let landing_comp () =
 
 let xyz_comp () = observe Tml.Programs.xyz Tml.Programs.xyz_observed [ "x"; "y"; "z" ]
 
+(* The lattice sweep over a computation's messages, thread by thread. *)
+let analyze ~spec comp =
+  Predict.Analyzer.sweep ~spec ~nthreads:(Observer.Computation.nthreads comp)
+    ~init:(Pastltl.State.to_list (Observer.Computation.init_state comp))
+    (Observer.Computation.messages comp)
+
 (* {1 Analyzer on the paper's examples} *)
 
 let test_landing_prediction () =
-  let report = Predict.Analyzer.analyze ~spec:Pastltl.Formula.landing_spec (landing_comp ()) in
+  let report = analyze ~spec:Pastltl.Formula.landing_spec (landing_comp ()) in
   Alcotest.(check bool) "violation predicted" true (Predict.Analyzer.violated report);
   Alcotest.(check int) "4 levels" 4 report.Predict.Analyzer.stats.Predict.Analyzer.levels;
   Alcotest.(check int) "6 cuts visited (Fig. 5)" 6
@@ -42,17 +48,17 @@ let test_landing_observed_run_is_clean () =
        ~init:Tml.Programs.landing_bounded.Tml.Ast.shared r.Tml.Vm.messages)
 
 let test_xyz_prediction () =
-  let report = Predict.Analyzer.analyze ~spec:Pastltl.Formula.xyz_spec (xyz_comp ()) in
+  let report = analyze ~spec:Pastltl.Formula.xyz_spec (xyz_comp ()) in
   Alcotest.(check bool) "violation predicted" true (Predict.Analyzer.violated report);
   Alcotest.(check int) "7 cuts visited (Fig. 6)" 7
     report.Predict.Analyzer.stats.Predict.Analyzer.cuts_visited
 
 let test_true_spec_never_violated () =
-  let report = Predict.Analyzer.analyze ~spec:Pastltl.Formula.True (xyz_comp ()) in
+  let report = analyze ~spec:Pastltl.Formula.True (xyz_comp ()) in
   Alcotest.(check bool) "true is safe" false (Predict.Analyzer.violated report)
 
 let test_false_spec_violated_at_bottom () =
-  let report = Predict.Analyzer.analyze ~spec:Pastltl.Formula.False (xyz_comp ()) in
+  let report = analyze ~spec:Pastltl.Formula.False (xyz_comp ()) in
   match report.Predict.Analyzer.violations with
   | v :: _ -> Alcotest.(check int) "level 0" 0 v.Predict.Analyzer.level
   | [] -> Alcotest.fail "false must be violated"
@@ -113,7 +119,7 @@ let test_analyzer_equals_enumeration () =
       List.iter
         (fun spec ->
           let predicted =
-            Predict.Analyzer.violated (Predict.Analyzer.analyze ~spec comp)
+            Predict.Analyzer.violated (analyze ~spec comp)
           in
           let enumerated =
             Predict.Counterexample.violated (Predict.Counterexample.check ~spec comp)
@@ -129,7 +135,7 @@ let test_analyzer_frontier_is_bounded () =
      the lattice's widest level, never the whole lattice. *)
   List.iter
     (fun comp ->
-      let report = Predict.Analyzer.analyze ~spec:Pastltl.Formula.True comp in
+      let report = analyze ~spec:Pastltl.Formula.True comp in
       let lattice = Observer.Lattice.build comp in
       Alcotest.(check int) "frontier = lattice max width"
         (Observer.Lattice.max_width lattice)
@@ -671,7 +677,7 @@ let test_online_violation_cap () =
   Alcotest.(check bool) "violated" true (Predict.Online.violated online);
   let levels = List.map (fun (v : Predict.Online.violation) -> v.level) kept in
   Alcotest.(check bool) "level order" true (List.sort compare levels = levels);
-  let report = Predict.Analyzer.analyze ~spec comp in
+  let report = analyze ~spec comp in
   Alcotest.(check bool) "analyzer reports the same 1000" true
     (violations_equal kept report.Predict.Analyzer.violations);
   let restored = Predict.Online.restore ~spec (Predict.Online.snapshot online) in
@@ -740,7 +746,7 @@ let qcheck_online_vs_enumeration =
           ~feed_order:(Observer.Channel.shuffle ~seed:spec_seed)
       in
       let enumerated = Predict.Counterexample.check ~spec comp in
-      let stats = (Predict.Analyzer.analyze ~spec comp).Predict.Analyzer.stats in
+      let stats = (analyze ~spec comp).Predict.Analyzer.stats in
       let lattice = Observer.Lattice.build comp in
       Predict.Online.violated online = Predict.Counterexample.violated enumerated
       && stats.Predict.Analyzer.cuts_visited = Observer.Lattice.node_count lattice

@@ -1223,7 +1223,55 @@ let test_lossy_parity_with_stream () =
         (List.concat_map (fun i -> [ i; i + 1 ]) frames))
     [ [ Predict.Engine.Lattice ];
       [ Predict.Engine.Lattice; Predict.Engine.Race; Predict.Engine.Atomicity ] ];
-  Alcotest.(check bool) "some variants lose a frame for good" true (!gaps > 0)
+  Alcotest.(check bool) "some variants lose a frame for good" true (!gaps > 0);
+  (* A message frame sent again as a full clock (a writer that redialed
+     and [reset]): both front ends skip the duplicate and count it, and
+     stream quarantines the frame's own wire bytes. *)
+  let h, ms =
+    match W.decode_framed doc with
+    | Ok d -> d
+    | Error e -> Alcotest.failf "landing: %s" (W.Error.to_string e)
+  in
+  let enc = W.Framed3.encoder h in
+  let frames = List.map (W.Framed3.encode_message enc) ms in
+  W.Framed3.reset enc;
+  let dup = W.Framed3.encode_message enc (List.nth ms 1) in
+  let with_tail tail =
+    String.concat ""
+      ((W.Framed3.preamble :: W.Framed3.encode_header h :: frames)
+      @ (tail @ List.init h.W.nthreads W.Framed3.encode_end))
+  in
+  let doc = with_tail [ dup ] in
+  let sunk = Buffer.create 16 in
+  let engines = [ Predict.Engine.Lattice ] in
+  let stream ?quarantine doc =
+    match
+      Jmpax.Stream.run_string ~recovery:Jmpax.Config.Quarantine ?quarantine ~engines
+        ~spec:landing_spec doc
+    with
+    | Ok o -> o
+    | Error e -> Alcotest.failf "stream: %s" (W.Error.to_string e)
+  in
+  let o = stream ~quarantine:(Buffer.add_string sunk) doc in
+  let st = o.Jmpax.Stream.s_stats in
+  let clean = (stream (with_tail [])).Jmpax.Stream.s_stats in
+  Alcotest.(check string) "duplicate: the frame's bytes quarantined" dup (Buffer.contents sunk);
+  Alcotest.(check (pair int int)) "duplicate: not counted as delivered"
+    (clean.Jmpax.Stream.frames, clean.Jmpax.Stream.messages)
+    (st.Jmpax.Stream.frames, st.Jmpax.Stream.messages);
+  Alcotest.(check int) "duplicate: quarantined bytes" (String.length dup)
+    st.Jmpax.Stream.quarantined_bytes;
+  Alcotest.(check bool) "duplicate: stream reports the skip" true
+    (has (Jmpax.Report.stream_summary o) "recovered: 1 frames skipped");
+  let s, lines, _ =
+    session_run
+      (default_session ~spec:landing_spec ~engines ~recovery:Jmpax.Config.Quarantine ())
+      doc
+  in
+  Alcotest.(check int) "duplicate: serve skips one" 1 (S.skipped s);
+  Alcotest.(check int) "duplicate: stream's skip count = serve's" (S.skipped s)
+    st.Jmpax.Stream.skipped_frames;
+  Alcotest.(check (list string)) "duplicate: stream's verdict lines" (verdict_lines o) lines
 
 (* The [at_event] of the [degrade] log event is the verdict marker's, on
    both front ends, also when a skipped duplicate frame went before it:

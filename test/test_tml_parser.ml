@@ -124,8 +124,8 @@ let test_lexer_positions () =
 
 (* {1 Parser} *)
 
-let expr = Alcotest.testable (Fmt.of_to_string Pretty.expr_to_string) Ast.equal_expr
-let stmt = Alcotest.testable (Fmt.of_to_string Pretty.stmt_to_string) Ast.equal_stmt
+let expr = Alcotest.testable (Fmt.of_to_string Pretty.expr_to_string) ( = )
+let stmt = Alcotest.testable (Fmt.of_to_string Pretty.stmt_to_string) ( = )
 
 let test_parse_precedence () =
   Alcotest.check expr "mul binds tighter"
@@ -193,12 +193,12 @@ let test_parse_errors () =
 let prop_expr_roundtrip =
   QCheck.Test.make ~name:"parse (print e) = e" ~count:500
     (QCheck.make ~print:Pretty.expr_to_string gen_expr) (fun e ->
-      Ast.equal_expr (normalize_expr e) (Parser.parse_expr (Pretty.expr_to_string e)))
+      normalize_expr e = Parser.parse_expr (Pretty.expr_to_string e))
 
 let prop_stmt_roundtrip =
   QCheck.Test.make ~name:"parse (print s) = normalize s" ~count:500
     (QCheck.make ~print:Pretty.stmt_to_string gen_stmt) (fun s ->
-      Ast.equal_stmt (normalize_stmt s) (Parser.parse_stmt (Pretty.stmt_to_string s)))
+      normalize_stmt s = Parser.parse_stmt (Pretty.stmt_to_string s))
 
 let prop_program_roundtrip =
   QCheck.Test.make ~name:"parse (print p) = normalize p" ~count:300 arb_program (fun p ->
@@ -207,7 +207,7 @@ let prop_program_roundtrip =
           threads =
             List.map (fun t -> { t with Ast.body = normalize_stmt t.Ast.body }) p.threads }
       in
-      Ast.equal_program (normalize p) (Parser.parse_program (Pretty.program_to_string p)))
+      normalize p = Parser.parse_program (Pretty.program_to_string p))
 
 (* {1 Typecheck} *)
 
@@ -238,11 +238,6 @@ let test_typecheck_duplicates () =
   let p = Parser.parse_program "shared x = 0, x = 1; thread t { skip; } thread t { skip; }" in
   Alcotest.(check int) "duplicate shared and thread" 2 (List.length (errors_of p))
 
-let test_locals_of_thread () =
-  let p = Parser.parse_program "thread t { local a = 1; if (a) { local b = 2; } }" in
-  Alcotest.(check (list string)) "locals in order" [ "a"; "b" ]
-    (Typecheck.locals_of_thread (List.hd p.Ast.threads))
-
 (* {1 Compiler} *)
 
 let test_compile_shapes () =
@@ -254,8 +249,9 @@ let test_compile_shapes () =
   Alcotest.(check bool) "instrumented flag" true instrumented.Bytecode.instrumented;
   Alcotest.(check bool) "instrumented valid" true
     (Result.is_ok (Bytecode.validate instrumented));
-  Alcotest.(check int) "same instruction count" (Bytecode.instr_count image)
-    (Bytecode.instr_count instrumented)
+  Alcotest.(check (array int)) "same instruction counts"
+    (Array.map Array.length image.Bytecode.code)
+    (Array.map Array.length instrumented.Bytecode.code)
 
 let test_instrument_twice_rejected () =
   let image = Instrument.instrument_program Programs.xyz in
@@ -309,8 +305,7 @@ let () =
         [ Alcotest.test_case "named programs well-formed" `Quick test_typecheck_ok;
           Alcotest.test_case "undeclared variables" `Quick test_typecheck_undeclared;
           Alcotest.test_case "local scoping" `Quick test_typecheck_locals;
-          Alcotest.test_case "duplicates" `Quick test_typecheck_duplicates;
-          Alcotest.test_case "locals_of_thread" `Quick test_locals_of_thread ] );
+          Alcotest.test_case "duplicates" `Quick test_typecheck_duplicates; ] );
       ( "compiler",
         [ Alcotest.test_case "image shapes" `Quick test_compile_shapes;
           Alcotest.test_case "double instrumentation" `Quick test_instrument_twice_rejected;

@@ -286,13 +286,13 @@ let test_desugar_shape () =
   let d = Desugar.desugar p in
   Alcotest.(check bool) "desugared is static" false (Desugar.uses_dynamic_threads d);
   Alcotest.(check bool) "gate variables declared" true
-    (List.mem_assoc (Desugar.spawn_gate "worker0") d.Ast.shared
-    && List.mem_assoc (Desugar.join_flag "worker1") d.Ast.shared);
+    (List.mem_assoc (Trace.Types.notify_var "spawn-worker0") d.Ast.shared
+    && List.mem_assoc (Trace.Types.notify_var "join-worker1") d.Ast.shared);
   Alcotest.(check bool) "gates are sync-namespace vars" true
-    (Trace.Types.is_sync_var (Desugar.spawn_gate "worker0"));
+    (Trace.Types.is_sync_var (Trace.Types.notify_var "spawn-worker0"));
   let plain = parse {| shared x = 0; thread t { x = 1; } |} in
   Alcotest.(check bool) "static program unchanged" true
-    (Ast.equal_program plain (Desugar.desugar plain))
+    (plain = Desugar.desugar plain)
 
 let test_spawn_orders_child_after_parent () =
   (* The worker must see the master's pre-spawn write. *)
@@ -367,13 +367,28 @@ let test_spawn_unsynchronized_races () =
      post-spawn write races with it. *)
   Alcotest.(check int) "exactly one racy pair" 1 (List.length report.Predict.Race.races)
 
+(* [n] dining philosophers, each locking fork [i] then fork
+   [(i+1) mod n]: the lock-order graph has the classic [n]-cycle and
+   some schedule deadlocks. *)
+let philosophers ~n =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf "shared meals = 0;\n";
+  for i = 0 to n - 1 do
+    Buffer.add_string buf
+      (Printf.sprintf
+         "thread phil%d { lock fork%d; lock fork%d; meals = meals + 1; unlock fork%d; \
+          unlock fork%d; }\n"
+         i i ((i + 1) mod n) ((i + 1) mod n) i)
+  done;
+  Parser.parse_program (Buffer.contents buf)
+
 let test_philosophers () =
   let serial =
     Sched.make_raw ~name:"serial"
       ~pick_fn:(fun runnable _ -> runnable.(0))
       ~choose_fn:(fun _ -> 0)
   in
-  let r = Vm.run_program ~sched:serial (Programs.philosophers ~n:3) in
+  let r = Vm.run_program ~sched:serial (philosophers ~n:3) in
   check_completed "philosophers serial" r;
   Alcotest.(check int) "all ate" 3 (List.assoc "meals" r.Vm.final);
   let report = Predict.Lockgraph.analyze (Option.get r.Vm.exec) in
@@ -382,7 +397,7 @@ let test_philosophers () =
     report.Predict.Lockgraph.cycles;
   (* Exhaustive exploration of the 2-philosopher instance finds a real
      deadlock. *)
-  let explored = Explore.all_program_runs (Programs.philosophers ~n:2) in
+  let explored = Explore.all_program_runs (philosophers ~n:2) in
   Alcotest.(check bool) "some schedule deadlocks" true
     (List.exists
        (fun (_, res) ->

@@ -65,11 +65,10 @@ let test_event_accessors () =
   Alcotest.(check bool) "read is_read" true (Event.is_read r);
   Alcotest.(check bool) "read not write" false (Event.is_write r);
   Alcotest.(check bool) "write is_write" true (Event.is_write w);
-  Alcotest.(check bool) "internal not access" false (Event.is_access n);
+  Alcotest.(check bool) "internal not read" false (Event.is_read n);
+  Alcotest.(check bool) "internal not write" false (Event.is_write n);
   Alcotest.(check (option string)) "variable of read" (Some "x") (Event.variable r);
   Alcotest.(check (option string)) "variable of internal" None (Event.variable n);
-  Alcotest.(check (option int)) "written value" (Some 3) (Event.written_value w);
-  Alcotest.(check (option int)) "read has no written value" None (Event.written_value r);
   Alcotest.(check bool) "accesses x" true (Event.accesses r "x");
   Alcotest.(check bool) "does not access y" false (Event.accesses r "y");
   Alcotest.(check bool) "writes x" true (Event.writes w "x");
@@ -91,8 +90,7 @@ let test_builder_positions () =
   Alcotest.(check int) "thread 1 position" 1 e2.Event.pos;
   Alcotest.(check int) "length" 3 (Exec.length m);
   Alcotest.(check int) "nthreads" 2 (Exec.nthreads m);
-  Alcotest.(check int) "init value" 5 (Exec.init_value m "x");
-  Alcotest.(check int) "undeclared init is 0" 0 (Exec.init_value m "q")
+  Alcotest.(check (list (pair string int))) "init" [ ("x", 5) ] (Exec.init m)
 
 let test_builder_validation () =
   Alcotest.check_raises "nthreads 0" (Invalid_argument "Exec.builder: nthreads must be positive")
@@ -115,8 +113,12 @@ let test_thread_events () =
   ignore (Exec.add_internal b 1);
   ignore (Exec.add_internal b 0);
   let m = Exec.freeze b in
-  Alcotest.(check int) "thread 0 has 2" 2 (List.length (Exec.thread_events m 0));
-  Alcotest.(check int) "thread 1 has 1" 1 (List.length (Exec.thread_events m 1))
+  let positions tid =
+    Array.to_list (Exec.events m)
+    |> List.filter_map (fun (e : Event.t) -> if e.tid = tid then Some e.pos else None)
+  in
+  Alcotest.(check (list int)) "thread 0 has 2" [ 1; 2 ] (positions 0);
+  Alcotest.(check (list int)) "thread 1 has 1" [ 1 ] (positions 1)
 
 (* {1 Causality: unit} *)
 

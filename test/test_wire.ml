@@ -16,13 +16,18 @@ let msg ?(eid = 0) tid var value clock =
 let same_payload (a : Trace.Message.t) (b : Trace.Message.t) =
   a.tid = b.tid && a.var = b.var && a.value = b.value && Vclock.equal a.mvc b.mvc
 
+let line m =
+  let b = Buffer.create 32 in
+  W.add_message b m;
+  Buffer.contents b
+
 let check_payloads what expected got =
   Alcotest.(check int) (what ^ ": count") (List.length expected) (List.length got);
   List.iteri
     (fun i (a, b) ->
       if not (same_payload a b) then
         Alcotest.failf "%s: message %d differs: %s vs %s" what i
-          (W.encode_message a) (W.encode_message b))
+          (line a) (line b))
     (List.combine expected got)
 
 (* {1 decode_var (the "%4_" regression)} *)
@@ -85,57 +90,6 @@ let test_var_encoding_stable =
       in
       W.encode_var v = reference)
 
-(* {1 v1 header hardening} *)
-
-let v1_doc lines = String.concat "\n" ("jmpax-trace 1" :: lines)
-
-let expect_v1_error name doc expected =
-  match W.decode doc with
-  | Error e -> Alcotest.check error name expected e
-  | Ok _ -> Alcotest.failf "%s: accepted %S" name doc
-
-let test_v1_duplicate_threads () =
-  expect_v1_error "duplicate threads"
-    (v1_doc [ "threads 2"; "threads 2"; "msg 0 x 1 (1,0)" ])
-    (E.Duplicate_threads "threads 2");
-  (* A second threads line changing the width must not rebind
-     validation either. *)
-  expect_v1_error "duplicate threads, different count"
-    (v1_doc [ "threads 2"; "threads 3" ])
-    (E.Duplicate_threads "threads 3")
-
-let test_v1_misplaced_threads () =
-  expect_v1_error "threads after a message"
-    (v1_doc [ "threads 2"; "msg 0 x 1 (1,0)"; "threads 2" ])
-    (E.Misplaced_threads "threads 2")
-
-let test_v1_tid_out_of_range () =
-  expect_v1_error "tid >= nthreads"
-    (v1_doc [ "threads 2"; "msg 2 x 1 (1,0)" ])
-    (E.Tid_out_of_range { tid = 2; nthreads = 2 });
-  expect_v1_error "negative tid"
-    (v1_doc [ "threads 2"; "msg -1 x 1 (1,0)" ])
-    (E.Tid_out_of_range { tid = -1; nthreads = 2 })
-
-let test_v1_clock_width_mismatch () =
-  expect_v1_error "clock wider than header"
-    (v1_doc [ "threads 2"; "msg 0 x 1 (1,0,0)" ])
-    (E.Clock_width_mismatch { width = 3; expected = 2 });
-  expect_v1_error "clock narrower than header"
-    (v1_doc [ "threads 3"; "msg 0 x 1 (1,0)" ])
-    (E.Clock_width_mismatch { width = 2; expected = 3 })
-
-let test_v1_inconsistent_own_component () =
-  expect_v1_error "own component zero"
-    (v1_doc [ "threads 2"; "msg 0 x 1 (0,0)" ])
-    (E.Inconsistent_message "msg 0 x 1 (0,0)")
-
-let test_v1_body_before_threads () =
-  expect_v1_error "msg before threads"
-    (v1_doc [ "msg 0 x 1 (1)" ])
-    E.Missing_threads;
-  expect_v1_error "init before threads" (v1_doc [ "init x 0" ]) E.Missing_threads
-
 (* {1 Round-trip laws} *)
 
 (* Random traces: structurally valid headers and messages (tid in range,
@@ -175,16 +129,6 @@ let roundtrip_ok name decode doc h ms =
       && List.for_all2 (fun i (m : Trace.Message.t) -> m.eid = i)
            (List.init (List.length ms') Fun.id)
            ms'
-
-let test_roundtrip_v1 =
-  QCheck.Test.make ~name:"decode (encode h ms) = Ok (h, ms)" ~count:300 arb_trace
-    (fun (h, ms) -> roundtrip_ok "v1" W.decode (W.encode h ms) h ms)
-
-let test_decode_any_sniffs =
-  QCheck.Test.make ~name:"decode_any sniffs both formats" ~count:100 arb_trace
-    (fun (h, ms) ->
-      roundtrip_ok "any/v1" W.decode_any (W.encode h ms) h ms
-      && roundtrip_ok "any/v3" W.decode_any (W.Framed3.encode h ms) h ms)
 
 (* The incremental reader must be insensitive to chunk boundaries, fed
    strings ([feed]) or slices of a transport buffer ([feed_bytes]). *)
@@ -285,21 +229,19 @@ let mutate rng doc =
 
 let no_exceptions_on doc ~chunks =
   (match W.decode_framed doc with Ok _ | Error _ -> ());
-  (match W.decode_any doc with Ok _ | Error _ -> ());
   let _items, _skips = reader_drain_items doc ~chunks in
   ()
 
-(* Mutations of the v1 text document and of the v3 stream, alternating:
-   every decoder sees both, whatever the preamble says. *)
+(* Mutations of a small v3 stream whose names need escaping. *)
 let test_adversarial_corpus () =
   let rng = Random.State.make [| 0xC0FFEE |] in
   let h, ms =
-    ( { W.nthreads = 2; init = [ ("x", 0); ("odd var", 1) ] },
-      [ msg 0 "x" 1 [ 1; 0 ]; msg 1 "odd var" 2 [ 0; 1 ]; msg 0 "x" 3 [ 2; 0 ] ] )
+    ( { W.nthreads = 3; init = [ ("a b", 1); ("p%q", -3) ] },
+      [ msg 0 "a b" 1 [ 1; 0; 0 ]; msg 2 "p%q" 2 [ 0; 0; 1 ]; msg 0 "a b" 3 [ 2; 0; 1 ] ] )
   in
-  let bases = [| W.encode h ms; W.Framed3.encode h ms |] in
-  for i = 1 to 1_000 do
-    let doc = mutate rng bases.(i mod 2) in
+  let base = W.Framed3.encode h ms in
+  for _ = 1 to 1_000 do
+    let doc = mutate rng base in
     let chunks = List.init (1 + Random.State.int rng 8) (fun _ -> 1 + Random.State.int rng 9) in
     match no_exceptions_on doc ~chunks with
     | () -> ()
@@ -325,6 +267,57 @@ let skip_errors (events, _) =
 
 let delivered_msgs (events, _) =
   List.filter_map (function `Item (W.Reader.Msg m) -> Some m | _ -> None) events
+
+(* {1 v1 header hardening}
+
+   A v3 header frame carries the v1 header lines ([threads], [init]):
+   a second [threads] line, or a body without one, is a typed error. *)
+
+let expect_header_error name body expected =
+  match
+    skip_errors (drain_all (W.Framed3.preamble ^ W.Framed3.frame W.Framed3.kind_header body))
+  with
+  | [ e ] -> Alcotest.check error name expected e
+  | es ->
+      Alcotest.failf "%s: expected one skip, got [%s]" name
+        (String.concat "; " (List.map E.to_string es))
+
+let test_v1_duplicate_threads () =
+  expect_header_error "duplicate threads" "threads 2\nthreads 2"
+    (E.Duplicate_threads "threads 2");
+  (* A second threads line changing the width must not rebind
+     validation either. *)
+  expect_header_error "duplicate threads, different count" "threads 2\nthreads 3"
+    (E.Duplicate_threads "threads 3")
+
+(* A header arriving after a message would rebind every later
+   validation: a second header frame is refused and the first header's
+   width stays in force. *)
+let test_v1_misplaced_threads () =
+  let h = { W.nthreads = 2; init = [] } in
+  let enc = W.Framed3.encoder h in
+  let m0 = W.Framed3.encode_message enc (msg 0 "x" 1 [ 1; 0 ]) in
+  (* The skip poisons every baseline: only a full clock decodes after it. *)
+  W.Framed3.reset enc;
+  let m1 = W.Framed3.encode_message enc (msg 1 "x" 2 [ 1; 1 ]) in
+  let drained =
+    drain_all
+      (W.Framed3.preamble ^ W.Framed3.encode_header h ^ m0
+      ^ W.Framed3.frame W.Framed3.kind_header "threads 3"
+      ^ m1)
+  in
+  Alcotest.(check (list error)) "second header refused" [ E.Duplicate_header_frame ]
+    (skip_errors drained);
+  Alcotest.(check (list int)) "both messages decoded at the first width" [ 2; 2 ]
+    (List.map (fun (m : Trace.Message.t) -> Vclock.dim m.mvc) (delivered_msgs drained))
+
+let test_v1_body_before_threads () =
+  expect_header_error "init before threads" "init x 0\nthreads 1" E.Missing_threads;
+  expect_header_error "no threads line" "" E.Missing_threads;
+  Alcotest.(check (list error)) "message before the header" [ E.Missing_header_frame ]
+    (skip_errors
+       (drain_all
+          (W.Framed3.preamble ^ W.Framed3.frame W.Framed3.kind_message "\x01\x00\x00\x00\x01")))
 
 (* Splice noise between two frames: the reader skips it and counts the
    resync.  The noise may have hidden a message, so every delta
@@ -502,7 +495,7 @@ let check_losses what messages doc (incomplete : (int * int) option) =
     (fun (m : Trace.Message.t) ->
       match List.find_opt (fun o -> key o = key m) messages with
       | Some o when same_payload o m -> ()
-      | _ -> Alcotest.failf "%s: delivered %s, not an original" what (W.encode_message m))
+      | _ -> Alcotest.failf "%s: delivered %s, not an original" what (line m))
     delivered;
   match incomplete with
   | None -> Alcotest.failf "%s: the loss went unreported" what
@@ -716,8 +709,7 @@ let test_online_gc_collects_store () =
 let test_roundtrip_v3 =
   QCheck.Test.make ~name:"decode_framed (Framed3.encode h ms) = Ok (h, ms)"
     ~count:300 arb_trace (fun (h, ms) ->
-      roundtrip_ok "v3" W.decode_framed (W.Framed3.encode h ms) h ms
-      && roundtrip_ok "any/v3" W.decode_any (W.Framed3.encode h ms) h ms)
+      roundtrip_ok "v3" W.decode_framed (W.Framed3.encode h ms) h ms)
 
 let test_reader_chunk_insensitive_v3 =
   QCheck.Test.make ~name:"Reader is chunk-boundary insensitive (v3)" ~count:300
@@ -835,8 +827,8 @@ let test_v2_frames_are_unknown_kinds () =
   Alcotest.(check int) "nothing delivered" 0 (List.length (delivered_msgs drained))
 
 (* A whole wire-v2 document is refused with its preamble in the error:
-   [read_file] reports bad magic (not v1 text, not v3), the stream
-   driver a bad preamble, which [jmpax stream] exits 3 on. *)
+   the stream driver reports a bad preamble, which [jmpax stream] exits
+   3 on. *)
 let test_v2_document_refused () =
   let v2 =
     "jmpax-wire 2\n"
@@ -844,21 +836,12 @@ let test_v2_document_refused () =
     ^ W.Framed3.frame 'M' "msg 0 x 1 (1)"
     ^ W.Framed3.frame 'E' "end 0"
   in
-  let has_preamble what e =
-    let text = E.to_string e and needle = "jmpax-wire 2" in
-    let n = String.length needle in
-    let rec at i = i + n <= String.length text && (String.sub text i n = needle || at (i + 1)) in
-    Alcotest.(check bool) (Printf.sprintf "%s: %s" what text) true (at 0)
-  in
-  let path = Filename.temp_file "jmpax" ".trace" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
-      Out_channel.with_open_bin path (fun oc -> output_string oc v2);
-      match W.read_file path with
-      | Error (E.Bad_magic _ as e) -> has_preamble "read_file" e
-      | Error e -> Alcotest.failf "read_file: wrong error %s" (E.to_string e)
-      | Ok _ -> Alcotest.fail "read_file decoded a v2 document");
   match Jmpax.Stream.run_string ~spec:Pastltl.Formula.True v2 with
-  | Error (E.Bad_preamble _ as e) -> has_preamble "stream" e
+  | Error (E.Bad_preamble _ as e) ->
+      let text = E.to_string e and needle = "jmpax-wire 2" in
+      let n = String.length needle in
+      let rec at i = i + n <= String.length text && (String.sub text i n = needle || at (i + 1)) in
+      Alcotest.(check bool) ("stream: " ^ text) true (at 0)
   | Error e -> Alcotest.failf "stream: wrong error %s" (E.to_string e)
   | Ok _ -> Alcotest.fail "stream decoded a v2 document"
 
@@ -885,12 +868,8 @@ let test_write_file_width () =
       (match W.write_file ~format:W.V1 path h ms with
       | Ok () -> ()
       | Error e -> Alcotest.failf "v1: %s" (E.to_string e));
-      match W.read_file path with
-      | Ok (h', [ m ]) ->
-          Alcotest.(check int) "width survives" wide h'.W.nthreads;
-          Alcotest.(check bool) "payload survives" true (same_payload (List.hd ms) m)
-      | Ok _ -> Alcotest.fail "wrong message count"
-      | Error e -> Alcotest.failf "read back: %s" (E.to_string e))
+      Alcotest.(check string) "v1 text written" (W.encode h ms)
+        (In_channel.with_open_bin path In_channel.input_all))
 
 (* Found by the fuzzer: a forged v3 header claiming a huge thread count
    must be a typed error, not a quadratic allocation. *)
@@ -1159,20 +1138,12 @@ let test_frame_boundary () =
   let limit = W.Framed3.default_max_frame in
   let at = String.make limit 'a' and over = String.make (limit + 1) 'a' in
   (* Exactly at the reader's limit: both sides accept. *)
-  (match W.Framed3.frame_result 'm' at with
-  | Ok f ->
-      (* sentinel + kind + u32 length + trailing newline *)
-      let overhead = String.length W.Framed3.sentinel + 6 in
-      Alcotest.(check int) "framed length" (limit + overhead) (String.length f)
-  | Error e -> Alcotest.failf "frame at the limit rejected: %s" (E.to_string e));
-  (* One byte over: the encoder fails with the same typed error the
-     reader would report, instead of emitting an undecodable frame. *)
-  (match W.Framed3.frame_result 'm' over with
-  | Error (E.Frame_too_large { length; limit = l }) ->
-      Alcotest.(check int) "length" (limit + 1) length;
-      Alcotest.(check int) "limit" limit l
-  | Error e -> Alcotest.failf "wrong error: %s" (E.to_string e)
-  | Ok _ -> Alcotest.fail "frame over the limit accepted");
+  (* sentinel + kind + u32 length + trailing newline *)
+  let overhead = String.length W.Framed3.sentinel + 6 in
+  Alcotest.(check int) "framed length" (limit + overhead)
+    (String.length (W.Framed3.frame 'm' at));
+  (* One byte over: the encoder raises with the reader's limit instead
+     of emitting an undecodable frame. *)
   (match W.Framed3.frame 'm' over with
   | exception W.Frame_overflow { kind = 'm'; length; limit = l } ->
       Alcotest.(check int) "exn length" (limit + 1) length;
@@ -1220,8 +1191,6 @@ let test_adversarial_corpus_v3 () =
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ test_var_roundtrip;
-      test_roundtrip_v1;
-      test_decode_any_sniffs;
       test_reader_chunk_insensitive;
       test_roundtrip_v3;
       test_reader_chunk_insensitive_v3;
@@ -1236,9 +1205,6 @@ let () =
       ( "v1 hardening",
         [ Alcotest.test_case "duplicate threads" `Quick test_v1_duplicate_threads;
           Alcotest.test_case "misplaced threads" `Quick test_v1_misplaced_threads;
-          Alcotest.test_case "tid out of range" `Quick test_v1_tid_out_of_range;
-          Alcotest.test_case "clock width" `Quick test_v1_clock_width_mismatch;
-          Alcotest.test_case "own component" `Quick test_v1_inconsistent_own_component;
           Alcotest.test_case "body before threads" `Quick test_v1_body_before_threads ] );
       ("laws", qcheck_tests);
       ( "adversarial",
