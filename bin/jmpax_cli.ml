@@ -413,14 +413,6 @@ let max_frontier_cuts_arg =
                  applies (the lattice sweep is worst-case exponential in \
                  cuts per level).")
 
-let max_causal_buffered_arg =
-  Arg.(value & opt (some int) None
-       & info [ "max-causal-buffered" ] ~docv:"N"
-           ~doc:"Resource budget on the linear engines' causal-delivery \
-                 buffer: once more than $(docv) messages are held for \
-                 vector-clock delivery, the $(b,--on-overload) policy \
-                 applies.")
-
 let on_overload_arg =
   Arg.(value
        & opt (enum [ ("degrade", Jmpax.Budget.Degrade);
@@ -436,21 +428,27 @@ let on_overload_arg =
                  the offending session under $(b,serve)); $(b,fail) \
                  (default) stops with exit code 8.")
 
-let make_budget ~max_frontier_cuts ~max_causal_buffered () =
-  match Jmpax.Budget.limits ?max_frontier_cuts ?max_causal_buffered () with
+let make_budget ~max_frontier_cuts =
+  match Jmpax.Budget.limits ?max_frontier_cuts () with
   | limits -> limits
   | exception Invalid_argument msg -> die 2 msg
+
+(* [--max-buffered], stream's and serve's one bound on held messages. *)
+let check_max_buffered = function
+  | Some k when k < 0 -> die 2 "--max-buffered must be at least 0"
+  | _ -> ()
 
 let stream_cmd =
   let run target spec engine max_buffered recovery quarantine_file
       checkpoint checkpoint_every resume reconnect backoff_min backoff_max
-      max_retries deadline max_frontier_cuts max_causal_buffered on_overload
-      metrics span_trace log_level log_format =
+      max_retries deadline max_frontier_cuts on_overload metrics span_trace log_level
+      log_format =
     Telemetry.Log.set_level log_level;
     Telemetry.Log.set_format log_format;
     let spec = parse_spec spec in
     let engines = parse_engines engine in
-    let budget = make_budget ~max_frontier_cuts ~max_causal_buffered () in
+    let budget = make_budget ~max_frontier_cuts in
+    check_max_buffered max_buffered;
     let resume =
       match resume with
       | None -> None
@@ -584,8 +582,10 @@ let stream_cmd =
     Arg.(value & opt (some int) None
          & info [ "max-buffered" ] ~docv:"N"
              ~doc:"Backpressure bound: abort once more than $(docv) messages \
-                   are buffered out of order (also surfaced as the \
-                   $(b,stream.max_buffered) telemetry gauge).")
+                   are held waiting for an earlier one, in the lattice's \
+                   store or the race/atomicity engines' causal-delivery \
+                   buffer (also surfaced as the $(b,stream.max_buffered) \
+                   telemetry gauge).")
   in
   let recovery =
     Arg.(value
@@ -670,9 +670,8 @@ let stream_cmd =
       Cmd.Exit.info exit_checkpoint
         ~doc:"a checkpoint could not be written, read or validated.";
       Cmd.Exit.info exit_budget
-        ~doc:"a resource budget ($(b,--max-frontier-cuts), \
-              $(b,--max-causal-buffered)) was exceeded under \
-              $(b,--on-overload fail) or $(b,evict)." ]
+        ~doc:"the resource budget ($(b,--max-frontier-cuts)) was exceeded \
+              under $(b,--on-overload fail) or $(b,evict)." ]
   in
   Cmd.v
     (Cmd.info "stream" ~exits
@@ -684,8 +683,8 @@ let stream_cmd =
     Term.(const run $ target $ spec_arg $ engine_arg $ max_buffered
           $ recovery $ quarantine_file $ checkpoint $ checkpoint_every $ resume
           $ reconnect $ backoff_min $ backoff_max $ max_retries $ deadline
-          $ max_frontier_cuts_arg $ max_causal_buffered_arg $ on_overload_arg
-          $ metrics_arg $ trace_arg $ log_level_arg $ log_format_arg)
+          $ max_frontier_cuts_arg $ on_overload_arg $ metrics_arg $ trace_arg
+          $ log_level_arg $ log_format_arg)
 
 (* {1 serve} *)
 
@@ -693,8 +692,7 @@ let serve_cmd =
   let run address control spec max_sessions idle_timeout max_buffered engine
       recovery checkpoint_dir checkpoint_every read_budget metrics
       span_trace log_level log_format live_metrics health_max_lag
-      health_max_buffered max_frontier_cuts max_causal_buffered on_overload
-      memory_budget =
+      health_max_buffered max_frontier_cuts on_overload memory_budget =
     Telemetry.Log.set_level log_level;
     Telemetry.Log.set_format log_format;
     (* A daemon whose [metrics] control request always answers "empty"
@@ -728,10 +726,11 @@ let serve_cmd =
     (match memory_budget with
     | Some b when b < 1 -> die 2 "--memory-budget must be at least 1"
     | _ -> ());
+    check_max_buffered max_buffered;
     (* --memory-budget is the daemon-global admission-control high-water
-       (Loop.config); the per-session limits go into every session's
+       (Loop.config); the per-session limit goes into every session's
        budget. *)
-    let budget = make_budget ~max_frontier_cuts ~max_causal_buffered () in
+    let budget = make_budget ~max_frontier_cuts in
     let session =
       { Serve.Session.spec;
         spec_fp = Jmpax.Checkpoint.fingerprint spec;
@@ -810,9 +809,10 @@ let serve_cmd =
   let max_buffered =
     Arg.(value & opt (some int) None
          & info [ "max-buffered" ] ~docv:"N"
-             ~doc:"Per-session backpressure bound: a session buffering more \
-                   than $(docv) out-of-order messages is disconnected \
-                   (exit class 4) without disturbing its siblings.")
+             ~doc:"Per-session backpressure bound: a session holding more \
+                   than $(docv) messages waiting for an earlier one (in the \
+                   lattice's store or the causal-delivery buffer) fails with \
+                   exit class 4 without disturbing its siblings.")
   in
   let recovery =
     Arg.(value
@@ -873,10 +873,11 @@ let serve_cmd =
                    per-session analysis state: while crossed, new writers are \
                    rejected with $(b,reject server busy) and $(b,health) \
                    reports $(b,degraded) naming the hungriest session.  \
-                   Resident sessions are governed by the per-session budgets \
-                   ($(b,--max-frontier-cuts), $(b,--max-causal-buffered)) and \
-                   $(b,--on-overload); a session dropped by a budget gets exit \
-                   class 8 without disturbing its siblings.")
+                   Resident sessions are governed by the per-session budget \
+                   ($(b,--max-frontier-cuts)) with $(b,--on-overload), and by \
+                   $(b,--max-buffered); a session dropped by the budget gets \
+                   exit class 8, one dropped by $(b,--max-buffered) exit class \
+                   4, without disturbing its siblings.")
   in
   let exits =
     [ Cmd.Exit.info 0
@@ -900,8 +901,8 @@ let serve_cmd =
           $ max_buffered $ engine_arg $ recovery $ checkpoint_dir
           $ checkpoint_every $ read_budget $ metrics_arg $ trace_arg
           $ log_level_arg $ log_format_arg $ live_metrics $ health_max_lag
-          $ health_max_buffered $ max_frontier_cuts_arg $ max_causal_buffered_arg
-          $ on_overload_arg $ memory_budget_arg)
+          $ health_max_buffered $ max_frontier_cuts_arg $ on_overload_arg
+          $ memory_budget_arg)
 
 (* {1 lattice} *)
 
@@ -938,9 +939,12 @@ let lattice_cmd =
        ~doc:"Print the computation lattice of one monitored run (cf. the paper's Figs. 5 and 6).")
     Term.(const run $ example_arg $ file_arg $ spec_arg $ seed_arg $ fuel_arg $ dot)
 
-(* {1 race} *)
+(* {1 race, deadlock, atomicity}
 
-let race_cmd =
+   One offline analysis of one monitored run: print its report, exit 1
+   when it finds a violation. *)
+
+let analysis_cmd name ~doc analyze pp clean =
   let run example file seed fuel metrics trace =
     let program = or_die (load_program ~example ~file) in
     let tconfig =
@@ -955,69 +959,27 @@ let race_cmd =
           match r.Tml.Vm.exec with
           | None -> or_die (Error "no execution recorded")
           | Some exec ->
-              let report = Predict.Race.detect exec in
-              Format.printf "%a@." Predict.Race.pp_report report;
-              if Predict.Race.race_free report then 0 else 1)
+              let report = analyze exec in
+              Format.printf "%a@." pp report;
+              if clean report then 0 else 1)
     in
     if code <> 0 then exit code
   in
-  Cmd.v
-    (Cmd.info "race" ~doc:"Predict data races from one run (sync-only happens-before).")
+  Cmd.v (Cmd.info name ~doc)
     Term.(const run $ example_arg $ file_arg $ seed_arg $ fuel_arg
           $ metrics_arg $ trace_arg)
 
-(* {1 deadlock} *)
+let race_cmd =
+  analysis_cmd "race" ~doc:"Predict data races from one run (sync-only happens-before)."
+    Predict.Race.detect Predict.Race.pp_report Predict.Race.race_free
 
 let deadlock_cmd =
-  let run example file seed fuel metrics trace =
-    let program = or_die (load_program ~example ~file) in
-    let tconfig =
-      Jmpax.Config.default () |> Jmpax.Config.with_metrics metrics
-      |> Jmpax.Config.with_trace trace
-    in
-    let code =
-      Jmpax.Pipeline.with_telemetry tconfig (fun () ->
-          let r = Tml.Vm.run_program ~fuel ~sched:(sched_of_seed seed) program in
-          match r.Tml.Vm.exec with
-          | None -> or_die (Error "no execution recorded")
-          | Some exec ->
-              let report = Predict.Lockgraph.analyze exec in
-              Format.printf "%a@." Predict.Lockgraph.pp_report report;
-              if Predict.Lockgraph.deadlock_free report then 0 else 1)
-    in
-    if code <> 0 then exit code
-  in
-  Cmd.v
-    (Cmd.info "deadlock" ~doc:"Predict deadlocks from one run via the lock-order graph.")
-    Term.(const run $ example_arg $ file_arg $ seed_arg $ fuel_arg
-          $ metrics_arg $ trace_arg)
-
-(* {1 atomicity} *)
+  analysis_cmd "deadlock" ~doc:"Predict deadlocks from one run via the lock-order graph."
+    Predict.Lockgraph.analyze Predict.Lockgraph.pp_report Predict.Lockgraph.deadlock_free
 
 let atomicity_cmd =
-  let run example file seed fuel metrics trace =
-    let program = or_die (load_program ~example ~file) in
-    let tconfig =
-      Jmpax.Config.default () |> Jmpax.Config.with_metrics metrics
-      |> Jmpax.Config.with_trace trace
-    in
-    let code =
-      Jmpax.Pipeline.with_telemetry tconfig (fun () ->
-          let r = Tml.Vm.run_program ~fuel ~sched:(sched_of_seed seed) program in
-          match r.Tml.Vm.exec with
-          | None -> or_die (Error "no execution recorded")
-          | Some exec ->
-              let report = Predict.Atomicity.analyze exec in
-              Format.printf "%a@." Predict.Atomicity.pp_report report;
-              if Predict.Atomicity.serializable report then 0 else 1)
-    in
-    if code <> 0 then exit code
-  in
-  Cmd.v
-    (Cmd.info "atomicity"
-       ~doc:"Predict sync-block atomicity violations from one run.")
-    Term.(const run $ example_arg $ file_arg $ seed_arg $ fuel_arg
-          $ metrics_arg $ trace_arg)
+  analysis_cmd "atomicity" ~doc:"Predict sync-block atomicity violations from one run."
+    Predict.Atomicity.analyze Predict.Atomicity.pp_report Predict.Atomicity.serializable
 
 (* {1 compare} *)
 

@@ -6,12 +6,13 @@
     it.  This module supplies the three pieces that prevent that:
 
     - {b accounting}: {!usage} reads O(1) incremental counters off a
-      live {!Predict.Engines} bundle (frontier cut count and arena
-      words, causal-delivery buffering, total resident words);
+      live {!Predict.Engines} bundle (frontier cut count, total resident
+      words);
     - {b limits}: what the front ends configure from
-      [--max-frontier-cuts] and [--max-causal-buffered] (serve's
-      [--memory-budget] is the daemon's admission control, not a
-      per-bundle limit);
+      [--max-frontier-cuts] (serve's [--memory-budget] is the daemon's
+      admission control, not a per-bundle limit; messages held for
+      causal delivery are bounded by [--max-buffered], which
+      {!Driver} checks as backpressure, not here);
     - {b policy}: {!check} turns usage + limits into a typed {!breach},
       and the {!policy} chosen with [--on-overload] decides its fate —
       [Degrade] swaps the lattice engine for the linear-time engines at
@@ -33,24 +34,16 @@ type policy =
   | Evict  (** checkpoint, then drop only the offender *)
   | Fail  (** stop the stream with the budget exit code *)
 
-type limits = {
-  max_frontier_cuts : int option;
-  max_causal_buffered : int option;
-}
+type limits = { max_frontier_cuts : int option }
 
 val unlimited : limits
 val is_unlimited : limits -> bool
 
-val limits :
-  ?max_frontier_cuts:int ->
-  ?max_causal_buffered:int ->
-  unit ->
-  limits
+val limits : ?max_frontier_cuts:int -> unit -> limits
 (** @raise Invalid_argument on a limit below 1. *)
 
 type usage = {
   frontier_cuts : int;
-  causal_buffered : int;
   mem_words : int;
 }
 
@@ -61,28 +54,25 @@ val observe : usage -> unit
 (** Publish peak usage to the [budget.*] telemetry gauges (cheap no-op
     with metrics off). *)
 
-type breach =
-  | Frontier_cuts of { cuts : int; limit : int }
-  | Causal_buffered of { buffered : int; limit : int }
+type breach = Frontier_cuts of { cuts : int; limit : int }
 
 val check : limits -> usage -> breach option
-(** First crossed limit, frontier before causal; counts
-    [budget.breaches] when metrics are on.  The one place a budget is
-    checked: the stream driver calls it after every item. *)
+(** The crossed limit, if any; counts [budget.breaches] when metrics are
+    on.  The one place a budget is checked: the stream driver calls it
+    after every item. *)
 
 val breach_reason : breach -> string
-(** Stable token for markers and logs: ["frontier_budget"] or
-    ["causal_budget"] — never contains spaces,
-    commas or parentheses (it is embedded in the [degraded(...)]
-    verdict marker). *)
+(** Stable token for markers and logs: ["frontier_budget"] — never
+    contains spaces, commas or parentheses (it is embedded in the
+    [degraded(...)] verdict marker). *)
 
 val breach_message : breach -> string
 (** Human-readable one-liner with the measured value and the limit. *)
 
 val degradable : breach -> bool
-(** Whether shedding the lattice engine can relieve this breach — true
-    for {!Frontier_cuts} only: a causal-buffer breach is not lattice
-    state, so the degrade policy escalates it instead. *)
+(** Whether shedding the lattice engine can relieve this breach: always
+    [true], since the frontier is the one budgeted quantity.  Kept for
+    the benchmark ledger, which calls it; nothing in the library does. *)
 
 exception Exceeded of breach
 (** Raised by the streaming front end under the [Fail] policy; mapped to

@@ -23,7 +23,6 @@ type t = {
   mutable bundle : Predict.Engines.t option;
   mutable events : int;
   mutable ends : int;
-  mutable skipped : int;
   mutable quarantined : int;
   mutable peak : int;
   mutable checkpoints : int;
@@ -36,13 +35,16 @@ type t = {
 
 let create ?sid ?max_frame ?max_buffered ?quarantine ?checkpoint ?resume
     ~recovery ~kinds ~budget ~on_overload ~spec () =
+  (match max_buffered with
+  | Some k when k < 0 -> invalid_arg "Driver.create: max_buffered must be >= 0"
+  | _ -> ());
   let reader, bundle =
     match resume with
     | None -> (Wire.Reader.create ?max_frame (), None)
     | Some ck ->
         let h = ck.Checkpoint.ck_header in
         let b =
-          Predict.Engines.restore ?max_buffered ?degraded:ck.Checkpoint.ck_degraded ~kinds
+          Predict.Engines.restore ?degraded:ck.Checkpoint.ck_degraded ~kinds
             ~nthreads:h.Wire.nthreads ~spec:(Some spec)
             ~online_snapshot:ck.Checkpoint.ck_online
             ~blocks:ck.Checkpoint.ck_engines
@@ -56,7 +58,6 @@ let create ?sid ?max_frame ?max_buffered ?quarantine ?checkpoint ?resume
     spec_fp = lazy (Checkpoint.fingerprint spec);
     events = resumed (fun ck -> ck.Checkpoint.ck_reader_stats.Wire.Reader.messages);
     ends = resumed (fun ck -> ck.Checkpoint.ck_ends);
-    skipped = 0;
     quarantined = resumed (fun ck -> ck.Checkpoint.ck_quarantined);
     peak = resumed (fun ck -> ck.Checkpoint.ck_peak_buffered);
     checkpoints = 0;
@@ -68,7 +69,6 @@ let reader t = t.reader
 let bundle t = t.bundle
 let events t = t.events
 let ends t = t.ends
-let skipped t = t.skipped
 let quarantined t = t.quarantined
 let peak_buffered t = t.peak
 let checkpoints t = t.checkpoints
@@ -126,22 +126,20 @@ let skip t error bytes =
   | _ -> ());
   match t.recovery with
   | Config.Fail -> Failed error
-  | Config.Skip ->
-      t.skipped <- t.skipped + 1;
-      Continue
+  | Config.Skip -> Continue
   | Config.Quarantine ->
-      t.skipped <- t.skipped + 1;
       t.quarantined <- t.quarantined + String.length bytes;
       (match t.quarantine with Some sink -> sink bytes | None -> ());
       Continue
 
-(* [Degrade] relieves a frontier breach by swapping the lattice engine
-   for the linear-time ones at the current clean causal boundary (a feed
-   always pumps to quiescence); every other breach is the front end's to
-   handle. *)
+(* [Degrade] relieves the breach by swapping the lattice engine for the
+   linear-time ones at the current clean causal boundary (a feed always
+   pumps to quiescence): a frontier breach implies a live lattice engine,
+   since its cut count is 0 without one.  Under [Evict] and [Fail] the
+   breach is the front end's to handle. *)
 let relieve t b breach =
-  match (t.on_overload, Predict.Engines.online b) with
-  | Budget.Degrade, Some _ when Budget.degradable breach ->
+  match t.on_overload with
+  | Budget.Degrade ->
       let reason = Budget.breach_reason breach in
       Predict.Engines.degrade b ~reason;
       (* The marker's [at_event]: the events fed when the swap happened. *)
@@ -151,7 +149,7 @@ let relieve t b breach =
             ("at_event", string_of_int (Predict.Engines.events b)) ]
         (Budget.breach_message breach);
       Degraded
-  | _ -> Breach breach
+  | Budget.Evict | Budget.Fail -> Breach breach
 
 let check_budget t b =
   if Budget.is_unlimited t.budget then Continue
@@ -164,19 +162,24 @@ let check_budget t b =
   end
 
 (* Matches throughout, not [let*] or [Option.iter]: a bind's
-   continuation or a closure over [m] would be allocated per message. *)
+   continuation or a closure over [m] would be allocated per message.
+   The one bound on held messages: a message that leaves more than
+   [max_buffered] held, in the lattice's store or the delivery buffer,
+   fails the stream. *)
 let feed t m =
   match t.bundle with
   | None -> Failed Wire.Error.Missing_header_frame
   | Some b -> (
       match Predict.Engines.feed b m with
-      | () ->
-          t.events <- t.events + 1;
+      | () -> (
           let o = Predict.Engines.out_of_order b in
-          if o > t.peak then t.peak <- o;
-          check_budget t b
-      | exception Predict.Online.Backpressure { buffered; limit } ->
-          Failed (Wire.Error.Backpressure { buffered; limit })
+          match t.max_buffered with
+          | Some limit when o > limit ->
+              Failed (Wire.Error.Backpressure { buffered = o; limit })
+          | _ ->
+              t.events <- t.events + 1;
+              if o > t.peak then t.peak <- o;
+              check_budget t b)
       | exception Invalid_argument _ -> (
           (* A well-formed frame carrying a (thread, index) pair we
              already consumed: an input defect, so the recovery policy
@@ -210,7 +213,7 @@ let next t =
   | Wire.Reader.Item (Wire.Reader.Header h) ->
       t.bundle <-
         Some
-          (Predict.Engines.create ?max_buffered:t.max_buffered ~kinds:t.kinds
+          (Predict.Engines.create ~kinds:t.kinds
              ~nthreads:h.Wire.nthreads ~init:h.Wire.init ~spec:(Some t.spec) ());
       Continue
   | Wire.Reader.Item (Wire.Reader.End_of_thread tid) -> (

@@ -5,15 +5,17 @@
     {!Wire.Reader} and the {!Predict.Engines} bundle its header frame
     creates (or a {!Checkpoint} restores).  {!next} consumes one decoded
     item and applies everything both front ends must agree on: the
-    recovery policy for malformed frames, the duplicate and
-    backpressure mapping, the resource budget with [Degrade] applied in
-    place, and the logical end of the stream.  {!complete} decides
+    recovery policy for malformed frames, the duplicate mapping, the
+    one bound on held messages ([max_buffered]), the resource budget
+    with [Degrade] applied in place, and the logical end of the
+    stream.  {!complete} decides
     whether the input was complete before any verdict is drawn.
 
     What stays with each front end is where bytes come from (a
     transport, a socket), where it asks for a checkpoint
-    ({!checkpoint_due}), and what an undegradable budget breach does to
-    it ({!Breach}): [stream] raises, a serve session is evicted. *)
+    ({!checkpoint_due}), and what a budget breach under [Evict] or
+    [Fail] does to it ({!Breach}): [stream] raises, a serve session is
+    evicted or failed. *)
 
 open Trace
 
@@ -30,8 +32,11 @@ type step =
       (** end of input: the transport closed, or every thread's
           end-of-stream frame arrived with no byte pending *)
   | Failed of Wire.Error.t
-      (** a malformed frame under [Fail], or {!Wire.Error.Backpressure} *)
-  | Breach of Budget.breach  (** a budget crossed and not relieved in place *)
+      (** a malformed frame under [Fail], or {!Wire.Error.Backpressure}:
+          a message left more than [max_buffered] messages held *)
+  | Breach of Budget.breach
+      (** a budget crossed under [Evict] or [Fail] ([Degrade] relieves
+          it in place) *)
 
 val create :
   ?sid:string ->
@@ -47,14 +52,19 @@ val create :
   spec:Pastltl.Formula.t ->
   unit ->
   t
-(** [sid] tags the driver's log lines.  [checkpoint:(path, every)]
+(** [sid] tags the driver's log lines.  [max_buffered] bounds the
+    messages held waiting for an earlier one
+    ({!Predict.Engines.out_of_order}), checked after every message: the
+    message that leaves more than [max_buffered] held is
+    {!Wire.Error.Backpressure}, whatever engines run.
+    [checkpoint:(path, every)]
     names the checkpoint file and its cadence, in {!Predict.Engines.ticks}.
     Under [Quarantine] the bytes of every skipped frame go to
     [quarantine] and count in {!quarantined}.  [resume] rebuilds the
     reader and the engines from a checkpoint taken under the same
     engine set.
-    @raise Invalid_argument when [resume] does not fit [kinds] or its
-    own header. *)
+    @raise Invalid_argument when [max_buffered] is negative, or when
+    [resume] does not fit [kinds] or its own header. *)
 
 val next : t -> step
 (** Consume one decoded item.  Allocates nothing when a message goes in
@@ -100,9 +110,6 @@ val bundle : t -> Predict.Engines.t option
 
 val events : t -> int
 (** Messages the engines accepted (a duplicate is skipped, not counted). *)
-
-val skipped : t -> int
-(** Malformed frames and duplicates skipped under [Skip]/[Quarantine]. *)
 
 val ends : t -> int
 val quarantined : t -> int

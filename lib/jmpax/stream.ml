@@ -80,10 +80,10 @@ let run ?(chunk_size = default_chunk_size) ?max_frame ?max_buffered
     | Error e -> Error (Wire.Error.Checkpoint e)
   in
   (* A checkpoint is due-checked after every consumed item.  A breach
-     [Degrade] cannot relieve — and every breach under [Evict]/[Fail] —
-     stops the stream with {!Budget.Exceeded}, after persisting a final
-     checkpoint under [Evict] so the state survives the drop.  Matches,
-     not [let*]: a bind's continuation is a closure allocated per
+     under [Evict]/[Fail] ([Degrade] relieves it in place) stops the
+     stream with {!Budget.Exceeded}, after persisting a final checkpoint
+     under [Evict] so the state survives the drop.  Matches, not
+     [let*]: a bind's continuation is a closure allocated per
      message. *)
   let rec loop () =
     match Driver.next d with

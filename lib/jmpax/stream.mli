@@ -11,10 +11,11 @@
       abort, skip to the next frame, or skip-and-quarantine the raw
       bytes; skipped input is counted in {!stats} and in the
       [stream.*] telemetry counters;
-    - a {e backpressure bound} [max_buffered] on out-of-order messages,
-      so a reordering or lossy channel cannot grow the observer's
-      buffer without bound (surfaced as the [stream.max_buffered] and
-      [stream.peak_buffered] gauges).
+    - a {e backpressure bound} [max_buffered] on messages held waiting
+      for an earlier one (in the lattice's store or the race/atomicity
+      engines' delivery buffer), so a reordering or lossy channel
+      cannot grow the observer's buffers without bound (surfaced as the
+      [stream.max_buffered] and [stream.peak_buffered] gauges).
 
     For long-running monitors two more knobs add crash safety:
     [checkpoint] periodically persists the full resumable state as a
@@ -82,8 +83,9 @@ val run :
     at end of transport.  Each decoded item goes through a {!Driver},
     the per-message driver the serve sessions share: it never raises on
     malformed input (every decode failure is recovered per [recovery]
-    or returned as a typed [Error]), {!Wire.Error.Backpressure} is
-    always fatal, and a gap at the end is {!stats}[.incomplete].  On a
+    or returned as a typed [Error]), {!Wire.Error.Backpressure} (the
+    message that leaves more than [max_buffered] held) is always
+    fatal, and a gap at the end is {!stats}[.incomplete].  On a
     clean, complete stream the verdict, violations and gc statistics
     are identical to feeding the same messages to {!Predict.Online}
     directly (and hence to the offline analyzer).

@@ -35,17 +35,13 @@ type t = {
   waiters : int array array;  (* waiters.(j).(0 .. nwaiting.(j) - 1) *)
   nwaiting : int array;
   mutable nready : int;
-  max_buffered : int option;
   mutable buffered : int;
   mutable peak_buffered : int;
   mutable words : int;  (* the rings and [waiters] with their headers, the [far] nodes *)
 }
 
-let create ?max_buffered ~nthreads () =
+let create ~nthreads () =
   if nthreads <= 0 then invalid_arg "Causal.create: nthreads must be positive";
-  (match max_buffered with
-  | Some k when k < 0 -> invalid_arg "Causal.create: max_buffered must be >= 0"
-  | _ -> ());
   { nthreads;
     delivered = Array.make nthreads 0;
     rings = Array.make nthreads [||];
@@ -56,7 +52,6 @@ let create ?max_buffered ~nthreads () =
     waiters = Array.make nthreads [||];
     nwaiting = Array.make nthreads 0;
     nready = 0;
-    max_buffered;
     buffered = 0;
     peak_buffered = 0;
     words = 0 }
@@ -247,12 +242,7 @@ let feed t (m : Message.t) =
   put t m.Message.tid seq m;
   if t.buffered > t.peak_buffered then t.peak_buffered <- t.buffered;
   if seq = t.delivered.(m.Message.tid) + 1 then examine t m.Message.tid;
-  let out = drain t in
-  (match t.max_buffered with
-  | Some limit when t.buffered > limit ->
-      raise (Online.Backpressure { buffered = t.buffered; limit })
-  | _ -> ());
-  out
+  drain t
 
 let end_of_thread t tid =
   if tid < 0 || tid >= t.nthreads then
@@ -319,12 +309,12 @@ let snapshot t =
     snap_pending = pending;
     snap_peak_buffered = t.peak_buffered }
 
-let restore ?max_buffered (s : snapshot) =
+let restore (s : snapshot) =
   let nthreads = Array.length s.snap_delivered in
   if nthreads = 0 then invalid_arg "Causal.restore: empty snapshot";
   if Array.length s.snap_ended <> nthreads then
     invalid_arg "Causal.restore: ended array does not match thread count";
-  let t = create ?max_buffered ~nthreads () in
+  let t = create ~nthreads () in
   Array.blit s.snap_delivered 0 t.delivered 0 nthreads;
   Array.blit s.snap_ended 0 t.ended 0 nthreads;
   List.iter

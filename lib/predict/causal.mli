@@ -13,18 +13,16 @@
     contiguous).
 
     Duplicate and out-of-range messages raise [Invalid_argument] with
-    the same semantics as {!Online.feed}, and the out-of-order bound
-    raises {!Online.Backpressure}, so the streaming front ends treat all
-    engines uniformly. *)
+    the same semantics as {!Online.feed}, so the streaming front ends
+    treat all engines uniformly.  The buffer itself is unbounded: the
+    front ends bound it with [--max-buffered], which they check against
+    {!buffered} after each message. *)
 
 open Trace
 
 type t
 
-val create : ?max_buffered:int -> nthreads:int -> unit -> t
-(** [max_buffered] is the hard backpressure bound ({!Online.Backpressure}).
-    The softer budget cap on the same buffer is the front end's: it
-    reads {!buffered} after each message ([Budget.check]). *)
+val create : nthreads:int -> unit -> t
 
 val feed : t -> Message.t -> Message.t list
 (** Buffer one message and return every message that became deliverable,
@@ -34,8 +32,7 @@ val feed : t -> Message.t -> Message.t list
     message.
     @raise Invalid_argument on duplicates, out-of-range thread ids,
     clocks narrower than the thread count, or messages arriving after
-    their thread ended.
-    @raise Online.Backpressure when the buffer exceeds [max_buffered]. *)
+    their thread ended. *)
 
 val end_of_thread : t -> Types.tid -> unit
 val buffered : t -> int
@@ -75,5 +72,5 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
-val restore : ?max_buffered:int -> snapshot -> t
+val restore : snapshot -> t
 (** @raise Invalid_argument on an inconsistent snapshot. *)

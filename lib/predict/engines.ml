@@ -24,7 +24,6 @@ type t = {
   mutable events : int;
   mutable degraded : degraded option;
   nthreads : int;
-  max_buffered : int option;
 }
 
 let kinds t = t.kinds
@@ -58,19 +57,19 @@ let attach ?race ?atomicity front order =
   let atomicity = core Engine.Atomicity atomicity (fun () -> Atomicity.Core.create ~nthreads) in
   { front; order; race; atomicity; sink = sink_of ~metered:(fun _ -> true) race atomicity }
 
-let create ?max_buffered ~kinds ~nthreads ~init ~spec () =
+let create ~kinds ~nthreads ~init ~spec () =
   validate_kinds kinds ~spec;
   let online =
     if List.mem Engine.Lattice kinds then
-      Some (Online.create ?max_buffered ~nthreads ~init ~spec:(Option.get spec) ())
+      Some (Online.create ~nthreads ~init ~spec:(Option.get spec) ())
     else None
   in
   let linear =
     match linear_kinds kinds with
     | [] -> None
-    | order -> Some (attach (Linear.create ?max_buffered ~nthreads ()) order)
+    | order -> Some (attach (Linear.create ~nthreads ()) order)
   in
-  { kinds; online; linear; events = 0; degraded = None; nthreads; max_buffered }
+  { kinds; online; linear; events = 0; degraded = None; nthreads }
 
 (* [match]es, not [Option.iter]: a closure over [m] would be allocated
    per message.  A message counts once every engine has accepted it: a
@@ -111,9 +110,6 @@ let ticks t =
 
 let lattice_or t f ~default = match t.online with Some o -> f o | None -> default
 let linear_or t f ~default = match t.linear with Some l -> f l.front | None -> default
-
-let buffered t =
-  Int.max (lattice_or t Online.buffered ~default:0) (linear_or t Linear.buffered ~default:0)
 
 let out_of_order t =
   Int.max (lattice_or t Online.out_of_order ~default:0) (linear_or t Linear.buffered ~default:0)
@@ -197,9 +193,7 @@ let degrade t ~reason =
                 snap_pending = pending;
                 snap_peak_buffered = List.length pending }
             in
-            attach
-              (Linear.create ?max_buffered:t.max_buffered ~start ~nthreads:t.nthreads ())
-              order
+            attach (Linear.create ~start ~nthreads:t.nthreads ()) order
       in
       t.linear <- Some linear;
       t.degraded <-
@@ -254,11 +248,11 @@ let check_version (name, lines) =
 (* The block's front end and the cores [order] selects.  A block is
    taken only in the form the restored state writes back, so every
    field, count and ordering reads one way. *)
-let read_block ?max_buffered order lines =
+let read_block order lines =
   let what = block_name ^ " engine" in
   let open Engine.Snapshot in
   let r = reader (List.tl lines) in
-  let front = Linear.read ~what ?max_buffered r in
+  let front = Linear.read ~what r in
   let nthreads = Linear.nthreads front in
   let section key ~n read =
     if next_key r <> Some key then None
@@ -286,15 +280,14 @@ let read_block ?max_buffered order lines =
     invalid_arg (what ^ ": block is not in the form its state writes");
   l
 
-let restore ?max_buffered ?degraded ~kinds ~nthreads ~spec ~online_snapshot ~blocks ~events
-    () =
+let restore ?degraded ~kinds ~nthreads ~spec ~online_snapshot ~blocks ~events () =
   validate_kinds kinds ~spec;
   List.iter check_version blocks;
   let online =
     match (List.mem Engine.Lattice kinds, degraded, online_snapshot) with
     | _, Some _, Some _ -> refuse "checkpoint is degraded yet carries lattice engine state"
     | _, Some _, None -> None
-    | true, None, Some snap -> Some (Online.restore ?max_buffered ~spec:(Option.get spec) snap)
+    | true, None, Some snap -> Some (Online.restore ~spec:(Option.get spec) snap)
     | true, None, None -> refuse "checkpoint has no lattice engine state"
     | false, None, Some _ ->
         refuse "checkpoint has lattice engine state but the lattice engine is not selected"
@@ -308,7 +301,7 @@ let restore ?max_buffered ?degraded ~kinds ~nthreads ~spec ~online_snapshot ~blo
     | [], [] -> None
     | [], _ :: _ -> refuse "checkpoint has state for unselected engine %S" block_name
     | k :: _, [] -> refuse "checkpoint has no state for engine %S" (Engine.kind_to_string k)
-    | _, [ (_, lines) ] -> Some (read_block ?max_buffered order lines)
+    | _, [ (_, lines) ] -> Some (read_block order lines)
     | _, _ -> refuse "checkpoint has more than one %S block" block_name
   in
   Option.iter
@@ -316,4 +309,4 @@ let restore ?max_buffered ?degraded ~kinds ~nthreads ~spec ~online_snapshot ~blo
       if Linear.nthreads l.front <> nthreads then
         refuse "engine state for %d threads, stream of %d" (Linear.nthreads l.front) nthreads)
     linear;
-  { kinds; online; linear; events; degraded; nthreads; max_buffered }
+  { kinds; online; linear; events; degraded; nthreads }

@@ -27,7 +27,6 @@ type degraded = {
 }
 
 val create :
-  ?max_buffered:int ->
   kinds:Engine.kind list ->
   nthreads:int ->
   init:(Types.var * Types.value) list ->
@@ -42,9 +41,7 @@ val kinds : t -> Engine.kind list
 val feed : t -> Message.t -> unit
 (** Fan one message out to every engine (lattice first).
     @raise Invalid_argument on duplicates — every engine agrees on
-    duplicate detection, so the first engine's verdict stands for all.
-    @raise Online.Backpressure past an engine's out-of-order bound;
-    backpressure is fatal to the bundle. *)
+    duplicate detection, so the first engine's verdict stands for all. *)
 
 val end_of_thread : t -> Types.tid -> unit
 val finish : t -> unit
@@ -94,9 +91,6 @@ val ticks : t -> int
 (** Checkpoint-cadence clock: the lattice level when the lattice engine
     runs, otherwise the message count. *)
 
-val buffered : t -> int
-(** Worst case over engines. *)
-
 val out_of_order : t -> int
 (** Messages held now, waiting for an earlier message: the larger of
     the lattice's ({!Online.out_of_order}) and the delivery buffer's
@@ -121,7 +115,6 @@ val snapshots : t -> (string * string list) list
     and a section per selected core. *)
 
 val restore :
-  ?max_buffered:int ->
   ?degraded:degraded ->
   kinds:Engine.kind list ->
   nthreads:int ->

@@ -22,12 +22,12 @@ let fan_out = function
 
 type t = { clocks : Syncclock.t; causal : Causal.t }
 
-let create ?max_buffered ?start ~nthreads () =
+let create ?start ~nthreads () =
   { clocks = Syncclock.create ~nthreads;
     causal =
       (match start with
-      | Some cut -> Causal.restore ?max_buffered cut
-      | None -> Causal.create ?max_buffered ~nthreads ()) }
+      | Some cut -> Causal.restore cut
+      | None -> Causal.create ~nthreads ()) }
 
 (* One access in causal order.  Lock traffic reaches the sink before
    its clock update, so an acquire opens its own block. *)
@@ -85,7 +85,7 @@ let write lines t =
       [ Printf.sprintf "msg %d %d %s %d %s" m.Message.eid m.Message.tid m.Message.var
           m.Message.value (Vclock.to_string m.Message.mvc) ])
 
-let read ~what ?max_buffered r =
+let read ~what r =
   let open Engine.Snapshot in
   let clocks = Syncclock.read ~what r in
   let delivered = Array.map (nat ~what) (fields ~what ~key:"delivered" r) in
@@ -101,7 +101,7 @@ let read ~what ?max_buffered r =
           ~value:(int ~what f.(3)) ~mvc:(clock ~what f.(4)))
   in
   let causal =
-    Causal.restore ?max_buffered
+    Causal.restore
       { Causal.snap_delivered = delivered;
         snap_ended = ended;
         snap_pending = pending;

@@ -27,11 +27,9 @@ val fan_out : sink list -> sink
 
 type t
 
-val create :
-  ?max_buffered:int -> ?start:Causal.snapshot -> nthreads:int -> unit -> t
+val create : ?start:Causal.snapshot -> nthreads:int -> unit -> t
 (** [start] seeds the delivery buffer mid-stream (the degrade handoff
-    cut); the clocks still start at zero.  [max_buffered] is
-    {!Causal.create}'s. *)
+    cut); the clocks still start at zero. *)
 
 val feed : t -> sink -> Message.t -> unit
 (** Buffer one message and hand every access it makes deliverable to the
@@ -59,7 +57,7 @@ val write : string list ref -> t -> unit
     [ended] flags, [progress <peak buffered>] and the [pending]
     messages. *)
 
-val read : what:string -> ?max_buffered:int -> Engine.Snapshot.reader -> t
+val read : what:string -> Engine.Snapshot.reader -> t
 (** Reads what {!write} wrote, through {!Engine.Snapshot}'s strict
     readers.
     @raise Invalid_argument on a malformed section, or when a clock's

@@ -6,10 +6,7 @@ let m_retired = M.counter "online.retired_cuts"
 let m_monitor_steps = M.counter "online.monitor_steps"
 let m_violations = M.counter "online.violations"
 let m_gc_removed = M.counter "online.gc_removed"
-let m_max_buffered = M.gauge "online.max_buffered"
 let m_peak_buffered = M.gauge "online.peak_buffered"
-
-exception Backpressure of { buffered : int; limit : int }
 
 module Smap = Map.Make (String)
 
@@ -293,7 +290,6 @@ type t = {
   msets : Msets.t;  (* the monitor-state sets and the automaton over them *)
   atom_values : bool array;  (* scratch: a wide letter's atom values *)
   spec : Pastltl.Formula.t;
-  max_buffered : int option;  (* bound on out-of-order buffered messages *)
   (* Message store: per-thread logs, plus contiguous prefix lengths and
      out-of-order buffer counts. *)
   logs : log array;
@@ -448,7 +444,7 @@ let join t q entry _cut _tid =
   end;
   q
 
-let make ?max_buffered ~monitor ~layout ~msets ~spec ~prefix ~beyond ~gc_floor ~ended frontier =
+let make ~monitor ~layout ~msets ~spec ~prefix ~beyond ~gc_floor ~ended frontier =
   let rec t =
     { nthreads = Array.length prefix;
       monitor;
@@ -456,7 +452,6 @@ let make ?max_buffered ~monitor ~layout ~msets ~spec ~prefix ~beyond ~gc_floor ~
       msets;
       atom_values = Array.make (Array.length layout.atoms) false;
       spec;
-      max_buffered;
       logs = Array.map (fun floor -> log_create ~floor) gc_floor;
       stored = 0;
       prefix = Array.copy prefix;
@@ -481,12 +476,8 @@ let make ?max_buffered ~monitor ~layout ~msets ~spec ~prefix ~beyond ~gc_floor ~
   in
   t
 
-let create ?max_buffered ~nthreads ~init ~spec () =
+let create ~nthreads ~init ~spec () =
   if nthreads <= 0 then invalid_arg "Online.create: nthreads must be positive";
-  (match max_buffered with
-  | Some k when k < 0 -> invalid_arg "Online.create: max_buffered must be >= 0"
-  | Some k -> if M.enabled () then M.set m_max_buffered k
-  | None -> ());
   let monitor = Pastltl.Monitor.compile spec in
   let layout = make_layout ~listed:(List.map fst init) ~spec monitor in
   let init_state = Pastltl.State.of_list init in
@@ -498,7 +489,7 @@ let create ?max_buffered ~nthreads ~init ~spec () =
   let letter = letter_of layout msets values vals in
   let zeros = Array.make nthreads 0 in
   let t =
-    make ?max_buffered ~monitor ~layout ~msets ~spec ~prefix:zeros ~beyond:zeros
+    make ~monitor ~layout ~msets ~spec ~prefix:zeros ~beyond:zeros
       ~gc_floor:zeros ~ended:(Array.make nthreads false)
       (F.singleton ~width:nthreads zeros { vals; side = Smap.empty; sid; letter })
   in
@@ -587,11 +578,6 @@ let feed t (m : Message.t) =
   if seq <= t.prefix.(m.tid) || log_find log seq != Message.none then
     invalid_arg "Online.feed: duplicate message";
   if t.ended.(m.tid) then invalid_arg "Online.feed: thread already ended";
-  (match t.max_buffered with
-  | Some limit when seq > t.prefix.(m.tid) + 1 ->
-      let buffered = total_beyond t in
-      if buffered >= limit then raise (Backpressure { buffered; limit })
-  | _ -> ());
   ignore (log_add log seq m (var_slot t.layout m.var));
   t.stored <- t.stored + 1;
   if seq = t.prefix.(m.tid) + 1 then begin
@@ -707,7 +693,7 @@ let always_bound frontier =
         first
       |> List.map fst
 
-let restore ?max_buffered ~spec s =
+let restore ~spec s =
   let n = s.snap_nthreads in
   if n <= 0 then invalid_arg "Online.restore: nthreads must be positive";
   let check_width what a =
@@ -761,7 +747,7 @@ let restore ?max_buffered ~spec s =
         invalid_arg "Online.restore: gc floor outside the delivered prefix")
     s.snap_gc_floor;
   let t =
-    make ?max_buffered ~monitor ~layout ~msets ~spec ~prefix:s.snap_prefix ~beyond:s.snap_beyond
+    make ~monitor ~layout ~msets ~spec ~prefix:s.snap_prefix ~beyond:s.snap_beyond
       ~gc_floor:s.snap_gc_floor ~ended:s.snap_ended (F.of_list ~width:n entries)
   in
   List.iter

@@ -44,12 +44,7 @@ val max_violations : int
     level order (canonical cut order within a level).  {!violated} is
     unaffected by the cap. *)
 
-exception Backpressure of { buffered : int; limit : int }
-(** Raised by {!feed} when accepting an out-of-order message would
-    exceed the [max_buffered] bound. *)
-
 val create :
-  ?max_buffered:int ->
   nthreads:int ->
   init:(Types.var * Types.value) list ->
   spec:Pastltl.Formula.t ->
@@ -58,16 +53,15 @@ val create :
 (** The frontier starts as the bottom cut (level 0), already checked
     against the specification.
 
-    [max_buffered] bounds the messages buffered {e out of order} (past
-    their thread's contiguous prefix): one more makes {!feed} raise
-    {!Backpressure}, keeping the observer's memory bounded under a
-    reordering channel.  The bound and the observed peak surface as the
-    [online.max_buffered] / [online.peak_buffered] telemetry gauges. *)
+    The messages buffered {e out of order} (past their thread's
+    contiguous prefix) are not bounded here: the streaming front ends
+    bound them with [--max-buffered], which they check against
+    {!out_of_order} after each message.  The observed peak surfaces as
+    the [online.peak_buffered] telemetry gauge. *)
 
 val feed : t -> Message.t -> unit
 (** Accept one message (any order) and advance as far as possible.
-    @raise Invalid_argument on duplicates or thread ids out of range.
-    @raise Backpressure when the out-of-order buffer bound is full. *)
+    @raise Invalid_argument on duplicates or thread ids out of range. *)
 
 val feed_all : t -> Message.t list -> unit
 
@@ -112,8 +106,8 @@ val buffered : t -> int
 (** Messages received but not yet consumed by the frontier. *)
 
 val out_of_order : t -> int
-(** Buffered messages still missing a predecessor — the quantity bounded
-    by [max_buffered]. *)
+(** Buffered messages still missing a predecessor — the lattice's part
+    of what [--max-buffered] bounds ({!Engines.out_of_order}). *)
 
 val missing : t -> (Types.tid * int) option
 (** The first thread with a delivery gap and the index it is waiting
@@ -172,13 +166,10 @@ val snapshot : t -> snapshot
 (** Must be taken at a quiescent point — not from within a [feed]. *)
 
 val restore :
-  ?max_buffered:int ->
   spec:Pastltl.Formula.t ->
   snapshot ->
   t
-(** The monitor is recompiled from [spec]; [max_buffered] is supplied
-    fresh, so a run can resume under a different buffering bound than it
-    was checkpointed under.
+(** The monitor is recompiled from [spec].
     @raise Invalid_argument when the snapshot is internally inconsistent
     (a frontier cut listed twice, say) or its monitor states do not fit
     [spec] (wrong specification). *)

@@ -112,7 +112,12 @@ let exit_code t = t.s_code
 let fail_reason t = t.s_reason
 
 let events t = match t.driver with Some d -> Driver.events d | None -> t.final.f_events
-let skipped t = match t.driver with Some d -> Driver.skipped d | None -> t.final.f_skipped
+(* The reader's count, which a checkpoint carries across a resume:
+   what [jmpax stream] reports as frames skipped. *)
+let skipped t =
+  match t.driver with
+  | Some d -> (Wire.Reader.stats (Driver.reader d)).Wire.Reader.skipped_frames
+  | None -> t.final.f_skipped
 
 let checkpoints t =
   match t.driver with Some d -> Driver.checkpoints d | None -> t.final.f_checkpoints
@@ -299,10 +304,10 @@ let finish_evicted t reason =
    take a periodic checkpoint if the lattice advanced far enough.  The
    loop's read budget bounds how many bytes one pump can cover, so a
    firehose session cannot monopolize the daemon from in here.  In a
-   multi-tenant daemon a budget breach degradation cannot relieve must
-   not take the daemon down: under [Degrade] it falls back to evicting
-   the offender, and [Fail] fails only the offending session (exit
-   class 8), never its neighbours. *)
+   multi-tenant daemon a budget breach must not take the daemon down:
+   [Degrade] relieves it in place, [Evict] evicts the offender and
+   [Fail] fails only the offending session (exit class 8), never its
+   neighbours. *)
 let rec pump t d =
   match Driver.next d with
   | Driver.Continue -> pump t d

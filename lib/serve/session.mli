@@ -49,8 +49,9 @@ type config = {
           checkpoints written by a session carry exactly this set, and a
           resume from disk refuses a checkpoint taken under another *)
   max_buffered : int option;
-      (** per-session out-of-order bound; exceeding it disconnects
-          {e only} the offending session *)
+      (** per-session bound on messages held for an earlier one, in the
+          lattice's store or the delivery buffer; exceeding it fails
+          {e only} the offending session, exit class 4 *)
   jobs : int;
       (** unread: the lattice sweep is sequential.  Kept only because the
           benchmark builds this record literally; it goes with the next
@@ -62,9 +63,9 @@ type config = {
       (** where [<id>.ckpt] files live; [None] = no crash safety *)
   checkpoint_every : int;  (** lattice levels between periodic writes *)
   budget : Jmpax.Budget.limits;
-      (** per-session resource budgets ([--max-frontier-cuts],
-          [--max-causal-buffered]); {!Jmpax.Budget.unlimited} preserves
-          pre-budget behaviour byte-for-byte *)
+      (** per-session resource budget ([--max-frontier-cuts]);
+          {!Jmpax.Budget.unlimited} preserves pre-budget behaviour
+          byte-for-byte *)
   on_overload : Jmpax.Budget.policy;
       (** what a crossed budget does to the offending session:
           [Degrade] swaps its lattice engine for the linear-time ones
@@ -107,15 +108,16 @@ val level : t -> int
     ({!Predict.Engines.ticks}). *)
 
 val buffered : t -> int
-(** Out-of-order buffered messages (the [max_buffered] quantity). *)
+(** Messages held waiting for an earlier one (the [max_buffered]
+    quantity, {!Predict.Engines.out_of_order}). *)
 
 val frontier_cuts : t -> int
 (** Live lattice frontier width (the [--max-frontier-cuts] quantity);
     [0] without the lattice engine — including after a degrade. *)
 
 val causal_buffered : t -> int
-(** Messages buffered in the linear engines' causal-delivery buffers
-    (the [--max-causal-buffered] quantity). *)
+(** Messages held in the linear engines' causal-delivery buffer (part
+    of {!buffered}; observability, not a limit). *)
 
 val mem_words : t -> int
 (** O(1) estimate of the session's resident analysis state in words —
@@ -134,7 +136,9 @@ val lag : t -> int
     the session's ingest backlog (the [--health-max-lag] quantity). *)
 
 val skipped : t -> int
-(** Malformed frames skipped under [Skip]/[Quarantine]. *)
+(** Frames skipped under [Skip]/[Quarantine], malformed or duplicate:
+    the reader's count, which [jmpax stream] prints as frames skipped
+    and which a checkpoint carries across a resume. *)
 
 val checkpoints : t -> int
 val violated : t -> bool option

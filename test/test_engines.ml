@@ -669,8 +669,8 @@ let test_restore_checks_widths () =
              older_versions))
 
 (* The race+atomicity bundle parks each out-of-order message once, in
-   its one delivery buffer: its budget usage is the race engine's
-   alone. *)
+   its one delivery buffer: what it holds, and the words the budget
+   counts, are the race engine's alone. *)
 let test_budget_counts_buffer_once () =
   let exec, messages = lock_counter_messages ~threads:16 ~iters:6 in
   let race = bundle exec [ PE.Race ] and pair = bundle exec both in
@@ -679,10 +679,11 @@ let test_budget_counts_buffer_once () =
     (fun i m ->
       Predict.Engines.feed race m;
       Predict.Engines.feed pair m;
-      let u = Jmpax.Budget.usage race in
-      parked := max !parked u.Jmpax.Budget.causal_buffered;
-      if Jmpax.Budget.usage pair <> u then
-        Alcotest.failf "message %d: race+atomicity usage differs from race-only" i)
+      let held = Predict.Engines.causal_buffered race in
+      parked := max !parked held;
+      if Predict.Engines.causal_buffered pair <> held
+         || Jmpax.Budget.usage pair <> Jmpax.Budget.usage race
+      then Alcotest.failf "message %d: race+atomicity usage differs from race-only" i)
     messages;
   Alcotest.(check bool) "messages were parked" true (!parked > 0)
 
@@ -727,6 +728,54 @@ let test_peak_is_held_messages () =
           match C.read path with
           | Ok ck -> Alcotest.(check int) "checkpoint peak" held ck.C.ck_peak_buffered
           | Error e -> Alcotest.fail (C.error_to_string e)))
+
+(* {1 The one bound on held messages}
+
+   [--max-buffered] is checked once, by the driver, against
+   [Engines.out_of_order] after every message, whatever engines run: a
+   bounded run fails exactly when the unbounded run's peak exceeds the
+   bound, one message past it, and otherwise ends with the unbounded
+   run's verdicts. *)
+
+let qcheck_bound_is_the_peak =
+  let gen =
+    QCheck.Gen.(
+      quad (pair (int_range 2 4) (int_range 1 3)) (pair small_nat small_nat)
+        (int_range 1 16)
+        (pair
+           (oneofl [ [ PE.Lattice ]; [ PE.Race ]; [ PE.Lattice; PE.Race ] ])
+           (int_range 0 12)))
+  in
+  let print ((threads, iters), (sched, reorder), window, (kinds, limit)) =
+    Printf.sprintf "threads=%d iters=%d sched=%d reorder=%d window=%d engines=%s limit=%d"
+      threads iters sched reorder window
+      (String.concat "," (List.map PE.kind_to_string kinds))
+      limit
+  in
+  QCheck.Test.make ~name:"bounded run fails iff the unbounded peak exceeds the bound"
+    ~count:60 (QCheck.make ~print gen)
+    (fun ((threads, iters), (sched, reorder), window, (engines, limit)) ->
+      let exec =
+        exec_of_program ~seed:sched
+          (Tml.Parser.parse_program (lock_counter_source ~threads ~iters))
+      in
+      let doc =
+        W.Framed3.encode
+          { W.nthreads = Trace.Exec.nthreads exec; init = Trace.Exec.init exec }
+          (Observer.Channel.bounded_reorder ~seed:reorder ~window (PE.messages_of_exec exec))
+      in
+      let spec = Pastltl.Fparser.parse "c >= 0" in
+      let run ?max_buffered () = Jmpax.Stream.run_string ?max_buffered ~engines ~spec doc in
+      match (run (), run ~max_buffered:limit ()) with
+      | Ok free, Ok bounded ->
+          free.Jmpax.Stream.s_stats.Jmpax.Stream.peak_buffered <= limit
+          && free.Jmpax.Stream.s_engines = bounded.Jmpax.Stream.s_engines
+          && free.Jmpax.Stream.s_violated = bounded.Jmpax.Stream.s_violated
+      | Ok free, Error (E.Backpressure { buffered; limit = l }) ->
+          free.Jmpax.Stream.s_stats.Jmpax.Stream.peak_buffered > limit
+          && l = limit && buffered = limit + 1
+      | Ok _, Error e -> QCheck.Test.fail_reportf "bounded: %s" (E.to_string e)
+      | Error e, _ -> QCheck.Test.fail_reportf "unbounded: %s" (E.to_string e))
 
 (* {1 Front-end parity: check == stream, engine line for engine line} *)
 
@@ -807,7 +856,8 @@ let () =
         [ Alcotest.test_case "race+atomicity usage == race-only" `Quick
             test_budget_counts_buffer_once;
           Alcotest.test_case "peak out-of-order = messages held" `Quick
-            test_peak_is_held_messages ] );
+            test_peak_is_held_messages;
+          QCheck_alcotest.to_alcotest qcheck_bound_is_the_peak ] );
       ( "parity",
         [ Alcotest.test_case "check == stream verdict lines" `Quick
             test_pipeline_stream_parity ] );

@@ -829,19 +829,19 @@ let test_degraded_marker_survives_restart () =
               at_event));
       Unix.close c)
 
-(* Satellite of the causal engines: the bounded delivery buffer's typed
-   overflow is routed through the overload policy — exit class 8, not
-   the backpressure class 4 of the wire-order buffer. *)
-let test_causal_overflow_routed_through_policy () =
-  let budget = Jmpax.Budget.limits ~max_causal_buffered:3 () in
+(* [--max-buffered] bounds the causal-delivery buffer too: messages
+   held there for another thread's message cross it like messages held
+   for their own thread's, and the session fails with the backpressure
+   class 4. *)
+let test_causal_overflow_is_backpressure () =
   with_server
     ~engines:[ Predict.Engine.Lattice; Predict.Engine.Race ]
-    ~budget ~on_overload:Jmpax.Budget.Fail (fun t sock ->
+    ~max_buffered:3 (fun t sock ->
       let c = open_session t sock ~id:"w" ~fp:true_fp in
       let header = { W.nthreads = 2; init = [ ("x", 0) ] } in
       (* Thread 1's messages all wait on thread 0's fifth message, which
          never comes: each parks in the causal-delivery buffer until the
-         budget of 3 is crossed. *)
+         bound of 3 is crossed. *)
       List.iter (send t c)
         (frames header
            (List.init 6 (fun i ->
@@ -850,7 +850,7 @@ let test_causal_overflow_routed_through_policy () =
       ticks t ~n:20;
       let s = Option.get (Serve.Registry.find (L.registry t) "w") in
       Alcotest.(check bool) "offender failed" true (S.state s = S.Failed);
-      Alcotest.(check int) "budget exit class 8" 8 (S.exit_code s);
+      Alcotest.(check int) "backpressure exit class 4" 4 (S.exit_code s);
       Unix.close c)
 
 (* Admission control: over the global memory budget the daemon keeps
@@ -897,9 +897,11 @@ let session_lines reply =
          |> String.concat " ")
 
 (* What an earlier build, which kept every finished session's reader and
-   engines, printed for the three sessions below. *)
+   engines, printed for the three sessions below; [skipped=] since it
+   reads the reader's count of frames skipped, which includes the
+   refused duplicate [bad] fails on. *)
 let finished_stats =
-  [ "session id=bad state=failed events=3 level=1 buffered=1 lag=0 skipped=0 \
+  [ "session id=bad state=failed events=3 level=1 buffered=1 lag=0 skipped=1 \
      checkpoints=0 verdict=- code=3 cuts=2 causal=0 degraded=no";
     "session id=done state=done events=3 level=3 buffered=0 lag=0 skipped=0 \
      checkpoints=0 verdict=violation code=0 cuts=1 causal=0 degraded=no";
@@ -1273,6 +1275,66 @@ let test_lossy_parity_with_stream () =
     st.Jmpax.Stream.skipped_frames;
   Alcotest.(check (list string)) "duplicate: stream's verdict lines" (verdict_lines o) lines
 
+(* [jmpax run -e landing -o F]'s trace (every write, round-robin
+   schedule), with the 24 noise bytes CI's lossy-parity step splices in
+   at byte 106: one garbage span and the frame it cut short. *)
+let ci_lossy_landing =
+  let program =
+    Tml.Parser.parse_program (Option.get (Tml.Programs.source_of_name "landing"))
+  in
+  let r =
+    Tml.Vm.run_program ~relevance:Mvc.Relevance.all_writes
+      ~sched:(Tml.Sched.round_robin ()) program
+  in
+  let doc =
+    W.Framed3.encode
+      { W.nthreads = List.length program.Tml.Ast.threads; init = program.Tml.Ast.shared }
+      r.Tml.Vm.messages
+  in
+  String.sub doc 0 106 ^ String.make 24 'x' ^ String.sub doc 106 (String.length doc - 106)
+
+(* Serve's [skipped=] counts what stream's [recovered:] line counts as
+   frames skipped: the reader's count, not one per skip event. *)
+let test_skipped_counts_frames () =
+  let o =
+    stream_outcome ~recovery:Jmpax.Config.Skip ~engines:Predict.Engine.default_kinds
+      ~spec:landing_spec ci_lossy_landing
+  in
+  let frames = o.Jmpax.Stream.s_stats.Jmpax.Stream.skipped_frames in
+  Alcotest.(check bool) "stream skipped frames" true (frames > 0);
+  let s, _, _ =
+    session_run (default_session ~spec:landing_spec ~recovery:Jmpax.Config.Skip ())
+      ci_lossy_landing
+  in
+  Alcotest.(check int) "serve's skipped = stream's frames skipped" frames (S.skipped s)
+
+(* The count rides the checkpoint: a session resumed from one taken
+   after the skip ends with the uninterrupted session's count. *)
+let test_skipped_survives_resume () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let doc = ci_lossy_landing in
+  let cfg =
+    default_session ~spec:landing_spec ~checkpoint_dir:dir ~recovery:Jmpax.Config.Skip ()
+  in
+  let whole, _, _ = session_run cfg doc in
+  let cut, peer = mk_session ~cfg () in
+  ignore (S.start_fresh cut ~id:"cut" ~rest:(String.sub doc 0 (String.length doc - 8)));
+  S.close cut;
+  Unix.close peer;
+  let ck =
+    match Jmpax.Checkpoint.read (Option.get (S.checkpoint_path cfg "cut")) with
+    | Ok ck -> ck
+    | Error e -> Alcotest.fail (Jmpax.Checkpoint.error_to_string e)
+  in
+  Alcotest.(check bool) "checkpoint taken after the skip" true
+    (ck.Jmpax.Checkpoint.ck_reader_stats.W.Reader.skipped_frames > 0);
+  let resumed, peer = mk_session ~cfg () in
+  Fun.protect ~finally:(fun () -> Unix.close peer) @@ fun () ->
+  ignore (S.start_resume_checkpoint resumed ~id:"cut" ~ck ~rest:doc);
+  Alcotest.(check bool) "resumed session done" true (S.state resumed = S.Done);
+  Alcotest.(check int) "resumed count = uninterrupted" (S.skipped whole) (S.skipped resumed)
+
 (* The [at_event] of the [degrade] log event is the verdict marker's, on
    both front ends, also when a skipped duplicate frame went before it:
    neither the marker nor the session's [events] counts the duplicate. *)
@@ -1412,8 +1474,8 @@ let () =
             `Quick test_budget_policies_neighbor_parity;
           Alcotest.test_case "degraded marker survives drain and restart"
             `Quick test_degraded_marker_survives_restart;
-          Alcotest.test_case "causal overflow routed through the policy"
-            `Quick test_causal_overflow_routed_through_policy;
+          Alcotest.test_case "causal overflow is backpressure" `Quick
+            test_causal_overflow_is_backpressure;
           Alcotest.test_case "memory budget admission control" `Quick
             test_memory_budget_admission_control ] );
       ( "transport",
@@ -1422,6 +1484,10 @@ let () =
       ( "driver",
         [ Alcotest.test_case "lossy input: stream's gaps and verdicts" `Quick
             test_lossy_parity_with_stream;
+          Alcotest.test_case "skipped counts stream's frames skipped" `Quick
+            test_skipped_counts_frames;
+          Alcotest.test_case "skipped survives a resume" `Quick
+            test_skipped_survives_resume;
           Alcotest.test_case "degrade logs the marker's at_event" `Quick
             test_degrade_log_at_event;
           Alcotest.test_case "allocation per message" `Quick

@@ -627,17 +627,23 @@ let reversed_singlethread n =
   let ms = List.init n (fun i -> msg 0 "x" (i + 1) [ i + 1 ]) in
   (header, List.rev ms)
 
-let test_online_backpressure () =
+(* Reversed, four messages hold three before the last one releases
+   them: a bound of 3 absorbs that, a bound of 2 fails at the third
+   held message and reports it. *)
+let test_backpressure_one_past_the_bound () =
   let header, rev_ms = reversed_singlethread 4 in
-  let o =
-    Predict.Online.create ~max_buffered:2 ~nthreads:header.W.nthreads
-      ~init:header.W.init ~spec:Pastltl.Formula.True ()
-  in
-  match List.iter (Predict.Online.feed o) rev_ms with
-  | () -> Alcotest.fail "bound of 2 absorbed 3 out-of-order messages"
-  | exception Predict.Online.Backpressure { buffered; limit } ->
+  let doc = W.Framed3.encode header rev_ms in
+  (match Jmpax.Stream.run_string ~max_buffered:2 ~spec:Pastltl.Formula.True doc with
+  | Error (E.Backpressure { buffered; limit }) ->
       Alcotest.(check int) "limit" 2 limit;
-      Alcotest.(check int) "buffered at the bound" 2 buffered
+      Alcotest.(check int) "held, one past the bound" 3 buffered
+  | Error e -> Alcotest.failf "wrong error: %s" (E.to_string e)
+  | Ok _ -> Alcotest.fail "bound of 2 absorbed 3 held messages");
+  match Jmpax.Stream.run_string ~max_buffered:3 ~spec:Pastltl.Formula.True doc with
+  | Ok o ->
+      Alcotest.(check int) "peak at the bound" 3
+        o.Jmpax.Stream.s_stats.Jmpax.Stream.peak_buffered
+  | Error e -> Alcotest.failf "bound 3: %s" (E.to_string e)
 
 let test_stream_backpressure_enforced () =
   let header, rev_ms = reversed_singlethread 6 in
@@ -646,6 +652,9 @@ let test_stream_backpressure_enforced () =
   | Error (E.Backpressure { limit = 2; _ }) -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (E.to_string e)
   | Ok _ -> Alcotest.fail "backpressure bound not enforced");
+  (match Jmpax.Stream.run_string ~max_buffered:(-1) ~spec:Pastltl.Formula.True doc with
+  | _ -> Alcotest.fail "a negative bound was accepted"
+  | exception Invalid_argument _ -> ());
   (* A generous bound passes, and reports the true peak. *)
   match Jmpax.Stream.run_string ~max_buffered:16 ~spec:Pastltl.Formula.True doc with
   | Error e -> Alcotest.failf "bound 16: %s" (E.to_string e)
@@ -1253,7 +1262,8 @@ let () =
           Alcotest.test_case "skip reports what noise lost" `Quick
             test_recovery_skip_noise ] );
       ( "backpressure",
-        [ Alcotest.test_case "online raises at the bound" `Quick test_online_backpressure;
+        [ Alcotest.test_case "fails one message past the bound" `Quick
+            test_backpressure_one_past_the_bound;
           Alcotest.test_case "stream enforces --max-buffered" `Quick
             test_stream_backpressure_enforced;
           Alcotest.test_case "gauge visible in metrics" `Quick
